@@ -718,13 +718,11 @@ impl RdfDatabase {
             .with_range_pricing(p.plain.profile().range_scans)
             .with_view_pricing(views);
         let engine_model = EngineCostModel::new(&p.plain);
-        let estimator: &(dyn JucqCostEstimator + Sync) = match cost {
+        let estimator: &dyn JucqCostEstimator = match cost {
             CostSource::Paper => &paper_model,
             CostSource::Engine => &engine_model,
         };
-        let search = CoverSearch::new(q, *env, estimator)
-            .with_union_limit(limit)
-            .with_parallelism(p.plain.profile().effective_parallelism());
+        let search = CoverSearch::new(q, *env, estimator).with_union_limit(limit);
         let result = match strategy {
             Strategy::ECov { budget, .. } => ecov(&search, *budget)?,
             Strategy::GCov { budget, max_moves, .. } => gcov(&search, *budget, *max_moves)?,

@@ -21,7 +21,7 @@
 //! statistics layer: exact per-triple extents, estimated UCQ/JUCQ
 //! result sizes.
 
-use std::sync::RwLock;
+use std::cell::RefCell;
 
 use jucq_model::{FxHashMap, FxHashSet};
 use jucq_store::{
@@ -136,25 +136,13 @@ impl FragComponents {
     /// non-negative, or cover comparison silently corrupts (NaN breaks
     /// `<`; negative costs invert the greedy search's preferences).
     pub fn debug_check(&self) {
+        let domains = self.var_domains.iter().map(|d| d.1);
         debug_assert!(
-            self.eval.is_finite() && self.eval >= 0.0,
-            "fragment eval cost not finite/non-negative: {}",
-            self.eval
-        );
-        debug_assert!(
-            self.volume.is_finite() && self.volume >= 0.0,
-            "fragment volume not finite/non-negative: {}",
-            self.volume
-        );
-        debug_assert!(
-            self.card.is_finite() && self.card >= 0.0,
-            "fragment cardinality not finite/non-negative: {}",
-            self.card
-        );
-        debug_assert!(
-            self.var_domains.iter().all(|&(_, d)| d.is_finite() && d >= 0.0),
-            "fragment var domain not finite/non-negative: {:?}",
-            self.var_domains
+            [self.eval, self.volume, self.card]
+                .into_iter()
+                .chain(domains)
+                .all(|x| x.is_finite() && x >= 0.0),
+            "fragment cost ingredient not finite/non-negative: {self:?}"
         );
     }
 }
@@ -162,6 +150,112 @@ impl FragComponents {
 /// Member-sampling threshold: fragments beyond this many member CQs are
 /// estimated on an evenly-strided sample, scaled back up.
 const MEMBER_SAMPLE_CAP: usize = 4096;
+
+/// Stride of the evenly spaced member sample of an `n`-member union,
+/// and the factor scaling sample sums back up to the whole union.
+fn member_sample(n: usize) -> (usize, f64) {
+    if n <= MEMBER_SAMPLE_CAP {
+        (1, 1.0)
+    } else {
+        let stride = n.div_ceil(MEMBER_SAMPLE_CAP / 2);
+        (stride, n as f64 / n.div_ceil(stride) as f64)
+    }
+}
+
+/// What one pass over a reformulated union's members yields: the sums
+/// every estimate of the union is assembled from.
+#[derive(Debug, Clone, Copy)]
+pub struct MemberSums {
+    /// Σ member `c_eval`, range-collapse discount applied.
+    pub eval: f64,
+    /// Σ member scan volumes.
+    pub volume: f64,
+    /// Σ member result estimates — the union's cardinality when no
+    /// cover-query template is at hand (it overcounts the overlap
+    /// between members).
+    pub card: f64,
+}
+
+/// The model's mutable side: the extent memo and the buffers one
+/// member (or one `combine`) is costed in, reused so that costing a
+/// member allocates nothing.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Exact extent per distinct pattern. The members of a fragment's
+    /// union share a few hundred patterns among tens of thousands of
+    /// atoms, and each extent is an index lookup.
+    extents: FxHashMap<StorePattern, f64>,
+    /// The current member's per-atom extents.
+    member: Vec<f64>,
+    /// Its atoms, in pattern order and then cheapest-first.
+    order: Vec<usize>,
+    /// `(variable, domain)` per variable occurrence.
+    domains: Vec<(VarId, f64)>,
+}
+
+/// Divide `est` by every domain of each variable but its smallest
+/// (containment of value sets), consuming `domains`.
+fn apply_selectivities(mut est: f64, domains: &mut [(VarId, f64)]) -> f64 {
+    domains.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite domains"));
+    for i in 1..domains.len() {
+        if domains[i].0 == domains[i - 1].0 {
+            est /= domains[i].1.max(1.0);
+        }
+    }
+    est
+}
+
+impl Workspace {
+    fn extent(&mut self, model: &PaperCostModel<'_>, p: &StorePattern) -> f64 {
+        *self.extents.entry(*p).or_insert_with(|| model.stats.pattern_card(model.table, p) as f64)
+    }
+
+    /// [`Statistics::est_with_extents`] over the first `len` atoms of
+    /// `self.order`, reading `self.member` for their extents.
+    fn est_prefix(&mut self, stats: &Statistics, patterns: &[StorePattern], len: usize) -> f64 {
+        let atoms = &self.order[..len];
+        if atoms.iter().any(|&i| self.member[i] == 0.0) {
+            return 0.0;
+        }
+        let product: f64 = atoms.iter().map(|&i| self.member[i]).product();
+        self.domains.clear();
+        for &i in atoms {
+            let extent = self.member[i];
+            let p = &patterns[i];
+            self.domains
+                .extend(p.variables().into_iter().map(|v| (v, stats.var_domain(p, v, extent))));
+        }
+        apply_selectivities(product, &mut self.domains).max(0.0)
+    }
+
+    /// One member's `(scan volume, evaluated input volume, result
+    /// estimate)`.
+    fn member(&mut self, model: &PaperCostModel<'_>, cq: &StoreCq) -> (f64, f64, f64) {
+        let n = cq.patterns.len();
+        self.member.clear();
+        for p in &cq.patterns {
+            let e = self.extent(model, p);
+            self.member.push(e);
+        }
+        let scan: f64 = self.member.iter().sum();
+        self.order.clear();
+        self.order.extend(0..n);
+        let card = self.est_prefix(model.stats, &cq.patterns, n);
+        if n <= 1 || model.eval_model == EvalModel::ScanVolume {
+            return (scan, scan, card);
+        }
+        // Greedy min-extent-first pipeline: the first extent is
+        // scanned; every further step's input is the estimated
+        // intermediate result so far.
+        let extents = &self.member;
+        self.order.sort_by(|&a, &b| extents[a].partial_cmp(&extents[b]).expect("finite extents"));
+        let mut input = self.member[self.order[0]];
+        for len in 2..=n {
+            input += self.est_prefix(model.stats, &cq.patterns, len);
+        }
+        (scan, input, card)
+    }
+}
 
 /// The §4.1 model bound to a dataset's statistics.
 #[derive(Debug)]
@@ -185,9 +279,7 @@ pub struct PaperCostModel<'a> {
     /// final during search); a false positive only skews an estimate,
     /// never an answer.
     price_views: Option<&'a ViewCatalog>,
-    /// Fragment-component memo; `RwLock` so concurrent scoring workers
-    /// share the hot read path without exclusive locking.
-    cache: RwLock<FxHashMap<Vec<StorePattern>, FragComponents>>,
+    work: RefCell<Workspace>,
 }
 
 impl<'a> PaperCostModel<'a> {
@@ -200,7 +292,7 @@ impl<'a> PaperCostModel<'a> {
             eval_model: EvalModel::IndexPipeline,
             price_ranges: false,
             price_views: None,
-            cache: RwLock::new(FxHashMap::default()),
+            work: RefCell::default(),
         }
     }
 
@@ -220,11 +312,9 @@ impl<'a> PaperCostModel<'a> {
 
     /// Enable view-backed fragment pricing (see
     /// [`CostConstants::c_view`]); callers pass the serving layer's
-    /// catalog when the profile's `view_scans` knob is on. The memo
-    /// cache keys only on template atoms, so bind the catalog before
-    /// the first scoring call and keep it for the model's lifetime —
-    /// [`crate::search`] constructs one model per cover search, which
-    /// satisfies this by construction.
+    /// catalog when the profile's `view_scans` knob is on. The cover
+    /// search memoizes what it is told per fragment, so bind the
+    /// catalog before the first scoring call.
     pub fn with_view_pricing(mut self, catalog: Option<&'a ViewCatalog>) -> Self {
         self.price_views = catalog;
         self
@@ -254,46 +344,8 @@ impl<'a> PaperCostModel<'a> {
 
     /// Total scan volume of one CQ: `Σ_tᵢ |CQ_{tᵢ}|` (exact extents).
     pub fn cq_scan_volume(&self, cq: &StoreCq) -> f64 {
-        cq.patterns.iter().map(|p| self.stats.pattern_card(self.table, p) as f64).sum()
-    }
-
-    /// `c_eval(CQ) = c_scan + c_join = (c_t + c_j)·V` (equation 2),
-    /// where `V` is the member's input volume under the configured
-    /// [`EvalModel`].
-    pub fn c_eval_cq(&self, cq: &StoreCq) -> f64 {
-        (self.constants.c_t + self.constants.c_j) * self.member_input_volume(cq)
-    }
-
-    /// The member's evaluated input volume under the configured model.
-    fn member_input_volume(&self, cq: &StoreCq) -> f64 {
-        match self.eval_model {
-            EvalModel::ScanVolume => self.cq_scan_volume(cq),
-            EvalModel::IndexPipeline => {
-                if cq.patterns.len() <= 1 {
-                    return self.cq_scan_volume(cq);
-                }
-                // Greedy min-extent-first pipeline: the first extent is
-                // scanned; every further step's input is the estimated
-                // intermediate result so far.
-                let mut order: Vec<usize> = (0..cq.patterns.len()).collect();
-                let extents: Vec<f64> = cq
-                    .patterns
-                    .iter()
-                    .map(|p| self.stats.pattern_card(self.table, p) as f64)
-                    .collect();
-                order
-                    .sort_by(|&a, &b| extents[a].partial_cmp(&extents[b]).expect("finite extents"));
-                let mut volume = extents[order[0]];
-                let mut prefix: Vec<StorePattern> = vec![cq.patterns[order[0]]];
-                let mut prefix_ext: Vec<f64> = vec![extents[order[0]]];
-                for &i in &order[1..] {
-                    prefix.push(cq.patterns[i]);
-                    prefix_ext.push(extents[i]);
-                    volume += self.stats.est_with_extents(&prefix, &prefix_ext);
-                }
-                volume
-            }
-        }
+        let work = &mut *self.work.borrow_mut();
+        cq.patterns.iter().map(|p| work.extent(self, p)).sum()
     }
 
     /// Total scan volume of a UCQ (the input-size proxy of equations
@@ -304,51 +356,31 @@ impl<'a> PaperCostModel<'a> {
 
     /// `c_eval(UCQ) = c_unique(UCQ) + Σ_CQ c_eval(CQ)`.
     pub fn c_eval_ucq(&self, ucq: &StoreUcq) -> f64 {
-        let comps = self.fragment_components(ucq, None);
+        let comps = self.fragment_components(ucq);
         comps.eval + self.c_unique(comps.card)
     }
 
-    /// Evenly strided member sample with its scale-back factor.
-    fn member_sample<'u>(&self, ucq: &'u StoreUcq) -> (Vec<&'u StoreCq>, f64) {
+    /// The single pass over a union's (sampled) members: per member,
+    /// `c_eval(CQ) = (c_t + c_j)·V` (equation 2) with `V` its input
+    /// volume under the configured [`EvalModel`], its scan volume and
+    /// its result estimate.
+    pub fn member_sums(&self, ucq: &StoreUcq) -> MemberSums {
         let n = ucq.cqs.len();
-        if n <= MEMBER_SAMPLE_CAP {
-            (ucq.cqs.iter().collect(), 1.0)
-        } else {
-            let stride = n.div_ceil(MEMBER_SAMPLE_CAP / 2);
-            let sample: Vec<&StoreCq> = ucq.cqs.iter().step_by(stride).collect();
-            // `step_by` over a non-empty list always yields at least one
-            // member, but guard the ratio anyway: an empty sample must
-            // scale by 1, not by n/0 = inf.
-            let scale = if sample.is_empty() { 1.0 } else { n as f64 / sample.len() as f64 };
-            (sample, scale)
-        }
-    }
-
-    /// Compute a fragment's cost ingredients. `template` optionally
-    /// supplies the fragment's *cover query* (its original atoms plus
-    /// each atom's unioned reformulation extent): with it, the result
-    /// cardinality is the overlap-aware join estimate over unioned
-    /// extents instead of the member-sum, which overcounts badly (all
-    /// members of a reformulated union return overlapping answers).
-    pub fn fragment_components(
-        &self,
-        ucq: &StoreUcq,
-        template: Option<(&[StorePattern], &[f64])>,
-    ) -> FragComponents {
-        let (members, scale) = self.member_sample(ucq);
-        let mut eval = 0.0;
-        let mut volume = 0.0;
-        let mut member_card_sum = 0.0;
-        for cq in &members {
-            eval += self.c_eval_cq(cq);
-            volume += self.cq_scan_volume(cq);
-            if template.is_none() {
-                member_card_sum += self.stats.est_cq(self.table, cq);
+        let (stride, scale) = member_sample(n);
+        let per_tuple = self.constants.c_t + self.constants.c_j;
+        let (mut eval, mut volume, mut card) = (0.0, 0.0, 0.0);
+        {
+            let work = &mut *self.work.borrow_mut();
+            for cq in ucq.cqs.iter().step_by(stride) {
+                let (scan, input, est) = work.member(self, cq);
+                eval += per_tuple * input;
+                volume += scan;
+                card += est;
             }
         }
         eval *= scale;
         volume *= scale;
-        member_card_sum *= scale;
+        card *= scale;
 
         // Range-collapse discount: the share of members a planner
         // collapse would eliminate streams its volume at `c_range` per
@@ -356,71 +388,59 @@ impl<'a> PaperCostModel<'a> {
         // Detection only runs below the sampling cap — a strided sample
         // destroys id-consecutiveness, so larger unions conservatively
         // keep the undiscounted price.
-        if self.price_ranges && ucq.cqs.len() > 1 && ucq.cqs.len() <= MEMBER_SAMPLE_CAP {
+        if self.price_ranges && n > 1 && n <= MEMBER_SAMPLE_CAP {
             let runs = collapsible_runs(ucq.cqs.iter());
             let collapsed: usize = runs.iter().map(|r| r.members.len() - 1).sum();
             if collapsed > 0 {
-                let f = collapsed as f64 / ucq.cqs.len() as f64;
+                let f = collapsed as f64 / n as f64;
                 eval = eval * (1.0 - f) + self.constants.c_range * volume * f;
             }
         }
+        MemberSums { eval, volume, card }
+    }
 
-        let card = match template {
-            Some((atoms, extents)) => {
-                debug_assert_eq!(atoms.len(), extents.len());
-                self.stats.est_with_extents(atoms, extents)
-            }
-            None => member_card_sum,
-        };
-
+    /// A fragment's cost ingredients given its *cover query* — its
+    /// original atoms plus each atom's unioned reformulation extent:
+    /// the result cardinality is the overlap-aware join estimate over
+    /// unioned extents instead of the member sum, which overcounts
+    /// badly (all members of a reformulated union return overlapping
+    /// answers).
+    pub fn template_components(
+        &self,
+        sums: MemberSums,
+        ucq: &StoreUcq,
+        atoms: &[StorePattern],
+        extents: &[f64],
+    ) -> FragComponents {
+        debug_assert_eq!(atoms.len(), extents.len());
+        let card = self.stats.est_with_extents(atoms, extents);
         // Head-variable domains for fragment-join selectivity.
-        let head_vars: Vec<VarId> = ucq.head.clone();
-        let mut var_domains: Vec<(VarId, f64)> = Vec::with_capacity(head_vars.len());
-        match template {
-            Some((atoms, extents)) => {
-                for &v in &head_vars {
-                    let d = self.stats.var_domain_in(atoms, extents, v);
-                    var_domains.push((v, d.min(card.max(1.0))));
-                }
-            }
-            None => {
-                // Derive from (sampled) members: pattern-based domains,
-                // plus distinct constants for instantiated head vars.
-                let mut consts: FxHashMap<VarId, FxHashSet<jucq_model::TermId>> =
-                    FxHashMap::default();
-                let mut domains: FxHashMap<VarId, f64> = FxHashMap::default();
-                for cq in &members {
-                    let extents: Vec<f64> = cq
-                        .patterns
-                        .iter()
-                        .map(|p| self.stats.pattern_card(self.table, p) as f64)
-                        .collect();
-                    for &v in &head_vars {
-                        let d = self.stats.var_domain_in(&cq.patterns, &extents, v);
-                        domains.entry(v).and_modify(|cur| *cur = cur.max(d)).or_insert(d);
-                    }
-                    for (pos, &v) in head_vars.iter().enumerate() {
-                        if let Some(PatternTerm::Const(c)) = cq.head.get(pos) {
-                            consts.entry(v).or_default().insert(*c);
-                        }
-                    }
-                }
-                for &v in &head_vars {
-                    let mut d = domains.get(&v).copied().unwrap_or(1.0);
-                    if let Some(cs) = consts.get(&v) {
-                        d = d.max(cs.len() as f64 * scale.min(8.0));
-                    }
-                    var_domains.push((v, d.min(card.max(1.0))));
-                }
-            }
-        }
-        let mut comps = FragComponents { eval, volume, card, var_domains };
+        let var_domains = ucq
+            .head
+            .iter()
+            .map(|&v| (v, self.stats.var_domain_in(atoms, extents, v).min(card.max(1.0))))
+            .collect();
+        self.finish(FragComponents { eval: sums.eval, volume: sums.volume, card, var_domains }, ucq)
+    }
 
-        // View-backed pricing: if the catalog holds this fragment body
-        // at the current epoch, the fragment's true cost is one
-        // sequential copy of the stored result — and its stored tuple
-        // count is the *exact* result cardinality, better than any
-        // estimate.
+    /// The §4.1 cost of the one-fragment JUCQ `ucq` with no cover query
+    /// at hand (the redundancy-pruning order of GCov): `combine` never
+    /// reads a lone fragment's variable domains, so none are derived.
+    pub fn standalone_cost(&self, sums: MemberSums, ucq: &StoreUcq) -> f64 {
+        let comps = FragComponents {
+            eval: sums.eval,
+            volume: sums.volume,
+            card: sums.card,
+            var_domains: Vec::new(),
+        };
+        self.combine(&[&self.finish(comps, ucq)])
+    }
+
+    /// View-backed pricing: if the catalog holds this fragment body at
+    /// the current epoch, the fragment's true cost is one sequential
+    /// copy of the stored result — and its stored tuple count is the
+    /// *exact* result cardinality, better than any estimate.
+    fn finish(&self, mut comps: FragComponents, ucq: &StoreUcq) -> FragComponents {
         if let Some(catalog) = self.price_views {
             if let Some(tuples) = catalog.body_tuples(&ViewSignature::body_of(ucq)) {
                 let t = tuples as f64;
@@ -432,28 +452,46 @@ impl<'a> PaperCostModel<'a> {
                 }
             }
         }
-
         comps.debug_check();
         comps
     }
 
-    /// [`PaperCostModel::fragment_components`] memoized by the
-    /// fragment's template atoms (content-addressed, so one model
-    /// instance can serve several queries safely).
-    pub fn fragment_components_cached(
-        &self,
-        ucq: &StoreUcq,
-        template: Option<(&[StorePattern], &[f64])>,
-    ) -> FragComponents {
-        let Some((atoms, _)) = template else {
-            return self.fragment_components(ucq, template);
-        };
-        if let Some(hit) = self.cache.read().expect("component cache lock").get(atoms) {
-            return hit.clone();
+    /// A fragment's cost ingredients from its union alone: the member
+    /// sum for cardinality, and head-variable domains derived from the
+    /// (sampled) members — pattern-based domains, plus distinct
+    /// constants for instantiated head vars.
+    pub fn fragment_components(&self, ucq: &StoreUcq) -> FragComponents {
+        let sums = self.member_sums(ucq);
+        let (stride, scale) = member_sample(ucq.cqs.len());
+        let mut consts: FxHashMap<VarId, FxHashSet<jucq_model::TermId>> = FxHashMap::default();
+        let mut domains: FxHashMap<VarId, f64> = FxHashMap::default();
+        for cq in ucq.cqs.iter().step_by(stride) {
+            let extents: Vec<f64> = {
+                let work = &mut *self.work.borrow_mut();
+                cq.patterns.iter().map(|p| work.extent(self, p)).collect()
+            };
+            for (pos, &v) in ucq.head.iter().enumerate() {
+                let d = self.stats.var_domain_in(&cq.patterns, &extents, v);
+                domains.entry(v).and_modify(|cur| *cur = cur.max(d)).or_insert(d);
+                if let Some(PatternTerm::Const(c)) = cq.head.get(pos) {
+                    consts.entry(v).or_default().insert(*c);
+                }
+            }
         }
-        let comps = self.fragment_components(ucq, template);
-        self.cache.write().expect("component cache lock").insert(atoms.to_vec(), comps.clone());
-        comps
+        let var_domains = ucq
+            .head
+            .iter()
+            .map(|v| {
+                let mut d = domains.get(v).copied().unwrap_or(1.0);
+                if let Some(cs) = consts.get(v) {
+                    d = d.max(cs.len() as f64 * scale.min(8.0));
+                }
+                (*v, d.min(sums.card.max(1.0)))
+            })
+            .collect();
+        let comps =
+            FragComponents { eval: sums.eval, volume: sums.volume, card: sums.card, var_domains };
+        self.finish(comps, ucq)
     }
 
     /// Equation 1: assemble a JUCQ's cost from its fragments'
@@ -467,11 +505,11 @@ impl<'a> PaperCostModel<'a> {
     /// overlap-aware estimates make that quantity available (the scan
     /// proxy overstates a selective fragment's join input by orders of
     /// magnitude).
-    pub fn combine(&self, frags: &[FragComponents]) -> f64 {
+    pub fn combine(&self, frags: &[&FragComponents]) -> f64 {
         let c = &self.constants;
         let eval: f64 = frags.iter().map(|f| f.eval + self.c_unique(f.card)).sum();
         let total_volume: f64 = frags.iter().map(|f| f.volume).sum();
-        let join_measure = |f: &FragComponents| match self.eval_model {
+        let join_measure = |f: &&FragComponents| match self.eval_model {
             EvalModel::ScanVolume => f.volume,
             EvalModel::IndexPipeline => f.card,
         };
@@ -485,20 +523,12 @@ impl<'a> PaperCostModel<'a> {
         // Fragment-join cardinality: product of fragment estimates with
         // per-shared-variable containment selectivity.
         let mut est: f64 = frags.iter().map(|f| f.card).product();
-        let mut var_domains: FxHashMap<VarId, Vec<f64>> = FxHashMap::default();
-        for f in frags {
-            for &(v, d) in &f.var_domains {
-                var_domains.entry(v).or_default().push(d);
-            }
-        }
-        for (_, mut domains) in var_domains {
-            if domains.len() < 2 {
-                continue;
-            }
-            domains.sort_by(|a, b| a.partial_cmp(b).expect("finite domains"));
-            for d in &domains[1..] {
-                est /= d.max(1.0);
-            }
+        if frags.len() > 1 {
+            let mut work = self.work.borrow_mut();
+            let domains = &mut work.domains;
+            domains.clear();
+            domains.extend(frags.iter().flat_map(|f| &f.var_domains));
+            est = apply_selectivities(est, domains);
         }
         // Clamp by the plan's total input: independence estimates can
         // explode on many-fragment covers, and every JUCQ of one query
@@ -516,11 +546,11 @@ impl<'a> PaperCostModel<'a> {
     /// computed from per-fragment components without template
     /// information (used when only the compiled JUCQ is at hand; the
     /// cover search supplies templates through
-    /// [`PaperCostModel::fragment_components_cached`]).
+    /// [`PaperCostModel::template_components`]).
     pub fn cost(&self, jucq: &StoreJucq) -> f64 {
         let comps: Vec<FragComponents> =
-            jucq.fragments.iter().map(|u| self.fragment_components(u, None)).collect();
-        self.combine(&comps)
+            jucq.fragments.iter().map(|u| self.fragment_components(u)).collect();
+        self.combine(&comps.iter().collect::<Vec<_>>())
     }
 }
 
@@ -643,8 +673,8 @@ mod tests {
                 .collect(),
             vec![0],
         );
-        let priced = m_on.fragment_components(&consecutive, None);
-        let plain = m_off.fragment_components(&consecutive, None);
+        let priced = m_on.fragment_components(&consecutive);
+        let plain = m_off.fragment_components(&consecutive);
         assert!(
             priced.eval < plain.eval,
             "collapsible fragment not discounted: {} vs {}",
@@ -661,8 +691,8 @@ mod tests {
                 .collect(),
             vec![0],
         );
-        let priced = m_on.fragment_components(&gapped, None);
-        let plain = m_off.fragment_components(&gapped, None);
+        let priced = m_on.fragment_components(&gapped);
+        let plain = m_off.fragment_components(&gapped);
         assert_eq!(priced.eval, plain.eval, "non-collapsible fragment must not be discounted");
     }
 
@@ -692,8 +722,8 @@ mod tests {
         let plain = PaperCostModel::new(&table, &stats, CostConstants::default());
         let priced = PaperCostModel::new(&table, &stats, CostConstants::default())
             .with_view_pricing(Some(&catalog));
-        let without = plain.fragment_components(&f, None);
-        let with = priced.fragment_components(&f, None);
+        let without = plain.fragment_components(&f);
+        let with = priced.fragment_components(&f);
         assert!(
             with.eval < without.eval,
             "view-backed fragment not discounted: {} vs {}",
@@ -706,8 +736,8 @@ mod tests {
         // A fragment the catalog does not hold prices identically.
         let other = frag(vec![StorePattern::new(v(0), c(11), v(1))], vec![0]);
         assert_eq!(
-            plain.fragment_components(&other, None).eval,
-            priced.fragment_components(&other, None).eval,
+            plain.fragment_components(&other).eval,
+            priced.fragment_components(&other).eval,
             "non-catalog fragment must not be discounted"
         );
     }

@@ -12,11 +12,10 @@
 //! state cap, and is *anytime*: the best cover seen so far is returned
 //! with `truncated = true`.
 
-use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use jucq_model::FxHashSet;
-use jucq_reformulation::{Cover, CoverError};
+use jucq_reformulation::{bits, AtomMask, AtomMasks, Cover, CoverError};
 
 use crate::search::{CoverSearch, CoverSearchResult};
 
@@ -24,48 +23,25 @@ use crate::search::{CoverSearch, CoverSearchResult};
 /// blowup even under a generous time budget.
 const STATE_CAP: usize = 2_000_000;
 
-/// All connected subsets of the query's atoms, as bitmasks.
-fn connected_subsets(search: &CoverSearch<'_>) -> Vec<u32> {
-    let q = search.query();
-    let n = q.len();
-    assert!(n <= 30, "ECov enumeration supports up to 30 atoms");
-    let mut adjacency: Vec<u32> = vec![0; n];
-    for (i, adj) in adjacency.iter_mut().enumerate() {
-        for j in 0..n {
-            if i != j && q.atoms_join(i, j) {
-                *adj |= 1 << j;
-            }
-        }
-    }
-    let mut seen: FxHashSet<u32> = FxHashSet::default();
-    let mut frontier: Vec<u32> = (0..n).map(|i| 1u32 << i).collect();
-    for &m in &frontier {
-        seen.insert(m);
-    }
+/// All connected subsets of the query's atoms, ascending — or `None`
+/// past [`STATE_CAP`] of them.
+fn connected_subsets(masks: &AtomMasks) -> Option<Vec<AtomMask>> {
+    let mut frontier: Vec<AtomMask> = (0..masks.len()).map(|i| 1 << i).collect();
+    let mut seen: FxHashSet<AtomMask> = frontier.iter().copied().collect();
     while let Some(mask) = frontier.pop() {
-        let mut reach: u32 = 0;
-        for (i, adj) in adjacency.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                reach |= adj;
-            }
-        }
-        let candidates = reach & !mask;
-        for j in 0..n {
-            if candidates & (1 << j) != 0 {
-                let next = mask | (1 << j);
-                if seen.insert(next) {
-                    frontier.push(next);
+        for j in bits(masks.neighbours_of(mask) & !mask) {
+            let next = mask | 1 << j;
+            if seen.insert(next) {
+                if seen.len() > STATE_CAP {
+                    return None;
                 }
+                frontier.push(next);
             }
         }
     }
-    let mut out: Vec<u32> = seen.into_iter().collect();
+    let mut out: Vec<AtomMask> = seen.into_iter().collect();
     out.sort_unstable();
-    out
-}
-
-fn mask_to_vec(mask: u32) -> Vec<usize> {
-    (0..32).filter(|i| mask & (1 << i) != 0).collect()
+    Some(out)
 }
 
 /// Run ECov: exhaustively enumerate covers and return the cheapest.
@@ -76,61 +52,40 @@ fn mask_to_vec(mask: u32) -> Vec<usize> {
 pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchResult, CoverError> {
     jucq_obs::span!("cover_search");
     let started = Instant::now();
-    let q = search.query();
-    let n = q.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let subsets = connected_subsets(search);
+    let masks = search.masks()?;
+    let full = masks.full();
+    let subsets = connected_subsets(masks);
 
     let mut best: Option<(Cover, f64)> = None;
-    let mut completed: FxHashSet<BTreeSet<u32>> = FxHashSet::default();
+    let mut completed: FxHashSet<Cover> = FxHashSet::default();
     let mut states = 0usize;
-    let mut truncated = false;
-
-    // Complete covers are batched (in discovery order) and scored by
-    // the search's worker pool; folding the in-order costs with the
-    // same strict `<` keeps the selected cover identical to scoring
-    // each cover inline at discovery.
-    let batch_cap = (search.parallelism() * 8).max(32);
-    let mut pending: Vec<Cover> = Vec::new();
-    let flush = |pending: &mut Vec<Cover>, best: &mut Option<(Cover, f64)>| {
-        if pending.is_empty() {
-            return;
-        }
-        let costs = search.cover_costs(pending);
-        for (cover, cost) in pending.drain(..).zip(costs) {
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                *best = Some((cover, cost));
-            }
-        }
-    };
+    let mut truncated = subsets.is_none();
 
     // DFS state: chosen fragments (antichain) + covered mask.
-    let mut stack: Vec<(Vec<u32>, u32)> = vec![(Vec::new(), 0)];
-    while let Some((chosen, covered)) = stack.pop() {
+    let mut stack: Vec<(Vec<AtomMask>, AtomMask)> = vec![(Vec::new(), 0)];
+    while let (Some((chosen, covered)), Some(subsets)) = (stack.pop(), &subsets) {
         states += 1;
         if states > STATE_CAP || started.elapsed() > budget {
             truncated = true;
             break;
         }
         if covered == full {
-            let key: BTreeSet<u32> = chosen.iter().copied().collect();
-            if !completed.insert(key) {
-                continue;
-            }
-            let frags: Vec<Vec<usize>> = chosen.iter().map(|&m| mask_to_vec(m)).collect();
-            let Ok(cover) = Cover::new(q, frags) else {
+            let Ok(cover) = Cover::from_masks(masks, chosen) else {
                 continue;
             };
-            pending.push(cover);
-            if pending.len() >= batch_cap {
-                flush(&mut pending, &mut best);
+            if !completed.insert(cover.clone()) {
+                continue;
+            }
+            let cost = search.cover_cost(&cover);
+            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                best = Some((cover, cost));
             }
             continue;
         }
         // Cover the lowest uncovered atom.
-        let target = (!covered & full).trailing_zeros();
-        for &frag in &subsets {
-            if frag & (1 << target) == 0 {
+        let target = 1 << (!covered & full).trailing_zeros();
+        for &frag in subsets {
+            if frag & target == 0 {
                 continue;
             }
             // Maintain the antichain property (no fragment included in
@@ -144,17 +99,13 @@ pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchRes
         }
     }
 
-    // Score whatever the DFS discovered before completing (or being
-    // truncated): the search stays anytime.
-    flush(&mut pending, &mut best);
-
     let (cover, estimated_cost) = match best {
         Some(found) => found,
         None => {
             // Degenerate fallback: the single-fragment cover exists for
             // every connected query; a disconnected one has no valid
             // cover, and the error propagates.
-            let cover = Cover::single_fragment(q)?;
+            let cover = Cover::from_masks(masks, vec![full])?;
             let cost = search.cover_cost(&cover);
             (cover, cost)
         }
@@ -171,56 +122,28 @@ pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostConstants, PaperCostModel};
-    use jucq_model::{Graph, Term, TermId, Triple};
-    use jucq_reformulation::reformulate::ReformulationEnv;
+    use crate::fixture::{triple, var, Fixture};
     use jucq_reformulation::BgpQuery;
-    use jucq_store::{EngineProfile, PatternTerm, Store, StorePattern};
-
-    struct Fixture {
-        graph: Graph,
-        rdf_type: TermId,
-        store: Store,
-    }
 
     fn fixture() -> Fixture {
-        let mut graph = Graph::new();
-        let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
         let mut triples = vec![
-            t("P", jucq_model::vocab::RDFS_SUBCLASS_OF, Term::uri("Q")),
-            t("p1", jucq_model::vocab::RDFS_DOMAIN, Term::uri("P")),
+            triple("P", jucq_model::vocab::RDFS_SUBCLASS_OF, "Q"),
+            triple("p1", jucq_model::vocab::RDFS_DOMAIN, "P"),
         ];
         for i in 0..20 {
-            triples.push(t(&format!("s{i}"), "p1", Term::uri(format!("o{i}"))));
-            triples.push(t(&format!("s{i}"), "p2", Term::uri("hub")));
+            triples.push(triple(&format!("s{i}"), "p1", &format!("o{i}")));
+            triples.push(triple(&format!("s{i}"), "p2", "hub"));
         }
-        graph.extend(&triples);
-        let rdf_type = graph.rdf_type();
-        let store = Store::from_triples(graph.data(), EngineProfile::pg_like());
-        Fixture { graph, rdf_type, store }
+        Fixture::new(&triples)
     }
 
-    fn star_query(f: &Fixture, arms: usize) -> BgpQuery {
-        let p1 = f.graph.dict().lookup(&Term::uri("p1")).unwrap();
-        let p2 = f.graph.dict().lookup(&Term::uri("p2")).unwrap();
-        let atoms = (0..arms)
-            .map(|i| {
-                StorePattern::new(
-                    PatternTerm::Var(0),
-                    PatternTerm::Const(if i % 2 == 0 { p1 } else { p2 }),
-                    PatternTerm::Var((i + 1) as u16),
-                )
-            })
-            .collect();
-        BgpQuery::new(vec![0], atoms)
+    fn star_query(f: &Fixture, arms: u16) -> BgpQuery {
+        let arm = |i| f.atom(var(0), if i % 2 == 0 { "p1" } else { "p2" }, var(i + 1));
+        BgpQuery::new(vec![0], (0..arms).map(arm).collect())
     }
 
     fn run(f: &Fixture, q: &BgpQuery, budget: Duration) -> CoverSearchResult {
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(q, env, &model);
-        ecov(&search, budget).unwrap()
+        f.with_search(q, |search, _| ecov(&search, budget).unwrap())
     }
 
     #[test]
@@ -257,19 +180,17 @@ mod tests {
     fn best_cover_is_cheapest_explored() {
         let f = fixture();
         let q = star_query(&f, 3);
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let r = ecov(&search, Duration::from_secs(5)).unwrap();
-        // Re-costing the returned cover must reproduce the reported cost.
-        let recost = search.cover_cost(&r.cover);
-        assert!((recost - r.estimated_cost).abs() < 1e-9);
-        // And it must beat (or tie) the two fixed extremes.
-        let ucq_cost = search.cover_cost(&Cover::single_fragment(&q).unwrap());
-        let scq_cost = search.cover_cost(&Cover::singletons(&q).unwrap());
-        assert!(r.estimated_cost <= ucq_cost + 1e-9);
-        assert!(r.estimated_cost <= scq_cost + 1e-9);
+        f.with_search(&q, |search, _| {
+            let r = ecov(&search, Duration::from_secs(5)).unwrap();
+            // Re-costing the returned cover must reproduce the reported cost.
+            let recost = search.cover_cost(&r.cover);
+            assert!((recost - r.estimated_cost).abs() < 1e-9);
+            // And it must beat (or tie) the two fixed extremes.
+            let ucq_cost = search.cover_cost(&Cover::single_fragment(&q).unwrap());
+            let scq_cost = search.cover_cost(&Cover::singletons(&q).unwrap());
+            assert!(r.estimated_cost <= ucq_cost + 1e-9);
+            assert!(r.estimated_cost <= scq_cost + 1e-9);
+        });
     }
 
     #[test]
@@ -285,18 +206,11 @@ mod tests {
     fn connected_subsets_of_a_path() {
         // Path query x-p-y-p-z: subsets {0},{1},{0,1} ⇒ 3.
         let f = fixture();
-        let p1 = f.graph.dict().lookup(&Term::uri("p1")).unwrap();
         let q = BgpQuery::new(
             vec![0],
-            vec![
-                StorePattern::new(PatternTerm::Var(0), PatternTerm::Const(p1), PatternTerm::Var(1)),
-                StorePattern::new(PatternTerm::Var(1), PatternTerm::Const(p1), PatternTerm::Var(2)),
-            ],
+            vec![f.atom(var(0), "p1", var(1)), f.atom(var(1), "p1", var(2))],
         );
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        assert_eq!(connected_subsets(&search), vec![0b01, 0b10, 0b11]);
+        let masks = q.atom_masks().unwrap();
+        assert_eq!(connected_subsets(&masks), Some(vec![0b01, 0b10, 0b11]));
     }
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use jucq_model::FxHashSet;
-use jucq_reformulation::{Cover, CoverError};
+use jucq_reformulation::{bits, Cover, CoverError};
 
 use crate::search::{CoverSearch, CoverSearchResult};
 
@@ -68,9 +68,9 @@ pub fn gcov(
 ) -> Result<CoverSearchResult, CoverError> {
     jucq_obs::span!("cover_search");
     let started = Instant::now();
-    let q = search.query();
+    let masks = search.masks()?;
 
-    let c0 = Cover::singletons(q)?;
+    let c0 = Cover::from_masks(masks, (0..masks.len()).map(|i| 1 << i).collect())?;
     let mut best_cost = search.cover_cost(&c0);
     let mut best = c0.clone();
 
@@ -80,44 +80,27 @@ pub fn gcov(
     let mut truncated = false;
 
     // Develop the moves available from a cover; push those not worse
-    // than the current best. Candidates are gathered first (generation
-    // and the analysed-dedup stay sequential, so the candidate order is
-    // exactly the sequential one), then batch-scored on the search's
-    // worker pool; pushing in candidate order preserves the move list's
-    // insertion-order tiebreak.
+    // than the current best.
     let develop = |cover: &Cover,
                    best_cost: f64,
                    analysed: &mut FxHashSet<Cover>,
                    moves: &mut MoveList,
                    strict: bool| {
-        let mut candidates: Vec<Cover> = Vec::new();
-        for (fi, frag) in cover.fragments().iter().enumerate() {
-            for t in 0..q.len() {
-                if frag.contains(&t) {
-                    continue;
-                }
-                // The added triple must join the fragment.
-                let mut with_t = frag.clone();
-                with_t.push(t);
-                with_t.sort_unstable();
-                if !q.atoms_connected(&with_t) {
-                    continue;
-                }
-                let Some(next) = cover.add_atom(q, fi, t) else {
+        for (fi, &frag) in cover.masks().iter().enumerate() {
+            // The added triple must join the fragment.
+            for t in bits(masks.neighbours_of(frag) & !frag) {
+                let Some(next) = cover.add_atom(masks, fi, t) else {
                     continue;
                 };
-                let next = next.prune_redundant_by(q, |f| search.fragment_cost(f));
+                let next = next.prune_redundant_by(masks, |f| search.fragment_cost(f));
                 if !analysed.insert(next.clone()) {
                     continue;
                 }
-                candidates.push(next);
-            }
-        }
-        let costs = search.cover_costs(&candidates);
-        for (next, cost) in candidates.into_iter().zip(costs) {
-            let keep = if strict { cost < best_cost } else { cost <= best_cost };
-            if keep {
-                moves.push(cost, next);
+                let cost = search.cover_cost(&next);
+                let keep = if strict { cost < best_cost } else { cost <= best_cost };
+                if keep {
+                    moves.push(cost, next);
+                }
             }
         }
     };
@@ -155,74 +138,42 @@ pub fn gcov(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostConstants, PaperCostModel};
     use crate::ecov::ecov;
-    use jucq_model::{Graph, Term, TermId, Triple};
-    use jucq_reformulation::reformulate::ReformulationEnv;
+    use crate::fixture::{triple, var, Fixture};
     use jucq_reformulation::BgpQuery;
-    use jucq_store::{EngineProfile, PatternTerm, Store, StorePattern};
-
-    struct Fixture {
-        graph: Graph,
-        rdf_type: TermId,
-        store: Store,
-    }
 
     /// A dataset where a selective atom (p_sel) pairs with an expensive
     /// reformulation-heavy atom (rdf:type with a deep hierarchy), so
     /// grouping matters.
     fn fixture() -> Fixture {
-        let mut graph = Graph::new();
-        let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
         let mut triples = Vec::new();
         // Class hierarchy: C0 ⊒ C1 ⊒ ... ⊒ C5; several domain props.
         for i in 0..5 {
-            triples.push(t(
-                &format!("C{}", i + 1),
-                jucq_model::vocab::RDFS_SUBCLASS_OF,
-                Term::uri(format!("C{i}")),
-            ));
-            triples.push(t(
-                &format!("d{i}"),
-                jucq_model::vocab::RDFS_DOMAIN,
-                Term::uri(format!("C{i}")),
-            ));
+            let (sub, sup) = (format!("C{}", i + 1), format!("C{i}"));
+            triples.push(triple(&sub, jucq_model::vocab::RDFS_SUBCLASS_OF, &sup));
+            triples.push(triple(&format!("d{i}"), jucq_model::vocab::RDFS_DOMAIN, &sup));
         }
         for i in 0..200 {
-            triples.push(t(&format!("e{i}"), "d0", Term::uri("x")));
-            triples.push(t(
+            triples.push(triple(&format!("e{i}"), "d0", "x"));
+            triples.push(triple(
                 &format!("e{i}"),
                 jucq_model::vocab::RDF_TYPE,
-                Term::uri(format!("C{}", i % 6)),
+                &format!("C{}", i % 6),
             ));
         }
         // p_sel: very selective.
-        triples.push(t("e0", "psel", Term::uri("target")));
-        graph.extend(&triples);
-        let rdf_type = graph.rdf_type();
-        let store = Store::from_triples(graph.data(), EngineProfile::pg_like());
-        Fixture { graph, rdf_type, store }
+        triples.push(triple("e0", "psel", "target"));
+        Fixture::new(&triples)
     }
 
+    /// `q(x):- (x τ C0), (x psel y), (x d0 z)`.
     fn query(f: &Fixture) -> BgpQuery {
-        let ty = f.rdf_type;
-        let c0 = f.graph.dict().lookup(&Term::uri("C0")).unwrap();
-        let psel = f.graph.dict().lookup(&Term::uri("psel")).unwrap();
-        let d0 = f.graph.dict().lookup(&Term::uri("d0")).unwrap();
         BgpQuery::new(
             vec![0],
             vec![
-                StorePattern::new(
-                    PatternTerm::Var(0),
-                    PatternTerm::Const(ty),
-                    PatternTerm::Const(c0),
-                ),
-                StorePattern::new(
-                    PatternTerm::Var(0),
-                    PatternTerm::Const(psel),
-                    PatternTerm::Var(1),
-                ),
-                StorePattern::new(PatternTerm::Var(0), PatternTerm::Const(d0), PatternTerm::Var(2)),
+                f.atom(var(0), "a", f.uri("C0")),
+                f.atom(var(0), "psel", var(1)),
+                f.atom(var(0), "d0", var(2)),
             ],
         )
     }
@@ -230,49 +181,31 @@ mod tests {
     #[test]
     fn gcov_completes_and_returns_valid_cover() {
         let f = fixture();
-        let q = query(&f);
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let r = gcov(&search, Duration::from_secs(10), 10_000).unwrap();
+        let r =
+            f.with_search(&query(&f), |s, _| gcov(&s, Duration::from_secs(10), 10_000).unwrap());
         assert!(!r.truncated);
         assert!(r.estimated_cost.is_finite());
-        // All atoms covered.
-        let covered: Vec<usize> = {
-            let mut v: Vec<usize> = r.cover.fragments().into_iter().flatten().collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        assert_eq!(covered, vec![0, 1, 2]);
+        let covered = r.cover.masks().iter().fold(0, |u, f| u | f);
+        assert_eq!(covered, 0b111, "all atoms covered");
     }
 
     #[test]
     fn gcov_not_worse_than_singletons() {
         let f = fixture();
         let q = query(&f);
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let r = gcov(&search, Duration::from_secs(10), 10_000).unwrap();
-        let scq_cost = search.cover_cost(&Cover::singletons(&q).unwrap());
-        assert!(r.estimated_cost <= scq_cost + 1e-12);
+        f.with_search(&q, |search, _| {
+            let r = gcov(&search, Duration::from_secs(10), 10_000).unwrap();
+            let scq_cost = search.cover_cost(&Cover::singletons(&q).unwrap());
+            assert!(r.estimated_cost <= scq_cost + 1e-12);
+        });
     }
 
     #[test]
     fn gcov_explores_fewer_covers_than_ecov() {
         let f = fixture();
         let q = query(&f);
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-
-        let s1 = CoverSearch::new(&q, env, &model);
-        let g = gcov(&s1, Duration::from_secs(10), 10_000).unwrap();
-        let s2 = CoverSearch::new(&q, env, &model);
-        let e = ecov(&s2, Duration::from_secs(10)).unwrap();
+        let g = f.with_search(&q, |s, _| gcov(&s, Duration::from_secs(10), 10_000).unwrap());
+        let e = f.with_search(&q, |s, _| ecov(&s, Duration::from_secs(10)).unwrap());
         assert!(g.explored <= e.explored, "gcov {} vs ecov {}", g.explored, e.explored);
         // The greedy result should be close to the exhaustive optimum
         // (paper: "GCov JUCQ performs as well as the ECov one").
@@ -282,8 +215,7 @@ mod tests {
     #[test]
     fn move_list_orders_by_cost() {
         let f = fixture();
-        let q = query(&f);
-        let c = Cover::singletons(&q).unwrap();
+        let c = Cover::singletons(&query(&f)).unwrap();
         let mut ml = MoveList::new();
         ml.push(5.0, c.clone());
         ml.push(1.0, c.clone());
@@ -298,20 +230,8 @@ mod tests {
     #[test]
     fn single_atom_query_trivially_best() {
         let f = fixture();
-        let psel = f.graph.dict().lookup(&Term::uri("psel")).unwrap();
-        let q = BgpQuery::new(
-            vec![0],
-            vec![StorePattern::new(
-                PatternTerm::Var(0),
-                PatternTerm::Const(psel),
-                PatternTerm::Var(1),
-            )],
-        );
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let r = gcov(&search, Duration::from_secs(5), 100).unwrap();
+        let q = BgpQuery::new(vec![0], vec![f.atom(var(0), "psel", var(1))]);
+        let r = f.with_search(&q, |s, _| gcov(&s, Duration::from_secs(5), 100).unwrap());
         assert_eq!(r.cover.len(), 1);
         assert_eq!(r.explored, 1, "no moves available");
     }

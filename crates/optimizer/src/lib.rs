@@ -22,6 +22,8 @@
 pub mod calibrate;
 pub mod cost;
 pub mod ecov;
+#[cfg(test)]
+mod fixture;
 pub mod gcov;
 pub mod search;
 

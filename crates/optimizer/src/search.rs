@@ -1,60 +1,40 @@
-//! Shared cover-search machinery: fragment caching + pluggable cost.
+//! Shared cover-search machinery: one fragment table + pluggable cost.
 //!
 //! Both ECov and GCov repeatedly estimate "the cost of the cover-based
-//! reformulation" of candidate covers. A [`CoverSearch`] memoizes the
-//! expensive part — reformulating each fragment's cover query into its
-//! UCQ — keyed by the fragment's atom set, and delegates JUCQ costing
-//! to a [`JucqCostEstimator`]: either the paper's analytic model
-//! ([`crate::cost::PaperCostModel`]) or the engine's internal estimator
-//! ([`EngineCostModel`], the Figure 9 alternative).
+//! reformulation" of candidate covers, and candidate covers repeat the
+//! same few fragments constantly. A [`CoverSearch`] therefore keeps one
+//! table per search, keyed by fragment (an atom mask): under each
+//! fragment its reformulated cover queries, one per Definition 3.4 head
+//! it was met with, and the cost ingredients derived from them. Scoring
+//! a cover is then a handful of integer-keyed lookups plus the §4.1
+//! arithmetic of a [`JucqCostEstimator`]: either the paper's analytic
+//! model ([`crate::cost::PaperCostModel`]) or the engine's internal
+//! estimator ([`EngineCostModel`], the Figure 9 alternative).
+//!
+//! Scoring is sequential: a fragment's ingredients are computed once
+//! and every later cover reads them, so a batch of candidates costs
+//! less than handing it to worker threads would.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::cell::{Cell, RefCell};
 use std::time::Duration;
 
 use jucq_model::FxHashMap;
 use jucq_reformulation::reformulate::{reformulate_with_limit, ReformulationEnv};
-use jucq_reformulation::{BgpQuery, Cover};
-use jucq_store::{internal_cost, Store, StoreJucq, StorePattern, StoreUcq, VarId};
+use jucq_reformulation::{bits, AtomMask, AtomMasks, BgpQuery, Cover, CoverError, VarMask};
+use jucq_store::{internal_cost, Store, StoreJucq, StorePattern, StoreUcq};
 
-use crate::cost::PaperCostModel;
-
-/// Everything the cover search knows about one fragment when asking for
-/// its cost: the reformulated union plus the fragment's *cover query*
-/// shape (original atoms and each atom's singleton reformulation),
-/// enabling overlap-aware cardinality estimation.
-pub struct FragmentCostInput<'x> {
-    /// The fragment's atom indices (a stable cache key).
-    pub key: &'x [usize],
-    /// The fragment's reformulated UCQ.
-    pub ucq: &'x StoreUcq,
-    /// The cover query's body atoms, aligned with `key`.
-    pub template_atoms: &'x [StorePattern],
-    /// Per original atom, its singleton reformulation UCQ.
-    pub atom_singletons: Vec<&'x StoreUcq>,
-}
-
-/// A whole cover's cost-estimation inputs.
-pub struct CoverCostInputs<'x> {
-    /// The query head.
-    pub head: &'x [VarId],
-    /// One input per fragment.
-    pub fragments: Vec<FragmentCostInput<'x>>,
-}
+use crate::cost::{FragComponents, MemberSums, PaperCostModel};
 
 /// Estimates the evaluation cost of a JUCQ (lower is better).
 pub trait JucqCostEstimator {
     /// The estimated cost, in arbitrary but consistent units.
     fn estimate(&self, jucq: &StoreJucq) -> f64;
 
-    /// Cover-aware estimation; the default materializes the JUCQ and
-    /// delegates to [`JucqCostEstimator::estimate`].
-    fn estimate_cover(&self, inputs: &CoverCostInputs<'_>) -> f64 {
-        let jucq = StoreJucq::new(
-            inputs.fragments.iter().map(|f| f.ucq.clone()).collect(),
-            inputs.head.to_vec(),
-        );
-        self.estimate(&jucq)
+    /// The §4.1 model behind this estimator, if it is one: its cost
+    /// decomposes into per-fragment ingredients, which the cover search
+    /// computes once per fragment instead of once per cover.
+    fn as_paper_model(&self) -> Option<&PaperCostModel<'_>> {
+        None
     }
 }
 
@@ -63,19 +43,8 @@ impl JucqCostEstimator for PaperCostModel<'_> {
         self.cost(jucq)
     }
 
-    fn estimate_cover(&self, inputs: &CoverCostInputs<'_>) -> f64 {
-        let comps: Vec<crate::cost::FragComponents> = inputs
-            .fragments
-            .iter()
-            .map(|f| {
-                // Unioned per-atom extents: the scan volume of each
-                // atom's singleton reformulation.
-                let extents: Vec<f64> =
-                    f.atom_singletons.iter().map(|u| self.ucq_scan_volume(u)).collect();
-                self.fragment_components_cached(f.ucq, Some((f.template_atoms, &extents)))
-            })
-            .collect();
-        self.combine(&comps)
+    fn as_paper_model(&self) -> Option<&PaperCostModel<'_>> {
+        Some(self)
     }
 }
 
@@ -98,20 +67,69 @@ impl JucqCostEstimator for EngineCostModel<'_> {
     }
 }
 
-/// A cached fragment reformulation: the UCQ, or `None` when it blew the
-/// materialization limit (treated as infinitely expensive).
-type FragmentEntry = Option<Arc<StoreUcq>>;
+/// One reformulated cover query of a fragment.
+struct Union {
+    /// Its head (Definition 3.4 heads vary with the cover for
+    /// overlapping covers, so the fragment alone would alias distinct
+    /// queries).
+    head: VarMask,
+    /// The UCQ, or `None` when it blew the materialization limit
+    /// (treated as infinitely expensive).
+    ucq: Option<StoreUcq>,
+    /// The member pass over `ucq`, once an estimate needed it.
+    sums: Option<MemberSums>,
+}
 
-/// Cache key for a reformulated cover query: its atoms *and* head
-/// (Definition 3.4 heads vary with the cover for overlapping covers, so
-/// atom indices alone would alias distinct queries).
-type FragmentKey = (Vec<jucq_store::StorePattern>, Vec<VarId>);
+/// What the search knows about one fragment.
+#[derive(Default)]
+struct Fragment {
+    unions: Vec<Union>,
+    /// Cover-cost ingredients under the paper's model.
+    comps: Option<FragComponents>,
+    /// Cost of the fragment evaluated alone (the GCov redundancy-pruning
+    /// order re-asks the same fragments constantly).
+    standalone: Option<f64>,
+}
+
+#[derive(Default)]
+struct FragmentTable {
+    fragments: FxHashMap<AtomMask, Fragment>,
+    /// Per atom, the scan volume of its singleton reformulation — the
+    /// atom's *unioned* extent (inner `None`: over the limit).
+    atom_extents: Vec<Option<Option<f64>>>,
+}
+
+impl FragmentTable {
+    /// The entry of a cover query [`CoverSearch::union`] already
+    /// resolved.
+    fn resolved(&mut self, fragment: AtomMask, head: VarMask) -> &mut Union {
+        let unions = &mut self.fragments.get_mut(&fragment).expect("resolved before").unions;
+        unions.iter_mut().find(|u| u.head == head).expect("resolved before")
+    }
+}
+
+/// Lookup tallies, flushed to the metrics registry once per search: a
+/// search makes tens of thousands of lookups, the registry is behind a
+/// process-wide mutex.
+#[derive(Default)]
+struct Tally {
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl Tally {
+    fn count(&self, hit: bool) {
+        let cell = if hit { &self.hits } else { &self.misses };
+        cell.set(cell.get() + 1);
+    }
+}
 
 /// The search context shared by ECov and GCov.
 pub struct CoverSearch<'a> {
     query: &'a BgpQuery,
+    masks: Result<AtomMasks, CoverError>,
     env: ReformulationEnv<'a>,
-    estimator: &'a (dyn JucqCostEstimator + Sync),
+    estimator: &'a dyn JucqCostEstimator,
     /// Cap on the number of member CQs materialized per fragment; a
     /// fragment beyond it costs `+∞` (no engine accepts it anyway).
     reformulation_limit: usize,
@@ -119,18 +137,12 @@ pub struct CoverSearch<'a> {
     /// it are infeasible (the engine would reject the JUCQ at
     /// admission), so they cost `+∞` and the search routes around them.
     union_limit: usize,
-    /// Worker threads for batch cover scoring ([`CoverSearch::cover_costs`]).
-    parallelism: usize,
-    /// Fragment memos are read far more often than written (repeated
-    /// fragments across candidate covers): `RwLock` keeps the hot hit
-    /// path a shared, non-exclusive read usable from scoring workers.
-    cache: RwLock<FxHashMap<FragmentKey, FragmentEntry>>,
-    /// Per-fragment standalone cost memo (the GCov redundancy-pruning
-    /// order re-asks the same fragments constantly).
-    cost_cache: RwLock<FxHashMap<FragmentKey, f64>>,
+    table: RefCell<FragmentTable>,
     /// Covers whose cost was estimated so far (the "number of query
     /// covers explored" of Figures 7–8).
-    explored: AtomicUsize,
+    explored: Cell<usize>,
+    reformulation_lookups: Tally,
+    fragment_cost_lookups: Tally,
 }
 
 /// The outcome of a cover search.
@@ -155,18 +167,22 @@ impl<'a> CoverSearch<'a> {
     pub fn new(
         query: &'a BgpQuery,
         env: ReformulationEnv<'a>,
-        estimator: &'a (dyn JucqCostEstimator + Sync),
+        estimator: &'a dyn JucqCostEstimator,
     ) -> Self {
         CoverSearch {
             query,
+            masks: query.atom_masks(),
             env,
             estimator,
             reformulation_limit: 400_000,
             union_limit: usize::MAX,
-            parallelism: 1,
-            cache: RwLock::new(FxHashMap::default()),
-            cost_cache: RwLock::new(FxHashMap::default()),
-            explored: AtomicUsize::new(0),
+            table: RefCell::new(FragmentTable {
+                fragments: FxHashMap::default(),
+                atom_extents: vec![None; query.len()],
+            }),
+            explored: Cell::new(0),
+            reformulation_lookups: Tally::default(),
+            fragment_cost_lookups: Tally::default(),
         }
     }
 
@@ -186,71 +202,77 @@ impl<'a> CoverSearch<'a> {
         self
     }
 
-    /// Use up to `threads` workers for batch cover scoring.
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
+    /// Scoring is sequential (see the module docs); this remains so
+    /// that callers written against the worker-pool API keep building.
+    #[doc(hidden)]
+    pub fn with_parallelism(self, _threads: usize) -> Self {
         self
     }
 
-    /// The configured scoring parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// The query under optimization.
-    pub fn query(&self) -> &BgpQuery {
-        self.query
+    /// The query's atom masks, or why it has no covers at all.
+    pub fn masks(&self) -> Result<&AtomMasks, CoverError> {
+        self.masks.as_ref().map_err(CoverError::clone)
     }
 
     /// Number of covers costed so far.
     pub fn explored(&self) -> usize {
-        self.explored.load(Ordering::Relaxed)
+        self.explored.get()
     }
 
-    /// The (cached) UCQ reformulation of one cover query.
-    pub fn fragment_ucq(&self, cq: &BgpQuery) -> FragmentEntry {
-        let key: FragmentKey = (cq.atoms.clone(), cq.head.clone());
-        if let Some(hit) = self.cache.read().expect("cache lock").get(&key) {
-            jucq_obs::metrics::counter_add("cover_search.reformulation_cache.hits", 1);
-            return hit.clone();
-        }
-        jucq_obs::metrics::counter_add("cover_search.reformulation_cache.misses", 1);
-        let entry = match reformulate_with_limit(cq, &self.env, self.reformulation_limit) {
-            Ok(ucq) => Some(Arc::new(ucq)),
-            Err(_) => None,
-        };
-        // Two workers may race to fill the same key; both compute the
-        // same value, so last-write-wins is harmless.
-        self.cache.write().expect("cache lock").insert(key, entry.clone());
-        entry
+    /// The masks, for callers holding a fragment or a cover — which
+    /// only exist for a query that has them.
+    fn fragment_masks(&self) -> &AtomMasks {
+        self.masks.as_ref().expect("fragments exist only for a query within the mask width")
     }
 
-    /// Assemble the JUCQ reformulation for a cover from cached
-    /// fragments. `None` if any fragment exceeds the limit.
-    pub fn jucq_for(&self, cover: &Cover) -> Option<StoreJucq> {
-        let mut fragments = Vec::with_capacity(cover.len());
-        for cq in cover.cover_queries(self.query) {
-            fragments.push(self.fragment_ucq(&cq)?.as_ref().clone());
+    /// The (memoized) reformulation of `fragment`'s cover query under
+    /// `head`.
+    fn union<'t>(
+        &self,
+        table: &'t mut FragmentTable,
+        fragment: AtomMask,
+        head: VarMask,
+    ) -> &'t mut Union {
+        let unions = &mut table.fragments.entry(fragment).or_default().unions;
+        let known = unions.iter().position(|u| u.head == head);
+        self.reformulation_lookups.count(known.is_some());
+        let at = known.unwrap_or_else(|| {
+            let cq = self.fragment_masks().cover_query(self.query, fragment, head);
+            let ucq = reformulate_with_limit(&cq, &self.env, self.reformulation_limit).ok();
+            unions.push(Union { head, ucq, sums: None });
+            unions.len() - 1
+        });
+        &mut unions[at]
+    }
+
+    /// Atom `i`'s unioned extent: the scan volume of its singleton
+    /// reformulation (under the all-variables head; extent sums are
+    /// head-insensitive). `None` when that reformulation is over the
+    /// limit.
+    fn atom_extent(&self, table: &mut FragmentTable, i: usize) -> Option<f64> {
+        if let Some(known) = table.atom_extents[i] {
+            return known;
         }
-        Some(StoreJucq::new(fragments, self.query.head.clone()))
+        let head = self.fragment_masks().vars_of(1 << i);
+        let model = self.estimator.as_paper_model();
+        let extent = (self.union(table, 1 << i, head).ucq.as_ref())
+            .map(|ucq| model.map_or(0.0, |m| m.ucq_scan_volume(ucq)));
+        table.atom_extents[i] = Some(extent);
+        extent
     }
 
     /// Estimated cost of a cover's JUCQ (`+∞` when un-materializable).
     /// Each call counts as one explored cover.
     pub fn cover_cost(&self, cover: &Cover) -> f64 {
         jucq_obs::span!("cost_estimation");
-        self.explored.fetch_add(1, Ordering::Relaxed);
-        let fragments = cover.fragments();
-        let cover_queries = cover.cover_queries(self.query);
-        // Resolve every fragment UCQ and the per-atom singleton
-        // reformulations first; any over-limit fragment makes the cover
-        // infeasible. Singleton *extent* queries use all-variable heads
-        // (extent sums are head-insensitive; one cache entry per atom).
-        let mut frag_ucqs: Vec<Arc<StoreUcq>> = Vec::with_capacity(fragments.len());
-        let mut singleton_ucqs: Vec<Vec<Arc<StoreUcq>>> = Vec::with_capacity(fragments.len());
+        self.explored.set(self.explored.get() + 1);
+        let table = &mut *self.table.borrow_mut();
+        let heads: Vec<(AtomMask, VarMask)> = cover.heads(self.fragment_masks()).collect();
+        // Resolve every fragment's union and per-atom extents first;
+        // any over-limit one makes the cover infeasible.
         let mut total_terms = 0usize;
-        for (f, cq) in fragments.iter().zip(&cover_queries) {
-            let Some(ucq) = self.fragment_ucq(cq) else {
+        for &(fragment, head) in &heads {
+            let Some(ucq) = &self.union(table, fragment, head).ucq else {
                 return f64::INFINITY;
             };
             total_terms += ucq.len();
@@ -258,230 +280,195 @@ impl<'a> CoverSearch<'a> {
                 // The engine would reject this JUCQ at admission.
                 return f64::INFINITY;
             }
-            frag_ucqs.push(ucq);
-            let mut singles = Vec::with_capacity(f.len());
-            for &i in f {
-                let atom = self.query.atoms[i];
-                let extent_q = BgpQuery::new(atom.variables().to_vec(), vec![atom]);
-                let Some(s) = self.fragment_ucq(&extent_q) else {
-                    return f64::INFINITY;
-                };
-                singles.push(s);
+            if bits(fragment).any(|i| self.atom_extent(table, i).is_none()) {
+                return f64::INFINITY;
             }
-            singleton_ucqs.push(singles);
         }
-        let inputs = CoverCostInputs {
-            head: &self.query.head,
-            fragments: fragments
-                .iter()
-                .enumerate()
-                .map(|(i, f)| FragmentCostInput {
-                    key: f.as_slice(),
-                    ucq: frag_ucqs[i].as_ref(),
-                    template_atoms: &cover_queries[i].atoms,
-                    atom_singletons: singleton_ucqs[i].iter().map(Arc::as_ref).collect(),
-                })
-                .collect(),
+        let Some(model) = self.estimator.as_paper_model() else {
+            let fragments = (heads.iter())
+                .map(|&(f, head)| table.resolved(f, head).ucq.clone().expect("resolved above"))
+                .collect();
+            return self.estimator.estimate(&StoreJucq::new(fragments, self.query.head.clone()));
         };
-        self.estimator.estimate_cover(&inputs)
+        for &(fragment, head) in &heads {
+            if table.fragments[&fragment].comps.is_none() {
+                let comps = self.components(table, model, fragment, head);
+                table.fragments.get_mut(&fragment).expect("resolved above").comps = Some(comps);
+            }
+        }
+        let comps: Vec<&FragComponents> = (heads.iter())
+            .map(|(fragment, _)| table.fragments[fragment].comps.as_ref().expect("filled above"))
+            .collect();
+        model.combine(&comps)
+    }
+
+    /// A resolved fragment's cost ingredients under the paper's model,
+    /// from its union under `head` and its atoms' unioned extents.
+    fn components(
+        &self,
+        table: &mut FragmentTable,
+        model: &PaperCostModel<'_>,
+        fragment: AtomMask,
+        head: VarMask,
+    ) -> FragComponents {
+        let atoms: Vec<StorePattern> = bits(fragment).map(|i| self.query.atoms[i]).collect();
+        let extents: Vec<f64> = bits(fragment)
+            .map(|i| table.atom_extents[i].flatten().expect("resolved with the fragment"))
+            .collect();
+        let Union { ucq, sums, .. } = table.resolved(fragment, head);
+        let ucq = ucq.as_ref().expect("resolved with the fragment");
+        let sums = *sums.get_or_insert_with(|| model.member_sums(ucq));
+        model.template_components(sums, ucq, &atoms, &extents)
     }
 
     /// Cost of a single fragment's reformulated UCQ alone (used by the
     /// redundancy pruning order in GCov). Uses the complement-context
     /// head — adequate for ordering. Memoized: candidate covers repeat
     /// the same fragments constantly, so each is costed once.
-    pub fn fragment_cost(&self, fragment: &[usize]) -> f64 {
-        let cq = self.query.cover_query(fragment);
-        let key: FragmentKey = (cq.atoms.clone(), cq.head.clone());
-        if let Some(&hit) = self.cost_cache.read().expect("cost cache lock").get(&key) {
-            jucq_obs::metrics::counter_add("cover_search.fragment_cost_cache.hits", 1);
-            return hit;
+    pub fn fragment_cost(&self, fragment: AtomMask) -> f64 {
+        let table = &mut *self.table.borrow_mut();
+        let known = table.fragments.get(&fragment).and_then(|f| f.standalone);
+        self.fragment_cost_lookups.count(known.is_some());
+        if let Some(cost) = known {
+            return cost;
         }
-        jucq_obs::metrics::counter_add("cover_search.fragment_cost_cache.misses", 1);
-        let cost = match self.fragment_ucq(&cq) {
-            Some(ucq) => {
-                let head = ucq.head.clone();
-                let jucq = StoreJucq::new(vec![ucq.as_ref().clone()], head);
-                self.estimator.estimate(&jucq)
+        let head = self.fragment_masks().complement_head(fragment);
+        let Union { ucq, sums, .. } = self.union(table, fragment, head);
+        let cost = match (ucq.as_ref(), self.estimator.as_paper_model()) {
+            (None, _) => f64::INFINITY,
+            (Some(ucq), Some(model)) => {
+                let sums = *sums.get_or_insert_with(|| model.member_sums(ucq));
+                model.standalone_cost(sums, ucq)
             }
-            None => f64::INFINITY,
+            (Some(ucq), None) => {
+                self.estimator.estimate(&StoreJucq::new(vec![ucq.clone()], ucq.head.clone()))
+            }
         };
-        self.cost_cache.write().expect("cost cache lock").insert(key, cost);
+        table.fragments.get_mut(&fragment).expect("entered above").standalone = Some(cost);
         cost
     }
+}
 
-    /// Score a batch of covers, in input order, using up to the
-    /// configured parallelism worker threads. Scheduling only changes
-    /// *when* each cover is costed, never its cost (estimators are pure
-    /// functions of the statistics), so callers folding the returned
-    /// vector in order make exactly the sequential decisions.
-    pub fn cover_costs(&self, covers: &[Cover]) -> Vec<f64> {
-        // On single-core hardware scoring workers are pure overhead —
-        // take the sequential path outright, mirroring the executor's
-        // `eval_unions` gate.
-        let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let workers = if hw <= 1 { 1 } else { self.parallelism.min(covers.len()) };
-        if workers <= 1 {
-            return covers.iter().map(|c| self.cover_cost(c)).collect();
+impl Drop for CoverSearch<'_> {
+    fn drop(&mut self) {
+        for (name, count) in [
+            ("cover_search.reformulation_cache.hits", &self.reformulation_lookups.hits),
+            ("cover_search.reformulation_cache.misses", &self.reformulation_lookups.misses),
+            ("cover_search.fragment_cost_cache.hits", &self.fragment_cost_lookups.hits),
+            ("cover_search.fragment_cost_cache.misses", &self.fragment_cost_lookups.misses),
+        ] {
+            if count.get() > 0 {
+                jucq_obs::metrics::counter_add(name, count.get());
+            }
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut costs = vec![f64::INFINITY; covers.len()];
-        let scored: Vec<Vec<(usize, f64)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= covers.len() {
-                                break;
-                            }
-                            out.push((i, self.cover_cost(&covers[i])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scoring worker panicked")).collect()
-        });
-        for (i, c) in scored.into_iter().flatten() {
-            costs[i] = c;
-        }
-        costs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostConstants;
-    use jucq_model::{Graph, Term, TermId, Triple};
-    use jucq_store::{EngineProfile, PatternTerm, StorePattern};
-
-    struct Fixture {
-        graph: Graph,
-        rdf_type: TermId,
-        store: Store,
-    }
+    use crate::fixture::{triple, var, Fixture};
 
     fn fixture() -> Fixture {
-        let mut graph = Graph::new();
-        let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
-        graph.extend(&[
-            t("b1", jucq_model::vocab::RDF_TYPE, Term::uri("Book")),
-            t("b1", "writtenBy", Term::uri("a1")),
-            t("b2", "writtenBy", Term::uri("a1")),
-            t("Book", jucq_model::vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
-            t("writtenBy", jucq_model::vocab::RDFS_DOMAIN, Term::uri("Book")),
-        ]);
-        let rdf_type = graph.rdf_type();
-        let store = Store::from_triples(graph.data(), EngineProfile::pg_like());
-        Fixture { graph, rdf_type, store }
+        Fixture::new(&[
+            triple("b1", jucq_model::vocab::RDF_TYPE, "Book"),
+            triple("b1", "writtenBy", "a1"),
+            triple("b2", "writtenBy", "a1"),
+            triple("Book", jucq_model::vocab::RDFS_SUBCLASS_OF, "Publication"),
+            triple("writtenBy", jucq_model::vocab::RDFS_DOMAIN, "Book"),
+        ])
     }
 
+    /// `q(x, y):- (x τ Book), (x writtenBy y)`.
     fn query(f: &Fixture) -> BgpQuery {
-        let ty = f.rdf_type;
-        let written_by = f.graph.dict().lookup(&Term::uri("writtenBy")).unwrap();
-        let book = f.graph.dict().lookup(&Term::uri("Book")).unwrap();
         BgpQuery::new(
             vec![0, 1],
-            vec![
-                StorePattern::new(
-                    PatternTerm::Var(0),
-                    PatternTerm::Const(ty),
-                    PatternTerm::Const(book),
-                ),
-                StorePattern::new(
-                    PatternTerm::Var(0),
-                    PatternTerm::Const(written_by),
-                    PatternTerm::Var(1),
-                ),
-            ],
+            vec![f.atom(var(0), "a", f.uri("Book")), f.atom(var(0), "writtenBy", var(1))],
         )
     }
 
     #[test]
-    fn fragment_cache_hits() {
+    fn fragment_unions_are_reformulated_once() {
         let f = fixture();
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
         let q = query(&f);
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let cq = q.cover_query(&[0]);
-        let a = search.fragment_ucq(&cq).unwrap();
-        let b = search.fragment_ucq(&cq).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup is a cache hit");
+        f.with_search(&q, |search, _| {
+            let scq = Cover::singletons(&q).unwrap();
+            let a = search.cover_cost(&scq);
+            let misses = search.reformulation_lookups.misses.get();
+            let b = search.cover_cost(&scq);
+            assert_eq!(a.to_bits(), b.to_bits(), "the table returns the identical cost");
+            assert_eq!(search.reformulation_lookups.misses.get(), misses, "only hits now");
+            assert_eq!(search.table.borrow().fragments.len(), 2);
+        });
     }
 
     #[test]
     fn fragment_cost_is_memoized() {
         let f = fixture();
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
         let q = query(&f);
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let a = search.fragment_cost(&[0]);
-        let b = search.fragment_cost(&[0]);
-        assert_eq!(a.to_bits(), b.to_bits(), "memo returns the identical cost");
-        assert_eq!(search.cost_cache.read().unwrap().len(), 1);
+        f.with_search(&q, |search, model| {
+            let a = search.fragment_cost(0b01);
+            let b = search.fragment_cost(0b01);
+            assert_eq!(a.to_bits(), b.to_bits(), "memo returns the identical cost");
+            let lookups = &search.fragment_cost_lookups;
+            assert_eq!((lookups.hits.get(), lookups.misses.get()), (1, 1));
+            // The standalone cost is the model's price of the lone fragment.
+            let lone = BgpQuery::new(vec![0], vec![q.atoms[0]]);
+            let lone = StoreJucq::from_ucq(jucq_reformulation::reformulate(&lone, &search.env));
+            assert_eq!(a.to_bits(), model.cost(&lone).to_bits());
+        });
     }
 
     #[test]
-    fn parallel_cover_costs_match_sequential_order() {
+    fn lookup_tallies_reach_the_registry_when_the_search_ends() {
+        let counter = |name: &str| {
+            jucq_obs::metrics::global().snapshot().counters.get(name).copied().unwrap_or(0)
+        };
         let f = fixture();
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
-        let q = query(&f);
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let covers = vec![Cover::single_fragment(&q).unwrap(), Cover::singletons(&q).unwrap()];
-        let seq_search = CoverSearch::new(&q, env, &model);
-        let seq: Vec<f64> = covers.iter().map(|c| seq_search.cover_cost(c)).collect();
-        let par_search = CoverSearch::new(&q, env, &model).with_parallelism(4);
-        let par = par_search.cover_costs(&covers);
-        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&seq), bits(&par), "costs identical and in input order");
-        assert_eq!(par_search.explored(), 2);
+        jucq_obs::set_enabled(true);
+        f.with_search(&query(&f), |search, _| {
+            search.fragment_cost(0b10);
+            search.fragment_cost(0b10);
+            search.fragment_cost(0b10);
+            // Counters only grow, and tests sharing the process may add
+            // to them meanwhile: the two hits must be on top of whatever
+            // was there before the search ended.
+            let before = counter("cover_search.fragment_cost_cache.hits");
+            drop(search);
+            assert!(counter("cover_search.fragment_cost_cache.hits") >= before + 2);
+        });
     }
 
     #[test]
     fn cover_cost_counts_explorations() {
         let f = fixture();
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
         let q = query(&f);
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model);
-        let c1 = Cover::single_fragment(&q).unwrap();
-        let c2 = Cover::singletons(&q).unwrap();
-        let cost1 = search.cover_cost(&c1);
-        let cost2 = search.cover_cost(&c2);
-        assert!(cost1.is_finite() && cost2.is_finite());
-        assert_eq!(search.explored(), 2);
+        f.with_search(&q, |search, _| {
+            let cost1 = search.cover_cost(&Cover::single_fragment(&q).unwrap());
+            let cost2 = search.cover_cost(&Cover::singletons(&q).unwrap());
+            assert!(cost1.is_finite() && cost2.is_finite());
+            assert_eq!(search.explored(), 2);
+        });
     }
 
     #[test]
     fn limit_makes_cover_infinite() {
         let f = fixture();
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
         let q = query(&f);
-        let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
-        let search = CoverSearch::new(&q, env, &model).with_reformulation_limit(1);
-        let c1 = Cover::single_fragment(&q).unwrap();
-        assert!(search.cover_cost(&c1).is_infinite());
+        f.with_search(&q, |search, _| {
+            let search = search.with_reformulation_limit(1);
+            assert!(search.cover_cost(&Cover::single_fragment(&q).unwrap()).is_infinite());
+        });
     }
 
     #[test]
     fn engine_estimator_works_too() {
         let f = fixture();
-        let closure = f.graph.schema_closure();
-        let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
         let q = query(&f);
         let model = EngineCostModel::new(&f.store);
-        let search = CoverSearch::new(&q, env, &model);
-        let cost = search.cover_cost(&Cover::singletons(&q).unwrap());
+        let cost = f.with_env(|env| {
+            CoverSearch::new(&q, env, &model).cover_cost(&Cover::singletons(&q).unwrap())
+        });
         assert!(cost.is_finite() && cost > 0.0);
     }
 }

@@ -103,7 +103,12 @@ fn for_each_case(
 
 fn for_each_search(visit: &mut dyn FnMut(&Case<'_>, &dyn Fn() -> CoverSearchResult)) {
     for_each_case("lubm1", lubm::generate(&lubm::LubmConfig::new(1)), lubm::workload(), visit);
-    for_each_case("dblp2000", dblp::generate(&dblp::DblpConfig::new(2_000)), dblp::workload(), visit);
+    for_each_case(
+        "dblp2000",
+        dblp::generate(&dblp::DblpConfig::new(2_000)),
+        dblp::workload(),
+        visit,
+    );
 }
 
 /// `dataset query algo explored cost cover` — the cover last because

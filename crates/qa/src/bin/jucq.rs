@@ -27,8 +27,8 @@
 //! reformulation unions into interval scans (pair it with
 //! `--strategy range`).
 //! Threads: `--threads N` (or the `JUCQ_THREADS` environment variable)
-//! sizes the worker pool for union/fragment evaluation and cover
-//! scoring; the default is the machine's available parallelism.
+//! sizes the worker pool for union/fragment evaluation (planning is
+//! sequential); the default is the machine's available parallelism.
 //! Batching: `--batch-size N` (or the `JUCQ_BATCH` environment
 //! variable) sets the vectorized executor's rows-per-batch target; `0`
 //! disables vectorization and runs the row-at-a-time kernels.

@@ -227,7 +227,20 @@ fn gen_query(rng: &mut StdRng) -> QuerySpec {
         return QuerySpec { head: Vec::new(), atoms: Vec::new() };
     }
     let disconnected = n_atoms >= 2 && rng.gen_bool(0.08);
+    gen_body(rng, n_atoms, disconnected)
+}
 
+/// The query [`gen_case`] would draw, but with exactly `n_atoms ≥ 1`
+/// atoms — for tests of query-structure code (covers) that need bodies
+/// larger than the differential oracle can afford to evaluate.
+pub fn gen_query_sized(seed: u64, n_atoms: usize, disconnected: bool) -> QuerySpec {
+    assert!(n_atoms >= 1, "a sized query has atoms");
+    gen_body(&mut StdRng::seed_from_u64(seed), n_atoms, disconnected)
+}
+
+/// `n_atoms ≥ 1` random atoms and a random non-empty head over them;
+/// `disconnected` starts every atom in its own join component.
+fn gen_body(rng: &mut StdRng, n_atoms: usize, disconnected: bool) -> QuerySpec {
     let mut next_var: u16 = 0;
     let mut vars: Vec<u16> = Vec::new();
     let fresh = |vars: &mut Vec<u16>, next_var: &mut u16| -> u16 {

@@ -11,6 +11,8 @@
 use jucq_store::{PatternTerm, StoreCq, StorePattern, VarId};
 use serde::{Deserialize, Serialize};
 
+use crate::cover::CoverError;
+
 /// A BGP query: distinguished variables + triple-pattern body, with an
 /// optional answer limit (SPARQL `LIMIT`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,33 +75,11 @@ impl BgpQuery {
         self.atoms.is_empty()
     }
 
-    /// True iff atoms `i` and `j` share a variable (join).
-    pub fn atoms_join(&self, i: usize, j: usize) -> bool {
-        let vi = self.atoms[i].variables();
-        self.atoms[j].variables().iter().any(|v| vi.contains(v))
-    }
-
-    /// True iff the set of atoms `set` forms a connected join graph
-    /// (no cartesian product inside a fragment). Singletons and the
-    /// empty set are connected.
-    pub fn atoms_connected(&self, set: &[usize]) -> bool {
-        if set.len() <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; set.len()];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(i) = stack.pop() {
-            for j in 0..set.len() {
-                if !seen[j] && self.atoms_join(set[i], set[j]) {
-                    seen[j] = true;
-                    count += 1;
-                    stack.push(j);
-                }
-            }
-        }
-        count == set.len()
+    /// The query's atom and variable sets as bitmasks, for cover
+    /// arithmetic. Fails for a body too large to index by one machine
+    /// word.
+    pub fn atom_masks(&self) -> Result<AtomMasks, CoverError> {
+        AtomMasks::new(self)
     }
 
     /// View the query as a store CQ (all-variable head).
@@ -175,58 +155,144 @@ impl BgpQuery {
         let canonical = BgpQuery { head, atoms, limit: self.limit };
         (canonical, perm)
     }
+}
 
-    /// The subquery restricted to the given atom indices, with the head
-    /// computed per Definition 3.4 against an explicit set of atoms
-    /// belonging to *other fragments*: the distinguished variables of
-    /// the query occurring in the fragment, plus the fragment's
-    /// variables appearing in any of `other_atoms` (the join
-    /// variables). With overlapping covers, a shared atom belongs to
-    /// another fragment too, so its variables join — which is why the
-    /// context is the other fragments' atom set, not merely the
-    /// complement of `fragment`.
-    pub fn cover_query_in(&self, fragment: &[usize], other_atoms: &[usize]) -> BgpQuery {
-        let atoms: Vec<StorePattern> = fragment.iter().map(|&i| self.atoms[i]).collect();
-        let frag_vars: Vec<VarId> = {
-            let mut out = Vec::new();
-            for a in &atoms {
-                for v in a.variables() {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-            }
-            out
+/// A set of atoms of one query: bit `i` is atom `tᵢ₊₁`.
+pub type AtomMask = u64;
+
+/// A set of variables of one query: bit `k` is the `k`-th variable in
+/// first-occurrence order ([`BgpQuery::variables`]).
+pub type VarMask = u128;
+
+/// A query's join structure as bitmasks, computed once per query so
+/// that fragment inclusion, connectivity, the fragments-must-join rule
+/// and Definition 3.4 heads are a few word operations each.
+#[derive(Debug, Clone)]
+pub struct AtomMasks {
+    /// Bit `k` of a [`VarMask`] stands for `vars[k]`.
+    vars: Vec<VarId>,
+    /// Atom → the variables occurring in it.
+    atom_vars: Vec<VarMask>,
+    /// Atom → the atoms sharing a variable with it, itself included
+    /// when it has a variable at all (an atom shared by two fragments
+    /// makes them join only through its variables).
+    neighbours: Vec<AtomMask>,
+    /// The distinguished variables.
+    head: VarMask,
+}
+
+impl AtomMasks {
+    fn new(q: &BgpQuery) -> Result<Self, CoverError> {
+        if q.len() > AtomMask::BITS as usize {
+            return Err(CoverError::TooManyAtoms { atoms: q.len() });
+        }
+        let vars = q.variables();
+        if vars.len() > VarMask::BITS as usize {
+            return Err(CoverError::TooManyVariables { variables: vars.len() });
+        }
+        let mask_of = |vs: &[VarId]| -> VarMask {
+            vs.iter().filter_map(|v| vars.iter().position(|x| x == v)).fold(0, |m, k| m | 1 << k)
         };
-        let other_vars: Vec<VarId> = {
-            let mut out = Vec::new();
-            for &i in other_atoms {
-                for v in self.atoms[i].variables() {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-            }
-            out
-        };
-        let head: Vec<VarId> = frag_vars
-            .into_iter()
-            .filter(|v| self.head.contains(v) || other_vars.contains(v))
+        let atom_vars: Vec<VarMask> = q.atoms.iter().map(|a| mask_of(&a.variables())).collect();
+        let neighbours = atom_vars
+            .iter()
+            .map(|&vi| {
+                atom_vars
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &vj)| vi & vj != 0)
+                    .fold(0, |m, (j, _)| m | 1 << j)
+            })
             .collect();
-        // Cover queries never carry the limit: fragments must produce
-        // complete intermediate results for Theorem 3.1 to hold.
-        BgpQuery { head, atoms, limit: None }
+        let head = mask_of(&q.head);
+        Ok(AtomMasks { vars, atom_vars, neighbours, head })
     }
 
-    /// [`BgpQuery::cover_query_in`] with the other-fragment context
-    /// defaulting to the fragment's complement — exact for
-    /// non-overlapping covers; overlapping covers must supply the real
-    /// context (see [`crate::Cover::cover_queries`]).
-    pub fn cover_query(&self, fragment: &[usize]) -> BgpQuery {
-        let complement: Vec<usize> =
-            (0..self.atoms.len()).filter(|i| !fragment.contains(i)).collect();
-        self.cover_query_in(fragment, &complement)
+    /// Number of atoms.
+    pub fn len(&self) -> usize {
+        self.atom_vars.len()
     }
+
+    /// True iff the query has no atoms.
+    pub fn is_empty(&self) -> bool {
+        self.atom_vars.is_empty()
+    }
+
+    /// All atoms.
+    pub fn full(&self) -> AtomMask {
+        match self.len() as u32 {
+            AtomMask::BITS => AtomMask::MAX,
+            n => (1 << n) - 1,
+        }
+    }
+
+    /// The variables occurring in `atoms`.
+    pub fn vars_of(&self, atoms: AtomMask) -> VarMask {
+        bits(atoms).fold(0, |m, i| m | self.atom_vars[i])
+    }
+
+    /// The atoms sharing a variable with some atom of `atoms`.
+    pub fn neighbours_of(&self, atoms: AtomMask) -> AtomMask {
+        bits(atoms).fold(0, |m, i| m | self.neighbours[i])
+    }
+
+    /// True iff `atoms` forms a connected join graph (no cartesian
+    /// product inside a fragment). Singletons and the empty set are
+    /// connected.
+    pub fn connected(&self, atoms: AtomMask) -> bool {
+        let mut reached = atoms & atoms.wrapping_neg();
+        let mut frontier = reached;
+        while frontier != 0 {
+            let grown = self.neighbours_of(frontier) & atoms & !reached;
+            reached |= grown;
+            frontier = grown;
+        }
+        reached == atoms
+    }
+
+    /// The head of the cover query of `fragment` (Definition 3.4) given
+    /// the atoms of the *other fragments*: the fragment's variables that
+    /// are distinguished or occur in `others`. With overlapping covers
+    /// a shared atom belongs to another fragment too, so its variables
+    /// join — which is why the context is the other fragments' atom
+    /// set, not merely the complement of `fragment`.
+    pub fn head_of(&self, fragment: AtomMask, others: AtomMask) -> VarMask {
+        self.vars_of(fragment) & (self.head | self.vars_of(others))
+    }
+
+    /// [`AtomMasks::head_of`] with the other fragments defaulting to
+    /// the fragment's complement — exact for non-overlapping covers.
+    pub fn complement_head(&self, fragment: AtomMask) -> VarMask {
+        self.head_of(fragment, self.full() & !fragment)
+    }
+
+    /// The subquery of `q` (the query these masks were built from)
+    /// restricted to `fragment`, exposing the variables of `head` in
+    /// their order of first occurrence in the fragment. Cover queries
+    /// never carry the limit: fragments must produce complete
+    /// intermediate results for Theorem 3.1 to hold.
+    pub fn cover_query(&self, q: &BgpQuery, fragment: AtomMask, head: VarMask) -> BgpQuery {
+        let atoms: Vec<StorePattern> = bits(fragment).map(|i| q.atoms[i]).collect();
+        let mut exposed = Vec::with_capacity(head.count_ones() as usize);
+        for v in atoms.iter().flat_map(StorePattern::variables) {
+            let k = self.vars.iter().position(|&x| x == v).expect("a body variable");
+            if head & (1 << k) != 0 && !exposed.contains(&v) {
+                exposed.push(v);
+            }
+        }
+        BgpQuery { head: exposed, atoms, limit: None }
+    }
+}
+
+/// The indices of the set bits of `mask`, ascending.
+pub fn bits(mut mask: AtomMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]
@@ -269,12 +335,13 @@ mod tests {
 
     #[test]
     fn atom_join_graph() {
-        let q = q1();
-        assert!(q.atoms_join(0, 1));
-        assert!(q.atoms_join(1, 2));
-        assert!(q.atoms_connected(&[0, 1, 2]));
-        assert!(q.atoms_connected(&[0]));
-        assert!(q.atoms_connected(&[]));
+        let m = q1().atom_masks().unwrap();
+        assert_eq!(m.neighbours_of(0b001), 0b111);
+        assert_eq!(m.neighbours_of(0b100), 0b111);
+        assert!(m.connected(0b111));
+        assert!(m.connected(0b001));
+        assert!(m.connected(0));
+        assert_eq!(m.full(), 0b111);
     }
 
     #[test]
@@ -284,7 +351,27 @@ mod tests {
             vec![0],
             vec![StorePattern::new(v(0), c(1), v(1)), StorePattern::new(v(2), c(1), v(3))],
         );
-        assert!(!q.atoms_connected(&[0, 1]));
+        assert!(!q.atom_masks().unwrap().connected(0b11));
+    }
+
+    #[test]
+    fn oversized_bodies_are_rejected() {
+        let chain = |n: u16| {
+            BgpQuery::new(
+                vec![0],
+                (0..n).map(|i| StorePattern::new(v(i), c(1), v(i + 1))).collect(),
+            )
+        };
+        let m = chain(64).atom_masks().unwrap();
+        assert_eq!(m.full(), u64::MAX);
+        assert!(m.connected(u64::MAX));
+        assert_eq!(chain(65).atom_masks().unwrap_err(), CoverError::TooManyAtoms { atoms: 65 });
+        // 64 atoms with three fresh variables each: 192 variables.
+        let wide = BgpQuery::new(
+            vec![0],
+            (0..64).map(|i| StorePattern::new(v(3 * i), v(3 * i + 1), v(3 * i + 2))).collect(),
+        );
+        assert_eq!(wide.atom_masks().unwrap_err(), CoverError::TooManyVariables { variables: 192 });
     }
 
     #[test]
@@ -292,9 +379,10 @@ mod tests {
         // The paper's example: cover {{t1},{t2,t3}} of q1 gives
         // q_f1(x, y) and q_f2(x).
         let q = q1();
-        let f1 = q.cover_query(&[0]);
+        let m = q.atom_masks().unwrap();
+        let f1 = m.cover_query(&q, 0b001, m.complement_head(0b001));
         assert_eq!(f1.head, vec![0, 1], "distinguished x, y plus join var x");
-        let f2 = q.cover_query(&[1, 2]);
+        let f2 = m.cover_query(&q, 0b110, m.complement_head(0b110));
         assert_eq!(f2.head, vec![0], "x distinguished and shared; no other var");
         assert_eq!(f2.atoms.len(), 2);
     }
@@ -307,10 +395,15 @@ mod tests {
             vec![0],
             vec![StorePattern::new(v(0), c(1), v(1)), StorePattern::new(v(1), c(1), v(2))],
         );
-        let f1 = q.cover_query(&[0]);
+        let m = q.atom_masks().unwrap();
+        let f1 = m.cover_query(&q, 0b01, m.complement_head(0b01));
         assert_eq!(f1.head, vec![0, 1]);
-        let f2 = q.cover_query(&[1]);
+        let f2 = m.cover_query(&q, 0b10, m.complement_head(0b10));
         assert_eq!(f2.head, vec![1], "join var y only; z stays existential");
+        // An overlapping cover exposes the shared atom's variables on
+        // both sides: {t1,t2} next to {t2} joins on y *and* z.
+        let both = m.cover_query(&q, 0b11, m.head_of(0b11, 0b10));
+        assert_eq!(both.head, vec![0, 1, 2]);
     }
 
     #[test]

@@ -13,23 +13,61 @@
 //! cover-based reformulations do not feature cartesian products"), we
 //! additionally require each fragment's own join graph to be connected.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bgp::BgpQuery;
+use crate::bgp::{bits, AtomMask, AtomMasks, BgpQuery, VarMask};
 
-/// A cover: a set of fragments, each a sorted set of atom indices.
-/// Fragments are kept sorted for canonical comparison.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// A cover: a set of fragments, each an [`AtomMask`], kept sorted (by
+/// their atom-index sequences, lexicographically) and distinct — the
+/// canonical form covers are compared, hashed and iterated in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(try_from = "CoverRepr", into = "CoverRepr")]
 pub struct Cover {
-    fragments: BTreeSet<BTreeSet<usize>>,
+    fragments: Vec<AtomMask>,
+}
+
+/// The serialized form of a [`Cover`]: its fragments as sorted index
+/// lists, in canonical order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CoverRepr {
+    /// The fragments.
+    pub fragments: Vec<Vec<usize>>,
+}
+
+impl From<Cover> for CoverRepr {
+    fn from(cover: Cover) -> Self {
+        CoverRepr { fragments: cover.fragments() }
+    }
+}
+
+impl TryFrom<CoverRepr> for Cover {
+    type Error = CoverError;
+
+    /// Rebuilds the fragment set; validity against a query is the
+    /// deserializing caller's to re-establish with [`Cover::new`].
+    fn try_from(repr: CoverRepr) -> Result<Self, CoverError> {
+        let fragments: Result<Vec<AtomMask>, _> =
+            repr.fragments.iter().map(|f| index_mask(f, AtomMask::BITS as usize)).collect();
+        Ok(Cover { fragments: canonical(fragments?) })
+    }
 }
 
 /// Why a candidate cover is invalid for a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoverError {
+    /// The query has more atoms than a fragment mask has bits.
+    TooManyAtoms {
+        /// The query's atom count.
+        atoms: usize,
+    },
+    /// The query has more variables than a head mask has bits.
+    TooManyVariables {
+        /// The query's variable count.
+        variables: usize,
+    },
     /// A fragment is empty.
     EmptyFragment,
     /// A fragment references an atom index outside the query.
@@ -54,6 +92,12 @@ pub enum CoverError {
 impl fmt::Display for CoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CoverError::TooManyAtoms { atoms } => {
+                write!(f, "{atoms} atoms; covers index at most {}", AtomMask::BITS)
+            }
+            CoverError::TooManyVariables { variables } => {
+                write!(f, "{variables} variables; covers index at most {}", u128::BITS)
+            }
             CoverError::EmptyFragment => write!(f, "empty fragment"),
             CoverError::AtomOutOfRange { index } => write!(f, "atom index {index} out of range"),
             CoverError::MissingAtom { index } => write!(f, "atom {index} not covered"),
@@ -66,80 +110,125 @@ impl fmt::Display for CoverError {
 
 impl std::error::Error for CoverError {}
 
+/// The mask of a fragment given as atom indices below `n`.
+fn index_mask(fragment: &[usize], n: usize) -> Result<AtomMask, CoverError> {
+    if fragment.is_empty() {
+        return Err(CoverError::EmptyFragment);
+    }
+    if let Some(&index) = fragment.iter().find(|&&i| i >= n) {
+        return Err(CoverError::AtomOutOfRange { index });
+    }
+    Ok(fragment.iter().fold(0, |m, i| m | 1 << i))
+}
+
+/// Fragments compare as their ascending atom-index sequences do: at the
+/// lowest atom where they differ, the one holding it comes first —
+/// unless the other has no higher atom at all, being then a proper
+/// prefix.
+fn fragment_order(a: &AtomMask, b: &AtomMask) -> Ordering {
+    let diff = a ^ b;
+    if diff == 0 {
+        return Ordering::Equal;
+    }
+    let lowest = diff & diff.wrapping_neg();
+    let (holder_first, other) =
+        if a & lowest != 0 { (Ordering::Less, b) } else { (Ordering::Greater, a) };
+    let above = !(lowest | (lowest - 1));
+    if other & above != 0 {
+        holder_first
+    } else {
+        holder_first.reverse()
+    }
+}
+
+fn canonical(mut fragments: Vec<AtomMask>) -> Vec<AtomMask> {
+    fragments.sort_unstable_by(fragment_order);
+    fragments.dedup();
+    fragments
+}
+
+/// The union of every fragment but `fragments[skip]`.
+fn others(fragments: &[AtomMask], skip: usize) -> AtomMask {
+    fragments.iter().enumerate().filter(|&(j, _)| j != skip).fold(0, |m, (_, f)| m | f)
+}
+
+/// Definition 3.3 plus fragment connectivity, over distinct fragments;
+/// `without` leaves one of them out (the redundancy-pruning probe).
+fn validate(
+    m: &AtomMasks,
+    fragments: &[AtomMask],
+    without: Option<usize>,
+) -> Result<(), CoverError> {
+    let kept =
+        || fragments.iter().enumerate().filter(|&(i, _)| Some(i) != without).map(|(_, &f)| f);
+    let missing = m.full() & !kept().fold(0, |u, f| u | f);
+    if missing != 0 {
+        return Err(CoverError::MissingAtom { index: missing.trailing_zeros() as usize });
+    }
+    if kept().any(|a| kept().any(|b| a != b && a & b == a)) {
+        return Err(CoverError::IncludedFragment);
+    }
+    if !kept().all(|f| m.connected(f)) {
+        return Err(CoverError::DisconnectedFragment);
+    }
+    // Every fragment must share a variable with another one.
+    if kept().count() > 1 {
+        for f in kept() {
+            let rest = kept().filter(|&g| g != f).fold(0, |u, g| u | g);
+            if m.neighbours_of(f) & rest == 0 {
+                return Err(CoverError::IsolatedFragment);
+            }
+        }
+    }
+    Ok(())
+}
+
 impl Cover {
     /// Build a cover from fragments, validating Definition 3.3 against
     /// `q` (plus internal fragment connectivity).
     pub fn new(q: &BgpQuery, fragments: Vec<Vec<usize>>) -> Result<Self, CoverError> {
-        let n = q.len();
-        let mut sets: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
-        for f in fragments {
-            if f.is_empty() {
-                return Err(CoverError::EmptyFragment);
-            }
-            if let Some(&bad) = f.iter().find(|&&i| i >= n) {
-                return Err(CoverError::AtomOutOfRange { index: bad });
-            }
-            sets.insert(f.into_iter().collect());
+        let masks = q.atom_masks()?;
+        let fragments: Result<Vec<AtomMask>, _> =
+            fragments.iter().map(|f| index_mask(f, q.len())).collect();
+        Cover::from_masks(&masks, fragments?)
+    }
+
+    /// [`Cover::new`] over fragments already given as masks of the
+    /// query `masks` was built from.
+    pub fn from_masks(masks: &AtomMasks, fragments: Vec<AtomMask>) -> Result<Self, CoverError> {
+        if fragments.contains(&0) {
+            return Err(CoverError::EmptyFragment);
         }
-        let cover = Cover { fragments: sets };
-        cover.validate(q)?;
-        Ok(cover)
+        if let Some(f) = fragments.iter().find(|&&f| f & !masks.full() != 0) {
+            let index = (f & !masks.full()).trailing_zeros() as usize;
+            return Err(CoverError::AtomOutOfRange { index });
+        }
+        let fragments = canonical(fragments);
+        validate(masks, &fragments, None)?;
+        Ok(Cover { fragments })
     }
 
     /// The canonical single-fragment cover (the classical UCQ
     /// reformulation shape) — requires a connected query body.
     pub fn single_fragment(q: &BgpQuery) -> Result<Self, CoverError> {
-        Cover::new(q, vec![(0..q.len()).collect()])
+        let masks = q.atom_masks()?;
+        Cover::from_masks(&masks, vec![masks.full()])
     }
 
     /// The all-singletons cover (the SCQ reformulation of \[13\]).
     pub fn singletons(q: &BgpQuery) -> Result<Self, CoverError> {
-        Cover::new(q, (0..q.len()).map(|i| vec![i]).collect())
-    }
-
-    fn validate(&self, q: &BgpQuery) -> Result<(), CoverError> {
-        // Union covers all atoms.
-        for i in 0..q.len() {
-            if !self.fragments.iter().any(|f| f.contains(&i)) {
-                return Err(CoverError::MissingAtom { index: i });
-            }
-        }
-        // No inclusion.
-        for a in &self.fragments {
-            for b in &self.fragments {
-                if a != b && a.is_subset(b) {
-                    return Err(CoverError::IncludedFragment);
-                }
-            }
-        }
-        // Internal connectivity.
-        for f in &self.fragments {
-            let idx: Vec<usize> = f.iter().copied().collect();
-            if !q.atoms_connected(&idx) {
-                return Err(CoverError::DisconnectedFragment);
-            }
-        }
-        // Pairwise join requirement.
-        if self.fragments.len() > 1 {
-            for f in &self.fragments {
-                let f_vars: BTreeSet<_> = f.iter().flat_map(|&i| q.atoms[i].variables()).collect();
-                let joins_other = self.fragments.iter().any(|g| {
-                    g != f
-                        && g.iter()
-                            .flat_map(|&i| q.atoms[i].variables())
-                            .any(|v| f_vars.contains(&v))
-                });
-                if !joins_other {
-                    return Err(CoverError::IsolatedFragment);
-                }
-            }
-        }
-        Ok(())
+        let masks = q.atom_masks()?;
+        Cover::from_masks(&masks, (0..q.len()).map(|i| 1 << i).collect())
     }
 
     /// The fragments, as sorted index vectors.
     pub fn fragments(&self) -> Vec<Vec<usize>> {
-        self.fragments.iter().map(|f| f.iter().copied().collect()).collect()
+        self.fragments.iter().map(|&f| bits(f).collect()).collect()
+    }
+
+    /// The fragments as atom masks, in the same (canonical) order.
+    pub fn masks(&self) -> &[AtomMask] {
+        &self.fragments
     }
 
     /// Number of fragments.
@@ -152,27 +241,28 @@ impl Cover {
         self.fragments.is_empty()
     }
 
-    /// The cover queries (Definition 3.4), in fragment order. Each
-    /// fragment's head exposes the variables shared with the atoms of
-    /// the *other fragments* — including overlap atoms, which belong to
-    /// both sides (the subtlety that makes overlapping covers sound).
-    pub fn cover_queries(&self, q: &BgpQuery) -> Vec<BgpQuery> {
-        let frags = self.fragments();
-        frags
+    /// Each fragment with the head of its cover query (Definition 3.4),
+    /// in fragment order. A fragment's head exposes the variables
+    /// shared with the atoms of the *other fragments* — including
+    /// overlap atoms, which belong to both sides (the subtlety that
+    /// makes overlapping covers sound).
+    pub fn heads<'c>(
+        &'c self,
+        masks: &'c AtomMasks,
+    ) -> impl Iterator<Item = (AtomMask, VarMask)> + 'c {
+        self.fragments
             .iter()
             .enumerate()
-            .map(|(i, f)| {
-                let mut others: Vec<usize> = frags
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .flat_map(|(_, g)| g.iter().copied())
-                    .collect();
-                others.sort_unstable();
-                others.dedup();
-                q.cover_query_in(f, &others)
-            })
-            .collect()
+            .map(move |(i, &f)| (f, masks.head_of(f, others(&self.fragments, i))))
+    }
+
+    /// The cover queries (Definition 3.4), in fragment order.
+    ///
+    /// # Panics
+    /// Panics if `q` is not the query the cover was built for.
+    pub fn cover_queries(&self, q: &BgpQuery) -> Vec<BgpQuery> {
+        let masks = q.atom_masks().expect("a cover's query fits the masks");
+        self.heads(&masks).map(|(f, head)| masks.cover_query(q, f, head)).collect()
     }
 
     /// The GCov move: add atom `atom` to fragment `frag_index`, dropping
@@ -181,36 +271,26 @@ impl Cover {
     /// an invalid cover. Coverage-redundancy pruning (the paper's
     /// cost-ordered removal) is a separate step:
     /// [`Cover::prune_redundant_by`].
-    pub fn add_atom(&self, q: &BgpQuery, frag_index: usize, atom: usize) -> Option<Cover> {
-        let mut frags = self.fragments();
-        let target = frags.get_mut(frag_index)?;
-        if target.contains(&atom) {
+    pub fn add_atom(&self, masks: &AtomMasks, frag_index: usize, atom: usize) -> Option<Cover> {
+        if atom >= masks.len() {
             return None;
         }
-        target.push(atom);
-        target.sort_unstable();
-        // Drop fragments included in another (keeping one copy of
-        // duplicates).
-        let mut kept: Vec<Vec<usize>> = Vec::with_capacity(frags.len());
-        for (i, f) in frags.iter().enumerate() {
-            let fset: BTreeSet<usize> = f.iter().copied().collect();
-            let redundant = frags.iter().enumerate().any(|(j, g)| {
-                if i == j {
-                    return false;
-                }
-                let gset: BTreeSet<usize> = g.iter().copied().collect();
-                fset.is_subset(&gset) && (fset != gset || i > j)
-            });
-            if !redundant {
-                kept.push(f.clone());
-            }
+        let grown = self.fragments.get(frag_index)? | 1 << atom;
+        if grown == self.fragments[frag_index] {
+            return None;
         }
-        let candidate = Cover::new(q, kept).ok()?;
-        if candidate == *self {
-            None
-        } else {
-            Some(candidate)
-        }
+        // Only the grown fragment can newly include another (or equal
+        // one, which `canonical` merges).
+        let fragments = self
+            .fragments
+            .iter()
+            .enumerate()
+            .filter(|&(i, &f)| i != frag_index && f & grown != f)
+            .map(|(_, &f)| f)
+            .chain([grown])
+            .collect();
+        let candidate = Cover::from_masks(masks, fragments).ok()?;
+        (candidate != *self).then_some(candidate)
     }
 
     /// The paper's redundancy pruning (§4.3): "all the fragments of a
@@ -218,52 +298,60 @@ impl Cover {
     /// when a fragment is found redundant (with respect to the other
     /// fragments in the cover), the fragment is removed". A fragment is
     /// coverage-redundant when the remaining fragments still form a
-    /// valid cover of `q`; `cost` orders which redundant fragment to
-    /// drop first (costliest first).
-    pub fn prune_redundant_by(&self, q: &BgpQuery, mut cost: impl FnMut(&[usize]) -> f64) -> Cover {
-        let mut frags = self.fragments();
-        loop {
-            if frags.len() <= 1 {
-                break;
-            }
-            // Costliest-first inspection order.
-            let mut order: Vec<usize> = (0..frags.len()).collect();
-            order.sort_by(|&a, &b| {
-                cost(&frags[b]).partial_cmp(&cost(&frags[a])).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut removed = false;
-            for idx in order {
-                let rest: Vec<Vec<usize>> = frags
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != idx)
-                    .map(|(_, f)| f.clone())
-                    .collect();
-                if Cover::new(q, rest).is_ok() {
-                    frags.remove(idx);
-                    removed = true;
-                    break;
-                }
-            }
-            if !removed {
-                break;
+    /// valid cover of the query; `cost` (asked once per fragment)
+    /// orders which redundant fragment to drop first: costliest first,
+    /// canonical order among equals.
+    pub fn prune_redundant_by(
+        &self,
+        masks: &AtomMasks,
+        mut cost: impl FnMut(AtomMask) -> f64,
+    ) -> Cover {
+        let mut kept = self.fragments.clone();
+        if kept.len() > 1 {
+            let mut inspect: Vec<(f64, AtomMask)> = kept.iter().map(|&f| (cost(f), f)).collect();
+            inspect.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
+            // After each removal the inspection restarts from the
+            // costliest survivor.
+            while kept.len() > 1 {
+                let redundant = inspect.iter().position(|&(_, f)| {
+                    let at = kept.iter().position(|&g| g == f);
+                    validate(masks, &kept, at).is_ok()
+                });
+                let Some(i) = redundant else { break };
+                let (_, f) = inspect.remove(i);
+                kept.retain(|&g| g != f);
             }
         }
-        Cover::new(q, frags).expect("pruning preserves validity")
+        Cover { fragments: kept }
+    }
+}
+
+impl PartialOrd for Cover {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Cover {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.fragments.iter().zip(&other.fragments))
+            .map(|(a, b)| fragment_order(a, b))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.fragments.len().cmp(&other.fragments.len()))
     }
 }
 
 impl fmt::Display for Cover {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self
-            .fragments
-            .iter()
-            .map(|frag| {
-                let ts: Vec<String> = frag.iter().map(|i| format!("t{}", i + 1)).collect();
-                format!("{{{}}}", ts.join(","))
-            })
-            .collect();
-        write!(f, "{{{}}}", parts.join(", "))
+        write!(f, "{{")?;
+        for (k, &frag) in self.fragments.iter().enumerate() {
+            write!(f, "{}{{", if k == 0 { "" } else { ", " })?;
+            for (j, i) in bits(frag).enumerate() {
+                write!(f, "{}t{}", if j == 0 { "" } else { "," }, i + 1)?;
+            }
+            write!(f, "}}")?;
+        }
+        write!(f, "}}")
     }
 }
 
@@ -310,32 +398,15 @@ mod tests {
     }
 
     #[test]
-    fn missing_atom_rejected() {
-        assert_eq!(
-            Cover::new(&q1(), vec![vec![0], vec![1]]),
-            Err(CoverError::MissingAtom { index: 2 })
-        );
-    }
-
-    #[test]
-    fn included_fragment_rejected() {
-        assert_eq!(
-            Cover::new(&q1(), vec![vec![0, 1, 2], vec![1]]),
-            Err(CoverError::IncludedFragment)
-        );
-    }
-
-    #[test]
-    fn out_of_range_rejected() {
-        assert_eq!(
-            Cover::new(&q1(), vec![vec![0, 1, 2, 7]]),
-            Err(CoverError::AtomOutOfRange { index: 7 })
-        );
-    }
-
-    #[test]
-    fn empty_fragment_rejected() {
-        assert_eq!(Cover::new(&q1(), vec![vec![], vec![0, 1, 2]]), Err(CoverError::EmptyFragment));
+    fn malformed_families_rejected() {
+        for (family, error) in [
+            (vec![vec![0], vec![1]], CoverError::MissingAtom { index: 2 }),
+            (vec![vec![0, 1, 2], vec![1]], CoverError::IncludedFragment),
+            (vec![vec![0, 1, 2, 7]], CoverError::AtomOutOfRange { index: 7 }),
+            (vec![vec![], vec![0, 1, 2]], CoverError::EmptyFragment),
+        ] {
+            assert_eq!(Cover::new(&q1(), family), Err(error));
+        }
     }
 
     #[test]
@@ -392,9 +463,10 @@ mod tests {
                 StorePattern::new(v(0), c(4), v(4)),
             ],
         );
+        let m = q.atom_masks().unwrap();
         let cover = Cover::new(&q, vec![vec![0, 1], vec![0, 2], vec![2, 3]]).unwrap();
-        let pos = cover.fragments().iter().position(|f| f == &vec![0, 1]).unwrap();
-        let moved = cover.add_atom(&q, pos, 3).unwrap();
+        let pos = cover.masks().iter().position(|&f| f == 0b0011).unwrap();
+        let moved = cover.add_atom(&m, pos, 3).unwrap();
         assert_eq!(
             moved.fragments(),
             vec![vec![0, 1, 3], vec![0, 2], vec![2, 3]],
@@ -402,7 +474,7 @@ mod tests {
         );
         // {t3,t4} is the costliest fragment here; coverage pruning
         // removes it.
-        let pruned = moved.prune_redundant_by(&q, |f| if f == [2, 3] { 10.0 } else { 1.0 });
+        let pruned = moved.prune_redundant_by(&m, |f| if f == 0b1100 { 10.0 } else { 1.0 });
         assert_eq!(pruned.fragments(), vec![vec![0, 1, 3], vec![0, 2]]);
     }
 
@@ -412,7 +484,7 @@ mod tests {
         let cover = Cover::new(&q, vec![vec![0, 1], vec![1, 2]]).unwrap();
         // Neither fragment is coverage-redundant: removing either loses
         // an atom.
-        let pruned = cover.prune_redundant_by(&q, |_| 1.0);
+        let pruned = cover.prune_redundant_by(&q.atom_masks().unwrap(), |_| 1.0);
         assert_eq!(pruned, cover);
     }
 
@@ -420,6 +492,9 @@ mod tests {
     fn gcov_move_noop_returns_none() {
         let q = q1();
         let cover = Cover::single_fragment(&q).unwrap();
-        assert!(cover.add_atom(&q, 0, 0).is_none(), "atom already present");
+        let m = q.atom_masks().unwrap();
+        assert!(cover.add_atom(&m, 0, 0).is_none(), "atom already present");
+        assert!(cover.add_atom(&m, 0, 64).is_none(), "no such atom");
+        assert!(cover.add_atom(&m, 1, 0).is_none(), "no such fragment");
     }
 }

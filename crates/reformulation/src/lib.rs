@@ -30,9 +30,9 @@ pub mod jucq;
 pub mod reformulate;
 pub mod saturation;
 
-pub use bgp::BgpQuery;
+pub use bgp::{bits, AtomMask, AtomMasks, BgpQuery, VarMask};
 pub use containment::{is_contained, minimize_ucq};
-pub use cover::{Cover, CoverError};
+pub use cover::{Cover, CoverError, CoverRepr};
 pub use incremental::IncrementalSaturation;
 pub use jucq::{jucq_for_cover, scq_reformulation, ucq_reformulation};
 pub use reformulate::{reformulate, ReformulationEnv};

@@ -112,13 +112,9 @@ impl Statistics {
         table.count(&p.bound())
     }
 
-    /// Estimated distinct values a variable can take in one pattern,
-    /// used as the domain size for join selectivities.
-    fn var_domain_f(&self, pattern: &StorePattern, var: VarId, card: f64) -> f64 {
-        self.var_domain_inner(pattern, var, card)
-    }
-
-    fn var_domain_inner(&self, pattern: &StorePattern, var: VarId, card: f64) -> f64 {
+    /// Estimated distinct values a variable can take in one pattern of
+    /// extent `card`, used as the domain size for join selectivities.
+    pub fn var_domain(&self, pattern: &StorePattern, var: VarId, card: f64) -> f64 {
         let positions = pattern.positions();
         let pred = pattern.p.as_const();
         let mut best = f64::MAX;
@@ -169,7 +165,7 @@ impl Statistics {
         let mut var_occurrences: FxHashMap<VarId, Vec<f64>> = FxHashMap::default();
         for (p, &card) in atoms.iter().zip(extents) {
             for v in p.variables() {
-                var_occurrences.entry(v).or_default().push(self.var_domain_f(p, v, card));
+                var_occurrences.entry(v).or_default().push(self.var_domain(p, v, card));
             }
         }
         for (_, mut domains) in var_occurrences {
@@ -192,7 +188,7 @@ impl Statistics {
         let mut best: f64 = 1.0;
         for (p, &card) in atoms.iter().zip(extents) {
             if p.variables().contains(&var) {
-                best = best.max(self.var_domain_f(p, var, card));
+                best = best.max(self.var_domain(p, var, card));
             }
         }
         best
@@ -235,7 +231,7 @@ impl Statistics {
                         if !frag.head.contains(&v) {
                             continue;
                         }
-                        let d = self.var_domain_f(p, v, card as f64);
+                        let d = self.var_domain(p, v, card as f64);
                         per_var.entry(v).and_modify(|cur| *cur = cur.max(d)).or_insert(d);
                     }
                 }
