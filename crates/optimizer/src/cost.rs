@@ -414,12 +414,17 @@ impl<'a> PaperCostModel<'a> {
     ) -> FragComponents {
         debug_assert_eq!(atoms.len(), extents.len());
         let card = self.stats.est_with_extents(atoms, extents);
-        // Head-variable domains for fragment-join selectivity.
-        let var_domains = ucq
-            .head
-            .iter()
-            .map(|&v| (v, self.stats.var_domain_in(atoms, extents, v).min(card.max(1.0))))
-            .collect();
+        // Domains of *all* the fragment's variables, not just this
+        // head's: `combine` only reads those two fragments share, which
+        // every head exposes, so the ingredients serve the fragment under
+        // whichever head it is scored with next.
+        let mut var_domains: Vec<(VarId, f64)> = Vec::new();
+        for v in atoms.iter().flat_map(StorePattern::variables) {
+            if !var_domains.iter().any(|d| d.0 == v) {
+                let d = self.stats.var_domain_in(atoms, extents, v);
+                var_domains.push((v, d.min(card.max(1.0))));
+            }
+        }
         self.finish(FragComponents { eval: sums.eval, volume: sums.volume, card, var_domains }, ucq)
     }
 

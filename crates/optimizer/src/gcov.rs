@@ -43,13 +43,7 @@ impl MoveList {
     }
 
     fn pop_min(&mut self) -> Option<(f64, Cover)> {
-        let (&key, _) = self.map.iter().next()?;
-        let cover = self.map.remove(&key).expect("key present");
-        Some((f64::from_bits(key.0), cover))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.pop_first().map(|((cost, _), cover)| (f64::from_bits(cost), cover))
     }
 }
 
@@ -111,12 +105,11 @@ pub fn gcov(
 
     // Greedy best-first exploration (lines 8–16).
     let mut applied = 0usize;
-    while !moves.is_empty() {
+    while let Some((cost, cover)) = moves.pop_min() {
         if applied >= max_moves || started.elapsed() > budget {
             truncated = true;
             break;
         }
-        let (cost, cover) = moves.pop_min().expect("non-empty move list");
         applied += 1;
         if cost <= best_cost {
             best_cost = cost;

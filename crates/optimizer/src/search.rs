@@ -89,23 +89,17 @@ struct Fragment {
     /// Cost of the fragment evaluated alone (the GCov redundancy-pruning
     /// order re-asks the same fragments constantly).
     standalone: Option<f64>,
+    /// Of a single-atom fragment: the scan volume of its reformulation,
+    /// the atom's *unioned* extent (inner `None`: over the limit).
+    extent: Option<Option<f64>>,
 }
 
-#[derive(Default)]
-struct FragmentTable {
-    fragments: FxHashMap<AtomMask, Fragment>,
-    /// Per atom, the scan volume of its singleton reformulation — the
-    /// atom's *unioned* extent (inner `None`: over the limit).
-    atom_extents: Vec<Option<Option<f64>>>,
-}
+type FragmentTable = FxHashMap<AtomMask, Fragment>;
 
-impl FragmentTable {
-    /// The entry of a cover query [`CoverSearch::union`] already
-    /// resolved.
-    fn resolved(&mut self, fragment: AtomMask, head: VarMask) -> &mut Union {
-        let unions = &mut self.fragments.get_mut(&fragment).expect("resolved before").unions;
-        unions.iter_mut().find(|u| u.head == head).expect("resolved before")
-    }
+/// The entry of a cover query [`CoverSearch::union`] already resolved.
+fn resolved(table: &mut FragmentTable, fragment: AtomMask, head: VarMask) -> &mut Union {
+    let unions = &mut table.get_mut(&fragment).expect("resolved before").unions;
+    unions.iter_mut().find(|u| u.head == head).expect("resolved before")
 }
 
 /// Lookup tallies, flushed to the metrics registry once per search: a
@@ -176,10 +170,7 @@ impl<'a> CoverSearch<'a> {
             estimator,
             reformulation_limit: 400_000,
             union_limit: usize::MAX,
-            table: RefCell::new(FragmentTable {
-                fragments: FxHashMap::default(),
-                atom_extents: vec![None; query.len()],
-            }),
+            table: RefCell::default(),
             explored: Cell::new(0),
             reformulation_lookups: Tally::default(),
             fragment_cost_lookups: Tally::default(),
@@ -233,7 +224,7 @@ impl<'a> CoverSearch<'a> {
         fragment: AtomMask,
         head: VarMask,
     ) -> &'t mut Union {
-        let unions = &mut table.fragments.entry(fragment).or_default().unions;
+        let unions = &mut table.entry(fragment).or_default().unions;
         let known = unions.iter().position(|u| u.head == head);
         self.reformulation_lookups.count(known.is_some());
         let at = known.unwrap_or_else(|| {
@@ -250,14 +241,14 @@ impl<'a> CoverSearch<'a> {
     /// head-insensitive). `None` when that reformulation is over the
     /// limit.
     fn atom_extent(&self, table: &mut FragmentTable, i: usize) -> Option<f64> {
-        if let Some(known) = table.atom_extents[i] {
+        if let Some(known) = table.get(&(1 << i)).and_then(|f| f.extent) {
             return known;
         }
         let head = self.fragment_masks().vars_of(1 << i);
         let model = self.estimator.as_paper_model();
         let extent = (self.union(table, 1 << i, head).ucq.as_ref())
             .map(|ucq| model.map_or(0.0, |m| m.ucq_scan_volume(ucq)));
-        table.atom_extents[i] = Some(extent);
+        table.get_mut(&(1 << i)).expect("entered above").extent = Some(extent);
         extent
     }
 
@@ -286,18 +277,18 @@ impl<'a> CoverSearch<'a> {
         }
         let Some(model) = self.estimator.as_paper_model() else {
             let fragments = (heads.iter())
-                .map(|&(f, head)| table.resolved(f, head).ucq.clone().expect("resolved above"))
+                .map(|&(f, head)| resolved(table, f, head).ucq.clone().expect("resolved above"))
                 .collect();
             return self.estimator.estimate(&StoreJucq::new(fragments, self.query.head.clone()));
         };
         for &(fragment, head) in &heads {
-            if table.fragments[&fragment].comps.is_none() {
+            if table[&fragment].comps.is_none() {
                 let comps = self.components(table, model, fragment, head);
-                table.fragments.get_mut(&fragment).expect("resolved above").comps = Some(comps);
+                table.get_mut(&fragment).expect("resolved above").comps = Some(comps);
             }
         }
         let comps: Vec<&FragComponents> = (heads.iter())
-            .map(|(fragment, _)| table.fragments[fragment].comps.as_ref().expect("filled above"))
+            .map(|(fragment, _)| table[fragment].comps.as_ref().expect("filled above"))
             .collect();
         model.combine(&comps)
     }
@@ -313,9 +304,9 @@ impl<'a> CoverSearch<'a> {
     ) -> FragComponents {
         let atoms: Vec<StorePattern> = bits(fragment).map(|i| self.query.atoms[i]).collect();
         let extents: Vec<f64> = bits(fragment)
-            .map(|i| table.atom_extents[i].flatten().expect("resolved with the fragment"))
+            .map(|i| table[&(1 << i)].extent.flatten().expect("resolved with the fragment"))
             .collect();
-        let Union { ucq, sums, .. } = table.resolved(fragment, head);
+        let Union { ucq, sums, .. } = resolved(table, fragment, head);
         let ucq = ucq.as_ref().expect("resolved with the fragment");
         let sums = *sums.get_or_insert_with(|| model.member_sums(ucq));
         model.template_components(sums, ucq, &atoms, &extents)
@@ -327,7 +318,7 @@ impl<'a> CoverSearch<'a> {
     /// the same fragments constantly, so each is costed once.
     pub fn fragment_cost(&self, fragment: AtomMask) -> f64 {
         let table = &mut *self.table.borrow_mut();
-        let known = table.fragments.get(&fragment).and_then(|f| f.standalone);
+        let known = table.get(&fragment).and_then(|f| f.standalone);
         self.fragment_cost_lookups.count(known.is_some());
         if let Some(cost) = known {
             return cost;
@@ -344,7 +335,7 @@ impl<'a> CoverSearch<'a> {
                 self.estimator.estimate(&StoreJucq::new(vec![ucq.clone()], ucq.head.clone()))
             }
         };
-        table.fragments.get_mut(&fragment).expect("entered above").standalone = Some(cost);
+        table.get_mut(&fragment).expect("entered above").standalone = Some(cost);
         cost
     }
 }
@@ -374,6 +365,7 @@ mod tests {
             triple("b1", jucq_model::vocab::RDF_TYPE, "Book"),
             triple("b1", "writtenBy", "a1"),
             triple("b2", "writtenBy", "a1"),
+            triple("b2", "writtenBy", "a2"),
             triple("Book", jucq_model::vocab::RDFS_SUBCLASS_OF, "Publication"),
             triple("writtenBy", jucq_model::vocab::RDFS_DOMAIN, "Book"),
         ])
@@ -398,7 +390,7 @@ mod tests {
             let b = search.cover_cost(&scq);
             assert_eq!(a.to_bits(), b.to_bits(), "the table returns the identical cost");
             assert_eq!(search.reformulation_lookups.misses.get(), misses, "only hits now");
-            assert_eq!(search.table.borrow().fragments.len(), 2);
+            assert_eq!(search.table.borrow().len(), 2);
         });
     }
 
@@ -417,6 +409,25 @@ mod tests {
             let lone = StoreJucq::from_ucq(jucq_reformulation::reformulate(&lone, &search.env));
             assert_eq!(a.to_bits(), model.cost(&lone).to_bits());
         });
+    }
+
+    #[test]
+    fn a_cover_costs_the_same_whatever_was_scored_before() {
+        // {t1,t2} exposes only x next to {t3}, but x and y next to
+        // {t1,t3} (the shared atom t1 joins on both its variables): its
+        // ingredients, computed for the first cover, must serve the
+        // second one too.
+        let f = fixture();
+        let mut q = query(&f);
+        q.atoms.insert(0, f.atom(var(0), "writtenBy", var(2)));
+        let narrow = Cover::new(&q, vec![vec![0, 1], vec![2]]).unwrap();
+        let wide = Cover::new(&q, vec![vec![0, 1], vec![0, 2]]).unwrap();
+        let alone = f.with_search(&q, |search, _| search.cover_cost(&wide));
+        let after = f.with_search(&q, |search, _| {
+            search.cover_cost(&narrow);
+            search.cover_cost(&wide)
+        });
+        assert_eq!(alone.to_bits(), after.to_bits());
     }
 
     #[test]

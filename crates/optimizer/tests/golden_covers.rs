@@ -8,8 +8,12 @@
 //! the estimated cost — and the same for ECov on the queries small
 //! enough for the exhaustive search to finish. The file was generated
 //! before the cover search moved to bitmask covers and a single
-//! fragment memo; this test holds every later change of the search to
-//! the same decisions.
+//! fragment memo, which it passed unchanged; four lines (LUBM Q19 GCov,
+//! DBLP Q08 GCov and ECov, DBLP Q10 GCov) were then regenerated for the
+//! fix that made a fragment's join-selectivity domains independent of
+//! the head it was first scored under (DESIGN.md §4i lists them with
+//! both costs). This test holds every later change of the search to the
+//! same decisions.
 //!
 //! Regenerate (only for a change that is *meant* to move decisions, and
 //! list every moved line in the PR):
