@@ -55,13 +55,19 @@ fn bench_joins(c: &mut Criterion) {
     g.bench_function("hash_10k_x_10k", |b| {
         b.iter(|| {
             let mut ctx = ExecContext::new(&profile);
-            black_box(join::hash_join(&left, &right, &mut ctx).unwrap().len())
+            black_box(
+                join::hash_join(&left, &right, join::JoinOpts::default(), &mut ctx).unwrap().len(),
+            )
         });
     });
     g.bench_function("sort_merge_10k_x_10k", |b| {
         b.iter(|| {
             let mut ctx = ExecContext::new(&profile);
-            black_box(join::sort_merge_join(&left, &right, &mut ctx).unwrap().len())
+            black_box(
+                join::sort_merge_join(&left, &right, join::JoinOpts::default(), &mut ctx)
+                    .unwrap()
+                    .len(),
+            )
         });
     });
     // Block-nested-loop is quadratic; bench a smaller instance.

@@ -43,17 +43,15 @@ pub struct RecordCounters {
     pub sip_probes: u64,
     /// Probes dropped by SIP filters before the join.
     pub sip_drops: u64,
-    /// Collapsed-interval (`RangeScan`) operator executions
-    /// (`jucq-log/2`; 0 when parsed from a `jucq-log/1` line).
+    /// Collapsed-interval (`RangeScan`) operator executions.
     pub range_scans: u64,
     /// Epoch-exact materialized-view resolutions (`ViewScan` leaves
-    /// served from the catalog; `jucq-log/3`, 0 from earlier lines).
+    /// served from the catalog).
     pub view_hits: u64,
     /// Merge-join sort passes skipped because the input already arrived
-    /// in key order (`jucq-log/4`, 0 from earlier lines).
+    /// in key order.
     pub sorts_elided: u64,
-    /// Galloping (exponential-probe) seeks taken by skewed merge joins
-    /// (`jucq-log/4`, 0 from earlier lines).
+    /// Galloping (exponential-probe) seeks taken by skewed merge joins.
     pub gallop_seeks: u64,
 }
 
@@ -116,15 +114,15 @@ pub struct QueryRecord {
     /// the slow-query threshold.
     pub slow_explain: Option<String>,
     /// Fragments the planner found range-collapsible — whether or not
-    /// the collapse was applied (`jucq-log/2`; 0 from `/1` lines).
+    /// the collapse was applied.
     pub range_eligible: u64,
-    /// `RangeScan` nodes in the executed plan (`jucq-log/2`; 0 from
-    /// `/1` lines). `range_eligible > 0 && range_scans_used == 0` marks
-    /// a query that *could* have used interval scans but did not (knob
-    /// off, or the run was broken up by the cover choice).
+    /// `RangeScan` nodes in the executed plan. `range_eligible > 0 &&
+    /// range_scans_used == 0` marks a query that *could* have used
+    /// interval scans but did not (knob off, or the run was broken up by
+    /// the cover choice).
     pub range_scans_used: u64,
     /// Materialized fragment views resident in the catalog when the
-    /// query ran (`jucq-log/3`, 0 from earlier lines). Together with
+    /// query ran. Together with
     /// `counters.view_hits` this is the advisor's signal: queries with
     /// a large catalog and zero hits pinned the wrong fragments.
     pub view_catalog_size: u64,
@@ -260,19 +258,12 @@ impl QueryRecord {
     }
 
     /// Parse one JSONL line produced by [`QueryRecord::to_json_line`].
-    ///
-    /// Accepts `jucq-log/1` (pre-range), `jucq-log/2` (pre-views),
-    /// `jucq-log/3` (pre-ordering) and `jucq-log/4` lines — replaying
-    /// an old log against a new build is the whole point of the
-    /// harness. Fields older versions lack (`range_eligible`,
-    /// `range_scans_used`, `counters.range_scans` from `/1`;
-    /// `view_catalog_size`, `counters.view_hits` from `/1` and `/2`;
-    /// `counters.sorts_elided`, `counters.gallop_seeks` from `/1`–`/3`)
-    /// default to 0.
+    /// Only the current schema (`jucq-log/4`) is accepted, and every
+    /// field its writer always emits is required.
     pub fn from_json_line(line: &str) -> Result<QueryRecord, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         match v.get("schema").and_then(Value::as_str) {
-            Some("jucq-log/1" | "jucq-log/2" | "jucq-log/3" | "jucq-log/4") => {}
+            Some("jucq-log/4") => {}
             other => return Err(format!("unsupported query-log schema {other:?}")),
         }
         let str_field = |key: &str| -> Result<String, String> {
@@ -352,19 +343,19 @@ impl QueryRecord {
                 tuples_deduped: counter("tuples_deduped")?,
                 sip_probes: counter("sip_probes")?,
                 sip_drops: counter("sip_drops")?,
-                range_scans: counters_v.get("range_scans").and_then(Value::as_u64).unwrap_or(0),
-                view_hits: counters_v.get("view_hits").and_then(Value::as_u64).unwrap_or(0),
-                sorts_elided: counters_v.get("sorts_elided").and_then(Value::as_u64).unwrap_or(0),
-                gallop_seeks: counters_v.get("gallop_seeks").and_then(Value::as_u64).unwrap_or(0),
+                range_scans: counter("range_scans")?,
+                view_hits: counter("view_hits")?,
+                sorts_elided: counter("sorts_elided")?,
+                gallop_seeks: counter("gallop_seeks")?,
             },
             cover_cache_hit: opt_bool("cover_cache_hit"),
             plan_cache_hit: opt_bool("plan_cache_hit"),
             max_q_error: opt_f64("max_q_error"),
             nodes,
             slow_explain: v.get("slow_explain").and_then(Value::as_str).map(ToOwned::to_owned),
-            range_eligible: v.get("range_eligible").and_then(Value::as_u64).unwrap_or(0),
-            range_scans_used: v.get("range_scans_used").and_then(Value::as_u64).unwrap_or(0),
-            view_catalog_size: v.get("view_catalog_size").and_then(Value::as_u64).unwrap_or(0),
+            range_eligible: u64_field("range_eligible")?,
+            range_scans_used: u64_field("range_scans_used")?,
+            view_catalog_size: u64_field("view_catalog_size")?,
         })
     }
 }
@@ -564,7 +555,7 @@ mod tests {
             query: "SELECT ?v0 WHERE { ?v0 <p> \"a \\\"quoted\\\" literal\" }".into(),
             fingerprint: "00c0ffee00c0ffee".into(),
             strategy: "GCov".into(),
-            profile: "pg-like|join=Hash|mat=AllButLargest|inlj=false|share=true|vec=true|batch=1024|sip=true".into(),
+            profile: "pg-like|join=Hash|mat=AllButLargest|inlj=false|share=true|sip=true".into(),
             outcome: "ok".into(),
             rows: 42,
             union_terms: 13,
@@ -625,85 +616,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_lines_still_parse_with_range_fields_defaulted() {
-        // A line exactly as the jucq-log/1 writer produced it: no
-        // `range_eligible`/`range_scans_used`, no `range_scans`,
-        // `view_hits` or ordering counters, no `view_catalog_size`.
-        let line = sample_record()
-            .to_json_line()
-            .replace("\"schema\":\"jucq-log/4\"", "\"schema\":\"jucq-log/1\"")
-            .replace(
-                ",\"range_scans\":2,\"view_hits\":5,\"sorts_elided\":6,\"gallop_seeks\":9}",
-                "}",
-            )
-            .replace(",\"range_eligible\":1,\"range_scans_used\":2,\"view_catalog_size\":3", "");
-        assert!(!line.contains("range"), "v1 line must carry no range fields: {line}");
-        assert!(!line.contains("view"), "v1 line must carry no view fields: {line}");
-        assert!(!line.contains("sorts_elided"), "v1 line must carry no ordering fields: {line}");
-        let parsed = QueryRecord::from_json_line(&line).expect("v1 parses");
-        assert_eq!(parsed.counters.range_scans, 0);
-        assert_eq!(parsed.range_eligible, 0);
-        assert_eq!(parsed.range_scans_used, 0);
-        let mut expect = sample_record();
-        expect.counters.range_scans = 0;
-        expect.range_eligible = 0;
-        expect.range_scans_used = 0;
-        expect.counters.view_hits = 0;
-        expect.view_catalog_size = 0;
-        expect.counters.sorts_elided = 0;
-        expect.counters.gallop_seeks = 0;
-        assert_eq!(parsed, expect);
-        // And the re-rendered line upgrades to /4 losslessly.
-        let upgraded = QueryRecord::from_json_line(&parsed.to_json_line()).expect("v4 parses");
-        assert_eq!(upgraded, expect);
+    fn older_schemas_are_rejected() {
+        let line = sample_record().to_json_line();
+        for old in ["jucq-log/1", "jucq-log/2", "jucq-log/3"] {
+            let line = line.replace("\"schema\":\"jucq-log/4\"", &format!("\"schema\":\"{old}\""));
+            let err = QueryRecord::from_json_line(&line).expect_err("older schemas are rejected");
+            assert!(err.contains("unsupported query-log schema"), "{old}: {err}");
+        }
     }
 
     #[test]
-    fn v2_lines_still_parse_with_view_fields_defaulted() {
-        // A line exactly as the jucq-log/2 writer produced it: range
-        // fields present, but no `view_hits` or ordering counters and
-        // no `view_catalog_size`.
-        let line = sample_record()
-            .to_json_line()
-            .replace("\"schema\":\"jucq-log/4\"", "\"schema\":\"jucq-log/2\"")
-            .replace(",\"view_hits\":5,\"sorts_elided\":6,\"gallop_seeks\":9}", "}")
-            .replace(",\"view_catalog_size\":3", "");
-        assert!(!line.contains("view"), "v2 line must carry no view fields: {line}");
-        let parsed = QueryRecord::from_json_line(&line).expect("v2 parses");
-        assert_eq!(parsed.counters.range_scans, 2, "range fields survive");
-        assert_eq!(parsed.counters.view_hits, 0);
-        assert_eq!(parsed.view_catalog_size, 0);
-        let mut expect = sample_record();
-        expect.counters.view_hits = 0;
-        expect.view_catalog_size = 0;
-        expect.counters.sorts_elided = 0;
-        expect.counters.gallop_seeks = 0;
-        assert_eq!(parsed, expect);
-        // And the re-rendered line upgrades to /4 losslessly.
-        let upgraded = QueryRecord::from_json_line(&parsed.to_json_line()).expect("v4 parses");
-        assert_eq!(upgraded, expect);
-    }
-
-    #[test]
-    fn v3_lines_still_parse_with_ordering_counters_defaulted() {
-        // A line exactly as the jucq-log/3 writer produced it: range and
-        // view fields present, but no `sorts_elided`/`gallop_seeks`.
-        let line = sample_record()
-            .to_json_line()
-            .replace("\"schema\":\"jucq-log/4\"", "\"schema\":\"jucq-log/3\"")
-            .replace(",\"sorts_elided\":6,\"gallop_seeks\":9}", "}");
-        assert!(!line.contains("sorts_elided"), "v3 line must carry no ordering fields: {line}");
-        let parsed = QueryRecord::from_json_line(&line).expect("v3 parses");
-        assert_eq!(parsed.counters.view_hits, 5, "view fields survive");
-        assert_eq!(parsed.counters.sorts_elided, 0);
-        assert_eq!(parsed.counters.gallop_seeks, 0);
-        let mut expect = sample_record();
-        expect.counters.sorts_elided = 0;
-        expect.counters.gallop_seeks = 0;
-        assert_eq!(parsed, expect);
-        // And the re-rendered line upgrades to /4 losslessly.
-        let upgraded = QueryRecord::from_json_line(&parsed.to_json_line()).expect("v4 parses");
-        assert_eq!(upgraded, expect);
+    fn fields_added_by_later_schemas_are_required() {
+        let line = sample_record().to_json_line();
+        for (field, missing) in [
+            (",\"range_scans\":2", "missing counter `range_scans`"),
+            (",\"gallop_seeks\":9", "missing counter `gallop_seeks`"),
+            (",\"range_eligible\":1", "missing field `range_eligible`"),
+            (",\"view_catalog_size\":3", "missing field `view_catalog_size`"),
+        ] {
+            assert!(line.contains(field), "{line}");
+            let err = QueryRecord::from_json_line(&line.replace(field, "")).expect_err(missing);
+            assert_eq!(err, missing);
+        }
     }
 
     #[test]

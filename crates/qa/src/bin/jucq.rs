@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! jucq query <data.ttl> "<SPARQL>" [--strategy S] [--profile P] [--compare]
-//!            [--threads N] [--batch-size N] [--explain-analyze] [--trace]
+//!            [--threads N] [--explain-analyze] [--trace]
 //!            [--metrics-json PATH] [--query-log PATH] [--slow-ms N]
 //!            [--trace-out PATH]
 //! jucq explain <data.ttl> "<SPARQL>" [--analyze] [--strategy S] [--profile P]
-//!              [--threads N] [--batch-size N]  # physical plan (est vs actual with --analyze)
+//!              [--threads N]               # physical plan (est vs actual with --analyze)
 //! jucq covers <data.ttl> "<SPARQL>"           # every cover, sized & timed
 //! jucq stats <data.ttl>                       # dataset & schema statistics
 //! jucq repl  <data.ttl>                       # interactive session
@@ -29,9 +29,6 @@
 //! Threads: `--threads N` (or the `JUCQ_THREADS` environment variable)
 //! sizes the worker pool for union/fragment evaluation (planning is
 //! sequential); the default is the machine's available parallelism.
-//! Batching: `--batch-size N` (or the `JUCQ_BATCH` environment
-//! variable) sets the vectorized executor's rows-per-batch target; `0`
-//! disables vectorization and runs the row-at-a-time kernels.
 //!
 //! Observability: `--explain-analyze` renders per-node estimated vs.
 //! actual rows with Q-errors instead of the result rows; `--trace`
@@ -60,11 +57,11 @@ use std::time::Duration;
 
 use jucq_core::reformulation::Cover;
 use jucq_core::store::EngineProfile;
-use jucq_core::{AnswerError, EncodingMode, RdfDatabase, Strategy};
+use jucq_core::{EncodingMode, RdfDatabase, Strategy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|range|ecov|gcov] [--profile pg|db2|mysql|native] [--encoding plain|hierarchical] [--threads N] [--batch-size N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--encoding ...] [--threads N] [--batch-size N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--encoding ...] [--threads N] [--batch-size N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--encoding ...] [--threads N] [--batch-size N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--encoding ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
+        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|range|ecov|gcov] [--profile pg|db2|mysql|native] [--encoding plain|hierarchical] [--threads N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--encoding ...] [--threads N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--encoding ...] [--threads N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--encoding ...] [--threads N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--encoding ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
     );
     std::process::exit(2)
 }
@@ -133,57 +130,51 @@ fn cmd_snapshot(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_query(db: &mut RdfDatabase, sparql: &str, strategy: &Strategy, max_rows: usize) {
-    let q = match db.parse_query(sparql) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("{e}");
-            return;
-        }
-    };
-    match db.answer(&q, strategy) {
-        Ok(report) => {
-            let rows = db.decode_rows(&report.rows);
-            for row in rows.iter().take(max_rows) {
-                let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
-                println!("{}", cells.join("\t"));
-            }
-            if rows.len() > max_rows {
-                println!("... ({} more rows)", rows.len() - max_rows);
-            }
-            eprintln!(
-                "-- {}: {} rows, {} union terms, plan {:?} + eval {:?}{}",
-                report.strategy,
-                rows.len(),
-                report.union_terms,
-                report.planning_time,
-                report.eval_time,
-                report.cover.map(|c| format!(", cover {c}")).unwrap_or_default(),
-            );
-        }
-        Err(AnswerError::Engine(e)) => eprintln!("engine failure: {e}"),
-        Err(e) => eprintln!("{e}"),
+/// Answer one query and print its rows. A parse error or engine
+/// failure is returned, so one-shot subcommands exit non-zero; the
+/// repl prints it and carries on.
+fn run_query(
+    db: &mut RdfDatabase,
+    sparql: &str,
+    strategy: &Strategy,
+    max_rows: usize,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let q = db.parse_query(sparql)?;
+    let report = db.answer(&q, strategy)?;
+    let rows = db.decode_rows(&report.rows);
+    for row in rows.iter().take(max_rows) {
+        let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
+        println!("{}", cells.join("\t"));
     }
+    if rows.len() > max_rows {
+        println!("... ({} more rows)", rows.len() - max_rows);
+    }
+    eprintln!(
+        "-- {}: {} rows, {} union terms, plan {:?} + eval {:?}{}",
+        report.strategy,
+        rows.len(),
+        report.union_terms,
+        report.planning_time,
+        report.eval_time,
+        report.cover.map(|c| format!(", cover {c}")).unwrap_or_default(),
+    );
     if let Some(stats) = db.plan_cache_stats() {
         eprintln!(
             "-- plan cache: {} hit(s), {} miss(es), {} eviction(s)",
             stats.hits, stats.misses, stats.evictions
         );
     }
+    Ok(())
 }
 
-fn run_explain_analyze(db: &mut RdfDatabase, sparql: &str, strategy: &Strategy) {
-    let q = match db.parse_query(sparql) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("{e}");
-            return;
-        }
-    };
-    match db.explain_analyze(&q, strategy) {
-        Ok(text) => print!("{text}"),
-        Err(e) => eprintln!("explain analyze failed: {e}"),
-    }
+fn run_explain_analyze(
+    db: &mut RdfDatabase,
+    sparql: &str,
+    strategy: &Strategy,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let q = db.parse_query(sparql)?;
+    print!("{}", db.explain_analyze(&q, strategy)?);
+    Ok(())
 }
 
 fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
@@ -194,7 +185,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut compare = false;
     let mut explain_analyze = false;
     let mut trace = false;
@@ -225,11 +215,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 threads = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--batch-size" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--compare" => compare = true,
             "--explain-analyze" => explain_analyze = true,
@@ -272,9 +257,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
     }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
-    }
     let observing = trace || metrics_json.is_some() || trace_out.is_some();
     if observing {
         jucq_obs::set_enabled(true);
@@ -294,9 +276,11 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut db = load(path, profile, encoding)?;
     db.enable_plan_cache(64);
-    if explain_analyze {
-        run_explain_analyze(&mut db, sparql, &strategy);
+    let outcome = if explain_analyze {
+        run_explain_analyze(&mut db, sparql, &strategy)
     } else if compare {
+        // Every strategy runs; any failure fails the command.
+        let mut failed = 0;
         for s in [
             Strategy::Saturation,
             Strategy::Ucq,
@@ -304,11 +288,19 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             Strategy::Range,
             Strategy::gcov_default(),
         ] {
-            run_query(&mut db, sparql, &s, 0);
+            if let Err(e) = run_query(&mut db, sparql, &s, 0) {
+                eprintln!("{e}");
+                failed += 1;
+            }
+        }
+        if failed == 0 {
+            Ok(())
+        } else {
+            Err(format!("{failed} strategies failed").into())
         }
     } else {
-        run_query(&mut db, sparql, &strategy, 1000);
-    }
+        run_query(&mut db, sparql, &strategy, 1000)
+    };
     if observing {
         jucq_obs::set_enabled(false);
         let session = jucq_obs::take_session();
@@ -325,14 +317,13 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     jucq_obs::record::uninstall();
-    Ok(())
+    outcome
 }
 
 fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut report_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     while !args.is_empty() {
@@ -353,11 +344,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 args.drain(..1.min(args.len()));
                 threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--batch-size" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--report" => {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
@@ -374,9 +360,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let text = std::fs::read_to_string(log)?;
     let (records, errors) = jucq_obs::record::parse_log(&text);
@@ -523,7 +506,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut analyze = false;
     let mut positional: Vec<String> = Vec::new();
     while !args.is_empty() {
@@ -549,11 +531,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
                 args.drain(..1.min(args.len()));
                 threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--batch-size" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--analyze" => analyze = true,
             _ => positional.push(a),
         }
@@ -563,9 +540,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
     };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let mut db = load(path, profile, encoding)?;
     let q = db.parse_query(sparql)?;
@@ -643,7 +617,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut positional = Vec::new();
     while !args.is_empty() {
         let a = args.remove(0);
@@ -659,10 +632,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let v = args.first().cloned().unwrap_or_default();
             args.drain(..1.min(args.len()));
             threads = Some(v.parse().unwrap_or_else(|_| usage()));
-        } else if a == "--batch-size" {
-            let v = args.first().cloned().unwrap_or_default();
-            args.drain(..1.min(args.len()));
-            batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
         } else {
             positional.push(a);
         }
@@ -670,9 +639,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [path] = positional.as_slice() else { usage() };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let mut db = load(path, profile, encoding)?;
     db.enable_plan_cache(64);
@@ -712,7 +678,9 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             }
             continue;
         }
-        run_query(&mut db, line, &strategy, 50);
+        if let Err(e) = run_query(&mut db, line, &strategy, 50) {
+            eprintln!("{e}");
+        }
     }
     Ok(())
 }

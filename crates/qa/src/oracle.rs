@@ -372,7 +372,7 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
         // sort-merge fragment join (so every join is a merge the
         // order machinery can touch) and demand identical answers with
         // the knob on — sort elision, galloping, scan borrowing — and
-        // off (the row-at-a-time, always-sorting baseline), sequential
+        // off (the linear-stepping, always-sorting baseline), sequential
         // and at the widest parallelism. Once per case on the first
         // profile.
         if pi == 0 {

@@ -24,7 +24,7 @@ use std::borrow::Cow;
 use jucq_model::{TermId, TripleId};
 
 use crate::error::EngineError;
-use crate::exec::{batch, join, ExecContext};
+use crate::exec::{join, ExecContext, BATCH_ROWS};
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::PlanNode;
 use crate::relation::Relation;
@@ -71,10 +71,7 @@ fn eval_member_inner(
                 // the projection of nothing is nothing.
                 return Ok(Relation::empty(out_vars.clone()));
             }
-            if ctx.profile().vectorized {
-                return batch::project_head_batched(&body, head, out_vars, ctx);
-            }
-            Ok(project_head(&body, head, out_vars))
+            project_head(&body, head, out_vars, ctx)
         }
         other => Ok(eval_access(table, other, shared, ctx)?.into_owned()),
     }
@@ -90,22 +87,22 @@ fn eval_access<'s>(
 ) -> Result<Cow<'s, Relation>, EngineError> {
     match node {
         PlanNode::IndexScan { pattern, perm, .. } => {
-            Ok(Cow::Owned(scan_pattern_with(table, pattern, *perm, ctx)?))
+            Ok(Cow::Owned(scan_pattern(table, pattern, *perm, ctx)?))
         }
         PlanNode::RangeScan { pattern, ranged, lo, hi, .. } => {
             Ok(Cow::Owned(scan_range(table, pattern, *ranged, *lo, *hi, ctx)?))
         }
-        // `scan_pattern` applies the repeated-variable filter inline;
-        // the Filter node documents it in the plan tree.
+        // `scan_extent` applies the repeated-variable filter inline; the
+        // Filter node documents it in the plan tree.
         PlanNode::Filter { input, .. } => eval_access(table, input, shared, ctx),
         PlanNode::SharedScan { id, .. } => Ok(Cow::Borrowed(&shared[*id])),
         PlanNode::Inlj { input, pattern } => {
             let acc = eval_access(table, input, shared, ctx)?;
-            Ok(Cow::Owned(probe_extend(table, &acc, pattern, ctx)?))
+            Ok(Cow::Owned(probe_extend(table, &acc, pattern, None, ctx)?))
         }
         PlanNode::RangeProbe { input, pattern, ranged, lo, hi, .. } => {
             let acc = eval_access(table, input, shared, ctx)?;
-            Ok(Cow::Owned(probe_extend_range(table, &acc, pattern, *ranged, *lo, *hi, ctx)?))
+            Ok(Cow::Owned(probe_extend(table, &acc, pattern, Some((*ranged, *lo, *hi)), ctx)?))
         }
         PlanNode::HashJoin { left, right, step: None, est } => {
             let l = eval_access(table, left, shared, ctx)?;
@@ -115,14 +112,20 @@ fn eval_access<'s>(
             }
             let r = eval_access(table, right, shared, ctx)?;
             let opts = join::JoinOpts { elide: (false, false), est: *est };
-            Ok(Cow::Owned(join::hash_join_opts(&l, &r, opts, ctx)?))
+            Ok(Cow::Owned(join::hash_join(&l, &r, opts, ctx)?))
         }
         other => unreachable!("not an access-path node: {other:?}"),
     }
 }
 
-/// Project a body result onto a head of variables and constants.
-pub(crate) fn project_head(body: &Relation, head: &[PatternTerm], out_vars: &[VarId]) -> Relation {
+/// Project a body result onto a head of variables and constants: the
+/// sources are resolved once, rows gathered a batch at a time.
+fn project_head(
+    body: &Relation,
+    head: &[PatternTerm],
+    out_vars: &[VarId],
+    ctx: &mut ExecContext<'_>,
+) -> Result<Relation, EngineError> {
     enum Source {
         Column(usize),
         Constant(TermId),
@@ -137,24 +140,39 @@ pub(crate) fn project_head(body: &Relation, head: &[PatternTerm], out_vars: &[Va
         })
         .collect();
     let mut out = Relation::with_capacity(out_vars.to_vec(), body.len());
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(head.len());
+    if out_vars.is_empty() {
+        let n = body.len();
+        ctx.tick_n(n as u64)?;
+        for _ in 0..n {
+            out.push_row(&[]);
+        }
+        return Ok(out);
+    }
+    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * out_vars.len());
+    let mut in_batch = 0usize;
     for row in body.rows() {
-        row_buf.clear();
         for s in &sources {
-            row_buf.push(match s {
+            flat.push(match s {
                 Source::Column(c) => row[*c],
                 Source::Constant(c) => *c,
             });
         }
-        out.push_row(&row_buf);
+        in_batch += 1;
+        if in_batch == BATCH_ROWS {
+            ctx.tick_n(in_batch as u64)?;
+            out.flush_from(&mut flat);
+            in_batch = 0;
+        }
     }
-    out
+    ctx.tick_n(in_batch as u64)?;
+    out.flush_from(&mut flat);
+    Ok(out)
 }
 
 /// A triple matches a pattern's variable structure iff repeated
 /// variables bind equal values.
 #[inline]
-pub(crate) fn repeated_vars_consistent(p: &StorePattern, t: &TripleId) -> bool {
+fn repeated_vars_consistent(p: &StorePattern, t: &TripleId) -> bool {
     let pos = p.positions();
     let val = [t.s, t.p, t.o];
     for i in 0..3 {
@@ -169,55 +187,39 @@ pub(crate) fn repeated_vars_consistent(p: &StorePattern, t: &TripleId) -> bool {
     true
 }
 
-/// Scan one pattern into a relation over its distinct variables, using
-/// the default permutation index for the bound positions.
-pub(crate) fn scan_pattern(
-    table: &TripleTable,
-    p: &StorePattern,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    scan_pattern_with(table, p, None, ctx)
+/// The triple position (0 = s, 1 = p, 2 = o) of the first occurrence of
+/// each of `vars` in `p`.
+fn var_positions(p: &StorePattern, vars: &[VarId]) -> Vec<usize> {
+    let positions = p.positions();
+    vars.iter()
+        .map(|&v| {
+            positions.iter().position(|pt| pt.as_var() == Some(v)).expect("var occurs in pattern")
+        })
+        .collect()
 }
 
-/// [`scan_pattern`] through an explicit permutation index: the
-/// order-aware planner picks `perm` so the scan's output order feeds a
-/// sort-elided merge join. Any candidate perm yields the same row *set*;
-/// only the emission order differs.
-pub(crate) fn scan_pattern_with(
+/// The triple position (1 = p, 2 = o) a value range applies to.
+fn ranged_index(ranged: RangePos) -> usize {
+    match ranged {
+        RangePos::Predicate => 1,
+        RangePos::Object => 2,
+    }
+}
+
+/// Scan one pattern into a relation over its distinct variables through
+/// `perm`, or the default permutation index for the bound positions
+/// when `None`. The order-aware planner picks `perm` so the scan's
+/// output order feeds a sort-elided merge join; any candidate perm
+/// yields the same row *set*, only the emission order differs.
+pub(crate) fn scan_pattern(
     table: &TripleTable,
     p: &StorePattern,
     perm: Option<Perm>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::scan_pattern_batched(table, p, perm, ctx);
-    }
-    let vars = p.variables();
     let bound = p.bound();
     let extent = table.scan_with(perm.unwrap_or_else(|| Perm::for_bound(&bound)), &bound);
-    ctx.counters.rows_reserved += extent.len() as u64;
-    let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
-    let mut row: Vec<TermId> = Vec::with_capacity(vars.len());
-    for t in extent {
-        ctx.tick()?;
-        ctx.counters.tuples_scanned += 1;
-        if !repeated_vars_consistent(p, t) {
-            continue;
-        }
-        row.clear();
-        let val = [t.s, t.p, t.o];
-        for v in vars {
-            let i = p
-                .positions()
-                .iter()
-                .position(|pt| pt.as_var() == Some(v))
-                .expect("var occurs in pattern");
-            row.push(val[i]);
-        }
-        out.push_row(&row);
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
+    scan_extent(p, extent, ctx)
 }
 
 /// Scan one collapsed interval into a relation over the pattern
@@ -226,7 +228,7 @@ pub(crate) fn scan_pattern_with(
 /// Row-identical (and counter-identical) to unioning the point scans of
 /// every id in the interval, since the underlying permutation index sorts
 /// the interval contiguously.
-pub(crate) fn scan_range(
+fn scan_range(
     table: &TripleTable,
     p: &StorePattern,
     ranged: RangePos,
@@ -235,178 +237,139 @@ pub(crate) fn scan_range(
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     ctx.counters.range_scans += 1;
-    if ctx.profile().vectorized {
-        return batch::scan_range_batched(table, p, ranged, lo, hi, ctx);
-    }
     let mut bound = p.bound();
-    match ranged {
-        RangePos::Predicate => bound[1] = None,
-        RangePos::Object => bound[2] = None,
-    }
+    bound[ranged_index(ranged)] = None;
+    scan_extent(p, table.scan_value_range(&bound, ranged, lo, hi), ctx)
+}
+
+/// The scan kernel: gather `p`'s variable positions out of every triple
+/// of `extent` (a contiguous index run), a batch at a time — one
+/// liveness poll, one bulk append and one memory check per batch.
+fn scan_extent(
+    p: &StorePattern,
+    extent: &[TripleId],
+    ctx: &mut ExecContext<'_>,
+) -> Result<Relation, EngineError> {
     let vars = p.variables();
-    let extent = table.scan_value_range(&bound, ranged, lo, hi);
+    let var_pos = var_positions(p, &vars);
+    let check_repeats = p.has_repeated_var();
     ctx.counters.rows_reserved += extent.len() as u64;
     let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
-    let mut row: Vec<TermId> = Vec::with_capacity(vars.len());
-    for t in extent {
-        ctx.tick()?;
-        ctx.counters.tuples_scanned += 1;
-        if !repeated_vars_consistent(p, t) {
-            continue;
+    let zero_width = vars.is_empty();
+    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * vars.len());
+    for chunk in extent.chunks(BATCH_ROWS) {
+        ctx.counters.tuples_scanned += chunk.len() as u64;
+        ctx.tick_n(chunk.len() as u64)?;
+        for t in chunk {
+            if check_repeats && !repeated_vars_consistent(p, t) {
+                continue;
+            }
+            if zero_width {
+                out.push_row(&[]);
+            } else {
+                let val = [t.s, t.p, t.o];
+                flat.extend(var_pos.iter().map(|&i| val[i]));
+            }
         }
-        row.clear();
-        let val = [t.s, t.p, t.o];
-        for v in vars {
-            let i = p
-                .positions()
-                .iter()
-                .position(|pt| pt.as_var() == Some(v))
-                .expect("var occurs in pattern");
-            row.push(val[i]);
-        }
-        out.push_row(&row);
+        out.flush_from(&mut flat);
+        ctx.check_memory(out.len())?;
     }
     ctx.check_memory(out.len())?;
     Ok(out)
+}
+
+/// What fills each probe-key position of an index-nested-loop step:
+/// resolved once per operator instead of searched per row.
+enum ProbeSlot {
+    /// A pattern constant.
+    Const(TermId),
+    /// A column of the accumulated binding relation.
+    Col(usize),
+    /// A free variable (scan wildcard).
+    Free,
 }
 
 /// One index-nested-loop step: extend the binding relation `acc` by
 /// probing the best permutation index for `p` with the bound values of
-/// each row.
+/// each row. With `range = Some((ranged, lo, hi))` the probed pattern's
+/// `ranged` position matches any raw id in `[lo, hi)` — one contiguous
+/// `scan_value_range` probe per input row where the uncollapsed union
+/// needed one point probe per collapsed member (LiteMat's "the type
+/// check becomes an interval membership test").
 fn probe_extend(
     table: &TripleTable,
     acc: &Relation,
     p: &StorePattern,
+    range: Option<(RangePos, u32, u32)>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::probe_extend_batched(table, acc, p, ctx);
-    }
-    let p_vars = p.variables();
-    // Columns of `acc` that bind variables of `p`.
-    let shared: Vec<(usize, VarId)> = acc
-        .vars()
+    let mut slots: Vec<ProbeSlot> = p
+        .positions()
         .iter()
-        .enumerate()
-        .filter(|&(_, v)| p_vars.contains(v))
-        .map(|(i, &v)| (i, v))
+        .map(|pt| match pt {
+            PatternTerm::Const(c) => ProbeSlot::Const(*c),
+            PatternTerm::Var(v) => match acc.column_of(*v) {
+                Some(col) => ProbeSlot::Col(col),
+                None => ProbeSlot::Free,
+            },
+        })
         .collect();
-    let new_vars: Vec<VarId> =
-        p_vars.iter().copied().filter(|v| acc.column_of(*v).is_none()).collect();
-    let mut out_vars = acc.vars().to_vec();
-    out_vars.extend(new_vars.iter().copied());
-    let mut out = Relation::empty(out_vars);
-    let positions = p.positions();
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-
-    for row in acc.rows() {
-        ctx.tick()?;
-        // Build the probe key: pattern constants plus variables bound
-        // by the current row.
-        let mut bound: [Option<TermId>; 3] = [None, None, None];
-        for (i, pt) in positions.iter().enumerate() {
-            bound[i] = match pt {
-                PatternTerm::Const(c) => Some(*c),
-                PatternTerm::Var(v) => {
-                    shared.iter().find(|(_, sv)| sv == v).map(|(col, _)| row[*col])
-                }
-            };
-        }
-        for t in table.scan(&bound) {
-            ctx.tick()?;
-            ctx.counters.tuples_scanned += 1;
-            if !repeated_vars_consistent(p, t) {
-                continue;
-            }
-            let val = [t.s, t.p, t.o];
-            row_buf.clear();
-            row_buf.extend_from_slice(row);
-            for &v in &new_vars {
-                let i = positions
-                    .iter()
-                    .position(|pt| pt.as_var() == Some(v))
-                    .expect("new var occurs in pattern");
-                row_buf.push(val[i]);
-            }
-            ctx.counters.tuples_joined += 1;
-            out.push_row(&row_buf);
-        }
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
-}
-
-/// One interval-probe step: like [`probe_extend`], but the probed
-/// pattern's `ranged` position matches any raw id in `[lo, hi)` — one
-/// contiguous `scan_value_range` probe per input row where the
-/// uncollapsed union needed one point probe per collapsed member
-/// (LiteMat's "the type check becomes an interval membership test").
-fn probe_extend_range(
-    table: &TripleTable,
-    acc: &Relation,
-    p: &StorePattern,
-    ranged: RangePos,
-    lo: u32,
-    hi: u32,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    ctx.counters.range_scans += 1;
-    if ctx.profile().vectorized {
-        return batch::probe_extend_range_batched(table, acc, p, ranged, lo, hi, ctx);
-    }
-    let p_vars = p.variables();
-    let shared: Vec<(usize, VarId)> = acc
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|&(_, v)| p_vars.contains(v))
-        .map(|(i, &v)| (i, v))
-        .collect();
-    let new_vars: Vec<VarId> =
-        p_vars.iter().copied().filter(|v| acc.column_of(*v).is_none()).collect();
-    let mut out_vars = acc.vars().to_vec();
-    out_vars.extend(new_vars.iter().copied());
-    let mut out = Relation::empty(out_vars);
-    let positions = p.positions();
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-
-    for row in acc.rows() {
-        ctx.tick()?;
-        let mut bound: [Option<TermId>; 3] = [None, None, None];
-        for (i, pt) in positions.iter().enumerate() {
-            bound[i] = match pt {
-                PatternTerm::Const(c) => Some(*c),
-                PatternTerm::Var(v) => {
-                    shared.iter().find(|(_, sv)| sv == v).map(|(col, _)| row[*col])
-                }
-            };
-        }
+    if let Some((ranged, _, _)) = range {
+        ctx.counters.range_scans += 1;
         // The ranged position's template constant stands for the whole
-        // interval: unbind it and probe the contiguous index run.
-        match ranged {
-            RangePos::Predicate => bound[1] = None,
-            RangePos::Object => bound[2] = None,
+        // interval: unbind it so the probe covers the contiguous index run.
+        slots[ranged_index(ranged)] = ProbeSlot::Free;
+    }
+    let new_vars: Vec<VarId> =
+        p.variables().iter().copied().filter(|&v| acc.column_of(v).is_none()).collect();
+    let new_pos = var_positions(p, &new_vars);
+    let mut out_vars = acc.vars().to_vec();
+    out_vars.extend(new_vars);
+    let width = out_vars.len();
+    let zero_width = width == 0;
+    let check_repeats = p.has_repeated_var();
+    let mut out = Relation::empty(out_vars);
+    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * width);
+    let mut pending: u64 = 0;
+
+    for arow in acc.rows() {
+        pending += 1;
+        let mut bound: [Option<TermId>; 3] = [None, None, None];
+        for (i, slot) in slots.iter().enumerate() {
+            bound[i] = match slot {
+                ProbeSlot::Const(c) => Some(*c),
+                ProbeSlot::Col(col) => Some(arow[*col]),
+                ProbeSlot::Free => None,
+            };
         }
-        for t in table.scan_value_range(&bound, ranged, lo, hi) {
-            ctx.tick()?;
-            ctx.counters.tuples_scanned += 1;
-            if !repeated_vars_consistent(p, t) {
+        let matches = match range {
+            Some((ranged, lo, hi)) => table.scan_value_range(&bound, ranged, lo, hi),
+            None => table.scan(&bound),
+        };
+        ctx.counters.tuples_scanned += matches.len() as u64;
+        pending += matches.len() as u64;
+        for t in matches {
+            if check_repeats && !repeated_vars_consistent(p, t) {
                 continue;
             }
-            let val = [t.s, t.p, t.o];
-            row_buf.clear();
-            row_buf.extend_from_slice(row);
-            for &v in &new_vars {
-                let i = positions
-                    .iter()
-                    .position(|pt| pt.as_var() == Some(v))
-                    .expect("new var occurs in pattern");
-                row_buf.push(val[i]);
-            }
             ctx.counters.tuples_joined += 1;
-            out.push_row(&row_buf);
+            if zero_width {
+                out.push_row(&[]);
+            } else {
+                let val = [t.s, t.p, t.o];
+                flat.extend_from_slice(arow);
+                flat.extend(new_pos.iter().map(|&i| val[i]));
+            }
+        }
+        if pending >= BATCH_ROWS as u64 {
+            ctx.tick_n(pending)?;
+            pending = 0;
+            out.flush_from(&mut flat);
+            ctx.check_memory(out.len())?;
         }
     }
+    ctx.tick_n(pending)?;
+    out.flush_from(&mut flat);
     ctx.check_memory(out.len())?;
     Ok(out)
 }

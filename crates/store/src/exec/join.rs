@@ -9,10 +9,10 @@
 use jucq_model::{FxHashMap, TermId};
 
 use crate::error::EngineError;
-use crate::exec::{batch, ExecContext};
+use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::VarId;
 use crate::profile::JoinAlgo;
-use crate::relation::Relation;
+use crate::relation::{hash_cols, Relation};
 
 /// Per-join options threaded from the plan node into a fragment join:
 /// the order-aware planner's merge sort-elision flags and the output
@@ -32,7 +32,7 @@ pub struct JoinOpts {
 /// Input-size skew ratio at which the merge advances the larger side
 /// with galloping (exponential-search) seeks instead of one row at a
 /// time.
-pub(crate) const GALLOP_SKEW: usize = 8;
+const GALLOP_SKEW: usize = 8;
 
 /// Rows of output capacity to reserve for a cardinality estimate,
 /// clamped so a wild over-estimate cannot allocate unboundedly ahead of
@@ -44,11 +44,7 @@ pub(crate) fn reserve_rows(est: Option<f64>) -> usize {
 
 /// An output relation pre-sized from the plan estimate, recording the
 /// reservation so reserved-vs-actual can be compared downstream.
-pub(crate) fn sized_output(
-    vars: Vec<VarId>,
-    est: Option<f64>,
-    ctx: &mut ExecContext<'_>,
-) -> Relation {
+fn sized_output(vars: Vec<VarId>, est: Option<f64>, ctx: &mut ExecContext<'_>) -> Relation {
     let reserve = reserve_rows(est);
     ctx.counters.rows_reserved += reserve as u64;
     Relation::with_capacity(vars, reserve)
@@ -58,7 +54,7 @@ pub(crate) fn sized_output(
 /// monotone (false…false, then true…true) and `pred(lo)` is false:
 /// probe at exponentially growing offsets from `lo`, then binary-search
 /// the crossed window. Returns `hi` when no index satisfies `pred`.
-pub(crate) fn gallop_to(lo: usize, hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+fn gallop_to(lo: usize, hi: usize, pred: impl Fn(usize) -> bool) -> usize {
     let mut prev = lo;
     let mut step = 1usize;
     let mut top = hi;
@@ -98,8 +94,8 @@ pub fn fragment_join(
 ) -> Result<Relation, EngineError> {
     let op = ctx.op_start();
     let out = match algo {
-        JoinAlgo::Hash => hash_join_opts(left, right, opts, ctx),
-        JoinAlgo::SortMerge => sort_merge_join_opts(left, right, opts, ctx),
+        JoinAlgo::Hash => hash_join(left, right, opts, ctx),
+        JoinAlgo::SortMerge => sort_merge_join(left, right, opts, ctx),
         JoinAlgo::BlockNestedLoop => block_nested_loop_join(left, right, ctx),
     }?;
     ctx.op_finish(op, op_name(algo), out.len() as u64);
@@ -116,16 +112,15 @@ pub fn op_name(algo: JoinAlgo) -> &'static str {
 }
 
 /// The join plan shared by all algorithms: key columns on both sides and
-/// the output schema (left columns ++ right non-key columns). Shared
-/// with the batched kernels in [`crate::exec::batch`].
-pub(crate) struct JoinPlan {
-    pub(crate) left_key: Vec<usize>,
-    pub(crate) right_key: Vec<usize>,
-    pub(crate) right_carry: Vec<usize>,
-    pub(crate) out_vars: Vec<VarId>,
+/// the output schema (left columns ++ right non-key columns).
+struct JoinPlan {
+    left_key: Vec<usize>,
+    right_key: Vec<usize>,
+    right_carry: Vec<usize>,
+    out_vars: Vec<VarId>,
 }
 
-pub(crate) fn plan(left: &Relation, right: &Relation) -> JoinPlan {
+fn plan(left: &Relation, right: &Relation) -> JoinPlan {
     let shared: Vec<VarId> =
         left.vars().iter().copied().filter(|v| right.column_of(*v).is_some()).collect();
     let left_key: Vec<usize> =
@@ -144,38 +139,23 @@ pub(crate) fn plan(left: &Relation, right: &Relation) -> JoinPlan {
     JoinPlan { left_key, right_key, right_carry, out_vars }
 }
 
-fn emit(
-    out: &mut Relation,
-    row_buf: &mut Vec<TermId>,
-    lrow: &[TermId],
-    rrow: &[TermId],
-    plan: &JoinPlan,
-) {
-    row_buf.clear();
-    row_buf.extend_from_slice(lrow);
-    row_buf.extend(plan.right_carry.iter().map(|&i| rrow[i]));
-    out.push_row(row_buf);
+#[inline]
+fn keys_equal(a: &[TermId], a_cols: &[usize], b: &[TermId], b_cols: &[usize]) -> bool {
+    a_cols.iter().zip(b_cols).all(|(&ac, &bc)| a[ac] == b[bc])
 }
 
 /// Hash join: build a table on the smaller input, probe with the larger.
+/// The build table is keyed by u64 key hashes (bucket entries verified
+/// against the actual key columns on probe) instead of one allocated key
+/// per row; bucket candidates are stored in build order, so each probe
+/// row emits its matches in build order. Output is pre-sized from
+/// `opts.est` and flushed a batch at a time.
 pub fn hash_join(
-    left: &Relation,
-    right: &Relation,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    hash_join_opts(left, right, JoinOpts::default(), ctx)
-}
-
-/// [`hash_join`] with pre-sized output from the plan estimate.
-pub fn hash_join_opts(
     left: &Relation,
     right: &Relation,
     opts: JoinOpts,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::hash_join_batched(left, right, opts, ctx);
-    }
     ctx.check_deadline()?;
     let p = plan(left, right);
     let mut out = sized_output(p.out_vars.clone(), opts.est, ctx);
@@ -189,73 +169,94 @@ pub fn hash_join_opts(
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
     let (build_key, probe_key) =
         if build_left { (&p.left_key, &p.right_key) } else { (&p.right_key, &p.left_key) };
-    let mut table: FxHashMap<Vec<TermId>, Vec<usize>> = FxHashMap::default();
+    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    table.reserve(build.len());
     for (i, row) in build.rows().enumerate() {
-        ctx.tick()?;
-        let key: Vec<TermId> = build_key.iter().map(|&c| row[c]).collect();
-        table.entry(key).or_default().push(i);
+        table.entry(hash_cols(row, build_key)).or_default().push(i as u32);
     }
+    ctx.tick_n(build.len() as u64)?;
     ctx.counters.tuples_materialized += build.len() as u64;
     ctx.check_memory(build.len())?;
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-    let mut key_buf: Vec<TermId> = Vec::with_capacity(probe_key.len());
+
+    let width = out.width();
+    let zero_width = width == 0;
+    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * width);
+    let mut pending: u64 = 0;
     for prow in probe.rows() {
-        ctx.tick()?;
-        key_buf.clear();
-        key_buf.extend(probe_key.iter().map(|&c| prow[c]));
-        if let Some(matches) = table.get(&key_buf) {
-            for &bi in matches {
-                ctx.tick()?;
+        pending += 1;
+        if let Some(cands) = table.get(&hash_cols(prow, probe_key)) {
+            for &bi in cands {
+                let brow = build.row(bi as usize);
+                if !keys_equal(brow, build_key, prow, probe_key) {
+                    continue;
+                }
+                pending += 1;
                 ctx.counters.tuples_joined += 1;
-                let brow = build.row(bi);
                 let (lrow, rrow) = if build_left { (brow, prow) } else { (prow, brow) };
-                emit(&mut out, &mut row_buf, lrow, rrow, &p);
+                if zero_width {
+                    out.push_row(&[]);
+                } else {
+                    flat.extend_from_slice(lrow);
+                    flat.extend(p.right_carry.iter().map(|&i| rrow[i]));
+                }
             }
+        }
+        if pending >= BATCH_ROWS as u64 {
+            ctx.tick_n(pending)?;
+            pending = 0;
+            out.flush_from(&mut flat);
             ctx.check_memory(out.len())?;
         }
     }
+    ctx.tick_n(pending)?;
+    out.flush_from(&mut flat);
+    ctx.check_memory(out.len())?;
     Ok(out)
 }
 
-/// Sort-merge join: sort both inputs on the key, merge equal runs.
-pub fn sort_merge_join(
-    left: &Relation,
-    right: &Relation,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    sort_merge_join_opts(left, right, JoinOpts::default(), ctx)
+/// Gather the key columns of every row into one flat buffer (`k` values
+/// per row) so sort comparisons read contiguous slices instead of
+/// allocating a key per comparison.
+fn gather_keys(rel: &Relation, cols: &[usize]) -> Vec<TermId> {
+    let mut keys = Vec::with_capacity(rel.len() * cols.len());
+    for row in rel.rows() {
+        keys.extend(cols.iter().map(|&c| row[c]));
+    }
+    keys
 }
 
-/// [`sort_merge_join`] with order-aware options: a side the planner
-/// proved sorted skips its sort (after one cheap linear verification —
-/// a violated claim falls back to sorting), and when input sizes are
-/// skewed ≥ [`GALLOP_SKEW`]× the larger side advances with galloping
-/// seeks instead of row-at-a-time stepping.
-pub fn sort_merge_join_opts(
+/// Sort-merge join: order both inputs on the key, merge equal runs.
+/// Order-aware: a side the planner proved sorted (`opts.elide`) skips
+/// its sort after one cheap linear verification — a violated claim
+/// falls back to sorting — and when input sizes are skewed ≥
+/// [`GALLOP_SKEW`]× the larger side advances with galloping seeks
+/// instead of one row at a time.
+pub fn sort_merge_join(
     left: &Relation,
     right: &Relation,
     opts: JoinOpts,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::sort_merge_join_batched(left, right, opts, ctx);
-    }
     ctx.check_deadline()?;
     let p = plan(left, right);
     let mut out = sized_output(p.out_vars.clone(), opts.est, ctx);
     if left.is_empty() || right.is_empty() {
         return Ok(out);
     }
-    let key_of =
-        |row: &[TermId], cols: &[usize]| -> Vec<TermId> { cols.iter().map(|&c| row[c]).collect() };
+    let k = p.left_key.len();
+    let lkeys = gather_keys(left, &p.left_key);
+    let rkeys = gather_keys(right, &p.right_key);
+    fn slice_key(keys: &[TermId], i: usize, k: usize) -> &[TermId] {
+        &keys[i * k..i * k + k]
+    }
     // Longest key prefix the input already arrives sorted on, found in
     // one linear pass (early exit once no prefix survives).
-    let sorted_prefix = |rel: &Relation, key: &[usize]| -> usize {
-        let mut j = key.len();
-        for x in 1..rel.len() {
-            let (a, b) = (rel.row(x - 1), rel.row(x));
-            for (c, &col) in key.iter().enumerate().take(j) {
-                match a[col].cmp(&b[col]) {
+    let sorted_prefix = |keys: &[TermId], n: usize| -> usize {
+        let mut j = k;
+        for x in 1..n {
+            let (a, b) = (slice_key(keys, x - 1, k), slice_key(keys, x, k));
+            for c in 0..j {
+                match a[c].cmp(&b[c]) {
                     std::cmp::Ordering::Less => break,
                     std::cmp::Ordering::Equal => continue,
                     std::cmp::Ordering::Greater => {
@@ -271,14 +272,16 @@ pub fn sort_merge_join_opts(
         j
     };
     let aware = ctx.profile().order_aware;
-    let order_side = |rel: &Relation, key: &[usize], elide: bool| -> (Vec<usize>, bool) {
-        let mut ids: Vec<usize> = (0..rel.len()).collect();
+    let order_side = |keys: &[TermId], n: usize, elide: bool| -> (Vec<u32>, bool) {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let cmp_full =
+            |&a: &u32, &b: &u32| slice_key(keys, a as usize, k).cmp(slice_key(keys, b as usize, k));
         if aware {
-            if rel.len() <= 1 {
+            if n <= 1 {
                 return (ids, elide);
             }
-            let j = sorted_prefix(rel, key);
-            if j == key.len() {
+            let j = sorted_prefix(keys, n);
+            if j == k {
                 // Fully sorted: merge in input order. Only a
                 // planner-claimed elision is counted (and exempted
                 // from the materialization charge) — an input sorted
@@ -289,28 +292,24 @@ pub fn sort_merge_join_opts(
                 // Sorted on a strict key prefix: sort only within the
                 // runs of equal prefix — O(n log run) not O(n log n).
                 let mut s = 0;
-                while s < ids.len() {
+                while s < n {
                     let mut e = s + 1;
-                    while e < ids.len()
-                        && key[..j].iter().all(|&c| rel.row(ids[s])[c] == rel.row(ids[e])[c])
-                    {
+                    while e < n && slice_key(keys, s, k)[..j] == slice_key(keys, e, k)[..j] {
                         e += 1;
                     }
-                    ids[s..e].sort_unstable_by_key(|&i| key_of(rel.row(i), key));
+                    ids[s..e].sort_unstable_by(cmp_full);
                     s = e;
                 }
                 return (ids, false);
             }
-        } else if elide
-            && (1..rel.len()).all(|x| key_of(rel.row(x - 1), key) <= key_of(rel.row(x), key))
-        {
+        } else if elide && (1..n).all(|x| slice_key(keys, x - 1, k) <= slice_key(keys, x, k)) {
             return (ids, true);
         }
-        ids.sort_unstable_by_key(|&i| key_of(rel.row(i), key));
+        ids.sort_unstable_by(cmp_full);
         (ids, false)
     };
-    let (lids, l_elided) = order_side(left, &p.left_key, opts.elide.0);
-    let (rids, r_elided) = order_side(right, &p.right_key, opts.elide.1);
+    let (lids, l_elided) = order_side(&lkeys, left.len(), opts.elide.0);
+    let (rids, r_elided) = order_side(&rkeys, right.len(), opts.elide.1);
     // An elided side is merged in input order — only sides actually
     // sorted here are charged as materialized working set.
     let mut charged = 0usize;
@@ -321,24 +320,26 @@ pub fn sort_merge_join_opts(
             charged += n;
         }
     }
+    ctx.tick_n((left.len() + right.len()) as u64)?;
     ctx.counters.tuples_materialized += charged as u64;
     ctx.check_memory(left.len() + right.len())?;
     // Galloping is an order-aware execution feature: with the knob off
     // (`JUCQ_ORDER=0`) the merge steps one row at a time.
-    let gallop = ctx.profile().order_aware;
-    let gallop_l = gallop && left.len() >= GALLOP_SKEW * right.len();
-    let gallop_r = gallop && right.len() >= GALLOP_SKEW * left.len();
+    let gallop_l = aware && left.len() >= GALLOP_SKEW * right.len();
+    let gallop_r = aware && right.len() >= GALLOP_SKEW * left.len();
 
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
+    let width = out.width();
+    let zero_width = width == 0;
+    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * width);
+    let mut pending: u64 = 0;
     let (mut i, mut j) = (0usize, 0usize);
     while i < lids.len() && j < rids.len() {
-        ctx.tick()?;
-        let lk = key_of(left.row(lids[i]), &p.left_key);
-        let rk = key_of(right.row(rids[j]), &p.right_key);
-        match lk.cmp(&rk) {
+        let lk = slice_key(&lkeys, lids[i] as usize, k);
+        let rk = slice_key(&rkeys, rids[j] as usize, k);
+        match lk.cmp(rk) {
             std::cmp::Ordering::Less => {
                 if gallop_l {
-                    i = gallop_to(i, lids.len(), |x| key_of(left.row(lids[x]), &p.left_key) >= rk);
+                    i = gallop_to(i, lids.len(), |x| slice_key(&lkeys, lids[x] as usize, k) >= rk);
                     ctx.counters.gallop_seeks += 1;
                 } else {
                     i += 1;
@@ -346,9 +347,7 @@ pub fn sort_merge_join_opts(
             }
             std::cmp::Ordering::Greater => {
                 if gallop_r {
-                    j = gallop_to(j, rids.len(), |x| {
-                        key_of(right.row(rids[x]), &p.right_key) >= lk
-                    });
+                    j = gallop_to(j, rids.len(), |x| slice_key(&rkeys, rids[x] as usize, k) >= lk);
                     ctx.counters.gallop_seeks += 1;
                 } else {
                     j += 1;
@@ -357,24 +356,38 @@ pub fn sort_merge_join_opts(
             std::cmp::Ordering::Equal => {
                 // Find the equal runs on both sides.
                 let i_end = (i..lids.len())
-                    .find(|&x| key_of(left.row(lids[x]), &p.left_key) != lk)
+                    .find(|&x| slice_key(&lkeys, lids[x] as usize, k) != lk)
                     .unwrap_or(lids.len());
                 let j_end = (j..rids.len())
-                    .find(|&x| key_of(right.row(rids[x]), &p.right_key) != rk)
+                    .find(|&x| slice_key(&rkeys, rids[x] as usize, k) != rk)
                     .unwrap_or(rids.len());
                 for &li in &lids[i..i_end] {
                     for &rj in &rids[j..j_end] {
-                        ctx.tick()?;
+                        pending += 1;
                         ctx.counters.tuples_joined += 1;
-                        emit(&mut out, &mut row_buf, left.row(li), right.row(rj), &p);
+                        if zero_width {
+                            out.push_row(&[]);
+                        } else {
+                            flat.extend_from_slice(left.row(li as usize));
+                            let rrow = right.row(rj as usize);
+                            flat.extend(p.right_carry.iter().map(|&c| rrow[c]));
+                        }
+                        if pending >= BATCH_ROWS as u64 {
+                            ctx.tick_n(pending)?;
+                            pending = 0;
+                            out.flush_from(&mut flat);
+                        }
                     }
                 }
-                ctx.check_memory(out.len())?;
+                ctx.check_memory(out.len() + flat.len() / width.max(1))?;
                 i = i_end;
                 j = j_end;
             }
         }
     }
+    ctx.tick_n(pending)?;
+    out.flush_from(&mut flat);
+    ctx.check_memory(out.len())?;
     Ok(out)
 }
 
@@ -385,23 +398,38 @@ pub fn block_nested_loop_join(
     right: &Relation,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::block_nested_loop_join_batched(left, right, ctx);
-    }
     ctx.check_deadline()?;
     let p = plan(left, right);
     let mut out = Relation::empty(p.out_vars.clone());
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
+    let width = out.width();
+    let zero_width = width == 0;
+    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * width);
+    let mut pending: u64 = 0;
     for lrow in left.rows() {
         for rrow in right.rows() {
-            ctx.tick()?;
-            if p.left_key.iter().zip(&p.right_key).all(|(&lc, &rc)| lrow[lc] == rrow[rc]) {
+            pending += 1;
+            if keys_equal(lrow, &p.left_key, rrow, &p.right_key) {
                 ctx.counters.tuples_joined += 1;
-                emit(&mut out, &mut row_buf, lrow, rrow, &p);
+                if zero_width {
+                    out.push_row(&[]);
+                } else {
+                    flat.extend_from_slice(lrow);
+                    flat.extend(p.right_carry.iter().map(|&i| rrow[i]));
+                }
+            }
+            if pending >= BATCH_ROWS as u64 {
+                ctx.tick_n(pending)?;
+                pending = 0;
+                out.flush_from(&mut flat);
             }
         }
-        ctx.check_memory(out.len())?;
+        // The budget is enforced once per outer row, counting the rows
+        // still waiting in the batch buffer.
+        ctx.check_memory(out.len() + flat.len() / width.max(1))?;
     }
+    ctx.tick_n(pending)?;
+    out.flush_from(&mut flat);
+    ctx.check_memory(out.len())?;
     Ok(out)
 }
 
@@ -425,12 +453,15 @@ mod tests {
         r
     }
 
+    const ALGOS: [JoinAlgo; 3] = [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop];
+
     fn all_algos(left: &Relation, right: &Relation) -> Vec<Relation> {
         let profile = EngineProfile::pg_like();
         let mut out = Vec::new();
-        for f in [hash_join, sort_merge_join, block_nested_loop_join] {
+        for algo in ALGOS {
             let mut ctx = ExecContext::new(&profile);
-            let mut r = f(left, right, &mut ctx).expect("join succeeds");
+            let mut r = fragment_join(algo, left, right, JoinOpts::default(), &mut ctx)
+                .expect("join succeeds");
             r.sort();
             out.push(r);
         }
@@ -474,6 +505,40 @@ mod tests {
     }
 
     #[test]
+    fn one_equal_key_run_spanning_batches() {
+        // No shared variable: the whole product is a single run of the
+        // merge, one bucket of the hash table — 3000 rows emitted without
+        // leaving it.
+        let lrows: Vec<Vec<u32>> = (0..60).map(|i| vec![i]).collect();
+        let rrows: Vec<Vec<u32>> = (0..50).map(|i| vec![100 + i]).collect();
+        let l = rel(vec![0], &lrows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let r = rel(vec![1], &rrows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        assert!(l.len() * r.len() > 2 * BATCH_ROWS);
+        let expect: Vec<Vec<TermId>> =
+            (0..60).flat_map(|a| (0..50).map(move |b| vec![id(a), id(100 + b)])).collect();
+        for res in all_algos(&l, &r) {
+            assert_eq!(res.to_rows(), expect);
+        }
+    }
+
+    #[test]
+    fn zero_width_inputs_join_to_presence_markers() {
+        // Boolean ⋈ boolean: no columns to gather, one marker per pair.
+        let mut l = Relation::empty(vec![]);
+        let mut r = Relation::empty(vec![]);
+        for _ in 0..3 {
+            l.push_row(&[]);
+        }
+        for _ in 0..2 {
+            r.push_row(&[]);
+        }
+        for res in all_algos(&l, &r) {
+            assert_eq!(res.width(), 0);
+            assert_eq!(res.len(), 6);
+        }
+    }
+
+    #[test]
     fn empty_inputs_give_empty_output() {
         let l = rel(vec![0, 1], &[]);
         let r = rel(vec![1], &[&[7]]);
@@ -499,9 +564,10 @@ mod tests {
         let profile = EngineProfile::pg_like();
         let mut joined = Vec::new();
         let mut materialized = Vec::new();
-        for f in [hash_join, sort_merge_join, block_nested_loop_join] {
+        for algo in ALGOS {
             let mut ctx = ExecContext::new(&profile);
-            let out = f(&l, &r, &mut ctx).expect("join succeeds");
+            let out =
+                fragment_join(algo, &l, &r, JoinOpts::default(), &mut ctx).expect("join succeeds");
             assert_eq!(
                 ctx.counters.tuples_joined,
                 out.len() as u64,
@@ -540,12 +606,12 @@ mod tests {
         let r = rel(vec![1, 2], &[&[10, 100], &[10, 101], &[30, 300], &[40, 400]]);
         let profile = EngineProfile::pg_like();
         let mut hctx = ExecContext::new(&profile);
-        let mut expect = hash_join(&l, &r, &mut hctx).expect("hash join");
+        let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
         expect.sort();
         for elide in [(false, false), (true, false), (false, true), (true, true)] {
             let mut ctx = ExecContext::new(&profile);
             let opts = JoinOpts { elide, est: None };
-            let mut got = sort_merge_join_opts(&l, &r, opts, &mut ctx).expect("merge join");
+            let mut got = sort_merge_join(&l, &r, opts, &mut ctx).expect("merge join");
             got.sort();
             assert_eq!(got.to_rows(), expect.to_rows(), "elide={elide:?}");
             let claimed = u64::from(elide.0) + u64::from(elide.1);
@@ -571,10 +637,10 @@ mod tests {
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
         let opts = JoinOpts { elide: (true, true), est: None };
-        let mut got = sort_merge_join_opts(&l, &r, opts, &mut ctx).expect("merge join");
+        let mut got = sort_merge_join(&l, &r, opts, &mut ctx).expect("merge join");
         got.sort();
         let mut hctx = ExecContext::new(&profile);
-        let mut expect = hash_join(&l, &r, &mut hctx).expect("hash join");
+        let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
         expect.sort();
         assert_eq!(got.to_rows(), expect.to_rows());
         assert_eq!(ctx.counters.sorts_elided, 1, "only the sorted right side elides");
@@ -590,12 +656,11 @@ mod tests {
         assert!(l.len() >= GALLOP_SKEW * r.len());
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
-        let mut got =
-            sort_merge_join_opts(&l, &r, JoinOpts::default(), &mut ctx).expect("merge join");
+        let mut got = sort_merge_join(&l, &r, JoinOpts::default(), &mut ctx).expect("merge join");
         got.sort();
         assert!(ctx.counters.gallop_seeks > 0, "skewed sides should gallop");
         let mut hctx = ExecContext::new(&profile);
-        let mut expect = hash_join(&l, &r, &mut hctx).expect("hash join");
+        let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
         expect.sort();
         assert_eq!(got.to_rows(), expect.to_rows());
 
@@ -604,7 +669,7 @@ mod tests {
         let off = EngineProfile::pg_like().with_order_aware(false);
         let mut octx = ExecContext::new(&off);
         let mut plain =
-            sort_merge_join_opts(&l, &r, JoinOpts::default(), &mut octx).expect("merge join");
+            sort_merge_join(&l, &r, JoinOpts::default(), &mut octx).expect("merge join");
         plain.sort();
         assert_eq!(octx.counters.gallop_seeks, 0, "knob off must not gallop");
         assert_eq!(plain.to_rows(), expect.to_rows());
@@ -617,7 +682,7 @@ mod tests {
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
         let opts = JoinOpts { elide: (false, false), est: Some(2.0) };
-        hash_join_opts(&l, &r, opts, &mut ctx).expect("hash join");
+        hash_join(&l, &r, opts, &mut ctx).expect("hash join");
         assert_eq!(ctx.counters.rows_reserved, 2);
         // The clamp bounds pathological estimates.
         assert_eq!(reserve_rows(Some(f64::MAX)), 1 << 20);
@@ -632,7 +697,7 @@ mod tests {
         let profile = EngineProfile::pg_like().with_memory_budget(2);
         let mut ctx = ExecContext::new(&profile);
         assert!(matches!(
-            hash_join(&l, &r, &mut ctx),
+            hash_join(&l, &r, JoinOpts::default(), &mut ctx),
             Err(EngineError::MemoryBudgetExceeded { .. })
         ));
     }

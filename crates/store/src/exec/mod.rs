@@ -5,17 +5,24 @@
 //!   (index-nested-loop or hash);
 //! * [`join`] — joins of materialized relations (hash, sort-merge,
 //!   block-nested-loop);
-//! * [`union`] — unions of CQ results with set semantics.
+//! * [`union`] — unions of CQ results with set semantics;
+//! * [`sip`] — Bloom filters passed sideways between fragment joins.
+//!
+//! There is one kernel per plan node. Every kernel resolves column
+//! positions and probe-key templates once per operator, gathers its
+//! output into a flat buffer of [`BATCH_ROWS`] rows flushed in one bulk
+//! append, and polls liveness ([`ExecContext::tick_n`]) and the memory
+//! budget once per batch.
 //!
 //! All operators run inside an [`ExecContext`] that enforces the engine
 //! profile's deadline and memory budget and records the counters the
 //! calibration layer fits cost constants against.
 
-pub mod batch;
 pub mod cq;
 pub mod join;
 pub mod parallel;
 pub mod pool;
+pub mod sip;
 pub mod union;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,6 +34,11 @@ use crate::profile::EngineProfile;
 
 /// How often (in produced tuples) the deadline is polled.
 const DEADLINE_POLL_MASK: u64 = 0x3FFF; // every 16384 tuples
+
+/// Rows a kernel gathers before it flushes its output buffer, polls
+/// liveness and checks the memory budget: large enough to amortize the
+/// per-batch bookkeeping, small enough to stay cache-resident.
+pub const BATCH_ROWS: usize = 1024;
 
 /// Work counters, exposed for calibration and diagnostics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -309,23 +321,11 @@ impl<'a> ExecContext<'a> {
         self.shared.held_tuples.fetch_sub(tuples as u64, Ordering::Relaxed);
     }
 
-    /// Cheap, amortized liveness check; call once per produced tuple.
-    /// Every poll window it checks the deadline and the shared cancel
-    /// flag, so a failure on one worker stops all of them promptly.
-    #[inline]
-    pub fn tick(&mut self) -> Result<(), EngineError> {
-        self.ticks += 1;
-        if self.ticks & DEADLINE_POLL_MASK == 0 {
-            self.check_live()?;
-        }
-        Ok(())
-    }
-
     /// Amortized liveness check for a whole batch of `n` produced
-    /// tuples: advances the tick counter in one step and polls once per
-    /// crossed poll window, so batched operators keep the same
-    /// poll-at-least-every-16384-tuples cadence as the row-at-a-time
-    /// path without one branch per tuple.
+    /// tuples: advances the tick counter in one step and, once per
+    /// crossed poll window (16384 tuples), checks the deadline and the
+    /// shared cancel flag — so a failure on one worker stops all of them
+    /// promptly without one branch per tuple.
     #[inline]
     pub fn tick_n(&mut self, n: u64) -> Result<(), EngineError> {
         let before = self.ticks;
@@ -471,21 +471,6 @@ mod tests {
         let t = off.op_start();
         off.op_finish(t, "union", 1);
         assert!(off.take_nodes().is_empty());
-    }
-
-    #[test]
-    fn tick_is_cheap_and_eventually_polls() {
-        let p = EngineProfile::pg_like().with_timeout(Duration::from_millis(0));
-        let mut ctx = ExecContext::new(&p);
-        ctx.backdate(Duration::from_millis(2));
-        let mut failed = false;
-        for _ in 0..=DEADLINE_POLL_MASK {
-            if ctx.tick().is_err() {
-                failed = true;
-                break;
-            }
-        }
-        assert!(failed, "deadline must surface within one poll window");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::EngineError;
 use crate::exec::union::DedupAccumulator;
-use crate::exec::{batch, cq, pool, union, ExecContext};
+use crate::exec::{cq, pool, sip, union, ExecContext};
 use crate::ir::VarId;
 use crate::plan::PlanNode;
 use crate::relation::Relation;
@@ -42,7 +42,7 @@ pub(crate) struct UnionTask<'p> {
     /// Sideways-information-passing filter published by an upstream
     /// fragment join: each member result is probed against it (and
     /// non-joining rows dropped) before merging into the union.
-    pub filter: Option<&'p batch::SipFilter>,
+    pub filter: Option<&'p sip::SipFilter>,
 }
 
 /// Evaluate every fragment union of a plan, using up to `threads`
@@ -88,7 +88,7 @@ pub(crate) fn eval_unions(
                 ctx.check_deadline()?;
                 let mut r = cq::eval_member(table, &u.members[0], shared, ctx)?;
                 if let Some(f) = u.filter {
-                    batch::apply_sip_filter(&mut r, f, ctx)?;
+                    sip::apply_sip_filter(&mut r, f, ctx)?;
                 }
                 out.push(union::borrow_member(r, op, ctx)?);
                 continue;
@@ -98,7 +98,7 @@ pub(crate) fn eval_unions(
                 ctx.check_deadline()?;
                 let mut r = cq::eval_member(table, m, shared, ctx)?;
                 if let Some(f) = u.filter {
-                    batch::apply_sip_filter(&mut r, f, ctx)?;
+                    sip::apply_sip_filter(&mut r, f, ctx)?;
                 }
                 union::merge_member(&mut acc, &r, ctx)?;
             }
@@ -135,7 +135,7 @@ pub(crate) fn eval_unions(
                             })
                             .and_then(|mut rel| {
                                 if let Some(f) = u.filter {
-                                    batch::apply_sip_filter(&mut rel, f, &mut wctx)?;
+                                    sip::apply_sip_filter(&mut rel, f, &mut wctx)?;
                                 }
                                 // Charge the held member result against
                                 // the *global* budget until it is merged.

@@ -12,28 +12,17 @@
 use jucq_model::TermId;
 
 use crate::error::EngineError;
-use crate::exec::ExecContext;
-use crate::relation::Relation;
+use crate::exec::{ExecContext, BATCH_ROWS};
+use crate::relation::{hash_row, Relation};
 
 /// Open-addressing set of row indices into an accumulating relation,
-/// with Fx hashing over the row's ids. Avoids one allocation per row
+/// hashed with [`hash_row`]. Avoids one allocation per row
 /// (the rows live in the relation's flat buffer).
 pub(crate) struct DedupAccumulator {
     rel: Relation,
     /// 0 = empty slot, otherwise row index + 1.
     slots: Vec<u32>,
     mask: usize,
-}
-
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-#[inline]
-fn hash_row(row: &[TermId]) -> u64 {
-    let mut h: u64 = row.len() as u64;
-    for t in row {
-        h = (h.rotate_left(5) ^ u64::from(t.raw())).wrapping_mul(SEED);
-    }
-    h
 }
 
 impl DedupAccumulator {
@@ -112,8 +101,8 @@ impl DedupAccumulator {
 }
 
 /// Merge one member's result into the accumulating union: count the
-/// examined rows as deduplicated work, insert each (ticking the
-/// liveness poll) and enforce the memory budget on the distinct rows
+/// examined rows as deduplicated work, insert each (polling liveness
+/// once per batch) and enforce the memory budget on the distinct rows
 /// held so far. Shared by the sequential and parallel union paths so
 /// both charge identical work.
 pub(crate) fn merge_member(
@@ -121,14 +110,17 @@ pub(crate) fn merge_member(
     r: &Relation,
     ctx: &mut ExecContext<'_>,
 ) -> Result<(), EngineError> {
-    if ctx.profile().vectorized {
-        return crate::exec::batch::merge_member_batched(acc, r, ctx);
-    }
     ctx.counters.tuples_deduped += r.len() as u64;
+    let mut in_batch = 0u64;
     for row in r.rows() {
-        ctx.tick()?;
         acc.insert(row);
+        in_batch += 1;
+        if in_batch == BATCH_ROWS as u64 {
+            ctx.tick_n(in_batch)?;
+            in_batch = 0;
+        }
     }
+    ctx.tick_n(in_batch)?;
     ctx.check_memory(acc.len())
 }
 

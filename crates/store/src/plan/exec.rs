@@ -14,13 +14,12 @@
 //! Fragment leaves may be [`PlanNode::ViewScan`]s: the executor
 //! resolves each through the supplied [`ViewSource`] — epoch-exact, so
 //! a catalog entry computed at any other epoch never serves — and
-//! copies the materialized rows through a scan-priced kernel (batched
-//! or row-at-a-time, matching the profile). A miss, or running with no
-//! view source at all, evaluates the embedded fallback union; answers
-//! are identical either way.
+//! copies the materialized rows through a scan-priced kernel. A miss,
+//! or running with no view source at all, evaluates the embedded
+//! fallback union; answers are identical either way.
 
 use crate::error::EngineError;
-use crate::exec::{batch, cq, join, parallel, ExecContext};
+use crate::exec::{cq, join, parallel, sip, ExecContext, BATCH_ROWS};
 use crate::plan::node::{Plan, PlanNode};
 use crate::profile::JoinAlgo;
 use crate::relation::Relation;
@@ -29,9 +28,8 @@ use crate::views::ViewSource;
 
 /// Copy a resolved view's rows into a fresh relation on `ctx`'s
 /// counters: charged as a scan (`tuples_scanned`, one `view_hits`
-/// resolution), batched when the profile's vectorized kernels are on,
-/// row-at-a-time otherwise — the same liveness-poll cadence as any
-/// other scan.
+/// resolution), a batch at a time with the same liveness-poll cadence
+/// as any other scan.
 ///
 /// The copy is **positional**: column `k` of the stored relation is the
 /// pinning fragment's `k`-th head variable, and the head-aware canonical
@@ -50,22 +48,14 @@ fn copy_view_rows(
     let op = ctx.op_start();
     debug_assert_eq!(rows.vars().len(), head.len(), "view arity checked by resolve_view");
     let mut out = Relation::with_capacity(head.to_vec(), rows.len());
-    if ctx.profile().vectorized {
-        let batch_rows = ctx.profile().effective_batch_rows();
-        let mut done = 0;
-        while done < rows.len() {
-            let n = batch_rows.min(rows.len() - done);
-            for r in done..done + n {
-                out.push_row(rows.row(r));
-            }
-            ctx.tick_n(n as u64)?;
-            done += n;
+    let mut done = 0;
+    while done < rows.len() {
+        let n = BATCH_ROWS.min(rows.len() - done);
+        for r in done..done + n {
+            out.push_row(rows.row(r));
         }
-    } else {
-        for r in rows.rows() {
-            out.push_row(r);
-            ctx.tick()?;
-        }
+        ctx.tick_n(n as u64)?;
+        done += n;
     }
     ctx.counters.tuples_scanned += out.len() as u64;
     ctx.counters.view_hits += 1;
@@ -120,7 +110,7 @@ pub(crate) fn execute(
     let mut shared: Vec<Relation> = Vec::with_capacity(plan.shared.len());
     for (i, def) in plan.shared.iter().enumerate() {
         let op = ctx.op_start();
-        let rel = cq::scan_pattern(table, &def.pattern, ctx)?;
+        let rel = cq::scan_pattern(table, &def.pattern, None, ctx)?;
         ctx.reserve_memory(rel.len())?;
         ctx.op_finish(op, &format!("shared_scan[{i}]"), rel.len() as u64);
         shared.push(rel);
@@ -179,11 +169,7 @@ pub(crate) fn execute(
     let op = ctx.op_start();
     let mut relation = acc.project(&plan.head);
     ctx.counters.tuples_deduped += relation.len() as u64;
-    if ctx.profile().vectorized {
-        relation.dedup_in_place_hashed();
-    } else {
-        relation.dedup_in_place();
-    }
+    relation.dedup_in_place();
     ctx.op_finish(op, "dedup", relation.len() as u64);
 
     ctx.release_memory(shared_held);
@@ -248,7 +234,7 @@ fn execute_staged(
     steps.reverse();
 
     let eval_fragment = |leaf: &PlanNode,
-                         filter: Option<&batch::SipFilter>,
+                         filter: Option<&sip::SipFilter>,
                          ctx: &mut ExecContext<'_>|
      -> Result<Relation, EngineError> {
         if let Some(rel) = resolve_view(leaf, plan, views, ctx)? {
@@ -279,7 +265,7 @@ fn execute_staged(
     let mut acc = eval_fragment(base, None, ctx)?;
     for (algo, opts, step, right_node) in steps {
         let filter = plan.sip.iter().find(|d| d.step == step).map(|d| {
-            batch::SipFilter::build(&acc, &d.keys, format!("fragment[{}].sip_filter", d.target))
+            sip::SipFilter::build(&acc, &d.keys, format!("fragment[{}].sip_filter", d.target))
         });
         let r = eval_fragment(right_node, filter.as_ref(), ctx)?;
         ctx.set_scope(format!("join[{step}]."));

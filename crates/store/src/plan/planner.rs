@@ -1545,7 +1545,7 @@ mod tests {
     fn range_probe_plans_return_the_same_rows_as_ucq() {
         use crate::engine::Store;
         // Two-atom members where the collapsed interval rides a probe:
-        // every (knob × vectorized) combination must agree row-for-row.
+        // knob on and off must agree row-for-row.
         let members: Vec<StoreCq> = [1u32, 2, 3]
             .iter()
             .map(|&o| {
@@ -1564,21 +1564,15 @@ mod tests {
             vec![t(1, 10, 2), t(2, 10, 3), t(3, 10, 1), t(1, 11, 100), t(2, 11, 101), t(4, 10, 4)];
         let mut rows_by_mode = Vec::new();
         for on in [true, false] {
-            for vectorized in [true, false] {
-                let mut profile = EngineProfile::pg_like().with_range_scans(on);
-                profile.vectorized = vectorized;
-                let s = Store::from_triples(&triples, profile);
-                let out = s.eval_jucq(&q).expect("evaluation succeeds");
-                let mut r = out.relation;
-                r.sort();
-                if on {
-                    assert!(
-                        out.counters.range_scans > 0,
-                        "collapsed plan exercises a range kernel (vectorized={vectorized})"
-                    );
-                }
-                rows_by_mode.push(r.to_rows());
+            let profile = EngineProfile::pg_like().with_range_scans(on);
+            let s = Store::from_triples(&triples, profile);
+            let out = s.eval_jucq(&q).expect("evaluation succeeds");
+            let mut r = out.relation;
+            r.sort();
+            if on {
+                assert!(out.counters.range_scans > 0, "collapsed plan takes a range probe");
             }
+            rows_by_mode.push(r.to_rows());
         }
         for w in rows_by_mode.windows(2) {
             assert_eq!(w[0], w[1], "range-probe and UCQ plans are row-identical");
@@ -1598,20 +1592,17 @@ mod tests {
             vec![t(1, 10, 2), t(2, 10, 3), t(3, 10, 1), t(1, 11, 100), t(2, 11, 101), t(4, 10, 4)];
         let mut rows_by_mode = Vec::new();
         for on in [true, false] {
-            for vectorized in [true, false] {
-                let mut profile = EngineProfile::pg_like().with_range_scans(on);
-                profile.vectorized = vectorized;
-                let s = Store::from_triples(&triples, profile);
-                let out = s.eval_jucq(&q).expect("evaluation succeeds");
-                let mut r = out.relation;
-                r.sort();
-                assert_eq!(
-                    out.counters.range_scans,
-                    u64::from(on),
-                    "range_scans counter tracks the knob (vectorized={vectorized})"
-                );
-                rows_by_mode.push(r.to_rows());
-            }
+            let profile = EngineProfile::pg_like().with_range_scans(on);
+            let s = Store::from_triples(&triples, profile);
+            let out = s.eval_jucq(&q).expect("evaluation succeeds");
+            let mut r = out.relation;
+            r.sort();
+            assert_eq!(
+                out.counters.range_scans,
+                u64::from(on),
+                "range_scans counter tracks the knob"
+            );
+            rows_by_mode.push(r.to_rows());
         }
         for w in rows_by_mode.windows(2) {
             assert_eq!(w[0], w[1], "range and UCQ plans are row-identical");

@@ -60,23 +60,11 @@ pub struct EngineProfile {
     /// Disable to measure the unshared baseline (`BENCH_plan_sharing`).
     #[serde(default = "default_share_scans")]
     pub share_scans: bool,
-    /// If true (the default), operators run their batched (vectorized)
-    /// kernels: tuples move in [`batch_rows`](Self::batch_rows)-row
-    /// chunks with amortized liveness polls and per-batch memory checks.
-    /// Rows and counters are bit-identical to the row-at-a-time path;
-    /// only the per-tuple dispatch cost changes. `JUCQ_BATCH=0` or
-    /// `--batch-size 0` fall back to row-at-a-time.
-    #[serde(default = "default_vectorized")]
-    pub vectorized: bool,
-    /// Rows per batch of the vectorized kernels (ignored when
-    /// [`vectorized`](Self::vectorized) is off). Clamped to ≥ 1.
-    #[serde(default = "default_batch_rows")]
-    pub batch_rows: usize,
     /// If true (the default), multi-fragment plans stage their fragment
     /// evaluation in join order and publish a Bloom filter on each join
     /// key into the plan-wide shared table: downstream fragments' union
-    /// members probe it and drop non-joining tuples batches at a time
-    /// before they reach the join (sideways information passing).
+    /// members probe it and drop non-joining tuples before they reach
+    /// the join (sideways information passing).
     /// Answers are unchanged — Bloom false positives are discarded by
     /// the join itself.
     #[serde(default = "default_sip_filters")]
@@ -214,49 +202,6 @@ pub fn default_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Rows per batch when nothing overrides it: the sweet spot where the
-/// per-batch bookkeeping amortizes but batches stay cache-resident.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-/// The `JUCQ_BATCH` environment variable, parsed once per profile
-/// construction: unset keeps the defaults (vectorized, 1024 rows),
-/// `0` disables vectorized execution entirely (row-at-a-time), any
-/// other number sets the batch size; an unparsable value warns once
-/// through `jucq-obs` and keeps the defaults.
-fn batch_env() -> (bool, usize) {
-    match std::env::var("JUCQ_BATCH") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => return (false, DEFAULT_BATCH_ROWS),
-            Ok(n) => return (true, n),
-            Err(_) => {
-                jucq_obs::warn_once(
-                    "warn.jucq_batch_invalid",
-                    &format!("ignoring unparsable JUCQ_BATCH={v:?}; using batch size {DEFAULT_BATCH_ROWS}"),
-                );
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_batch_invalid",
-                &format!("ignoring non-unicode JUCQ_BATCH; using batch size {DEFAULT_BATCH_ROWS}"),
-            );
-        }
-    }
-    (true, DEFAULT_BATCH_ROWS)
-}
-
-/// Whether batched kernels run by default: true unless `JUCQ_BATCH=0`.
-pub fn default_vectorized() -> bool {
-    batch_env().0
-}
-
-/// The default batch size: `JUCQ_BATCH` when set to a positive number,
-/// otherwise [`DEFAULT_BATCH_ROWS`].
-pub fn default_batch_rows() -> usize {
-    batch_env().1
-}
-
 impl EngineProfile {
     /// PostgreSQL-like: hash joins, pipelined largest union, generous
     /// union limit, moderate memory.
@@ -271,8 +216,6 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -293,8 +236,6 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -315,8 +256,6 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -339,8 +278,6 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -389,25 +326,6 @@ impl EngineProfile {
         self
     }
 
-    /// Enable or disable the batched (vectorized) kernels.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    /// Set the batch size, with the CLI's `--batch-size` semantics:
-    /// `0` disables vectorized execution (row-at-a-time), any other
-    /// value enables it with that many rows per batch.
-    pub fn with_batch_size(mut self, rows: usize) -> Self {
-        if rows == 0 {
-            self.vectorized = false;
-        } else {
-            self.vectorized = true;
-            self.batch_rows = rows;
-        }
-        self
-    }
-
     /// Enable or disable cross-fragment sideways information passing.
     pub fn with_sip_filters(mut self, on: bool) -> Self {
         self.sip_filters = on;
@@ -440,27 +358,20 @@ impl EngineProfile {
         self.parallelism.max(1)
     }
 
-    /// The effective rows-per-batch: at least one.
-    pub fn effective_batch_rows(&self) -> usize {
-        self.batch_rows.max(1)
-    }
-
     /// A cache-key fingerprint of every knob that changes the *plan* or
     /// how a cached plan may be replayed: toggling any of these (e.g.
-    /// via `JUCQ_BATCH` or `with_sip_filters`) must miss the plan cache
+    /// via `JUCQ_ORDER` or `with_sip_filters`) must miss the plan cache
     /// rather than serve a plan lowered under the old settings. The
     /// name alone is not enough — two profiles can share a name and
     /// differ in knobs (the `set_profile` staleness class).
     pub fn plan_cache_key(&self) -> String {
         format!(
-            "{}|join={:?}|mat={}|inlj={}|share={}|vec={}|batch={}|sip={}|range={}|views={}|order={}",
+            "{}|join={:?}|mat={}|inlj={}|share={}|sip={}|range={}|views={}|order={}",
             self.name,
             self.fragment_join,
             self.materialize_all_unions,
             self.index_nested_loop_cq,
             self.share_scans,
-            self.vectorized,
-            self.effective_batch_rows(),
             self.sip_filters,
             self.range_scans,
             self.view_scans,
@@ -547,32 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn jucq_batch_env_controls_vectorization() {
-        let _serial = env_lock();
-        std::env::set_var("JUCQ_BATCH", "0");
-        assert!(!default_vectorized(), "JUCQ_BATCH=0 means row-at-a-time");
-        assert_eq!(default_batch_rows(), DEFAULT_BATCH_ROWS);
-        std::env::set_var("JUCQ_BATCH", "256");
-        assert!(default_vectorized());
-        assert_eq!(default_batch_rows(), 256);
-        std::env::remove_var("JUCQ_BATCH");
-        assert!(default_vectorized());
-        assert_eq!(default_batch_rows(), DEFAULT_BATCH_ROWS);
-    }
-
-    #[test]
-    fn jucq_batch_junk_warns_once_and_falls_back() {
-        let _serial = env_lock();
-        jucq_obs::warn::reset_for_test();
-        std::env::set_var("JUCQ_BATCH", "huge");
-        assert!(default_vectorized());
-        assert_eq!(default_batch_rows(), DEFAULT_BATCH_ROWS);
-        assert!(jucq_obs::warn::warned("warn.jucq_batch_invalid"));
-        std::env::remove_var("JUCQ_BATCH");
-        jucq_obs::warn::reset_for_test();
-    }
-
-    #[test]
     fn jucq_order_env_controls_order_awareness() {
         let _serial = env_lock();
         std::env::set_var("JUCQ_ORDER", "0");
@@ -584,23 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_builder_follows_cli_semantics() {
-        let p = EngineProfile::pg_like().with_batch_size(0);
-        assert!(!p.vectorized, "0 disables batching");
-        let p = EngineProfile::pg_like().with_batch_size(333);
-        assert!(p.vectorized);
-        assert_eq!(p.effective_batch_rows(), 333);
-    }
-
-    #[test]
-    fn plan_cache_key_distinguishes_batch_and_sip_knobs() {
+    fn plan_cache_key_distinguishes_planner_knobs() {
         let base = EngineProfile::pg_like();
         let keys = [
             base.clone().plan_cache_key(),
-            base.clone().with_vectorized(!base.vectorized).plan_cache_key(),
             base.clone().with_sip_filters(!base.sip_filters).plan_cache_key(),
             base.clone().with_scan_sharing(false).plan_cache_key(),
-            base.clone().with_batch_size(7).plan_cache_key(),
             base.clone().with_range_scans(!base.range_scans).plan_cache_key(),
             base.clone().with_view_scans(!base.view_scans).plan_cache_key(),
             base.clone().with_order_aware(!base.order_aware).plan_cache_key(),

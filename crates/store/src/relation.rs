@@ -1,8 +1,30 @@
 //! Materialized relations: the tuples flowing between operators.
 
-use jucq_model::{FxHashSet, TermId};
+use jucq_model::TermId;
 
 use crate::ir::VarId;
+
+/// Multiplier of the rotate-xor-multiply row hash (the Fx constant).
+pub(crate) const HASH_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+#[inline]
+fn mix(h: u64, t: TermId) -> u64 {
+    (h.rotate_left(5) ^ u64::from(t.raw())).wrapping_mul(HASH_SEED)
+}
+
+/// Position-sensitive hash of a whole row: the one row hash of the
+/// executor (final dedup, union accumulator).
+#[inline]
+pub(crate) fn hash_row(row: &[TermId]) -> u64 {
+    row.iter().fold(row.len() as u64, |h, &t| mix(h, t))
+}
+
+/// [`hash_row`] over the selected columns only (hash-join keys, SIP
+/// filter keys): equal to `hash_row` of the gathered key.
+#[inline]
+pub(crate) fn hash_cols(row: &[TermId], cols: &[usize]) -> u64 {
+    cols.iter().fold(cols.len() as u64, |h, &c| mix(h, row[c]))
+}
 
 /// A materialized relation: a flat row-major buffer of [`TermId`]s with
 /// a variable-name schema. Flattening keeps rows contiguous (one
@@ -113,47 +135,12 @@ impl Relation {
         out
     }
 
-    /// Remove duplicate rows (hash-based; set semantics). Returns the
-    /// number of rows removed.
+    /// Remove duplicate rows (set semantics), keeping first occurrences
+    /// in order. Returns the number of rows removed. Open-addressing
+    /// over row indices into the already-compacted prefix: kept rows sit
+    /// at or before the candidate, so probing only ever reads settled
+    /// data and no copy of the rows is taken.
     pub fn dedup_in_place(&mut self) -> usize {
-        if self.vars.is_empty() {
-            let before = self.data.len();
-            self.data.truncate(1.min(before));
-            return before - self.data.len();
-        }
-        let width = self.vars.len();
-        let mut seen: FxHashSet<&[TermId]> = FxHashSet::default();
-        let mut keep: Vec<bool> = Vec::with_capacity(self.len());
-        // Safety dance avoided: collect row hashes via a temporary set of
-        // owned keys would allocate per row; instead do two passes over
-        // indices with a set of row slices borrowed from a snapshot.
-        let snapshot = self.data.clone();
-        for chunk in snapshot.chunks_exact(width) {
-            keep.push(seen.insert(chunk));
-        }
-        let mut removed = 0;
-        let mut write = 0;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                if write != i {
-                    self.data.copy_within(i * width..(i + 1) * width, write * width);
-                }
-                write += 1;
-            } else {
-                removed += 1;
-            }
-        }
-        self.data.truncate(write * width);
-        removed
-    }
-
-    /// Remove duplicate rows without the snapshot copy of
-    /// [`Relation::dedup_in_place`]: open-addressing over row indices
-    /// into the already-compacted prefix (kept rows sit at or before the
-    /// candidate, so probing only ever reads settled data). Same result
-    /// and first-occurrence order as the snapshot version; used by the
-    /// vectorized execution path.
-    pub fn dedup_in_place_hashed(&mut self) -> usize {
         if self.vars.is_empty() {
             let before = self.data.len();
             self.data.truncate(1.min(before));
@@ -167,18 +154,11 @@ impl Relation {
         // ≤ 50% load factor; slot 0 = empty, else kept-row index + 1.
         let mut slots: Vec<u32> = vec![0; (n * 2).next_power_of_two()];
         let mask = slots.len() - 1;
-        let hash = |row: &[TermId]| -> usize {
-            let mut h: u64 = row.len() as u64;
-            for t in row {
-                h = (h.rotate_left(5) ^ u64::from(t.raw())).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-            }
-            h as usize
-        };
         let mut write = 0usize;
         let mut removed = 0usize;
         for i in 0..n {
             let start = i * width;
-            let mut slot = hash(&self.data[start..start + width]) & mask;
+            let mut slot = hash_row(&self.data[start..start + width]) as usize & mask;
             let mut dup = false;
             loop {
                 match slots[slot] {
@@ -232,16 +212,17 @@ impl Relation {
         write
     }
 
-    /// Append width-aligned row data in one bulk copy (the batched
-    /// kernels' flush path).
+    /// Move a kernel's batch buffer of width-aligned row data into the
+    /// relation in one bulk copy, leaving the buffer empty for the next
+    /// batch. An empty buffer is a no-op (zero-width rows are presence
+    /// markers pushed directly, so their kernels never fill one).
     ///
     /// # Panics
-    /// Panics (debug) if the relation is zero-width or the data length
-    /// is not a multiple of the width.
-    pub(crate) fn append_flat(&mut self, flat: &[TermId]) {
-        debug_assert!(!self.vars.is_empty(), "zero-width rows are presence markers, not data");
-        debug_assert_eq!(flat.len() % self.vars.len(), 0);
+    /// Panics (debug) if the data length is not a multiple of the width.
+    pub(crate) fn flush_from(&mut self, flat: &mut Vec<TermId>) {
+        debug_assert!(flat.len().is_multiple_of(self.vars.len()));
         self.data.extend_from_slice(flat);
+        flat.clear();
     }
 
     /// Concatenate another relation with the same schema.
@@ -333,25 +314,30 @@ mod tests {
     fn dedup_on_empty_is_noop() {
         let mut r = Relation::empty(vec![0, 1]);
         assert_eq!(r.dedup_in_place(), 0);
-        assert_eq!(r.dedup_in_place_hashed(), 0);
         assert!(r.is_empty());
     }
 
     #[test]
-    fn hashed_dedup_matches_snapshot_dedup() {
-        let mut snap = Relation::empty(vec![0, 1]);
+    fn dedup_matches_a_hash_set_on_colliding_rows() {
+        // 280 distinct (i % 40, i % 7) pairs, the first 20 repeated at
+        // the end: duplicates are found across a full table of survivors.
+        let mut r = Relation::empty(vec![0, 1]);
         for i in 0..300u32 {
-            snap.push_row(&[id(i % 40), id(i % 7)]);
+            r.push_row(&[id(i % 40), id(i % 7)]);
         }
-        let mut hashed = snap.clone();
-        assert_eq!(snap.dedup_in_place(), hashed.dedup_in_place_hashed());
-        assert_eq!(snap, hashed, "same survivors in the same order");
+        let mut seen = std::collections::HashSet::new();
+        let expect: Vec<Vec<TermId>> =
+            r.to_rows().into_iter().filter(|row| seen.insert(row.clone())).collect();
+        assert_eq!(r.dedup_in_place(), 300 - expect.len());
+        assert_eq!(r.to_rows(), expect, "first occurrences, in order");
+    }
 
-        let mut boolean = Relation::empty(vec![]);
-        boolean.push_row(&[]);
-        boolean.push_row(&[]);
-        assert_eq!(boolean.dedup_in_place_hashed(), 1);
-        assert_eq!(boolean.len(), 1);
+    #[test]
+    fn hash_cols_equals_hash_row_of_the_gathered_key() {
+        let row = [id(7), id(3), id(9)];
+        assert_eq!(hash_cols(&row, &[2, 0]), hash_row(&[id(9), id(7)]));
+        assert_eq!(hash_cols(&row, &[0, 1, 2]), hash_row(&row));
+        assert_ne!(hash_cols(&row, &[0, 2]), hash_cols(&row, &[2, 0]), "position-sensitive");
     }
 
     #[test]
@@ -364,6 +350,21 @@ mod tests {
         let mut boolean = Relation::empty(vec![]);
         boolean.push_row(&[]);
         assert_eq!(boolean.retain_rows(|_| false), 1, "boolean rows are never filtered");
+        assert_eq!(boolean.len(), 1);
+    }
+
+    #[test]
+    fn flush_from_moves_the_buffer_and_empties_it() {
+        let mut r = rel(vec![0, 1], &[&[1, 2]]);
+        let mut flat = vec![id(3), id(4), id(5), id(6)];
+        r.flush_from(&mut flat);
+        assert!(flat.is_empty(), "the buffer is ready for the next batch");
+        assert_eq!(r.to_rows(), vec![vec![id(1), id(2)], vec![id(3), id(4)], vec![id(5), id(6)]]);
+        // Zero-width kernels push presence markers and never fill the
+        // buffer: flushing it must leave their row count alone.
+        let mut boolean = Relation::empty(vec![]);
+        boolean.push_row(&[]);
+        boolean.flush_from(&mut flat);
         assert_eq!(boolean.len(), 1);
     }
 

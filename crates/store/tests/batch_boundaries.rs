@@ -1,0 +1,288 @@
+//! Batch-boundary differential matrix. Every kernel works in
+//! [`BATCH_ROWS`]-row batches, so this fixture feeds each of them — scan,
+//! probe, head projection, union merge, fragment join — inputs of more
+//! than two batches that are not a whole number of batches. The answers
+//! are held to a naive evaluator written over plain maps, and the
+//! engine's independent configurations must all agree with it: member
+//! bodies as index-nested-loop probes or as hash joins of scanned
+//! extents, fragment joins by hash, sort-merge or block-nested-loop,
+//! every engine profile, SIP filters on and off, 1/2/8 worker threads
+//! (with identical counters across thread counts).
+
+use std::collections::{BTreeSet, HashMap};
+
+use jucq_model::term::TermKind;
+use jucq_model::{TermId, TripleId};
+use jucq_store::exec::BATCH_ROWS;
+use jucq_store::{
+    EngineError, EngineProfile, JoinAlgo, PatternTerm, Relation, Store, StoreCq, StoreJucq,
+    StorePattern, StoreUcq, VarId,
+};
+
+fn id(i: u32) -> TermId {
+    TermId::new(TermKind::Uri, i)
+}
+
+fn c(i: u32) -> PatternTerm {
+    PatternTerm::Const(id(i))
+}
+
+fn v(i: VarId) -> PatternTerm {
+    PatternTerm::Var(i)
+}
+
+/// `(s, p, o)` triples: two overlapping chains (p10, p12) whose two-hop
+/// paths form the first fragment, and three attribute predicates the
+/// other fragments read — p11 and p13 of more than two batches, p15 of
+/// forty rows (the block-nested-loop join's inner side).
+fn sample_data() -> Vec<(u32, u32, u32)> {
+    let mut data = Vec::new();
+    for i in 0..2500 {
+        data.push((i, 10, i + 1));
+    }
+    for i in 0..2480 {
+        // Even `i` repeats the p10 edge, odd `i` skips one node: half of
+        // the second union member's rows duplicate the first member's.
+        data.push((i, 12, i + 1 + i % 2));
+    }
+    for i in 400..3100 {
+        data.push((i, 11, 9000 + i % 5));
+    }
+    for i in 0..2200 {
+        data.push((i, 13, 8000 + i % 3));
+    }
+    // p11's five objects: four have a p15 edge, 36 other subjects do too.
+    for k in (0..4).chain(100..136) {
+        data.push((9000 + k, 15, 6000 + k));
+    }
+    data
+}
+
+fn triples(data: &[(u32, u32, u32)]) -> Vec<TripleId> {
+    data.iter().map(|&(s, p, o)| TripleId::new(id(s), id(p), id(o))).collect()
+}
+
+/// Two-hop paths `?0 → ?1 → ?2` whose first hop is p10 or p12, each
+/// member's body extended by `tail`, projected onto `head`.
+fn paths(tail: &[StorePattern], head: Vec<VarId>) -> StoreUcq {
+    let member = |first: u32| {
+        let mut body =
+            vec![StorePattern::new(v(0), c(first), v(1)), StorePattern::new(v(1), c(10), v(2))];
+        body.extend_from_slice(tail);
+        StoreCq::with_var_head(body, head.clone())
+    };
+    StoreUcq::new(vec![member(10), member(12)], head.clone())
+}
+
+fn attribute(subject: VarId, predicate: u32, object: VarId) -> StoreUcq {
+    let head = vec![subject, object];
+    StoreUcq::new(
+        vec![StoreCq::with_var_head(
+            vec![StorePattern::new(v(subject), c(predicate), v(object))],
+            head.clone(),
+        )],
+        head,
+    )
+}
+
+/// `paths ⋈ p11(?2) ⋈ p13(?0)`: every fragment-join input exceeds two
+/// batches, and SIP filters sit on both join steps.
+fn wide_query() -> StoreJucq {
+    let fragments = vec![paths(&[], vec![0, 2]), attribute(2, 11, 3), attribute(0, 13, 4)];
+    StoreJucq::new(fragments, vec![0, 2, 3, 4])
+}
+
+/// `(paths . p11(?2)) ⋈ p15(?3)`: a multi-batch outer side against forty
+/// inner rows, four of which each match hundreds of outer rows — the
+/// quadratic join emits more than two batches yet stays cheap in a
+/// debug build.
+fn narrow_query() -> StoreJucq {
+    let outer = paths(&[StorePattern::new(v(2), c(11), v(3))], vec![0, 3]);
+    StoreJucq::new(vec![outer, attribute(3, 15, 5)], vec![0, 3, 5])
+}
+
+/// The queries' answers by definition, over plain maps: no engine code.
+fn expected(data: &[(u32, u32, u32)], wide: bool) -> Vec<Vec<TermId>> {
+    let mut by_sp: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+    for &(s, p, o) in data {
+        by_sp.entry((s, p)).or_default().push(o);
+    }
+    let objects = |s: u32, p: u32| by_sp.get(&(s, p)).map_or(&[][..], Vec::as_slice);
+    let mut rows = BTreeSet::new();
+    for &(x, p, y) in data {
+        if p != 10 && p != 12 {
+            continue;
+        }
+        for &z in objects(y, 10) {
+            for &w in objects(z, 11) {
+                if wide {
+                    for &u in objects(x, 13) {
+                        rows.insert(vec![id(x), id(z), id(w), id(u)]);
+                    }
+                } else {
+                    for &r in objects(w, 15) {
+                        rows.insert(vec![id(x), id(w), id(r)]);
+                    }
+                }
+            }
+        }
+    }
+    rows.into_iter().collect()
+}
+
+fn sorted_rows(r: &Relation) -> Vec<Vec<TermId>> {
+    let mut rows: Vec<Vec<TermId>> = r.rows().map(|row| row.to_vec()).collect();
+    rows.sort();
+    rows
+}
+
+/// More than two batches, and a partial last batch.
+fn crosses_batches(n: usize) -> bool {
+    n > 2 * BATCH_ROWS && !n.is_multiple_of(BATCH_ROWS)
+}
+
+#[test]
+fn fixture_inputs_cross_batch_boundaries() {
+    let data = sample_data();
+    let extent = |p: u32| data.iter().filter(|t| t.1 == p).count();
+    // Scans, and the probe / member-hash-join inputs they feed.
+    for p in [10, 11, 12, 13] {
+        assert!(crosses_batches(extent(p)), "p{p} extent: {}", extent(p));
+    }
+    // Projection and union-merge inputs (each member's result), then
+    // the fragment-join inputs and outputs of both queries.
+    let store = Store::from_triples(&triples(&data), EngineProfile::pg_like());
+    for q in [wide_query(), narrow_query()] {
+        for m in &q.fragments[0].cqs {
+            let rows = store.eval_cq(m).unwrap().relation.len();
+            assert!(crosses_batches(rows), "member result: {rows}");
+        }
+        let outer = store.eval_ucq(&q.fragments[0]).unwrap().relation.len();
+        assert!(crosses_batches(outer), "first fragment: {outer}");
+    }
+    for wide in [true, false] {
+        let answers = expected(&data, wide).len();
+        assert!(crosses_batches(answers), "wide={wide} answers: {answers}");
+    }
+}
+
+/// Both queries with their naive answers. The wide one is for the
+/// (near-)linear fragment joins only; `runs` says whether a join
+/// algorithm takes a query.
+fn cases() -> Vec<(&'static str, StoreJucq, Vec<Vec<TermId>>)> {
+    let data = sample_data();
+    vec![
+        ("wide", wide_query(), expected(&data, true)),
+        ("narrow", narrow_query(), expected(&data, false)),
+    ]
+}
+
+fn runs(qname: &str, join: JoinAlgo) -> bool {
+    !(qname == "wide" && join == JoinAlgo::BlockNestedLoop)
+}
+
+/// The engine's independent implementations, one at a time and
+/// sequentially: member bodies by index probes or by hash joins of
+/// scanned extents, fragment joins by each algorithm.
+#[test]
+fn independent_implementations_return_the_naive_answer() {
+    let triples = triples(&sample_data());
+    for (qname, q, expect) in cases() {
+        for inlj in [true, false] {
+            for join in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop] {
+                if !runs(qname, join) {
+                    continue;
+                }
+                let mut profile = EngineProfile::pg_like()
+                    .with_fragment_join(join)
+                    .with_sip_filters(false)
+                    .with_parallelism(1);
+                profile.index_nested_loop_cq = inlj;
+                let out = Store::from_triples(&triples, profile).eval_jucq(&q).unwrap();
+                assert_eq!(sorted_rows(&out.relation), expect, "{qname} inlj={inlj} {join:?}");
+            }
+        }
+    }
+}
+
+/// Every engine profile × SIP on/off × 1/2/8 threads returns the naive
+/// answer, with counters that do not depend on the thread count.
+#[test]
+fn profile_sip_thread_matrix_returns_the_naive_answer() {
+    let triples = triples(&sample_data());
+    let bases: [fn() -> EngineProfile; 4] = [
+        EngineProfile::pg_like,
+        EngineProfile::db2_like,
+        EngineProfile::mysql_like,
+        EngineProfile::native_like,
+    ];
+    for (qname, q, expect) in cases() {
+        for base in bases {
+            if !runs(qname, base().fragment_join) {
+                continue;
+            }
+            for sip in [true, false] {
+                let mut sequential = None;
+                for threads in [1usize, 2, 8] {
+                    let profile = base().with_sip_filters(sip).with_parallelism(threads);
+                    let label = format!("{qname} {} sip={sip} threads={threads}", profile.name);
+                    let out = Store::from_triples(&triples, profile)
+                        .eval_jucq(&q)
+                        .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+                    assert_eq!(sorted_rows(&out.relation), expect, "{label}");
+                    let reference = *sequential.get_or_insert(out.counters);
+                    assert_eq!(out.counters, reference, "{label}: counters depend on threads");
+                }
+            }
+        }
+    }
+}
+
+/// SIP filters only ever drop rows the join would discard anyway, and
+/// on this fixture they provably drop some: probe/drop counters are
+/// live when the knob is on and zero when it is off.
+#[test]
+fn sip_filters_drop_tuples_without_changing_answers() {
+    let triples = triples(&sample_data());
+    let q = wide_query();
+    let on = Store::from_triples(&triples, EngineProfile::pg_like()).eval_jucq(&q).unwrap();
+    let off = Store::from_triples(&triples, EngineProfile::pg_like().with_sip_filters(false))
+        .eval_jucq(&q)
+        .unwrap();
+    assert_eq!(sorted_rows(&on.relation), sorted_rows(&off.relation));
+    assert!(on.counters.sip_probes > 0, "filters ran: {:?}", on.counters);
+    assert!(on.counters.sip_drops > 0, "fixture is selective: {:?}", on.counters);
+    assert!(on.counters.sip_drops <= on.counters.sip_probes);
+    assert_eq!(off.counters.sip_probes, 0, "knob off probes nothing");
+    assert_eq!(off.counters.sip_drops, 0);
+    // The filters shrink the join inputs, which the join counter sees.
+    assert!(
+        on.counters.tuples_joined <= off.counters.tuples_joined,
+        "SIP must not inflate join work: on={:?} off={:?}",
+        on.counters,
+        off.counters
+    );
+}
+
+/// A budget that the first batch of every scan fits in and the second
+/// does not: the breach is found by a per-batch check in the middle of
+/// an operator, and still aborts the whole query with the originating
+/// error, sequentially and across workers.
+#[test]
+fn budget_breach_inside_the_second_batch_aborts_the_query() {
+    let triples = triples(&sample_data());
+    let q = wide_query();
+    let budget = BATCH_ROWS + BATCH_ROWS / 2;
+    for threads in [1usize, 4] {
+        let profile = EngineProfile::pg_like().with_parallelism(threads).with_memory_budget(budget);
+        let err = Store::from_triples(&triples, profile)
+            .eval_jucq(&q)
+            .expect_err("no scan of this query fits in one and a half batches");
+        match err {
+            EngineError::MemoryBudgetExceeded { tuples, .. } => {
+                assert_eq!(tuples, 2 * BATCH_ROWS, "threads={threads}: found at the second batch")
+            }
+            other => panic!("threads={threads}: expected a budget breach, got {other:?}"),
+        }
+    }
+}

@@ -103,9 +103,9 @@ proptest! {
             r.to_rows()
         };
         let mut ctx = ExecContext::new(&profile);
-        let h = sorted(join::hash_join(&left, &right, &mut ctx).unwrap());
+        let h = sorted(join::hash_join(&left, &right, join::JoinOpts::default(), &mut ctx).unwrap());
         let mut ctx = ExecContext::new(&profile);
-        let m = sorted(join::sort_merge_join(&left, &right, &mut ctx).unwrap());
+        let m = sorted(join::sort_merge_join(&left, &right, join::JoinOpts::default(), &mut ctx).unwrap());
         let mut ctx = ExecContext::new(&profile);
         let b = sorted(join::block_nested_loop_join(&left, &right, &mut ctx).unwrap());
         prop_assert_eq!(&h, &m);

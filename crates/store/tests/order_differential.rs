@@ -1,8 +1,8 @@
 //! Order-aware-execution differential matrix: sort elision, galloping
 //! seeks and zero-copy scan borrows must be pure performance features.
 //! Across order-awareness on/off, both fragment-join algorithms, every
-//! engine profile, 1/8 worker threads, and batch on/off, the answer
-//! multiset is identical; with the knob off every ordering counter is
+//! engine profile and 1/8 worker threads, the answer multiset is
+//! identical; with the knob off every ordering counter is
 //! zero (the baseline leg of the `order_merge` bench really is a
 //! pre-ordering engine), and on the right fixture the knob-on counters
 //! are provably live.
@@ -96,17 +96,13 @@ fn sorted_rows(r: &Relation) -> Vec<Vec<TermId>> {
     rows
 }
 
-/// Every (order, join, profile, threads, batch) cell answers
-/// identically, and the knob-off cells report zero ordering counters.
+/// Every (order, join, profile, threads) cell answers identically, and the knob-off cells report zero ordering counters.
 #[test]
 fn order_aware_matrix_is_differentially_identical() {
     let data = sample_triples();
     for (qname, q) in [("chain", chain_query()), ("skewed", skewed_query())] {
         let baseline = {
-            let profile = EngineProfile::pg_like()
-                .with_order_aware(false)
-                .with_batch_size(0)
-                .with_parallelism(1);
+            let profile = EngineProfile::pg_like().with_order_aware(false).with_parallelism(1);
             let store = Store::from_triples(&data, profile);
             sorted_rows(&store.eval_jucq(&q).unwrap().relation)
         };
@@ -122,36 +118,32 @@ fn order_aware_matrix_is_differentially_identical() {
             for join in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
                 for order in [true, false] {
                     for threads in [1usize, 8] {
-                        for batch in [0usize, 1024] {
-                            let profile = base()
-                                .with_fragment_join(join)
-                                .with_order_aware(order)
-                                .with_parallelism(threads)
-                                .with_batch_size(batch);
-                            let label = format!(
-                                "{qname} {} join={join:?} order={order} threads={threads} \
-                                 batch={batch}",
-                                profile.name
+                        let profile = base()
+                            .with_fragment_join(join)
+                            .with_order_aware(order)
+                            .with_parallelism(threads);
+                        let label = format!(
+                            "{qname} {} join={join:?} order={order} threads={threads}",
+                            profile.name
+                        );
+                        let store = Store::from_triples(&data, profile);
+                        let out = store
+                            .eval_jucq(&q)
+                            .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+                        assert_eq!(sorted_rows(&out.relation), baseline, "{label}");
+                        if !order {
+                            assert_eq!(
+                                out.counters.sorts_elided, 0,
+                                "{label}: knob off must not elide"
                             );
-                            let store = Store::from_triples(&data, profile);
-                            let out = store
-                                .eval_jucq(&q)
-                                .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                            assert_eq!(sorted_rows(&out.relation), baseline, "{label}");
-                            if !order {
-                                assert_eq!(
-                                    out.counters.sorts_elided, 0,
-                                    "{label}: knob off must not elide"
-                                );
-                                assert_eq!(
-                                    out.counters.gallop_seeks, 0,
-                                    "{label}: knob off must not gallop"
-                                );
-                                assert_eq!(
-                                    out.counters.scan_rows_borrowed, 0,
-                                    "{label}: knob off must not borrow"
-                                );
-                            }
+                            assert_eq!(
+                                out.counters.gallop_seeks, 0,
+                                "{label}: knob off must not gallop"
+                            );
+                            assert_eq!(
+                                out.counters.scan_rows_borrowed, 0,
+                                "{label}: knob off must not borrow"
+                            );
                         }
                     }
                 }
