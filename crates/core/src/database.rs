@@ -794,9 +794,11 @@ impl RdfDatabase {
         self.graph.dict_mut().encode(term)
     }
 
-    /// Decode an answer relation's rows to terms, for display.
+    /// Decode an answer relation's rows to owned terms
+    /// ([`crate::rows::decode_rows`]; [`crate::rows::term_rows`] over
+    /// `self.graph().dict()` borrows them instead).
     pub fn decode_rows(&self, rows: &Relation) -> Vec<Vec<Term>> {
-        rows.rows().map(|r| r.iter().map(|&id| self.graph.dict().decode(id)).collect()).collect()
+        crate::rows::decode_rows(self.graph.dict(), rows)
     }
 
     /// Plan `q` under `strategy`: choose (or look up) a cover, build the

@@ -19,6 +19,16 @@
 //! ).unwrap();
 //! let report = db.answer(&q, &Strategy::gcov_default()).unwrap();
 //! assert_eq!(report.rows.len(), 1); // doi1, via the domain constraint
+//!
+//! // The answer holds ids. Owned terms share the dictionary's lexemes
+//! // (`Term` wraps `Arc<str>`); borrowed ones print without allocating.
+//! let owned = db.decode_rows(&report.rows);
+//! let borrowed: Vec<String> = jucq_core::rows::term_rows(db.graph().dict(), &report.rows)
+//!     .flatten()
+//!     .map(|term| term.to_string())
+//!     .collect();
+//! assert_eq!(borrowed, [owned[0][0].to_string()]);
+//! assert_eq!(borrowed, ["<http://example.org/doi1>"]);
 //! ```
 //!
 //! Modules:
@@ -28,6 +38,8 @@
 //!   paper's Section 5: saturation, UCQ, SCQ, ECov/GCov JUCQs, fixed
 //!   covers;
 //! * [`parser`] — a SPARQL-BGP subset parser (`SELECT … WHERE { … }`);
+//! * [`rows`] — the answer edge: an answer's ids read as borrowed or
+//!   owned terms;
 //! * [`telemetry`] — the workload telemetry pipeline: query-log record
 //!   construction and the `jucq replay` regression harness;
 //! * [`turtle`] — a Turtle-subset loader for examples and tests.
@@ -38,6 +50,7 @@ pub mod advisor;
 pub mod database;
 pub mod parser;
 pub mod plan_cache;
+pub mod rows;
 pub mod serving;
 pub mod snapshot;
 pub mod strategy;

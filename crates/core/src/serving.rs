@@ -148,9 +148,15 @@ impl Snapshot {
         p
     }
 
-    /// Decode an answer relation against this epoch's dictionary.
+    /// This epoch's dictionary: the one its answers' ids decode against.
+    pub fn dict(&self) -> &Dictionary {
+        &self.dict
+    }
+
+    /// Decode an answer relation against this epoch's dictionary to
+    /// owned terms ([`crate::rows::decode_rows`]).
     pub fn decode_rows(&self, rows: &Relation) -> Vec<Vec<Term>> {
-        rows.rows().map(|r| r.iter().map(|&id| self.dict.decode(id)).collect()).collect()
+        crate::rows::decode_rows(&self.dict, rows)
     }
 
     /// The shared plan cache's counters, if caching is enabled.

@@ -128,10 +128,10 @@ fn get_u64(buf: &mut &[u8], what: &'static str) -> Result<u64, SnapshotError> {
     Ok(get_slice(buf, 8, what)?.get_u64_le())
 }
 
-fn get_str(buf: &mut &[u8], what: &'static str) -> Result<String, SnapshotError> {
+fn get_str<'a>(buf: &mut &'a [u8], what: &'static str) -> Result<&'a str, SnapshotError> {
     let len = get_u32(buf, what)? as usize;
     let bytes = get_slice(buf, len, what)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::BadString)
+    std::str::from_utf8(bytes).map_err(|_| SnapshotError::BadString)
 }
 
 /// Deserialize a snapshot back into a graph.
@@ -151,12 +151,7 @@ pub fn load(data: &[u8]) -> Result<Graph, SnapshotError> {
         let count = get_u32(&mut buf, "dictionary count")? as usize;
         for i in 0..count {
             let lex = get_str(&mut buf, "dictionary entry")?;
-            let term = match kind {
-                TermKind::Uri => Term::Uri(lex),
-                TermKind::Literal => Term::Literal(lex),
-                TermKind::Blank => Term::Blank(lex),
-            };
-            let id = dict.encode(&term);
+            let id = dict.encode(&Term::new(kind, lex.into()));
             debug_assert_eq!(id.index() as usize, i, "dense id assignment");
         }
     }
@@ -223,6 +218,16 @@ mod tests {
         assert_eq!(g.schema(), g2.schema());
         assert_eq!(g.data(), g2.data(), "dense ids are reproduced exactly");
         assert_eq!(g.dict().len(), g2.dict().len());
+        // The dictionaries are equal, by code and by value.
+        for kind in [TermKind::Uri, TermKind::Literal, TermKind::Blank] {
+            assert_eq!(g.dict().kind_len(kind), g2.dict().kind_len(kind));
+            for index in 0..g.dict().kind_len(kind) {
+                let id = TermId::new(kind, index as u32);
+                let term = g.dict().decode(id);
+                assert_eq!(g2.dict().decode(id), term);
+                assert_eq!(g2.dict().lookup(&term), Some(id));
+            }
+        }
         // Decoded views agree.
         for (a, b) in g.data().iter().zip(g2.data()) {
             assert_eq!(g.decode(a), g2.decode(b));

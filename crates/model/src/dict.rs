@@ -5,22 +5,55 @@
 //! value (URIs and literals). The dictionary is stored as a separate
 //! table, indexed both by the code and by the encoded value."
 
+use std::sync::Arc;
+
 use crate::hash::FxHashMap;
-use crate::term::{Term, TermKind};
+use crate::term::{Term, TermKind, TermRef};
 use crate::triple::TermId;
+
+/// The lexemes of one term kind, indexed both ways. Each lexeme is one
+/// allocation: `by_id[i]` and the key of `ids` that maps to `i` are
+/// handles to the same `str`.
+#[derive(Debug, Default, Clone)]
+struct Lexemes {
+    by_id: Vec<Arc<str>>,
+    ids: FxHashMap<Arc<str>, u32>,
+}
+
+impl Lexemes {
+    /// The index of `lexeme`, interning it through `handle` if it is new.
+    fn intern(&mut self, lexeme: &str, handle: impl FnOnce() -> Arc<str>) -> u32 {
+        if let Some(&index) = self.ids.get(lexeme) {
+            return index;
+        }
+        let index = self.by_id.len() as u32;
+        let handle = handle();
+        self.by_id.push(Arc::clone(&handle));
+        self.ids.insert(handle, index);
+        index
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.by_id.reserve(additional);
+        self.ids.reserve(additional);
+    }
+}
 
 /// Interns terms and hands out dense per-kind [`TermId`]s.
 ///
 /// Encoding is append-only; ids are stable for the lifetime of the
-/// dictionary. Lookup by value uses a hash index; lookup by id is a
-/// direct vector access (the "indexed both by the code and by the
-/// encoded value" of the paper).
+/// dictionary. Lookup by value uses a per-kind hash index keyed by the
+/// lexeme, so it hashes a borrowed `str`; lookup by id is a direct
+/// vector access (the "indexed both by the code and by the encoded
+/// value" of the paper). Terms going in and coming out share the stored
+/// lexeme: [`Dictionary::encode`] keeps a handle to the term's own
+/// allocation, [`Dictionary::decode`] hands one out, and cloning the
+/// dictionary copies handles, not strings.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    by_value: FxHashMap<Term, TermId>,
-    uris: Vec<String>,
-    literals: Vec<String>,
-    blanks: Vec<String>,
+    uris: Lexemes,
+    literals: Lexemes,
+    blanks: Lexemes,
 }
 
 impl Dictionary {
@@ -37,106 +70,106 @@ impl Dictionary {
         d
     }
 
-    /// Reserve room for `additional` further distinct terms. The value
-    /// index reserves in full; the per-kind lexeme stores split the hint
-    /// evenly, which is close enough for amortization.
+    /// Reserve room for `additional` further distinct terms. The kinds
+    /// split the hint evenly, which is close enough for amortization.
     pub fn reserve(&mut self, additional: usize) {
-        self.by_value.reserve(additional);
         let per_kind = additional / 3 + 1;
         self.uris.reserve(per_kind);
         self.literals.reserve(per_kind);
         self.blanks.reserve(per_kind);
     }
 
-    /// Intern `term`, returning its (possibly pre-existing) id.
-    ///
-    /// Single hash lookup per call: the entry API probes once and fills
-    /// the vacancy in place on a miss (the old `get`-then-`insert` pair
-    /// hashed every missed term twice — measurable on bulk loads).
-    pub fn encode(&mut self, term: &Term) -> TermId {
-        use std::collections::hash_map::Entry;
-        match self.by_value.entry(term.clone()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let store = match term.kind() {
-                    TermKind::Uri => &mut self.uris,
-                    TermKind::Literal => &mut self.literals,
-                    TermKind::Blank => &mut self.blanks,
-                };
-                let id = TermId::new(term.kind(), store.len() as u32);
-                store.push(term.lexical().to_owned());
-                *e.insert(id)
-            }
+    fn lexemes(&self, kind: TermKind) -> &Lexemes {
+        match kind {
+            TermKind::Uri => &self.uris,
+            TermKind::Literal => &self.literals,
+            TermKind::Blank => &self.blanks,
         }
+    }
+
+    fn lexemes_mut(&mut self, kind: TermKind) -> &mut Lexemes {
+        match kind {
+            TermKind::Uri => &mut self.uris,
+            TermKind::Literal => &mut self.literals,
+            TermKind::Blank => &mut self.blanks,
+        }
+    }
+
+    fn intern(&mut self, kind: TermKind, lexeme: &str) -> TermId {
+        TermId::new(kind, self.lexemes_mut(kind).intern(lexeme, || Arc::from(lexeme)))
+    }
+
+    /// Intern `term`, returning its (possibly pre-existing) id. A new
+    /// term's lexeme is shared with `term`, not copied.
+    pub fn encode(&mut self, term: &Term) -> TermId {
+        let (kind, lexeme) = (term.kind(), term.lexeme());
+        TermId::new(kind, self.lexemes_mut(kind).intern(lexeme, || Arc::clone(lexeme)))
     }
 
     /// Shorthand: intern a URI by its string form.
     pub fn encode_uri(&mut self, uri: &str) -> TermId {
-        self.encode(&Term::uri(uri))
+        self.intern(TermKind::Uri, uri)
     }
 
     /// Shorthand: intern a literal by its lexical form.
     pub fn encode_literal(&mut self, lex: &str) -> TermId {
-        self.encode(&Term::literal(lex))
+        self.intern(TermKind::Literal, lex)
     }
 
     /// Shorthand: intern a blank node by its label.
     pub fn encode_blank(&mut self, label: &str) -> TermId {
-        self.encode(&Term::blank(label))
+        self.intern(TermKind::Blank, label)
+    }
+
+    fn find(&self, kind: TermKind, lexeme: &str) -> Option<TermId> {
+        self.lexemes(kind).ids.get(lexeme).map(|&index| TermId::new(kind, index))
     }
 
     /// Look up an already-interned term without interning it.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.by_value.get(term).copied()
+        self.find(term.kind(), term.lexical())
     }
 
     /// Look up an already-interned URI by its string form.
     pub fn lookup_uri(&self, uri: &str) -> Option<TermId> {
-        // Avoid the owned-Term allocation on the happy path is not
-        // possible with a HashMap<Term, _> key; this is a cold path
-        // (query translation), so the allocation is acceptable.
-        self.by_value.get(&Term::Uri(uri.to_owned())).copied()
+        self.find(TermKind::Uri, uri)
     }
 
-    /// Decode an id back to its term.
+    /// Decode an id back to its term: a handle to the stored lexeme.
     ///
     /// # Panics
     /// Panics if the id was not produced by this dictionary.
     pub fn decode(&self, id: TermId) -> Term {
-        let idx = id.index() as usize;
-        match id.kind() {
-            TermKind::Uri => Term::Uri(self.uris[idx].clone()),
-            TermKind::Literal => Term::Literal(self.literals[idx].clone()),
-            TermKind::Blank => Term::Blank(self.blanks[idx].clone()),
-        }
+        let kind = id.kind();
+        Term::new(kind, Arc::clone(&self.lexemes(kind).by_id[id.index() as usize]))
     }
 
-    /// Decode an id to its lexical form without cloning the kind wrapper.
+    /// Decode an id to its lexical form, borrowed.
     ///
     /// # Panics
     /// Panics if the id was not produced by this dictionary.
     pub fn lexical(&self, id: TermId) -> &str {
-        let idx = id.index() as usize;
-        match id.kind() {
-            TermKind::Uri => &self.uris[idx],
-            TermKind::Literal => &self.literals[idx],
-            TermKind::Blank => &self.blanks[idx],
-        }
+        &self.lexemes(id.kind()).by_id[id.index() as usize]
+    }
+
+    /// Decode an id to a borrowed term, which `Display`s as the decoded
+    /// [`Term`] would.
+    ///
+    /// # Panics
+    /// Panics if the id was not produced by this dictionary.
+    pub fn term_ref(&self, id: TermId) -> TermRef<'_> {
+        TermRef { kind: id.kind(), lexical: self.lexical(id) }
     }
 
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
-        self.uris.len() + self.literals.len() + self.blanks.len()
+        self.uris.by_id.len() + self.literals.by_id.len() + self.blanks.by_id.len()
     }
 
     /// Number of interned terms of one kind (ids of that kind are the
     /// dense range `0..kind_len`).
     pub fn kind_len(&self, kind: TermKind) -> usize {
-        match kind {
-            TermKind::Uri => self.uris.len(),
-            TermKind::Literal => self.literals.len(),
-            TermKind::Blank => self.blanks.len(),
-        }
+        self.lexemes(kind).by_id.len()
     }
 
     /// True iff `id` was produced by this dictionary.
@@ -158,33 +191,31 @@ impl Dictionary {
     /// # Panics
     /// Panics if `new_of_old` is not a permutation of `0..uri_count`.
     pub fn apply_uri_permutation(&mut self, new_of_old: &[u32]) {
-        assert_eq!(new_of_old.len(), self.uris.len(), "permutation must cover every URI");
-        let mut new_uris: Vec<Option<String>> = vec![None; self.uris.len()];
-        for (old, s) in std::mem::take(&mut self.uris).into_iter().enumerate() {
+        let uris = &mut self.uris;
+        assert_eq!(new_of_old.len(), uris.by_id.len(), "permutation must cover every URI");
+        let mut new_uris: Vec<Option<Arc<str>>> = vec![None; uris.by_id.len()];
+        for (old, s) in std::mem::take(&mut uris.by_id).into_iter().enumerate() {
             let slot = &mut new_uris[new_of_old[old] as usize];
             assert!(slot.is_none(), "duplicate target index {}", new_of_old[old]);
             *slot = Some(s);
         }
-        self.uris = new_uris.into_iter().map(|s| s.expect("bijection")).collect();
-        for (term, id) in self.by_value.iter_mut() {
-            if term.kind() == TermKind::Uri {
-                *id = TermId::new(TermKind::Uri, new_of_old[id.index() as usize]);
-            }
+        uris.by_id = new_uris.into_iter().map(|s| s.expect("bijection")).collect();
+        for index in uris.ids.values_mut() {
+            *index = new_of_old[*index as usize];
         }
     }
 
     /// Mint a fresh blank node that is guaranteed not to collide with
     /// any parsed label (used by saturation for existential values).
     pub fn fresh_blank(&mut self) -> TermId {
-        let mut n = self.blanks.len();
+        let mut n = self.blanks.by_id.len();
         loop {
             let label = format!("jucq-fresh-{n}");
-            let term = Term::Blank(label);
-            if self.by_value.contains_key(&term) {
+            if self.blanks.ids.contains_key(label.as_str()) {
                 n += 1;
                 continue;
             }
-            return self.encode(&term);
+            return self.encode_blank(&label);
         }
     }
 }
@@ -221,6 +252,29 @@ mod tests {
             assert_eq!(d.decode(id), t);
             assert_eq!(d.lexical(id), t.lexical());
         }
+    }
+
+    #[test]
+    fn every_lexeme_is_one_allocation() {
+        let mut d = Dictionary::new();
+        let term = Term::literal("shared");
+        let id = d.encode(&term);
+        let (Term::Literal(given), Term::Literal(first), Term::Literal(second)) =
+            (&term, d.decode(id), d.decode(id))
+        else {
+            panic!("a literal id decodes to a literal");
+        };
+        let (key, _) = d.literals.ids.get_key_value("shared").unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "two decodes of one id");
+        assert!(Arc::ptr_eq(&first, key), "decode and the index key");
+        assert!(Arc::ptr_eq(&first, given), "decode and the term that was encoded");
+        // A clone (what every serving epoch publishes) copies handles.
+        let Term::Literal(from_clone) = d.clone().decode(id) else { unreachable!() };
+        assert!(Arc::ptr_eq(&first, &from_clone));
+        // A lexeme interned from a `&str` is shared the same way.
+        let uri = d.encode_uri("u");
+        let (key, _) = d.uris.ids.get_key_value("u").unwrap();
+        assert!(matches!(d.decode(uri), Term::Uri(s) if Arc::ptr_eq(&s, key)));
     }
 
     #[test]
@@ -284,6 +338,13 @@ mod tests {
         assert_eq!(d.decode(TermId::new(TermKind::Uri, 2)), Term::uri("a"));
         assert_eq!(d.lexical(TermId::new(TermKind::Uri, 0)), "b");
         let _ = (a, b, c);
+        // So does a clone taken afterwards, which still shares lexemes.
+        let copy = d.clone();
+        assert_eq!(copy.lookup_uri("a"), Some(TermId::new(TermKind::Uri, 2)));
+        assert_eq!(copy.lookup(&Term::uri("c")), Some(TermId::new(TermKind::Uri, 1)));
+        assert_eq!(copy.lookup(&Term::literal("lit")), Some(l));
+        assert_eq!(copy.lookup(&Term::literal("a")), None, "kinds keep separate indexes");
+        assert!(std::ptr::eq(copy.lexical(l), d.lexical(l)));
     }
 
     #[test]

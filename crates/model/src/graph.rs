@@ -51,7 +51,7 @@ impl Graph {
             if vocab::is_schema_property(p) {
                 let su = self.dict.encode(&triple.s);
                 let ob = self.dict.encode(&triple.o);
-                return self.insert_schema_constraint(p.clone().as_str(), su, ob);
+                return self.insert_schema_constraint(p, su, ob);
             }
         }
         let s = self.dict.encode(&triple.s);

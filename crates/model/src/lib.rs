@@ -36,6 +36,6 @@ pub use encoding::{HierarchyEncoding, IdRange};
 pub use graph::Graph;
 pub use hash::{FxHashMap, FxHashSet};
 pub use schema::{Schema, SchemaClosure};
-pub use term::{Term, TermKind};
+pub use term::{Term, TermKind, TermRef};
 pub use triple::TermId;
 pub use triple::{Triple, TripleId};

@@ -1,6 +1,7 @@
 //! RDF terms: URIs, literals and blank nodes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,33 +19,48 @@ pub enum TermKind {
     Blank,
 }
 
-/// An RDF term (value). Owned, human-readable representation; the engine
+/// An RDF term (value). Human-readable representation; the engine
 /// works on dictionary-encoded [`crate::TermId`]s instead.
+///
+/// The lexeme is a shared handle: cloning a term, interning it and
+/// decoding it again (see [`crate::Dictionary`]) bump a reference count
+/// and copy no bytes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Term {
     /// A URI reference.
-    Uri(String),
+    Uri(Arc<str>),
     /// A literal constant (the lexical form; we do not distinguish
     /// datatypes, which play no role in the DB fragment).
-    Literal(String),
+    Literal(Arc<str>),
     /// A blank node with a graph-local label.
-    Blank(String),
+    Blank(Arc<str>),
 }
 
 impl Term {
-    /// Convenience constructor for URIs.
-    pub fn uri(s: impl Into<String>) -> Self {
-        Term::Uri(s.into())
+    /// Convenience constructor for URIs. Like its siblings it copies the
+    /// string once, into the shared lexeme; wrap an existing `Arc<str>`
+    /// with the variant or [`Term::new`] instead.
+    pub fn uri(s: impl AsRef<str>) -> Self {
+        Term::Uri(s.as_ref().into())
     }
 
     /// Convenience constructor for literals.
-    pub fn literal(s: impl Into<String>) -> Self {
-        Term::Literal(s.into())
+    pub fn literal(s: impl AsRef<str>) -> Self {
+        Term::Literal(s.as_ref().into())
     }
 
     /// Convenience constructor for blank nodes.
-    pub fn blank(s: impl Into<String>) -> Self {
-        Term::Blank(s.into())
+    pub fn blank(s: impl AsRef<str>) -> Self {
+        Term::Blank(s.as_ref().into())
+    }
+
+    /// A term of `kind` over an existing lexeme handle.
+    pub fn new(kind: TermKind, lexeme: Arc<str>) -> Self {
+        match kind {
+            TermKind::Uri => Term::Uri(lexeme),
+            TermKind::Literal => Term::Literal(lexeme),
+            TermKind::Blank => Term::Blank(lexeme),
+        }
     }
 
     /// The syntactic category of this term.
@@ -58,9 +74,19 @@ impl Term {
 
     /// The lexical form, without any kind decoration.
     pub fn lexical(&self) -> &str {
+        self.lexeme()
+    }
+
+    /// The shared handle behind [`Term::lexical`].
+    pub(crate) fn lexeme(&self) -> &Arc<str> {
         match self {
             Term::Uri(s) | Term::Literal(s) | Term::Blank(s) => s,
         }
+    }
+
+    /// This term, borrowed.
+    pub fn as_term_ref(&self) -> TermRef<'_> {
+        TermRef { kind: self.kind(), lexical: self.lexeme() }
     }
 
     /// True iff the term is a URI.
@@ -80,20 +106,97 @@ impl Term {
 }
 
 impl fmt::Display for Term {
-    /// Turtle-ish rendering: URIs in angle brackets, literals quoted,
-    /// blank nodes with the `_: `prefix.
+    /// Turtle-ish rendering, see [`TermRef`]'s `Display`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Uri(s) => write!(f, "<{s}>"),
-            Term::Literal(s) => write!(f, "{s:?}"),
-            Term::Blank(s) => write!(f, "_:{s}"),
+        self.as_term_ref().fmt(f)
+    }
+}
+
+/// A term borrowed from whatever holds its lexeme — a [`Term`] or a
+/// [`crate::Dictionary`] slot: what the answer edges print from, with
+/// no allocation and no reference count touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TermRef<'a> {
+    /// The syntactic category.
+    pub kind: TermKind,
+    /// The lexical form, without any kind decoration.
+    pub lexical: &'a str,
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// Turtle-ish rendering: URIs in angle brackets, literals quoted and
+    /// escaped as `str`'s `Debug` does, blank nodes with the `_:` prefix.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.lexical;
+        match self.kind {
+            TermKind::Uri => {
+                f.write_str("<")?;
+                f.write_str(s)?;
+                f.write_str(">")
+            }
+            // `str`'s `Debug` leaves printable ASCII other than `"` and
+            // `\` as it is, so such a literal (nearly all of them) skips
+            // the escaper's walk over its characters.
+            TermKind::Literal if s.bytes().all(is_plain) => {
+                f.write_str("\"")?;
+                f.write_str(s)?;
+                f.write_str("\"")
+            }
+            TermKind::Literal => write!(f, "{s:?}"),
+            TermKind::Blank => {
+                f.write_str("_:")?;
+                f.write_str(s)
+            }
         }
     }
+}
+
+fn is_plain(byte: u8) -> bool {
+    matches!(byte, b' '..=b'~') && byte != b'"' && byte != b'\\'
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Short strings drawn mostly from what the writer treats specially:
+    /// quotes, backslashes, control characters, DEL, and non-ASCII
+    /// (the first range holds combining marks, which `Debug` escapes).
+    fn lexemes() -> impl Strategy<Value = String> {
+        let character = prop_oneof![
+            4 => 0x20u32..0x7f,
+            1 => Just(u32::from(b'"')),
+            1 => Just(u32::from(b'\\')),
+            1 => 0u32..0x20,
+            1 => Just(0x7fu32),
+            1 => 0x80u32..0x3000,
+            1 => 0x1f300u32..0x1f700,
+        ];
+        prop::collection::vec(character, 0..12)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn display_writes_what_the_format_strings_it_replaced_wrote(s in lexemes()) {
+            let mut dict = crate::Dictionary::new();
+            for (term, want) in [
+                (Term::uri(&s), format!("<{s}>")),
+                (Term::literal(&s), format!("{s:?}")),
+                (Term::blank(&s), format!("_:{s}")),
+            ] {
+                prop_assert_eq!(term.to_string(), want.clone());
+                let id = dict.encode(&term);
+                prop_assert_eq!(dict.term_ref(id).to_string(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn a_term_is_a_tag_and_a_handle() {
+        assert!(std::mem::size_of::<Term>() <= 24);
+    }
 
     #[test]
     fn kinds() {

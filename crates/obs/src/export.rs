@@ -26,6 +26,12 @@ use std::fmt::Write as _;
 /// Escape `s` as the body of a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Append `s` to `out`, escaped as the body of a JSON string literal.
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -39,7 +45,18 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// A `fmt::Write` over a `String` that JSON-escapes what passes
+/// through, so a `Display` value lands in a JSON string literal without
+/// being rendered to a `String` of its own first.
+pub struct JsonEscaped<'a>(pub &'a mut String);
+
+impl std::fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        push_json_escaped(self.0, s);
+        Ok(())
+    }
 }
 
 /// Render a finite `f64` in a JSON-safe way (`NaN`/`inf` become null).

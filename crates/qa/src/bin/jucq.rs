@@ -51,12 +51,14 @@
 //! advised queries before the first request; pins are re-materialized
 //! automatically after every data update.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use jucq_core::model::Dictionary;
 use jucq_core::reformulation::Cover;
-use jucq_core::store::EngineProfile;
+use jucq_core::rows::term_rows;
+use jucq_core::store::{EngineProfile, Relation};
 use jucq_core::{EncodingMode, RdfDatabase, Strategy};
 
 fn usage() -> ! {
@@ -130,6 +132,33 @@ fn cmd_snapshot(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Print the first `max_rows` rows of an answer, tab-separated, and how
+/// many were left out. Only the printed rows are looked up in the
+/// dictionary. A reader that has closed the pipe (`jucq query … |
+/// head`) has what it wanted: that is not an error.
+fn print_rows(dict: &Dictionary, rows: &Relation, max_rows: usize) -> io::Result<()> {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let mut print = || -> io::Result<()> {
+        for row in term_rows(dict, rows).take(max_rows) {
+            for (i, cell) in row.enumerate() {
+                if i > 0 {
+                    out.write_all(b"\t")?;
+                }
+                write!(out, "{cell}")?;
+            }
+            out.write_all(b"\n")?;
+        }
+        if rows.len() > max_rows {
+            writeln!(out, "... ({} more rows)", rows.len() - max_rows)?;
+        }
+        out.flush()
+    };
+    match print() {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
+
 /// Answer one query and print its rows. A parse error or engine
 /// failure is returned, so one-shot subcommands exit non-zero; the
 /// repl prints it and carries on.
@@ -141,18 +170,11 @@ fn run_query(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let q = db.parse_query(sparql)?;
     let report = db.answer(&q, strategy)?;
-    let rows = db.decode_rows(&report.rows);
-    for row in rows.iter().take(max_rows) {
-        let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
-        println!("{}", cells.join("\t"));
-    }
-    if rows.len() > max_rows {
-        println!("... ({} more rows)", rows.len() - max_rows);
-    }
+    print_rows(db.graph().dict(), &report.rows, max_rows)?;
     eprintln!(
         "-- {}: {} rows, {} union terms, plan {:?} + eval {:?}{}",
         report.strategy,
-        rows.len(),
+        report.rows.len(),
         report.union_terms,
         report.planning_time,
         report.eval_time,

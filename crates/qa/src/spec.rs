@@ -79,7 +79,7 @@ fn term_token(t: &Term, predicate: bool) -> String {
                     return short.to_string();
                 }
             }
-            u.clone()
+            u.to_string()
         }
         Term::Literal(l) => format!("\"{l}\""),
         Term::Blank(b) => format!("_:{b}"),

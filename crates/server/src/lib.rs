@@ -32,6 +32,7 @@
 //! (union too large, memory budget), `429` queue full, `504` deadline
 //! exceeded.
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,9 +40,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use jucq_core::rows::term_rows;
 use jucq_core::store::EngineProfile;
 use jucq_core::{AnswerError, ServingDb, Snapshot, Strategy};
-use jucq_obs::export::escape_json;
+use jucq_obs::export::{escape_json, JsonEscaped};
 
 pub mod http;
 
@@ -366,32 +368,35 @@ fn handle_query(
     }
 }
 
-/// Render an answer as JSON. Row cells use the same rendering as the
-/// `jucq query` CLI (the dictionary's lexical form), so HTTP and CLI
-/// results diff cleanly.
+/// Render an answer as JSON: the first `limit` rows, under the full
+/// `row_count`. Row cells use the same rendering as the `jucq query`
+/// CLI (the term's Turtle-ish form), so HTTP and CLI results diff
+/// cleanly; they are written from the snapshot's dictionary through
+/// the escaper, so only the rows that are returned are looked up.
 fn answer_json(snapshot: &Snapshot, report: &jucq_core::AnswerReport, limit: usize) -> Vec<u8> {
-    let decoded = snapshot.decode_rows(&report.rows);
-    let mut out = String::with_capacity(256 + decoded.len() * 32);
-    out.push_str(&format!(
+    let rows = &report.rows;
+    let mut out = String::with_capacity(256 + rows.len().min(limit) * 32);
+    let _ = write!(
+        out,
         "{{\"epoch\":{},\"strategy\":\"{}\",\"row_count\":{},\"union_terms\":{},\"planning_us\":{},\"eval_us\":{},\"rows\":[",
         snapshot.epoch(),
         escape_json(report.strategy),
-        decoded.len(),
+        rows.len(),
         report.union_terms,
         report.planning_time.as_micros(),
         report.eval_time.as_micros(),
-    ));
-    for (i, row) in decoded.iter().take(limit).enumerate() {
+    );
+    for (i, row) in term_rows(snapshot.dict(), rows).take(limit).enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('[');
-        for (j, term) in row.iter().enumerate() {
+        for (j, term) in row.enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&escape_json(&term.to_string()));
+            let _ = write!(JsonEscaped(&mut out), "{term}");
             out.push('"');
         }
         out.push(']');

@@ -253,3 +253,53 @@ fn per_request_deadline_rides_the_profile() {
     let (status, _) = post_query(addr, "/query?strategy=ucq", sparql);
     assert_eq!(status, 200);
 }
+
+#[test]
+fn limit_returns_the_first_rows_of_the_full_answer() {
+    // Titles that need the literal escaper, the JSON escaper, or both.
+    let hostile = "say \"hi\"\t\\ naïve";
+    let titles = [hostile, "plain", "tab\tonly", "ünï", "back\\slash", "q\"uote", "last"];
+    let mut db = RdfDatabase::new();
+    let triples: Vec<Triple> = titles
+        .iter()
+        .enumerate()
+        .map(|(i, title)| t(&format!("doc{i}"), "title", Term::literal(title)))
+        .collect();
+    db.extend(&triples);
+    let server = Server::start(Arc::new(ServingDb::new(db)), ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    let sparql = "SELECT ?x ?t WHERE { ?x <title> ?t . }";
+    let rows_of = |target: &str| -> (u64, Vec<Vec<String>>, String) {
+        let (status, body) = post_query(addr, target, sparql);
+        assert_eq!(status, 200, "{body}");
+        let parsed = jucq_obs::json::parse(&body).expect("valid JSON");
+        let rows = parsed.get("rows").and_then(|v| v.as_arr()).expect("rows array");
+        let rows = rows
+            .iter()
+            .map(|row| {
+                let cells = row.as_arr().expect("row array").iter();
+                cells.map(|c| c.as_str().expect("string cell").to_owned()).collect()
+            })
+            .collect();
+        (parsed.get("row_count").and_then(|v| v.as_u64()).expect("row_count"), rows, body)
+    };
+
+    let (count, full, body) = rows_of("/query?strategy=ucq");
+    assert_eq!(count, titles.len() as u64);
+    // Every cell is the term's display form, whatever it took to quote.
+    let mut served: Vec<&str> = full.iter().map(|row| row[1].as_str()).collect();
+    let mut expected: Vec<String> = titles.iter().map(|t| Term::literal(t).to_string()).collect();
+    served.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(served, expected);
+    // …and the bytes on the wire are the ones the escapers always wrote.
+    assert!(body.contains(r#""\"say \\\"hi\\\"\\t\\\\ naïve\"""#), "{body}");
+    assert!(body.contains(r#"["<doc1>","\"plain\""]"#), "{body}");
+
+    for limit in [0, 1, 3, titles.len(), titles.len() + 5] {
+        let (count, rows, _) = rows_of(&format!("/query?strategy=ucq&limit={limit}"));
+        assert_eq!(count, titles.len() as u64, "limit={limit} keeps the full count");
+        assert_eq!(rows, full[..limit.min(full.len())], "limit={limit}");
+    }
+}

@@ -68,3 +68,36 @@ fn the_repl_reports_a_failed_query_and_carries_on() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "<http://e/a>");
     let _ = std::fs::remove_file(&data);
 }
+
+#[test]
+fn a_reader_that_leaves_after_one_line_is_not_a_failure() {
+    // 1000 printed rows of ~200 bytes: more than a pipe holds, so the
+    // writer is still writing when the reader goes away.
+    let path = std::env::temp_dir().join(format!("jucq-cli-{}-pipe.ttl", std::process::id()));
+    let long = "x".repeat(60);
+    let triples: String = (0..1200)
+        .map(|i| format!("<http://e/{long}/s{i}> <http://e/{long}/p> <http://e/{long}/o{i}> .\n"))
+        .collect();
+    std::fs::write(&path, triples).unwrap();
+
+    let mut jucq = Command::new(env!("CARGO_BIN_EXE_jucq"))
+        .arg("query")
+        .arg(&path)
+        .arg("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the jucq binary runs");
+    let mut stdout = std::io::BufReader::new(jucq.stdout.take().unwrap());
+    let mut line = String::new();
+    std::io::BufRead::read_line(&mut stdout, &mut line).unwrap();
+    assert_eq!(line.split('\t').count(), 3, "{line:?}");
+    drop(stdout);
+
+    let out = jucq.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("1200 rows"), "the summary still goes to stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&path);
+}
