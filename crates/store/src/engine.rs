@@ -40,6 +40,8 @@ pub struct PlanNodeReport {
     pub elapsed_ns: u64,
     /// Estimated output rows, when the cost model estimates this node.
     pub est_rows: Option<f64>,
+    /// Actual `(left, right)` input rows, for fragment joins.
+    pub inputs: Option<(u64, u64)>,
 }
 
 impl PlanNodeReport {
@@ -276,6 +278,7 @@ impl Store {
                         actual_rows: n.rows,
                         elapsed_ns: n.elapsed_ns,
                         est_rows,
+                        inputs: n.inputs,
                     }
                 })
                 .collect();
@@ -444,6 +447,7 @@ mod tests {
             actual_rows: actual,
             elapsed_ns: 0,
             est_rows: est,
+            inputs: None,
         };
         // Zero actual rows and zero estimates clamp to one row — the
         // reported Q-error stays finite instead of dividing by zero.

@@ -98,7 +98,8 @@ pub fn fragment_join(
         JoinAlgo::SortMerge => sort_merge_join(left, right, opts, ctx),
         JoinAlgo::BlockNestedLoop => block_nested_loop_join(left, right, ctx),
     }?;
-    ctx.op_finish(op, op_name(algo), out.len() as u64);
+    let inputs = (left.len() as u64, right.len() as u64);
+    ctx.op_finish_join(op, op_name(algo), inputs, out.len() as u64);
     Ok(out)
 }
 

@@ -100,6 +100,9 @@ pub struct NodeProfile {
     pub rows: u64,
     /// Wall time across all invocations, in nanoseconds.
     pub elapsed_ns: u64,
+    /// Left and right input rows across all invocations — fragment joins
+    /// only, so a step that outputs more than it was handed shows.
+    pub inputs: Option<(u64, u64)>,
 }
 
 /// Merges operator samples into per-label [`NodeProfile`]s, preserving
@@ -112,9 +115,9 @@ struct NodeRecorder {
 }
 
 impl NodeRecorder {
-    fn record(&mut self, op: &str, rows: u64, elapsed_ns: u64) {
+    fn record(&mut self, op: &str, rows: u64, elapsed_ns: u64, inputs: Option<(u64, u64)>) {
         let label = format!("{}{}", self.scope, op);
-        self.merge(NodeProfile { label, invocations: 1, rows, elapsed_ns });
+        self.merge(NodeProfile { label, invocations: 1, rows, elapsed_ns, inputs });
     }
 
     /// Merge an already-labelled profile (e.g. from a worker context)
@@ -126,6 +129,7 @@ impl NodeRecorder {
                 invocations: 0,
                 rows: 0,
                 elapsed_ns: 0,
+                inputs: None,
             });
             self.nodes.len() - 1
         });
@@ -133,6 +137,10 @@ impl NodeRecorder {
         node.invocations += profile.invocations;
         node.rows += profile.rows;
         node.elapsed_ns += profile.elapsed_ns;
+        if let Some((l, r)) = profile.inputs {
+            let (nl, nr) = node.inputs.unwrap_or((0, 0));
+            node.inputs = Some((nl + l, nr + r));
+        }
     }
 }
 
@@ -222,8 +230,26 @@ impl<'a> ExecContext<'a> {
     /// merging it into the node `scope + op`.
     #[inline]
     pub fn op_finish(&mut self, start: Option<Instant>, op: &str, rows: u64) {
+        self.finish(start, op, rows, None);
+    }
+
+    /// [`ExecContext::op_finish`] for a join, also recording the rows of
+    /// its `(left, right)` inputs.
+    #[inline]
+    pub fn op_finish_join(
+        &mut self,
+        start: Option<Instant>,
+        op: &str,
+        inputs: (u64, u64),
+        rows: u64,
+    ) {
+        self.finish(start, op, rows, Some(inputs));
+    }
+
+    #[inline]
+    fn finish(&mut self, start: Option<Instant>, op: &str, rows: u64, inputs: Option<(u64, u64)>) {
         if let (Some(start), Some(r)) = (start, &mut self.recorder) {
-            r.record(op, rows, start.elapsed().as_nanos() as u64);
+            r.record(op, rows, start.elapsed().as_nanos() as u64, inputs);
         }
     }
 

@@ -184,15 +184,21 @@ pub fn render_analyze_report(
     );
     let _ = writeln!(
         out,
-        "  {:<34} {:>12} {:>12} {:>8} {:>10} {:>6}",
+        "  {:<34} {:>12} {:>12} {:>8} {:>10} {:>6}  join: left × right → out",
         "node", "est. rows", "actual rows", "Q-error", "time", "calls"
     );
     for node in &exec_profile.nodes {
         let est = node.est_rows.map_or_else(|| "-".to_string(), |e| format!("{e:.0}"));
         let qerr = node.q_error().map_or_else(|| "-".to_string(), |e| format!("{e:.2}"));
+        // A join row ends with what it was handed, so a step that
+        // outputs more than both inputs shows without arithmetic.
+        let inputs = node
+            .inputs
+            .map(|(l, r)| format!("  {l} × {r} → {}", node.actual_rows))
+            .unwrap_or_default();
         let _ = writeln!(
             out,
-            "  {:<34} {:>12} {:>12} {:>8} {:>10} {:>6}",
+            "  {:<34} {:>12} {:>12} {:>8} {:>10} {:>6}{inputs}",
             node.label,
             est,
             node.actual_rows,
@@ -283,6 +289,10 @@ mod tests {
         assert!(text.contains("Internal cost estimate"));
         assert!(text.contains("[pipelined]"));
         assert!(text.contains("[materialized]"));
+        // The chosen fragment join order is printed once, with the key
+        // and the estimate of each step (equal estimates: lower index).
+        assert_eq!(text.matches("Fragment join order:").count(), 1, "{text}");
+        assert!(text.contains("Fragment join order: f0 (est 20.0) ⋈[?0] f1 → est 20.0"), "{text}");
     }
 
     #[test]
@@ -331,6 +341,9 @@ mod tests {
         assert!(text.contains("Q-error"), "{text}");
         assert!(text.contains("fragment[0].union"), "{text}");
         assert!(text.contains("join[0].sort_merge_join"), "{text}");
+        // The join row shows both input sizes next to its output.
+        let join_row = text.lines().find(|l| l.contains("join[0].sort_merge_join")).unwrap();
+        assert!(join_row.ends_with("20 × 20 → 20"), "{join_row}");
         assert!(text.contains("dedup"), "{text}");
         assert!(text.contains("Total:"), "{text}");
         assert!(text.contains("Counters: scanned"), "{text}");

@@ -6,16 +6,18 @@
 //! sending `EXPLAIN` statements to Postgres. This module plays the
 //! latter role for our engine: it estimates the cost of a [`StoreJucq`]
 //! from the engine's *actual* physical plan — greedy INLJ pipelines per
-//! CQ, per-profile fragment join algorithm, materialization policy —
-//! rather than from the paper's abstract scan/join/materialize formulas.
+//! CQ, per-profile fragment join algorithm in the planner's own
+//! fragment join order, materialization policy — rather than from the
+//! paper's abstract scan/join/materialize formulas.
 //! The two models legitimately disagree in places, which is precisely
 //! what the figure studies.
 
 use jucq_model::FxHashMap;
 
-use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq};
+use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
+use crate::plan::{fragment_join_order, JoinStep};
 use crate::profile::{EngineProfile, JoinAlgo};
-use crate::stats::Statistics;
+use crate::stats::{FragmentSummary, Statistics};
 use crate::table::TripleTable;
 use crate::Store;
 
@@ -82,10 +84,10 @@ fn cq_cost(stats: &Statistics, table: &TripleTable, cq: &StoreCq) -> f64 {
     cost
 }
 
-/// Estimate the internal cost of one fragment UCQ (members + dedup).
-fn ucq_cost(stats: &Statistics, table: &TripleTable, ucq: &StoreUcq) -> f64 {
+/// Estimate the internal cost of one fragment UCQ (members + dedup)
+/// whose result is estimated at `card` rows.
+fn ucq_cost(stats: &Statistics, table: &TripleTable, ucq: &StoreUcq, card: f64) -> f64 {
     let members: f64 = ucq.cqs.iter().map(|cq| cq_cost(stats, table, cq)).sum();
-    let card = stats.est_ucq(table, ucq);
     members + CPU_DEDUP * card + STARTUP * ucq.cqs.len() as f64
 }
 
@@ -126,35 +128,57 @@ fn sharing_savings(table: &TripleTable, profile: &EngineProfile, q: &StoreJucq) 
     uses.values().filter(|(k, _)| *k > 1).map(|(k, card)| (*k - 1) as f64 * CPU_PROBE * card).sum()
 }
 
+/// The fragments' summaries over their logical members and the order
+/// the planner will join them in — the shared [`fragment_join_order`],
+/// not the order the fragments were declared in.
+fn planned_joins(
+    stats: &Statistics,
+    table: &TripleTable,
+    q: &StoreJucq,
+) -> (Vec<FragmentSummary>, Vec<JoinStep>) {
+    let summaries: Vec<FragmentSummary> =
+        q.fragments.iter().map(|f| stats.summarize_ucq(table, f)).collect();
+    let heads: Vec<&[VarId]> = q.fragments.iter().map(|f| f.head.as_slice()).collect();
+    let order = fragment_join_order(&summaries, &heads);
+    (summaries, order)
+}
+
+/// The `(left rows, right rows)` input estimates of every fragment join
+/// in plan order: each step joins the rows accumulated so far to the
+/// next fragment's.
+fn join_inputs(summaries: &[FragmentSummary], order: &[JoinStep]) -> Vec<(f64, f64)> {
+    order.windows(2).map(|w| (w[0].est_rows, summaries[w[1].fragment].rows)).collect()
+}
+
 /// Estimate the internal cost of a whole JUCQ under the store's profile.
 pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
     let stats = store.stats();
     let table = store.table();
     let profile = store.profile();
 
-    let frag_costs: f64 = q.fragments.iter().map(|f| ucq_cost(stats, table, f)).sum();
-    let frag_cards: Vec<f64> = q.fragments.iter().map(|f| stats.est_ucq(table, f)).collect();
+    let (summaries, order) = planned_joins(stats, table, q);
+    let frag_costs: f64 =
+        q.fragments.iter().zip(&summaries).map(|(f, s)| ucq_cost(stats, table, f, s.rows)).sum();
 
     // Materialization: all fragments if the profile materializes every
     // union, otherwise all but the largest.
     let mat: f64 = if q.fragments.len() <= 1 && !profile.materialize_all_unions {
         0.0
     } else {
-        let largest = frag_cards.iter().cloned().fold(f64::NEG_INFINITY, f64::max).max(0.0);
-        let total: f64 = frag_cards.iter().sum();
+        let largest = summaries.iter().map(|s| s.rows).fold(f64::NEG_INFINITY, f64::max).max(0.0);
+        let total: f64 = summaries.iter().map(|s| s.rows).sum();
         let charged = if profile.materialize_all_unions { total } else { total - largest };
         CPU_MATERIALIZE * charged.max(0.0)
     };
 
-    // Fragment joins, following the profile's algorithm.
+    // Fragment joins, in the planner's order and following the
+    // profile's algorithm.
+    let single = |step: &JoinStep| q.fragments[step.fragment].cqs.len() == 1;
     let mut join_cost = 0.0;
-    if q.fragments.len() > 1 {
-        let mut acc = frag_cards[0];
-        for (i, &c) in frag_cards.iter().enumerate().skip(1) {
-            let base = join_step_cost(profile.fragment_join, acc, c, (false, false));
-            join_cost += if profile.order_aware
-                && !matches!(profile.fragment_join, JoinAlgo::BlockNestedLoop)
-            {
+    for (k, (acc, c)) in join_inputs(&summaries, &order).into_iter().enumerate() {
+        let base = join_step_cost(profile.fragment_join, acc, c, (false, false));
+        join_cost +=
+            if profile.order_aware && !matches!(profile.fragment_join, JoinAlgo::BlockNestedLoop) {
                 // Mirror the order-aware planner: a single-member
                 // fragment's scan can feed the join pre-sorted on the
                 // key, dropping that side's sort term, and the planner
@@ -162,19 +186,14 @@ pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
                 // (possibly sort-elided) merge. The left side is only
                 // assumed ordered on the first step, where it is still
                 // a fragment rather than a join output.
-                let elide =
-                    (i == 1 && q.fragments[0].cqs.len() == 1, q.fragments[i].cqs.len() == 1);
+                let elide = (k == 0 && single(&order[0]), single(&order[k + 1]));
                 base.min(join_step_cost(JoinAlgo::SortMerge, acc, c, elide))
             } else {
                 base
             };
-            // Rough running estimate of the accumulated join size.
-            let sub = StoreJucq::new(q.fragments[..=i].to_vec(), q.head.clone());
-            acc = stats.est_jucq(table, &sub);
-        }
     }
 
-    let final_card = stats.est_jucq(table, q);
+    let final_card = order.last().map_or(0.0, |step| step.est_rows);
     let savings = sharing_savings(table, profile, q);
     let cpu_scale = BATCH_CPU_DISCOUNT;
     let join_scale = if profile.sip_filters && q.fragments.len() > 1 {
@@ -190,7 +209,7 @@ pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{PatternTerm, StorePattern, VarId};
+    use crate::ir::{PatternTerm, StorePattern};
     use crate::profile::EngineProfile;
     use jucq_model::term::TermKind;
     use jucq_model::{TermId, TripleId};
@@ -253,6 +272,39 @@ mod tests {
         let hash_cost = estimate(&store(EngineProfile::pg_like()), &q);
         let bnl_cost = estimate(&store(EngineProfile::mysql_like()), &q);
         assert!(bnl_cost > hash_cost, "BNL {bnl_cost} should exceed hash {hash_cost}");
+    }
+
+    #[test]
+    fn prices_the_plans_join_steps_not_the_declaration_order() {
+        // Declared big, mid, small; joined small, mid, big (both
+        // candidates tie on the join estimate, the smaller goes first).
+        let triples: Vec<TripleId> = (0..100)
+            .map(|i| t(i, 10, i % 7))
+            .chain((0..10).map(|i| t(i, 11, 99)))
+            .chain((0..30).map(|i| t(i, 12, 200 + i)))
+            .collect();
+        let s = Store::from_triples(&triples, EngineProfile::pg_like());
+        let q = StoreJucq::new(
+            vec![
+                one_fragment(vec![StorePattern::new(v(0), c(10), v(1))]),
+                one_fragment(vec![StorePattern::new(v(0), c(12), v(2))]),
+                one_fragment(vec![StorePattern::new(v(0), c(11), v(3))]),
+            ],
+            vec![0, 1, 2, 3],
+        );
+        let (summaries, order) = planned_joins(s.stats(), s.table(), &q);
+        let priced = join_inputs(&summaries, &order);
+        assert_eq!(priced, vec![(10.0, 30.0), (10.0, 100.0)]);
+
+        let plan = s.plan_jucq(&q).unwrap();
+        assert_eq!(plan.join_order, order);
+        let est = |label: String| plan.estimates.iter().find(|(l, _)| *l == label).unwrap().1;
+        let planned: Vec<(f64, f64)> = plan
+            .join_order
+            .windows(2)
+            .map(|w| (w[0].est_rows, est(format!("fragment[{}].union", w[1].fragment))))
+            .collect();
+        assert_eq!(priced, planned);
     }
 
     #[test]

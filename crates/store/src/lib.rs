@@ -58,11 +58,12 @@ pub use error::EngineError;
 pub use exec::Counters;
 pub use ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 pub use plan::{
-    collapsible_runs, CollapsibleRun, Plan, PlanNode, Planner, SharedScanDef, TermNameResolver,
+    collapsible_runs, fragment_join_order, CollapsibleRun, JoinStep, Plan, PlanNode, Planner,
+    SharedScanDef, TermNameResolver,
 };
 pub use profile::{default_parallelism, EngineProfile, JoinAlgo};
 pub use relation::Relation;
-pub use stats::Statistics;
+pub use stats::{FragmentSummary, Statistics};
 pub use table::{RangePos, TripleTable};
 pub use views::{
     DeltaFootprint, ViewCatalog, ViewCatalogStats, ViewFootprint, ViewSignature, ViewSource,

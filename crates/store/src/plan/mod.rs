@@ -5,10 +5,12 @@
 //! See `DESIGN.md` §4e for the pass ordering, `SharedScan` semantics
 //! and plan-cache keying.
 
+mod join_order;
 mod node;
 mod planner;
 
 pub(crate) mod exec;
 
+pub use join_order::{fragment_join_order, JoinStep};
 pub use node::{Plan, PlanNode, SharedScanDef, SipFilterDef, TermNameResolver};
 pub use planner::{collapsible_runs, CollapsibleRun, Planner};

@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use crate::ir::{PatternTerm, StorePattern, VarId};
+use crate::plan::join_order::JoinStep;
 use crate::table::{Perm, RangePos};
 use crate::views::ViewSignature;
 
@@ -646,6 +647,9 @@ pub struct Plan {
     /// `shared_scan[i]`), paired with measured rows by
     /// `explain_analyze`.
     pub estimates: Vec<(String, f64)>,
+    /// The fragment join order the tree was built from (seed first);
+    /// empty for a constant-empty plan.
+    pub join_order: Vec<JoinStep>,
     /// Planned sideways-information-passing filters, in join-step
     /// order; empty when `sip_filters` is off or the plan has a single
     /// fragment. Non-empty plans are executed *staged* (fragments in
@@ -747,6 +751,19 @@ impl Plan {
         }
         if let Some(i) = self.pipelined {
             let _ = writeln!(out, "Pipelined fragment: {i}");
+        }
+        if self.join_order.len() > 1 {
+            out.push_str("Fragment join order:");
+            for (k, step) in self.join_order.iter().enumerate() {
+                let (f, est) = (step.fragment, step.est_rows);
+                if k == 0 {
+                    let _ = write!(out, " f{f} (est {est:.1})");
+                } else {
+                    let key: Vec<String> = step.key.iter().map(|v| format!("?{v}")).collect();
+                    let _ = write!(out, " ⋈[{}] f{f} → est {est:.1}", key.join(","));
+                }
+            }
+            out.push('\n');
         }
         if !self.sip.is_empty() {
             out.push_str("SIP filters:\n");

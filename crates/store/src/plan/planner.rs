@@ -19,18 +19,38 @@
 //!    plan instead of re-derived at execution time.
 //! 5. **lower** — physical operator choice from the profile (INLJ chain
 //!    vs. member hash joins; hash / sort-merge / block-nested-loop
-//!    fragment joins), fragment join order (smallest estimate first,
-//!    connected-first), the pipelined-fragment choice (largest
-//!    estimate, §4.1), and cardinality estimates on every plan node.
+//!    fragment joins), the pipelined-fragment choice (largest estimate,
+//!    §4.1), cardinality estimates on every plan node, and the fragment
+//!    join order.
+//!
+//! The join order is cost-based and decided once per plan by
+//! [`fragment_join_order`](crate::plan::fragment_join_order): each
+//! fragment is first reduced to a
+//! [`FragmentSummary`](crate::stats::FragmentSummary) — estimated rows
+//! from the exact per-atom counts the passes already hold (a
+//! range-collapsed atom counts its whole interval; a view-backed
+//! fragment counts its stored tuples) and one join-selectivity domain
+//! per head variable. The smallest fragment seeds the order; every
+//! later step takes, among the fragments sharing a variable with what
+//! is joined so far, the one whose join is estimated to *output* the
+//! fewest rows — ties to the smaller fragment, then the lower index —
+//! and a disconnected fragment only when nothing connected is left. The
+//! join tree, the per-step estimates, the SIP filter definitions and
+//! the interesting orders handed to leaf scans are all read off that
+//! one result, as is the internal cost model's join pricing. A step
+//! estimate is [`Statistics::est_jucq`]'s formula folded one fragment
+//! further (`FragmentSummary::join_rows`), which is arithmetic: lowering
+//! walks each member once, for its summary.
 
 use jucq_model::{FxHashMap, FxHashSet};
 
 use crate::exec::join;
 use crate::internal_cost::join_step_cost;
-use crate::ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
+use crate::ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, VarId};
+use crate::plan::join_order::fragment_join_order;
 use crate::plan::node::{scan_order, Plan, PlanNode, SharedScanDef, SipFilterDef, ViewBindingDef};
 use crate::profile::{EngineProfile, JoinAlgo};
-use crate::stats::Statistics;
+use crate::stats::{FragmentSummary, Statistics};
 use crate::table::{Perm, RangePos, TripleTable};
 use crate::views::{ViewCatalog, ViewSignature};
 
@@ -630,6 +650,7 @@ impl<'a> Planner<'a> {
                 head: q.head.clone(),
                 pipelined: None,
                 estimates: Vec::new(),
+                join_order: Vec::new(),
                 sip: Vec::new(),
                 range_eligible,
                 range_scans: 0,
@@ -647,70 +668,20 @@ impl<'a> Planner<'a> {
             estimates.push((format!("shared_scan[{i}]"), def.est.unwrap_or(0.0)));
         }
 
-        // Estimates over the *rewritten* members (what actually runs).
-        let pruned_ucqs: Vec<StoreUcq> = draft
+        // One summary per fragment, over the *rewritten* members (what
+        // actually runs) and from the exact per-atom counts the passes
+        // above already hold — a range-collapsed atom's count covers its
+        // whole interval. Every estimate below is arithmetic on these.
+        let mut summaries: Vec<FragmentSummary> = draft
             .iter()
             .map(|f| {
-                StoreUcq::new(f.members.iter().map(|m| m.cq.clone()).collect(), f.head.clone())
+                self.stats
+                    .summarize(&f.head, f.members.iter().map(|m| (&m.cq, m.counts.iter().copied())))
             })
             .collect();
-        let frag_est: Vec<f64> =
-            pruned_ucqs.iter().map(|u| self.stats.est_ucq(self.table, u)).collect();
+        let frag_est: Vec<f64> = summaries.iter().map(|s| s.rows).collect();
         for (i, est) in frag_est.iter().enumerate() {
             estimates.push((format!("fragment[{i}].union"), *est));
-        }
-
-        // Interesting orders: the fragment join order depends only on
-        // estimates and heads, so the join key each fragment will be
-        // merged on is known *before* member lowering. Lowering passes
-        // it down so leaf scans can pick the permutation index whose
-        // key order feeds a sort-elided merge join.
-        let desired = if self.profile.order_aware {
-            interesting_orders(draft, &frag_est)
-        } else {
-            vec![Vec::new(); draft.len()]
-        };
-
-        let mut union_nodes: Vec<Option<PlanNode>> = draft
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let members: Vec<PlanNode> = f
-                    .members
-                    .iter()
-                    .map(|m| self.lower_member(m, &f.head, &shared_ix, &desired[i]))
-                    .collect();
-                Some(PlanNode::HashUnion {
-                    idx: i,
-                    head: f.head.clone(),
-                    members,
-                    est: Some(frag_est[i]),
-                })
-            })
-            .collect();
-
-        // View matching: a fragment whose *logical* (pre-rewrite) UCQ —
-        // the same shape the materializer keyed its entry by — has a
-        // current-epoch catalog entry is wrapped in a `ViewScan` over
-        // its lowered union. The signature travels in the plan; the
-        // rows never do (resolution is epoch-exact at evaluation time).
-        let mut views: Vec<ViewBindingDef> = Vec::new();
-        if let Some(catalog) = self.views.filter(|_| self.profile.view_scans) {
-            for (i, slot) in union_nodes.iter_mut().enumerate() {
-                let signature = ViewSignature::of(&q.fragments[i]);
-                if let Some(tuples) = catalog.contains_current(&signature) {
-                    let fallback = slot.take().expect("union lowered exactly once");
-                    estimates.push((format!("fragment[{i}].view_scan"), tuples as f64));
-                    *slot = Some(PlanNode::ViewScan {
-                        idx: i,
-                        head: draft[i].head.clone(),
-                        view: views.len(),
-                        est: Some(tuples as f64),
-                        fallback: Box::new(fallback),
-                    });
-                    views.push(ViewBindingDef { signature, tuples });
-                }
-            }
         }
 
         // §4.1: the largest-result fragment is the one pipelined.
@@ -720,76 +691,109 @@ impl<'a> Planner<'a> {
             None
         };
 
-        // Fragment join order: smallest estimate first, then always a
-        // fragment connected (sharing a head variable) to the schema
-        // accumulated so far; disconnected inputs fall back to the
-        // smallest remaining (cartesian product).
+        // View matching: a fragment whose *logical* (pre-rewrite) UCQ —
+        // the same shape the materializer keyed its entry by — has a
+        // current-epoch catalog entry will be served by a `ViewScan`
+        // over its lowered union, and joins at its stored size. The
+        // signature travels in the plan; the rows never do (resolution
+        // is epoch-exact at evaluation time).
+        let mut views: Vec<ViewBindingDef> = Vec::new();
+        let mut view_of: Vec<Option<usize>> = vec![None; draft.len()];
+        if let Some(catalog) = self.views.filter(|_| self.profile.view_scans) {
+            for (i, frag) in q.fragments.iter().enumerate() {
+                let signature = ViewSignature::of(frag);
+                if let Some(tuples) = catalog.contains_current(&signature) {
+                    estimates.push((format!("fragment[{i}].view_scan"), tuples as f64));
+                    summaries[i].set_rows(tuples as f64);
+                    view_of[i] = Some(views.len());
+                    views.push(ViewBindingDef { signature, tuples });
+                }
+            }
+        }
+
+        // The fragment join order, decided once (see `join_order`): the
+        // join tree, the per-step estimates, the SIP filters and the
+        // interesting orders below all read this one result.
+        let heads: Vec<&[VarId]> = draft.iter().map(|f| f.head.as_slice()).collect();
+        let join_order = fragment_join_order(&summaries, &heads);
+
+        // Interesting orders: the join key each fragment will be merged
+        // on is known *before* member lowering, so leaf scans can pick
+        // the permutation index whose key order feeds a sort-elided
+        // merge join. The seed is the left side of the first merge and
+        // inherits that step's key.
+        let mut desired: Vec<&[VarId]> = vec![&[]; draft.len()];
+        if self.profile.order_aware {
+            for step in &join_order[1..] {
+                desired[step.fragment] = &step.key;
+            }
+            if let [seed, first, ..] = join_order.as_slice() {
+                desired[seed.fragment] = &first.key;
+            }
+        }
+
+        let mut leaves: Vec<Option<PlanNode>> = draft
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let members: Vec<PlanNode> = f
+                    .members
+                    .iter()
+                    .map(|m| self.lower_member(m, &f.head, &shared_ix, desired[i]))
+                    .collect();
+                let union = PlanNode::HashUnion {
+                    idx: i,
+                    head: f.head.clone(),
+                    members,
+                    est: Some(frag_est[i]),
+                };
+                Some(match view_of[i] {
+                    Some(view) => PlanNode::ViewScan {
+                        idx: i,
+                        head: f.head.clone(),
+                        view,
+                        est: Some(summaries[i].rows),
+                        fallback: Box::new(union),
+                    },
+                    None => union,
+                })
+            })
+            .collect();
+
         let algo = self.profile.fragment_join;
-        let mut remaining: Vec<usize> = (0..draft.len()).collect();
-        remaining.sort_by(|&a, &b| frag_est[a].total_cmp(&frag_est[b]));
-        let first = remaining.remove(0);
-        let mut acc_vars: Vec<VarId> = draft[first].head.clone();
-        let mut tree = union_nodes[first].take().expect("each fragment lowered once");
-        let mut acc_est = frag_est[first];
-        let mut joined: Vec<usize> = vec![first];
+        let seed = &join_order[0];
+        let mut tree = leaves[seed.fragment].take().expect("each fragment lowered once");
+        let mut acc_est = seed.est_rows;
         let mut sip: Vec<SipFilterDef> = Vec::new();
-        let mut step = 0usize;
-        while !remaining.is_empty() {
-            let pos = remaining
-                .iter()
-                .position(|&i| draft[i].head.iter().any(|v| acc_vars.contains(v)))
-                .unwrap_or(0);
-            let next = remaining.remove(pos);
-            joined.push(next);
-            if self.profile.sip_filters {
-                // The filter keys are exactly the join keys of this
-                // step: head variables of the incoming fragment already
-                // bound by the accumulated schema. A disconnected
-                // fragment (cartesian product) gets no filter.
-                let keys: Vec<VarId> =
-                    draft[next].head.iter().copied().filter(|v| acc_vars.contains(v)).collect();
-                if !keys.is_empty() {
-                    sip.push(SipFilterDef { step, target: next, keys });
-                }
+        for (step, next) in join_order[1..].iter().enumerate() {
+            // A SIP filter covers exactly the step's join key; a
+            // disconnected fragment (cartesian product) gets none.
+            if self.profile.sip_filters && !next.key.is_empty() {
+                sip.push(SipFilterDef { step, target: next.fragment, keys: next.key.clone() });
             }
-            for &v in &draft[next].head {
-                if !acc_vars.contains(&v) {
-                    acc_vars.push(v);
-                }
-            }
-            // Estimate the JUCQ over exactly the fragments joined so far
-            // — the same node the join output materializes.
-            let sub = StoreJucq::new(
-                joined.iter().map(|&i| pruned_ucqs[i].clone()).collect(),
-                q.head.clone(),
-            );
-            let est = self.stats.est_jucq(self.table, &sub);
-            let right = union_nodes[next].take().expect("each fragment lowered once");
+            let right = leaves[next.fragment].take().expect("each fragment lowered once");
             // Order-aware step choice: when the inputs' order properties
             // make a (possibly sort-elided) merge cheaper than the
             // profile's algorithm on this step's input estimates, lower
             // to a merge join — chosen by cost, not forced.
             let (step_algo, elided) = if self.profile.order_aware {
-                choose_join_algo(algo, &tree, &right, acc_est, frag_est[next])
+                choose_join_algo(algo, &tree, &right, acc_est, summaries[next.fragment].rows)
             } else {
                 (algo, (false, false))
             };
-            estimates.push((format!("join[{step}].{}", join::op_name(step_algo)), est));
-            tree = make_join(step_algo, tree, right, step, est, elided);
-            acc_est = est;
-            step += 1;
+            estimates.push((format!("join[{step}].{}", join::op_name(step_algo)), next.est_rows));
+            tree = make_join(step_algo, tree, right, step, next.est_rows, elided);
+            acc_est = next.est_rows;
         }
 
-        let final_est =
-            self.stats.est_jucq(self.table, &StoreJucq::new(pruned_ucqs, q.head.clone()));
-        estimates.push(("dedup".to_string(), final_est));
+        estimates.push(("dedup".to_string(), acc_est));
         let root = PlanNode::Dedup {
             input: Box::new(PlanNode::Project {
                 input: Box::new(tree),
                 head: q.head.iter().map(|&v| PatternTerm::Var(v)).collect(),
                 out_vars: q.head.clone(),
             }),
-            est: Some(final_est),
+            est: Some(acc_est),
         };
         let plan = Plan {
             root,
@@ -797,6 +801,7 @@ impl<'a> Planner<'a> {
             head: q.head.clone(),
             pipelined,
             estimates,
+            join_order,
             sip,
             range_eligible,
             range_scans,
@@ -942,47 +947,6 @@ fn make_join(
     }
 }
 
-/// The interesting-orders pass: replay the fragment join order (which
-/// depends only on estimates and heads — the same greedy loop `lower`
-/// runs) and record, per fragment, the join-key sequence it will be
-/// merged on. The base fragment inherits the first step's key (it is
-/// the left side of that merge); every other fragment gets the key of
-/// the step where it joins. Fragments joined by cartesian product keep
-/// an empty desired order.
-fn interesting_orders(draft: &[DraftFragment], frag_est: &[f64]) -> Vec<Vec<VarId>> {
-    let mut desired: Vec<Vec<VarId>> = vec![Vec::new(); draft.len()];
-    if draft.len() < 2 {
-        return desired;
-    }
-    let mut remaining: Vec<usize> = (0..draft.len()).collect();
-    remaining.sort_by(|&a, &b| frag_est[a].total_cmp(&frag_est[b]));
-    let first = remaining.remove(0);
-    let mut acc_vars: Vec<VarId> = draft[first].head.clone();
-    let mut step = 0usize;
-    while !remaining.is_empty() {
-        let pos = remaining
-            .iter()
-            .position(|&i| draft[i].head.iter().any(|v| acc_vars.contains(v)))
-            .unwrap_or(0);
-        let next = remaining.remove(pos);
-        // The join key in accumulated-schema order — exactly what
-        // `PlanNode::join_key` will compute for this step.
-        let key: Vec<VarId> =
-            acc_vars.iter().copied().filter(|v| draft[next].head.contains(v)).collect();
-        desired[next] = key.clone();
-        if step == 0 {
-            desired[first] = key;
-        }
-        for &v in &draft[next].head {
-            if !acc_vars.contains(&v) {
-                acc_vars.push(v);
-            }
-        }
-        step += 1;
-    }
-    desired
-}
-
 /// Pick the permutation index for a leaf scan of `p`: among every
 /// candidate whose bound prefix covers the pattern's constants, the one
 /// whose output order matches the longest prefix of `desired` (the join
@@ -1049,6 +1013,7 @@ fn choose_join_algo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::StoreUcq;
     use crate::profile::EngineProfile;
     use jucq_model::term::TermKind;
     use jucq_model::{TermId, TripleId};
@@ -1402,8 +1367,17 @@ mod tests {
             .map(|&p| one_pattern_member(StorePattern::new(v(0), c(p), v(1)), vec![0, 1]))
             .collect();
         let frag = StoreUcq::new(members, vec![0, 1]);
-        let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
+        let q = StoreJucq::from_ucq(frag);
+        let plan = plan_of(&q, &EngineProfile::pg_like());
         assert_eq!(plan.range_scans, 1);
+        // The collapsed member is estimated over its whole interval —
+        // the 4 + 2 triples of both predicates, not the first one's 4 —
+        // which is what the members it replaced summed to.
+        let union_est =
+            |p: &Plan| p.estimates.iter().find(|e| e.0 == "fragment[0].union").unwrap().1;
+        assert_eq!(union_est(&plan), 6.0);
+        let uncollapsed = plan_of(&q, &EngineProfile::pg_like().with_range_scans(false));
+        assert_eq!(union_est(&uncollapsed), 6.0);
         let unions = plan.unions();
         let (_, _, members) = unions[0].as_union().unwrap();
         match &members[0] {

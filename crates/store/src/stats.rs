@@ -10,7 +10,7 @@
 //! * System-R-style **estimates** for CQs (independence + containment of
 //!   value sets), UCQs (sum) and JUCQs (join of fragment estimates).
 
-use jucq_model::{FxHashMap, TermId};
+use jucq_model::{FxHashMap, FxHashSet, TermId};
 
 use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 use crate::table::TripleTable;
@@ -200,65 +200,138 @@ impl Statistics {
         ucq.cqs.iter().map(|cq| self.est_cq(table, cq)).sum()
     }
 
+    /// Summarize one fragment for join estimation from its members, each
+    /// given with its per-atom extents (in pattern order). The planner
+    /// passes the exact counts it already holds — a range-collapsed atom
+    /// counts its whole interval there — so a summary costs no index
+    /// lookup; [`Statistics::summarize_ucq`] looks the extents up.
+    ///
+    /// Rows are the sum of the members' [`Statistics::est_with_extents`].
+    /// The domain of a head variable is the largest per-atom domain over
+    /// the members' atoms where it occurs. Variables that the
+    /// reformulation's instantiation rules turned into *constants* in
+    /// the member heads (class/property variables, paper Example 4) no
+    /// longer occur in any pattern — their domain is the number of
+    /// distinct constants across the members. Every domain is capped by
+    /// the fragment's rows.
+    pub fn summarize<'m, E>(
+        &self,
+        head: &[VarId],
+        members: impl IntoIterator<Item = (&'m StoreCq, E)>,
+    ) -> FragmentSummary
+    where
+        E: IntoIterator<Item = usize>,
+    {
+        fn raise(domains: &mut Vec<(VarId, f64)>, v: VarId, d: f64) {
+            match domains.iter_mut().find(|e| e.0 == v) {
+                Some(e) => e.1 = e.1.max(d),
+                None => domains.push((v, d)),
+            }
+        }
+        let mut rows = 0.0;
+        let mut domains: Vec<(VarId, f64)> = Vec::with_capacity(head.len());
+        let mut head_consts: Vec<FxHashSet<TermId>> = vec![FxHashSet::default(); head.len()];
+        let mut cards: Vec<f64> = Vec::new();
+        for (cq, extents) in members {
+            cards.clear();
+            cards.extend(extents.into_iter().map(|e| e as f64));
+            rows += self.est_with_extents(&cq.patterns, &cards);
+            for (p, &card) in cq.patterns.iter().zip(&cards) {
+                for v in p.variables() {
+                    if head.contains(&v) {
+                        raise(&mut domains, v, self.var_domain(p, v, card));
+                    }
+                }
+            }
+            for (consts, term) in head_consts.iter_mut().zip(&cq.head) {
+                if let Some(c) = term.as_const() {
+                    consts.insert(c);
+                }
+            }
+        }
+        for (&v, consts) in head.iter().zip(&head_consts) {
+            if !consts.is_empty() {
+                raise(&mut domains, v, consts.len() as f64);
+            }
+        }
+        let mut summary = FragmentSummary { rows, domains };
+        summary.set_rows(rows);
+        summary
+    }
+
+    /// [`Statistics::summarize`] over a logical fragment, reading each
+    /// atom's exact extent off the index.
+    pub fn summarize_ucq(&self, table: &TripleTable, ucq: &StoreUcq) -> FragmentSummary {
+        self.summarize(
+            &ucq.head,
+            ucq.cqs.iter().map(|cq| (cq, cq.patterns.iter().map(|p| self.pattern_card(table, p)))),
+        )
+    }
+
     /// Estimated cardinality of a JUCQ: fragment estimates combined with
     /// join selectivities on the variables shared between fragments,
-    /// using each shared variable's smallest per-fragment domain.
+    /// using each shared variable's smallest per-fragment domain — the
+    /// fold of [`FragmentSummary::join`] over the fragments' summaries.
     pub fn est_jucq(&self, table: &TripleTable, jucq: &StoreJucq) -> f64 {
-        if jucq.fragments.is_empty() {
+        let mut parts = jucq.fragments.iter().map(|u| self.summarize_ucq(table, u));
+        let Some(mut acc) = parts.next() else { return 0.0 };
+        for part in parts {
+            acc.join(&part);
+        }
+        acc.rows
+    }
+}
+
+/// What join estimation needs to know about one fragment — or about a
+/// join of fragments, which is summarized the same way: estimated rows
+/// and, per variable, the domain that join selectivities divide by.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FragmentSummary {
+    /// Estimated result rows.
+    pub rows: f64,
+    /// Per-variable domain sizes. For a fragment: its head variables'
+    /// domains, capped by its rows. For a join: each variable's smallest
+    /// domain among the joined fragments.
+    pub domains: Vec<(VarId, f64)>,
+}
+
+impl FragmentSummary {
+    /// Set the fragment's rows (e.g. to a view-backed fragment's stored
+    /// tuple count), keeping every domain capped by them.
+    pub fn set_rows(&mut self, rows: f64) {
+        self.rows = rows;
+        for d in &mut self.domains {
+            d.1 = d.1.min(rows.max(1.0));
+        }
+    }
+
+    /// Estimated rows of `self ⋈ next`: the product of both sides' rows,
+    /// divided — for every variable they share — by the larger of the
+    /// two domains (containment of value sets). Folding this over
+    /// fragments divides by every domain of a variable but its smallest,
+    /// whatever the order. Arithmetic only: no index access.
+    pub fn join_rows(&self, next: &FragmentSummary) -> f64 {
+        if self.rows == 0.0 || next.rows == 0.0 {
             return 0.0;
         }
-        let frag_cards: Vec<f64> = jucq.fragments.iter().map(|u| self.est_ucq(table, u)).collect();
-        if frag_cards.contains(&0.0) {
-            return 0.0;
-        }
-        let mut est: f64 = frag_cards.iter().product();
-        // Domain of a shared variable within a fragment: the largest
-        // per-atom domain over the fragment's members (atoms where it
-        // occurs), capped by the fragment estimate. Variables that the
-        // reformulation's instantiation rules turned into *constants*
-        // in the member heads (class/property variables, paper Example
-        // 4) no longer occur in any pattern — their domain there is the
-        // number of distinct constants across the members.
-        let mut var_domains: FxHashMap<VarId, Vec<f64>> = FxHashMap::default();
-        for (frag, &fcard) in jucq.fragments.iter().zip(&frag_cards) {
-            let mut per_var: FxHashMap<VarId, f64> = FxHashMap::default();
-            let mut head_consts: FxHashMap<VarId, jucq_model::FxHashSet<jucq_model::TermId>> =
-                FxHashMap::default();
-            for cq in &frag.cqs {
-                for p in &cq.patterns {
-                    let card = self.pattern_card(table, p);
-                    for v in p.variables() {
-                        if !frag.head.contains(&v) {
-                            continue;
-                        }
-                        let d = self.var_domain(p, v, card as f64);
-                        per_var.entry(v).and_modify(|cur| *cur = cur.max(d)).or_insert(d);
-                    }
-                }
-                for (pos, &v) in frag.head.iter().enumerate() {
-                    if let Some(c) = cq.head.get(pos).and_then(|t| t.as_const()) {
-                        head_consts.entry(v).or_default().insert(c);
-                    }
-                }
-            }
-            for (v, consts) in head_consts {
-                let d = consts.len() as f64;
-                per_var.entry(v).and_modify(|cur| *cur = cur.max(d)).or_insert(d);
-            }
-            for (v, d) in per_var {
-                var_domains.entry(v).or_default().push(d.min(fcard.max(1.0)));
-            }
-        }
-        for (_, mut domains) in var_domains {
-            if domains.len() < 2 {
-                continue;
-            }
-            domains.sort_by(|a, b| a.partial_cmp(b).expect("finite domains"));
-            for d in &domains[1..] {
-                est /= d.max(1.0);
+        let mut est = self.rows * next.rows;
+        for &(v, d) in &next.domains {
+            if let Some(&(_, mine)) = self.domains.iter().find(|e| e.0 == v) {
+                est /= d.max(mine).max(1.0);
             }
         }
         est.max(0.0)
+    }
+
+    /// Turn `self` into the summary of `self ⋈ next`.
+    pub fn join(&mut self, next: &FragmentSummary) {
+        self.rows = self.join_rows(next);
+        for &(v, d) in &next.domains {
+            match self.domains.iter_mut().find(|e| e.0 == v) {
+                Some(e) => e.1 = e.1.min(d),
+                None => self.domains.push((v, d)),
+            }
+        }
     }
 }
 

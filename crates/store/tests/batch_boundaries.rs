@@ -9,27 +9,14 @@
 //! every engine profile, SIP filters on and off, 1/2/8 worker threads
 //! (with identical counters across thread counts).
 
-use std::collections::{BTreeSet, HashMap};
+mod common;
 
-use jucq_model::term::TermKind;
-use jucq_model::{TermId, TripleId};
+use common::{c, naive_answers, sorted_rows, triples, v};
+use jucq_model::TermId;
 use jucq_store::exec::BATCH_ROWS;
 use jucq_store::{
-    EngineError, EngineProfile, JoinAlgo, PatternTerm, Relation, Store, StoreCq, StoreJucq,
-    StorePattern, StoreUcq, VarId,
+    EngineError, EngineProfile, JoinAlgo, Store, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId,
 };
-
-fn id(i: u32) -> TermId {
-    TermId::new(TermKind::Uri, i)
-}
-
-fn c(i: u32) -> PatternTerm {
-    PatternTerm::Const(id(i))
-}
-
-fn v(i: VarId) -> PatternTerm {
-    PatternTerm::Var(i)
-}
 
 /// `(s, p, o)` triples: two overlapping chains (p10, p12) whose two-hop
 /// paths form the first fragment, and three attribute predicates the
@@ -56,10 +43,6 @@ fn sample_data() -> Vec<(u32, u32, u32)> {
         data.push((9000 + k, 15, 6000 + k));
     }
     data
-}
-
-fn triples(data: &[(u32, u32, u32)]) -> Vec<TripleId> {
-    data.iter().map(|&(s, p, o)| TripleId::new(id(s), id(p), id(o))).collect()
 }
 
 /// Two-hop paths `?0 → ?1 → ?2` whose first hop is p10 or p12, each
@@ -101,41 +84,6 @@ fn narrow_query() -> StoreJucq {
     StoreJucq::new(vec![outer, attribute(3, 15, 5)], vec![0, 3, 5])
 }
 
-/// The queries' answers by definition, over plain maps: no engine code.
-fn expected(data: &[(u32, u32, u32)], wide: bool) -> Vec<Vec<TermId>> {
-    let mut by_sp: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    for &(s, p, o) in data {
-        by_sp.entry((s, p)).or_default().push(o);
-    }
-    let objects = |s: u32, p: u32| by_sp.get(&(s, p)).map_or(&[][..], Vec::as_slice);
-    let mut rows = BTreeSet::new();
-    for &(x, p, y) in data {
-        if p != 10 && p != 12 {
-            continue;
-        }
-        for &z in objects(y, 10) {
-            for &w in objects(z, 11) {
-                if wide {
-                    for &u in objects(x, 13) {
-                        rows.insert(vec![id(x), id(z), id(w), id(u)]);
-                    }
-                } else {
-                    for &r in objects(w, 15) {
-                        rows.insert(vec![id(x), id(w), id(r)]);
-                    }
-                }
-            }
-        }
-    }
-    rows.into_iter().collect()
-}
-
-fn sorted_rows(r: &Relation) -> Vec<Vec<TermId>> {
-    let mut rows: Vec<Vec<TermId>> = r.rows().map(|row| row.to_vec()).collect();
-    rows.sort();
-    rows
-}
-
 /// More than two batches, and a partial last batch.
 fn crosses_batches(n: usize) -> bool {
     n > 2 * BATCH_ROWS && !n.is_multiple_of(BATCH_ROWS)
@@ -160,9 +108,9 @@ fn fixture_inputs_cross_batch_boundaries() {
         let outer = store.eval_ucq(&q.fragments[0]).unwrap().relation.len();
         assert!(crosses_batches(outer), "first fragment: {outer}");
     }
-    for wide in [true, false] {
-        let answers = expected(&data, wide).len();
-        assert!(crosses_batches(answers), "wide={wide} answers: {answers}");
+    for q in [wide_query(), narrow_query()] {
+        let answers = naive_answers(&data, &q).len();
+        assert!(crosses_batches(answers), "answers: {answers}");
     }
 }
 
@@ -171,10 +119,11 @@ fn fixture_inputs_cross_batch_boundaries() {
 /// algorithm takes a query.
 fn cases() -> Vec<(&'static str, StoreJucq, Vec<Vec<TermId>>)> {
     let data = sample_data();
-    vec![
-        ("wide", wide_query(), expected(&data, true)),
-        ("narrow", narrow_query(), expected(&data, false)),
-    ]
+    let case = |name, q: StoreJucq| {
+        let answers = naive_answers(&data, &q);
+        (name, q, answers)
+    };
+    vec![case("wide", wide_query()), case("narrow", narrow_query())]
 }
 
 fn runs(qname: &str, join: JoinAlgo) -> bool {

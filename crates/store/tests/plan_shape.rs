@@ -139,6 +139,7 @@ fn two_fragment_join_snapshot_pg_vs_mysql() {
     let pg = render(&q, EngineProfile::pg_like());
     let want_pg = "\
 Pipelined fragment: 0
+Fragment join order: f1 (est 2.0) ⋈[?0] f0 → est 2.0
 SIP filters:
   join[0] build → fragment[0] probe on [?0]
 Dedup (est 2.0)
@@ -252,4 +253,55 @@ fn hash_members_and_merge_join_snapshot() {
         got.contains("HashJoin\n") || got.contains("HashJoin (est"),
         "member-internal join:\n{got}"
     );
+}
+
+/// The fragment join order and the SIP placement it implies, on the
+/// LUBM Q28/SCQ shape: two memberships sharing a low-cardinality group
+/// variable plus one edge between their subjects, memberships declared
+/// first. The edge is the largest fragment, yet it joins second — a
+/// membership joined to it keeps one row per edge, the two memberships
+/// joined to each other give the square of their extent over the four
+/// groups — and each SIP filter is built from the join before its target.
+#[test]
+fn join_order_and_sip_placement_snapshot() {
+    let mut data = Vec::new();
+    for i in 0..20 {
+        data.push(t(i, 10, 100 + i % 4));
+        data.push(t(i, 11, (i * 3 + 4) % 20));
+    }
+    data.push(t(0, 11, 5));
+    data.push(t(10, 11, 6));
+    let store = Store::from_triples(&data, EngineProfile::pg_like());
+    let fragment = |s: VarId, p: u32, o: VarId| {
+        StoreUcq::new(
+            vec![member(vec![StorePattern::new(v(s), c(p), v(o))], vec![s, o])],
+            vec![s, o],
+        )
+    };
+    let q = StoreJucq::new(
+        vec![fragment(0, 10, 2), fragment(1, 10, 2), fragment(0, 11, 1)],
+        vec![0, 1, 2],
+    );
+    let got = store.plan_jucq(&q).expect("admitted").render(10);
+    let want = "\
+Pipelined fragment: 2
+Fragment join order: f0 (est 20.0) ⋈[?0] f2 → est 22.0 ⋈[?2,?1] f1 → est 5.5
+SIP filters:
+  join[0] build → fragment[2] probe on [?0]
+  join[1] build → fragment[1] probe on [?2, ?1]
+Dedup (est 5.5)
+  Project [?0, ?1, ?2]
+    HashJoin join[1] (est 5.5)
+      MergeJoin join[0] (sort elided) (est 22.0)
+        HashUnion fragment[0] — 1 member (est 20.0)
+          Project [?0, ?2]
+            IndexScan (?0 #u10 ?2) (est 20.0)
+        HashUnion fragment[2] — 1 member (est 22.0)
+          Project [?0, ?1]
+            IndexScan (?0 #u11 ?1) (est 22.0)
+      HashUnion fragment[1] — 1 member (est 20.0)
+        Project [?1, ?2]
+          IndexScan (?1 #u10 ?2) via Pos (est 20.0)
+";
+    assert_eq!(got, want, "got:\n{got}");
 }
