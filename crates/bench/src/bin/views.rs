@@ -119,9 +119,9 @@ fn main() {
     eprintln!("building LUBM-like({universities} universities), twice...");
     // Same graph, same cost model, same plan cache — the only
     // difference between the two databases is the view catalog.
-    let mut off = lubm_db(universities, EngineProfile::default().with_view_scans(false));
+    let mut off = lubm_db(universities, EngineProfile::default());
     off.enable_plan_cache(64);
-    let mut on = lubm_db(universities, EngineProfile::default().with_view_scans(true));
+    let mut on = lubm_db(universities, EngineProfile::default());
     on.enable_plan_cache(64);
     on.enable_views(BUDGET_TUPLES);
     eprintln!("  {} data triples", on.graph().len());

@@ -1,73 +1,33 @@
-//! The `RdfDatabase` facade.
+//! The `RdfDatabase` facade: the single writer.
 //!
-//! Owns the RDF graph (dictionary + schema + data), lazily prepares the
-//! two engine-backed stores the paper compares —
-//!
-//! * the **plain store** (explicit data + materialized closed schema),
-//!   targeted by reformulation-based answering, and
-//! * the **saturated store** (`G∞` + the same schema triples), targeted
-//!   by saturation-based answering —
-//!
-//! and dispatches [`Strategy`]s over them, reporting the measurements
-//! the paper's experiments record (planning vs. evaluation time, union
-//! terms, covers explored).
+//! Owns what only a writer needs — the RDF graph (dictionary + schema +
+//! data), the encoding flags, the pinned settings, and the state that
+//! maintains the saturation under updates — and publishes immutable
+//! [`Snapshot`]s of it (see [`crate::epoch`]): lazily from scratch on
+//! first use and after anything that changes the schema or the
+//! vocabulary, from the previous snapshot plus a delta for an
+//! in-vocabulary data update. Everything query-facing here
+//! ([`RdfDatabase::answer`], [`RdfDatabase::explain`], the store and
+//! closure getters, …) is a delegation to the current snapshot, so the
+//! classic `&mut self` API and the concurrent [`crate::ServingDb`]
+//! answer through the same code.
 
-use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
-use jucq_model::{Graph, SchemaClosure, Term, TermId, Triple};
-use jucq_optimizer::{
-    calibrate, ecov, gcov, CostConstants, CoverSearch, EngineCostModel, JucqCostEstimator,
-    PaperCostModel,
-};
-use jucq_reformulation::cover::CoverError;
+use jucq_model::{Graph, SchemaClosure, Term, TermId, Triple, TripleId};
+use jucq_optimizer::{calibrate, CostConstants};
 use jucq_reformulation::incremental::IncrementalSaturation;
-use jucq_reformulation::jucq::jucq_for_cover_bounded;
-use jucq_reformulation::reformulate::ReformulationEnv;
 use jucq_reformulation::saturation::{saturate, schema_triples};
-use jucq_reformulation::{BgpQuery, Cover};
-use jucq_store::exec::Counters;
+use jucq_reformulation::BgpQuery;
 use jucq_store::{
-    DeltaFootprint, EngineError, EngineProfile, Relation, Store, StoreJucq, ViewCatalog,
-    ViewCatalogStats, ViewFootprint, ViewSignature, ViewSource,
+    DeltaFootprint, EngineProfile, Relation, Store, ViewCatalog, ViewCatalogStats, ViewFootprint,
+    ViewSignature,
 };
 
-use crate::strategy::{CostSource, Strategy};
-
-/// Failures surfaced by [`RdfDatabase::answer`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnswerError {
-    /// The engine refused or aborted the evaluation (the paper's
-    /// missing bars).
-    Engine(EngineError),
-    /// The query admits no valid cover of the requested shape (e.g. a
-    /// cartesian-product body asked for a single-fragment cover).
-    Cover(CoverError),
-}
-
-impl fmt::Display for AnswerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AnswerError::Engine(e) => write!(f, "engine: {e}"),
-            AnswerError::Cover(e) => write!(f, "cover: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for AnswerError {}
-
-impl From<EngineError> for AnswerError {
-    fn from(e: EngineError) -> Self {
-        AnswerError::Engine(e)
-    }
-}
-
-impl From<CoverError> for AnswerError {
-    fn from(e: CoverError) -> Self {
-        AnswerError::Cover(e)
-    }
-}
+use crate::epoch::{lock_cache, plan_jucq_on, Snapshot};
+use crate::plan_cache::{PlanCache, PlanCacheStats};
+use crate::report::{AnswerError, AnswerReport, UpdateReport};
+use crate::strategy::Strategy;
 
 /// How the database's dictionary assigns ids to URIs.
 ///
@@ -97,112 +57,6 @@ pub enum EncodingMode {
     Hierarchical,
 }
 
-/// The outcome of a data update (see
-/// [`RdfDatabase::apply_data_updates`]).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct UpdateReport {
-    /// New explicit triples inserted.
-    pub inserted: usize,
-    /// Explicit triples removed.
-    pub deleted: usize,
-    /// Entailed triples added to the saturation (beyond the explicit).
-    pub entailed_added: usize,
-    /// Entailed triples dropped from the saturation.
-    pub entailed_removed: usize,
-    /// True iff the stores were maintained in place (no rebuild).
-    pub incremental: bool,
-}
-
-/// The outcome of answering one query under one strategy.
-#[derive(Debug, Clone)]
-pub struct AnswerReport {
-    /// Strategy short name (`SAT`, `UCQ`, `SCQ`, `ECov`, `GCov`,
-    /// `Cover`).
-    pub strategy: &'static str,
-    /// The deduplicated answer relation (columns = the query head).
-    pub rows: Relation,
-    /// Executor work counters.
-    pub counters: Counters,
-    /// Time spent evaluating the final (reformulated) query.
-    pub eval_time: Duration,
-    /// Time spent reformulating and searching covers.
-    pub planning_time: Duration,
-    /// Union terms in the evaluated query (the paper's `|q_ref|` for
-    /// UCQ; summed over fragments otherwise; 1 for saturation).
-    pub union_terms: usize,
-    /// The cover used, when the strategy is cover-based.
-    pub cover: Option<Cover>,
-    /// Covers explored by the search, when one ran.
-    pub covers_explored: Option<usize>,
-    /// Fragments whose union members contained at least one
-    /// consecutive-id run the planner *could* collapse into a
-    /// [`RangeScan`](jucq_store::PlanNode) — detected even when the
-    /// profile's `range_scans` knob is off, so the query log can report
-    /// missed opportunities.
-    pub range_eligible: usize,
-    /// `RangeScan` nodes actually present in the executed plan (0 when
-    /// the knob is off or nothing was contiguous).
-    pub range_scans_planned: usize,
-    /// Materialized fragment views resident in the catalog when this
-    /// answer ran (0 when no catalog is enabled). Epoch-exact view
-    /// *resolutions* are in [`Counters::view_hits`].
-    pub view_catalog_size: usize,
-}
-
-/// Everything one answer needs besides the query: closure, stores,
-/// constants. `Clone` + `Arc` so the serving layer can pin an epoch's
-/// preparation in an immutable snapshot while the writer builds the
-/// next one copy-on-write ([`Arc::make_mut`]).
-#[derive(Clone)]
-pub(crate) struct Prepared {
-    pub(crate) closure: SchemaClosure,
-    pub(crate) rdf_type: TermId,
-    pub(crate) plain: Store,
-    pub(crate) saturated: Store,
-    pub(crate) constants: CostConstants,
-    /// The saturation under counting-based maintenance, enabling
-    /// incremental data updates (see [`RdfDatabase::apply_data_updates`]).
-    pub(crate) incremental: IncrementalSaturation,
-    /// The materialized closed-schema triples (shared by both stores).
-    pub(crate) schema_triples: Vec<jucq_model::TripleId>,
-}
-
-/// The immutable ingredients one answer needs besides the query: the
-/// prepared stores, the engine profile, and (optionally) the shared
-/// plan cache and a per-request execution-limit override. Borrowed
-/// from `&mut RdfDatabase` on the classic path and from a pinned
-/// [`crate::serving::Snapshot`] on the serving path — the pipeline
-/// itself ([`answer_on`]) never mutates anything but the cache, which
-/// sits behind its own lock.
-pub(crate) struct AnswerCtx<'a> {
-    pub(crate) prepared: &'a Prepared,
-    pub(crate) profile: &'a EngineProfile,
-    pub(crate) cache: Option<&'a Mutex<crate::plan_cache::PlanCache>>,
-    /// Execution-only override (deadline / memory budget). Never part
-    /// of plan identity: [`EngineProfile::plan_cache_key`] excludes
-    /// those knobs, so cached plans are shared across requests with
-    /// different limits.
-    pub(crate) exec_profile: Option<&'a EngineProfile>,
-    /// The materialized-view catalog, already gated on the profile's
-    /// `view_scans` knob by the ctx builder (`None` when the knob is
-    /// off or no catalog is enabled).
-    pub(crate) views: Option<&'a ViewCatalog>,
-    /// The epoch this answer is pinned to: the snapshot's on the
-    /// serving path, the catalog's own on the classic `&mut self` path
-    /// (where reads and writes are serialized anyway). View resolution
-    /// is exact against this value.
-    pub(crate) epoch: u64,
-}
-
-/// Lock the shared plan cache, recovering from poisoning: the cache's
-/// operations keep its invariants at every await-free step, so a reader
-/// that panicked mid-request must not wedge every other request.
-pub(crate) fn lock_cache(
-    cache: &Mutex<crate::plan_cache::PlanCache>,
-) -> std::sync::MutexGuard<'_, crate::plan_cache::PlanCache> {
-    cache.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// True iff `t` is an RDFS schema statement. Schema statements change
 /// the class/property hierarchies the interval labeling is computed
 /// from, so inserting one obsoletes the hierarchy encoding.
@@ -210,16 +64,72 @@ fn is_schema_triple(t: &Triple) -> bool {
     matches!(&t.p, Term::Uri(p) if jucq_model::vocab::is_schema_property(p))
 }
 
+/// The current snapshot plus what the writer needs to derive its
+/// successor from a data delta. Built together, dropped together.
+struct Published {
+    snapshot: Arc<Snapshot>,
+    /// The saturation under counting-based maintenance, enabling
+    /// incremental data updates (see [`RdfDatabase::apply_data_updates`]).
+    incremental: IncrementalSaturation,
+    /// The materialized closed-schema triples (held by both stores).
+    schema_triples: Vec<TripleId>,
+}
+
+impl Published {
+    /// Build the closure, the plain store and the saturated store from
+    /// scratch and publish them as epoch `epoch`.
+    fn build(
+        graph: &mut Graph,
+        profile: &EngineProfile,
+        pinned: Option<CostConstants>,
+        cache: Option<Arc<Mutex<PlanCache>>>,
+        views: Option<Arc<ViewCatalog>>,
+        epoch: u64,
+    ) -> Published {
+        jucq_obs::span!("prepare");
+        let closure = graph.schema_closure();
+        let rdf_type = graph.rdf_type();
+        let schema_ts = schema_triples(graph, &closure);
+
+        let store_of = |mut triples: Vec<TripleId>| {
+            triples.extend_from_slice(&schema_ts);
+            triples.sort_unstable();
+            triples.dedup();
+            Store::from_triples(&triples, profile.clone())
+        };
+        let plain = store_of(graph.data().to_vec());
+        let saturated = store_of(saturate(graph));
+
+        let incremental = IncrementalSaturation::new(graph.data(), closure.clone(), rdf_type);
+        let constants = pinned.unwrap_or_else(|| calibrate(&plain));
+        let snapshot = Snapshot {
+            epoch,
+            // Cloned last: closing the schema and saturating may intern.
+            dict: graph.dict().clone(),
+            closure: Arc::new(closure),
+            rdf_type,
+            plain,
+            saturated,
+            constants,
+            cache,
+            views,
+        };
+        Published { snapshot: Arc::new(snapshot), incremental, schema_triples: schema_ts }
+    }
+}
+
 /// An RDF database answering BGP queries under RDFS constraints.
 pub struct RdfDatabase {
     graph: Graph,
     profile: EngineProfile,
+    /// Cost constants pinned by [`RdfDatabase::set_cost_constants`]
+    /// (`None` = calibrate at preparation).
     constants: Option<CostConstants>,
-    prepared: Option<Arc<Prepared>>,
-    plan_cache: Option<Arc<Mutex<crate::plan_cache::PlanCache>>>,
+    plan_cache: Option<Arc<Mutex<PlanCache>>>,
     /// The materialized fragment-view catalog, when enabled
-    /// ([`RdfDatabase::enable_views`]). `Arc`-shared with serving
-    /// snapshots; all mutation goes through interior locking.
+    /// ([`RdfDatabase::enable_views`]). Shared with every snapshot; all
+    /// mutation goes through interior locking, and its epoch is kept
+    /// equal to `epoch` below.
     views: Option<Arc<ViewCatalog>>,
     encoding: EncodingMode,
     /// Whether the hierarchy-aware re-encoding is current. Reset when
@@ -228,6 +138,11 @@ pub struct RdfDatabase {
     /// must re-parse queries afterwards (constants interned before a
     /// re-encoding hold pre-remap ids).
     encoded: bool,
+    /// The epoch of the current snapshot or, with none published, the
+    /// one the next preparation will publish: 0 for the first, one more
+    /// for every snapshot that holds different data.
+    epoch: u64,
+    published: Option<Published>,
 }
 
 impl Default for RdfDatabase {
@@ -244,16 +159,7 @@ impl RdfDatabase {
 
     /// An empty database with a specific engine profile.
     pub fn with_profile(profile: EngineProfile) -> Self {
-        RdfDatabase {
-            graph: Graph::new(),
-            profile,
-            constants: None,
-            prepared: None,
-            plan_cache: None,
-            views: None,
-            encoding: EncodingMode::Plain,
-            encoded: false,
-        }
+        Self::from_graph(Graph::new(), profile)
     }
 
     /// Wrap an existing graph.
@@ -262,11 +168,12 @@ impl RdfDatabase {
             graph,
             profile,
             constants: None,
-            prepared: None,
             plan_cache: None,
             views: None,
             encoding: EncodingMode::Plain,
             encoded: false,
+            epoch: 0,
+            published: None,
         }
     }
 
@@ -354,26 +261,30 @@ impl RdfDatabase {
         &self.profile
     }
 
-    /// Switch the engine profile (keeps data; rebuilds stores lazily
-    /// with the same triples but new execution behaviour).
+    /// Switch the engine profile (keeps data and stores; the next
+    /// snapshot runs the same triples under the new execution
+    /// behaviour).
     ///
     /// The cost constants calibrated under the old profile are stale —
     /// they encode the old join algorithm and materialization policy —
     /// so unless they were pinned with
     /// [`RdfDatabase::set_cost_constants`] they are recalibrated
     /// against the new profile. Cached covers and physical plans are
-    /// keyed by the profile's plan-affecting fingerprint (name plus
-    /// join, materialization, sharing, batch and SIP knobs), so
-    /// entries chosen for the old settings simply stop matching (and
-    /// keep serving if the profile is switched back).
+    /// keyed by the profile's plan-affecting fingerprint
+    /// ([`EngineProfile::plan_cache_key`]: name plus the join,
+    /// materialization and planner-pass knobs), so entries chosen for
+    /// the old settings simply stop matching (and keep serving if the
+    /// profile is switched back).
     pub fn set_profile(&mut self, profile: EngineProfile) {
         self.profile = profile.clone();
-        if let Some(p) = &mut self.prepared {
-            let p = Arc::make_mut(p);
-            p.plain.set_profile(profile.clone());
-            p.saturated.set_profile(profile);
-            p.constants = self.constants.unwrap_or_else(|| calibrate(&p.plain));
-        }
+        let pinned = self.constants;
+        self.republish(|s| {
+            let mut next = s.share();
+            next.plain.set_profile(profile.clone());
+            next.saturated.set_profile(profile);
+            next.constants = pinned.unwrap_or_else(|| calibrate(&next.plain));
+            next
+        });
     }
 
     /// Enable cover-plan caching for the ECov/GCov strategies: repeated
@@ -388,21 +299,16 @@ impl RdfDatabase {
         match &self.plan_cache {
             Some(cache) => lock_cache(cache).resize(capacity),
             None => {
-                self.plan_cache =
-                    Some(Arc::new(Mutex::new(crate::plan_cache::PlanCache::new(capacity))));
+                let cache = Some(Arc::new(Mutex::new(PlanCache::new(capacity))));
+                self.plan_cache = cache.clone();
+                self.republish(|s| Snapshot { cache, ..s.share() });
             }
         }
     }
 
     /// The plan cache's hit/miss counters, if caching is enabled.
-    pub fn plan_cache_stats(&self) -> Option<crate::plan_cache::PlanCacheStats> {
+    pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
         self.plan_cache.as_ref().map(|c| lock_cache(c).stats())
-    }
-
-    /// The shared plan-cache handle, for snapshots (the cache outlives
-    /// any single epoch: covers stay sound across data updates).
-    pub(crate) fn plan_cache_shared(&self) -> Option<Arc<Mutex<crate::plan_cache::PlanCache>>> {
-        self.plan_cache.clone()
     }
 
     /// Swap in a fresh plan cache of the same capacity, leaving the old
@@ -415,10 +321,9 @@ impl RdfDatabase {
     /// makes the race unrepresentable; the old epoch keeps caching
     /// against its own doomed instance until it drops.
     pub(crate) fn replace_plan_cache(&mut self) {
-        if let Some(cache) = &self.plan_cache {
+        if let Some(cache) = &mut self.plan_cache {
             let capacity = lock_cache(cache).capacity();
-            self.plan_cache =
-                Some(Arc::new(Mutex::new(crate::plan_cache::PlanCache::new(capacity))));
+            *cache = Arc::new(Mutex::new(PlanCache::new(capacity)));
         }
     }
 
@@ -430,20 +335,11 @@ impl RdfDatabase {
     /// Calling again on a live catalog replaces it (entries are
     /// re-pinned by their owners).
     pub fn enable_views(&mut self, budget_tuples: usize) {
-        let epoch = self.views.as_ref().map(|c| c.epoch()).unwrap_or(0);
         let catalog = ViewCatalog::new(budget_tuples);
-        catalog.set_epoch(epoch);
-        self.views = Some(Arc::new(catalog));
-    }
-
-    /// The view catalog, if one is enabled.
-    pub fn views(&self) -> Option<&ViewCatalog> {
-        self.views.as_deref()
-    }
-
-    /// The shared catalog handle, for serving snapshots.
-    pub(crate) fn views_shared(&self) -> Option<Arc<ViewCatalog>> {
-        self.views.clone()
+        catalog.set_epoch(self.epoch);
+        let views = Some(Arc::new(catalog));
+        self.views = views.clone();
+        self.republish(|s| Snapshot { views, ..s.share() });
     }
 
     /// The catalog's aggregate statistics, if views are enabled.
@@ -479,15 +375,14 @@ impl RdfDatabase {
         if q.is_empty() {
             return Ok(0);
         }
-        self.prepare();
-        let (jucq, _, _, saturated, _) = plan_jucq_on(&self.answer_ctx(), q, strategy)?;
-        if saturated {
+        let snapshot = Arc::clone(self.snapshot());
+        let planned = plan_jucq_on(&snapshot, q, strategy)?;
+        if planned.saturated {
             return Ok(0);
         }
-        let p = Arc::clone(self.prepared.as_ref().expect("prepared"));
-        let target = &p.plain;
+        let target = &snapshot.plain;
         let mut pinned = 0usize;
-        for (i, frag) in jucq.fragments.iter().enumerate() {
+        for (i, frag) in planned.jucq.fragments.iter().enumerate() {
             if let Some(sel) = fragments {
                 if !sel.contains(&i) {
                     continue;
@@ -497,10 +392,8 @@ impl RdfDatabase {
             if catalog.contains_current(&sig).is_some() {
                 continue;
             }
-            let single = StoreJucq::new(vec![frag.clone()], frag.head.clone());
-            let plan = target.plan_jucq(&single)?;
-            let outcome = target.eval_plan(&plan)?;
-            let footprint = ViewFootprint::of(frag, p.rdf_type);
+            let outcome = target.eval_ucq(frag)?;
+            let footprint = ViewFootprint::of(frag, snapshot.rdf_type);
             if catalog.insert(sig, ViewSignature::body_of(frag), outcome.relation, footprint) {
                 pinned += 1;
             }
@@ -516,106 +409,90 @@ impl RdfDatabase {
     /// Pin the cost constants instead of calibrating.
     pub fn set_cost_constants(&mut self, constants: CostConstants) {
         self.constants = Some(constants);
-        if let Some(p) = &mut self.prepared {
-            Arc::make_mut(p).constants = constants;
+        self.republish(|s| Snapshot { constants, ..s.share() });
+    }
+
+    /// Replace the current snapshot by `change` of it (same epoch: the
+    /// data is the same) — how a setting changed after preparation
+    /// reaches the readers. With nothing published the setting simply
+    /// waits for the next preparation.
+    fn republish(&mut self, change: impl FnOnce(&Snapshot) -> Snapshot) {
+        if let Some(p) = &mut self.published {
+            p.snapshot = Arc::new(change(&p.snapshot));
         }
     }
 
+    /// Drop the current snapshot: the next one is built from scratch
+    /// and, holding different data, under the next epoch.
     fn invalidate(&mut self) {
-        self.prepared = None;
+        if self.published.take().is_some() {
+            self.epoch += 1;
+        }
         if let Some(cache) = &self.plan_cache {
             lock_cache(cache).clear();
         }
         // A rebuild may remap term ids (hierarchy re-encoding) or change
         // the schema closure the materialized unions were derived from:
-        // nothing in the catalog survives. The epoch is left for the
-        // owner (the serving layer) to re-align at publish time.
+        // nothing in the catalog survives.
         if let Some(catalog) = &self.views {
             catalog.clear();
+            catalog.set_epoch(self.epoch);
         }
     }
 
-    /// Build the closure, the plain store and the saturated store.
-    /// Idempotent; [`RdfDatabase::answer`] calls it automatically.
+    /// Build the closure, the plain store and the saturated store and
+    /// publish the first snapshot over them. Idempotent;
+    /// [`RdfDatabase::answer`] calls it automatically.
     pub fn prepare(&mut self) {
-        if self.prepared.is_some() {
-            return;
-        }
+        self.snapshot();
+    }
+
+    /// The current snapshot, preparing on demand. Holders keep the
+    /// `Arc` alive; later updates publish successors, never touch it.
+    pub(crate) fn snapshot(&mut self) -> &Arc<Snapshot> {
         self.ensure_encoded();
-        jucq_obs::span!("prepare");
-        let closure = self.graph.schema_closure();
-        let rdf_type = self.graph.rdf_type();
-        let schema_ts = schema_triples(&mut self.graph, &closure);
-
-        let mut plain_triples = self.graph.data().to_vec();
-        plain_triples.extend_from_slice(&schema_ts);
-        plain_triples.sort_unstable();
-        plain_triples.dedup();
-        let plain = Store::from_triples(&plain_triples, self.profile.clone());
-
-        let mut sat_triples = saturate(&mut self.graph);
-        sat_triples.extend_from_slice(&schema_ts);
-        sat_triples.sort_unstable();
-        sat_triples.dedup();
-        let saturated = Store::from_triples(&sat_triples, self.profile.clone());
-
-        let incremental = IncrementalSaturation::new(self.graph.data(), closure.clone(), rdf_type);
-        let constants = self.constants.unwrap_or_else(|| calibrate(&plain));
-        self.prepared = Some(Arc::new(Prepared {
-            closure,
-            rdf_type,
-            plain,
-            saturated,
-            constants,
-            incremental,
-            schema_triples: schema_ts,
-        }));
+        let RdfDatabase { graph, profile, constants, plan_cache, views, epoch, published, .. } =
+            self;
+        let published = published.get_or_insert_with(|| {
+            Published::build(graph, profile, *constants, plan_cache.clone(), views.clone(), *epoch)
+        });
+        &published.snapshot
     }
 
-    /// The prepared state as a shared handle (preparing on demand) —
-    /// the serving layer's snapshot ingredient. Published snapshots
-    /// keep this `Arc` alive; subsequent incremental updates mutate a
-    /// private copy ([`Arc::make_mut`]), never the pinned one.
-    pub(crate) fn prepared_shared(&mut self) -> Arc<Prepared> {
-        self.prepare();
-        Arc::clone(self.prepared.as_ref().expect("prepared"))
-    }
-
-    /// True when `triple` can be absorbed without rebuilding: data-only
+    /// True when `t` can be absorbed without rebuilding: data-only
     /// and not introducing a class or property unknown to the closure
     /// (new vocabulary would change the instantiation rules' universe).
-    fn update_is_incremental(&self, p: &Prepared, t: &jucq_model::TripleId) -> bool {
-        if t.p == p.rdf_type {
-            !t.o.is_uri() || p.closure.classes().contains(&t.o)
+    fn update_is_incremental(s: &Snapshot, t: &TripleId) -> bool {
+        if t.p == s.rdf_type {
+            !t.o.is_uri() || s.closure.classes().contains(&t.o)
         } else {
-            p.closure.properties().contains(&t.p)
+            s.closure.properties().contains(&t.p)
         }
     }
 
     /// Apply a batch of data insertions and deletions.
     ///
     /// When the database is prepared and the update stays within the
-    /// known vocabulary, both stores are maintained **incrementally**:
-    /// the plain store by an index merge, the saturated store through
-    /// the counting-based [`IncrementalSaturation`] — the maintenance
-    /// cost the paper's §5.3 discussion weighs against reformulation.
-    /// Schema statements or new vocabulary fall back to invalidating
-    /// the preparation (rebuilt lazily on the next answer).
+    /// known vocabulary, the next snapshot is derived **incrementally**
+    /// from the current one: the plain store by an index merge, the
+    /// saturated store through the counting-based
+    /// [`IncrementalSaturation`] — the maintenance cost the paper's
+    /// §5.3 discussion weighs against reformulation — and everything
+    /// else shared. Schema statements or new vocabulary fall back to
+    /// invalidating the preparation (rebuilt lazily on the next
+    /// answer).
     pub fn apply_data_updates(&mut self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
-        use jucq_model::{FxHashSet, TripleId};
-        // Schema statements cannot be absorbed incrementally.
-        let is_schema =
-            |t: &Triple| matches!(&t.p, Term::Uri(p) if jucq_model::vocab::is_schema_property(p));
-        if inserts.iter().chain(deletes).any(is_schema) {
-            for t in deletes {
-                // Schema deletion is not supported at the Graph level;
-                // data deletes are handled below after invalidation.
-                let _ = t;
-            }
+        use jucq_model::FxHashSet;
+        // Schema statements cannot be absorbed incrementally. (Schema
+        // deletion is not supported at the Graph level; data deletes
+        // of the same batch still apply.)
+        if inserts.iter().chain(deletes).any(is_schema_triple) {
             self.extend(inserts);
-            let del: Vec<TripleId> =
-                deletes.iter().filter(|t| !is_schema(t)).map(|t| self.encode_triple(t)).collect();
-            let del_set: FxHashSet<TripleId> = del.into_iter().collect();
+            let del_set: FxHashSet<TripleId> = deletes
+                .iter()
+                .filter(|t| !is_schema_triple(t))
+                .map(|t| self.encode_triple(t))
+                .collect();
             self.graph.remove_data_batch(&del_set);
             self.invalidate();
             return UpdateReport { incremental: false, ..Default::default() };
@@ -624,11 +501,11 @@ impl RdfDatabase {
         let ins_ids: Vec<TripleId> = inserts.iter().map(|t| self.encode_triple(t)).collect();
         let del_ids: Vec<TripleId> = deletes.iter().map(|t| self.encode_triple(t)).collect();
 
-        let absorbable = match &self.prepared {
-            Some(p) => ins_ids.iter().all(|t| self.update_is_incremental(p.as_ref(), t)),
-            None => false,
-        };
-        if !absorbable {
+        let Some(p) = self
+            .published
+            .as_mut()
+            .filter(|p| ins_ids.iter().all(|t| Self::update_is_incremental(&p.snapshot, t)))
+        else {
             let mut report = UpdateReport::default();
             for &t in &ins_ids {
                 if self.graph.insert_data_encoded(t) {
@@ -639,60 +516,66 @@ impl RdfDatabase {
             report.deleted = self.graph.remove_data_batch(&del_set);
             self.invalidate();
             return report;
-        }
+        };
 
         let mut report = UpdateReport { incremental: true, ..Default::default() };
         let mut plain_ins: Vec<TripleId> = Vec::new();
-        let mut plain_del: FxHashSet<TripleId> = FxHashSet::default();
         let mut sat_ins: Vec<TripleId> = Vec::new();
         let mut sat_del: FxHashSet<TripleId> = FxHashSet::default();
-        {
-            // Copy-on-write: a snapshot pinning the old epoch keeps its
-            // `Arc`; the writer mutates a private copy and publishes it.
-            let p = Arc::make_mut(self.prepared.as_mut().expect("absorbable implies prepared"));
-            for &t in &ins_ids {
-                if self.graph.insert_data_encoded(t) {
-                    report.inserted += 1;
-                    plain_ins.push(t);
-                    let delta = p.incremental.insert(t);
-                    report.entailed_added += delta.added.len().saturating_sub(1);
-                    sat_ins.extend(delta.added);
-                }
-            }
-            let present: Vec<TripleId> =
-                del_ids.iter().filter(|t| self.graph.contains_data(t)).copied().collect();
-            let present_set: FxHashSet<TripleId> = present.iter().copied().collect();
-            report.deleted = self.graph.remove_data_batch(&present_set);
-            for t in &present {
-                plain_del.insert(*t);
-                let delta = p.incremental.delete(t);
-                report.entailed_removed += delta.removed.len().saturating_sub(1);
-                sat_del.extend(delta.removed);
-            }
-            // Schema triples are immutable here; shield them from
-            // accidental deletion by the saturation delta.
-            for st in &p.schema_triples {
-                sat_del.remove(st);
-            }
-            p.plain = p.plain.apply_delta(&plain_ins, &plain_del);
-            p.saturated = p.saturated.apply_delta(&sat_ins, &sat_del);
-
-            // Advance the view catalog one epoch, dropping exactly the
-            // entries whose predicate/class footprint intersects the
-            // *plain-store* delta (views are materialized from the plain
-            // store, so saturation-only churn cannot affect them).
-            // Surviving entries are restamped to the new epoch and keep
-            // serving.
-            if let Some(catalog) = &self.views {
-                let mut touched: Vec<TripleId> = plain_ins.clone();
-                touched.extend(plain_del.iter().copied());
-                let delta = DeltaFootprint::from_triples(&touched, p.rdf_type);
-                let dropped = catalog.advance_epoch(catalog.epoch() + 1, &delta);
-                if !dropped.is_empty() {
-                    jucq_obs::metrics::counter_add("views.invalidated", dropped.len() as u64);
-                }
+        for &t in &ins_ids {
+            if self.graph.insert_data_encoded(t) {
+                report.inserted += 1;
+                plain_ins.push(t);
+                let delta = p.incremental.insert(t);
+                report.entailed_added += delta.added.len().saturating_sub(1);
+                sat_ins.extend(delta.added);
             }
         }
+        let present: Vec<TripleId> =
+            del_ids.iter().filter(|t| self.graph.contains_data(t)).copied().collect();
+        let plain_del: FxHashSet<TripleId> = present.iter().copied().collect();
+        report.deleted = self.graph.remove_data_batch(&plain_del);
+        for t in &present {
+            let delta = p.incremental.delete(t);
+            report.entailed_removed += delta.removed.len().saturating_sub(1);
+            sat_del.extend(delta.removed);
+        }
+        // Schema triples are immutable here; shield them from
+        // accidental deletion by the saturation delta.
+        for st in &p.schema_triples {
+            sat_del.remove(st);
+        }
+
+        // The next epoch: both stores merged with their deltas, the
+        // dictionary as it is now (its tables are copied only if this
+        // batch interned a term while `prev` shared them), the rest
+        // shared with the snapshot readers may still be pinned to.
+        self.epoch += 1;
+        let prev = &p.snapshot;
+        let next = Snapshot {
+            epoch: self.epoch,
+            dict: self.graph.dict().clone(),
+            plain: prev.plain.apply_delta(&plain_ins, &plain_del),
+            saturated: prev.saturated.apply_delta(&sat_ins, &sat_del),
+            ..prev.share()
+        };
+
+        // Advance the view catalog in lock-step, dropping exactly the
+        // entries whose predicate/class footprint intersects the
+        // *plain-store* delta (views are materialized from the plain
+        // store, so saturation-only churn cannot affect them).
+        // Surviving entries are restamped to the new epoch and keep
+        // serving.
+        if let Some(catalog) = &self.views {
+            let mut touched: Vec<TripleId> = plain_ins;
+            touched.extend(plain_del.iter().copied());
+            let delta = DeltaFootprint::from_triples(&touched, next.rdf_type);
+            let dropped = catalog.advance_epoch(self.epoch, &delta);
+            if !dropped.is_empty() {
+                jucq_obs::metrics::counter_add("views.invalidated", dropped.len() as u64);
+            }
+        }
+        p.snapshot = Arc::new(next);
         // Covers stay sound across data updates (Theorem 3.1), but the
         // physical plans lowered from them baked in join orders and
         // shared-scan choices from the old statistics snapshot.
@@ -702,74 +585,38 @@ impl RdfDatabase {
         report
     }
 
-    /// The ECov/GCov planning path, shared by the cached and uncached
-    /// branches of [`RdfDatabase::answer`].
-    #[allow(clippy::type_complexity)]
-    fn run_cover_search(
-        q: &BgpQuery,
-        env: &ReformulationEnv<'_>,
-        p: &Prepared,
-        cost: &CostSource,
-        strategy: &Strategy,
-        limit: usize,
-        views: Option<&ViewCatalog>,
-    ) -> Result<(StoreJucq, Option<Cover>, Option<usize>), AnswerError> {
-        let paper_model = PaperCostModel::new(p.plain.table(), p.plain.stats(), p.constants)
-            .with_range_pricing(p.plain.profile().range_scans)
-            .with_view_pricing(views);
-        let engine_model = EngineCostModel::new(&p.plain);
-        let estimator: &dyn JucqCostEstimator = match cost {
-            CostSource::Paper => &paper_model,
-            CostSource::Engine => &engine_model,
-        };
-        let search = CoverSearch::new(q, *env, estimator).with_union_limit(limit);
-        let result = match strategy {
-            Strategy::ECov { budget, .. } => ecov(&search, *budget)?,
-            Strategy::GCov { budget, max_moves, .. } => gcov(&search, *budget, *max_moves)?,
-            _ => unreachable!("callers narrow to ECov/GCov"),
-        };
-        let jucq = jucq_for_cover_bounded(q, &result.cover, env, limit)
-            .map_err(|n| AnswerError::from(EngineError::UnionTooLarge { terms: n, limit }))?;
-        Ok((jucq, Some(result.cover), Some(result.explored)))
-    }
-
-    fn encode_triple(&mut self, t: &Triple) -> jucq_model::TripleId {
+    fn encode_triple(&mut self, t: &Triple) -> TripleId {
         self.ensure_encoded();
         let d = self.graph.dict_mut();
         let s = d.encode(&t.s);
         let p = d.encode(&t.p);
         let o = d.encode(&t.o);
-        jucq_model::TripleId::new(s, p, o)
+        TripleId::new(s, p, o)
     }
 
     /// The plain (non-saturated) store, for direct engine access.
     pub fn plain_store(&mut self) -> &Store {
-        self.prepare();
-        &self.prepared.as_ref().expect("prepared").plain
+        self.snapshot().plain_store()
     }
 
     /// The saturated store.
     pub fn saturated_store(&mut self) -> &Store {
-        self.prepare();
-        &self.prepared.as_ref().expect("prepared").saturated
+        self.snapshot().saturated_store()
     }
 
     /// The schema closure.
     pub fn closure(&mut self) -> &SchemaClosure {
-        self.prepare();
-        &self.prepared.as_ref().expect("prepared").closure
+        self.snapshot().closure()
     }
 
     /// The dictionary id of `rdf:type`.
     pub fn rdf_type(&mut self) -> TermId {
-        self.prepare();
-        self.prepared.as_ref().expect("prepared").rdf_type
+        self.snapshot().rdf_type()
     }
 
     /// The calibrated (or pinned) cost constants.
     pub fn cost_constants(&mut self) -> CostConstants {
-        self.prepare();
-        self.prepared.as_ref().expect("prepared").constants
+        self.snapshot().cost_constants()
     }
 
     /// Parse a SPARQL-BGP query against this database's dictionary
@@ -796,460 +643,51 @@ impl RdfDatabase {
 
     /// Decode an answer relation's rows to owned terms
     /// ([`crate::rows::decode_rows`]; [`crate::rows::term_rows`] over
-    /// `self.graph().dict()` borrows them instead).
+    /// `self.graph().dict()` borrows them instead). The writer's
+    /// dictionary is a superset of every snapshot's of this build.
     pub fn decode_rows(&self, rows: &Relation) -> Vec<Vec<Term>> {
         crate::rows::decode_rows(self.graph.dict(), rows)
     }
 
-    /// Plan `q` under `strategy`: choose (or look up) a cover, build the
-    /// reformulated JUCQ, and report which store evaluates it (`true` =
-    /// the saturated store) plus the plan-cache key used (when caching
-    /// applies), so [`RdfDatabase::answer`] can reuse the entry's
-    /// physical plan. Shared by [`RdfDatabase::answer`] and
-    /// [`RdfDatabase::explain_analyze`].
-    #[allow(clippy::type_complexity)]
-    fn plan_jucq(
-        &mut self,
-        q: &BgpQuery,
-        strategy: &Strategy,
-    ) -> Result<
-        (StoreJucq, Option<Cover>, Option<usize>, bool, Option<crate::plan_cache::PlanKey>),
-        AnswerError,
-    > {
-        self.prepare();
-        plan_jucq_on(&self.answer_ctx(), q, strategy)
-    }
-
-    /// The borrowed pipeline inputs. Callers must [`RdfDatabase::prepare`]
-    /// first.
-    fn answer_ctx(&self) -> AnswerCtx<'_> {
-        let views = if self.profile.view_scans { self.views.as_deref() } else { None };
-        AnswerCtx {
-            prepared: self.prepared.as_deref().expect("prepared"),
-            profile: &self.profile,
-            cache: self.plan_cache.as_deref(),
-            exec_profile: None,
-            views,
-            epoch: views.map(|c| c.epoch()).unwrap_or(0),
-        }
-    }
-}
-
-/// Plan `q` under `strategy` over borrowed pipeline inputs: choose (or
-/// look up) a cover, build the reformulated JUCQ, and report which
-/// store evaluates it (`true` = the saturated store) plus the
-/// plan-cache key used (when caching applies). The `&self`-compatible
-/// planning stage shared by [`RdfDatabase`] and the serving snapshot
-/// path ([`crate::serving::Snapshot`]).
-#[allow(clippy::type_complexity)]
-pub(crate) fn plan_jucq_on(
-    ctx: &AnswerCtx<'_>,
-    q: &BgpQuery,
-    strategy: &Strategy,
-) -> Result<
-    (StoreJucq, Option<Cover>, Option<usize>, bool, Option<crate::plan_cache::PlanKey>),
-    AnswerError,
-> {
-    let p = ctx.prepared;
-    let env = ReformulationEnv { closure: &p.closure, rdf_type: p.rdf_type };
-
-    // Reformulation is bounded by the engine's union limit: a union
-    // the engine would reject is not materialized at all (the paper's
-    // engines likewise fail during parsing/planning, not execution).
-    let limit = ctx.profile.max_union_terms;
-    let bounded = |cover: &Cover| -> Result<StoreJucq, AnswerError> {
-        jucq_for_cover_bounded(q, cover, &env, limit)
-            .map_err(|n| EngineError::UnionTooLarge { terms: n, limit }.into())
-    };
-
-    let mut used_key: Option<crate::plan_cache::PlanKey> = None;
-    let (jucq, cover, explored, saturated): (StoreJucq, Option<Cover>, Option<usize>, bool) =
-        match strategy {
-            Strategy::Saturation => {
-                let cq = q.to_store_cq();
-                let head = q.head.clone();
-                let ucq = jucq_store::StoreUcq::new(vec![cq], head.clone());
-                (StoreJucq::new(vec![ucq], head), None, None, true)
-            }
-            // Range reformulates exactly like UCQ; the union-to-
-            // interval collapse happens inside the physical planner
-            // (and only when the profile's `range_scans` knob is on,
-            // so with it off Range degenerates to plain UCQ).
-            Strategy::Ucq | Strategy::Range => {
-                let cover = Cover::single_fragment(q)?;
-                (bounded(&cover)?, Some(cover), None, false)
-            }
-            Strategy::Scq => {
-                let cover = Cover::singletons(q)?;
-                (bounded(&cover)?, Some(cover), None, false)
-            }
-            Strategy::MinimizedUcq { cap } => {
-                let cover = Cover::single_fragment(q)?;
-                let mut jucq = bounded(&cover)?;
-                if jucq.union_terms() <= *cap {
-                    let minimized: Vec<_> = jucq
-                        .fragments
-                        .into_iter()
-                        .map(|f| jucq_reformulation::minimize_ucq(&f))
-                        .collect();
-                    jucq = StoreJucq::new(minimized, jucq.head);
-                }
-                (jucq, Some(cover), None, false)
-            }
-            Strategy::FixedCover(cover) => (bounded(cover)?, Some(cover.clone()), None, false),
-            Strategy::ECov { cost, .. } | Strategy::GCov { cost, .. } => {
-                // Plan-cache keys are canonical query forms, so
-                // isomorphic queries (same shape, different variable
-                // names or atom order) share one cached cover; the
-                // cover's atom indices are canonical and translated
-                // through this query's permutation. The profile's
-                // plan-affecting fingerprint (name plus the join,
-                // materialization, sharing and planner-pass knobs)
-                // keys cost-model- and executor-dependent choices
-                // apart, so toggling `JUCQ_ORDER` or `sip_filters`
-                // can never serve a plan lowered for the old knobs.
-                let canonical = ctx.cache.is_some().then(|| q.canonicalize());
-                let cache_key = canonical.as_ref().map(|(cq, _)| {
-                    crate::plan_cache::PlanKey::new(
-                        cq.clone(),
-                        strategy.name(),
-                        &ctx.profile.plan_cache_key(),
-                    )
-                });
-                used_key = cache_key.clone();
-                if let (Some(cache), Some(key)) = (ctx.cache, &cache_key) {
-                    // Hold the lock only for the lookup — a miss
-                    // runs the cover search unlocked, so concurrent
-                    // requests never serialize behind planning.
-                    let cached = lock_cache(cache).get(key);
-                    if let Some((canonical_cover, explored)) = cached {
-                        let perm = &canonical.as_ref().expect("key implies canonical").1;
-                        let fragments: Vec<Vec<usize>> = canonical_cover
-                            .fragments()
-                            .into_iter()
-                            .map(|f| f.into_iter().map(|i| perm[i]).collect())
-                            .collect();
-                        let cover = Cover::new(q, fragments)
-                            .expect("canonical covers translate to valid covers");
-                        let jucq = jucq_for_cover_bounded(q, &cover, &env, limit).map_err(|n| {
-                            AnswerError::from(EngineError::UnionTooLarge { terms: n, limit })
-                        })?;
-                        (jucq, Some(cover), explored, false)
-                    } else {
-                        let (jucq, cover, explored) = RdfDatabase::run_cover_search(
-                            q, &env, p, cost, strategy, limit, ctx.views,
-                        )?;
-                        if let Some(c) = &cover {
-                            // Store the cover in canonical indices.
-                            let perm = &canonical.as_ref().expect("key implies canonical").1;
-                            let inverse: jucq_model::FxHashMap<usize, usize> =
-                                perm.iter().enumerate().map(|(ci, &oi)| (oi, ci)).collect();
-                            let fragments: Vec<Vec<usize>> = c
-                                .fragments()
-                                .into_iter()
-                                .map(|f| f.into_iter().map(|i| inverse[&i]).collect())
-                                .collect();
-                            let (cq, _) = canonical.as_ref().expect("canonical");
-                            if let Ok(canonical_cover) = Cover::new(cq, fragments) {
-                                lock_cache(cache).put(key.clone(), canonical_cover, explored);
-                            }
-                        }
-                        (jucq, cover, explored, false)
-                    }
-                } else {
-                    let (jucq, cover, explored) = RdfDatabase::run_cover_search(
-                        q, &env, p, cost, strategy, limit, ctx.views,
-                    )?;
-                    (jucq, cover, explored, false)
-                }
-            }
-        };
-    Ok((jucq, cover, explored, saturated, used_key))
-}
-
-/// A zero-atom query's uniform answer: clean and empty for *every*
-/// strategy. An empty body has no cover (UCQ's single fragment would be
-/// empty, SCQ's cover has no fragments), and letting each strategy
-/// improvise its own degenerate behaviour made them disagree. No atoms,
-/// no answers — uniformly.
-pub(crate) fn empty_answer(
-    q: &BgpQuery,
-    strategy: &Strategy,
-) -> (AnswerReport, Option<jucq_store::ExecProfile>) {
-    jucq_obs::metrics::counter_add("queries.answered", 1);
-    (
-        AnswerReport {
-            strategy: strategy.name(),
-            rows: Relation::empty(q.head.clone()),
-            counters: Counters::default(),
-            eval_time: Duration::ZERO,
-            planning_time: Duration::ZERO,
-            union_terms: 0,
-            cover: None,
-            covers_explored: None,
-            range_eligible: 0,
-            range_scans_planned: 0,
-            view_catalog_size: 0,
-        },
-        None,
-    )
-}
-
-/// The shared answering pipeline over borrowed inputs — the `&self`
-/// core of [`RdfDatabase::answer`], also driven by the serving
-/// snapshot path. Callers emit the `answer` span and short-circuit
-/// zero-atom queries through [`empty_answer`] first.
-pub(crate) fn answer_on(
-    ctx: &AnswerCtx<'_>,
-    q: &BgpQuery,
-    strategy: &Strategy,
-    profiled: bool,
-) -> Result<(AnswerReport, Option<jucq_store::ExecProfile>), AnswerError> {
-    let planning_start = Instant::now();
-    let (jucq, cover, explored, saturated, cache_key) = {
-        jucq_obs::span!("planning");
-        plan_jucq_on(ctx, q, strategy)?
-    };
-    let planning_time = planning_start.elapsed();
-    let p = ctx.prepared;
-    let target = if saturated { &p.saturated } else { &p.plain };
-
-    let union_terms = jucq.union_terms();
-    // Reuse the cache entry's lowered physical plan when it was
-    // built for exactly this query under this profile; otherwise
-    // lower one and attach it for the next repetition.
-    let mut exec_profile = None;
-    // Views only serve the plain store (they were materialized from
-    // it); a saturation plan never carries `ViewScan` leaves.
-    let catalog = if saturated { None } else { ctx.views };
-    let plan = match (ctx.cache, &cache_key) {
-        (Some(cache), Some(key)) => {
-            let cached = lock_cache(cache).get_plan(key, q);
-            match cached {
-                Some(plan) => plan,
-                None => {
-                    let plan = Arc::new(target.plan_jucq_views(&jucq, catalog)?);
-                    lock_cache(cache).attach_plan(key, q.clone(), Arc::clone(&plan));
-                    plan
-                }
-            }
-        }
-        _ => Arc::new(target.plan_jucq_views(&jucq, catalog)?),
-    };
-    let (range_eligible, range_scans_planned) = (plan.range_eligible, plan.range_scans);
-    // Per-request limits (deadline, memory budget) override only the
-    // execution context, never the plan: `plan_cache_key` excludes
-    // them by design, so a request with a tight deadline still reuses
-    // the shared plan. View resolution is pinned to the *request's*
-    // epoch: a cached plan's `ViewScan` leaf serves rows only when the
-    // catalog entry was computed at exactly `ctx.epoch`, and falls back
-    // to its embedded union otherwise — so a racing plan-cache entry
-    // can never surface another epoch's rows.
-    let source = catalog.map(|c| ViewSource { catalog: c, epoch: ctx.epoch });
-    let mut outcome = if profiled {
-        let (outcome, profile) =
-            target.eval_plan_views_profiled(&plan, ctx.exec_profile, source.as_ref())?;
-        exec_profile = Some(profile);
-        outcome
-    } else {
-        target.eval_plan_views(&plan, ctx.exec_profile, source.as_ref())?
-    };
-    if let Some(n) = q.limit {
-        outcome.relation.truncate(n);
-    }
-
-    let c = outcome.counters;
-    if c.view_hits > 0 {
-        jucq_obs::metrics::counter_add("views.hits", c.view_hits);
-    }
-    jucq_obs::metrics::counter_add("queries.answered", 1);
-    jucq_obs::metrics::counter_add("exec.tuples_scanned", c.tuples_scanned);
-    jucq_obs::metrics::counter_add("exec.tuples_joined", c.tuples_joined);
-    jucq_obs::metrics::counter_add("exec.tuples_materialized", c.tuples_materialized);
-    jucq_obs::metrics::counter_add("exec.tuples_deduped", c.tuples_deduped);
-    jucq_obs::metrics::counter_add("exec.sorts_elided", c.sorts_elided);
-    jucq_obs::metrics::counter_add("exec.gallop_seeks", c.gallop_seeks);
-    jucq_obs::metrics::counter_add("exec.scan_rows_borrowed", c.scan_rows_borrowed);
-    jucq_obs::metrics::histogram_record("pipeline.planning.ns", planning_time.as_nanos() as u64);
-    jucq_obs::metrics::histogram_record("pipeline.execution.ns", outcome.elapsed.as_nanos() as u64);
-    if let Some(cache) = ctx.cache {
-        let stats = lock_cache(cache).stats();
-        let lookups = stats.hits + stats.misses;
-        if lookups > 0 {
-            jucq_obs::metrics::gauge_set(
-                "plan_cache.hit_ratio",
-                stats.hits as f64 / lookups as f64,
-            );
-        }
-    }
-
-    Ok((
-        AnswerReport {
-            strategy: strategy.name(),
-            rows: outcome.relation,
-            counters: c,
-            eval_time: outcome.elapsed,
-            planning_time,
-            union_terms,
-            cover,
-            covers_explored: explored,
-            range_eligible,
-            range_scans_planned,
-            view_catalog_size: ctx.views.map(|c| c.stats().entries).unwrap_or(0),
-        },
-        exec_profile,
-    ))
-}
-
-impl RdfDatabase {
-    /// Answer `q` with `strategy`, reporting timings and plan shape.
-    ///
-    /// When a query-log sink is installed (`--query-log` /
-    /// `JUCQ_QUERY_LOG`; see [`jucq_obs::record`]), the run is profiled
-    /// per node and a structured [`jucq_obs::QueryRecord`] is submitted
-    /// to the sink.
+    /// [`Snapshot::answer`] on the current snapshot.
     pub fn answer(
         &mut self,
         q: &BgpQuery,
         strategy: &Strategy,
     ) -> Result<AnswerReport, AnswerError> {
-        if !jucq_obs::record::installed() {
-            return self.answer_impl(q, strategy, false).map(|(report, _)| report);
-        }
-        let (result, record) = self.answer_recorded(q, strategy);
-        if let Some(rec) = record {
-            jucq_obs::record::submit(rec);
-        }
-        result
+        self.snapshot().answer(q, strategy)
     }
 
-    /// Answer `q` and also build — but do not submit — its query-log
-    /// record. [`RdfDatabase::answer`] submits the record when a sink
-    /// is installed; the replay harness ([`crate::telemetry::replay`])
-    /// compares records instead of logging them. The record is `None`
-    /// only for the empty-body short-circuit, which has nothing to
-    /// profile.
+    /// [`Snapshot::answer_recorded`] on the current snapshot.
     pub fn answer_recorded(
         &mut self,
         q: &BgpQuery,
         strategy: &Strategy,
     ) -> (Result<AnswerReport, AnswerError>, Option<jucq_obs::QueryRecord>) {
-        if q.is_empty() {
-            return (self.answer_impl(q, strategy, false).map(|(report, _)| report), None);
-        }
-        let before = self.plan_cache_stats();
-        let result = self.answer_impl(q, strategy, true);
-        let after = self.plan_cache_stats();
-        let record = crate::telemetry::build_record(
-            self.graph.dict(),
-            &self.profile,
-            q,
-            strategy,
-            &result,
-            before.as_ref(),
-            after.as_ref(),
-        );
-        (result.map(|(report, _)| report), Some(record))
+        self.snapshot().answer_recorded(q, strategy, None)
     }
 
-    /// The shared answering pipeline. With `profiled`, evaluation runs
-    /// with per-node runtime profiling and the [`ExecProfile`] is
-    /// returned alongside the report (the data behind query-log
-    /// records); without, evaluation takes the unprofiled fast path.
-    fn answer_impl(
-        &mut self,
-        q: &BgpQuery,
-        strategy: &Strategy,
-        profiled: bool,
-    ) -> Result<(AnswerReport, Option<jucq_store::ExecProfile>), AnswerError> {
-        jucq_obs::span!("answer");
-        if q.is_empty() {
-            return Ok(empty_answer(q, strategy));
-        }
-        self.prepare();
-        answer_on(&self.answer_ctx(), q, strategy, profiled)
-    }
-
-    /// `EXPLAIN`: plan `q` exactly as [`RdfDatabase::answer`] would
-    /// (cover choice, reformulation, physical lowering) and render the
-    /// admission decision plus the physical operator tree — without
-    /// executing anything.
+    /// [`Snapshot::explain`] on the current snapshot.
     pub fn explain(&mut self, q: &BgpQuery, strategy: &Strategy) -> Result<String, AnswerError> {
-        if q.is_empty() {
-            return Ok(format!(
-                "Strategy: {} (empty query: no atoms, no answers)\n",
-                strategy.name()
-            ));
-        }
-        let (jucq, cover, _, saturated, _) = self.plan_jucq(q, strategy)?;
-        let p = self.prepared.as_ref().expect("plan_jucq prepares");
-        let target = if saturated { &p.saturated } else { &p.plain };
-        let mut out = format!(
-            "Strategy: {} (target: {} store)\n",
-            strategy.name(),
-            if saturated { "saturated" } else { "plain" }
-        );
-        if let Some(c) = &cover {
-            out.push_str(&format!("Cover: {:?}\n", c.fragments()));
-        }
-        // Decode RangeScan interval endpoints through the dictionary so
-        // the plan reads `o∈[#u12, #u12+5) (Publication)` instead of a
-        // bare id interval.
-        let dict = self.graph.dict();
-        let names = |raw: u32| -> Option<String> {
-            let id = jucq_model::TermId::from_raw(raw);
-            dict.contains_id(id).then(|| dict.lexical(id).to_owned())
-        };
-        out.push_str(&jucq_store::explain::explain_with_names(target, &jucq, Some(&names)));
-        Ok(out)
+        self.snapshot().explain(q, strategy)
     }
 
-    /// `EXPLAIN ANALYZE`: plan `q` exactly as [`RdfDatabase::answer`]
-    /// would (including the plan cache), then evaluate it with per-node
-    /// profiling and render each plan node's estimated vs. actual rows
-    /// and Q-error.
+    /// [`Snapshot::explain_analyze`] on the current snapshot.
     pub fn explain_analyze(
         &mut self,
         q: &BgpQuery,
         strategy: &Strategy,
     ) -> Result<String, AnswerError> {
-        if q.is_empty() {
-            return Ok(format!(
-                "Strategy: {} (empty query: no atoms, no answers)\n",
-                strategy.name()
-            ));
-        }
-        let (jucq, cover, _, saturated, _) = self.plan_jucq(q, strategy)?;
-        let p = self.prepared.as_ref().expect("plan_jucq prepares");
-        let target = if saturated { &p.saturated } else { &p.plain };
-        let mut out = format!(
-            "Strategy: {} (target: {} store)\n",
-            strategy.name(),
-            if saturated { "saturated" } else { "plain" }
-        );
-        if let Some(c) = &cover {
-            out.push_str(&format!("Cover: {:?}\n", c.fragments()));
-        }
-        out.push_str(&jucq_store::explain::explain_analyze(target, &jucq)?);
-        Ok(out)
-    }
-
-    /// Convenience: parse then answer.
-    pub fn answer_sparql(
-        &mut self,
-        text: &str,
-        strategy: &Strategy,
-    ) -> Result<AnswerReport, Box<dyn std::error::Error>> {
-        let q = self.parse_query(text)?;
-        Ok(self.answer(&q, strategy)?)
+        self.snapshot().explain_analyze(q, strategy)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use jucq_model::vocab;
-    use jucq_store::{PatternTerm, StorePattern};
+    use jucq_reformulation::Cover;
+    use jucq_store::{EngineError, PatternTerm, StorePattern};
 
     fn paper_db() -> RdfDatabase {
         let mut db = RdfDatabase::new();
@@ -1655,7 +1093,7 @@ mod tests {
 
     /// A four-level class chain with a property hierarchy, loaded under
     /// both encodings.
-    fn hierarchy_db(mode: EncodingMode) -> RdfDatabase {
+    pub(crate) fn hierarchy_db(mode: EncodingMode) -> RdfDatabase {
         let mut db = RdfDatabase::new().with_encoding(mode);
         let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
         let mut triples = vec![
@@ -1791,6 +1229,10 @@ mod tests {
         assert!(text.contains("RangeScan"), "{text}");
         assert!(text.contains("(Work)"), "decoded subtree-root name:\n{text}");
         assert!(text.contains("+5)"), "interval width of the five-class subtree:\n{text}");
+        // The plan `explain analyze` ran reads the same way.
+        let analyzed = db.explain_analyze(&q, &Strategy::Range).unwrap();
+        assert!(analyzed.contains("RangeScan"), "{analyzed}");
+        assert!(analyzed.contains("(Work)"), "{analyzed}");
         // Knob off: the same query explains as a plain UCQ of
         // IndexScans — the fallback plan, not a half-collapsed hybrid.
         db.set_profile(EngineProfile::pg_like().with_range_scans(false));

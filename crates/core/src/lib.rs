@@ -29,11 +29,30 @@
 //!     .collect();
 //! assert_eq!(borrowed, [owned[0][0].to_string()]);
 //! assert_eq!(borrowed, ["<http://example.org/doi1>"]);
+//!
+//! // `db.answer` delegated to the snapshot `db` published when it first
+//! // prepared. A `ServingDb` hands the same snapshots to any number of
+//! // readers: everything query-facing is a `&self` method on one.
+//! let serving = jucq_core::ServingDb::new(db);
+//! let snapshot = serving.snapshot();
+//! let q = snapshot.parse_query(
+//!     "SELECT ?x WHERE { ?x rdf:type <http://example.org/Publication> . }",
+//! ).unwrap();
+//! assert_eq!(snapshot.answer(&q, &Strategy::Ucq).unwrap().rows.len(), 1);
+//! assert!(snapshot.explain(&q, &Strategy::Ucq).unwrap().contains("Physical plan"));
 //! ```
 //!
 //! Modules:
-//! * [`database`] — [`RdfDatabase`]: graph + schema closure + the two
-//!   engine-backed stores (plain and saturated);
+//! * [`epoch`] — [`Snapshot`]: one immutable published state of the
+//!   database (dictionary, closure, the plain and the saturated store,
+//!   cost constants, cache and view handles) and the one answering
+//!   path over it: parse, answer, explain;
+//! * [`database`] — [`RdfDatabase`], the single writer: graph, loading,
+//!   updates, preparation; its query-facing methods delegate to its
+//!   current snapshot;
+//! * [`serving`] — [`ServingDb`]: the writer behind a mutex, its
+//!   snapshots handed to concurrent readers;
+//! * [`report`] — what an answer and an update report, and the errors;
 //! * [`strategy`] — the answering strategies compared throughout the
 //!   paper's Section 5: saturation, UCQ, SCQ, ECov/GCov JUCQs, fixed
 //!   covers;
@@ -42,14 +61,18 @@
 //!   owned terms;
 //! * [`telemetry`] — the workload telemetry pipeline: query-log record
 //!   construction and the `jucq replay` regression harness;
-//! * [`turtle`] — a Turtle-subset loader for examples and tests.
+//! * [`turtle`] — a Turtle-subset loader for examples and tests;
+//! * [`snapshot`] — the binary graph *file* format (save / restore; not
+//!   the in-memory [`Snapshot`]).
 
 #![warn(missing_docs)]
 
 pub mod advisor;
 pub mod database;
+pub mod epoch;
 pub mod parser;
 pub mod plan_cache;
+pub mod report;
 pub mod rows;
 pub mod serving;
 pub mod snapshot;
@@ -58,10 +81,11 @@ pub mod telemetry;
 pub mod turtle;
 
 pub use advisor::{advise, AdvisorReport, ViewAdvice};
-pub use database::UpdateReport;
-pub use database::{AnswerError, AnswerReport, EncodingMode, RdfDatabase};
+pub use database::{EncodingMode, RdfDatabase};
+pub use epoch::Snapshot;
 pub use plan_cache::{PlanCache, PlanCacheStats};
-pub use serving::{PinError, ServingDb, Snapshot};
+pub use report::{AnswerError, AnswerReport, UpdateReport};
+pub use serving::{PinError, ServingDb};
 pub use strategy::{CostSource, Strategy};
 pub use telemetry::{replay, LatencyPercentiles, ReplayEntry, ReplayReport};
 

@@ -1,6 +1,8 @@
 //! Binary graph snapshots: persist a loaded RDF graph (dictionary,
 //! schema, data) and reload it without re-parsing — the difference
 //! between re-tokenizing megabytes of Turtle and one sequential read.
+//! (A file on disk; the in-memory, epoch-stamped state queries are
+//! answered against is [`crate::epoch::Snapshot`].)
 //!
 //! The format is a simple length-prefixed little-endian layout
 //! (built with the `bytes` crate):

@@ -20,8 +20,10 @@ use jucq_obs::record::{q_error_safe, NodeRecord, QueryRecord, RecordCounters};
 use jucq_reformulation::{BgpQuery, Cover};
 use jucq_store::{ExecProfile, PatternTerm};
 
-use crate::database::{AnswerError, AnswerReport, RdfDatabase};
+use crate::database::RdfDatabase;
+use crate::epoch::{Answered, Snapshot};
 use crate::plan_cache::PlanCacheStats;
+use crate::report::AnswerError;
 use crate::strategy::Strategy;
 
 /// Render `q` back to parseable SPARQL under `dict`.
@@ -30,25 +32,38 @@ use crate::strategy::Strategy;
 /// only `"` and `\` escaped (the tokenizer's `\X → X` rule makes that
 /// round-trip), blank constants with the `_:` prefix (not re-parseable
 /// — replay reports those queries as parse errors instead of guessing).
+///
+/// A constant `dict` cannot decode — a frozen parse's sentinel, or an
+/// id the writer interned after this dictionary was published — prints
+/// as a reserved `urn:jucq:unknown:` term of its kind. The data holds
+/// neither, so the text re-parses to a query with the same (empty)
+/// extent for that atom and replays to the same rows.
 pub fn render_sparql(q: &BgpQuery, dict: &Dictionary) -> String {
     let term = |t: &PatternTerm| match t {
         PatternTerm::Var(v) => format!("?v{v}"),
-        PatternTerm::Const(id) => match dict.decode(*id) {
-            Term::Uri(u) => format!("<{u}>"),
-            Term::Literal(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                for c in s.chars() {
-                    if c == '"' || c == '\\' {
-                        out.push('\\');
+        PatternTerm::Const(id) => {
+            let decoded = if dict.contains_id(*id) {
+                dict.decode(*id)
+            } else {
+                Term::new(id.kind(), format!("urn:jucq:unknown:{}", id.index()).into())
+            };
+            match decoded {
+                Term::Uri(u) => format!("<{u}>"),
+                Term::Literal(s) => {
+                    let mut out = String::with_capacity(s.len() + 2);
+                    out.push('"');
+                    for c in s.chars() {
+                        if c == '"' || c == '\\' {
+                            out.push('\\');
+                        }
+                        out.push(c);
                     }
-                    out.push(c);
+                    out.push('"');
+                    out
                 }
-                out.push('"');
-                out
+                Term::Blank(b) => format!("_:{b}"),
             }
-            Term::Blank(b) => format!("_:{b}"),
-        },
+        }
     };
     let mut out = String::from("SELECT");
     if q.head.is_empty() {
@@ -100,7 +115,7 @@ pub fn plan_fingerprint(profile: &ExecProfile) -> String {
     fx_hex(&text)
 }
 
-fn outcome_name(result: &Result<(AnswerReport, Option<ExecProfile>), AnswerError>) -> &'static str {
+fn outcome_name(result: &Result<Answered, AnswerError>) -> &'static str {
     use jucq_store::EngineError;
     match result {
         Ok(_) => "ok",
@@ -126,20 +141,17 @@ fn plan_cache_hit(before: Option<&PlanCacheStats>, after: Option<&PlanCacheStats
     (lookups > 0).then_some(a.plan_hits > b.plan_hits)
 }
 
-/// Build the structured log record of one answered (or failed) query.
-/// `seq` is left at 0 — the sink assigns it on submit. Takes the
-/// dictionary and profile rather than the database so both the
-/// `&mut RdfDatabase` path and a pinned serving snapshot can build
-/// records.
+/// Build the structured log record of one query answered (or failed)
+/// on `snapshot`. `seq` is left at 0 — the sink assigns it on submit.
 pub(crate) fn build_record(
-    dict: &jucq_model::Dictionary,
-    profile: &jucq_store::EngineProfile,
+    snapshot: &Snapshot,
     q: &BgpQuery,
     strategy: &Strategy,
-    result: &Result<(AnswerReport, Option<ExecProfile>), AnswerError>,
+    result: &Result<Answered, AnswerError>,
     stats_before: Option<&PlanCacheStats>,
     stats_after: Option<&PlanCacheStats>,
 ) -> QueryRecord {
+    let (dict, profile) = (snapshot.dict(), snapshot.profile());
     let mut rec = QueryRecord {
         query: render_sparql(q, dict),
         fingerprint: query_fingerprint(q, dict),
@@ -150,7 +162,7 @@ pub(crate) fn build_record(
         plan_cache_hit: plan_cache_hit(stats_before, stats_after),
         ..QueryRecord::default()
     };
-    let Ok((report, exec_profile)) = result else {
+    let Ok(Answered { report, exec: exec_profile, .. }) = result else {
         return rec;
     };
     rec.rows = report.rows.len() as u64;

@@ -21,13 +21,9 @@ struct Lexemes {
 }
 
 impl Lexemes {
-    /// The index of `lexeme`, interning it through `handle` if it is new.
-    fn intern(&mut self, lexeme: &str, handle: impl FnOnce() -> Arc<str>) -> u32 {
-        if let Some(&index) = self.ids.get(lexeme) {
-            return index;
-        }
+    /// Append a lexeme known to be new; its index.
+    fn push(&mut self, handle: Arc<str>) -> u32 {
         let index = self.by_id.len() as u32;
-        let handle = handle();
         self.by_id.push(Arc::clone(&handle));
         self.ids.insert(handle, index);
         index
@@ -47,13 +43,18 @@ impl Lexemes {
 /// vector access (the "indexed both by the code and by the encoded
 /// value" of the paper). Terms going in and coming out share the stored
 /// lexeme: [`Dictionary::encode`] keeps a handle to the term's own
-/// allocation, [`Dictionary::decode`] hands one out, and cloning the
-/// dictionary copies handles, not strings.
+/// allocation, and [`Dictionary::decode`] hands one out.
+///
+/// A clone shares the three tables with its original (a published
+/// epoch's dictionary next to the writer's), and stays shared for as
+/// long as neither learns a term: the first *new* term of a kind copies
+/// that kind's table — handles, not strings — on the side that interns
+/// it; looking up or re-encoding a known term never does.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    uris: Lexemes,
-    literals: Lexemes,
-    blanks: Lexemes,
+    uris: Arc<Lexemes>,
+    literals: Arc<Lexemes>,
+    blanks: Arc<Lexemes>,
 }
 
 impl Dictionary {
@@ -74,9 +75,9 @@ impl Dictionary {
     /// split the hint evenly, which is close enough for amortization.
     pub fn reserve(&mut self, additional: usize) {
         let per_kind = additional / 3 + 1;
-        self.uris.reserve(per_kind);
-        self.literals.reserve(per_kind);
-        self.blanks.reserve(per_kind);
+        for kind in [TermKind::Uri, TermKind::Literal, TermKind::Blank] {
+            self.lexemes_mut(kind).reserve(per_kind);
+        }
     }
 
     fn lexemes(&self, kind: TermKind) -> &Lexemes {
@@ -87,23 +88,37 @@ impl Dictionary {
         }
     }
 
+    /// The table of `kind`, for writing: un-shared from any clone first.
     fn lexemes_mut(&mut self, kind: TermKind) -> &mut Lexemes {
-        match kind {
+        Arc::make_mut(match kind {
             TermKind::Uri => &mut self.uris,
             TermKind::Literal => &mut self.literals,
             TermKind::Blank => &mut self.blanks,
+        })
+    }
+
+    /// The id of `lexeme`, interning it through `handle` if it is new.
+    fn intern_with(
+        &mut self,
+        kind: TermKind,
+        lexeme: &str,
+        handle: impl FnOnce() -> Arc<str>,
+    ) -> TermId {
+        if let Some(&index) = self.lexemes(kind).ids.get(lexeme) {
+            return TermId::new(kind, index);
         }
+        TermId::new(kind, self.lexemes_mut(kind).push(handle()))
     }
 
     fn intern(&mut self, kind: TermKind, lexeme: &str) -> TermId {
-        TermId::new(kind, self.lexemes_mut(kind).intern(lexeme, || Arc::from(lexeme)))
+        self.intern_with(kind, lexeme, || Arc::from(lexeme))
     }
 
     /// Intern `term`, returning its (possibly pre-existing) id. A new
     /// term's lexeme is shared with `term`, not copied.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        let (kind, lexeme) = (term.kind(), term.lexeme());
-        TermId::new(kind, self.lexemes_mut(kind).intern(lexeme, || Arc::clone(lexeme)))
+        let lexeme = term.lexeme();
+        self.intern_with(term.kind(), lexeme, || Arc::clone(lexeme))
     }
 
     /// Shorthand: intern a URI by its string form.
@@ -191,7 +206,7 @@ impl Dictionary {
     /// # Panics
     /// Panics if `new_of_old` is not a permutation of `0..uri_count`.
     pub fn apply_uri_permutation(&mut self, new_of_old: &[u32]) {
-        let uris = &mut self.uris;
+        let uris = self.lexemes_mut(TermKind::Uri);
         assert_eq!(new_of_old.len(), uris.by_id.len(), "permutation must cover every URI");
         let mut new_uris: Vec<Option<Arc<str>>> = vec![None; uris.by_id.len()];
         for (old, s) in std::mem::take(&mut uris.by_id).into_iter().enumerate() {
@@ -231,6 +246,35 @@ mod tests {
         let b = d.encode_uri("http://x/a");
         assert_eq!(a, b);
         assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn a_clone_shares_its_tables_until_one_side_learns_a_term() {
+        let mut writer = Dictionary::new();
+        let a = writer.encode_uri("a");
+        writer.encode_literal("one");
+        let epoch = writer.clone();
+        // Known terms, however they arrive, leave the tables shared.
+        assert_eq!(writer.encode_uri("a"), a);
+        assert_eq!(
+            writer.encode(&Term::literal("one")),
+            epoch.lookup(&Term::literal("one")).unwrap()
+        );
+        assert!(Arc::ptr_eq(&writer.uris, &epoch.uris));
+        assert!(Arc::ptr_eq(&writer.literals, &epoch.literals));
+        // A new URI copies the URI table on the writer's side only.
+        let b = writer.encode_uri("b");
+        assert!(!Arc::ptr_eq(&writer.uris, &epoch.uris));
+        assert!(Arc::ptr_eq(&writer.literals, &epoch.literals));
+        assert_eq!(writer.lexical(b), "b");
+        assert_eq!(writer.lexical(a), "a");
+        assert!(!epoch.contains_id(b), "the published epoch never sees it");
+        assert_eq!(epoch.lookup_uri("b"), None);
+        assert_eq!((epoch.len(), writer.len()), (2, 3));
+        // Renumbering is a write too.
+        let mut renumbered = epoch.clone();
+        renumbered.apply_uri_permutation(&[0]);
+        assert!(!Arc::ptr_eq(&renumbered.uris, &epoch.uris));
     }
 
     #[test]

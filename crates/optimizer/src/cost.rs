@@ -311,8 +311,8 @@ impl<'a> PaperCostModel<'a> {
     }
 
     /// Enable view-backed fragment pricing (see
-    /// [`CostConstants::c_view`]); callers pass the serving layer's
-    /// catalog when the profile's `view_scans` knob is on. The cover
+    /// [`CostConstants::c_view`]); callers pass the snapshot's
+    /// catalog, if one is attached. The cover
     /// search memoizes what it is told per fragment, so bind the
     /// catalog before the first scoring call.
     pub fn with_view_pricing(mut self, catalog: Option<&'a ViewCatalog>) -> Self {

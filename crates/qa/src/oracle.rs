@@ -332,9 +332,7 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
         // ground truth. Once per case on the first profile.
         if pi == 0 {
             if let Some(budget) = views_budget() {
-                let mut db_v = RdfDatabase::with_profile(
-                    base.clone().with_parallelism(1).with_view_scans(true),
-                );
+                let mut db_v = RdfDatabase::with_profile(base.clone().with_parallelism(1));
                 db_v.extend(&case.triples);
                 db_v.enable_views(budget);
                 let q_v = build_query(&mut db_v, &case.query);

@@ -30,7 +30,8 @@
 //! Status codes: `400` unparseable query, `404` unknown path, `405`
 //! wrong method, `413` oversized body, `422` cover/engine refusal
 //! (union too large, memory budget), `429` queue full, `504` deadline
-//! exceeded.
+//! exceeded, `500` a request handler panicked (counted in
+//! `server.panics`; the worker survives).
 
 use std::fmt::Write as _;
 use std::io;
@@ -176,7 +177,7 @@ impl Server {
                 let config = config.clone();
                 std::thread::spawn(move || {
                     while let Some(stream) = queue.pop() {
-                        handle_connection(&serving, &config, stream);
+                        serve_connection(&serving, &config, stream);
                     }
                 })
             })
@@ -234,6 +235,23 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// [`handle_connection`], with a panic in it confined to the request:
+/// the client gets a `500`, `server.panics` counts it, and the worker
+/// goes back to the queue. (Shared state stays usable: every lock a
+/// request takes recovers from poisoning.)
+fn serve_connection(serving: &ServingDb, config: &ServeConfig, stream: TcpStream) {
+    let client = stream.try_clone();
+    let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handle_connection(serving, config, stream);
+    }));
+    if handled.is_err() {
+        jucq_obs::metrics::counter_add("server.panics", 1);
+        if let Ok(mut client) = client {
+            let _ = respond(&mut client, 500, "Internal Server Error", "text/plain", &[], b"");
+        }
     }
 }
 

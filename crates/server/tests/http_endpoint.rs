@@ -60,8 +60,70 @@ fn post_query(addr: std::net::SocketAddr, target: &str, sparql: &str) -> (u16, S
     exchange(addr, &request)
 }
 
+/// Serializes the tests that switch the process-global obs collection
+/// on and off around a `/metrics` scrape.
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One `/metrics` scrape: requests seen, queries answered, handler panics.
+fn scraped_counters(addr: std::net::SocketAddr) -> [u64; 3] {
+    let (status, body) = exchange(addr, "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    assert_eq!(status, 200);
+    let metrics = jucq_obs::json::parse(&body).expect("metrics are valid JSON");
+    ["server.requests", "queries.answered", "server.panics"].map(|name| {
+        metrics.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
+    })
+}
+
+/// A constant the epoch has never seen parses to a sentinel id no
+/// dictionary decodes. The request's query-log record is built from it
+/// all the same: the one worker answers (nothing matches), and is
+/// still there for the next request.
+#[test]
+fn a_query_naming_an_unknown_iri_is_answered_and_costs_no_worker() {
+    let _serial = obs_lock();
+    let serving = Arc::new(ServingDb::new(library_db()));
+    let config = ServeConfig { threads: 1, ..ServeConfig::default() };
+    let server = Server::start(serving, config).expect("bind");
+    let addr = server.local_addr();
+    jucq_obs::set_enabled(true);
+    let [requests, answered, panics] = scraped_counters(addr);
+
+    let unknown =
+        "SELECT ?x WHERE { ?x rdf:type <http://nowhere.example/Never> . ?x <never> \"seen\" }";
+    for strategy in ["gcov", "ucq", "sat"] {
+        let request = format!(
+            "POST /query?strategy={strategy} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{unknown}",
+            unknown.len()
+        );
+        let (status, head, body) = exchange_full(addr, &request);
+        assert_eq!(status, 200, "{strategy}: {body}");
+        assert!(head.contains("X-Jucq-Epoch: 0"), "{head:?}");
+        let parsed = jucq_obs::json::parse(&body).expect("valid JSON");
+        assert_eq!(parsed.get("row_count").and_then(|v| v.as_u64()), Some(0), "{strategy}");
+    }
+
+    // The same worker answers the next request.
+    let (status, body) =
+        post_query(addr, "/query?strategy=ucq", "SELECT ?x WHERE { ?x rdf:type <Work> . }");
+    assert_eq!(status, 200, "{body}");
+    let parsed = jucq_obs::json::parse(&body).expect("valid JSON");
+    assert_eq!(parsed.get("row_count").and_then(|v| v.as_u64()), Some(3));
+
+    // Four queries and this scrape, all accounted for, none of them by
+    // the panic counter. (Other tests' servers share the process-wide
+    // registry, hence at-least.)
+    let after = scraped_counters(addr);
+    assert!(after[0] >= requests + 5 && after[1] >= answered + 4, "{after:?}");
+    assert_eq!(after[2], panics);
+    jucq_obs::set_enabled(false);
+}
+
 #[test]
 fn endpoint_matches_the_library_and_validates_requests() {
+    let _serial = obs_lock();
     let serving = Arc::new(ServingDb::new(library_db()));
     let config = ServeConfig { threads: 2, ..ServeConfig::default() };
     let server = Server::start(Arc::clone(&serving), config).expect("bind");

@@ -1,5 +1,6 @@
 //! The engine facade: load triples once, evaluate plans under a profile.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use jucq_model::TripleId;
@@ -66,10 +67,14 @@ pub struct ExecProfile {
 }
 
 /// A loaded store: triple table + statistics, evaluated under a profile.
+/// Table and statistics are immutable and shared, so a clone is a second
+/// handle on the same indexes — to run them under another profile, say
+/// ([`Store::set_profile`]); an update builds new ones
+/// ([`Store::apply_delta`]).
 #[derive(Debug, Clone)]
 pub struct Store {
-    table: TripleTable,
-    stats: Statistics,
+    table: Arc<TripleTable>,
+    stats: Arc<Statistics>,
     profile: EngineProfile,
 }
 
@@ -78,7 +83,7 @@ impl Store {
     pub fn from_triples(triples: &[TripleId], profile: EngineProfile) -> Self {
         let table = TripleTable::build(triples);
         let stats = Statistics::build(&table);
-        Store { table, stats, profile }
+        Store { table: Arc::new(table), stats: Arc::new(stats), profile }
     }
 
     /// The triple table.
@@ -112,7 +117,7 @@ impl Store {
     ) -> Store {
         let table = self.table.apply_delta(inserts, deletes);
         let stats = Statistics::build(&table);
-        Store { table, stats, profile: self.profile.clone() }
+        Store { table: Arc::new(table), stats: Arc::new(stats), profile: self.profile.clone() }
     }
 
     /// Evaluate a single conjunctive query (deduplicated). The head must
@@ -177,7 +182,7 @@ impl Store {
     /// cache). The plan must have been produced by this store's planner
     /// under the current profile.
     pub fn eval_plan(&self, plan: &Plan) -> Result<EvalOutcome, EngineError> {
-        self.eval_plan_inner(plan, false, None, None).map(|(outcome, _)| outcome)
+        self.eval_plan_views(plan, false, None, None).map(|(outcome, _)| outcome)
     }
 
     /// Execute a plan with per-node runtime profiling.
@@ -185,59 +190,21 @@ impl Store {
         &self,
         plan: &Plan,
     ) -> Result<(EvalOutcome, ExecProfile), EngineError> {
-        self.eval_plan_inner(plan, true, None, None)
+        self.eval_plan_views(plan, true, None, None)
             .map(|(outcome, profile)| (outcome, profile.unwrap_or_default()))
     }
 
-    /// Execute a plan under a caller-supplied profile — the serving
-    /// layer's per-request deadline and memory budget. The plan itself
-    /// is profile-agnostic at this point (it was lowered earlier);
-    /// only the execution context's limits and parallelism come from
-    /// `limits`.
-    pub fn eval_plan_with(
-        &self,
-        plan: &Plan,
-        limits: &EngineProfile,
-    ) -> Result<EvalOutcome, EngineError> {
-        self.eval_plan_inner(plan, false, Some(limits), None).map(|(outcome, _)| outcome)
-    }
-
-    /// [`Store::eval_plan_with`] with per-node runtime profiling.
-    pub fn eval_plan_profiled_with(
-        &self,
-        plan: &Plan,
-        limits: &EngineProfile,
-    ) -> Result<(EvalOutcome, ExecProfile), EngineError> {
-        self.eval_plan_inner(plan, true, Some(limits), None)
-            .map(|(outcome, profile)| (outcome, profile.unwrap_or_default()))
-    }
-
-    /// Execute a plan resolving its [`PlanNode::ViewScan`](crate::plan::PlanNode)
-    /// leaves through `views` — an epoch-pinned handle on a
-    /// [`ViewCatalog`](crate::views::ViewCatalog). Entries whose epoch
-    /// differs from the handle's never serve; those leaves fall back to
-    /// their embedded union, so answers are identical either way.
+    /// Execute a plan in full generality — what [`Store::eval_plan`] and
+    /// [`Store::eval_plan_profiled`] specialize. `profiling` collects the
+    /// per-node [`ExecProfile`]. `limits`, when given, replaces the
+    /// store's profile for this run only (a request's deadline, memory
+    /// budget and parallelism); the plan was lowered earlier and does not
+    /// depend on it. [`PlanNode::ViewScan`](crate::plan::PlanNode) leaves
+    /// resolve through `views`, an epoch-pinned handle on a
+    /// [`ViewCatalog`](crate::views::ViewCatalog): entries whose epoch
+    /// differs from the handle's never serve, those leaves fall back to
+    /// their embedded union, and answers are identical either way.
     pub fn eval_plan_views(
-        &self,
-        plan: &Plan,
-        limits: Option<&EngineProfile>,
-        views: Option<&crate::views::ViewSource<'_>>,
-    ) -> Result<EvalOutcome, EngineError> {
-        self.eval_plan_inner(plan, false, limits, views).map(|(outcome, _)| outcome)
-    }
-
-    /// [`Store::eval_plan_views`] with per-node runtime profiling.
-    pub fn eval_plan_views_profiled(
-        &self,
-        plan: &Plan,
-        limits: Option<&EngineProfile>,
-        views: Option<&crate::views::ViewSource<'_>>,
-    ) -> Result<(EvalOutcome, ExecProfile), EngineError> {
-        self.eval_plan_inner(plan, true, limits, views)
-            .map(|(outcome, profile)| (outcome, profile.unwrap_or_default()))
-    }
-
-    fn eval_plan_inner(
         &self,
         plan: &Plan,
         profiling: bool,

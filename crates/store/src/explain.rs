@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use crate::error::EngineError;
 use crate::internal_cost;
 use crate::ir::StoreJucq;
-use crate::plan::{Planner, TermNameResolver};
+use crate::plan::{Plan, Planner, TermNameResolver};
 use crate::Store;
 
 /// Estimated peak materialized intermediate of `q`, in tuples: the
@@ -29,16 +29,20 @@ fn est_peak_materialized(store: &Store, q: &StoreJucq) -> f64 {
 
 /// Render the evaluation plan for `q` under the store's profile.
 pub fn explain(store: &Store, q: &StoreJucq) -> String {
-    explain_with_names(store, q, None)
+    explain_plan(store, q, None, None)
 }
 
-/// [`explain`] with a term-name resolver: `RangeScan` nodes in the
-/// physical plan additionally print the decoded name of the class or
-/// property whose subtree interval they scan. The store itself has no
-/// dictionary, so the resolver is injected by the calling layer.
-pub fn explain_with_names(
+/// [`explain`] of an already-lowered `plan` — the one a caller is about
+/// to run: its cached plan, or one lowered against a view catalog — and
+/// with a term-name resolver: `RangeScan` nodes additionally print the
+/// decoded name of the class or property whose subtree interval they
+/// scan. The store itself has no dictionary, so the resolver is
+/// injected by the calling layer. Without a `plan`, an admitted `q` is
+/// lowered here.
+pub fn explain_plan(
     store: &Store,
     q: &StoreJucq,
+    plan: Option<&Plan>,
     names: Option<&TermNameResolver<'_>>,
 ) -> String {
     let profile = store.profile();
@@ -76,7 +80,14 @@ pub fn explain_with_names(
 
     // The physical plan the executor will actually run (rewrite passes
     // applied, join orders fixed, shared scans factored).
-    let plan = Planner::new(table, stats, profile).plan(q);
+    let lowered;
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            lowered = Planner::new(table, stats, profile).plan(q);
+            &lowered
+        }
+    };
 
     let volumes: Vec<f64> = q
         .fragments
@@ -125,6 +136,14 @@ pub fn explain_with_names(
         stats.est_jucq(table, q)
     );
     let _ = writeln!(out, "  Internal cost estimate: {:.1}", internal_cost::estimate(store, q));
+    out.push_str(&render_physical_plan(plan, names));
+    out
+}
+
+/// The `Physical plan` section of [`explain_plan`]: the operator tree
+/// with at most three members shown per union.
+pub fn render_physical_plan(plan: &Plan, names: Option<&TermNameResolver<'_>>) -> String {
+    let mut out = String::new();
     let _ = writeln!(out, "  Physical plan ({} node(s)):", plan.node_count());
     for line in plan.render_with(3, names).lines() {
         let _ = writeln!(out, "    {line}");

@@ -233,7 +233,7 @@ impl<'a> Planner<'a> {
     /// Attach a materialized-view catalog: `lower` will match each
     /// fragment's *logical* (pre-rewrite) UCQ signature against it and
     /// wrap matched unions in [`PlanNode::ViewScan`]s. A `None` catalog
-    /// or a profile with `view_scans` off plans exactly as before.
+    /// plans exactly as before.
     pub fn with_views(mut self, views: Option<&'a ViewCatalog>) -> Self {
         self.views = views;
         self
@@ -699,7 +699,7 @@ impl<'a> Planner<'a> {
         // is epoch-exact at evaluation time).
         let mut views: Vec<ViewBindingDef> = Vec::new();
         let mut view_of: Vec<Option<usize>> = vec![None; draft.len()];
-        if let Some(catalog) = self.views.filter(|_| self.profile.view_scans) {
+        if let Some(catalog) = self.views {
             for (i, frag) in q.fragments.iter().enumerate() {
                 let signature = ViewSignature::of(frag);
                 if let Some(tuples) = catalog.contains_current(&signature) {

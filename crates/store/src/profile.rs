@@ -78,15 +78,6 @@ pub struct EngineProfile {
     /// fires rarely. Disable to measure the pure-UCQ baseline.
     #[serde(default = "default_range_scans")]
     pub range_scans: bool,
-    /// If true (the default), the planner matches a query's cover
-    /// fragments against the store's materialized-view catalog (when
-    /// one is attached) and lowers matches to `ViewScan` nodes: the
-    /// fragment's rows come from the catalog when the request's epoch
-    /// matches the entry's, and from the embedded fallback union
-    /// otherwise. `JUCQ_VIEWS=0` disables matching entirely (plans
-    /// never contain `ViewScan`s). Answers are identical either way.
-    #[serde(default = "default_view_scans")]
-    pub view_scans: bool,
     /// If true (the default), the planner is order-aware: scan leaves
     /// record which permutation index produced them (and therefore the
     /// variable order their rows are sorted by), the interesting-orders
@@ -114,34 +105,6 @@ fn default_sip_filters() -> bool {
 
 #[allow(dead_code)]
 fn default_range_scans() -> bool {
-    true
-}
-
-/// The `JUCQ_VIEWS` environment variable, parsed once per profile
-/// construction: unset or any non-zero number keeps view matching on,
-/// `0` disables it; an unparsable value warns once through `jucq-obs`
-/// and keeps the default. (Numbers above zero double as a tuple budget
-/// for the layers that own a catalog; the profile only cares whether
-/// matching is enabled.)
-pub fn default_view_scans() -> bool {
-    match std::env::var("JUCQ_VIEWS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => return n != 0,
-            Err(_) => {
-                jucq_obs::warn_once(
-                    "warn.jucq_views_invalid",
-                    &format!("ignoring unparsable JUCQ_VIEWS={v:?}; view matching stays enabled"),
-                );
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_views_invalid",
-                "ignoring non-unicode JUCQ_VIEWS; view matching stays enabled",
-            );
-        }
-    }
     true
 }
 
@@ -218,7 +181,6 @@ impl EngineProfile {
             share_scans: true,
             sip_filters: true,
             range_scans: true,
-            view_scans: default_view_scans(),
             order_aware: default_order_aware(),
         }
     }
@@ -238,7 +200,6 @@ impl EngineProfile {
             share_scans: true,
             sip_filters: true,
             range_scans: true,
-            view_scans: default_view_scans(),
             order_aware: default_order_aware(),
         }
     }
@@ -258,7 +219,6 @@ impl EngineProfile {
             share_scans: true,
             sip_filters: true,
             range_scans: true,
-            view_scans: default_view_scans(),
             order_aware: default_order_aware(),
         }
     }
@@ -280,7 +240,6 @@ impl EngineProfile {
             share_scans: true,
             sip_filters: true,
             range_scans: true,
-            view_scans: default_view_scans(),
             order_aware: default_order_aware(),
         }
     }
@@ -339,13 +298,6 @@ impl EngineProfile {
         self
     }
 
-    /// Enable or disable matching cover fragments against the
-    /// materialized-view catalog.
-    pub fn with_view_scans(mut self, on: bool) -> Self {
-        self.view_scans = on;
-        self
-    }
-
     /// Enable or disable order-aware planning (interesting orders,
     /// sort-elided merge joins, zero-copy scan handoff).
     pub fn with_order_aware(mut self, on: bool) -> Self {
@@ -366,7 +318,7 @@ impl EngineProfile {
     /// differ in knobs (the `set_profile` staleness class).
     pub fn plan_cache_key(&self) -> String {
         format!(
-            "{}|join={:?}|mat={}|inlj={}|share={}|sip={}|range={}|views={}|order={}",
+            "{}|join={:?}|mat={}|inlj={}|share={}|sip={}|range={}|order={}",
             self.name,
             self.fragment_join,
             self.materialize_all_unions,
@@ -374,7 +326,6 @@ impl EngineProfile {
             self.share_scans,
             self.sip_filters,
             self.range_scans,
-            self.view_scans,
             self.order_aware,
         )
     }
@@ -476,7 +427,6 @@ mod tests {
             base.clone().with_sip_filters(!base.sip_filters).plan_cache_key(),
             base.clone().with_scan_sharing(false).plan_cache_key(),
             base.clone().with_range_scans(!base.range_scans).plan_cache_key(),
-            base.clone().with_view_scans(!base.view_scans).plan_cache_key(),
             base.clone().with_order_aware(!base.order_aware).plan_cache_key(),
         ];
         for i in 0..keys.len() {

@@ -347,13 +347,8 @@ impl ViewCatalog {
         self.budget_tuples
     }
 
-    /// The catalog's current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Force the epoch (the serving layer aligns the catalog with its
-    /// own published epoch counter). Entries keep their stamps: an
+    /// Force the epoch (the database keeps the catalog at the epoch of
+    /// the snapshot it publishes). Entries keep their stamps: an
     /// entry stamped with a different epoch simply stops resolving
     /// until re-materialized.
     pub fn set_epoch(&self, epoch: u64) {
@@ -461,7 +456,7 @@ impl ViewCatalog {
 
     /// Drop every entry (non-incremental rebuilds: term ids may have
     /// been remapped, so nothing survives). The epoch is unchanged —
-    /// the owner re-aligns it when republishing.
+    /// the owner sets the rebuilt state's.
     pub fn clear(&self) {
         let mut inner = self.lock();
         let n = inner.entries.len() as u64;

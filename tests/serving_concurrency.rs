@@ -79,8 +79,7 @@ fn concurrent_readers_always_match_their_epochs_oracle() {
         })
         .collect();
 
-    let mut db =
-        RdfDatabase::from_graph(base, jucq_store::EngineProfile::default().with_view_scans(true));
+    let mut db = RdfDatabase::from_graph(base, jucq_store::EngineProfile::default());
     db.set_cost_constants(Default::default());
     db.enable_plan_cache(32);
     db.enable_views(500_000);

@@ -6,7 +6,6 @@
 
 use jucq_core::{RdfDatabase, ServingDb, Strategy};
 use jucq_model::{Term, Triple};
-use jucq_store::EngineProfile;
 
 /// Sorted, decoded rows — the dictionary-independent answer fingerprint.
 fn fingerprint(rows: Vec<Vec<Term>>) -> Vec<String> {
@@ -34,9 +33,7 @@ const Q_KNOWS: &str = "SELECT ?x ?y WHERE { ?x <http://example.org/knows> ?y . }
 const Q_EMPLOYS: &str = "SELECT ?x ?y WHERE { ?x <http://example.org/employs> ?y . }";
 
 fn views_db() -> RdfDatabase {
-    // Pin the knob explicitly so the test is immune to JUCQ_VIEWS in
-    // the environment (the fuzz matrix sets it).
-    let mut db = RdfDatabase::with_profile(EngineProfile::default().with_view_scans(true));
+    let mut db = RdfDatabase::new();
     db.load_turtle(TTL).expect("schema + data load");
     db.enable_views(10_000);
     db
@@ -78,6 +75,59 @@ fn pinned_views_serve_identical_answers_and_count_hits() {
     assert_eq!(r.view_catalog_size, 1);
 }
 
+/// `explain` and `explain analyze` describe the run `answer` makes:
+/// the plan lowered against the view catalog (and kept in the plan
+/// cache), cut at the query's `LIMIT`.
+#[test]
+fn explain_and_explain_analyze_show_the_plan_that_answer_runs() {
+    let mut db = views_db();
+    db.enable_plan_cache(8);
+    let strategy = Strategy::gcov_default();
+    let sparql = format!("{Q_KNOWS} LIMIT 1");
+    let q = db.parse_query(&sparql).unwrap();
+    assert_eq!(db.pin_cover_fragments(&q, &strategy, None).unwrap(), 1);
+
+    let hits = |db: &RdfDatabase| db.view_stats().unwrap().hits;
+    let plans = |db: &RdfDatabase| {
+        let s = db.plan_cache_stats().unwrap();
+        (s.plan_hits, s.plan_misses)
+    };
+    let before = hits(&db);
+    let answered = db.answer(&q, &strategy).unwrap();
+    assert_eq!(answered.rows.len(), 1, "LIMIT 1 of the two knows rows");
+    assert_eq!(answered.counters.view_hits, 1);
+    assert_eq!(hits(&db), before + 1);
+    assert_eq!(plans(&db), (0, 1), "answer lowered the plan and cached it");
+
+    // explain: no execution, the cached plan, its ViewScan leaf.
+    let explained = db.explain(&q, &strategy).unwrap();
+    assert_eq!(hits(&db), before + 1, "explain executes nothing");
+    assert_eq!(plans(&db), (1, 1), "explain read the plan answer cached");
+    assert!(explained.contains("ViewScan"), "{explained}");
+    assert!(explained.contains("Limit: the first 1 row(s)"), "{explained}");
+
+    // explain analyze: the same run again — one more view hit, the same
+    // cached plan, the same single row.
+    let analyzed = db.explain_analyze(&q, &strategy).unwrap();
+    assert_eq!(hits(&db), before + 2, "explain analyze resolved the view like answer");
+    assert_eq!(plans(&db), (2, 1));
+    assert!(analyzed.contains("ViewScan"), "{analyzed}");
+    assert!(analyzed.contains("Total: 1 row(s)"), "{analyzed}");
+    assert!(analyzed.contains("Limit: the first 1 row(s)"), "{analyzed}");
+
+    // Both open with one header and print the same operator tree.
+    let tree = |text: &str| -> Vec<String> {
+        let lines = text.lines().skip_while(|l| !l.contains("Physical plan"));
+        lines.take_while(|l| !l.contains("EXPLAIN ANALYZE")).map(str::to_owned).collect()
+    };
+    assert!(tree(&explained).len() > 1, "{explained}");
+    assert_eq!(tree(&explained), tree(&analyzed));
+    for text in [&explained, &analyzed] {
+        assert_eq!(text.matches("Strategy: GCov (target: plain store)").count(), 1, "{text}");
+        assert_eq!(text.matches("Cover:").count(), 1, "{text}");
+    }
+}
+
 /// The catalog is a *cross-query* cache: the canonical signature
 /// renumbers variables, so pinning the `knows` fragment from one query
 /// must serve an isomorphic fragment of a *different* query whose
@@ -99,7 +149,7 @@ fn cross_query_isomorphic_fragment_serves_from_the_catalog() {
          ?a <http://example.org/employs> ?b . \
          ?b <http://example.org/knows> ?c . }";
 
-    let mut db = RdfDatabase::with_profile(EngineProfile::default().with_view_scans(true));
+    let mut db = RdfDatabase::new();
     db.load_turtle(CHAIN_TTL).expect("schema + data load");
     db.enable_views(10_000);
 
@@ -121,7 +171,7 @@ fn cross_query_isomorphic_fragment_serves_from_the_catalog() {
     assert_eq!(got.len(), 2, "both employs∘knows chains bind");
 
     // Differential check against a view-free database.
-    let mut oracle = RdfDatabase::with_profile(EngineProfile::default().with_view_scans(false));
+    let mut oracle = RdfDatabase::new();
     oracle.load_turtle(CHAIN_TTL).unwrap();
     let q = oracle.parse_query(Q_CHAIN).unwrap();
     let want_rows = oracle.answer(&q, &Strategy::Scq).unwrap().rows;
@@ -183,7 +233,7 @@ fn incremental_update_invalidates_exactly_intersecting_fragments() {
 
     // Differential check against a view-free database with the same
     // final state.
-    let mut oracle = RdfDatabase::with_profile(EngineProfile::default().with_view_scans(false));
+    let mut oracle = RdfDatabase::new();
     oracle.load_turtle(TTL).unwrap();
     oracle.apply_data_updates(&delta, &[]);
     assert_eq!(answer(&mut oracle, Q_KNOWS), knows);
@@ -214,7 +264,7 @@ fn schema_update_rebuild_drops_the_whole_catalog() {
 
 #[test]
 fn serving_pins_survive_updates_and_old_snapshots_stay_exact() {
-    let mut db = RdfDatabase::with_profile(EngineProfile::default().with_view_scans(true));
+    let mut db = RdfDatabase::new();
     db.load_turtle(TTL).unwrap();
     db.enable_views(10_000);
     let serving = ServingDb::new(db);
