@@ -586,6 +586,8 @@ fn answer_on(
     jucq_obs::metrics::counter_add("exec.sorts_elided", c.sorts_elided);
     jucq_obs::metrics::counter_add("exec.gallop_seeks", c.gallop_seeks);
     jucq_obs::metrics::counter_add("exec.scan_rows_borrowed", c.scan_rows_borrowed);
+    jucq_obs::metrics::counter_add("exec.index_probes", c.index_probes);
+    jucq_obs::metrics::counter_add("exec.probe_reseeks", c.probe_reseeks);
     jucq_obs::metrics::histogram_record("pipeline.planning.ns", planning_time.as_nanos() as u64);
     jucq_obs::metrics::histogram_record("pipeline.execution.ns", outcome.elapsed.as_nanos() as u64);
     if let Some(cache) = s.cache.as_deref() {

@@ -24,6 +24,7 @@ use std::borrow::Cow;
 use jucq_model::{TermId, TripleId};
 
 use crate::error::EngineError;
+use crate::exec::sip::{MemberSip, SipFilter, SipStage, Source};
 use crate::exec::{join, ExecContext, BATCH_ROWS};
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::PlanNode;
@@ -33,15 +34,18 @@ use crate::table::{Perm, RangePos, TripleTable};
 /// Evaluate one lowered union member against `table`, with `shared`
 /// holding the plan's materialized shared scans. Bag semantics:
 /// duplicates arising from the head projection are *not* removed here
-/// (the union layer deduplicates).
+/// (the union layer deduplicates). Rows that `filter` (the fragment's
+/// SIP filter, if one was published) says cannot join are dropped at the
+/// earliest stage of the member that binds the filter's whole key.
 pub(crate) fn eval_member(
     table: &TripleTable,
     member: &PlanNode,
     shared: &[Relation],
+    filter: Option<&SipFilter>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let op = ctx.op_start();
-    let out = eval_member_inner(table, member, shared, ctx)?;
+    let out = eval_member_inner(table, member, shared, filter, ctx)?;
     ctx.op_finish(op, "cq", out.len() as u64);
     Ok(out)
 }
@@ -50,6 +54,7 @@ fn eval_member_inner(
     table: &TripleTable,
     member: &PlanNode,
     shared: &[Relation],
+    filter: Option<&SipFilter>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     ctx.check_deadline()?;
@@ -64,53 +69,65 @@ fn eval_member_inner(
             Ok(r)
         }
         PlanNode::Project { input, head, out_vars } => {
-            let body = eval_access(table, input, shared, ctx)?;
-            if body.is_empty() {
+            let mut sip = filter.map(|f| MemberSip::new(f, head, out_vars));
+            let body = eval_access(table, input, shared, &mut sip, ctx)?;
+            let out = if body.is_empty() {
                 // Pipelines short-circuit on an empty intermediate, so
                 // `body` may lack columns for later atoms' variables;
                 // the projection of nothing is nothing.
-                return Ok(Relation::empty(out_vars.clone()));
+                Relation::empty(out_vars.clone())
+            } else {
+                project_head(&body, head, out_vars, sip.as_mut(), ctx)?
+            };
+            if let Some(s) = sip {
+                s.record(ctx);
             }
-            project_head(&body, head, out_vars, ctx)
+            Ok(out)
         }
-        other => Ok(eval_access(table, other, shared, ctx)?.into_owned()),
+        other => unreachable!("not a union member: {other:?}"),
     }
 }
 
 /// Evaluate an access-path node to a relation over its distinct
-/// variables. Shared scans are borrowed from the plan-wide table.
+/// variables. Shared scans are borrowed from the plan-wide table. The
+/// member's SIP filter, while no stage has claimed it, is offered to
+/// every leaf scan and to the input of every probe.
 fn eval_access<'s>(
     table: &TripleTable,
     node: &PlanNode,
     shared: &'s [Relation],
+    sip: &mut Option<MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Cow<'s, Relation>, EngineError> {
     match node {
         PlanNode::IndexScan { pattern, perm, .. } => {
-            Ok(Cow::Owned(scan_pattern(table, pattern, *perm, ctx)?))
+            Ok(Cow::Owned(scan_pattern(table, pattern, *perm, sip.as_mut(), ctx)?))
         }
         PlanNode::RangeScan { pattern, ranged, lo, hi, .. } => {
-            Ok(Cow::Owned(scan_range(table, pattern, *ranged, *lo, *hi, ctx)?))
+            Ok(Cow::Owned(scan_range(table, pattern, *ranged, *lo, *hi, sip.as_mut(), ctx)?))
         }
         // `scan_extent` applies the repeated-variable filter inline; the
         // Filter node documents it in the plan tree.
-        PlanNode::Filter { input, .. } => eval_access(table, input, shared, ctx),
+        PlanNode::Filter { input, .. } => eval_access(table, input, shared, sip, ctx),
         PlanNode::SharedScan { id, .. } => Ok(Cow::Borrowed(&shared[*id])),
         PlanNode::Inlj { input, pattern } => {
-            let acc = eval_access(table, input, shared, ctx)?;
-            Ok(Cow::Owned(probe_extend(table, &acc, pattern, None, ctx)?))
+            let acc = eval_access(table, input, shared, sip, ctx)?;
+            let sip = sip.as_mut().and_then(|s| s.claim_before_probe(&acc));
+            Ok(Cow::Owned(probe_extend(table, &acc, pattern, None, sip, ctx)?))
         }
         PlanNode::RangeProbe { input, pattern, ranged, lo, hi, .. } => {
-            let acc = eval_access(table, input, shared, ctx)?;
-            Ok(Cow::Owned(probe_extend(table, &acc, pattern, Some((*ranged, *lo, *hi)), ctx)?))
+            let acc = eval_access(table, input, shared, sip, ctx)?;
+            let sip = sip.as_mut().and_then(|s| s.claim_before_probe(&acc));
+            let range = Some((*ranged, *lo, *hi));
+            Ok(Cow::Owned(probe_extend(table, &acc, pattern, range, sip, ctx)?))
         }
         PlanNode::HashJoin { left, right, step: None, est } => {
-            let l = eval_access(table, left, shared, ctx)?;
+            let l = eval_access(table, left, shared, sip, ctx)?;
             if l.is_empty() {
                 // Short-circuit: the right subtree is never scanned.
                 return Ok(l);
             }
-            let r = eval_access(table, right, shared, ctx)?;
+            let r = eval_access(table, right, shared, sip, ctx)?;
             let opts = join::JoinOpts { elide: (false, false), est: *est };
             Ok(Cow::Owned(join::hash_join(&l, &r, opts, ctx)?))
         }
@@ -119,24 +136,23 @@ fn eval_access<'s>(
 }
 
 /// Project a body result onto a head of variables and constants: the
-/// sources are resolved once, rows gathered a batch at a time.
+/// sources are resolved once, rows gathered a batch at a time. A SIP
+/// filter no earlier stage could claim is tested here, before the row
+/// is written.
 fn project_head(
     body: &Relation,
     head: &[PatternTerm],
     out_vars: &[VarId],
+    sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    enum Source {
-        Column(usize),
-        Constant(TermId),
-    }
     let sources: Vec<Source> = head
         .iter()
         .map(|t| match t {
             PatternTerm::Var(v) => {
-                Source::Column(body.column_of(*v).expect("head variable bound by the body"))
+                Source::Col(body.column_of(*v).expect("head variable bound by the body"))
             }
-            PatternTerm::Const(c) => Source::Constant(*c),
+            PatternTerm::Const(c) => Source::Const(*c),
         })
         .collect();
     let mut out = Relation::with_capacity(out_vars.to_vec(), body.len());
@@ -148,14 +164,12 @@ fn project_head(
         }
         return Ok(out);
     }
+    let mut sip = sip.and_then(|s| s.claim(SipStage::Head, |v| body.column_of(v)));
     let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * out_vars.len());
     let mut in_batch = 0usize;
     for row in body.rows() {
-        for s in &sources {
-            flat.push(match s {
-                Source::Column(c) => row[*c],
-                Source::Constant(c) => *c,
-            });
+        if sip.as_mut().is_none_or(|s| s.admits(row)) {
+            flat.extend(sources.iter().map(|s| s.of(row)));
         }
         in_batch += 1;
         if in_batch == BATCH_ROWS {
@@ -188,14 +202,14 @@ fn repeated_vars_consistent(p: &StorePattern, t: &TripleId) -> bool {
 }
 
 /// The triple position (0 = s, 1 = p, 2 = o) of the first occurrence of
-/// each of `vars` in `p`.
+/// `v` in `p`.
+fn var_position(p: &StorePattern, v: VarId) -> Option<usize> {
+    p.positions().iter().position(|pt| pt.as_var() == Some(v))
+}
+
+/// [`var_position`] of each of `vars`, all of which occur in `p`.
 fn var_positions(p: &StorePattern, vars: &[VarId]) -> Vec<usize> {
-    let positions = p.positions();
-    vars.iter()
-        .map(|&v| {
-            positions.iter().position(|pt| pt.as_var() == Some(v)).expect("var occurs in pattern")
-        })
-        .collect()
+    vars.iter().map(|&v| var_position(p, v).expect("var occurs in pattern")).collect()
 }
 
 /// The triple position (1 = p, 2 = o) a value range applies to.
@@ -215,11 +229,12 @@ pub(crate) fn scan_pattern(
     table: &TripleTable,
     p: &StorePattern,
     perm: Option<Perm>,
+    sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let bound = p.bound();
     let extent = table.scan_with(perm.unwrap_or_else(|| Perm::for_bound(&bound)), &bound);
-    scan_extent(p, extent, ctx)
+    scan_extent(p, extent, sip, ctx)
 }
 
 /// Scan one collapsed interval into a relation over the pattern
@@ -234,25 +249,30 @@ fn scan_range(
     ranged: RangePos,
     lo: u32,
     hi: u32,
+    sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     ctx.counters.range_scans += 1;
     let mut bound = p.bound();
     bound[ranged_index(ranged)] = None;
-    scan_extent(p, table.scan_value_range(&bound, ranged, lo, hi), ctx)
+    scan_extent(p, table.scan_value_range(&bound, ranged, lo, hi), sip, ctx)
 }
 
 /// The scan kernel: gather `p`'s variable positions out of every triple
 /// of `extent` (a contiguous index run), a batch at a time — one
-/// liveness poll, one bulk append and one memory check per batch.
+/// liveness poll, one bulk append and one memory check per batch. When
+/// `p` binds the whole key of the member's SIP filter, a triple that
+/// cannot join is never copied.
 fn scan_extent(
     p: &StorePattern,
     extent: &[TripleId],
+    sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let vars = p.variables();
     let var_pos = var_positions(p, &vars);
     let check_repeats = p.has_repeated_var();
+    let mut sip = sip.and_then(|s| s.claim(SipStage::Scan, |v| var_position(p, v)));
     ctx.counters.rows_reserved += extent.len() as u64;
     let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
     let zero_width = vars.is_empty();
@@ -264,10 +284,13 @@ fn scan_extent(
             if check_repeats && !repeated_vars_consistent(p, t) {
                 continue;
             }
+            let val = [t.s, t.p, t.o];
+            if sip.as_mut().is_some_and(|s| !s.admits(&val)) {
+                continue;
+            }
             if zero_width {
                 out.push_row(&[]);
             } else {
-                let val = [t.s, t.p, t.o];
                 flat.extend(var_pos.iter().map(|&i| val[i]));
             }
         }
@@ -280,11 +303,11 @@ fn scan_extent(
 
 /// What fills each probe-key position of an index-nested-loop step:
 /// resolved once per operator instead of searched per row.
+#[derive(Clone, Copy)]
 enum ProbeSlot {
-    /// A pattern constant.
-    Const(TermId),
-    /// A column of the accumulated binding relation.
-    Col(usize),
+    /// A bound position: a pattern constant or a column of the
+    /// accumulated binding relation.
+    Bound(Source),
     /// A free variable (scan wildcard).
     Free,
 }
@@ -293,33 +316,40 @@ enum ProbeSlot {
 /// probing the best permutation index for `p` with the bound values of
 /// each row. With `range = Some((ranged, lo, hi))` the probed pattern's
 /// `ranged` position matches any raw id in `[lo, hi)` — one contiguous
-/// `scan_value_range` probe per input row where the uncollapsed union
-/// needed one point probe per collapsed member (LiteMat's "the type
-/// check becomes an interval membership test").
+/// range lookup per input row where the uncollapsed union needed one
+/// point probe per collapsed member (LiteMat's "the type check becomes
+/// an interval membership test").
+///
+/// Every lookup goes through one [`ProbeCursor`](crate::table::ProbeCursor)
+/// owned by this invocation: `acc` usually comes out of an index scan
+/// sorted on (or correlated with) the probe key, so the next run starts
+/// a few triples after the previous one. Input rows the member's SIP
+/// filter rejects are not probed for.
 fn probe_extend(
     table: &TripleTable,
     acc: &Relation,
     p: &StorePattern,
     range: Option<(RangePos, u32, u32)>,
+    mut sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    let mut slots: Vec<ProbeSlot> = p
-        .positions()
-        .iter()
-        .map(|pt| match pt {
-            PatternTerm::Const(c) => ProbeSlot::Const(*c),
-            PatternTerm::Var(v) => match acc.column_of(*v) {
-                Some(col) => ProbeSlot::Col(col),
-                None => ProbeSlot::Free,
-            },
-        })
-        .collect();
+    let mut slots = p.positions().map(|pt| match pt {
+        PatternTerm::Const(c) => ProbeSlot::Bound(Source::Const(c)),
+        PatternTerm::Var(v) => match acc.column_of(v) {
+            Some(col) => ProbeSlot::Bound(Source::Col(col)),
+            None => ProbeSlot::Free,
+        },
+    });
     if let Some((ranged, _, _)) = range {
         ctx.counters.range_scans += 1;
         // The ranged position's template constant stands for the whole
         // interval: unbind it so the probe covers the contiguous index run.
         slots[ranged_index(ranged)] = ProbeSlot::Free;
     }
+    let mut cursor = table.probe_cursor(
+        slots.map(|s| matches!(s, ProbeSlot::Bound(_))),
+        range.map(|(ranged, _, _)| ranged),
+    );
     let new_vars: Vec<VarId> =
         p.variables().iter().copied().filter(|&v| acc.column_of(v).is_none()).collect();
     let new_pos = var_positions(p, &new_vars);
@@ -334,31 +364,30 @@ fn probe_extend(
 
     for arow in acc.rows() {
         pending += 1;
-        let mut bound: [Option<TermId>; 3] = [None, None, None];
-        for (i, slot) in slots.iter().enumerate() {
-            bound[i] = match slot {
-                ProbeSlot::Const(c) => Some(*c),
-                ProbeSlot::Col(col) => Some(arow[*col]),
+        if sip.as_mut().is_none_or(|s| s.admits(arow)) {
+            let bound = slots.map(|s| match s {
+                ProbeSlot::Bound(src) => Some(src.of(arow)),
                 ProbeSlot::Free => None,
+            });
+            let matches = match range {
+                Some((_, lo, hi)) => cursor.seek_range(&bound, lo, hi),
+                None => cursor.seek(&bound),
             };
-        }
-        let matches = match range {
-            Some((ranged, lo, hi)) => table.scan_value_range(&bound, ranged, lo, hi),
-            None => table.scan(&bound),
-        };
-        ctx.counters.tuples_scanned += matches.len() as u64;
-        pending += matches.len() as u64;
-        for t in matches {
-            if check_repeats && !repeated_vars_consistent(p, t) {
-                continue;
-            }
-            ctx.counters.tuples_joined += 1;
-            if zero_width {
-                out.push_row(&[]);
-            } else {
-                let val = [t.s, t.p, t.o];
-                flat.extend_from_slice(arow);
-                flat.extend(new_pos.iter().map(|&i| val[i]));
+            ctx.counters.index_probes += 1;
+            ctx.counters.tuples_scanned += matches.len() as u64;
+            pending += matches.len() as u64;
+            for t in matches {
+                if check_repeats && !repeated_vars_consistent(p, t) {
+                    continue;
+                }
+                ctx.counters.tuples_joined += 1;
+                if zero_width {
+                    out.push_row(&[]);
+                } else {
+                    let val = [t.s, t.p, t.o];
+                    flat.extend_from_slice(arow);
+                    flat.extend(new_pos.iter().map(|&i| val[i]));
+                }
             }
         }
         if pending >= BATCH_ROWS as u64 {
@@ -368,6 +397,7 @@ fn probe_extend(
             ctx.check_memory(out.len())?;
         }
     }
+    ctx.counters.probe_reseeks += cursor.reseeks();
     ctx.tick_n(pending)?;
     out.flush_from(&mut flat);
     ctx.check_memory(out.len())?;
@@ -562,5 +592,44 @@ mod tests {
         let cq = StoreCq::with_var_head(vec![], vec![]);
         let r = s.eval_cq(&cq).unwrap().relation;
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn probes_count_one_lookup_per_input_row() {
+        let cq = StoreCq::with_var_head(
+            vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(1), c(11), v(2))],
+            vec![0, 2],
+        );
+        let s = Store::from_triples(&sample_triples(), EngineProfile::pg_like());
+        let out = s.eval_cq(&cq).unwrap();
+        assert_eq!(out.relation.len(), 2);
+        // The cheaper atom (two p11 triples) leads; its subjects 1, 2
+        // probe p10's objects in ascending order: nothing goes backwards.
+        assert_eq!((out.counters.index_probes, out.counters.probe_reseeks), (2, 0));
+    }
+
+    #[test]
+    fn deadline_inside_a_filtered_scan_batch_surfaces() {
+        use crate::exec::sip::{MemberSip, SipFilter};
+        let n = 20 * BATCH_ROWS as u32;
+        let triples: Vec<TripleId> = (0..n).map(|i| t(i, 10, i % 7)).collect();
+        let table = TripleTable::build(&triples);
+        let mut build = Relation::empty(vec![0]);
+        for i in (0..n).step_by(4) {
+            build.push_row(&[id(i)]);
+        }
+        let filter = SipFilter::build(&build, &[0], "fragment[1].sip_filter".to_string());
+        let mut sip = MemberSip::new(&filter, &[v(0), v(1)], &[0, 1]);
+        let profile = EngineProfile::pg_like().with_timeout(std::time::Duration::ZERO);
+        let mut ctx = ExecContext::new(&profile);
+        ctx.backdate(std::time::Duration::from_millis(2));
+        let p = StorePattern::new(v(0), c(10), v(1));
+        let err = scan_pattern(&table, &p, None, Some(&mut sip), &mut ctx).unwrap_err();
+        assert!(matches!(err, EngineError::Timeout { .. }), "{err:?}");
+        // Found by the liveness poll of the sixteenth batch: the fifteen
+        // before it were scanned and tested.
+        sip.record(&mut ctx);
+        assert_eq!(ctx.counters.sip_probes, 15 * BATCH_ROWS as u64);
+        assert!(ctx.counters.sip_drops > 0);
     }
 }

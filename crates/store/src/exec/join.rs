@@ -13,6 +13,7 @@ use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::VarId;
 use crate::profile::JoinAlgo;
 use crate::relation::{hash_cols, Relation};
+use crate::table::gallop_to;
 
 /// Per-join options threaded from the plan node into a fragment join:
 /// the order-aware planner's merge sort-elision flags and the output
@@ -48,39 +49,6 @@ fn sized_output(vars: Vec<VarId>, est: Option<f64>, ctx: &mut ExecContext<'_>) -
     let reserve = reserve_rows(est);
     ctx.counters.rows_reserved += reserve as u64;
     Relation::with_capacity(vars, reserve)
-}
-
-/// First index in `[lo, hi)` satisfying `pred`, assuming `pred` is
-/// monotone (false…false, then true…true) and `pred(lo)` is false:
-/// probe at exponentially growing offsets from `lo`, then binary-search
-/// the crossed window. Returns `hi` when no index satisfies `pred`.
-fn gallop_to(lo: usize, hi: usize, pred: impl Fn(usize) -> bool) -> usize {
-    let mut prev = lo;
-    let mut step = 1usize;
-    let mut top = hi;
-    loop {
-        let cand = match lo.checked_add(step) {
-            Some(c) if c < hi => c,
-            _ => break,
-        };
-        if pred(cand) {
-            top = cand;
-            break;
-        }
-        prev = cand;
-        step <<= 1;
-    }
-    // First true index in (prev, top], or `hi` when all remain false.
-    let (mut a, mut b) = (prev + 1, top);
-    while a < b {
-        let m = a + (b - a) / 2;
-        if pred(m) {
-            b = m;
-        } else {
-            a = m + 1;
-        }
-    }
-    a
 }
 
 /// Join `left` and `right` with `algo` (the plan node's fragment-join

@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::EngineError;
 use crate::profile::EngineProfile;
+pub use sip::SipStage;
 
 /// How often (in produced tuples) the deadline is polled.
 const DEADLINE_POLL_MASK: u64 = 0x3FFF; // every 16384 tuples
@@ -51,10 +52,11 @@ pub struct Counters {
     pub tuples_materialized: u64,
     /// Tuples examined by duplicate elimination.
     pub tuples_deduped: u64,
-    /// Tuples probed against sideways-information-passing filters.
+    /// Rows tested against sideways-information-passing filters, at
+    /// whichever stage of their member first bound the filter's key.
     pub sip_probes: u64,
-    /// Tuples dropped by sideways-information-passing filters before
-    /// reaching their fragment join.
+    /// Rows a sideways-information-passing filter dropped at that stage
+    /// — before they were copied, probed for or projected.
     pub sip_drops: u64,
     /// Collapsed-interval (`RangeScan`) operator executions.
     pub range_scans: u64,
@@ -74,18 +76,29 @@ pub struct Counters {
     /// cardinality estimates (compare with actual output tuples to see
     /// how well pre-sizing tracks reality).
     pub rows_reserved: u64,
+    /// Index lookups issued by probe operators (one per probed input
+    /// row, whether or not it matched anything — `tuples_scanned` only
+    /// counts the matches).
+    pub index_probes: u64,
+    /// Index lookups that could not continue forward from where the
+    /// operator's previous lookup started: the key went backwards and a
+    /// part of the index was bisected again.
+    pub probe_reseeks: u64,
 }
 
-/// Per-filter probe/drop totals of one sideways-information-passing
+/// Per-filter test/drop totals of one sideways-information-passing
 /// Bloom filter, keyed by its node label (`fragment[i].sip_filter`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SipFilterStat {
     /// The filter's node label.
     pub label: String,
-    /// Tuples probed against the filter.
+    /// Rows tested against the filter.
     pub probes: u64,
-    /// Tuples dropped (probe missed: they cannot join).
+    /// Rows dropped (test missed: they cannot join).
     pub drops: u64,
+    /// Where the fragment's members tested the filter: each stage with
+    /// the number of members that ran it there, in pipeline order.
+    pub stages: Vec<(SipStage, u64)>,
 }
 
 /// Aggregated runtime profile of one plan node (operator × position in
@@ -258,17 +271,30 @@ impl<'a> ExecContext<'a> {
         self.recorder.take().map(|r| r.nodes).unwrap_or_default()
     }
 
-    /// Merge one filter application into the per-filter SIP statistics
-    /// (always collected — there are at most a handful of filters per
-    /// plan, so this is far off the per-tuple hot path).
-    pub fn record_sip(&mut self, label: &str, probes: u64, drops: u64) {
-        match self.sip_stats.iter_mut().find(|s| s.label == label) {
-            Some(s) => {
-                s.probes += probes;
-                s.drops += drops;
-            }
-            None => {
-                self.sip_stats.push(SipFilterStat { label: label.to_string(), probes, drops });
+    /// Merge one member's use of a filter into the per-filter SIP
+    /// statistics (always collected — once per member, so this is far
+    /// off the per-tuple hot path). `stage` is where the member tested
+    /// it; `None` when the member had no rows to test.
+    pub fn record_sip(&mut self, label: &str, probes: u64, drops: u64, stage: Option<SipStage>) {
+        self.merge_sip(SipFilterStat {
+            label: label.to_string(),
+            probes,
+            drops,
+            stages: stage.map(|s| (s, 1)).into_iter().collect(),
+        });
+    }
+
+    fn merge_sip(&mut self, stat: SipFilterStat) {
+        let Some(s) = self.sip_stats.iter_mut().find(|s| s.label == stat.label) else {
+            self.sip_stats.push(stat);
+            return;
+        };
+        s.probes += stat.probes;
+        s.drops += stat.drops;
+        for (stage, members) in stat.stages {
+            match s.stages.binary_search_by_key(&stage, |&(st, _)| st) {
+                Ok(i) => s.stages[i].1 += members,
+                Err(i) => s.stages.insert(i, (stage, members)),
             }
         }
     }
@@ -311,8 +337,10 @@ impl<'a> ExecContext<'a> {
         self.counters.gallop_seeks += worker.counters.gallop_seeks;
         self.counters.scan_rows_borrowed += worker.counters.scan_rows_borrowed;
         self.counters.rows_reserved += worker.counters.rows_reserved;
+        self.counters.index_probes += worker.counters.index_probes;
+        self.counters.probe_reseeks += worker.counters.probe_reseeks;
         for s in worker.take_sip_stats() {
-            self.record_sip(&s.label, s.probes, s.drops);
+            self.merge_sip(s);
         }
         if let Some(r) = &mut self.recorder {
             for node in worker.take_nodes() {
@@ -522,12 +550,14 @@ mod tests {
     fn sip_stats_merge_by_label_and_absorb() {
         let p = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&p);
-        ctx.record_sip("fragment[1].sip_filter", 10, 4);
-        ctx.record_sip("fragment[1].sip_filter", 5, 1);
+        ctx.record_sip("fragment[1].sip_filter", 10, 4, Some(SipStage::Head));
+        ctx.record_sip("fragment[1].sip_filter", 5, 1, Some(SipStage::Scan));
+        ctx.record_sip("fragment[1].sip_filter", 0, 0, None);
 
         let spawner = ctx.spawner();
         let mut w = spawner.context();
-        w.record_sip("fragment[2].sip_filter", 7, 7);
+        w.record_sip("fragment[2].sip_filter", 7, 7, Some(SipStage::BeforeProbe(1)));
+        w.record_sip("fragment[1].sip_filter", 0, 0, Some(SipStage::Scan));
         w.counters.sip_probes = 7;
         w.counters.sip_drops = 7;
         ctx.absorb(w);
@@ -539,6 +569,8 @@ mod tests {
         assert_eq!(stats[0].label, "fragment[1].sip_filter");
         assert_eq!(stats[0].probes, 15);
         assert_eq!(stats[0].drops, 5);
+        assert_eq!(stats[0].stages, vec![(SipStage::Scan, 2), (SipStage::Head, 1)]);
+        assert_eq!(stats[1].stages, vec![(SipStage::BeforeProbe(1), 1)]);
         assert_eq!(stats[1].label, "fragment[2].sip_filter");
         assert!(ctx.take_sip_stats().is_empty(), "take drains the stats");
     }

@@ -40,8 +40,8 @@ pub(crate) struct UnionTask<'p> {
     /// accumulator's row buffer.
     pub est: Option<f64>,
     /// Sideways-information-passing filter published by an upstream
-    /// fragment join: each member result is probed against it (and
-    /// non-joining rows dropped) before merging into the union.
+    /// fragment join: every member tests it inside its own pipeline and
+    /// never produces the rows that cannot join.
     pub filter: Option<&'p sip::SipFilter>,
 }
 
@@ -86,20 +86,14 @@ pub(crate) fn eval_unions(
             let op = ctx.op_start();
             if union::borrowable(u.members, ctx) {
                 ctx.check_deadline()?;
-                let mut r = cq::eval_member(table, &u.members[0], shared, ctx)?;
-                if let Some(f) = u.filter {
-                    sip::apply_sip_filter(&mut r, f, ctx)?;
-                }
+                let r = cq::eval_member(table, &u.members[0], shared, u.filter, ctx)?;
                 out.push(union::borrow_member(r, op, ctx)?);
                 continue;
             }
             let mut acc = DedupAccumulator::with_est(u.head.to_vec(), u.est, ctx);
             for m in u.members {
                 ctx.check_deadline()?;
-                let mut r = cq::eval_member(table, m, shared, ctx)?;
-                if let Some(f) = u.filter {
-                    sip::apply_sip_filter(&mut r, f, ctx)?;
-                }
+                let r = cq::eval_member(table, m, shared, u.filter, ctx)?;
                 union::merge_member(&mut acc, &r, ctx)?;
             }
             out.push(union::finish_union(acc, op, ctx)?);
@@ -131,12 +125,10 @@ pub(crate) fn eval_unions(
                         let r = wctx
                             .check_live()
                             .and_then(|()| {
-                                cq::eval_member(table, &u.members[mi], shared, &mut wctx)
+                                let m = &u.members[mi];
+                                cq::eval_member(table, m, shared, u.filter, &mut wctx)
                             })
-                            .and_then(|mut rel| {
-                                if let Some(f) = u.filter {
-                                    sip::apply_sip_filter(&mut rel, f, &mut wctx)?;
-                                }
+                            .and_then(|rel| {
                                 // Charge the held member result against
                                 // the *global* budget until it is merged.
                                 wctx.reserve_memory(rel.len())?;

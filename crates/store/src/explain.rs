@@ -240,20 +240,28 @@ pub fn render_analyze_report(
     );
     let _ = writeln!(
         out,
-        "  Ordering: sorts elided {}, gallop seeks {}, rows borrowed {}, rows reserved {}",
+        "  Ordering: sorts elided {}, gallop seeks {}, rows borrowed {}, rows reserved {}, \
+         index probes {}, probe reseeks {}",
         counters.sorts_elided,
         counters.gallop_seeks,
         counters.scan_rows_borrowed,
-        counters.rows_reserved
+        counters.rows_reserved,
+        counters.index_probes,
+        counters.probe_reseeks
     );
     if !exec_profile.sip.is_empty() {
         let _ = writeln!(out, "  SIP filters:");
         for f in &exec_profile.sip {
             let pct = if f.probes > 0 { 100.0 * f.drops as f64 / f.probes as f64 } else { 0.0 };
+            let stages: Vec<String> =
+                f.stages.iter().map(|(stage, members)| format!("{stage} ×{members}")).collect();
             let _ = writeln!(
                 out,
-                "    {}: probed {}, dropped {} ({pct:.0}% dropped before the join)",
-                f.label, f.probes, f.drops
+                "    {}: probed {}, dropped {} ({pct:.0}% dropped before the join); ran {}",
+                f.label,
+                f.probes,
+                f.drops,
+                if stages.is_empty() { "nowhere".to_string() } else { stages.join(", ") }
             );
         }
     }
@@ -375,6 +383,9 @@ mod tests {
         // selectivity is reported.
         assert!(text.contains("SIP filters:"), "{text}");
         assert!(text.contains(".sip_filter: probed"), "{text}");
+        // Single-atom members bind the key in their leaf scan.
+        assert!(text.contains("; ran at scan ×1"), "{text}");
+        assert!(text.contains("index probes 0, probe reseeks 0"), "{text}");
     }
 
     #[test]

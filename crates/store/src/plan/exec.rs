@@ -7,9 +7,9 @@
 //! non-empty) are executed **staged**: fragments run one at a time in
 //! join order, so each join step's accumulated left side exists when
 //! its target fragment starts and can publish a Bloom filter the
-//! fragment's members probe. Plans without SIP run all fragments
-//! up-front (possibly across one worker pool) and then fold the join
-//! tree — byte-identical to the pre-SIP driver.
+//! fragment's members test inside their own pipelines. Plans without
+//! SIP run all fragments up-front (possibly across one worker pool) and
+//! then fold the join tree — byte-identical to the pre-SIP driver.
 //!
 //! Fragment leaves may be [`PlanNode::ViewScan`]s: the executor
 //! resolves each through the supplied [`ViewSource`] — epoch-exact, so
@@ -110,7 +110,7 @@ pub(crate) fn execute(
     let mut shared: Vec<Relation> = Vec::with_capacity(plan.shared.len());
     for (i, def) in plan.shared.iter().enumerate() {
         let op = ctx.op_start();
-        let rel = cq::scan_pattern(table, &def.pattern, None, ctx)?;
+        let rel = cq::scan_pattern(table, &def.pattern, None, None, ctx)?;
         ctx.reserve_memory(rel.len())?;
         ctx.op_finish(op, &format!("shared_scan[{i}]"), rel.len() as u64);
         shared.push(rel);
@@ -181,9 +181,10 @@ pub(crate) fn execute(
 /// still fans its members across the worker pool). When a join step has
 /// a planned [`SipFilterDef`](crate::plan::SipFilterDef), the
 /// accumulated left side is hashed into a Bloom filter first and the
-/// right fragment's members probe it as they complete. A view-resolved
-/// fragment skips its filter (the filter only prunes work the copy
-/// kernel does not do; the join itself discards non-matching rows).
+/// right fragment's members drop the rows it rejects as early as they
+/// bind its key. A view-resolved fragment skips its filter (the filter
+/// only prunes work the copy kernel does not do; the join itself
+/// discards non-matching rows).
 #[allow(clippy::too_many_arguments)]
 fn execute_staged(
     table: &TripleTable,

@@ -6,9 +6,12 @@
 //! 1. **prune_empty** — drop union members containing a pattern with an
 //!    empty extent (exact index cardinality); a fragment that loses all
 //!    members proves the whole JUCQ empty (`∅ ⋈ X = ∅`).
-//! 2. **dedup_members** — drop exact-duplicate members, then members
+//! 2. **dedup_members** — drop a member atom that another atom of the
+//!    same body implies (equal wherever it does not hold a variable
+//!    used nowhere else), then exact-duplicate members, then members
 //!    subsumed by another member of the same fragment (same head terms,
-//!    body pattern superset): reformulation stamps both out routinely.
+//!    body pattern superset): reformulation stamps all three out
+//!    routinely.
 //! 3. **factor_scans** — count how often each distinct [`StorePattern`]
 //!    is scanned across all members of all fragments (under the INLJ
 //!    strategy only each member's leaf atom is a scan; under the hash
@@ -209,6 +212,32 @@ pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> V
     runs
 }
 
+/// An atom of `cq` that another atom of its body implies, if any: the
+/// two agree — same constant, same variable — in every position where
+/// the implied atom does not hold a variable occurring nowhere else in
+/// the body or the head. Every valuation matching the other atom then
+/// extends to the implied one by giving those variables the other
+/// atom's values, so under set semantics the member answers the same
+/// without it. A rule meeting the query's own atom produces the shape:
+/// `(?x takesCourse ?1) ⋈ (?x takesCourse ?2)` with head `[?x]` probes
+/// every row for matches the head then projects away. Of two atoms
+/// implying each other the later one is reported.
+fn implied_atom(cq: &StoreCq) -> Option<usize> {
+    let private = |t: PatternTerm| {
+        t.as_var().is_some_and(|v| {
+            let body = cq.patterns.iter().flat_map(|p| p.positions());
+            body.chain(cq.head.iter().copied()).filter(|o| o.as_var() == Some(v)).count() == 1
+        })
+    };
+    let n = cq.patterns.len();
+    (0..n).rev().find(|&a| {
+        (0..n).filter(|&b| b != a).any(|b| {
+            let (pa, pb) = (cq.patterns[a].positions(), cq.patterns[b].positions());
+            pa.iter().zip(pb).all(|(&x, y)| x == y || private(x))
+        })
+    })
+}
+
 /// `a ⊆ b` over sorted, deduplicated pattern vectors.
 fn is_subset(a: &[StorePattern], b: &[StorePattern]) -> bool {
     let mut j = 0;
@@ -284,7 +313,9 @@ impl<'a> Planner<'a> {
         jucq_obs::metrics::counter_add("planner.prune_empty.nodes_after", after as u64);
     }
 
-    /// Pass 2: drop exact-duplicate members, then members subsumed by
+    /// Pass 2: drop every member atom [implied](implied_atom) by another
+    /// atom of the same member (it is then neither scanned nor probed
+    /// for), then exact-duplicate members, then members subsumed by
     /// another member of the same fragment — same head term sequence and
     /// a body pattern set that is a superset of the other's (every
     /// valuation satisfying the superset body satisfies the subset body,
@@ -293,6 +324,12 @@ impl<'a> Planner<'a> {
         jucq_obs::span!("plan.dedup_members");
         let before = draft_nodes(draft);
         for frag in draft.iter_mut() {
+            for m in &mut frag.members {
+                while let Some(atom) = implied_atom(&m.cq) {
+                    m.cq.patterns.remove(atom);
+                    m.counts.remove(atom);
+                }
+            }
             let mut seen: FxHashSet<StoreCq> = FxHashSet::default();
             let mut kept: Vec<DraftMember> = Vec::with_capacity(frag.members.len());
             for m in std::mem::take(&mut frag.members) {
@@ -1104,6 +1141,57 @@ mod tests {
         let unions = plan.unions();
         let (_, _, members) = unions[0].as_union().unwrap();
         assert_eq!(members.len(), 1, "duplicate and subsumed members dropped");
+    }
+
+    #[test]
+    fn implied_atoms_are_found_and_blockers_respected() {
+        let cq = |body: Vec<StorePattern>, head: Vec<VarId>| StoreCq::with_var_head(body, head);
+        let tc = |s, o| StorePattern::new(s, c(10), o);
+        // Q06's shape: both atoms imply each other; the later one goes.
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0])), Some(1));
+        // A head variable is an output, not a don't-care.
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0, 1, 2])), None);
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0, 2])), Some(0));
+        // So is a variable another atom joins on…
+        let joined = vec![tc(v(0), v(1)), tc(v(0), v(2)), StorePattern::new(v(2), c(11), v(3))];
+        assert_eq!(implied_atom(&cq(joined, vec![0])), Some(0));
+        // …or one the atom itself repeats: `?1 p ?1` asks for a loop.
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(2)), tc(v(1), v(1))], vec![0])), None);
+        // A constant, or a loop, is implied by nothing weaker but
+        // implies the atom with a don't-care in its place.
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), c(3))], vec![0])), Some(0));
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(0)), tc(v(0), v(1))], vec![0])), Some(1));
+        // Different constants, different predicates: nothing to drop.
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), c(2)), tc(v(0), c(3))], vec![0])), None);
+        let other = StorePattern::new(v(0), c(11), v(2));
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), other], vec![0])), None);
+        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1))], vec![0])), None);
+    }
+
+    #[test]
+    fn implied_atoms_are_not_lowered() {
+        // `(?0 10 ?1) ⋈ (?0 10 ?2)` with head [?0] is `(?0 10 ?1)`, which
+        // the fragment's other member already is: one scan, no probe.
+        let twice = StoreCq::with_var_head(
+            vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(0), c(10), v(2))],
+            vec![0],
+        );
+        let once = one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0]);
+        let q = StoreJucq::from_ucq(StoreUcq::new(vec![twice.clone(), once], vec![0]));
+        let plan = plan_of(&q, &EngineProfile::pg_like());
+        let unions = plan.unions();
+        let (_, _, members) = unions[0].as_union().unwrap();
+        assert_eq!(members.len(), 1, "the reduced member duplicates the other");
+        let PlanNode::Project { input, .. } = &members[0] else { panic!("{:?}", members[0]) };
+        assert!(matches!(**input, PlanNode::IndexScan { .. }), "{input:?}");
+        // Same answers as the body evaluated as written.
+        let store = crate::Store::from_triples(
+            &[t(1, 10, 2), t(1, 10, 3), t(4, 10, 4), t(5, 11, 6)],
+            EngineProfile::pg_like(),
+        );
+        let mut rows = store.eval_cq(&twice).unwrap().relation;
+        rows.sort();
+        assert_eq!(rows.to_rows(), vec![vec![id(1)], vec![id(4)]]);
     }
 
     #[test]

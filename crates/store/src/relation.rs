@@ -12,18 +12,24 @@ fn mix(h: u64, t: TermId) -> u64 {
     (h.rotate_left(5) ^ u64::from(t.raw())).wrapping_mul(HASH_SEED)
 }
 
-/// Position-sensitive hash of a whole row: the one row hash of the
-/// executor (final dedup, union accumulator).
+/// Position-sensitive hash of `n` terms: the one row hash of the
+/// executor, whatever the terms are gathered from.
+#[inline]
+pub(crate) fn hash_terms(n: usize, terms: impl Iterator<Item = TermId>) -> u64 {
+    terms.fold(n as u64, mix)
+}
+
+/// [`hash_terms`] of a whole row (final dedup, union accumulator).
 #[inline]
 pub(crate) fn hash_row(row: &[TermId]) -> u64 {
-    row.iter().fold(row.len() as u64, |h, &t| mix(h, t))
+    hash_terms(row.len(), row.iter().copied())
 }
 
 /// [`hash_row`] over the selected columns only (hash-join keys, SIP
 /// filter keys): equal to `hash_row` of the gathered key.
 #[inline]
 pub(crate) fn hash_cols(row: &[TermId], cols: &[usize]) -> u64 {
-    cols.iter().fold(cols.len() as u64, |h, &c| mix(h, row[c]))
+    hash_terms(cols.len(), cols.iter().map(|&c| row[c]))
 }
 
 /// A materialized relation: a flat row-major buffer of [`TermId`]s with
@@ -189,29 +195,6 @@ impl Relation {
         removed
     }
 
-    /// Keep only the rows satisfying `pred`, preserving order; returns
-    /// the number of rows kept. Zero-width (boolean) relations are left
-    /// untouched — their rows carry no values to test.
-    pub fn retain_rows(&mut self, mut pred: impl FnMut(&[TermId]) -> bool) -> usize {
-        if self.vars.is_empty() {
-            return self.len();
-        }
-        let width = self.vars.len();
-        let n = self.len();
-        let mut write = 0usize;
-        for i in 0..n {
-            let start = i * width;
-            if pred(&self.data[start..start + width]) {
-                if write != i {
-                    self.data.copy_within(start..start + width, write * width);
-                }
-                write += 1;
-            }
-        }
-        self.data.truncate(write * width);
-        write
-    }
-
     /// Move a kernel's batch buffer of width-aligned row data into the
     /// relation in one bulk copy, leaving the buffer empty for the next
     /// batch. An empty buffer is a no-op (zero-width rows are presence
@@ -338,19 +321,6 @@ mod tests {
         assert_eq!(hash_cols(&row, &[2, 0]), hash_row(&[id(9), id(7)]));
         assert_eq!(hash_cols(&row, &[0, 1, 2]), hash_row(&row));
         assert_ne!(hash_cols(&row, &[0, 2]), hash_cols(&row, &[2, 0]), "position-sensitive");
-    }
-
-    #[test]
-    fn retain_rows_compacts_in_order() {
-        let mut r = rel(vec![0, 1], &[&[1, 2], &[3, 4], &[5, 6], &[7, 8]]);
-        let kept = r.retain_rows(|row| row[0] != id(3) && row[0] != id(7));
-        assert_eq!(kept, 2);
-        assert_eq!(r.to_rows(), vec![vec![id(1), id(2)], vec![id(5), id(6)]]);
-
-        let mut boolean = Relation::empty(vec![]);
-        boolean.push_row(&[]);
-        assert_eq!(boolean.retain_rows(|_| false), 1, "boolean rows are never filtered");
-        assert_eq!(boolean.len(), 1);
     }
 
     #[test]

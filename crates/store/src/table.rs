@@ -48,7 +48,12 @@ impl Perm {
     /// Pick the permutation whose key prefix covers exactly the bound
     /// positions of a pattern `[s?, p?, o?]`.
     pub fn for_bound(bound: &[Option<TermId>; 3]) -> Perm {
-        match (bound[0].is_some(), bound[1].is_some(), bound[2].is_some()) {
+        Perm::for_mask(bound.map(|c| c.is_some()))
+    }
+
+    /// [`Perm::for_bound`] over a bound-position mask.
+    fn for_mask(bound: [bool; 3]) -> Perm {
+        match (bound[0], bound[1], bound[2]) {
             (false, false, false) => Perm::Spo,
             (true, false, false) => Perm::Spo,
             (false, true, false) => Perm::Pso,
@@ -95,21 +100,6 @@ impl Perm {
         }
         out
     }
-
-    /// The bound-position prefix of the lookup key for this permutation
-    /// (`None` marks the unconstrained tail).
-    fn prefix(self, bound: &[Option<TermId>; 3]) -> [Option<u32>; 3] {
-        let (s, p, o) =
-            (bound[0].map(TermId::raw), bound[1].map(TermId::raw), bound[2].map(TermId::raw));
-        match self {
-            Perm::Spo => [s, p, o],
-            Perm::Sop => [s, o, p],
-            Perm::Pso => [p, s, o],
-            Perm::Pos => [p, o, s],
-            Perm::Osp => [o, s, p],
-            Perm::Ops => [o, p, s],
-        }
-    }
 }
 
 /// The triple position a [`TripleTable::scan_value_range`] ranges over
@@ -128,20 +118,182 @@ impl Perm {
     /// the ranged position immediately after — so a value range on that
     /// position is one contiguous slice of the index.
     pub fn for_range(bound: &[Option<TermId>; 3], ranged: RangePos) -> Perm {
+        Perm::for_range_mask(bound.map(|c| c.is_some()), ranged)
+    }
+
+    /// [`Perm::for_range`] over a bound-position mask.
+    fn for_range_mask(bound: [bool; 3], ranged: RangePos) -> Perm {
         match ranged {
-            RangePos::Object => match (bound[0].is_some(), bound[1].is_some()) {
+            RangePos::Object => match (bound[0], bound[1]) {
                 (false, false) => Perm::Osp,
                 (true, false) => Perm::Sop,
                 (false, true) => Perm::Pos,
                 (true, true) => Perm::Spo,
             },
-            RangePos::Predicate => match (bound[0].is_some(), bound[2].is_some()) {
+            RangePos::Predicate => match (bound[0], bound[2]) {
                 (false, false) => Perm::Pso,
                 (true, false) => Perm::Spo,
                 (false, true) => Perm::Ops,
                 (true, true) => Perm::Sop,
             },
         }
+    }
+}
+
+/// First index in `[lo, hi)` satisfying `pred`, assuming `pred` is
+/// monotone (false…false, then true…true) and `pred(lo)` is false:
+/// probe at exponentially growing offsets from `lo`, then binary-search
+/// the crossed window. Returns `hi` when no index satisfies `pred`.
+pub(crate) fn gallop_to(lo: usize, hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let mut prev = lo;
+    let mut step = 1usize;
+    let mut top = hi;
+    loop {
+        let cand = match lo.checked_add(step) {
+            Some(c) if c < hi => c,
+            _ => break,
+        };
+        if pred(cand) {
+            top = cand;
+            break;
+        }
+        prev = cand;
+        step <<= 1;
+    }
+    // First true index in (prev, top], or `hi` when all remain false.
+    let (mut a, mut b) = (prev + 1, top);
+    while a < b {
+        let m = a + (b - a) / 2;
+        if pred(m) {
+            b = m;
+        } else {
+            a = m + 1;
+        }
+    }
+    a
+}
+
+/// The key interval of one lookup under a permutation: the run of
+/// matching triples starts at the first key `>= lo` and ends before the
+/// first key past `hi`.
+struct Span {
+    lo: [u32; 3],
+    hi: [u32; 3],
+    /// Whether a key equal to `hi` still matches: a prefix lookup pads
+    /// `hi` with `u32::MAX`, a value range ends at an exclusive bound.
+    closed: bool,
+}
+
+impl Span {
+    /// The bound positions of `bound` in `perm`'s key order, which must
+    /// form a key prefix, and how many there are.
+    fn bound_prefix(perm: Perm, bound: &[Option<TermId>; 3]) -> ([u32; 3], usize) {
+        let pos = perm.key_positions();
+        let k = pos.iter().take_while(|&&i| bound[i].is_some()).count();
+        debug_assert_eq!(
+            k,
+            bound.iter().filter(|c| c.is_some()).count(),
+            "chosen permutation must put all bound positions first"
+        );
+        (pos.map(|i| bound[i].map_or(0, TermId::raw)), k)
+    }
+
+    /// Every triple matching the bound positions: the prefix padded with
+    /// the extreme values of the free tail.
+    fn prefix(perm: Perm, bound: &[Option<TermId>; 3]) -> Span {
+        let (lo, k) = Span::bound_prefix(perm, bound);
+        let mut hi = lo;
+        hi[k..].fill(u32::MAX);
+        Span { lo, hi, closed: true }
+    }
+
+    /// Every triple matching the bound positions whose next key
+    /// component lies in `[lo, hi)`: the tail is padded with 0 and the
+    /// upper bound compared strictly, so `hi` stays exclusive.
+    fn value_range(perm: Perm, bound: &[Option<TermId>; 3], lo: u32, hi: u32) -> Span {
+        let (mut lo_key, k) = Span::bound_prefix(perm, bound);
+        let mut hi_key = lo_key;
+        lo_key[k] = lo;
+        // An empty or inverted range ends where it starts.
+        hi_key[k] = hi.max(lo);
+        Span { lo: lo_key, hi: hi_key, closed: false }
+    }
+
+    #[inline]
+    fn past(&self, key: [u32; 3]) -> bool {
+        if self.closed {
+            key > self.hi
+        } else {
+            key >= self.hi
+        }
+    }
+}
+
+/// How a [`TripleTable`] answers lookups against one permutation index —
+/// a single scan, or a *stream* of lookups with one shape (same bound
+/// positions, changing values): the permutation and index slice are
+/// resolved once, and each lookup starts where the previous one did.
+///
+/// A lookup's run starts at the first key `>= lo`: found by bisection
+/// the first time, afterwards by galloping forward from the previous
+/// start (the hint) — O(log distance), a few triples when the keys
+/// ascend, as they do for rows out of an index scan probing on their
+/// sort column — or, when the key went backwards, by bisecting only the
+/// part of the index before the hint (a *reseek*). The run's end is
+/// found by galloping from its start, not by a second bisection: runs
+/// are short next to the index. Any hint is correct — it decides what a
+/// lookup costs, never what it returns.
+///
+/// The cursor belongs to one operator invocation; nothing about it is
+/// shared, so concurrent members walk the same index independently.
+pub struct ProbeCursor<'t> {
+    idx: &'t [TripleId],
+    perm: Perm,
+    /// Where the previous lookup's run started (`None` before the first).
+    hint: Option<usize>,
+    reseeks: u64,
+}
+
+impl<'t> ProbeCursor<'t> {
+    /// The triples matching `bound` (which binds the cursor's positions).
+    #[inline]
+    pub fn seek(&mut self, bound: &[Option<TermId>; 3]) -> &'t [TripleId] {
+        self.seek_span(&Span::prefix(self.perm, bound))
+    }
+
+    /// The triples matching `bound` whose ranged position has a raw id
+    /// in `[lo, hi)`.
+    #[inline]
+    pub fn seek_range(&mut self, bound: &[Option<TermId>; 3], lo: u32, hi: u32) -> &'t [TripleId] {
+        self.seek_span(&Span::value_range(self.perm, bound, lo, hi))
+    }
+
+    /// Lookups so far that could not continue forward from the previous
+    /// one's position.
+    pub fn reseeks(&self) -> u64 {
+        self.reseeks
+    }
+
+    fn seek_span(&mut self, span: &Span) -> &'t [TripleId] {
+        let (idx, perm) = (self.idx, self.perm);
+        let below = |i: usize| perm.key(&idx[i]) < span.lo;
+        let past = |i: usize| span.past(perm.key(&idx[i]));
+        let start = match self.hint {
+            None => idx.partition_point(|t| perm.key(t) < span.lo),
+            Some(h) if h < idx.len() && below(h) => gallop_to(h, idx.len(), |i| !below(i)),
+            Some(h) if h == 0 || below(h - 1) => h,
+            Some(h) => {
+                self.reseeks += 1;
+                idx[..h - 1].partition_point(|t| perm.key(t) < span.lo)
+            }
+        };
+        self.hint = Some(start);
+        let end = if start == idx.len() || past(start) {
+            start
+        } else {
+            gallop_to(start, idx.len(), past)
+        };
+        &idx[start..end]
     }
 }
 
@@ -176,8 +328,9 @@ impl TripleTable {
     }
 
     fn index(&self, perm: Perm) -> &[TripleId] {
-        let i = Perm::ALL.iter().position(|&p| p == perm).expect("perm in ALL");
-        &self.indexes[i]
+        // `Perm`'s declaration order is `Perm::ALL`'s, which `build` and
+        // `apply_delta` fill the array in.
+        &self.indexes[perm as usize]
     }
 
     /// The contiguous slice of triples matching the bound positions of a
@@ -194,24 +347,10 @@ impl TripleTable {
     /// order a downstream merge join wants.
     pub fn scan_with(&self, perm: Perm, bound: &[Option<TermId>; 3]) -> &[TripleId] {
         let idx = self.index(perm);
-        let prefix = perm.prefix(bound);
-        // Number of leading bound key components.
-        let k = prefix.iter().take_while(|c| c.is_some()).count();
-        debug_assert_eq!(
-            k,
-            prefix.iter().filter(|c| c.is_some()).count(),
-            "chosen permutation must put all bound positions first"
-        );
-        if k == 0 {
+        if bound.iter().all(Option::is_none) {
             return idx;
         }
-        // Express the prefix range as lexicographic comparisons against
-        // the prefix padded with the extreme values of the free tail.
-        let lo_key: [u32; 3] = std::array::from_fn(|i| prefix[i].unwrap_or(0));
-        let hi_key: [u32; 3] = std::array::from_fn(|i| prefix[i].unwrap_or(u32::MAX));
-        let lo = idx.partition_point(|t| perm.key(t) < lo_key);
-        let hi = idx.partition_point(|t| perm.key(t) <= hi_key);
-        &idx[lo..hi]
+        self.cursor(perm).seek(bound)
     }
 
     /// Exact number of triples matching the bound positions (O(log n)).
@@ -239,27 +378,22 @@ impl TripleTable {
             },
             "ranged position must be free"
         );
-        if lo >= hi {
-            return &[];
-        }
         let perm = Perm::for_range(bound, ranged);
-        let idx = self.index(perm);
-        let prefix = perm.prefix(bound);
-        let k = prefix.iter().take_while(|c| c.is_some()).count();
-        debug_assert_eq!(k, prefix.iter().filter(|c| c.is_some()).count());
-        // The ranged position is key component `k`; pad the tail with 0
-        // and compare strictly, so `hi` stays exclusive.
-        let mut lo_key = [0u32; 3];
-        let mut hi_key = [0u32; 3];
-        for i in 0..k {
-            lo_key[i] = prefix[i].expect("bound prefix");
-            hi_key[i] = lo_key[i];
-        }
-        lo_key[k] = lo;
-        hi_key[k] = hi;
-        let start = idx.partition_point(|t| perm.key(t) < lo_key);
-        let end = idx.partition_point(|t| perm.key(t) < hi_key);
-        &idx[start..end]
+        self.cursor(perm).seek_range(bound, lo, hi)
+    }
+
+    /// A cursor for a stream of lookups that all bind the positions set
+    /// in `bound` (to values that change from one lookup to the next)
+    /// and, with `ranged`, range over that position.
+    pub fn probe_cursor(&self, bound: [bool; 3], ranged: Option<RangePos>) -> ProbeCursor<'_> {
+        self.cursor(match ranged {
+            Some(ranged) => Perm::for_range_mask(bound, ranged),
+            None => Perm::for_mask(bound),
+        })
+    }
+
+    fn cursor(&self, perm: Perm) -> ProbeCursor<'_> {
+        ProbeCursor { idx: self.index(perm), perm, hint: None, reseeks: 0 }
     }
 
     /// Exact number of triples a [`TripleTable::scan_value_range`] would
@@ -451,8 +585,7 @@ mod tests {
             let bound: [Option<TermId>; 3] =
                 std::array::from_fn(|i| if mask & (1 << i) != 0 { Some(id(7)) } else { None });
             let perm = Perm::for_bound(&bound);
-            let prefix = perm.prefix(&bound);
-            let k = prefix.iter().take_while(|c| c.is_some()).count();
+            let k = perm.key_positions().iter().take_while(|&&i| bound[i].is_some()).count();
             assert_eq!(
                 k,
                 bound.iter().filter(|c| c.is_some()).count(),
@@ -542,6 +675,116 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn discriminants_index_the_permutation_array() {
+        // `TripleTable::index` reads `indexes[perm as usize]`, filled in
+        // `Perm::ALL` order.
+        for (i, perm) in Perm::ALL.into_iter().enumerate() {
+            assert_eq!(perm as usize, i, "{perm:?}");
+        }
+        let tbl = sample();
+        for perm in Perm::ALL {
+            let keys: Vec<[u32; 3]> = tbl.index(perm).iter().map(|x| perm.key(x)).collect();
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{perm:?} holds another order");
+        }
+    }
+
+    /// The lookup streams a cursor must answer like a fresh scan: values
+    /// around (below, inside, above) the stored ids, in every order.
+    fn lookup_streams(seed: &mut u64, values: std::ops::Range<u32>) -> Vec<Vec<u32>> {
+        let ascending: Vec<u32> = (values.start.saturating_sub(2)..values.end + 3).collect();
+        let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+        let random: Vec<u32> =
+            (0..60).map(|_| values.start + lcg(seed) % (values.end - values.start + 2)).collect();
+        let constant = vec![values.start + 1; 5];
+        let mut clustered = random.clone();
+        clustered.sort_unstable();
+        let outside = vec![0, u32::MAX >> 2, 0, values.start, u32::MAX >> 2];
+        vec![ascending, descending, random, constant, clustered, outside]
+    }
+
+    #[test]
+    fn cursor_returns_exactly_the_scanned_slice() {
+        let mut seed = 0xc0ff_ee00_u64;
+        for round in 0..6 {
+            // Sparse ids (so lookups fall between keys), heavy
+            // duplication of every component; round 0 is the empty table.
+            let n = [0, 1, 7, 60, 300, 300][round];
+            let triples: Vec<TripleId> = (0..n)
+                .map(|_| {
+                    t(
+                        10 + 2 * (lcg(&mut seed) % 9),
+                        10 + 2 * (lcg(&mut seed) % 5),
+                        10 + 2 * (lcg(&mut seed) % 11),
+                    )
+                })
+                .collect();
+            let tbl = TripleTable::build(&triples);
+            let same = |got: &[TripleId], want: &[TripleId], what: &dyn std::fmt::Debug| {
+                assert_eq!(got.as_ptr(), want.as_ptr(), "{what:?}: another start");
+                assert_eq!(got.len(), want.len(), "{what:?}: another length");
+            };
+            let streams = lookup_streams(&mut seed, 10..32);
+            for mask in 0u8..8 {
+                let shape: [bool; 3] = std::array::from_fn(|i| mask & (1 << i) != 0);
+                let bind = |x: u32, salt: u32| -> [Option<TermId>; 3] {
+                    // Positions move at different rates, so multi-column
+                    // keys ascend, repeat and fall back.
+                    let vals = [x, 10 + (x / 2 + salt) % 12, 10 + (x + salt) % 24];
+                    std::array::from_fn(|i| shape[i].then(|| id(vals[i])))
+                };
+                for (si, stream) in streams.iter().enumerate() {
+                    let mut cursor = tbl.probe_cursor(shape, None);
+                    for (n, &x) in stream.iter().enumerate() {
+                        if si % 2 == 1 && n % 3 == 0 {
+                            // Any position is a valid hint.
+                            cursor.hint = Some(lcg(&mut seed) as usize % (tbl.len() + 1));
+                        }
+                        let bound = bind(x, si as u32);
+                        same(cursor.seek(&bound), tbl.scan(&bound), &(round, mask, si, x));
+                    }
+                    for ranged in [RangePos::Predicate, RangePos::Object] {
+                        let free = if ranged == RangePos::Predicate { 1 } else { 2 };
+                        if shape[free] {
+                            continue;
+                        }
+                        let mut cursor = tbl.probe_cursor(shape, Some(ranged));
+                        for (n, &x) in stream.iter().enumerate() {
+                            if si % 2 == 0 && n % 4 == 1 {
+                                cursor.hint = Some(lcg(&mut seed) as usize % (tbl.len() + 1));
+                            }
+                            let bound = bind(x, si as u32);
+                            // Empty, inverted, point, wide and unbounded ranges.
+                            let lo = 8 + lcg(&mut seed) % 20;
+                            let hi = [lo, lo - 1, lo + 1, lo + 7, u32::MAX][n % 5];
+                            same(
+                                cursor.seek_range(&bound, lo, hi),
+                                tbl.scan_value_range(&bound, ranged, lo, hi),
+                                &(round, mask, ranged, si, x, lo, hi),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_counts_only_backward_lookups_as_reseeks() {
+        let triples: Vec<TripleId> = (0..200).map(|i| t(i, 10, 1000 - i)).collect();
+        let tbl = TripleTable::build(&triples);
+        let shape = [true, false, false];
+        let mut cursor = tbl.probe_cursor(shape, None);
+        for s in [3, 3, 4, 50, 50, 199, 500] {
+            cursor.seek(&[Some(id(s)), None, None]);
+        }
+        assert_eq!(cursor.reseeks(), 0, "first, repeated and ascending keys go forward");
+        cursor.seek(&[Some(id(7)), None, None]);
+        cursor.seek(&[Some(id(8)), None, None]);
+        cursor.seek(&[Some(id(2)), None, None]);
+        assert_eq!(cursor.reseeks(), 2);
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! bodies as index-nested-loop probes or as hash joins of scanned
 //! extents, fragment joins by hash, sort-merge or block-nested-loop,
 //! every engine profile, SIP filters on and off, 1/2/8 worker threads
-//! (with identical counters across thread counts).
+//! (with identical counters across thread counts). One query's members
+//! bind their SIP key at every stage a member can test it.
 
 mod common;
 
 use common::{c, naive_answers, sorted_rows, triples, v};
 use jucq_model::TermId;
-use jucq_store::exec::BATCH_ROWS;
+use jucq_store::exec::{SipStage, BATCH_ROWS};
 use jucq_store::{
-    EngineError, EngineProfile, JoinAlgo, Store, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId,
+    EngineError, EngineProfile, JoinAlgo, PatternTerm, Store, StoreCq, StoreJucq, StorePattern,
+    StoreUcq, VarId,
 };
 
 /// `(s, p, o)` triples: two overlapping chains (p10, p12) whose two-hop
@@ -84,6 +86,47 @@ fn narrow_query() -> StoreJucq {
     StoreJucq::new(vec![outer, attribute(3, 15, 5)], vec![0, 3, 5])
 }
 
+/// `boolean × p11(?0 → 9001 | 9002) ⋈ placed(?0, ?9)`: the last fragment is the
+/// SIP target, keyed on `?0`, and each of its members binds `?0` at
+/// another stage of its pipeline — so the filter is tested in the leaf
+/// scan, on the input of the first and of the second probe, in the head
+/// projection, and against a head *constant* (one the build side holds,
+/// one it does not). The boolean fragment has a scanned and
+/// an empty-bodied zero-width member and no key, hence no filter.
+fn placed_query() -> StoreJucq {
+    let p = |s, pred: u32, o| StorePattern::new(s, c(pred), o);
+    let member = |body: Vec<StorePattern>, head: [PatternTerm; 2]| StoreCq::new(body, head.into());
+    let placed = StoreUcq::new(
+        vec![
+            // The only member scanning p13: a private leaf that binds ?0.
+            member(vec![p(v(0), 13, v(9))], [v(0), v(9)]),
+            // p10 leads two members, so its scan is shared and never
+            // filtered: the first tests at the head, the second on the
+            // input of its first probe.
+            member(vec![p(v(0), 10, v(9))], [v(0), v(9)]),
+            member(vec![p(v(0), 10, v(9)), p(v(9), 11, v(6))], [v(0), v(6)]),
+            // ?0 is bound by probe 0: tested on the input of probe 1…
+            member(vec![p(v(3), 12, v(4)), p(v(4), 10, v(0)), p(v(0), 11, v(9))], [v(0), v(9)]),
+            // …or, with no later probe, at the head.
+            member(vec![p(v(3), 12, v(4)), p(v(4), 10, v(0))], [v(0), v(3)]),
+            // Key 401 is on the build side, key 403 is not.
+            member(vec![p(v(3), 13, v(9))], [c(401), v(9)]),
+            member(vec![p(v(3), 13, v(9))], [c(403), v(9)]),
+        ],
+        vec![0, 9],
+    );
+    let boolean = StoreUcq::new(
+        vec![
+            StoreCq::with_var_head(vec![p(v(7), 15, v(8))], vec![]),
+            StoreCq::with_var_head(vec![], vec![]),
+        ],
+        vec![],
+    );
+    let seed = |o| StoreCq::with_var_head(vec![p(v(0), 11, c(o))], vec![0]);
+    let seed = StoreUcq::new(vec![seed(9001), seed(9002)], vec![0]);
+    StoreJucq::new(vec![boolean, seed, placed], vec![0, 9])
+}
+
 /// More than two batches, and a partial last batch.
 fn crosses_batches(n: usize) -> bool {
     n > 2 * BATCH_ROWS && !n.is_multiple_of(BATCH_ROWS)
@@ -108,26 +151,26 @@ fn fixture_inputs_cross_batch_boundaries() {
         let outer = store.eval_ucq(&q.fragments[0]).unwrap().relation.len();
         assert!(crosses_batches(outer), "first fragment: {outer}");
     }
-    for q in [wide_query(), narrow_query()] {
+    for q in [wide_query(), narrow_query(), placed_query()] {
         let answers = naive_answers(&data, &q).len();
         assert!(crosses_batches(answers), "answers: {answers}");
     }
 }
 
-/// Both queries with their naive answers. The wide one is for the
-/// (near-)linear fragment joins only; `runs` says whether a join
-/// algorithm takes a query.
+/// The queries with their naive answers. Only the narrow one is for the
+/// quadratic fragment join too; `runs` says whether a join algorithm
+/// takes a query.
 fn cases() -> Vec<(&'static str, StoreJucq, Vec<Vec<TermId>>)> {
     let data = sample_data();
     let case = |name, q: StoreJucq| {
         let answers = naive_answers(&data, &q);
         (name, q, answers)
     };
-    vec![case("wide", wide_query()), case("narrow", narrow_query())]
+    vec![case("wide", wide_query()), case("narrow", narrow_query()), case("placed", placed_query())]
 }
 
 fn runs(qname: &str, join: JoinAlgo) -> bool {
-    !(qname == "wide" && join == JoinAlgo::BlockNestedLoop)
+    qname == "narrow" || join != JoinAlgo::BlockNestedLoop
 }
 
 /// The engine's independent implementations, one at a time and
@@ -154,16 +197,27 @@ fn independent_implementations_return_the_naive_answer() {
     }
 }
 
-/// Every engine profile × SIP on/off × 1/2/8 threads returns the naive
-/// answer, with counters that do not depend on the thread count.
+/// The default profile with member bodies lowered to hash joins of
+/// scanned extents: a SIP filter can then only be tested in a leaf scan
+/// or at the head.
+fn hash_bodied() -> EngineProfile {
+    let mut profile = EngineProfile::pg_like();
+    profile.index_nested_loop_cq = false;
+    profile
+}
+
+/// Every engine profile (and the hash-bodied default) × SIP on/off ×
+/// 1/2/8 threads returns the naive answer, with counters that do not
+/// depend on the thread count.
 #[test]
 fn profile_sip_thread_matrix_returns_the_naive_answer() {
     let triples = triples(&sample_data());
-    let bases: [fn() -> EngineProfile; 4] = [
+    let bases: [fn() -> EngineProfile; 5] = [
         EngineProfile::pg_like,
         EngineProfile::db2_like,
         EngineProfile::mysql_like,
         EngineProfile::native_like,
+        hash_bodied,
     ];
     for (qname, q, expect) in cases() {
         for base in bases {
@@ -213,6 +267,39 @@ fn sip_filters_drop_tuples_without_changing_answers() {
     );
 }
 
+/// The placed query's members test the filter where the fixture says
+/// they do, the stages add up to one per member that had rows to test,
+/// and a hash-bodied member only ever tests in a scan or at the head.
+#[test]
+fn sip_filters_run_at_the_earliest_stage_binding_their_key() {
+    let triples = triples(&sample_data());
+    let q = placed_query();
+    let stages = |profile: EngineProfile| {
+        let (out, run) = Store::from_triples(&triples, profile).eval_jucq_profiled(&q).unwrap();
+        let [filter] = run.sip.as_slice() else { panic!("one filter: {:?}", run.sip) };
+        assert_eq!(filter.label, "fragment[2].sip_filter");
+        assert_eq!(
+            (filter.probes, filter.drops),
+            (out.counters.sip_probes, out.counters.sip_drops)
+        );
+        assert!(filter.drops > 0 && filter.drops < filter.probes, "{filter:?}");
+        filter.stages.clone()
+    };
+    assert_eq!(
+        stages(EngineProfile::pg_like().with_parallelism(1)),
+        vec![
+            (SipStage::Scan, 1),
+            (SipStage::BeforeProbe(0), 1),
+            (SipStage::BeforeProbe(1), 1),
+            // Two more: the constant-keyed members share their p13 scan.
+            (SipStage::Head, 4),
+        ]
+    );
+    let hashed = stages(hash_bodied().with_parallelism(2));
+    assert_eq!(hashed.iter().map(|&(_, members)| members).sum::<u64>(), 7, "{hashed:?}");
+    assert!(hashed.iter().all(|(s, _)| matches!(s, SipStage::Scan | SipStage::Head)), "{hashed:?}");
+}
+
 /// A budget that the first batch of every scan fits in and the second
 /// does not: the breach is found by a per-batch check in the middle of
 /// an operator, and still aborts the whole query with the originating
@@ -231,6 +318,34 @@ fn budget_breach_inside_the_second_batch_aborts_the_query() {
             EngineError::MemoryBudgetExceeded { tuples, .. } => {
                 assert_eq!(tuples, 2 * BATCH_ROWS, "threads={threads}: found at the second batch")
             }
+            other => panic!("threads={threads}: expected a budget breach, got {other:?}"),
+        }
+    }
+}
+
+/// The breach is first met inside a scan that tests a SIP filter: the
+/// seed (40 rows) and the first batch of the filtered p11 scan fit, the
+/// second batch does not — and the rows the filter dropped (one p11
+/// object in five has no p15 edge; the default permutation scans p11 in
+/// subject order, which spreads them evenly) were never charged.
+#[test]
+fn budget_breach_inside_a_filtered_scan_batch_aborts_the_query() {
+    let triples = triples(&sample_data());
+    let q = StoreJucq::new(vec![attribute(3, 15, 5), attribute(2, 11, 3)], vec![2, 5]);
+    let budget = BATCH_ROWS + BATCH_ROWS / 2;
+    let base = || EngineProfile::pg_like().with_order_aware(false);
+    let unlimited = Store::from_triples(&triples, base()).eval_jucq(&q).unwrap();
+    assert!(unlimited.counters.sip_drops > 0, "{:?}", unlimited.counters);
+    for threads in [1usize, 4] {
+        let profile = base().with_parallelism(threads).with_memory_budget(budget);
+        let err = Store::from_triples(&triples, profile)
+            .eval_jucq(&q)
+            .expect_err("four fifths of two batches exceed one and a half");
+        match err {
+            EngineError::MemoryBudgetExceeded { tuples, .. } => assert!(
+                tuples > budget && tuples < 2 * BATCH_ROWS,
+                "threads={threads}: {tuples} rows held at the second batch"
+            ),
             other => panic!("threads={threads}: expected a budget breach, got {other:?}"),
         }
     }

@@ -85,6 +85,34 @@ Dedup (est 4.0)
     assert_eq!(got, want, "got:\n{got}");
 }
 
+/// A domain rule met the query's own atom: `(?0 #u12 ?1) ⋈ (?0 #u12 ?2)`
+/// with head `[?0]` asks twice for the same thing. The implied atom is
+/// dropped before lowering — the first member is one scan, the second
+/// keeps one of its two interchangeable #u12 probes.
+#[test]
+fn implied_atoms_snapshot() {
+    let tc = |o| StorePattern::new(v(0), c(12), v(o));
+    let frag = StoreUcq::new(
+        vec![
+            member(vec![tc(1), tc(2)], vec![0]),
+            member(vec![StorePattern::new(v(0), c(11), v(3)), tc(4), tc(5)], vec![0]),
+        ],
+        vec![0],
+    );
+    let got = render(&StoreJucq::from_ucq(frag), EngineProfile::pg_like());
+    let want = "\
+Dedup (est 8.0)
+  Project [?0]
+    HashUnion fragment[0] — 2 members (est 8.0)
+      Project [?0]
+        IndexScan (?0 #u12 ?1) (est 6.0)
+      Project [?0]
+        Inlj probe (?0 #u12 ?4)
+          IndexScan (?0 #u11 ?3) (est 2.0)
+";
+    assert_eq!(got, want, "got:\n{got}");
+}
+
 /// Disabling scan sharing produces the same tree with plain index
 /// scans and no shared table.
 #[test]

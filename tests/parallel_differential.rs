@@ -5,8 +5,10 @@
 //! and every strategy with a fragment-evaluation phase, running the
 //! same query at parallelism 1 (strictly sequential), 2 and 8 must
 //! yield *identical* sorted answer rows and *identical* aggregate
-//! executor `Counters` — the order-stable merge makes worker
-//! scheduling unobservable. When the sequential run fails (budget,
+//! executor `Counters` (the probe cursors' lookups and reseeks among
+//! them: a cursor lives in one operator invocation, never in shared
+//! state) — the order-stable merge makes worker scheduling
+//! unobservable. When the sequential run fails (budget,
 //! timeout), the parallel run must fail too.
 
 use jucq_core::{RdfDatabase, Strategy};
@@ -54,12 +56,22 @@ fn observe(
         .collect()
 }
 
-fn check_workload(graph: &Graph, queries: &[jucq_datagen::NamedQuery], profiles: &[EngineProfile]) {
+/// Returns the sequential runs' total `(index_probes, probe_reseeks)`,
+/// so a caller can tell the equality below was not of zeros.
+fn check_workload(
+    graph: &Graph,
+    queries: &[jucq_datagen::NamedQuery],
+    profiles: &[EngineProfile],
+) -> (u64, u64) {
+    let mut probes = (0, 0);
     for profile in profiles {
         for nq in queries {
             for strategy in [Strategy::Ucq, Strategy::gcov_default()] {
                 let obs = observe(graph, profile, &nq.sparql, &strategy);
                 let (reference, rest) = obs.split_first().expect("three parallelism levels");
+                if let Ok((_, c)) = reference {
+                    probes = (probes.0 + c.index_probes, probes.1 + c.probe_reseeks);
+                }
                 for (level, got) in PARALLELISMS[1..].iter().zip(rest) {
                     match (reference, got) {
                         (Ok((ref_rows, ref_counters)), Ok((rows, counters))) => {
@@ -109,6 +121,7 @@ fn check_workload(graph: &Graph, queries: &[jucq_datagen::NamedQuery], profiles:
             }
         }
     }
+    probes
 }
 
 #[test]
@@ -124,7 +137,8 @@ fn lubm_parallel_matches_sequential_across_profiles() {
         .filter(|q| picked.contains(&q.name.as_str()))
         .collect();
     assert_eq!(queries.len(), picked.len(), "all sampled queries found");
-    check_workload(&graph, &queries, &EngineProfile::rdbms_trio());
+    let (probes, reseeks) = check_workload(&graph, &queries, &EngineProfile::rdbms_trio());
+    assert!(probes > 0 && reseeks > 0, "no probe cursor ran: {probes} lookups, {reseeks} reseeks");
 }
 
 #[test]
