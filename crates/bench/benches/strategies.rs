@@ -1,6 +1,6 @@
 //! End-to-end strategy benchmarks on LUBM-like data, plus the physical
-//! ablations DESIGN.md calls out: index-nested-loop vs hash CQ
-//! evaluation, and the materialize-all-unions policy.
+//! ablations DESIGN.md calls out: index-nested-loop CQ evaluation and
+//! the materialize-all-unions policy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,16 +39,10 @@ fn bench_ablations(c: &mut Criterion) {
     let mut g = c.benchmark_group("physical_ablations");
     g.sample_size(10);
 
-    // CQ evaluation: index-nested-loop pipeline vs hashed extents.
+    // CQ evaluation: the index-nested-loop pipeline.
     let (mut inlj_db, q1) = db_with(EngineProfile::pg_like());
     g.bench_function("cq_inlj", |b| {
         b.iter(|| black_box(inlj_db.answer(&q1, &Strategy::Ucq).unwrap().rows.len()));
-    });
-    let mut hash_profile = EngineProfile::pg_like();
-    hash_profile.index_nested_loop_cq = false;
-    let (mut hash_db, q1h) = db_with(hash_profile);
-    g.bench_function("cq_hash_extents", |b| {
-        b.iter(|| black_box(hash_db.answer(&q1h, &Strategy::Ucq).unwrap().rows.len()));
     });
 
     // Union materialization policy (the MySQL-like derived-table copy).

@@ -1402,30 +1402,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn toggling_the_sip_knob_rekeys_the_plan_cache() {
+    fn toggling_the_range_knob_rekeys_the_plan_cache() {
         // Same staleness class as the pg↔mysql switch above: a physical
-        // plan lowered with SIP filters must not replay after the knob
-        // changes, since the staged driver and the lowered `Plan::sip`
-        // table differ.
+        // plan lowered with range-collapsed members must not replay
+        // after the knob changes, since the lowered unions differ.
         let mut db = paper_db();
         db.enable_plan_cache(8);
         let q = example3_query(&mut db);
         let base = db.answer(&q, &Strategy::gcov_default()).unwrap();
         assert_eq!(db.plan_cache_stats().unwrap().misses, 1);
 
-        db.set_profile(EngineProfile::pg_like().with_sip_filters(false));
-        let no_sip = db.answer(&q, &Strategy::gcov_default()).unwrap();
-        assert_eq!(db.plan_cache_stats().unwrap().misses, 2, "sip toggle misses");
+        db.set_profile(EngineProfile::pg_like().with_range_scans(false));
+        let no_range = db.answer(&q, &Strategy::gcov_default()).unwrap();
+        assert_eq!(db.plan_cache_stats().unwrap().misses, 2, "range toggle misses");
 
         db.set_profile(EngineProfile::pg_like());
         db.answer(&q, &Strategy::gcov_default()).unwrap();
         assert_eq!(db.plan_cache_stats().unwrap().hits, 1, "original entry still cached");
 
         let mut base = base.rows;
-        let mut no_sip = no_sip.rows;
+        let mut no_range = no_range.rows;
         base.sort();
-        no_sip.sort();
-        assert_eq!(base, no_sip, "answers agree without SIP");
+        no_range.sort();
+        assert_eq!(base, no_range, "answers agree without range collapse");
     }
 
     #[test]

@@ -402,10 +402,10 @@ fn run_cover_search(
 /// (same shape, different variable names or atom order) share one
 /// cached cover; the cover's atom indices are canonical and translated
 /// through this query's permutation. The profile's plan-affecting
-/// fingerprint (name plus the join, materialization, sharing and
-/// planner-pass knobs) keys cost-model- and executor-dependent choices
-/// apart, so toggling `JUCQ_ORDER` or `sip_filters` can never serve a
-/// plan lowered for the old knobs.
+/// fingerprint (name plus the join, materialization and range-collapse
+/// knobs) keys cost-model- and executor-dependent choices apart, so
+/// toggling `range_scans` can never serve a plan lowered for the old
+/// knobs.
 fn choose_cover(
     s: &Snapshot,
     q: &BgpQuery,

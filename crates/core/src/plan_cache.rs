@@ -391,26 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn size_gauge_tracks_put_evict_and_clear() {
-        let _serial = crate::obs_test_lock();
-        jucq_obs::reset();
-        jucq_obs::set_enabled(true);
-        let mut c = PlanCache::new(2);
-        for p in 1..=3u32 {
-            let q = query(p);
-            c.put(key(&q, "GCov"), cover(&q), None);
-        }
-        // Capacity 2, three puts: one eviction, size stays 2.
-        assert_eq!(jucq_obs::global().snapshot().gauges["plan_cache.size"], 2.0);
-        c.clear();
-        let snap = jucq_obs::global().snapshot();
-        jucq_obs::set_enabled(false);
-        jucq_obs::reset();
-        assert_eq!(snap.gauges["plan_cache.size"], 0.0, "clear() resets the gauge");
-        assert_eq!(snap.counter("plan_cache.evictions"), 1);
-    }
-
-    #[test]
     fn resize_preserves_entries_and_stats() {
         let mut c = PlanCache::new(4);
         for p in 1..=3u32 {

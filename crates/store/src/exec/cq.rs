@@ -2,17 +2,11 @@
 //! a physical plan member.
 //!
 //! A member is a [`PlanNode::Project`] (or [`PlanNode::TrueRow`]) over an
-//! access chain the planner lowered from the CQ body. Two shapes exist,
-//! chosen by the profile at planning time:
-//!
-//! * **index-nested-loop** (`index_nested_loop_cq = true`): a single
-//!   leaf scan extended by [`PlanNode::Inlj`] probes — each probe
-//!   extends the current binding set against the best permutation
-//!   index. This is how an RDBMS with all six `(s,p,o)` indexes
-//!   evaluates these queries.
-//! * **hash** (`false`): every atom's extent is scanned (leaf nodes)
-//!   and hash-joined left-deep via member-internal
-//!   [`PlanNode::HashJoin`] nodes.
+//! access chain the planner lowered from the CQ body: a single leaf scan
+//! extended by [`PlanNode::Inlj`] / [`PlanNode::RangeProbe`] probes —
+//! each probe extends the current binding set against the best
+//! permutation index. This is how an RDBMS with all six `(s,p,o)`
+//! indexes evaluates these queries.
 //!
 //! Leaf scans are either private [`PlanNode::IndexScan`]s or references
 //! into the plan's shared-scan table ([`PlanNode::SharedScan`]), already
@@ -25,7 +19,7 @@ use jucq_model::{TermId, TripleId};
 
 use crate::error::EngineError;
 use crate::exec::sip::{MemberSip, SipFilter, SipStage, Source};
-use crate::exec::{join, ExecContext, BATCH_ROWS};
+use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::PlanNode;
 use crate::relation::Relation;
@@ -121,16 +115,6 @@ fn eval_access<'s>(
             let range = Some((*ranged, *lo, *hi));
             Ok(Cow::Owned(probe_extend(table, &acc, pattern, range, sip, ctx)?))
         }
-        PlanNode::HashJoin { left, right, step: None, est } => {
-            let l = eval_access(table, left, shared, sip, ctx)?;
-            if l.is_empty() {
-                // Short-circuit: the right subtree is never scanned.
-                return Ok(l);
-            }
-            let r = eval_access(table, right, shared, sip, ctx)?;
-            let opts = join::JoinOpts { elide: (false, false), est: *est };
-            Ok(Cow::Owned(join::hash_join(&l, &r, opts, ctx)?))
-        }
         other => unreachable!("not an access-path node: {other:?}"),
     }
 }
@@ -222,8 +206,8 @@ fn ranged_index(ranged: RangePos) -> usize {
 
 /// Scan one pattern into a relation over its distinct variables through
 /// `perm`, or the default permutation index for the bound positions
-/// when `None`. The order-aware planner picks `perm` so the scan's
-/// output order feeds a sort-elided merge join; any candidate perm
+/// when `None`. The planner picks `perm` so the scan's output order
+/// feeds a sort-elided merge join; any candidate perm
 /// yields the same row *set*, only the emission order differs.
 pub(crate) fn scan_pattern(
     table: &TripleTable,
@@ -440,10 +424,8 @@ mod tests {
         ]
     }
 
-    fn run(cq: &StoreCq, inlj: bool) -> Relation {
-        let mut profile = EngineProfile::pg_like();
-        profile.index_nested_loop_cq = inlj;
-        let s = Store::from_triples(&sample_triples(), profile);
+    fn run(cq: &StoreCq) -> Relation {
+        let s = Store::from_triples(&sample_triples(), EngineProfile::pg_like());
         let mut r = s.eval_cq(cq).expect("evaluation succeeds").relation;
         r.sort();
         r
@@ -452,10 +434,8 @@ mod tests {
     #[test]
     fn single_pattern_scan() {
         let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]);
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            assert_eq!(r.len(), 4, "inlj={inlj}");
-        }
+        let r = run(&cq);
+        assert_eq!(r.len(), 4);
     }
 
     #[test]
@@ -465,11 +445,9 @@ mod tests {
             vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(1), c(10), v(2))],
             vec![0, 2],
         );
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            // 1->2->3, 2->3->1, 3->1->2, 4->4->4.
-            assert_eq!(r.len(), 4, "inlj={inlj}");
-        }
+        let r = run(&cq);
+        // 1->2->3, 2->3->1, 3->1->2, 4->4->4.
+        assert_eq!(r.len(), 4);
     }
 
     #[test]
@@ -479,20 +457,16 @@ mod tests {
             vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(0), c(11), c(100))],
             vec![0, 1],
         );
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            assert_eq!(r.to_rows(), vec![vec![id(1), id(2)]], "inlj={inlj}");
-        }
+        let r = run(&cq);
+        assert_eq!(r.to_rows(), vec![vec![id(1), id(2)]]);
     }
 
     #[test]
     fn repeated_variable_selects_self_loops() {
         // ?x -10-> ?x  ⇒ only the 4-4 self loop.
         let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(0))], vec![0]);
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            assert_eq!(r.to_rows(), vec![vec![id(4)]], "inlj={inlj}");
-        }
+        let r = run(&cq);
+        assert_eq!(r.to_rows(), vec![vec![id(4)]]);
     }
 
     #[test]
@@ -504,9 +478,7 @@ mod tests {
             ],
             vec![0, 2],
         );
-        for inlj in [true, false] {
-            assert!(run(&cq, inlj).is_empty(), "inlj={inlj}");
-        }
+        assert!(run(&cq).is_empty());
     }
 
     #[test]
@@ -516,10 +488,8 @@ mod tests {
             vec![StorePattern::new(v(0), c(11), c(100)), StorePattern::new(v(1), c(11), c(101))],
             vec![0, 1],
         );
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            assert_eq!(r.to_rows(), vec![vec![id(1), id(2)]], "inlj={inlj}");
-        }
+        let r = run(&cq);
+        assert_eq!(r.to_rows(), vec![vec![id(1), id(2)]]);
     }
 
     #[test]
@@ -527,7 +497,7 @@ mod tests {
         // Objects of predicate 10 are all distinct here, so the head
         // projection keeps all four rows even under set semantics.
         let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![1]);
-        let r = run(&cq, true);
+        let r = run(&cq);
         assert_eq!(r.len(), 4);
     }
 
@@ -535,10 +505,8 @@ mod tests {
     fn variable_in_property_position() {
         // ?x ?p 100 ⇒ (1, 11).
         let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), v(1), c(100))], vec![0, 1]);
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            assert_eq!(r.to_rows(), vec![vec![id(1), id(11)]], "inlj={inlj}");
-        }
+        let r = run(&cq);
+        assert_eq!(r.to_rows(), vec![vec![id(1), id(11)]]);
     }
 
     #[test]
@@ -552,11 +520,9 @@ mod tests {
             ],
             vec![0, 1, 2],
         );
-        for inlj in [true, false] {
-            let r = run(&cq, inlj);
-            // Rotations of (1,2,3) plus the self-loop (4,4,4).
-            assert_eq!(r.len(), 4, "inlj={inlj}");
-        }
+        let r = run(&cq);
+        // Rotations of (1,2,3) plus the self-loop (4,4,4).
+        assert_eq!(r.len(), 4);
     }
 
     #[test]
@@ -571,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn inlj_and_hash_agree_on_longer_chains() {
+    fn mixed_star_and_chain_probes_answer_exactly() {
         // ?a -10-> ?b -10-> ?c, ?a -11-> ?n (mixed star/chain).
         let cq = StoreCq::with_var_head(
             vec![
@@ -581,9 +547,11 @@ mod tests {
             ],
             vec![0, 2, 3],
         );
-        let a = run(&cq, true);
-        let b = run(&cq, false);
-        assert_eq!(a.to_rows(), b.to_rows());
+        // Only 1 and 2 have a p11 edge: 1→2→3 (100) and 2→3→1 (101).
+        assert_eq!(
+            run(&cq).to_rows(),
+            vec![vec![id(1), id(3), id(100)], vec![id(2), id(1), id(101)]]
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::relation::{hash_cols, Relation};
 use crate::table::gallop_to;
 
 /// Per-join options threaded from the plan node into a fragment join:
-/// the order-aware planner's merge sort-elision flags and the output
-/// cardinality estimate used to pre-size the result.
+/// the planner's merge sort-elision flags and the output cardinality
+/// estimate used to pre-size the result.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct JoinOpts {
     /// Which merge-join inputs (left, right) the planner proved already
@@ -194,10 +194,10 @@ fn gather_keys(rel: &Relation, cols: &[usize]) -> Vec<TermId> {
     keys
 }
 
-/// Sort-merge join: order both inputs on the key, merge equal runs.
-/// Order-aware: a side the planner proved sorted (`opts.elide`) skips
-/// its sort after one cheap linear verification — a violated claim
-/// falls back to sorting — and when input sizes are skewed ≥
+/// Sort-merge join: order both inputs on the key, merge equal runs. A
+/// side that already arrives sorted skips its sort after one cheap
+/// linear verification (sorted on a key prefix: only the runs of equal
+/// prefix are sorted), and when input sizes are skewed ≥
 /// [`GALLOP_SKEW`]× the larger side advances with galloping seeks
 /// instead of one row at a time.
 pub fn sort_merge_join(
@@ -240,41 +240,36 @@ pub fn sort_merge_join(
         }
         j
     };
-    let aware = ctx.profile().order_aware;
     let order_side = |keys: &[TermId], n: usize, elide: bool| -> (Vec<u32>, bool) {
         let mut ids: Vec<u32> = (0..n as u32).collect();
+        if n <= 1 {
+            return (ids, elide);
+        }
         let cmp_full =
             |&a: &u32, &b: &u32| slice_key(keys, a as usize, k).cmp(slice_key(keys, b as usize, k));
-        if aware {
-            if n <= 1 {
-                return (ids, elide);
-            }
-            let j = sorted_prefix(keys, n);
-            if j == k {
-                // Fully sorted: merge in input order. Only a
-                // planner-claimed elision is counted (and exempted
-                // from the materialization charge) — an input sorted
-                // by coincidence still skips the sort, silently.
-                return (ids, elide);
-            }
-            if j > 0 {
-                // Sorted on a strict key prefix: sort only within the
-                // runs of equal prefix — O(n log run) not O(n log n).
-                let mut s = 0;
-                while s < n {
-                    let mut e = s + 1;
-                    while e < n && slice_key(keys, s, k)[..j] == slice_key(keys, e, k)[..j] {
-                        e += 1;
-                    }
-                    ids[s..e].sort_unstable_by(cmp_full);
-                    s = e;
-                }
-                return (ids, false);
-            }
-        } else if elide && (1..n).all(|x| slice_key(keys, x - 1, k) <= slice_key(keys, x, k)) {
-            return (ids, true);
+        let j = sorted_prefix(keys, n);
+        if j == k {
+            // Fully sorted: merge in input order. Only a planner-claimed
+            // elision is counted (and exempted from the materialization
+            // charge) — an input sorted by coincidence still skips the
+            // sort, silently.
+            return (ids, elide);
         }
-        ids.sort_unstable_by(cmp_full);
+        if j == 0 {
+            ids.sort_unstable_by(cmp_full);
+            return (ids, false);
+        }
+        // Sorted on a strict key prefix: sort only within the runs of
+        // equal prefix — O(n log run) not O(n log n).
+        let mut s = 0;
+        while s < n {
+            let mut e = s + 1;
+            while e < n && slice_key(keys, s, k)[..j] == slice_key(keys, e, k)[..j] {
+                e += 1;
+            }
+            ids[s..e].sort_unstable_by(cmp_full);
+            s = e;
+        }
         (ids, false)
     };
     let (lids, l_elided) = order_side(&lkeys, left.len(), opts.elide.0);
@@ -292,10 +287,8 @@ pub fn sort_merge_join(
     ctx.tick_n((left.len() + right.len()) as u64)?;
     ctx.counters.tuples_materialized += charged as u64;
     ctx.check_memory(left.len() + right.len())?;
-    // Galloping is an order-aware execution feature: with the knob off
-    // (`JUCQ_ORDER=0`) the merge steps one row at a time.
-    let gallop_l = aware && left.len() >= GALLOP_SKEW * right.len();
-    let gallop_r = aware && right.len() >= GALLOP_SKEW * left.len();
+    let gallop_l = left.len() >= GALLOP_SKEW * right.len();
+    let gallop_r = right.len() >= GALLOP_SKEW * left.len();
 
     let width = out.width();
     let zero_width = width == 0;
@@ -632,16 +625,6 @@ mod tests {
         let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
         expect.sort();
         assert_eq!(got.to_rows(), expect.to_rows());
-
-        // With the order-aware knob off the same merge steps row by
-        // row: identical answer, zero gallop seeks.
-        let off = EngineProfile::pg_like().with_order_aware(false);
-        let mut octx = ExecContext::new(&off);
-        let mut plain =
-            sort_merge_join(&l, &r, JoinOpts::default(), &mut octx).expect("merge join");
-        plain.sort();
-        assert_eq!(octx.counters.gallop_seeks, 0, "knob off must not gallop");
-        assert_eq!(plain.to_rows(), expect.to_rows());
     }
 
     #[test]

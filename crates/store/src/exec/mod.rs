@@ -2,7 +2,7 @@
 //!
 //! Split by operator family:
 //! * [`cq`] — conjunctive-query pipelines over the triple table
-//!   (index-nested-loop or hash);
+//!   (a leaf scan extended by index-nested-loop probes);
 //! * [`join`] — joins of materialized relations (hash, sort-merge,
 //!   block-nested-loop);
 //! * [`union`] — unions of CQ results with set semantics;

@@ -1,15 +1,14 @@
-//! Parallel union/member evaluation over the immutable triple table.
+//! Parallel union-member evaluation over the immutable triple table.
 //!
 //! Reformulated queries fan out into unions of hundreds–thousands of
 //! member CQs per fragment; each lowered member is an independent
 //! read-only plan subtree over the [`TripleTable`] (plus the plan's
-//! already-materialized shared scans), so the whole (union, member)
-//! matrix is flattened into one task list and pulled by a pool of
-//! `std::thread::scope` workers. Determinism is preserved by keeping
-//! the *merge* sequential: worker results are stored per task slot and
-//! folded into each union's streaming dedup accumulator in member
-//! order, so rows, counters and node profiles are identical to a
-//! sequential run regardless of scheduling.
+//! already-materialized shared scans), so one fragment's members are
+//! pulled by a pool of `std::thread::scope` workers. Determinism is
+//! preserved by keeping the *merge* sequential: worker results are
+//! stored per member slot and folded into the union's streaming dedup
+//! accumulator in member order, so rows, counters and node profiles are
+//! identical to a sequential run regardless of scheduling.
 //!
 //! The engine profile's limits stay global across threads: every worker
 //! context shares the originating context's start instant (deadline)
@@ -45,10 +44,10 @@ pub(crate) struct UnionTask<'p> {
     pub filter: Option<&'p sip::SipFilter>,
 }
 
-/// Evaluate every fragment union of a plan, using up to `threads`
-/// worker threads across the flattened (union, member) task list. With
-/// one worker (or at most one task) this is exactly the sequential
-/// path. `shared` is the plan's materialized shared-scan table.
+/// Evaluate one fragment union, using up to `threads` worker threads
+/// across its members. With one worker (or one member) this is exactly
+/// the sequential path. `shared` is the plan's materialized shared-scan
+/// table.
 ///
 /// The profile's `threads` is a *request*, not a reservation: the
 /// calling thread always works for free, and every extra worker needs
@@ -57,57 +56,78 @@ pub(crate) struct UnionTask<'p> {
 /// intra-query parallelism share one machine-sized budget instead of
 /// multiplying — a busy server degrades each query toward sequential
 /// evaluation rather than oversubscribing every core at once.
-pub(crate) fn eval_unions(
+pub(crate) fn eval_union(
     table: &TripleTable,
-    unions: &[UnionTask<'_>],
+    u: &UnionTask<'_>,
     shared: &[Relation],
     ctx: &mut ExecContext<'_>,
     threads: usize,
-) -> Result<Vec<Relation>, EngineError> {
-    let tasks: Vec<(usize, usize)> = unions
-        .iter()
-        .enumerate()
-        .flat_map(|(ui, u)| (0..u.members.len()).map(move |mi| (ui, mi)))
-        .collect();
+) -> Result<Relation, EngineError> {
     // On single-core hardware extra workers are pure overhead (the
     // process-wide permit pool's floor would still grant them), so the
     // sequential path is taken outright regardless of the profile's
     // thread request.
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let desired = if hw <= 1 { 1 } else { threads.min(tasks.len()).max(1) };
+    let desired = if hw <= 1 { 1 } else { threads.min(u.members.len()).max(1) };
     // Non-blocking admission: a zero grant just means "run sequential".
     let permits =
         if desired > 1 { Some(pool::PermitPool::global().try_acquire(desired - 1)) } else { None };
     let workers = 1 + permits.as_ref().map_or(0, pool::Permits::count);
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(unions.len());
-        for u in unions {
-            ctx.set_scope(format!("fragment[{}].", u.idx));
-            let op = ctx.op_start();
-            if union::borrowable(u.members, ctx) {
-                ctx.check_deadline()?;
-                let r = cq::eval_member(table, &u.members[0], shared, u.filter, ctx)?;
-                out.push(union::borrow_member(r, op, ctx)?);
-                continue;
-            }
+    ctx.set_scope(format!("fragment[{}].", u.idx));
+    let out = if workers <= 1 {
+        let op = ctx.op_start();
+        // A single, provably distinct member is the union result as-is,
+        // unless the profile mandates the derived-table copy.
+        let borrow = !ctx.profile().materialize_all_unions
+            && u.members.len() == 1
+            && u.members[0].distinct_by_construction();
+        if borrow {
+            ctx.check_deadline()?;
+            let r = cq::eval_member(table, &u.members[0], shared, u.filter, ctx)?;
+            union::borrow_member(r, op, ctx)?
+        } else {
             let mut acc = DedupAccumulator::with_est(u.head.to_vec(), u.est, ctx);
             for m in u.members {
                 ctx.check_deadline()?;
                 let r = cq::eval_member(table, m, shared, u.filter, ctx)?;
                 union::merge_member(&mut acc, &r, ctx)?;
             }
-            out.push(union::finish_union(acc, op, ctx)?);
+            union::finish_union(acc, op, ctx)?
         }
-        ctx.set_scope(String::new());
-        return Ok(out);
-    }
+    } else {
+        // Deterministic order-stable merge: fold member results into the
+        // dedup accumulator in member order, absorbing worker
+        // counters/profiles in the same order the sequential path would
+        // produce them.
+        let results = eval_members(table, u, shared, ctx, workers)?;
+        let op = ctx.op_start();
+        let mut acc = DedupAccumulator::with_est(u.head.to_vec(), u.est, ctx);
+        for (rel, wctx) in results {
+            ctx.absorb(wctx);
+            union::merge_member(&mut acc, &rel, ctx)?;
+            ctx.release_memory(rel.len());
+        }
+        union::finish_union(acc, op, ctx)?
+    };
+    ctx.set_scope(String::new());
+    Ok(out)
+}
 
+/// Evaluate `u`'s members on `workers` threads: each member's result
+/// with the worker context that produced it, in member order.
+fn eval_members<'s>(
+    table: &TripleTable,
+    u: &UnionTask<'_>,
+    shared: &[Relation],
+    ctx: &ExecContext<'s>,
+    workers: usize,
+) -> Result<Vec<(Relation, ExecContext<'s>)>, EngineError> {
     // Work-stealing claim counter: assignment is nondeterministic, but
-    // results land in per-task slots, so the merge below is not.
+    // results land in per-member slots, so the merge is not.
     let spawner = ctx.spawner();
     let next = AtomicUsize::new(0);
     type Slot<'s> = Option<(Result<Relation, EngineError>, ExecContext<'s>)>;
-    let mut slots: Vec<Slot<'_>> = (0..tasks.len()).map(|_| None).collect();
+    let mut slots: Vec<Slot<'_>> = (0..u.members.len()).map(|_| None).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -115,18 +135,15 @@ pub(crate) fn eval_unions(
                     let mut produced = Vec::new();
                     loop {
                         let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks.len() || spawner.shared().cancelled() {
+                        if t >= u.members.len() || spawner.shared().cancelled() {
                             break;
                         }
-                        let (ui, mi) = tasks[t];
-                        let u = &unions[ui];
                         let mut wctx = spawner.context();
                         wctx.set_scope(format!("fragment[{}].", u.idx));
                         let r = wctx
                             .check_live()
                             .and_then(|()| {
-                                let m = &u.members[mi];
-                                cq::eval_member(table, m, shared, u.filter, &mut wctx)
+                                cq::eval_member(table, &u.members[t], shared, u.filter, &mut wctx)
                             })
                             .and_then(|rel| {
                                 // Charge the held member result against
@@ -150,47 +167,20 @@ pub(crate) fn eval_unions(
         }
     });
 
-    // Surface the originating failure (in task order), never the
+    // Surface the originating failure (in member order), never the
     // secondary `Cancelled`s it provoked on sibling workers.
-    if slots.iter().any(|s| matches!(s, Some((Err(_), _))) || s.is_none()) {
-        for slot in &slots {
-            if let Some((Err(e), _)) = slot {
-                if !matches!(e, EngineError::Cancelled) {
-                    return Err(e.clone());
-                }
-            }
+    let mut out = Vec::with_capacity(slots.len());
+    let mut cancelled = false;
+    for slot in slots {
+        match slot {
+            Some((Ok(rel), wctx)) => out.push((rel, wctx)),
+            Some((Err(EngineError::Cancelled), _)) | None => cancelled = true,
+            Some((Err(e), _)) => return Err(e),
         }
+    }
+    if cancelled {
         return Err(EngineError::Cancelled);
     }
-
-    // Deterministic order-stable merge: fold member results into each
-    // union's dedup accumulator in member order, absorbing worker
-    // counters/profiles in the same order the sequential path would
-    // produce them.
-    let mut out = Vec::with_capacity(unions.len());
-    let mut iter = slots.into_iter();
-    for u in unions {
-        ctx.set_scope(format!("fragment[{}].", u.idx));
-        let op = ctx.op_start();
-        if union::borrowable(u.members, ctx) {
-            let (r, wctx) = iter.next().expect("one slot per member").expect("task claimed");
-            let rel = r.expect("errors surfaced above");
-            ctx.absorb(wctx);
-            ctx.release_memory(rel.len());
-            out.push(union::borrow_member(rel, op, ctx)?);
-            continue;
-        }
-        let mut acc = DedupAccumulator::with_est(u.head.to_vec(), u.est, ctx);
-        for _ in 0..u.members.len() {
-            let (r, wctx) = iter.next().expect("one slot per member").expect("task claimed");
-            let rel = r.expect("errors surfaced above");
-            ctx.absorb(wctx);
-            union::merge_member(&mut acc, &rel, ctx)?;
-            ctx.release_memory(rel.len());
-        }
-        out.push(union::finish_union(acc, op, ctx)?);
-    }
-    ctx.set_scope(String::new());
     Ok(out)
 }
 

@@ -130,8 +130,8 @@ pub(crate) fn merge_member(
 /// The member result is the union result — no dedup accumulator is
 /// built, no rows are hashed or copied; the borrow is counted in
 /// `scan_rows_borrowed` and the memory budget still sees the held rows.
-/// Taken only when the profile's `order_aware` knob is on and the
-/// profile does not force derived-table materialization.
+/// Taken only when the profile does not force derived-table
+/// materialization.
 pub(crate) fn borrow_member(
     rel: Relation,
     op: Option<std::time::Instant>,
@@ -141,16 +141,6 @@ pub(crate) fn borrow_member(
     ctx.check_memory(rel.len())?;
     ctx.op_finish(op, "union", rel.len() as u64);
     Ok(rel)
-}
-
-/// Whether `task`'s union may take the [`borrow_member`] path: one
-/// member, provably distinct rows, order-aware execution enabled, and
-/// no profile-mandated derived-table copy.
-pub(crate) fn borrowable(members: &[crate::plan::PlanNode], ctx: &ExecContext<'_>) -> bool {
-    ctx.profile().order_aware
-        && !ctx.profile().materialize_all_unions
-        && members.len() == 1
-        && members[0].distinct_by_construction()
 }
 
 /// Close an accumulated union: apply the profile's derived-table
@@ -263,19 +253,21 @@ mod tests {
     #[test]
     fn single_member_scan_union_borrows_rows() {
         // One member, plain scan chain: the union result is the member
-        // result — no dedup pass, rows counted as borrowed. Knob off
-        // takes the accumulator path and answers identically.
+        // result — no dedup pass, rows counted as borrowed. The
+        // MySQL-like derived-table copy takes the accumulator path and
+        // answers identically.
         let ucq = StoreUcq::new(
             vec![StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1])],
             vec![0, 1],
         );
         let on = store(EngineProfile::pg_like()).eval_ucq(&ucq).unwrap();
-        let off = store(EngineProfile::pg_like().with_order_aware(false)).eval_ucq(&ucq).unwrap();
+        let copied = store(EngineProfile::mysql_like()).eval_ucq(&ucq).unwrap();
         assert_eq!(on.counters.scan_rows_borrowed, 2, "both p10 rows borrowed");
-        assert_eq!(off.counters.scan_rows_borrowed, 0, "knob off copies through the accumulator");
-        let (mut a, mut b) = (on.relation, off.relation);
+        assert_eq!(copied.counters.scan_rows_borrowed, 0, "mysql-like copies every union");
+        let (mut a, mut b) = (on.relation, copied.relation);
         a.sort();
         b.sort();
+        assert_eq!(a.to_rows(), vec![vec![id(1), id(2)], vec![id(3), id(4)]]);
         assert_eq!(a, b);
     }
 

@@ -375,7 +375,7 @@ mod tests {
         assert!(text.contains("Total:"), "{text}");
         assert!(text.contains("Counters: scanned"), "{text}");
         assert!(text.contains("sip probed"), "{text}");
-        // The order-aware run elides both merge-join sorts and borrows
+        // The planner's merge elides both sorts and the driver borrows
         // the single-member fragments' scan rows straight through.
         assert!(text.contains("Ordering: sorts elided 2"), "{text}");
         assert!(text.contains("rows borrowed"), "{text}");

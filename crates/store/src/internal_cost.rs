@@ -16,7 +16,7 @@ use jucq_model::FxHashMap;
 
 use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 use crate::plan::{fragment_join_order, JoinStep};
-use crate::profile::{EngineProfile, JoinAlgo};
+use crate::profile::JoinAlgo;
 use crate::stats::{FragmentSummary, Statistics};
 use crate::table::TripleTable;
 use crate::Store;
@@ -37,16 +37,16 @@ const STARTUP: f64 = 10.0;
 /// appends cut per-tuple dispatch by roughly a third.
 const BATCH_CPU_DISCOUNT: f64 = 0.7;
 
-/// Join-input discount when sideways-information-passing filters are
-/// on: Bloom probes drop part of each non-base fragment before it
-/// reaches the fragment join, shrinking build and probe inputs.
+/// Join-input discount of sideways information passing: Bloom probes
+/// drop part of each non-base fragment before it reaches the fragment
+/// join, shrinking build and probe inputs.
 const SIP_JOIN_DISCOUNT: f64 = 0.85;
 
 /// Cost of one fragment-join step over inputs of `acc` and `c` rows.
 /// For [`JoinAlgo::SortMerge`], `elide` drops the sort term of a side
-/// that already arrives ordered on the join key (the order-aware
-/// planner's sort elision); the residual linear term is the merge
-/// itself. The other algorithms ignore `elide`.
+/// that already arrives ordered on the join key (the planner's sort
+/// elision); the residual linear term is the merge itself. The other
+/// algorithms ignore `elide`.
 pub(crate) fn join_step_cost(algo: JoinAlgo, acc: f64, c: f64, elide: (bool, bool)) -> f64 {
     match algo {
         JoinAlgo::Hash => CPU_HASH_BUILD * acc.min(c) + CPU_PROBE * acc.max(c),
@@ -94,36 +94,17 @@ fn ucq_cost(stats: &Statistics, table: &TripleTable, ucq: &StoreUcq, card: f64) 
 /// Scan work the planner's common-scan factoring saves: each distinct
 /// pattern scanned by `k > 1` members is computed once instead of `k`
 /// times. Mirrors the planner's scan-position prediction (the
-/// first-minimum-extent leaf per member under INLJ, every atom under
-/// the hash strategy) but stays deliberately cheap — `estimate` runs
-/// inside cover-search scoring loops, so no full plan lowering here.
-fn sharing_savings(table: &TripleTable, profile: &EngineProfile, q: &StoreJucq) -> f64 {
-    if !profile.share_scans {
-        return 0.0;
-    }
+/// first-minimum-extent leaf per member) but stays deliberately cheap —
+/// `estimate` runs inside cover-search scoring loops, so no full plan
+/// lowering here.
+fn sharing_savings(table: &TripleTable, q: &StoreJucq) -> f64 {
     let mut uses: FxHashMap<StorePattern, (usize, f64)> = FxHashMap::default();
-    let mut count_use = |p: StorePattern| {
-        let e = uses.entry(p).or_insert_with(|| (0, table.count(&p.bound()) as f64));
+    for cq in q.fragments.iter().flat_map(|f| &f.cqs) {
+        let Some(leaf) = cq.patterns.iter().min_by_key(|p| table.count(&p.bound())) else {
+            continue;
+        };
+        let e = uses.entry(*leaf).or_insert_with(|| (0, table.count(&leaf.bound()) as f64));
         e.0 += 1;
-    };
-    for frag in &q.fragments {
-        for cq in &frag.cqs {
-            if cq.patterns.is_empty() {
-                continue;
-            }
-            if profile.index_nested_loop_cq {
-                let leaf = cq
-                    .patterns
-                    .iter()
-                    .min_by_key(|p| table.count(&p.bound()))
-                    .expect("non-empty body");
-                count_use(*leaf);
-            } else {
-                for p in &cq.patterns {
-                    count_use(*p);
-                }
-            }
-        }
     }
     uses.values().filter(|(k, _)| *k > 1).map(|(k, card)| (*k - 1) as f64 * CPU_PROBE * card).sum()
 }
@@ -177,32 +158,25 @@ pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
     let mut join_cost = 0.0;
     for (k, (acc, c)) in join_inputs(&summaries, &order).into_iter().enumerate() {
         let base = join_step_cost(profile.fragment_join, acc, c, (false, false));
-        join_cost +=
-            if profile.order_aware && !matches!(profile.fragment_join, JoinAlgo::BlockNestedLoop) {
-                // Mirror the order-aware planner: a single-member
-                // fragment's scan can feed the join pre-sorted on the
-                // key, dropping that side's sort term, and the planner
-                // takes the cheaper of the profile's algorithm and the
-                // (possibly sort-elided) merge. The left side is only
-                // assumed ordered on the first step, where it is still
-                // a fragment rather than a join output.
-                let elide = (k == 0 && single(&order[0]), single(&order[k + 1]));
-                base.min(join_step_cost(JoinAlgo::SortMerge, acc, c, elide))
-            } else {
-                base
-            };
+        join_cost += if matches!(profile.fragment_join, JoinAlgo::BlockNestedLoop) {
+            base
+        } else {
+            // Mirror the planner: a single-member fragment's scan can
+            // feed the join pre-sorted on the key, dropping that side's
+            // sort term, and the planner takes the cheaper of the
+            // profile's algorithm and the (possibly sort-elided) merge.
+            // The left side is only assumed ordered on the first step,
+            // where it is still a fragment rather than a join output.
+            let elide = (k == 0 && single(&order[0]), single(&order[k + 1]));
+            base.min(join_step_cost(JoinAlgo::SortMerge, acc, c, elide))
+        };
     }
 
     let final_card = order.last().map_or(0.0, |step| step.est_rows);
-    let savings = sharing_savings(table, profile, q);
+    let savings = sharing_savings(table, q);
     let cpu_scale = BATCH_CPU_DISCOUNT;
-    let join_scale = if profile.sip_filters && q.fragments.len() > 1 {
-        cpu_scale * SIP_JOIN_DISCOUNT
-    } else {
-        cpu_scale
-    };
     cpu_scale * ((frag_costs - savings).max(0.0) + mat + CPU_DEDUP * final_card)
-        + join_scale * join_cost
+        + cpu_scale * SIP_JOIN_DISCOUNT * join_cost
         + STARTUP
 }
 
@@ -311,34 +285,24 @@ mod tests {
     fn scan_sharing_lowers_the_estimate() {
         // Two members sharing the same cheap leaf (?0 11 99): the
         // factored plan scans it once, and the internal model credits
-        // the saving when the profile shares scans.
-        let member_a = StoreCq::with_var_head(
-            vec![StorePattern::new(v(0), c(11), c(99)), StorePattern::new(v(0), c(10), v(1))],
+        // one saved scan of its ten rows. Members leading with
+        // different leaves save nothing.
+        let s = store(EngineProfile::pg_like());
+        let member = |leaf: StorePattern, probe: StorePattern| {
+            StoreCq::with_var_head(vec![leaf, probe], vec![0, 1])
+        };
+        let (cheap, wide) =
+            (StorePattern::new(v(0), c(11), c(99)), StorePattern::new(v(0), c(10), v(1)));
+        let shared = StoreJucq::from_ucq(StoreUcq::new(
+            vec![member(cheap, wide), member(cheap, StorePattern::new(v(1), c(10), v(0)))],
             vec![0, 1],
-        );
-        let member_b = StoreCq::with_var_head(
-            vec![StorePattern::new(v(0), c(11), c(99)), StorePattern::new(v(1), c(10), v(0))],
+        ));
+        assert_eq!(sharing_savings(s.table(), &shared), CPU_PROBE * 10.0);
+        let distinct = StoreJucq::from_ucq(StoreUcq::new(
+            vec![member(cheap, wide), member(StorePattern::new(v(1), c(11), c(99)), wide)],
             vec![0, 1],
-        );
-        let q = StoreJucq::from_ucq(StoreUcq::new(vec![member_a, member_b], vec![0, 1]));
-        let shared = estimate(&store(EngineProfile::pg_like()), &q);
-        let unshared = estimate(&store(EngineProfile::pg_like().with_scan_sharing(false)), &q);
-        assert!(shared < unshared, "shared {shared} should undercut unshared {unshared}");
-    }
-
-    #[test]
-    fn sip_discounts_multi_fragment_joins_only() {
-        let fa = one_fragment(vec![StorePattern::new(v(0), c(10), v(1))]);
-        let fb = one_fragment(vec![StorePattern::new(v(0), c(11), v(2))]);
-        let multi = StoreJucq::new(vec![fa.clone(), fb], vec![0, 1, 2]);
-        let on = estimate(&store(EngineProfile::pg_like()), &multi);
-        let off = estimate(&store(EngineProfile::pg_like().with_sip_filters(false)), &multi);
-        assert!(on < off, "SIP {on} should undercut no-SIP {off}");
-        // A single fragment has no join for SIP to discount.
-        let single = StoreJucq::from_ucq(fa);
-        let on = estimate(&store(EngineProfile::pg_like()), &single);
-        let off = estimate(&store(EngineProfile::pg_like().with_sip_filters(false)), &single);
-        assert_eq!(on, off);
+        ));
+        assert_eq!(sharing_savings(s.table(), &distinct), 0.0);
     }
 
     #[test]

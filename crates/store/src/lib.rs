@@ -16,7 +16,7 @@
 //! * [`ir`] — a minimal relational IR: triple patterns, conjunctive
 //!   queries (σ/π/⋈ over the table), unions thereof, and joins of unions
 //!   (the shapes UCQ / SCQ / JUCQ reformulations compile to);
-//! * [`exec`] — the executor: index-nested-loop and hash CQ pipelines,
+//! * [`exec`] — the executor: index-nested-loop CQ pipelines,
 //!   hash / sort-merge / block-nested-loop joins of materialized
 //!   relations, unions, duplicate elimination;
 //! * [`stats::Statistics`] — per-predicate statistics and System-R-style

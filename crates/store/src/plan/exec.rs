@@ -3,13 +3,12 @@
 //! plan), the fragment join tree, and the final projection and
 //! duplicate elimination.
 //!
-//! Plans with sideways-information-passing filters (`plan.sip`
-//! non-empty) are executed **staged**: fragments run one at a time in
-//! join order, so each join step's accumulated left side exists when
-//! its target fragment starts and can publish a Bloom filter the
-//! fragment's members test inside their own pipelines. Plans without
-//! SIP run all fragments up-front (possibly across one worker pool) and
-//! then fold the join tree — byte-identical to the pre-SIP driver.
+//! Fragments are executed **staged**: one at a time in join order, each
+//! union fanning its members across the worker pool. Every join step's
+//! accumulated left side therefore exists when the fragment it joins in
+//! starts, and a step with a key publishes a Bloom filter over it
+//! ([`Plan::sip`]) that the fragment's members test inside their own
+//! pipelines.
 //!
 //! Fragment leaves may be [`PlanNode::ViewScan`]s: the executor
 //! resolves each through the supplied [`ViewSource`] — epoch-exact, so
@@ -117,54 +116,7 @@ pub(crate) fn execute(
     }
     let shared_held: usize = shared.iter().map(|r| r.len()).sum();
 
-    let tree = match &plan.root {
-        PlanNode::Dedup { input, .. } => match &**input {
-            PlanNode::Project { input, .. } => &**input,
-            other => other,
-        },
-        other => other,
-    };
-
-    let acc = if plan.sip.is_empty() {
-        let leaves = plan.fragment_leaves();
-        let mut slots: Vec<Option<Relation>> = leaves.iter().map(|_| None).collect();
-        let mut tasks: Vec<parallel::UnionTask<'_>> = Vec::new();
-        for leaf in &leaves {
-            if let Some(rel) = resolve_view(leaf, plan, views, ctx)? {
-                let PlanNode::ViewScan { idx, .. } = leaf else { unreachable!() };
-                slots[*idx] = Some(rel);
-                continue;
-            }
-            let union = leaf.fallback_union();
-            let (idx, head, members) = union.as_union().expect("fragment leaf wraps a union");
-            let est = match union {
-                PlanNode::HashUnion { est, .. } => *est,
-                _ => None,
-            };
-            tasks.push(parallel::UnionTask { idx, head, members, est, filter: None });
-        }
-        let frags = parallel::eval_unions(table, &tasks, &shared, ctx, threads)?;
-        for (task, rel) in tasks.iter().zip(frags) {
-            slots[task.idx] = Some(rel);
-        }
-
-        // All but the pipelined (largest-estimate) fragment are charged
-        // as materialized (§4.1: "the largest-result sub-query ... is
-        // the one pipelined").
-        if slots.len() > 1 {
-            for (i, f) in slots.iter().enumerate() {
-                let f = f.as_ref().expect("every fragment has a result");
-                if Some(i) != plan.pipelined {
-                    ctx.counters.tuples_materialized += f.len() as u64;
-                    ctx.check_memory(f.len())?;
-                }
-            }
-        }
-
-        fold_joins(tree, &mut slots, ctx)?
-    } else {
-        execute_staged(table, plan, tree, &shared, ctx, threads, views)?
-    };
+    let acc = execute_staged(table, plan, &shared, ctx, threads, views)?;
 
     let op = ctx.op_start();
     let mut relation = acc.project(&plan.head);
@@ -176,20 +128,20 @@ pub(crate) fn execute(
     Ok(relation)
 }
 
-/// Staged execution of a multi-fragment plan with SIP filters:
-/// fragments are evaluated one at a time in join order (each union
-/// still fans its members across the worker pool). When a join step has
-/// a planned [`SipFilterDef`](crate::plan::SipFilterDef), the
-/// accumulated left side is hashed into a Bloom filter first and the
-/// right fragment's members drop the rows it rejects as early as they
-/// bind its key. A view-resolved fragment skips its filter (the filter
-/// only prunes work the copy kernel does not do; the join itself
-/// discards non-matching rows).
-#[allow(clippy::too_many_arguments)]
+/// Evaluate the fragments one at a time in join order (each union still
+/// fans its members across the worker pool), joining each into the
+/// accumulated result. Before a step with a
+/// [`SipFilterDef`](crate::plan::SipFilterDef), the accumulated left
+/// side is hashed into a Bloom filter and the right fragment's members
+/// drop the rows it rejects as early as they bind its key. A
+/// view-resolved fragment skips its filter (the filter only prunes work
+/// the copy kernel does not do; the join itself discards non-matching
+/// rows). All but the pipelined fragment are charged as materialized
+/// (§4.1: "the largest-result sub-query ... is the one pipelined"); a
+/// single-fragment plan has none to charge.
 fn execute_staged(
     table: &TripleTable,
     plan: &Plan,
-    tree: &PlanNode,
     shared: &[Relation],
     ctx: &mut ExecContext<'_>,
     threads: usize,
@@ -200,33 +152,29 @@ fn execute_staged(
     // join. Merge steps carry the planner's sort-elision flags; every
     // step carries its output estimate for pre-sizing.
     let mut steps: Vec<(JoinAlgo, join::JoinOpts, usize, &PlanNode)> = Vec::new();
-    let mut node = tree;
+    let mut node = match &plan.root {
+        PlanNode::Dedup { input, .. } => match &**input {
+            PlanNode::Project { input, .. } => &**input,
+            other => other,
+        },
+        other => other,
+    };
     let base = loop {
         match node {
             PlanNode::HashUnion { .. } | PlanNode::ViewScan { .. } => break node,
-            PlanNode::HashJoin { left, right, step: Some(step), est } => {
+            PlanNode::HashJoin { left, right, step, est } => {
                 let opts = join::JoinOpts { elide: (false, false), est: *est };
                 steps.push((JoinAlgo::Hash, opts, *step, right));
                 node = left;
             }
             PlanNode::MergeJoin { left, right, step, est, sort_elided } => {
                 let opts = join::JoinOpts { elide: *sort_elided, est: *est };
-                steps.push((
-                    JoinAlgo::SortMerge,
-                    opts,
-                    step.expect("fragment join has a step"),
-                    right,
-                ));
+                steps.push((JoinAlgo::SortMerge, opts, *step, right));
                 node = left;
             }
             PlanNode::NestedLoopJoin { left, right, step, est } => {
                 let opts = join::JoinOpts { elide: (false, false), est: *est };
-                steps.push((
-                    JoinAlgo::BlockNestedLoop,
-                    opts,
-                    step.expect("fragment join has a step"),
-                    right,
-                ));
+                steps.push((JoinAlgo::BlockNestedLoop, opts, *step, right));
                 node = left;
             }
             other => unreachable!("not a fragment-level node: {other:?}"),
@@ -238,34 +186,27 @@ fn execute_staged(
                          filter: Option<&sip::SipFilter>,
                          ctx: &mut ExecContext<'_>|
      -> Result<Relation, EngineError> {
-        if let Some(rel) = resolve_view(leaf, plan, views, ctx)? {
-            let PlanNode::ViewScan { idx, .. } = leaf else { unreachable!() };
-            if Some(*idx) != plan.pipelined {
-                ctx.counters.tuples_materialized += rel.len() as u64;
-                ctx.check_memory(rel.len())?;
-            }
-            return Ok(rel);
-        }
-        let union = leaf.fallback_union();
-        let (idx, head, members) = union.as_union().expect("fragment join input wraps a union");
-        let est = match union {
-            PlanNode::HashUnion { est, .. } => *est,
-            _ => None,
+        let PlanNode::HashUnion { idx, head, members, est } = leaf.fallback_union() else {
+            unreachable!("fragment leaf wraps a union: {leaf:?}")
         };
-        let task = parallel::UnionTask { idx, head, members, est, filter };
-        let mut frags =
-            parallel::eval_unions(table, std::slice::from_ref(&task), shared, ctx, threads)?;
-        let rel = frags.pop().expect("one task, one result");
-        if Some(idx) != plan.pipelined {
+        let rel = match resolve_view(leaf, plan, views, ctx)? {
+            Some(rel) => rel,
+            None => {
+                let task = parallel::UnionTask { idx: *idx, head, members, est: *est, filter };
+                parallel::eval_union(table, &task, shared, ctx, threads)?
+            }
+        };
+        if plan.pipelined.is_some_and(|p| p != *idx) {
             ctx.counters.tuples_materialized += rel.len() as u64;
             ctx.check_memory(rel.len())?;
         }
         Ok(rel)
     };
 
+    let filters = plan.sip();
     let mut acc = eval_fragment(base, None, ctx)?;
     for (algo, opts, step, right_node) in steps {
-        let filter = plan.sip.iter().find(|d| d.step == step).map(|d| {
+        let filter = filters.iter().find(|d| d.step == step).map(|d| {
             sip::SipFilter::build(&acc, &d.keys, format!("fragment[{}].sip_filter", d.target))
         });
         let r = eval_fragment(right_node, filter.as_ref(), ctx)?;
@@ -275,37 +216,4 @@ fn execute_staged(
         acc = out?;
     }
     Ok(acc)
-}
-
-/// Recursively evaluate the fragment-level join tree, taking each
-/// fragment's materialized result out of its slot.
-fn fold_joins(
-    node: &PlanNode,
-    slots: &mut [Option<Relation>],
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    let (algo, opts, left, right, step) = match node {
-        PlanNode::HashUnion { idx, .. } | PlanNode::ViewScan { idx, .. } => {
-            return Ok(slots[*idx].take().expect("each fragment consumed once"));
-        }
-        PlanNode::HashJoin { left, right, step: Some(step), est } => {
-            let opts = join::JoinOpts { elide: (false, false), est: *est };
-            (JoinAlgo::Hash, opts, left, right, *step)
-        }
-        PlanNode::MergeJoin { left, right, step, est, sort_elided } => {
-            let opts = join::JoinOpts { elide: *sort_elided, est: *est };
-            (JoinAlgo::SortMerge, opts, left, right, step.expect("fragment join has a step"))
-        }
-        PlanNode::NestedLoopJoin { left, right, step, est } => {
-            let opts = join::JoinOpts { elide: (false, false), est: *est };
-            (JoinAlgo::BlockNestedLoop, opts, left, right, step.expect("fragment join has a step"))
-        }
-        other => unreachable!("not a fragment-level node: {other:?}"),
-    };
-    let l = fold_joins(left, slots, ctx)?;
-    let r = fold_joins(right, slots, ctx)?;
-    ctx.set_scope(format!("join[{step}]."));
-    let out = join::fragment_join(algo, &l, &r, opts, ctx);
-    ctx.set_scope(String::new());
-    out
 }

@@ -20,11 +20,12 @@ use crate::views::ViewSignature;
 /// them):
 /// * the root is [`PlanNode::Empty`], or [`PlanNode::Dedup`] over a
 ///   [`PlanNode::Project`] over a left-deep tree of fragment-level join
-///   nodes (`step: Some(_)`) whose leaves are [`PlanNode::HashUnion`]s;
+///   nodes whose leaves are [`PlanNode::HashUnion`]s (or
+///   [`PlanNode::ViewScan`]s wrapping one);
 /// * every union member is a [`PlanNode::Project`] (or
-///   [`PlanNode::TrueRow`] for an empty body) over an access chain of
-///   scans, [`PlanNode::Inlj`] probes and member-internal hash joins
-///   (`step: None`).
+///   [`PlanNode::TrueRow`] for an empty body) over an access chain: one
+///   leaf scan extended by [`PlanNode::Inlj`] / [`PlanNode::RangeProbe`]
+///   probes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Scan one triple pattern's extent off the best permutation index.
@@ -111,17 +112,15 @@ pub enum PlanNode {
         /// How many union members this probe's interval replaces.
         members: usize,
     },
-    /// Hash join. `step: Some(k)` marks fragment-level join step `k`
-    /// (recorded as the `join[k].hash_join` node); `None` marks a
-    /// member-internal join of scanned extents.
+    /// Hash join of two fragment results.
     HashJoin {
         /// Left (accumulated) input.
         left: Box<PlanNode>,
         /// Right input.
         right: Box<PlanNode>,
-        /// Fragment-level join step, if any.
-        step: Option<usize>,
-        /// Estimated output rows (fragment-level joins only).
+        /// Fragment-level join step `k` (the `join[k].hash_join` node).
+        step: usize,
+        /// Estimated output rows.
         est: Option<f64>,
     },
     /// Sort-merge join of two fragment results.
@@ -131,14 +130,14 @@ pub enum PlanNode {
         /// Right input.
         right: Box<PlanNode>,
         /// Fragment-level join step.
-        step: Option<usize>,
+        step: usize,
         /// Estimated output rows.
         est: Option<f64>,
         /// Which inputs (left, right) already arrive sorted on the join
         /// key — their sort is elided at execution time. Set by the
-        /// order-aware planner from the inputs' order properties; the
-        /// kernels verify cheaply and fall back to sorting if an input
-        /// turns out unsorted (e.g. a view-served fragment).
+        /// planner from the inputs' order properties; the kernels verify
+        /// cheaply and fall back to sorting if an input turns out
+        /// unsorted (e.g. a view-served fragment).
         sort_elided: (bool, bool),
     },
     /// Block-nested-loop join of two fragment results (the MySQL-like
@@ -149,7 +148,7 @@ pub enum PlanNode {
         /// Right input.
         right: Box<PlanNode>,
         /// Fragment-level join step.
-        step: Option<usize>,
+        step: usize,
         /// Estimated output rows.
         est: Option<f64>,
     },
@@ -462,13 +461,11 @@ impl PlanNode {
                 input.render_into(out, indent + 1, max_members, names);
             }
             PlanNode::HashJoin { left, right, step, est: e } => {
-                let tag = step.map(|k| format!(" join[{k}]")).unwrap_or_default();
-                let _ = writeln!(out, "{pad}HashJoin{tag}{}", est(e));
+                let _ = writeln!(out, "{pad}HashJoin join[{step}]{}", est(e));
                 left.render_into(out, indent + 1, max_members, names);
                 right.render_into(out, indent + 1, max_members, names);
             }
             PlanNode::MergeJoin { left, right, step, est: e, sort_elided } => {
-                let tag = step.map(|k| format!(" join[{k}]")).unwrap_or_default();
                 let mut notes: Vec<&str> = Vec::new();
                 match sort_elided {
                     (true, true) => notes.push("sort elided"),
@@ -489,13 +486,12 @@ impl PlanNode {
                 } else {
                     format!(" ({})", notes.join(", "))
                 };
-                let _ = writeln!(out, "{pad}MergeJoin{tag}{ann}{}", est(e));
+                let _ = writeln!(out, "{pad}MergeJoin join[{step}]{ann}{}", est(e));
                 left.render_into(out, indent + 1, max_members, names);
                 right.render_into(out, indent + 1, max_members, names);
             }
             PlanNode::NestedLoopJoin { left, right, step, est: e } => {
-                let tag = step.map(|k| format!(" join[{k}]")).unwrap_or_default();
-                let _ = writeln!(out, "{pad}NestedLoopJoin{tag}{}", est(e));
+                let _ = writeln!(out, "{pad}NestedLoopJoin join[{step}]{}", est(e));
                 left.render_into(out, indent + 1, max_members, names);
                 right.render_into(out, indent + 1, max_members, names);
             }
@@ -600,12 +596,12 @@ pub struct SharedScanDef {
     pub est: Option<f64>,
 }
 
-/// One planned sideways-information-passing filter: after fragment join
-/// step `step`'s left (accumulated) input is complete, a Bloom filter
-/// over `keys` is built from it and fragment `target`'s union members
-/// are probed against it before they reach the join. Planned only when
-/// the profile's `sip_filters` knob is on and the target fragment
-/// shares at least one head variable with the accumulated schema.
+/// One sideways-information-passing filter of a plan: after fragment
+/// join step `step`'s left (accumulated) input is complete, a Bloom
+/// filter over `keys` is built from it and fragment `target`'s union
+/// members are probed against it before they reach the join. Every join
+/// step with a key has one (see [`Plan::sip`]); a cartesian step has
+/// none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SipFilterDef {
     /// The fragment join step whose accumulated left side feeds the
@@ -648,14 +644,9 @@ pub struct Plan {
     /// `explain_analyze`.
     pub estimates: Vec<(String, f64)>,
     /// The fragment join order the tree was built from (seed first);
-    /// empty for a constant-empty plan.
+    /// empty for a constant-empty plan. The plan's SIP filters are read
+    /// off it ([`Plan::sip`]).
     pub join_order: Vec<JoinStep>,
-    /// Planned sideways-information-passing filters, in join-step
-    /// order; empty when `sip_filters` is off or the plan has a single
-    /// fragment. Non-empty plans are executed *staged* (fragments in
-    /// join order) so each filter's build side exists before its target
-    /// fragment runs.
-    pub sip: Vec<SipFilterDef>,
     /// How many fragments had at least one collapsible run of members
     /// (consecutive-id constants), whether or not the profile's
     /// `range_scans` knob let the planner rewrite them. Feeds the query
@@ -685,34 +676,19 @@ impl Plan {
         out
     }
 
-    /// The fragment leaves of the join tree, in fragment order: each is
-    /// a [`PlanNode::ViewScan`] (for matched fragments) or a
-    /// [`PlanNode::HashUnion`].
-    pub fn fragment_leaves(&self) -> Vec<&PlanNode> {
-        fn walk<'a>(node: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
-            match node {
-                PlanNode::HashUnion { .. } | PlanNode::ViewScan { .. } => out.push(node),
-                PlanNode::Filter { input, .. }
-                | PlanNode::Inlj { input, .. }
-                | PlanNode::RangeProbe { input, .. }
-                | PlanNode::Project { input, .. }
-                | PlanNode::Dedup { input, .. } => walk(input, out),
-                PlanNode::HashJoin { left, right, .. }
-                | PlanNode::MergeJoin { left, right, .. }
-                | PlanNode::NestedLoopJoin { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-                _ => {}
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &mut out);
-        out.sort_by_key(|n| match n {
-            PlanNode::HashUnion { idx, .. } | PlanNode::ViewScan { idx, .. } => *idx,
-            _ => usize::MAX,
-        });
-        out
+    /// The plan's sideways-information-passing filters, in join-step
+    /// order: one per join step with a key, built from the step's
+    /// accumulated left side and probed by the fragment it joins in.
+    pub fn sip(&self) -> Vec<SipFilterDef> {
+        let steps = self.join_order.iter().skip(1).enumerate();
+        steps
+            .filter(|(_, next)| !next.key.is_empty())
+            .map(|(step, next)| SipFilterDef {
+                step,
+                target: next.fragment,
+                keys: next.key.clone(),
+            })
+            .collect()
     }
 
     /// How many fragments the plan serves as [`PlanNode::ViewScan`]s.
@@ -765,9 +741,10 @@ impl Plan {
             }
             out.push('\n');
         }
-        if !self.sip.is_empty() {
+        let sip = self.sip();
+        if !sip.is_empty() {
             out.push_str("SIP filters:\n");
-            for def in &self.sip {
+            for def in &sip {
                 let keys: Vec<String> = def.keys.iter().map(|v| format!("?{v}")).collect();
                 let _ = writeln!(
                     out,

@@ -13,16 +13,17 @@
 //!    body pattern superset): reformulation stamps all three out
 //!    routinely.
 //! 3. **factor_scans** — count how often each distinct [`StorePattern`]
-//!    is scanned across all members of all fragments (under the INLJ
-//!    strategy only each member's leaf atom is a scan; under the hash
-//!    strategy every atom is); patterns scanned twice or more become
-//!    [`SharedScanDef`]s computed once per query.
+//!    is scanned across all members of all fragments (each member's leaf
+//!    atom is its one scan; later atoms are index probes); patterns
+//!    scanned twice or more become [`SharedScanDef`]s computed once per
+//!    query.
 //! 4. **join_order** — greedy per-member atom ordering (cheapest exact
 //!    extent first, then always a join-connected atom), baked into the
 //!    plan instead of re-derived at execution time.
-//! 5. **lower** — physical operator choice from the profile (INLJ chain
-//!    vs. member hash joins; hash / sort-merge / block-nested-loop
-//!    fragment joins), the pipelined-fragment choice (largest estimate,
+//! 5. **lower** — each member becomes an INLJ chain off its leaf scan;
+//!    each fragment join takes the profile's algorithm (hash /
+//!    sort-merge / block-nested-loop) unless a sort-elided merge is
+//!    cheaper; plus the pipelined-fragment choice (largest estimate,
 //!    §4.1), cardinality estimates on every plan node, and the fragment
 //!    join order.
 //!
@@ -38,12 +39,13 @@
 //! is joined so far, the one whose join is estimated to *output* the
 //! fewest rows — ties to the smaller fragment, then the lower index —
 //! and a disconnected fragment only when nothing connected is left. The
-//! join tree, the per-step estimates, the SIP filter definitions and
-//! the interesting orders handed to leaf scans are all read off that
-//! one result, as is the internal cost model's join pricing. A step
-//! estimate is [`Statistics::est_jucq`]'s formula folded one fragment
-//! further (`FragmentSummary::join_rows`), which is arithmetic: lowering
-//! walks each member once, for its summary.
+//! join tree, the per-step estimates, the SIP filter definitions (one
+//! per step with a join key) and the interesting orders handed to leaf
+//! scans are all read off that one result, as is the internal cost
+//! model's join pricing. A step estimate is [`Statistics::est_jucq`]'s
+//! formula folded one fragment further (`FragmentSummary::join_rows`),
+//! which is arithmetic: lowering walks each member once, for its
+//! summary.
 
 use jucq_model::{FxHashMap, FxHashSet};
 
@@ -51,7 +53,7 @@ use crate::exec::join;
 use crate::internal_cost::join_step_cost;
 use crate::ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, VarId};
 use crate::plan::join_order::fragment_join_order;
-use crate::plan::node::{scan_order, Plan, PlanNode, SharedScanDef, SipFilterDef, ViewBindingDef};
+use crate::plan::node::{scan_order, Plan, PlanNode, SharedScanDef, ViewBindingDef};
 use crate::profile::{EngineProfile, JoinAlgo};
 use crate::stats::{FragmentSummary, Statistics};
 use crate::table::{Perm, RangePos, TripleTable};
@@ -584,58 +586,42 @@ impl<'a> Planner<'a> {
         self.table.count_value_range(&bound, pos, lo, hi) == 0
     }
 
-    /// Pass 3: factor the scans several members share. A scan position
-    /// is each member's leaf atom under the INLJ strategy (later atoms
-    /// are index probes, not extent scans) and every atom under the hash
-    /// strategy; the leaf prediction uses the same first-minimum rule as
+    /// Pass 3: factor the scans several members share. A member's scan
+    /// is its leaf atom (later atoms are index probes, not extent
+    /// scans); the leaf prediction uses the same first-minimum rule as
     /// the join-order pass, so the factored set matches the lowered plan
     /// exactly.
     fn factor_common_scans(&self, draft: &[DraftFragment]) -> Vec<SharedScanDef> {
         jucq_obs::span!("plan.factor_scans");
         let before = draft_nodes(draft);
-        let mut defs: Vec<SharedScanDef> = Vec::new();
-        if self.profile.share_scans {
-            let mut uses: FxHashMap<StorePattern, usize> = FxHashMap::default();
-            let mut order: Vec<StorePattern> = Vec::new();
-            let mut count_use = |p: StorePattern| {
-                let n = uses.entry(p).or_insert(0);
-                if *n == 0 {
-                    order.push(p);
-                }
-                *n += 1;
-            };
-            for frag in draft {
-                for m in &frag.members {
-                    if m.cq.patterns.is_empty() {
-                        continue;
-                    }
-                    if self.profile.index_nested_loop_cq {
-                        // A ranged leaf is a RangeScan (never shareable
-                        // as a plain extent).
-                        let leaf = cheapest_atom(&m.counts);
-                        if !m.ranges.iter().any(|r| r.atom == leaf) {
-                            count_use(m.cq.patterns[leaf]);
-                        }
-                    } else {
-                        for (i, p) in m.cq.patterns.iter().enumerate() {
-                            if m.ranges.iter().any(|r| r.atom == i) {
-                                continue;
-                            }
-                            count_use(*p);
-                        }
-                    }
-                }
+        let mut uses: FxHashMap<StorePattern, usize> = FxHashMap::default();
+        let mut order: Vec<StorePattern> = Vec::new();
+        for m in draft.iter().flat_map(|f| &f.members) {
+            if m.cq.patterns.is_empty() {
+                continue;
             }
-            defs = order
-                .into_iter()
-                .filter(|p| uses[p] >= 2)
-                .map(|p| SharedScanDef {
-                    pattern: p,
-                    uses: uses[&p],
-                    est: Some(self.table.count(&p.bound()) as f64),
-                })
-                .collect();
+            // A ranged leaf is a RangeScan (never shareable as a plain
+            // extent).
+            let leaf = cheapest_atom(&m.counts);
+            if m.ranges.iter().any(|r| r.atom == leaf) {
+                continue;
+            }
+            let p = m.cq.patterns[leaf];
+            let n = uses.entry(p).or_insert(0);
+            if *n == 0 {
+                order.push(p);
+            }
+            *n += 1;
         }
+        let defs: Vec<SharedScanDef> = order
+            .into_iter()
+            .filter(|p| uses[p] >= 2)
+            .map(|p| SharedScanDef {
+                pattern: p,
+                uses: uses[&p],
+                est: Some(self.table.count(&p.bound()) as f64),
+            })
+            .collect();
         let saved: usize = defs.iter().map(|d| d.uses - 1).sum();
         jucq_obs::metrics::counter_add("planner.factor_scans.nodes_before", before as u64);
         jucq_obs::metrics::counter_add(
@@ -688,7 +674,6 @@ impl<'a> Planner<'a> {
                 pipelined: None,
                 estimates: Vec::new(),
                 join_order: Vec::new(),
-                sip: Vec::new(),
                 range_eligible,
                 range_scans: 0,
                 views: Vec::new(),
@@ -749,8 +734,8 @@ impl<'a> Planner<'a> {
         }
 
         // The fragment join order, decided once (see `join_order`): the
-        // join tree, the per-step estimates, the SIP filters and the
-        // interesting orders below all read this one result.
+        // join tree, the per-step estimates, the interesting orders below
+        // and the plan's SIP filters all read this one result.
         let heads: Vec<&[VarId]> = draft.iter().map(|f| f.head.as_slice()).collect();
         let join_order = fragment_join_order(&summaries, &heads);
 
@@ -760,13 +745,11 @@ impl<'a> Planner<'a> {
         // merge join. The seed is the left side of the first merge and
         // inherits that step's key.
         let mut desired: Vec<&[VarId]> = vec![&[]; draft.len()];
-        if self.profile.order_aware {
-            for step in &join_order[1..] {
-                desired[step.fragment] = &step.key;
-            }
-            if let [seed, first, ..] = join_order.as_slice() {
-                desired[seed.fragment] = &first.key;
-            }
+        for step in &join_order[1..] {
+            desired[step.fragment] = &step.key;
+        }
+        if let [seed, first, ..] = join_order.as_slice() {
+            desired[seed.fragment] = &first.key;
         }
 
         let mut leaves: Vec<Option<PlanNode>> = draft
@@ -801,23 +784,14 @@ impl<'a> Planner<'a> {
         let seed = &join_order[0];
         let mut tree = leaves[seed.fragment].take().expect("each fragment lowered once");
         let mut acc_est = seed.est_rows;
-        let mut sip: Vec<SipFilterDef> = Vec::new();
         for (step, next) in join_order[1..].iter().enumerate() {
-            // A SIP filter covers exactly the step's join key; a
-            // disconnected fragment (cartesian product) gets none.
-            if self.profile.sip_filters && !next.key.is_empty() {
-                sip.push(SipFilterDef { step, target: next.fragment, keys: next.key.clone() });
-            }
             let right = leaves[next.fragment].take().expect("each fragment lowered once");
-            // Order-aware step choice: when the inputs' order properties
-            // make a (possibly sort-elided) merge cheaper than the
-            // profile's algorithm on this step's input estimates, lower
-            // to a merge join — chosen by cost, not forced.
-            let (step_algo, elided) = if self.profile.order_aware {
-                choose_join_algo(algo, &tree, &right, acc_est, summaries[next.fragment].rows)
-            } else {
-                (algo, (false, false))
-            };
+            // When the inputs' order properties make a (possibly
+            // sort-elided) merge cheaper than the profile's algorithm on
+            // this step's input estimates, lower to a merge join — chosen
+            // by cost, not forced.
+            let (step_algo, elided) =
+                choose_join_algo(algo, &tree, &right, acc_est, summaries[next.fragment].rows);
             estimates.push((format!("join[{step}].{}", join::op_name(step_algo)), next.est_rows));
             tree = make_join(step_algo, tree, right, step, next.est_rows, elided);
             acc_est = next.est_rows;
@@ -839,7 +813,6 @@ impl<'a> Planner<'a> {
             pipelined,
             estimates,
             join_order,
-            sip,
             range_eligible,
             range_scans,
             views,
@@ -851,8 +824,7 @@ impl<'a> Planner<'a> {
 
     /// Lower one union member to its access chain: a leaf scan (shared
     /// or private, filtered when the pattern repeats a variable) extended
-    /// by INLJ probes, or member-internal hash joins of scanned extents,
-    /// topped by the head projection.
+    /// by INLJ probes, topped by the head projection.
     fn lower_member(
         &self,
         m: &DraftMember,
@@ -863,61 +835,36 @@ impl<'a> Planner<'a> {
         if m.cq.patterns.is_empty() {
             return PlanNode::TrueRow { out_vars: frag_head.to_vec() };
         }
-        let leaf = |pi: usize| -> PlanNode {
-            let p = m.cq.patterns[pi];
-            if let Some(r) = m.ranges.iter().find(|r| r.atom == pi) {
-                let scan = PlanNode::RangeScan {
-                    pattern: p,
+        let (pi, p) = (m.order[0], m.cq.patterns[m.order[0]]);
+        let est = Some(m.counts[pi] as f64);
+        let mut node = match (m.ranges.iter().find(|r| r.atom == pi), shared_ix.get(&p)) {
+            (Some(r), _) => PlanNode::RangeScan {
+                pattern: p,
+                ranged: r.ranged,
+                lo: r.lo,
+                hi: r.hi,
+                members: r.members,
+                est,
+            },
+            (None, Some(&id)) => PlanNode::SharedScan { id, pattern: p, est },
+            (None, None) => PlanNode::IndexScan { pattern: p, perm: pick_perm(&p, desired), est },
+        };
+        if p.has_repeated_var() && !matches!(node, PlanNode::SharedScan { .. }) {
+            node = PlanNode::Filter { pattern: p, input: Box::new(node) };
+        }
+        for &pi in &m.order[1..] {
+            let input = Box::new(node);
+            let pattern = m.cq.patterns[pi];
+            node = match m.ranges.iter().find(|r| r.atom == pi) {
+                Some(r) => PlanNode::RangeProbe {
+                    input,
+                    pattern,
                     ranged: r.ranged,
                     lo: r.lo,
                     hi: r.hi,
                     members: r.members,
-                    est: Some(m.counts[pi] as f64),
-                };
-                return if p.has_repeated_var() {
-                    PlanNode::Filter { pattern: p, input: Box::new(scan) }
-                } else {
-                    scan
-                };
-            }
-            match shared_ix.get(&p) {
-                Some(&id) => {
-                    PlanNode::SharedScan { id, pattern: p, est: Some(m.counts[pi] as f64) }
-                }
-                None => {
-                    let perm = if self.profile.order_aware { pick_perm(&p, desired) } else { None };
-                    let scan =
-                        PlanNode::IndexScan { pattern: p, perm, est: Some(m.counts[pi] as f64) };
-                    if p.has_repeated_var() {
-                        PlanNode::Filter { pattern: p, input: Box::new(scan) }
-                    } else {
-                        scan
-                    }
-                }
-            }
-        };
-        let mut node = leaf(m.order[0]);
-        for &pi in &m.order[1..] {
-            node = if self.profile.index_nested_loop_cq {
-                if let Some(r) = m.ranges.iter().find(|r| r.atom == pi) {
-                    PlanNode::RangeProbe {
-                        input: Box::new(node),
-                        pattern: m.cq.patterns[pi],
-                        ranged: r.ranged,
-                        lo: r.lo,
-                        hi: r.hi,
-                        members: r.members,
-                    }
-                } else {
-                    PlanNode::Inlj { input: Box::new(node), pattern: m.cq.patterns[pi] }
-                }
-            } else {
-                PlanNode::HashJoin {
-                    left: Box::new(node),
-                    right: Box::new(leaf(pi)),
-                    step: None,
-                    est: None,
-                }
+                },
+                None => PlanNode::Inlj { input, pattern },
             };
         }
         PlanNode::Project {
@@ -976,7 +923,7 @@ fn make_join(
     est: f64,
     elided: (bool, bool),
 ) -> PlanNode {
-    let (left, right, step, est) = (Box::new(left), Box::new(right), Some(step), Some(est));
+    let (left, right, est) = (Box::new(left), Box::new(right), Some(est));
     match algo {
         JoinAlgo::Hash => PlanNode::HashJoin { left, right, step, est },
         JoinAlgo::SortMerge => PlanNode::MergeJoin { left, right, step, est, sort_elided: elided },
@@ -1230,51 +1177,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_sharing_can_be_disabled() {
-        let shared_leaf = StorePattern::new(v(0), c(11), c(100));
-        let a = StoreCq::with_var_head(
-            vec![shared_leaf, StorePattern::new(v(0), c(10), v(1))],
-            vec![0, 1],
-        );
-        let b = StoreCq::with_var_head(
-            vec![shared_leaf, StorePattern::new(v(1), c(10), v(0))],
-            vec![0, 1],
-        );
-        let frag = StoreUcq::new(vec![a, b], vec![0, 1]);
-        let profile = EngineProfile::pg_like().with_scan_sharing(false);
-        let plan = plan_of(&StoreJucq::from_ucq(frag), &profile);
-        assert!(plan.shared.is_empty());
-    }
-
-    #[test]
-    fn hash_strategy_factors_all_scan_positions() {
-        // Neither member's pattern set contains the other's, so both
-        // survive the subsumption pass and both scan `pat`.
-        let pat = StorePattern::new(v(0), c(10), v(1));
-        let a = StoreCq::with_var_head(vec![pat, StorePattern::new(v(0), c(11), v(3))], vec![0, 1]);
-        let b = StoreCq::with_var_head(vec![pat, StorePattern::new(v(1), c(11), v(2))], vec![0, 1]);
-        let mut profile = EngineProfile::pg_like();
-        profile.index_nested_loop_cq = false;
-        let frag = StoreUcq::new(vec![a, b], vec![0, 1]);
-        let plan = plan_of(&StoreJucq::from_ucq(frag), &profile);
-        assert_eq!(plan.shared.len(), 1, "(?0 #u10 ?1) scanned by both members");
-        // Member b's plan contains a member-internal hash join.
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
-        let has_member_join = members.iter().any(|m| {
-            matches!(
-                m,
-                PlanNode::Project { input, .. }
-                    if matches!(**input, PlanNode::HashJoin { step: None, .. })
-            )
-        });
-        assert!(has_member_join, "hash strategy lowers member joins");
-    }
-
-    #[test]
     fn fragment_join_algo_follows_profile() {
+        // A two-member union arrives in no key order, so a merge would
+        // have to sort it: the profile's own algorithm stays cheaper.
         let fa = StoreUcq::new(
-            vec![one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0, 1])],
+            vec![
+                one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0, 1]),
+                one_pattern_member(StorePattern::new(v(1), c(10), v(0)), vec![0, 1]),
+            ],
             vec![0, 1],
         );
         let fb = StoreUcq::new(
@@ -1282,7 +1192,7 @@ mod tests {
             vec![0, 2],
         );
         let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
-        let hash = plan_of(&q, &EngineProfile::pg_like().with_order_aware(false));
+        let hash = plan_of(&q, &EngineProfile::pg_like());
         let bnl = plan_of(&q, &EngineProfile::mysql_like());
         let top_join = |p: &Plan| match &p.root {
             PlanNode::Dedup { input, .. } => match &**input {
@@ -1291,17 +1201,17 @@ mod tests {
             },
             other => other.clone(),
         };
-        assert!(matches!(top_join(&hash), PlanNode::HashJoin { step: Some(0), .. }));
-        // The MySQL-like profile's weak join is never rescued by the
-        // order-aware pass, even with the knob on.
-        assert!(matches!(top_join(&bnl), PlanNode::NestedLoopJoin { step: Some(0), .. }));
+        assert!(matches!(top_join(&hash), PlanNode::HashJoin { step: 0, .. }));
+        // The MySQL-like profile's weak join is never rescued by a
+        // cheaper merge.
+        assert!(matches!(top_join(&bnl), PlanNode::NestedLoopJoin { step: 0, .. }));
         assert!(hash.pipelined.is_some());
         assert!(hash.estimates.iter().any(|(l, _)| l == "join[0].hash_join"));
         assert!(bnl.estimates.iter().any(|(l, _)| l == "join[0].block_nested_loop_join"));
     }
 
     #[test]
-    fn order_aware_planner_elides_merge_sorts_by_cost() {
+    fn planner_elides_merge_sorts_by_cost() {
         // Two single-member fragments joining on ?0: both leaf scans can
         // emit in ?0-first order, so the fully elided merge undercuts
         // the hash join and wins on cost despite the hash-join profile.
@@ -1324,7 +1234,7 @@ mod tests {
         };
         let join = top_join(&plan);
         assert!(
-            matches!(join, PlanNode::MergeJoin { step: Some(0), sort_elided: (true, true), .. }),
+            matches!(join, PlanNode::MergeJoin { step: 0, sort_elided: (true, true), .. }),
             "{join:?}"
         );
         assert!(plan.estimates.iter().any(|(l, _)| l == "join[0].sort_merge_join"));
@@ -1342,8 +1252,8 @@ mod tests {
     fn interesting_orders_steer_leaf_permutation_choice() {
         // Fragment heads join on ?1 — the *object* of fragment a's
         // pattern. The default perm for a p-bound pattern (Pso) emits in
-        // subject order; the order-aware planner must flip that leaf to
-        // an object-first permutation so the merge key leads.
+        // subject order; the planner must flip that leaf to an
+        // object-first permutation so the merge key leads.
         let fa = StoreUcq::new(
             vec![one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![1])],
             vec![1],

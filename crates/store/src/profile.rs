@@ -43,32 +43,12 @@ pub struct EngineProfile {
     /// (materialized) before use, even the one the paper's model assumes
     /// pipelined — MySQL's derived-table behaviour.
     pub materialize_all_unions: bool,
-    /// If true, CQ bodies are evaluated with index-nested-loop joins
-    /// against the triple table (all six indexes available); if false,
-    /// CQ joins hash fully scanned pattern extents.
-    pub index_nested_loop_cq: bool,
     /// Default per-query deadline.
     pub timeout: Duration,
     /// Worker threads for union-member / fragment evaluation and cover
     /// scoring. `1` evaluates strictly sequentially; parallel runs merge
     /// order-stably, so results and counters are identical either way.
     pub parallelism: usize,
-    /// If true (the default), the planner factors triple-pattern scans
-    /// that several union members share into a plan-wide `SharedScan`
-    /// table: each distinct access path is computed once and its
-    /// materialized extent is reused by every member referencing it.
-    /// Disable to measure the unshared baseline (`BENCH_plan_sharing`).
-    #[serde(default = "default_share_scans")]
-    pub share_scans: bool,
-    /// If true (the default), multi-fragment plans stage their fragment
-    /// evaluation in join order and publish a Bloom filter on each join
-    /// key into the plan-wide shared table: downstream fragments' union
-    /// members probe it and drop non-joining tuples before they reach
-    /// the join (sideways information passing).
-    /// Answers are unchanged — Bloom false positives are discarded by
-    /// the join itself.
-    #[serde(default = "default_sip_filters")]
-    pub sip_filters: bool,
     /// If true (the default), the planner collapses union members that
     /// differ in exactly one constant whose ids form a contiguous run
     /// into a single `RangeScan` over that id interval (the LiteMat
@@ -78,61 +58,12 @@ pub struct EngineProfile {
     /// fires rarely. Disable to measure the pure-UCQ baseline.
     #[serde(default = "default_range_scans")]
     pub range_scans: bool,
-    /// If true (the default), the planner is order-aware: scan leaves
-    /// record which permutation index produced them (and therefore the
-    /// variable order their rows are sorted by), the interesting-orders
-    /// pass picks permutations that feed the next fragment join, and
-    /// joins whose inputs already arrive sorted on the key lower to
-    /// `MergeJoin` with the sort elided — chosen by cost against the
-    /// profile's native algorithm, never forced. `JUCQ_ORDER=0`
-    /// disables the whole pass (plans and costs revert to the
-    /// order-blind baseline). Answers are identical either way.
-    #[serde(default = "default_order_aware")]
-    pub order_aware: bool,
 }
 
 // Referenced by the `#[serde(default)]` attribute, which only expands
 // when the real serde crate replaces the offline shim.
 #[allow(dead_code)]
-fn default_share_scans() -> bool {
-    true
-}
-
-#[allow(dead_code)]
-fn default_sip_filters() -> bool {
-    true
-}
-
-#[allow(dead_code)]
 fn default_range_scans() -> bool {
-    true
-}
-
-/// The `JUCQ_ORDER` environment variable, parsed once per profile
-/// construction: unset or any non-zero number keeps order-aware
-/// planning on, `0` disables it; an unparsable value warns once through
-/// `jucq-obs` and keeps the default.
-pub fn default_order_aware() -> bool {
-    match std::env::var("JUCQ_ORDER") {
-        Ok(v) => {
-            match v.trim().parse::<usize>() {
-                Ok(n) => return n != 0,
-                Err(_) => {
-                    jucq_obs::warn_once(
-                    "warn.jucq_order_invalid",
-                    &format!("ignoring unparsable JUCQ_ORDER={v:?}; order-aware planning stays enabled"),
-                );
-                }
-            }
-        }
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_order_invalid",
-                "ignoring non-unicode JUCQ_ORDER; order-aware planning stays enabled",
-            );
-        }
-    }
     true
 }
 
@@ -175,13 +106,9 @@ impl EngineProfile {
             memory_budget_tuples: 40_000_000,
             fragment_join: JoinAlgo::Hash,
             materialize_all_unions: false,
-            index_nested_loop_cq: true,
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
-            share_scans: true,
-            sip_filters: true,
             range_scans: true,
-            order_aware: default_order_aware(),
         }
     }
 
@@ -194,13 +121,9 @@ impl EngineProfile {
             memory_budget_tuples: 40_000_000,
             fragment_join: JoinAlgo::Hash,
             materialize_all_unions: false,
-            index_nested_loop_cq: true,
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
-            share_scans: true,
-            sip_filters: true,
             range_scans: true,
-            order_aware: default_order_aware(),
         }
     }
 
@@ -213,13 +136,9 @@ impl EngineProfile {
             memory_budget_tuples: 25_000_000,
             fragment_join: JoinAlgo::BlockNestedLoop,
             materialize_all_unions: true,
-            index_nested_loop_cq: true,
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
-            share_scans: true,
-            sip_filters: true,
             range_scans: true,
-            order_aware: default_order_aware(),
         }
     }
 
@@ -234,13 +153,9 @@ impl EngineProfile {
             memory_budget_tuples: 80_000_000,
             fragment_join: JoinAlgo::Hash,
             materialize_all_unions: false,
-            index_nested_loop_cq: true,
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
-            share_scans: true,
-            sip_filters: true,
             range_scans: true,
-            order_aware: default_order_aware(),
         }
     }
 
@@ -279,29 +194,10 @@ impl EngineProfile {
         self
     }
 
-    /// Enable or disable common-scan factoring across union members.
-    pub fn with_scan_sharing(mut self, share: bool) -> Self {
-        self.share_scans = share;
-        self
-    }
-
-    /// Enable or disable cross-fragment sideways information passing.
-    pub fn with_sip_filters(mut self, on: bool) -> Self {
-        self.sip_filters = on;
-        self
-    }
-
     /// Enable or disable collapsing contiguous-id union members into
     /// `RangeScan` nodes.
     pub fn with_range_scans(mut self, on: bool) -> Self {
         self.range_scans = on;
-        self
-    }
-
-    /// Enable or disable order-aware planning (interesting orders,
-    /// sort-elided merge joins, zero-copy scan handoff).
-    pub fn with_order_aware(mut self, on: bool) -> Self {
-        self.order_aware = on;
         self
     }
 
@@ -312,21 +208,14 @@ impl EngineProfile {
 
     /// A cache-key fingerprint of every knob that changes the *plan* or
     /// how a cached plan may be replayed: toggling any of these (e.g.
-    /// via `JUCQ_ORDER` or `with_sip_filters`) must miss the plan cache
-    /// rather than serve a plan lowered under the old settings. The
-    /// name alone is not enough — two profiles can share a name and
-    /// differ in knobs (the `set_profile` staleness class).
+    /// via `with_range_scans` or `with_fragment_join`) must miss the
+    /// plan cache rather than serve a plan lowered under the old
+    /// settings. The name alone is not enough — two profiles can share a
+    /// name and differ in knobs (the `set_profile` staleness class).
     pub fn plan_cache_key(&self) -> String {
         format!(
-            "{}|join={:?}|mat={}|inlj={}|share={}|sip={}|range={}|order={}",
-            self.name,
-            self.fragment_join,
-            self.materialize_all_unions,
-            self.index_nested_loop_cq,
-            self.share_scans,
-            self.sip_filters,
-            self.range_scans,
-            self.order_aware,
+            "{}|join={:?}|mat={}|range={}",
+            self.name, self.fragment_join, self.materialize_all_unions, self.range_scans,
         )
     }
 }
@@ -409,25 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn jucq_order_env_controls_order_awareness() {
-        let _serial = env_lock();
-        std::env::set_var("JUCQ_ORDER", "0");
-        assert!(!default_order_aware(), "JUCQ_ORDER=0 disables order-aware planning");
-        std::env::set_var("JUCQ_ORDER", "1");
-        assert!(default_order_aware());
-        std::env::remove_var("JUCQ_ORDER");
-        assert!(default_order_aware(), "order-aware planning is on by default");
-    }
-
-    #[test]
     fn plan_cache_key_distinguishes_planner_knobs() {
         let base = EngineProfile::pg_like();
         let keys = [
             base.clone().plan_cache_key(),
-            base.clone().with_sip_filters(!base.sip_filters).plan_cache_key(),
-            base.clone().with_scan_sharing(false).plan_cache_key(),
             base.clone().with_range_scans(!base.range_scans).plan_cache_key(),
-            base.clone().with_order_aware(!base.order_aware).plan_cache_key(),
+            base.clone().with_fragment_join(JoinAlgo::SortMerge).plan_cache_key(),
+            EngineProfile { materialize_all_unions: true, ..base.clone() }.plan_cache_key(),
         ];
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {

@@ -3,12 +3,11 @@
 //! probe, head projection, union merge, fragment join — inputs of more
 //! than two batches that are not a whole number of batches. The answers
 //! are held to a naive evaluator written over plain maps, and the
-//! engine's independent configurations must all agree with it: member
-//! bodies as index-nested-loop probes or as hash joins of scanned
-//! extents, fragment joins by hash, sort-merge or block-nested-loop,
-//! every engine profile, SIP filters on and off, 1/2/8 worker threads
-//! (with identical counters across thread counts). One query's members
-//! bind their SIP key at every stage a member can test it.
+//! engine's independent configurations must all agree with it: fragment
+//! joins by hash, sort-merge or block-nested-loop, every engine profile,
+//! 1/2/8 worker threads (with identical counters across thread counts).
+//! One query's members bind their SIP key at every stage a member can
+//! test it.
 
 mod common;
 
@@ -174,104 +173,72 @@ fn runs(qname: &str, join: JoinAlgo) -> bool {
 }
 
 /// The engine's independent implementations, one at a time and
-/// sequentially: member bodies by index probes or by hash joins of
-/// scanned extents, fragment joins by each algorithm.
+/// sequentially: fragment joins by each algorithm.
 #[test]
 fn independent_implementations_return_the_naive_answer() {
     let triples = triples(&sample_data());
     for (qname, q, expect) in cases() {
-        for inlj in [true, false] {
-            for join in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop] {
-                if !runs(qname, join) {
-                    continue;
-                }
-                let mut profile = EngineProfile::pg_like()
-                    .with_fragment_join(join)
-                    .with_sip_filters(false)
-                    .with_parallelism(1);
-                profile.index_nested_loop_cq = inlj;
-                let out = Store::from_triples(&triples, profile).eval_jucq(&q).unwrap();
-                assert_eq!(sorted_rows(&out.relation), expect, "{qname} inlj={inlj} {join:?}");
+        for join in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop] {
+            if !runs(qname, join) {
+                continue;
             }
+            let profile = EngineProfile::pg_like().with_fragment_join(join).with_parallelism(1);
+            let out = Store::from_triples(&triples, profile).eval_jucq(&q).unwrap();
+            assert_eq!(sorted_rows(&out.relation), expect, "{qname} {join:?}");
         }
     }
 }
 
-/// The default profile with member bodies lowered to hash joins of
-/// scanned extents: a SIP filter can then only be tested in a leaf scan
-/// or at the head.
-fn hash_bodied() -> EngineProfile {
-    let mut profile = EngineProfile::pg_like();
-    profile.index_nested_loop_cq = false;
-    profile
-}
-
-/// Every engine profile (and the hash-bodied default) × SIP on/off ×
-/// 1/2/8 threads returns the naive answer, with counters that do not
-/// depend on the thread count.
+/// Every engine profile × 1/2/8 threads returns the naive answer — SIP
+/// filters on every keyed join step — with counters that do not depend
+/// on the thread count.
 #[test]
 fn profile_sip_thread_matrix_returns_the_naive_answer() {
     let triples = triples(&sample_data());
-    let bases: [fn() -> EngineProfile; 5] = [
+    let bases: [fn() -> EngineProfile; 4] = [
         EngineProfile::pg_like,
         EngineProfile::db2_like,
         EngineProfile::mysql_like,
         EngineProfile::native_like,
-        hash_bodied,
     ];
     for (qname, q, expect) in cases() {
         for base in bases {
             if !runs(qname, base().fragment_join) {
                 continue;
             }
-            for sip in [true, false] {
-                let mut sequential = None;
-                for threads in [1usize, 2, 8] {
-                    let profile = base().with_sip_filters(sip).with_parallelism(threads);
-                    let label = format!("{qname} {} sip={sip} threads={threads}", profile.name);
-                    let out = Store::from_triples(&triples, profile)
-                        .eval_jucq(&q)
-                        .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                    assert_eq!(sorted_rows(&out.relation), expect, "{label}");
-                    let reference = *sequential.get_or_insert(out.counters);
-                    assert_eq!(out.counters, reference, "{label}: counters depend on threads");
-                }
+            let mut sequential = None;
+            for threads in [1usize, 2, 8] {
+                let profile = base().with_parallelism(threads);
+                let label = format!("{qname} {} threads={threads}", profile.name);
+                let out = Store::from_triples(&triples, profile)
+                    .eval_jucq(&q)
+                    .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+                assert_eq!(sorted_rows(&out.relation), expect, "{label}");
+                let reference = *sequential.get_or_insert(out.counters);
+                assert_eq!(out.counters, reference, "{label}: counters depend on threads");
             }
         }
     }
 }
 
 /// SIP filters only ever drop rows the join would discard anyway, and
-/// on this fixture they provably drop some: probe/drop counters are
-/// live when the knob is on and zero when it is off.
+/// on this fixture they provably drop some.
 #[test]
-fn sip_filters_drop_tuples_without_changing_answers() {
-    let triples = triples(&sample_data());
+fn sip_filter_drops_tuples_without_changing_answers() {
+    let data = sample_data();
     let q = wide_query();
-    let on = Store::from_triples(&triples, EngineProfile::pg_like()).eval_jucq(&q).unwrap();
-    let off = Store::from_triples(&triples, EngineProfile::pg_like().with_sip_filters(false))
-        .eval_jucq(&q)
-        .unwrap();
-    assert_eq!(sorted_rows(&on.relation), sorted_rows(&off.relation));
-    assert!(on.counters.sip_probes > 0, "filters ran: {:?}", on.counters);
-    assert!(on.counters.sip_drops > 0, "fixture is selective: {:?}", on.counters);
-    assert!(on.counters.sip_drops <= on.counters.sip_probes);
-    assert_eq!(off.counters.sip_probes, 0, "knob off probes nothing");
-    assert_eq!(off.counters.sip_drops, 0);
-    // The filters shrink the join inputs, which the join counter sees.
-    assert!(
-        on.counters.tuples_joined <= off.counters.tuples_joined,
-        "SIP must not inflate join work: on={:?} off={:?}",
-        on.counters,
-        off.counters
-    );
+    let out = Store::from_triples(&triples(&data), EngineProfile::pg_like()).eval_jucq(&q).unwrap();
+    assert_eq!(sorted_rows(&out.relation), naive_answers(&data, &q));
+    assert!(out.counters.sip_probes > 0, "filters ran: {:?}", out.counters);
+    assert!(out.counters.sip_drops > 0, "fixture is selective: {:?}", out.counters);
+    assert!(out.counters.sip_drops <= out.counters.sip_probes);
 }
 
 /// The placed query's members test the filter where the fixture says
 /// they do, the stages add up to one per member that had rows to test,
-/// and a hash-bodied member only ever tests in a scan or at the head.
+/// and where a member tests does not depend on the thread count.
 #[test]
-fn sip_filters_run_at_the_earliest_stage_binding_their_key() {
+fn sip_filter_runs_at_the_earliest_stage_binding_its_key() {
     let triples = triples(&sample_data());
     let q = placed_query();
     let stages = |profile: EngineProfile| {
@@ -285,8 +252,9 @@ fn sip_filters_run_at_the_earliest_stage_binding_their_key() {
         assert!(filter.drops > 0 && filter.drops < filter.probes, "{filter:?}");
         filter.stages.clone()
     };
+    let sequential = stages(EngineProfile::pg_like().with_parallelism(1));
     assert_eq!(
-        stages(EngineProfile::pg_like().with_parallelism(1)),
+        sequential,
         vec![
             (SipStage::Scan, 1),
             (SipStage::BeforeProbe(0), 1),
@@ -295,9 +263,7 @@ fn sip_filters_run_at_the_earliest_stage_binding_their_key() {
             (SipStage::Head, 4),
         ]
     );
-    let hashed = stages(hash_bodied().with_parallelism(2));
-    assert_eq!(hashed.iter().map(|&(_, members)| members).sum::<u64>(), 7, "{hashed:?}");
-    assert!(hashed.iter().all(|(s, _)| matches!(s, SipStage::Scan | SipStage::Head)), "{hashed:?}");
+    assert_eq!(stages(EngineProfile::pg_like().with_parallelism(2)), sequential);
 }
 
 /// A budget that the first batch of every scan fits in and the second
@@ -324,20 +290,24 @@ fn budget_breach_inside_the_second_batch_aborts_the_query() {
 }
 
 /// The breach is first met inside a scan that tests a SIP filter: the
-/// seed (40 rows) and the first batch of the filtered p11 scan fit, the
-/// second batch does not — and the rows the filter dropped (one p11
-/// object in five has no p15 edge; the default permutation scans p11 in
-/// subject order, which spreads them evenly) were never charged.
+/// seed (40 rows) and the first batch of the filtered p16 scan fit, the
+/// second batch does not — and the rows the filter dropped were never
+/// charged. The join key is p16's object, so the planner scans p16 in
+/// object order; one object in five of its fifty, spread over that
+/// order, has no p17 edge and is dropped.
 #[test]
 fn budget_breach_inside_a_filtered_scan_batch_aborts_the_query() {
-    let triples = triples(&sample_data());
-    let q = StoreJucq::new(vec![attribute(3, 15, 5), attribute(2, 11, 3)], vec![2, 5]);
+    let mut data = sample_data();
+    data.extend((0..2700).map(|i| (i, 16, 7000 + i % 50)));
+    data.extend((0..50).filter(|k| k % 5 != 0).map(|k| (7000 + k, 17, 6500 + k)));
+    let triples = triples(&data);
+    let q = StoreJucq::new(vec![attribute(3, 17, 5), attribute(2, 16, 3)], vec![2, 5]);
     let budget = BATCH_ROWS + BATCH_ROWS / 2;
-    let base = || EngineProfile::pg_like().with_order_aware(false);
-    let unlimited = Store::from_triples(&triples, base()).eval_jucq(&q).unwrap();
+    let unlimited = Store::from_triples(&triples, EngineProfile::pg_like()).eval_jucq(&q).unwrap();
     assert!(unlimited.counters.sip_drops > 0, "{:?}", unlimited.counters);
+    assert_eq!(sorted_rows(&unlimited.relation), naive_answers(&data, &q));
     for threads in [1usize, 4] {
-        let profile = base().with_parallelism(threads).with_memory_budget(budget);
+        let profile = EngineProfile::pg_like().with_parallelism(threads).with_memory_budget(budget);
         let err = Store::from_triples(&triples, profile)
             .eval_jucq(&q)
             .expect_err("four fifths of two batches exceed one and a half");

@@ -113,39 +113,6 @@ Dedup (est 8.0)
     assert_eq!(got, want, "got:\n{got}");
 }
 
-/// Disabling scan sharing produces the same tree with plain index
-/// scans and no shared table.
-#[test]
-fn unshared_baseline_snapshot() {
-    let frag = StoreUcq::new(
-        vec![
-            member(
-                vec![StorePattern::new(v(0), c(11), v(2)), StorePattern::new(v(0), c(10), v(1))],
-                vec![0, 1],
-            ),
-            member(
-                vec![StorePattern::new(v(0), c(11), v(2)), StorePattern::new(v(1), c(10), v(0))],
-                vec![0, 1],
-            ),
-        ],
-        vec![0, 1],
-    );
-    let q = StoreJucq::from_ucq(frag);
-    let got = render(&q, EngineProfile::pg_like().with_scan_sharing(false));
-    let want = "\
-Dedup (est 4.0)
-  Project [?0, ?1]
-    HashUnion fragment[0] — 2 members (est 4.0)
-      Project [?0, ?1]
-        Inlj probe (?0 #u10 ?1)
-          IndexScan (?0 #u11 ?2) (est 2.0)
-      Project [?0, ?1]
-        Inlj probe (?1 #u10 ?0)
-          IndexScan (?0 #u11 ?2) (est 2.0)
-";
-    assert_eq!(got, want, "got:\n{got}");
-}
-
 /// Two fragments: the larger-estimate fragment is pipelined, the other
 /// materialized; the fragment-level join follows the profile (hash for
 /// pg-like, block-nested-loop for mysql-like).
@@ -162,8 +129,8 @@ fn two_fragment_join_snapshot_pg_vs_mysql() {
     let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
 
     // Both single-member fragments emit in join-key order, so the
-    // order-aware pass costs the fully sort-elided merge below the
-    // profile's hash join and lowers a MergeJoin instead.
+    // planner costs the fully sort-elided merge below the profile's hash
+    // join and lowers a MergeJoin instead.
     let pg = render(&q, EngineProfile::pg_like());
     let want_pg = "\
 Pipelined fragment: 0
@@ -182,10 +149,6 @@ Dedup (est 2.0)
 ";
     assert_eq!(pg, want_pg, "got:\n{pg}");
 
-    // With order-awareness off the profile's hash join is kept.
-    let flat = render(&q, EngineProfile::pg_like().with_order_aware(false));
-    assert!(flat.contains("HashJoin join[0] (est 2.0)"), "knob off keeps hash:\n{flat}");
-
     // mysql-like swaps the join algorithm; its derived-table copies are
     // charged per union at execution time (`finish_union`), so the
     // join-level pipelining choice is rendered the same way.
@@ -196,8 +159,8 @@ Dedup (est 2.0)
 
 /// SIP filter placement: a planned filter targets the fragment joined
 /// in at each step, keyed on the step's shared variables, and renders
-/// in its own plan section; turning the knob off removes the section,
-/// and a disconnected (cartesian) join step plans no filter.
+/// in its own plan section, and a disconnected (cartesian) join step
+/// plans no filter.
 #[test]
 fn sip_filter_placement_snapshot() {
     let fa = StoreUcq::new(
@@ -220,9 +183,6 @@ SIP filters:
   join[1] build → fragment[2] probe on [?1]
 ";
     assert!(got.contains(sip_section), "got:\n{got}");
-
-    let off = render(&q, EngineProfile::pg_like().with_sip_filters(false));
-    assert!(!off.contains("SIP filters:"), "knob off removes the section:\n{off}");
 
     // Disconnected fragments (no shared head variable) join as a
     // cartesian product — no key, no filter.
@@ -257,10 +217,11 @@ Dedup (est 2.0)
     assert_eq!(got, want, "got:\n{got}");
 }
 
-/// The hash CQ strategy lowers member-internal joins instead of Inlj
-/// probes; sort-merge fragment joins render as MergeJoin.
+/// A sort-merge profile: a two-atom member is one scan plus an Inlj
+/// probe, and the fragment join renders as a MergeJoin with both sorts
+/// elided — a probe keeps its leaf scan's key order.
 #[test]
-fn hash_members_and_merge_join_snapshot() {
+fn merge_join_profile_snapshot() {
     let fa = StoreUcq::new(
         vec![member(
             vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(1), c(12), v(2))],
@@ -273,14 +234,24 @@ fn hash_members_and_merge_join_snapshot() {
         vec![0, 3],
     );
     let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 3]);
-    let mut profile = EngineProfile::pg_like().with_fragment_join(JoinAlgo::SortMerge);
-    profile.index_nested_loop_cq = false;
-    let got = render(&q, profile);
-    assert!(got.contains("MergeJoin join[0]"), "{got}");
-    assert!(
-        got.contains("HashJoin\n") || got.contains("HashJoin (est"),
-        "member-internal join:\n{got}"
-    );
+    let got = render(&q, EngineProfile::pg_like().with_fragment_join(JoinAlgo::SortMerge));
+    let want = "\
+Pipelined fragment: 0
+Fragment join order: f1 (est 2.0) ⋈[?0] f0 → est 2.0
+SIP filters:
+  join[0] build → fragment[0] probe on [?0]
+Dedup (est 2.0)
+  Project [?0, ?1, ?3]
+    MergeJoin join[0] (sort elided) (est 2.0)
+      HashUnion fragment[1] — 1 member (est 2.0)
+        Project [?0, ?3]
+          IndexScan (?0 #u11 ?3) (est 2.0)
+      HashUnion fragment[0] — 1 member (est 6.0)
+        Project [?0, ?1]
+          Inlj probe (?1 #u12 ?2)
+            IndexScan (?0 #u10 ?1) (est 6.0)
+";
+    assert_eq!(got, want, "got:\n{got}");
 }
 
 /// The fragment join order and the SIP placement it implies, on the

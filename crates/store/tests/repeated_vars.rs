@@ -1,10 +1,9 @@
 //! Repeated-variable patterns (`?x p ?x`) across the whole execution
-//! matrix: every engine profile, every fragment-join algorithm, both CQ
-//! strategies (index-nested-loop and hash), parallelism 1/2/8, and scan
-//! sharing on/off. A repeated variable constrains a single scan (the
-//! planner inserts a `Filter` node over the scan) and also the INLJ
-//! probe path (`repeated_vars_consistent`); every configuration must
-//! produce the same set-semantics answer.
+//! matrix: every engine profile, every fragment-join algorithm and
+//! parallelism 1/2/8. A repeated variable constrains a private scan (the
+//! planner inserts a `Filter` node over it) and a scan both fragments
+//! share (`?0 10 ?0` leads fragment B's member too); every configuration
+//! must produce the brute-force set-semantics answer.
 
 use jucq_model::term::TermKind;
 use jucq_model::{TermId, TripleId};
@@ -112,24 +111,13 @@ fn repeated_vars_agree_across_the_full_execution_matrix() {
     for base in bases {
         for algo in algos {
             for threads in [1usize, 2, 8] {
-                for inlj in [true, false] {
-                    for share in [true, false] {
-                        let mut profile = base()
-                            .with_fragment_join(algo)
-                            .with_parallelism(threads)
-                            .with_scan_sharing(share);
-                        profile.index_nested_loop_cq = inlj;
-                        let label = format!(
-                            "{} algo={algo:?} threads={threads} inlj={inlj} share={share}",
-                            profile.name
-                        );
-                        let store = Store::from_triples(&data, profile);
-                        let out = store
-                            .eval_jucq(&query())
-                            .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                        assert_eq!(sorted_rows(&out.relation), expected, "{label}");
-                    }
-                }
+                let profile = base().with_fragment_join(algo).with_parallelism(threads);
+                let label = format!("{} algo={algo:?} threads={threads}", profile.name);
+                let store = Store::from_triples(&data, profile);
+                let out = store
+                    .eval_jucq(&query())
+                    .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+                assert_eq!(sorted_rows(&out.relation), expected, "{label}");
             }
         }
     }
@@ -138,18 +126,12 @@ fn repeated_vars_agree_across_the_full_execution_matrix() {
 #[test]
 fn repeated_var_scan_matches_unfiltered_scan_plus_filter() {
     // Sanity on the scan level: `?0 10 ?0` returns exactly the p10
-    // self-loops, under both CQ strategies.
-    let data = sample_triples();
-    for inlj in [true, false] {
-        let mut profile = EngineProfile::pg_like();
-        profile.index_nested_loop_cq = inlj;
-        let store = Store::from_triples(&data, profile);
-        let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(0))], vec![0]);
-        let out = store.eval_cq(&cq).unwrap();
-        let got = sorted_rows(&out.relation);
-        let want: Vec<Vec<TermId>> = (0..5u32).map(|i| vec![id(i)]).collect();
-        assert_eq!(got, want, "inlj={inlj}");
-    }
+    // self-loops.
+    let store = Store::from_triples(&sample_triples(), EngineProfile::pg_like());
+    let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(0))], vec![0]);
+    let got = sorted_rows(&store.eval_cq(&cq).unwrap().relation);
+    let want: Vec<Vec<TermId>> = (0..5u32).map(|i| vec![id(i)]).collect();
+    assert_eq!(got, want);
 }
 
 #[test]
