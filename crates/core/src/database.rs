@@ -1,9 +1,9 @@
 //! The `RdfDatabase` facade: the single writer.
 //!
 //! Owns what only a writer needs — the RDF graph (dictionary + schema +
-//! data), the encoding flags, the pinned settings, and the state that
-//! maintains the saturation under updates — and publishes immutable
-//! [`Snapshot`]s of it (see [`crate::epoch`]): lazily from scratch on
+//! data), the pinned settings, and the state that maintains the
+//! saturation under updates — and publishes immutable [`Snapshot`]s of
+//! it (see [`crate::epoch`]): lazily from scratch on
 //! first use and after anything that changes the schema or the
 //! vocabulary, from the previous snapshot plus a delta for an
 //! in-vocabulary data update. Everything query-facing here
@@ -29,37 +29,8 @@ use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::report::{AnswerError, AnswerReport, UpdateReport};
 use crate::strategy::Strategy;
 
-/// How the database's dictionary assigns ids to URIs.
-///
-/// With [`EncodingMode::Hierarchical`], class and property ids are
-/// re-assigned by DFS interval labeling over the `rdfs:subClassOf` /
-/// `rdfs:subPropertyOf` DAGs (see [`jucq_model::encoding`]) before the
-/// first query-facing id escapes, so a class subtree occupies one
-/// contiguous id block and the planner's range-collapse pass can turn
-/// reformulation unions over it into single interval scans.
-///
-/// The re-encoding runs at the first of [`RdfDatabase::prepare`],
-/// [`RdfDatabase::parse_query`], [`RdfDatabase::intern_uri`] or
-/// [`RdfDatabase::intern_term`] — and runs **again** after any schema
-/// insertion (a new `subClassOf`/`subPropertyOf` edge changes the
-/// interval labeling), so `descendant_range` intervals never go stale.
-/// Queries parsed before a re-encoding must be re-parsed: their
-/// constants hold pre-remap ids. Plain *data* terms interned between
-/// re-encodings get append ids and stay outside every interval until
-/// the next schema change (correctness is unaffected — the collapse
-/// pass only merges constants whose ids happen to be contiguous).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EncodingMode {
-    /// First-seen append order (the default).
-    #[default]
-    Plain,
-    /// Hierarchy-aware interval labeling of classes and properties.
-    Hierarchical,
-}
-
-/// True iff `t` is an RDFS schema statement. Schema statements change
-/// the class/property hierarchies the interval labeling is computed
-/// from, so inserting one obsoletes the hierarchy encoding.
+/// True iff `t` is an RDFS schema statement: it changes the schema
+/// closure, so an update carrying one cannot be absorbed incrementally.
 fn is_schema_triple(t: &Triple) -> bool {
     matches!(&t.p, Term::Uri(p) if jucq_model::vocab::is_schema_property(p))
 }
@@ -131,13 +102,6 @@ pub struct RdfDatabase {
     /// mutation goes through interior locking, and its epoch is kept
     /// equal to `epoch` below.
     views: Option<Arc<ViewCatalog>>,
-    encoding: EncodingMode,
-    /// Whether the hierarchy-aware re-encoding is current. Reset when
-    /// the schema grows (a new `subClassOf` edge changes the interval
-    /// labeling), so the next preparation re-runs the encoding; callers
-    /// must re-parse queries afterwards (constants interned before a
-    /// re-encoding hold pre-remap ids).
-    encoded: bool,
     /// The epoch of the current snapshot or, with none published, the
     /// one the next preparation will publish: 0 for the first, one more
     /// for every snapshot that holds different data.
@@ -170,85 +134,27 @@ impl RdfDatabase {
             constants: None,
             plan_cache: None,
             views: None,
-            encoding: EncodingMode::Plain,
-            encoded: false,
             epoch: 0,
             published: None,
         }
     }
 
-    /// Select the dictionary [`EncodingMode`]. Call before the first
-    /// query-facing operation; switching modes invalidates prepared
-    /// stores (and, when switching *to* hierarchical after an earlier
-    /// re-encoding, re-runs the labeling over the current schema).
-    pub fn set_encoding(&mut self, mode: EncodingMode) {
-        if self.encoding != mode {
-            self.encoding = mode;
-            self.encoded = false;
-            self.invalidate();
-        }
-    }
-
-    /// Builder-style [`RdfDatabase::set_encoding`].
-    pub fn with_encoding(mut self, mode: EncodingMode) -> Self {
-        self.set_encoding(mode);
-        self
-    }
-
-    /// The dictionary encoding mode in use.
-    pub fn encoding_mode(&self) -> EncodingMode {
-        self.encoding
-    }
-
-    /// The hierarchy encoding's interval table, once the re-encoding has
-    /// run (`None` under [`EncodingMode::Plain`] or before first use).
-    pub fn hierarchy_encoding(&self) -> Option<&jucq_model::HierarchyEncoding> {
-        self.graph.encoding()
-    }
-
-    /// Run the hierarchy-aware re-encoding exactly once, before any
-    /// dictionary id escapes to a caller (query constants and store
-    /// triples must agree on the id space).
-    fn ensure_encoded(&mut self) {
-        if self.encoded || self.encoding == EncodingMode::Plain {
-            return;
-        }
-        jucq_obs::span!("hierarchy_encoding");
-        self.graph.apply_hierarchy_encoding();
-        self.encoded = true;
-        self.invalidate();
-    }
-
-    /// Insert one triple (invalidates prepared stores; a schema triple
-    /// also obsoletes the hierarchy encoding).
+    /// Insert one triple (invalidates prepared stores).
     pub fn insert(&mut self, triple: &Triple) -> bool {
         self.invalidate();
-        if is_schema_triple(triple) {
-            self.encoded = false;
-        }
         self.graph.insert(triple)
     }
 
-    /// Bulk-insert triples (invalidates prepared stores; schema triples
-    /// also obsolete the hierarchy encoding).
+    /// Bulk-insert triples (invalidates prepared stores).
     pub fn extend<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) {
         self.invalidate();
-        let triples: Vec<&Triple> = triples.into_iter().collect();
-        if triples.iter().any(|t| is_schema_triple(t)) {
-            self.encoded = false;
-        }
         self.graph.extend(triples);
     }
 
     /// Load a Turtle-subset document (see [`crate::turtle`]).
     pub fn load_turtle(&mut self, text: &str) -> Result<usize, crate::turtle::TurtleError> {
         self.invalidate();
-        let schema_before = self.graph.schema().len();
-        let loaded = crate::turtle::load(&mut self.graph, text);
-        if self.graph.schema().len() != schema_before {
-            self.encoded = false;
-        }
-        loaded
+        crate::turtle::load(&mut self.graph, text)
     }
 
     /// The underlying graph.
@@ -315,11 +221,13 @@ impl RdfDatabase {
     /// handle to whoever still holds it. The serving layer calls this
     /// on a non-incremental rebuild: readers pinned to an earlier epoch
     /// may attach plans lowered from the *old* stores after the rebuild
-    /// cleared the cache, and a rebuild can remap term ids (hierarchy
-    /// re-encoding) — so sharing one cache across that boundary could
-    /// hand a new-epoch reader a stale physical plan. A fresh handle
-    /// makes the race unrepresentable; the old epoch keeps caching
-    /// against its own doomed instance until it drops.
+    /// cleared the cache — so sharing one cache across that boundary
+    /// could hand a new-epoch reader a physical plan lowered against
+    /// the old closure and statistics. (Term ids are append-only, so
+    /// the ids in such a plan still mean the same terms; its unions and
+    /// join order do not.) A fresh handle makes the race
+    /// unrepresentable; the old epoch keeps caching against its own
+    /// doomed instance until it drops.
     pub(crate) fn replace_plan_cache(&mut self) {
         if let Some(cache) = &mut self.plan_cache {
             let capacity = lock_cache(cache).capacity();
@@ -431,9 +339,8 @@ impl RdfDatabase {
         if let Some(cache) = &self.plan_cache {
             lock_cache(cache).clear();
         }
-        // A rebuild may remap term ids (hierarchy re-encoding) or change
-        // the schema closure the materialized unions were derived from:
-        // nothing in the catalog survives.
+        // A rebuild may change the schema closure the materialized
+        // unions were derived from: nothing in the catalog survives.
         if let Some(catalog) = &self.views {
             catalog.clear();
             catalog.set_epoch(self.epoch);
@@ -450,7 +357,6 @@ impl RdfDatabase {
     /// The current snapshot, preparing on demand. Holders keep the
     /// `Arc` alive; later updates publish successors, never touch it.
     pub(crate) fn snapshot(&mut self) -> &Arc<Snapshot> {
-        self.ensure_encoded();
         let RdfDatabase { graph, profile, constants, plan_cache, views, epoch, published, .. } =
             self;
         let published = published.get_or_insert_with(|| {
@@ -586,7 +492,6 @@ impl RdfDatabase {
     }
 
     fn encode_triple(&mut self, t: &Triple) -> TripleId {
-        self.ensure_encoded();
         let d = self.graph.dict_mut();
         let s = d.encode(&t.s);
         let p = d.encode(&t.p);
@@ -622,14 +527,12 @@ impl RdfDatabase {
     /// Parse a SPARQL-BGP query against this database's dictionary
     /// (interning constants as needed).
     pub fn parse_query(&mut self, text: &str) -> Result<BgpQuery, crate::parser::ParseError> {
-        self.ensure_encoded();
         crate::parser::parse_query(self.graph.dict_mut(), text)
     }
 
     /// Intern a URI, for building queries programmatically. Interning
     /// does not invalidate prepared stores (ids are append-only).
     pub fn intern_uri(&mut self, uri: &str) -> TermId {
-        self.ensure_encoded();
         self.graph.dict_mut().encode_uri(uri)
     }
 
@@ -637,7 +540,6 @@ impl RdfDatabase {
     /// programmatically. Like [`RdfDatabase::intern_uri`], does not
     /// invalidate prepared stores.
     pub fn intern_term(&mut self, term: &Term) -> TermId {
-        self.ensure_encoded();
         self.graph.dict_mut().encode(term)
     }
 
@@ -1084,119 +986,97 @@ pub(crate) mod tests {
             Strategy::Saturation,
             Strategy::Ucq,
             Strategy::Scq,
-            Strategy::Range,
             Strategy::minimized_ucq_default(),
             Strategy::ecov_default(),
             Strategy::gcov_default(),
         ]
     }
 
-    /// A four-level class chain with a property hierarchy, loaded under
-    /// both encodings.
-    pub(crate) fn hierarchy_db(mode: EncodingMode) -> RdfDatabase {
-        let mut db = RdfDatabase::new().with_encoding(mode);
+    const WORKS: [&str; 5] = ["Work", "Publication", "Book", "Article", "Novel"];
+
+    /// A four-level class chain (Novel ⊑ Book ⊑ Publication ⊑ Work,
+    /// Article ⊑ Publication) with a property hierarchy, in plain
+    /// first-seen ids. Each class is first named by its one instance's
+    /// type triple, root first, so the five class ids interleave with
+    /// document, author and `writtenBy` ids: collapsing the subtree
+    /// means bridging those gaps.
+    pub(crate) fn hierarchy_db() -> RdfDatabase {
+        let mut db = RdfDatabase::new();
         let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
-        let mut triples = vec![
-            t("Novel", vocab::RDFS_SUBCLASS_OF, Term::uri("Book")),
-            t("Book", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
-            t("Article", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
-            t("Publication", vocab::RDFS_SUBCLASS_OF, Term::uri("Work")),
-            t("writtenBy", vocab::RDFS_SUBPROPERTY_OF, Term::uri("hasAuthor")),
-        ];
-        for (i, class) in
-            ["Novel", "Book", "Article", "Publication", "Work"].into_iter().enumerate()
-        {
+        let mut triples = Vec::new();
+        for (i, class) in WORKS.into_iter().enumerate() {
             triples.push(t(&format!("doc{i}"), vocab::RDF_TYPE, Term::uri(class)));
             triples.push(t(&format!("doc{i}"), "writtenBy", Term::uri(format!("a{i}"))));
         }
+        triples.extend([
+            t("Publication", vocab::RDFS_SUBCLASS_OF, Term::uri("Work")),
+            t("Book", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
+            t("Article", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
+            t("Novel", vocab::RDFS_SUBCLASS_OF, Term::uri("Book")),
+            t("writtenBy", vocab::RDFS_SUBPROPERTY_OF, Term::uri("hasAuthor")),
+        ]);
         db.extend(&triples);
         db.set_cost_constants(CostConstants::default());
         db
     }
 
-    #[test]
-    fn range_strategy_agrees_with_ucq_under_both_encodings() {
-        let q_text = "SELECT ?x WHERE { ?x rdf:type <Work> . }";
-        let mut expected: Option<Vec<Vec<Term>>> = None;
-        for mode in [EncodingMode::Plain, EncodingMode::Hierarchical] {
-            let mut db = hierarchy_db(mode);
-            let q = db.parse_query(q_text).unwrap();
-            for s in [Strategy::Ucq, Strategy::Range, Strategy::Saturation] {
-                let mut r = db.answer(&q, &s).unwrap();
-                r.rows.sort();
-                let decoded = db.decode_rows(&r.rows);
-                match &expected {
-                    None => expected = Some(decoded),
-                    Some(e) => assert_eq!(e, &decoded, "{mode:?}/{}", s.name()),
-                }
-            }
-        }
-        assert_eq!(expected.map(|e| e.len()), Some(5), "all five docs are Works");
+    /// Assert `?x a <Work>` explains under UCQ as one `RangeScan` over
+    /// `classes`' members, spanning from the lowest class id to past the
+    /// highest — every id between them included.
+    fn assert_one_range_scan(db: &mut RdfDatabase, q: &BgpQuery, classes: &[&str]) {
+        let raw = |c: &&str| db.graph().dict().lookup_uri(c).expect("class interned").raw();
+        let lo = classes.iter().map(raw).min().unwrap();
+        let width = classes.iter().map(raw).max().unwrap() + 1 - lo;
+        assert!(width as usize > classes.len(), "class ids interleave: [{lo}, {lo}+{width})");
+        let text = db.explain(q, &Strategy::Ucq).unwrap();
+        assert_eq!(text.matches("RangeScan").count(), 1, "{text}");
+        assert!(!text.contains("IndexScan"), "{text}");
+        assert!(text.contains(&format!("o∈[#u{lo}, #u{lo}+{width})")), "{text}");
+        assert!(text.contains(&format!("— {} members", classes.len())), "{text}");
     }
 
     #[test]
-    fn hierarchical_encoding_collapses_class_subtree_queries() {
-        let mut db = hierarchy_db(EncodingMode::Hierarchical);
+    fn ucq_collapses_a_class_subtree_across_interleaved_ids() {
+        let mut db = hierarchy_db();
         let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let r = db.answer(&q, &Strategy::Range).unwrap();
-        assert!(
-            r.counters.range_scans >= 1,
-            "the five-class subtree collapses into a range scan (counters: {:?})",
-            r.counters
-        );
-        let enc = db.hierarchy_encoding().expect("encoding ran");
-        let work = db.graph().dict().lookup(&Term::uri("Work")).unwrap();
-        let range = enc.descendant_range(work).expect("tree-shaped subtree is exact");
-        assert_eq!(range.width(), 5, "Work covers all five classes");
-        // Knob off: Range degenerates to plain UCQ (no range scans).
-        db.set_profile(EngineProfile::pg_like().with_range_scans(false));
-        let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let off = db.answer(&q, &Strategy::Range).unwrap();
-        assert_eq!(off.counters.range_scans, 0);
-        let mut a = r.rows;
-        let mut b = off.rows;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "knob off changes nothing but the plan");
+        // The non-class ids inside the interval are no `rdf:type`
+        // object, which the planner reads off the index.
+        assert_one_range_scan(&mut db, &q, &WORKS);
+        let mut ucq = db.answer(&q, &Strategy::Ucq).unwrap();
+        let mut sat = db.answer(&q, &Strategy::Saturation).unwrap();
+        assert!(ucq.counters.range_scans >= 1, "counters: {:?}", ucq.counters);
+        ucq.rows.sort();
+        sat.rows.sort();
+        assert_eq!(db.decode_rows(&ucq.rows), db.decode_rows(&sat.rows));
+        assert_eq!(ucq.rows.len(), 5, "all five docs are Works");
     }
 
     #[test]
-    fn schema_insert_after_answer_refreshes_hierarchy_encoding() {
+    fn schema_insert_after_answer_still_collapses() {
         let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
-        let mut db = hierarchy_db(EncodingMode::Hierarchical);
+        let mut db = hierarchy_db();
         let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let first = db.answer(&q, &Strategy::Range).unwrap();
+        let first = db.answer(&q, &Strategy::Ucq).unwrap();
         assert!(first.counters.range_scans >= 1);
         assert_eq!(first.rows.len(), 5);
 
         // Grow the schema *after* the first answer: a new class under
-        // Publication, plus an instance of it.
+        // Publication, plus an instance of it. Both get append ids past
+        // every id the first answer saw, so `q` still holds valid ids.
         db.extend(&[
             t("Thesis", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
             t("doc9", vocab::RDF_TYPE, Term::uri("Thesis")),
         ]);
-
-        // Re-parse (the re-encoding remaps ids) and compare Range
-        // against UCQ differentially.
-        let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let mut range = db.answer(&q, &Strategy::Range).unwrap();
         let mut ucq = db.answer(&q, &Strategy::Ucq).unwrap();
-        range.rows.sort();
+        let mut sat = db.answer(&q, &Strategy::Saturation).unwrap();
         ucq.rows.sort();
-        assert_eq!(db.decode_rows(&range.rows), db.decode_rows(&ucq.rows));
-        assert_eq!(range.rows.len(), 6, "doc9 (a Thesis) is a Work now");
-        assert!(
-            range.counters.range_scans >= 1,
-            "collapse re-engages over the refreshed intervals (counters: {:?})",
-            range.counters
-        );
-        // And the interval metadata tells the truth again: before the
-        // fix the encoding never re-ran, so `descendant_range` kept
-        // reporting the pre-update width of 5.
-        let enc = db.hierarchy_encoding().expect("encoding re-ran");
-        let work = db.graph().dict().lookup(&Term::uri("Work")).unwrap();
-        let interval = enc.descendant_range(work).expect("still a tree");
-        assert_eq!(interval.width(), 6, "Work now covers six classes");
+        sat.rows.sort();
+        assert_eq!(db.decode_rows(&ucq.rows), db.decode_rows(&sat.rows));
+        assert_eq!(ucq.rows.len(), 6, "doc9 (a Thesis) is a Work now");
+        assert!(ucq.counters.range_scans >= 1, "counters: {:?}", ucq.counters);
+        let mut grown = WORKS.to_vec();
+        grown.push("Thesis");
+        assert_one_range_scan(&mut db, &q, &grown);
     }
 
     #[test]
@@ -1223,57 +1103,71 @@ pub(crate) mod tests {
 
     #[test]
     fn explain_renders_range_scans_with_decoded_names() {
-        let mut db = hierarchy_db(EncodingMode::Hierarchical);
+        let mut db = hierarchy_db();
         let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let text = db.explain(&q, &Strategy::Range).unwrap();
+        let text = db.explain(&q, &Strategy::Ucq).unwrap();
         assert!(text.contains("RangeScan"), "{text}");
-        assert!(text.contains("(Work)"), "decoded subtree-root name:\n{text}");
-        assert!(text.contains("+5)"), "interval width of the five-class subtree:\n{text}");
+        assert!(text.contains("(Work)"), "decoded name of the lowest class id:\n{text}");
+        assert!(text.contains("— 5 members"), "the five-class subtree:\n{text}");
         // The plan `explain analyze` ran reads the same way.
-        let analyzed = db.explain_analyze(&q, &Strategy::Range).unwrap();
+        let analyzed = db.explain_analyze(&q, &Strategy::Ucq).unwrap();
         assert!(analyzed.contains("RangeScan"), "{analyzed}");
         assert!(analyzed.contains("(Work)"), "{analyzed}");
         // Knob off: the same query explains as a plain UCQ of
         // IndexScans — the fallback plan, not a half-collapsed hybrid.
         db.set_profile(EngineProfile::pg_like().with_range_scans(false));
-        let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let text = db.explain(&q, &Strategy::Range).unwrap();
+        let text = db.explain(&q, &Strategy::Ucq).unwrap();
         assert!(!text.contains("RangeScan"), "{text}");
         assert!(text.contains("IndexScan"), "{text}");
     }
 
     #[test]
     fn answer_report_carries_range_plan_telemetry() {
-        let mut db = hierarchy_db(EncodingMode::Hierarchical);
+        let mut db = hierarchy_db();
         let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let r = db.answer(&q, &Strategy::Range).unwrap();
+        let r = db.answer(&q, &Strategy::Ucq).unwrap();
         assert_eq!(r.range_eligible, 1, "the single fragment has a collapsible run");
         assert!(r.range_scans_planned >= 1, "and the collapse was applied");
         // Knob off: the opportunity is still reported, unapplied.
         db.set_profile(EngineProfile::pg_like().with_range_scans(false));
-        let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let off = db.answer(&q, &Strategy::Range).unwrap();
+        let off = db.answer(&q, &Strategy::Ucq).unwrap();
         assert_eq!(off.range_eligible, 1);
         assert_eq!(off.range_scans_planned, 0);
     }
 
     #[test]
     fn range_records_log_and_replay() {
-        let mut db = hierarchy_db(EncodingMode::Hierarchical);
+        let mut db = hierarchy_db();
         let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
-        let (res, rec) = db.answer_recorded(&q, &Strategy::Range);
+        let (res, rec) = db.answer_recorded(&q, &Strategy::Ucq);
         res.unwrap();
         let rec = rec.unwrap();
-        assert_eq!(rec.strategy, "Range");
+        assert_eq!(rec.strategy, "UCQ");
         assert_eq!(rec.range_eligible, 1);
         assert!(rec.range_scans_used >= 1, "counters: {:?}", rec.counters);
         assert_eq!(rec.counters.range_scans, rec.range_scans_used);
         // The record round-trips through the JSONL line format and
-        // replays cleanly under its recorded Range strategy.
+        // replays cleanly under its recorded strategy.
         let parsed = jucq_obs::QueryRecord::from_json_line(&rec.to_json_line()).unwrap();
         assert_eq!(parsed, rec);
         let report = crate::telemetry::replay(&mut db, &[parsed]);
         assert_eq!(report.mismatches(), 0, "{:?}", report.entries);
+    }
+
+    #[test]
+    fn a_logged_range_strategy_replays_as_an_error_naming_it() {
+        // Logs written while the Range strategy existed name it.
+        let mut db = hierarchy_db();
+        let q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Work> . }").unwrap();
+        let mut rec = db.answer_recorded(&q, &Strategy::Ucq).1.unwrap();
+        rec.strategy = "Range".into();
+        let line = rec.to_json_line();
+        assert!(line.contains("\"jucq-log/4\""), "{line}");
+        let parsed = jucq_obs::QueryRecord::from_json_line(&line).unwrap();
+        let report = crate::telemetry::replay(&mut db, &[parsed]);
+        assert_eq!(report.replay_errors, 1, "{:?}", report.entries);
+        let error = report.entries[0].error.as_deref().unwrap_or_default();
+        assert!(error.contains("`Range`"), "the error names the strategy: {error}");
     }
 
     #[test]

@@ -460,13 +460,7 @@ pub(crate) fn plan_jucq_on(
             let jucq = StoreJucq::new(vec![ucq], q.head.clone());
             return Ok(Planned { jucq, cover: None, explored, saturated: true, key });
         }
-        // Range reformulates exactly like UCQ; the union-to-interval
-        // collapse happens inside the physical planner (and only when
-        // the profile's `range_scans` knob is on, so with it off Range
-        // degenerates to plain UCQ).
-        Strategy::Ucq | Strategy::Range | Strategy::MinimizedUcq { .. } => {
-            Cover::single_fragment(q)?
-        }
+        Strategy::Ucq | Strategy::MinimizedUcq { .. } => Cover::single_fragment(q)?,
         Strategy::Scq => Cover::singletons(q)?,
         Strategy::FixedCover(cover) => cover.clone(),
         Strategy::ECov { cost, .. } | Strategy::GCov { cost, .. } => {

@@ -81,7 +81,7 @@ pub mod telemetry;
 pub mod turtle;
 
 pub use advisor::{advise, AdvisorReport, ViewAdvice};
-pub use database::{EncodingMode, RdfDatabase};
+pub use database::RdfDatabase;
 pub use epoch::Snapshot;
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use report::{AnswerError, AnswerReport, UpdateReport};

@@ -12,13 +12,13 @@
 //! never mutates one.
 //!
 //! Schema-changing updates force a rebuild on the writer's side, which
-//! re-runs the hierarchy encoding (the interval labels now cover the
-//! grown hierarchy) and swaps in a fresh plan cache — remapped term
-//! ids make old physical plans unsound, so the new epoch must not be
-//! able to see them. Because each snapshot holds the dictionary as of
-//! its publication, queries parsed against an old epoch hold that
-//! epoch's ids and stay correct against that epoch; new requests parse
-//! against the new snapshot and see the new ids.
+//! swaps in a fresh plan cache — plans lowered against the old closure
+//! and statistics must not reach the new epoch, even when a reader
+//! still pinned to the old one attaches them after the rebuild. Term
+//! ids are append-only, so a query parsed against an old epoch means
+//! the same terms against any later one; each snapshot holds the
+//! dictionary as of its publication, so it decodes exactly the ids its
+//! own stores hold.
 
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
@@ -68,8 +68,8 @@ impl ServingDb {
     /// Wrap a (loaded, configured) database and publish its current
     /// snapshot — epoch 0 for a database that has not been updated
     /// since its first preparation. Preparation — closure, stores,
-    /// calibration, optional hierarchy encoding — happens here if it
-    /// has not yet, before the first request is admitted.
+    /// calibration — happens here if it has not yet, before the first
+    /// request is admitted.
     pub fn new(mut db: RdfDatabase) -> Self {
         let snapshot = Arc::clone(db.snapshot());
         ServingDb {
@@ -133,9 +133,10 @@ impl ServingDb {
     /// ([`RdfDatabase::apply_data_updates`]) and publish the next
     /// epoch, from the previous snapshot plus the delta or, on schema
     /// statements or new vocabulary, from scratch and with a fresh plan
-    /// cache (the rebuild can remap term ids, so plans attached by
-    /// readers still pinned to the old epoch must stay in the old cache
-    /// instance). Readers are only blocked for the pointer swap.
+    /// cache (plans attached by readers still pinned to the old epoch
+    /// were lowered against the old stores, so they must stay in the
+    /// old cache instance). Readers are only blocked for the pointer
+    /// swap.
     pub fn apply_data_updates(&self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
         let mut db = self.lock_writer();
         let report = db.apply_data_updates(inserts, deletes);
@@ -184,7 +185,7 @@ impl ServingDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::{tests::hierarchy_db, EncodingMode};
+    use crate::database::tests::hierarchy_db;
     use jucq_model::{vocab, Term};
     use std::time::Duration;
 
@@ -193,8 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn schema_update_republishes_with_fresh_encoding_and_cache() {
-        let mut db = hierarchy_db(EncodingMode::Hierarchical);
+    fn schema_update_republishes_with_a_fresh_cache() {
+        let mut db = hierarchy_db();
         db.enable_plan_cache(8);
         let serving = ServingDb::new(db);
         let snap0 = serving.snapshot();
@@ -208,7 +209,7 @@ mod tests {
         let stats0 = snap0.plan_cache_stats().unwrap();
         assert_eq!((stats0.hits, stats0.misses), (1, 1));
 
-        // Grow the class hierarchy: rebuild, re-encode, republish.
+        // Grow the class hierarchy: rebuild, republish.
         let report = serving.apply_data_updates(
             &[
                 t("Thesis", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
@@ -221,16 +222,17 @@ mod tests {
         let snap1 = serving.snapshot();
         assert_eq!(snap1.epoch(), 1);
 
-        // The new epoch's encoding covers the grown hierarchy: Range
-        // agrees with UCQ and the interval collapse engages.
+        // The new epoch sees the grown hierarchy: UCQ agrees with
+        // saturation and still collapses the subtree, Thesis included.
         let q1 = snap1.parse_query(q_text).unwrap();
+        assert_eq!(q1, q0, "append-only ids: the query parses to the same ids");
         let mut ucq = snap1.answer(&q1, &Strategy::Ucq).unwrap();
-        let mut range = snap1.answer(&q1, &Strategy::Range).unwrap();
+        let mut sat = snap1.answer(&q1, &Strategy::Saturation).unwrap();
         ucq.rows.sort();
-        range.rows.sort();
-        assert_eq!(snap1.decode_rows(&range.rows), snap1.decode_rows(&ucq.rows));
-        assert_eq!(range.rows.len(), 6, "doc9 is a Work through Thesis");
-        assert!(range.range_scans_planned >= 1, "collapse re-engaged after re-encoding");
+        sat.rows.sort();
+        assert_eq!(snap1.decode_rows(&ucq.rows), snap1.decode_rows(&sat.rows));
+        assert_eq!(ucq.rows.len(), 6, "doc9 is a Work through Thesis");
+        assert!(ucq.range_scans_planned >= 1, "the grown subtree still collapses");
 
         // The rebuild swapped the cache handle: the new epoch starts
         // cold, and anything readers still pinned to the old epoch
@@ -249,7 +251,7 @@ mod tests {
 
     #[test]
     fn request_profile_tightens_only_execution_knobs() {
-        let serving = ServingDb::new(hierarchy_db(EncodingMode::Plain));
+        let serving = ServingDb::new(hierarchy_db());
         let snap = serving.snapshot();
         let limits = snap.request_profile(Some(Duration::from_millis(250)), Some(1_000));
         assert_eq!(limits.timeout, Duration::from_millis(250));

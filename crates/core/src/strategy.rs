@@ -27,14 +27,6 @@ pub enum Strategy {
     /// The SCQ reformulation of \[13\] (one singleton fragment per
     /// triple).
     Scq,
-    /// The UCQ reformulation with the planner's range-collapse pass
-    /// relied on to merge contiguous-id union members into interval
-    /// scans (LiteMat-style). Reformulates exactly like [`Strategy::Ucq`];
-    /// the collapse happens at plan time and pays off when the store was
-    /// loaded with the hierarchy-aware dictionary encoding (a class or
-    /// property subtree then occupies one contiguous id block). With the
-    /// profile's `range_scans` knob off this degenerates to plain UCQ.
-    Range,
     /// The UCQ reformulation minimized by containment (dropping union
     /// members subsumed by others, as the "minimal" reformulations of
     /// the paper's related work \[14, 15\]). Minimization is quadratic in
@@ -92,11 +84,27 @@ impl Strategy {
             Strategy::Saturation => "SAT",
             Strategy::Ucq => "UCQ",
             Strategy::Scq => "SCQ",
-            Strategy::Range => "Range",
             Strategy::MinimizedUcq { .. } => "UCQmin",
             Strategy::ECov { .. } => "ECov",
             Strategy::GCov { .. } => "GCov",
             Strategy::FixedCover(_) => "Cover",
+        }
+    }
+
+    /// The strategy a name denotes: a lowercase CLI / HTTP name (`sat`,
+    /// `saturation`, `ucq`, `scq`, `ecov`, `gcov`) or a [`Strategy::name`]
+    /// as the query log records it. Budgeted searches get their default
+    /// budgets. `Cover` names no strategy on its own — the cover is
+    /// separate data — and unknown names are `None`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "sat" | "saturation" | "SAT" => Some(Strategy::Saturation),
+            "ucq" | "UCQ" => Some(Strategy::Ucq),
+            "scq" | "SCQ" => Some(Strategy::Scq),
+            "UCQmin" => Some(Strategy::minimized_ucq_default()),
+            "ecov" | "ECov" => Some(Strategy::ecov_default()),
+            "gcov" | "GCov" => Some(Strategy::gcov_default()),
+            _ => None,
         }
     }
 }
@@ -110,9 +118,35 @@ mod tests {
         assert_eq!(Strategy::Saturation.name(), "SAT");
         assert_eq!(Strategy::Ucq.name(), "UCQ");
         assert_eq!(Strategy::Scq.name(), "SCQ");
-        assert_eq!(Strategy::Range.name(), "Range");
         assert_eq!(Strategy::ecov_default().name(), "ECov");
         assert_eq!(Strategy::gcov_default().name(), "GCov");
+    }
+
+    #[test]
+    fn from_name_reads_cli_and_record_names() {
+        for s in [
+            Strategy::Saturation,
+            Strategy::Ucq,
+            Strategy::Scq,
+            Strategy::minimized_ucq_default(),
+            Strategy::ecov_default(),
+            Strategy::gcov_default(),
+        ] {
+            assert_eq!(Strategy::from_name(s.name()), Some(s.clone()), "{}", s.name());
+        }
+        for (cli, record) in [
+            ("sat", "SAT"),
+            ("saturation", "SAT"),
+            ("ucq", "UCQ"),
+            ("scq", "SCQ"),
+            ("ecov", "ECov"),
+            ("gcov", "GCov"),
+        ] {
+            assert_eq!(Strategy::from_name(cli).map(|s| s.name()), Some(record), "{cli}");
+        }
+        for unknown in ["Range", "range", "Cover", "bogus", ""] {
+            assert_eq!(Strategy::from_name(unknown), None, "`{unknown}`");
+        }
     }
 
     #[test]

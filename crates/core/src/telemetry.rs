@@ -382,22 +382,15 @@ impl ReplayReport {
 /// in the profile fingerprint, not the strategy name); `Cover` records
 /// rebuild their exact recorded fragments.
 fn strategy_for(rec: &QueryRecord, q: &BgpQuery) -> Result<Strategy, String> {
-    match rec.strategy.as_str() {
-        "SAT" => Ok(Strategy::Saturation),
-        "UCQ" => Ok(Strategy::Ucq),
-        "SCQ" => Ok(Strategy::Scq),
-        "Range" => Ok(Strategy::Range),
-        "UCQmin" => Ok(Strategy::minimized_ucq_default()),
-        "ECov" => Ok(Strategy::ecov_default()),
-        "GCov" => Ok(Strategy::gcov_default()),
-        "Cover" => {
-            let fragments = rec.cover.as_ref().ok_or("Cover record without a cover")?;
-            let fragments: Vec<Vec<usize>> =
-                fragments.iter().map(|f| f.iter().map(|&i| i as usize).collect()).collect();
-            Cover::new(q, fragments).map(Strategy::FixedCover).map_err(|e| format!("cover: {e}"))
-        }
-        other => Err(format!("unknown strategy `{other}`")),
+    if rec.strategy == "Cover" {
+        let fragments = rec.cover.as_ref().ok_or("Cover record without a cover")?;
+        let fragments: Vec<Vec<usize>> =
+            fragments.iter().map(|f| f.iter().map(|&i| i as usize).collect()).collect();
+        return Cover::new(q, fragments)
+            .map(Strategy::FixedCover)
+            .map_err(|e| format!("cover: {e}"));
     }
+    Strategy::from_name(&rec.strategy).ok_or_else(|| format!("unknown strategy `{}`", rec.strategy))
 }
 
 /// Re-execute `records` against `db` and diff the results.

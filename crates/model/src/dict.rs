@@ -197,29 +197,6 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Renumber the URI ids in place: `new_of_old[i]` is the new index
-    /// of the URI currently at index `i`. Literal and blank ids are
-    /// untouched. This is the remap step of the hierarchy-aware
-    /// encoding — every id handed out *before* this call is invalidated,
-    /// so callers run it once, before any id escapes.
-    ///
-    /// # Panics
-    /// Panics if `new_of_old` is not a permutation of `0..uri_count`.
-    pub fn apply_uri_permutation(&mut self, new_of_old: &[u32]) {
-        let uris = self.lexemes_mut(TermKind::Uri);
-        assert_eq!(new_of_old.len(), uris.by_id.len(), "permutation must cover every URI");
-        let mut new_uris: Vec<Option<Arc<str>>> = vec![None; uris.by_id.len()];
-        for (old, s) in std::mem::take(&mut uris.by_id).into_iter().enumerate() {
-            let slot = &mut new_uris[new_of_old[old] as usize];
-            assert!(slot.is_none(), "duplicate target index {}", new_of_old[old]);
-            *slot = Some(s);
-        }
-        uris.by_id = new_uris.into_iter().map(|s| s.expect("bijection")).collect();
-        for index in uris.ids.values_mut() {
-            *index = new_of_old[*index as usize];
-        }
-    }
-
     /// Mint a fresh blank node that is guaranteed not to collide with
     /// any parsed label (used by saturation for existential values).
     pub fn fresh_blank(&mut self) -> TermId {
@@ -271,10 +248,6 @@ mod tests {
         assert!(!epoch.contains_id(b), "the published epoch never sees it");
         assert_eq!(epoch.lookup_uri("b"), None);
         assert_eq!((epoch.len(), writer.len()), (2, 3));
-        // Renumbering is a write too.
-        let mut renumbered = epoch.clone();
-        renumbered.apply_uri_permutation(&[0]);
-        assert!(!Arc::ptr_eq(&renumbered.uris, &epoch.uris));
     }
 
     #[test]
@@ -363,41 +336,6 @@ mod tests {
         d.reserve(1000);
         assert_eq!(d.lookup_uri("a"), Some(a));
         assert_eq!(d.encode_uri("a"), a, "reserve keeps interned ids");
-    }
-
-    #[test]
-    fn uri_permutation_renumbers_only_uris() {
-        let mut d = Dictionary::new();
-        let a = d.encode_uri("a");
-        let b = d.encode_uri("b");
-        let c = d.encode_uri("c");
-        let l = d.encode_literal("lit");
-        // Rotate: a→2, b→0, c→1.
-        d.apply_uri_permutation(&[2, 0, 1]);
-        assert_eq!(d.lookup_uri("a"), Some(TermId::new(TermKind::Uri, 2)));
-        assert_eq!(d.lookup_uri("b"), Some(TermId::new(TermKind::Uri, 0)));
-        assert_eq!(d.lookup_uri("c"), Some(TermId::new(TermKind::Uri, 1)));
-        assert_eq!(d.lookup(&Term::literal("lit")), Some(l), "literal ids survive");
-        // Decode follows the new numbering.
-        assert_eq!(d.decode(TermId::new(TermKind::Uri, 2)), Term::uri("a"));
-        assert_eq!(d.lexical(TermId::new(TermKind::Uri, 0)), "b");
-        let _ = (a, b, c);
-        // So does a clone taken afterwards, which still shares lexemes.
-        let copy = d.clone();
-        assert_eq!(copy.lookup_uri("a"), Some(TermId::new(TermKind::Uri, 2)));
-        assert_eq!(copy.lookup(&Term::uri("c")), Some(TermId::new(TermKind::Uri, 1)));
-        assert_eq!(copy.lookup(&Term::literal("lit")), Some(l));
-        assert_eq!(copy.lookup(&Term::literal("a")), None, "kinds keep separate indexes");
-        assert!(std::ptr::eq(copy.lexical(l), d.lexical(l)));
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation must cover every URI")]
-    fn uri_permutation_rejects_wrong_length() {
-        let mut d = Dictionary::new();
-        d.encode_uri("a");
-        d.encode_uri("b");
-        d.apply_uri_permutation(&[0]);
     }
 
     #[test]

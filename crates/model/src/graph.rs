@@ -9,10 +9,9 @@
 //!   destined for the `Triples(s,p,o)` table of the storage layer.
 
 use crate::dict::Dictionary;
-use crate::encoding::{self, HierarchyEncoding, IdRange};
 use crate::hash::FxHashSet;
 use crate::schema::{Schema, SchemaClosure};
-use crate::term::{Term, TermKind};
+use crate::term::Term;
 use crate::triple::{TermId, Triple, TripleId};
 use crate::vocab;
 
@@ -24,7 +23,6 @@ pub struct Graph {
     data: Vec<TripleId>,
     data_set: FxHashSet<TripleId>,
     rdf_type: Option<TermId>,
-    encoding: Option<HierarchyEncoding>,
 }
 
 impl Graph {
@@ -191,66 +189,6 @@ impl Graph {
     pub fn decode(&self, t: &TripleId) -> Triple {
         Triple::new(self.dict.decode(t.s), self.dict.decode(t.p), self.dict.decode(t.o))
     }
-
-    /// Switch the graph to the hierarchy-aware (LiteMat-style) URI
-    /// numbering: renumber every URI so class/property subhierarchies
-    /// occupy contiguous id intervals, remapping the dictionary, the
-    /// schema constraints and every data triple in place.
-    ///
-    /// Every [`TermId`] handed out *before* this call is invalidated, so
-    /// it must run before any id escapes the graph — i.e. right after
-    /// load/saturation and before the storage layer builds its
-    /// permutation indexes. URIs interned *after* this call get plain
-    /// append ids past the laid-out blocks; they are correct but take no
-    /// part in any interval until a re-encode.
-    pub fn apply_hierarchy_encoding(&mut self) -> &HierarchyEncoding {
-        let closure = self.schema_closure();
-        let (enc, new_of_old) =
-            encoding::build(&self.schema, &closure, self.dict.kind_len(TermKind::Uri));
-        let map = |id: TermId| {
-            if id.is_uri() {
-                TermId::new(TermKind::Uri, new_of_old[id.index() as usize])
-            } else {
-                id
-            }
-        };
-        self.dict.apply_uri_permutation(&new_of_old);
-        for list in [
-            &mut self.schema.subclass,
-            &mut self.schema.subproperty,
-            &mut self.schema.domain,
-            &mut self.schema.range,
-        ] {
-            for pair in list.iter_mut() {
-                *pair = (map(pair.0), map(pair.1));
-            }
-        }
-        for t in &mut self.data {
-            *t = TripleId::new(map(t.s), map(t.p), map(t.o));
-        }
-        self.data_set = self.data.iter().copied().collect();
-        self.rdf_type = self.rdf_type.map(map);
-        self.encoding.insert(enc)
-    }
-
-    /// The hierarchy encoding, if [`Graph::apply_hierarchy_encoding`]
-    /// has run.
-    pub fn encoding(&self) -> Option<&HierarchyEncoding> {
-        self.encoding.as_ref()
-    }
-
-    /// The exact descendant id interval of `class` under the hierarchy
-    /// encoding (`None` without the encoding, for unknown classes, and
-    /// for multi-parent/cycle cases whose interval is inexact).
-    pub fn descendant_range(&self, class: TermId) -> Option<IdRange> {
-        self.encoding.as_ref()?.descendant_range(class)
-    }
-
-    /// The exact descendant id interval of property `p` (see
-    /// [`Graph::descendant_range`]).
-    pub fn property_descendant_range(&self, p: TermId) -> Option<IdRange> {
-        self.encoding.as_ref()?.property_descendant_range(p)
-    }
 }
 
 #[cfg(test)]
@@ -342,37 +280,6 @@ mod tests {
         all.insert(first); // absent entries are ignored
         assert_eq!(g.remove_data_batch(&all), 4);
         assert!(g.is_empty());
-    }
-
-    #[test]
-    fn hierarchy_encoding_remaps_graph_consistently() {
-        let mut g = paper_graph();
-        // Decoded view of the data before the remap.
-        let before: Vec<Triple> = g.data().iter().map(|t| g.decode(t)).collect();
-        let schema_before = g.schema().len();
-        g.apply_hierarchy_encoding();
-        // Same triples, same order, new numbers.
-        let after: Vec<Triple> = g.data().iter().map(|t| g.decode(t)).collect();
-        assert_eq!(before, after, "decoded data survives the remap");
-        assert_eq!(g.schema().len(), schema_before);
-        assert_eq!(g.rdf_type_id(), g.dict().lookup_uri(vocab::RDF_TYPE));
-        assert!(g.contains_data(&g.data()[0]), "data_set rebuilt in new ids");
-        // Book ⊑ Publication: Publication gets a width-2 exact interval
-        // containing Book.
-        let publication = g.dict().lookup_uri("Publication").unwrap();
-        let book = g.dict().lookup_uri("Book").unwrap();
-        let r = g.descendant_range(publication).expect("tree hierarchy is exact");
-        assert_eq!(r.width(), 2);
-        assert!(r.contains(book) && r.contains(publication));
-        // writtenBy ⊑ hasAuthor on the property side.
-        let has_author = g.dict().lookup_uri("hasAuthor").unwrap();
-        let written_by = g.dict().lookup_uri("writtenBy").unwrap();
-        let pr = g.property_descendant_range(has_author).expect("property interval");
-        assert_eq!(pr.width(), 2);
-        assert!(pr.contains(written_by));
-        // Later interns get plain append ids, outside every interval.
-        let late = g.dict_mut().encode_uri("late-comer");
-        assert!(!r.contains(late) && !pr.contains(late));
     }
 
     #[test]

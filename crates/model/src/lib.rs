@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod dict;
-pub mod encoding;
 pub mod graph;
 pub mod hash;
 pub mod schema;
@@ -32,7 +31,6 @@ pub mod triple;
 pub mod vocab;
 
 pub use dict::Dictionary;
-pub use encoding::{HierarchyEncoding, IdRange};
 pub use graph::Graph;
 pub use hash::{FxHashMap, FxHashSet};
 pub use schema::{Schema, SchemaClosure};

@@ -79,8 +79,9 @@ pub struct QueryRecord {
     pub query: String,
     /// Stable fingerprint of the canonicalized query.
     pub fingerprint: String,
-    /// Strategy short name (`SAT`, `UCQ`, `SCQ`, `Range`, `UCQmin`,
-    /// `ECov`, `GCov`, `Cover`).
+    /// Strategy short name (`SAT`, `UCQ`, `SCQ`, `UCQmin`, `ECov`,
+    /// `GCov`, `Cover`; logs from before its deletion may name `Range`,
+    /// which replays as an error).
     pub strategy: String,
     /// The engine profile's plan-affecting knob fingerprint.
     pub profile: String,

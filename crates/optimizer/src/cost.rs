@@ -53,9 +53,10 @@ pub struct CostConstants {
     /// Per-tuple cost of streaming one contiguous dictionary interval
     /// (`c_range`): a collapsed union member's tuples arrive from a
     /// single index range scan, skipping the per-member lookup setup and
-    /// union-dedup pressure that `c_t + c_j` prices. Defaulted on
-    /// deserialization so constants documents written before the
-    /// hierarchy encoding existed still load.
+    /// union-dedup pressure that `c_t + c_j` prices. Term ids never
+    /// remap, so an interval priced here is the one the planner scans.
+    /// Defaulted on deserialization so constants documents written
+    /// before range collapse existed still load.
     #[serde(default = "default_c_range")]
     pub c_range: f64,
     /// Per-tuple cost of copying one tuple out of a materialized

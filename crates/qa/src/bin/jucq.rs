@@ -14,18 +14,14 @@
 //! jucq advise <log.jsonl> [--budget-tuples N]           # view advisor
 //! jucq fuzz  [--seed S] [--cases N] [--profile P|all]   # differential fuzzing
 //! jucq serve <data.ttl> [--port N] [--threads N] [--deadline-ms N]
-//!            [--queue-depth N] [--strategy S] [--profile P] [--encoding E]
+//!            [--queue-depth N] [--strategy S] [--profile P]
 //!            [--plan-cache N] [--query-log PATH] [--slow-ms N]
 //!            [--view-budget-tuples N] [--auto-views LOG]  # HTTP endpoint
 //! ```
 //!
-//! Strategies: `sat`, `ucq`, `scq`, `range`, `ecov`, `gcov` (default).
+//! Strategies: `sat`, `ucq`, `scq`, `ecov`, `gcov` (default) — or the
+//! names the query log records (`Strategy::from_name`).
 //! Profiles: `pg` (default), `db2`, `mysql`, `native`.
-//! Encoding: `--encoding plain|hierarchical` selects the dictionary
-//! id-assignment mode; `hierarchical` remaps ids so class/property
-//! subtrees occupy contiguous blocks, letting the planner collapse
-//! reformulation unions into interval scans (pair it with
-//! `--strategy range`).
 //! Threads: `--threads N` (or the `JUCQ_THREADS` environment variable)
 //! sizes the worker pool for union/fragment evaluation (planning is
 //! sequential); the default is the machine's available parallelism.
@@ -59,33 +55,13 @@ use jucq_core::model::Dictionary;
 use jucq_core::reformulation::Cover;
 use jucq_core::rows::term_rows;
 use jucq_core::store::{EngineProfile, Relation};
-use jucq_core::{EncodingMode, RdfDatabase, Strategy};
+use jucq_core::{RdfDatabase, Strategy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|range|ecov|gcov] [--profile pg|db2|mysql|native] [--encoding plain|hierarchical] [--threads N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--encoding ...] [--threads N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--encoding ...] [--threads N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--encoding ...] [--threads N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--encoding ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
+        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|ecov|gcov] [--profile pg|db2|mysql|native] [--threads N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--threads N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--threads N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--threads N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
     );
     std::process::exit(2)
-}
-
-fn parse_strategy(name: &str) -> Option<Strategy> {
-    match name {
-        "sat" | "saturation" => Some(Strategy::Saturation),
-        "ucq" => Some(Strategy::Ucq),
-        "scq" => Some(Strategy::Scq),
-        "range" => Some(Strategy::Range),
-        "ecov" => Some(Strategy::ecov_default()),
-        "gcov" => Some(Strategy::gcov_default()),
-        _ => None,
-    }
-}
-
-fn parse_encoding(name: &str) -> Option<EncodingMode> {
-    match name {
-        "plain" => Some(EncodingMode::Plain),
-        "hier" | "hierarchical" => Some(EncodingMode::Hierarchical),
-        _ => None,
-    }
 }
 
 fn parse_profile(name: &str) -> Option<EngineProfile> {
@@ -98,14 +74,10 @@ fn parse_profile(name: &str) -> Option<EngineProfile> {
     }
 }
 
-fn load(
-    path: &str,
-    profile: EngineProfile,
-    encoding: EncodingMode,
-) -> Result<RdfDatabase, Box<dyn std::error::Error>> {
+fn load(path: &str, profile: EngineProfile) -> Result<RdfDatabase, Box<dyn std::error::Error>> {
     let bytes = std::fs::read(path)?;
     // Snapshot files self-identify by magic; anything else is Turtle.
-    let mut db = if bytes.starts_with(b"JUCQSNAP") {
+    let db = if bytes.starts_with(b"JUCQSNAP") {
         let graph = jucq_core::snapshot::load(&bytes)?;
         RdfDatabase::from_graph(graph, profile)
     } else {
@@ -114,7 +86,6 @@ fn load(
         db.load_turtle(&text)?;
         db
     };
-    db.set_encoding(encoding);
     eprintln!(
         "loaded {} data triples, {} schema constraints",
         db.graph().len(),
@@ -125,7 +96,7 @@ fn load(
 
 fn cmd_snapshot(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [input, output] = args.as_slice() else { usage() };
-    let db = load(input, EngineProfile::pg_like(), EncodingMode::Plain)?;
+    let db = load(input, EngineProfile::pg_like())?;
     let bytes = jucq_core::snapshot::save(db.graph());
     std::fs::write(output, &bytes)?;
     eprintln!("wrote {} ({} bytes)", output, bytes.len());
@@ -205,7 +176,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut strategy = Strategy::gcov_default();
     let mut profile = EngineProfile::pg_like();
-    let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
     let mut compare = false;
     let mut explain_analyze = false;
@@ -221,17 +191,12 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             "--strategy" => {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
-                strategy = parse_strategy(&v).unwrap_or_else(|| usage());
+                strategy = Strategy::from_name(&v).unwrap_or_else(|| usage());
             }
             "--profile" => {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 profile = parse_profile(&v).unwrap_or_else(|| usage());
-            }
-            "--encoding" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                encoding = parse_encoding(&v).unwrap_or_else(|| usage());
             }
             "--threads" => {
                 let v = args.first().cloned().unwrap_or_default();
@@ -296,20 +261,14 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             slow_threshold,
         })?;
     }
-    let mut db = load(path, profile, encoding)?;
+    let mut db = load(path, profile)?;
     db.enable_plan_cache(64);
     let outcome = if explain_analyze {
         run_explain_analyze(&mut db, sparql, &strategy)
     } else if compare {
         // Every strategy runs; any failure fails the command.
         let mut failed = 0;
-        for s in [
-            Strategy::Saturation,
-            Strategy::Ucq,
-            Strategy::Scq,
-            Strategy::Range,
-            Strategy::gcov_default(),
-        ] {
+        for s in [Strategy::Saturation, Strategy::Ucq, Strategy::Scq, Strategy::gcov_default()] {
             if let Err(e) = run_query(&mut db, sparql, &s, 0) {
                 eprintln!("{e}");
                 failed += 1;
@@ -344,7 +303,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
-    let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
     let mut report_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -355,11 +313,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 profile = parse_profile(&v).unwrap_or_else(|| usage());
-            }
-            "--encoding" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                encoding = parse_encoding(&v).unwrap_or_else(|| usage());
             }
             "--threads" => {
                 let v = args.first().cloned().unwrap_or_default();
@@ -391,7 +344,7 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     if records.is_empty() {
         return Err(format!("no replayable records in {log}").into());
     }
-    let mut db = load(path, profile, encoding)?;
+    let mut db = load(path, profile)?;
     db.enable_plan_cache(64);
     let report = jucq_core::telemetry::replay(&mut db, &records);
     eprintln!(
@@ -454,21 +407,6 @@ fn cmd_advise(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Map a query-log strategy short name back to a pinnable [`Strategy`].
-/// `Cover` records carry the cover itself and are rebuilt per query in
-/// [`auto_pin_views`]; `SAT` never reaches here (the advisor filters it).
-fn strategy_from_record_name(name: &str) -> Option<Strategy> {
-    match name {
-        "UCQ" => Some(Strategy::Ucq),
-        "SCQ" => Some(Strategy::Scq),
-        "Range" => Some(Strategy::Range),
-        "UCQmin" => Some(Strategy::minimized_ucq_default()),
-        "ECov" => Some(Strategy::ecov_default()),
-        "GCov" => Some(Strategy::gcov_default()),
-        _ => None,
-    }
-}
-
 /// Run the advisor over `log` and pin each advised query's fragments
 /// into `serving`'s view catalog (one pin per distinct (query,
 /// strategy); the catalog's tuple budget is the hard cap, so a pin that
@@ -504,7 +442,8 @@ fn auto_pin_views(
                     Err(_) => continue,
                 }
             }
-            name => match strategy_from_record_name(name) {
+            // `SAT` never reaches here: the advisor filters it.
+            name => match Strategy::from_name(name) {
                 Some(s) => s,
                 None => continue,
             },
@@ -526,7 +465,6 @@ fn auto_pin_views(
 fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut strategy = Strategy::gcov_default();
     let mut profile = EngineProfile::pg_like();
-    let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
     let mut analyze = false;
     let mut positional: Vec<String> = Vec::new();
@@ -536,17 +474,12 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
             "--strategy" => {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
-                strategy = parse_strategy(&v).unwrap_or_else(|| usage());
+                strategy = Strategy::from_name(&v).unwrap_or_else(|| usage());
             }
             "--profile" => {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 profile = parse_profile(&v).unwrap_or_else(|| usage());
-            }
-            "--encoding" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                encoding = parse_encoding(&v).unwrap_or_else(|| usage());
             }
             "--threads" => {
                 let v = args.first().cloned().unwrap_or_default();
@@ -563,7 +496,7 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
     }
-    let mut db = load(path, profile, encoding)?;
+    let mut db = load(path, profile)?;
     let q = db.parse_query(sparql)?;
     let text =
         if analyze { db.explain_analyze(&q, &strategy)? } else { db.explain(&q, &strategy)? };
@@ -575,7 +508,7 @@ fn cmd_covers(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [path, sparql] = args.as_slice() else {
         usage();
     };
-    let mut db = load(path, EngineProfile::pg_like(), EncodingMode::Plain)?;
+    let mut db = load(path, EngineProfile::pg_like())?;
     let q = db.parse_query(sparql)?;
     // Enumerate two-fragment covers plus the extremes, report sizes and
     // measured times (the Table 2 experience for any query).
@@ -619,7 +552,7 @@ fn cmd_covers(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_stats(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [path] = args.as_slice() else { usage() };
-    let mut db = load(path, EngineProfile::pg_like(), EncodingMode::Plain)?;
+    let mut db = load(path, EngineProfile::pg_like())?;
     db.prepare();
     let plain = db.plain_store();
     println!("data triples (plain store): {}", plain.stats().total());
@@ -637,7 +570,6 @@ fn cmd_stats(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
-    let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
     let mut positional = Vec::new();
     while !args.is_empty() {
@@ -646,10 +578,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let v = args.first().cloned().unwrap_or_default();
             args.drain(..1.min(args.len()));
             profile = parse_profile(&v).unwrap_or_else(|| usage());
-        } else if a == "--encoding" {
-            let v = args.first().cloned().unwrap_or_default();
-            args.drain(..1.min(args.len()));
-            encoding = parse_encoding(&v).unwrap_or_else(|| usage());
         } else if a == "--threads" {
             let v = args.first().cloned().unwrap_or_default();
             args.drain(..1.min(args.len()));
@@ -662,7 +590,7 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
     }
-    let mut db = load(path, profile, encoding)?;
+    let mut db = load(path, profile)?;
     db.enable_plan_cache(64);
     if jucq_obs::record::install_from_env() {
         eprintln!("query log installed from JUCQ_QUERY_LOG/JUCQ_SLOW_MS");
@@ -685,7 +613,7 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let mut parts = cmd.split_whitespace();
             match (parts.next(), parts.next()) {
                 (Some("quit" | "q"), _) => break,
-                (Some("strategy"), Some(v)) => match parse_strategy(v) {
+                (Some("strategy"), Some(v)) => match Strategy::from_name(v) {
                     Some(s) => strategy = s,
                     None => eprintln!("unknown strategy `{v}`"),
                 },
@@ -694,7 +622,7 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                     None => eprintln!("unknown profile `{v}`"),
                 },
                 (Some("help"), _) => eprintln!(
-                    ":strategy sat|ucq|scq|range|ecov|gcov, :profile pg|db2|mysql|native, :quit"
+                    ":strategy sat|ucq|scq|ecov|gcov, :profile pg|db2|mysql|native, :quit"
                 ),
                 _ => eprintln!("unknown command; try :help"),
             }
@@ -714,7 +642,6 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut deadline_ms: Option<u64> = None;
     let mut strategy = Strategy::gcov_default();
     let mut profile = EngineProfile::pg_like();
-    let mut encoding = EncodingMode::Plain;
     let mut plan_cache: usize = 256;
     let mut query_log: Option<String> = None;
     let mut slow_ms: Option<u64> = None;
@@ -738,9 +665,10 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             "--deadline-ms" => {
                 deadline_ms = Some(flag_value().parse().unwrap_or_else(|_| usage()));
             }
-            "--strategy" => strategy = parse_strategy(&flag_value()).unwrap_or_else(|| usage()),
+            "--strategy" => {
+                strategy = Strategy::from_name(&flag_value()).unwrap_or_else(|| usage());
+            }
             "--profile" => profile = parse_profile(&flag_value()).unwrap_or_else(|| usage()),
-            "--encoding" => encoding = parse_encoding(&flag_value()).unwrap_or_else(|| usage()),
             "--plan-cache" => plan_cache = flag_value().parse().unwrap_or_else(|_| usage()),
             "--query-log" => query_log = Some(flag_value()),
             "--slow-ms" => slow_ms = Some(flag_value().parse().unwrap_or_else(|_| usage())),
@@ -769,7 +697,7 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         })?;
     }
 
-    let mut db = load(path, profile, encoding)?;
+    let mut db = load(path, profile)?;
     if plan_cache > 0 {
         db.enable_plan_cache(plan_cache);
     }
@@ -842,10 +770,11 @@ fn cmd_fuzz(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("jucq-qa: fuzzing {cases} cases from seed {seed} against profile(s) `{profile}`");
     let report = jucq_qa::run_fuzz(seed, cases, &profiles, verbose);
     eprintln!(
-        "jucq-qa: {} cases, {} answers compared, {} covers enumerated, {} failure(s)",
+        "jucq-qa: {} cases, {} answers compared, {} covers enumerated, {} range_scans, {} failure(s)",
         report.cases,
         report.answers_checked,
         report.covers_enumerated,
+        report.range_scans,
         report.failures.len()
     );
     if !report.ok() {

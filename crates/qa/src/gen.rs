@@ -16,9 +16,11 @@
 //! a subclass chain of depth ≥ 4, a fan-out of ≥ 4 siblings under one
 //! root, and a multi-parent diamond — with random extra edges layered
 //! on top. The backbone guarantees each case exercises the shapes the
-//! hierarchy-aware encoding cares about (deep intervals, wide sibling
-//! blocks, residual unions at diamond joins) instead of leaving them
-//! to the luck of the random DAG.
+//! planner's range collapse cares about (deep subtrees, wide sibling
+//! runs, residual unions at diamond joins) instead of leaving them to
+//! the luck of the random DAG. Both hierarchies are stated parent
+//! before children (`parent_first`), so the dictionary's first-seen
+//! ids lay most subtrees out as consecutive runs.
 
 use jucq_model::{vocab, Term, Triple};
 use rand::rngs::StdRng;
@@ -140,6 +142,43 @@ pub fn gen_case(seed: u64) -> GenCase {
     GenCase { triples, query }
 }
 
+/// The `(child, parent)` edges of a DAG over `0..n`, in the order a
+/// pre-order walk from every root (ascending) meets them: each node's
+/// edges to its children are stated right after the edge that first
+/// reached the node itself, and before any of its descendants' edges.
+/// A statement `child ⊑ parent` interns the child first, so loading
+/// them in this order hands every single-parent subtree below a root
+/// one consecutive id run (a root is interned right after its first
+/// child, inside that child's run).
+fn parent_first(n: usize, edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    fn walk(
+        node: usize,
+        children: &[Vec<usize>],
+        seen: &mut [bool],
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        seen[node] = true;
+        for &child in &children[node] {
+            out.push((child, node));
+            if !seen[child] {
+                walk(child, children, seen, out);
+            }
+        }
+    }
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut has_parent = vec![false; n];
+    for &(child, parent) in edges {
+        children[parent].push(child);
+        has_parent[child] = true;
+    }
+    let mut seen = vec![false; n];
+    let mut out = Vec::with_capacity(edges.len());
+    for root in (0..n).filter(|&i| !has_parent[i]) {
+        walk(root, &children, &mut seen, &mut out);
+    }
+    out
+}
+
 /// Random RDFS schema (subClassOf / subPropertyOf DAGs plus domain and
 /// range assignments) and instance triples.
 fn gen_triples(rng: &mut StdRng) -> Vec<Triple> {
@@ -150,30 +189,32 @@ fn gen_triples(rng: &mut StdRng) -> Vec<Triple> {
     //   chain   C4 ⊑ C3 ⊑ C2 ⊑ C1 ⊑ C0           (depth ≥ 4)
     //   fan-out C5, C6, C7, C8 ⊑ C0               (≥ 4 siblings)
     //   diamond C9 ⊑ C5 and C9 ⊑ C6 (both ⊑ C0)   (multi-parent)
-    for i in 1..=4 {
-        out.push(t(class(i), vocab::RDFS_SUBCLASS_OF, class(i - 1)));
-    }
-    for i in 5..=8 {
-        out.push(t(class(i), vocab::RDFS_SUBCLASS_OF, class(0)));
-    }
-    out.push(t(class(9), vocab::RDFS_SUBCLASS_OF, class(5)));
-    out.push(t(class(9), vocab::RDFS_SUBCLASS_OF, class(6)));
+    let mut subclass: Vec<(usize, usize)> = (1..=4).map(|i| (i, i - 1)).collect();
+    subclass.extend((5..=8).map(|i| (i, 0)));
+    subclass.extend([(9, 5), (9, 6)]);
     // Random extra DAG edges on top: edges only point to lower indexes,
     // so the graph stays acyclic by construction; additional multiple
     // parents are allowed (more diamonds, deeper residual unions).
     for i in 1..N_CLASSES {
         if rng.gen_bool(0.3) {
-            out.push(t(class(i), vocab::RDFS_SUBCLASS_OF, class(rng.gen_range(0..i))));
+            subclass.push((i, rng.gen_range(0..i)));
         }
         if i >= 2 && rng.gen_bool(0.2) {
-            out.push(t(class(i), vocab::RDFS_SUBCLASS_OF, class(rng.gen_range(0..i))));
+            subclass.push((i, rng.gen_range(0..i)));
         }
     }
+    for (c, p) in parent_first(N_CLASSES, &subclass) {
+        out.push(t(class(c), vocab::RDFS_SUBCLASS_OF, class(p)));
+    }
     // Property DAG, same shape.
+    let mut subproperty = Vec::new();
     for i in 1..N_PROPS {
         if rng.gen_bool(0.5) {
-            out.push(t(prop(i), vocab::RDFS_SUBPROPERTY_OF, prop(rng.gen_range(0..i))));
+            subproperty.push((i, rng.gen_range(0..i)));
         }
+    }
+    for (c, p) in parent_first(N_PROPS, &subproperty) {
+        out.push(t(prop(c), vocab::RDFS_SUBPROPERTY_OF, prop(p)));
     }
     // Domain / range constraints.
     for i in 0..N_PROPS {
@@ -358,6 +399,31 @@ mod tests {
             }
             assert!(sub(9, 5) && sub(9, 6), "seed {seed}: diamond C9 ⊑ C5, C6");
         }
+    }
+
+    #[test]
+    fn hierarchies_are_stated_parent_before_children() {
+        for seed in [0u64, 7, 42, 9999] {
+            let case = gen_case(seed);
+            for p in [vocab::RDFS_SUBCLASS_OF, vocab::RDFS_SUBPROPERTY_OF] {
+                let edges: Vec<&Triple> =
+                    case.triples.iter().filter(|t| t.p == Term::uri(p)).collect();
+                for (k, edge) in edges.iter().enumerate() {
+                    // A parent that is itself a child was reached earlier.
+                    let parent_is_child = edges.iter().any(|e| e.s == edge.o);
+                    assert!(
+                        !parent_is_child || edges[..k].iter().any(|e| e.s == edge.o),
+                        "seed {seed}: `{}` stated before its parent `{}` was reached",
+                        edge.s,
+                        edge.o
+                    );
+                }
+            }
+        }
+        // The walk: C1's subtree before C0's next child, the diamond's
+        // second edge where its second parent is visited.
+        let edges = [(1, 0), (2, 1), (3, 0), (4, 2), (4, 3)];
+        assert_eq!(parent_first(5, &edges), vec![(1, 0), (2, 1), (4, 2), (3, 0), (4, 3)]);
     }
 
     #[test]

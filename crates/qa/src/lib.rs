@@ -51,6 +51,8 @@ pub struct FuzzReport {
     pub answers_checked: u64,
     /// Total valid covers enumerated and executed as fixed covers.
     pub covers_enumerated: u64,
+    /// Total `RangeScan` / `RangeProbe` executions ([`CaseStats`]).
+    pub range_scans: u64,
     /// Failures found (the run stops after three).
     pub failures: Vec<FuzzFailure>,
 }
@@ -67,8 +69,13 @@ impl FuzzReport {
 /// reported; the run aborts after three distinct failures. With
 /// `verbose`, progress is printed every 50 cases.
 pub fn run_fuzz(seed: u64, cases: usize, profiles: &[EngineProfile], verbose: bool) -> FuzzReport {
-    let mut report =
-        FuzzReport { cases: 0, answers_checked: 0, covers_enumerated: 0, failures: Vec::new() };
+    let mut report = FuzzReport {
+        cases: 0,
+        answers_checked: 0,
+        covers_enumerated: 0,
+        range_scans: 0,
+        failures: Vec::new(),
+    };
     for i in 0..cases {
         let case_seed = seed.wrapping_add(i as u64);
         let case = gen_case(case_seed);
@@ -77,6 +84,7 @@ pub fn run_fuzz(seed: u64, cases: usize, profiles: &[EngineProfile], verbose: bo
             Ok(stats) => {
                 report.answers_checked += stats.answers_checked as u64;
                 report.covers_enumerated += stats.covers_enumerated as u64;
+                report.range_scans += stats.range_scans;
             }
             Err(message) => {
                 eprintln!("jucq-qa: seed {case_seed} FAILED: {message}");

@@ -57,6 +57,10 @@ pub struct CaseStats {
     pub answers_checked: usize,
     /// Valid covers enumerated and run as `FixedCover`.
     pub covers_enumerated: usize,
+    /// `RangeScan` / `RangeProbe` executions over the answers the
+    /// named strategies and fixed covers returned: how much of the
+    /// range-collapse kernels the case exercised.
+    pub range_scans: u64,
 }
 
 /// Parallelism levels every strategy is swept over.
@@ -149,7 +153,6 @@ fn named_strategies() -> Vec<Strategy> {
     vec![
         Strategy::Ucq,
         Strategy::Scq,
-        Strategy::Range,
         Strategy::minimized_ucq_default(),
         Strategy::ECov { budget: Duration::from_secs(10), cost: CostSource::Paper },
         Strategy::GCov {
@@ -237,6 +240,7 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
                             profile.name
                         )
                     })?;
+                    stats.range_scans += rep.counters.range_scans;
                     let rows = canon_rows(db, &rep.rows);
                     if rows != *truth_rows {
                         return Err(format!(
@@ -281,45 +285,6 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
                         &mut db,
                         &mut stats,
                     )?;
-                }
-            }
-        }
-
-        // The hierarchy-aware encoding must be answer-invisible: the
-        // same case loaded into a hierarchically-encoded database (ids
-        // remapped so class/property subtrees are contiguous, range
-        // collapse actually firing) answers identically under SAT,
-        // plain UCQ, and the Range strategy — sequential and at the
-        // widest parallelism. The generator's backbone guarantees every
-        // case has a deep chain, a wide fan-out, and a multi-parent
-        // diamond for this leg to chew on.
-        let mut db_h = RdfDatabase::with_profile(base.clone().with_parallelism(1))
-            .with_encoding(jucq_core::EncodingMode::Hierarchical);
-        db_h.extend(&case.triples);
-        let q_h = build_query(&mut db_h, &case.query);
-        for par in [1, 8] {
-            db_h.set_profile(base.clone().with_parallelism(par));
-            for strategy in [Strategy::Saturation, Strategy::Ucq, Strategy::Range] {
-                let label = format!("hier/{}", strategy.name());
-                let got = db_h.answer(&q_h, &strategy);
-                stats.answers_checked += 1;
-                if coverable || strategy == Strategy::Saturation {
-                    let rep = got
-                        .map_err(|e| format!("[{} par={par}] {label} failed: {e}", profile.name))?;
-                    let rows = canon_rows(&db_h, &rep.rows);
-                    if rows != *truth_rows {
-                        return Err(format!(
-                            "[{} par={par}] {label} answered {} rows, plain SAT answered {}:\n  {label}: {rows:?}\n  SAT: {truth_rows:?}",
-                            profile.name,
-                            rows.len(),
-                            truth_rows.len()
-                        ));
-                    }
-                } else if !matches!(got, Err(AnswerError::Cover(_))) {
-                    return Err(format!(
-                        "[{} par={par}] {label} on a disconnected query: expected a cover error",
-                        profile.name
-                    ));
                 }
             }
         }

@@ -23,7 +23,7 @@
 //!
 //! | Method | Path       | Body / params                                    | Response |
 //! |--------|------------|--------------------------------------------------|----------|
-//! | POST   | `/query`   | SPARQL text; `?strategy=sat\|ucq\|scq\|range\|ecov\|gcov`, `?limit=N`; headers `X-Jucq-Deadline-Ms`, `X-Jucq-Memory-Tuples` | JSON: epoch, strategy, rows; `X-Jucq-Epoch` header (on errors too) |
+//! | POST   | `/query`   | SPARQL text; `?strategy=sat\|ucq\|scq\|ecov\|gcov`, `?limit=N`; headers `X-Jucq-Deadline-Ms`, `X-Jucq-Memory-Tuples` | JSON: epoch, strategy, rows; `X-Jucq-Epoch` header (on errors too) |
 //! | GET    | `/metrics` | —                                                | jucq-obs/1 JSON (spans drained, counters cumulative, `serving.epoch` / `views.*` gauges refreshed at scrape) |
 //! | GET    | `/health`  | —                                                | `ok` + current epoch |
 //!
@@ -314,7 +314,7 @@ fn handle_query(
     let epoch_header = ("X-Jucq-Epoch", epoch.as_str());
 
     let strategy = match request.query_param("strategy") {
-        Some(name) => match parse_strategy(name) {
+        Some(name) => match Strategy::from_name(name) {
             Some(s) => s,
             None => {
                 jucq_obs::metrics::counter_add("server.errors", 1);
@@ -425,17 +425,4 @@ fn answer_json(snapshot: &Snapshot, report: &jucq_core::AnswerReport, limit: usi
 
 fn error_json(message: &str) -> Vec<u8> {
     format!("{{\"error\":\"{}\"}}", escape_json(message)).into_bytes()
-}
-
-/// Strategy short names, matching the `jucq` CLI's `--strategy` values.
-pub fn parse_strategy(name: &str) -> Option<Strategy> {
-    match name {
-        "sat" | "saturation" => Some(Strategy::Saturation),
-        "ucq" => Some(Strategy::Ucq),
-        "scq" => Some(Strategy::Scq),
-        "range" => Some(Strategy::Range),
-        "ecov" => Some(Strategy::ecov_default()),
-        "gcov" => Some(Strategy::gcov_default()),
-        _ => None,
-    }
 }

@@ -45,8 +45,8 @@ pub enum PlanNode {
     /// that sorts the ranged component contiguously: all triples matching
     /// `pattern` with its ranged position's constant replaced by any raw
     /// URI id in `[lo, hi)`. Produced by the planner's collapse pass when
-    /// `members` union members differ only in one contiguous-id constant
-    /// (typically a hierarchically-encoded class or property subtree).
+    /// `members` union members differ only in one constant whose ids the
+    /// interval covers (typically a class or property subtree).
     RangeScan {
         /// The pattern template: the first collapsed member's pattern,
         /// with its original constant still at the ranged position (the

@@ -390,11 +390,12 @@ impl<'a> Planner<'a> {
     ///   Classes without direct instances no longer split a subtree run.
     ///
     /// The half-open intervals then match exactly the triples the
-    /// collapsed constants did, so the rewrite is correct under any
-    /// dictionary encoding; the hierarchy-aware encoding merely makes
-    /// contiguous runs likely (a class subtree becomes one raw-id block).
-    /// An atom carries at most one interval (a scan ranges over one
-    /// component).
+    /// collapsed constants did, so the rewrite is correct over any id
+    /// numbering. Over plain first-seen ids the gap bridging is what
+    /// makes a class or property subtree one interval: its ids are
+    /// interleaved with instance ids no `rdf:type` or property atom
+    /// matches (DESIGN.md §4g). An atom carries at most one interval (a
+    /// scan ranges over one component).
     ///
     /// Always *detects* eligibility (the returned count of fragments the
     /// fixpoint would shrink feeds telemetry); only *rewrites* when the

@@ -50,12 +50,15 @@ pub struct EngineProfile {
     /// order-stably, so results and counters are identical either way.
     pub parallelism: usize,
     /// If true (the default), the planner collapses union members that
-    /// differ in exactly one constant whose ids form a contiguous run
-    /// into a single `RangeScan` over that id interval (the LiteMat
-    /// hierarchy-encoding payoff). The collapse checks actual id
-    /// contiguity at plan time, so it is answer-preserving under any
-    /// dictionary numbering; without the hierarchical encoding it simply
-    /// fires rarely. Disable to measure the pure-UCQ baseline.
+    /// differ in exactly one constant into a single `RangeScan` (or
+    /// `RangeProbe`) over the id interval the constants span. Ids in
+    /// the interval that are no member's constant are bridged only when
+    /// the index proves they match nothing, so the rewrite is
+    /// answer-preserving over plain first-seen ids. It fires often
+    /// there: on the LUBM-like workload it collapses as many unions as
+    /// a hierarchy-aware re-encoding of the ids did, and turning it off
+    /// makes `lubm4_matrix` a third slower (DESIGN.md §4g). Disable to
+    /// measure the pure-UCQ baseline.
     #[serde(default = "default_range_scans")]
     pub range_scans: bool,
 }

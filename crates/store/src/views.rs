@@ -454,8 +454,9 @@ impl ViewCatalog {
         dropped
     }
 
-    /// Drop every entry (non-incremental rebuilds: term ids may have
-    /// been remapped, so nothing survives). The epoch is unchanged —
+    /// Drop every entry (non-incremental rebuilds: the schema closure a
+    /// view's union was reformulated under may have changed, so nothing
+    /// survives). The epoch is unchanged —
     /// the owner sets the rebuilt state's.
     pub fn clear(&self) {
         let mut inner = self.lock();

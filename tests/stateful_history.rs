@@ -3,7 +3,7 @@
 //! (the `&mut self` API), through a [`ServingDb`] whose epoch-0
 //! snapshot is held for the whole run, and against a database rebuilt
 //! from scratch from the triples of the moment (no plan cache, no
-//! views, plain encoding). After every step: decoded rows equal across
+//! views). After every step: decoded rows equal across
 //! all three under SAT / UCQ / SCQ / GCov, executor `Counters` equal
 //! between the first two (they answer through the same snapshot code,
 //! so they must do the same work), and every query-log record re-parses
@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use jucq_core::{EncodingMode, RdfDatabase, ServingDb, Snapshot, Strategy};
+use jucq_core::{RdfDatabase, ServingDb, Snapshot, Strategy};
 use jucq_model::{vocab, Term, Triple};
 use jucq_optimizer::CostConstants;
 use jucq_store::exec::Counters;
@@ -122,8 +122,8 @@ fn history(rng: &mut Rng, data: &[Triple]) -> Vec<Step> {
             false,
         ),
         Step::Profile { mysql: true },
-        // A new subclass edge: rebuild, and the interval labeling is
-        // recomputed over the grown hierarchy.
+        // A new subclass edge: rebuild. Thesis keeps the id the step
+        // before gave it; ids never move.
         update(
             vec![
                 t("Thesis", vocab::RDFS_SUBCLASS_OF, "Publication"),
@@ -147,8 +147,7 @@ fn fingerprint(rows: Vec<Vec<Term>>) -> Vec<String> {
 }
 
 fn configured(triples: &[Triple]) -> RdfDatabase {
-    let mut db =
-        RdfDatabase::with_profile(profile(false)).with_encoding(EncodingMode::Hierarchical);
+    let mut db = RdfDatabase::with_profile(profile(false));
     db.extend(triples);
     db.set_cost_constants(CostConstants::default());
     db.enable_plan_cache(64);

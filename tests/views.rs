@@ -247,8 +247,9 @@ fn schema_update_rebuild_drops_the_whole_catalog() {
     db.pin_cover_fragments(&q, &Strategy::Ucq, None).unwrap();
     assert_eq!(db.view_stats().unwrap().entries, 1);
 
-    // A schema triple forces a non-incremental rebuild: term ids may be
-    // remapped, so nothing in the catalog can survive.
+    // A schema triple forces a non-incremental rebuild: the closure the
+    // views were reformulated under changed, so nothing in the catalog
+    // can survive.
     let schema = [Triple::new(
         Term::uri("http://example.org/mentors"),
         Term::uri(jucq_model::vocab::RDFS_SUBPROPERTY_OF),
