@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use jucq_model::{Graph, SchemaClosure, Term, TermId, Triple, TripleId};
 use jucq_optimizer::{calibrate, CostConstants};
 use jucq_reformulation::incremental::IncrementalSaturation;
-use jucq_reformulation::saturation::{saturate, schema_triples};
+use jucq_reformulation::saturation::schema_triples;
 use jucq_reformulation::BgpQuery;
 use jucq_store::{
     DeltaFootprint, EngineProfile, Relation, Store, ViewCatalog, ViewCatalogStats, ViewFootprint,
@@ -48,7 +48,10 @@ struct Published {
 
 impl Published {
     /// Build the closure, the plain store and the saturated store from
-    /// scratch and publish them as epoch `epoch`.
+    /// scratch and publish them as epoch `epoch`. Each step runs once:
+    /// the closure, one counting pass that both saturates the data and
+    /// seeds incremental maintenance, the two stores' indexes, and the
+    /// calibration.
     fn build(
         graph: &mut Graph,
         profile: &EngineProfile,
@@ -58,24 +61,41 @@ impl Published {
         epoch: u64,
     ) -> Published {
         jucq_obs::span!("prepare");
-        let closure = graph.schema_closure();
-        let rdf_type = graph.rdf_type();
-        let schema_ts = schema_triples(graph, &closure);
+        let (closure, rdf_type, schema_ts) = {
+            jucq_obs::span!("prepare.closure");
+            let closure = graph.schema_closure();
+            let rdf_type = graph.rdf_type();
+            let schema_ts = schema_triples(graph, &closure);
+            (closure, rdf_type, schema_ts)
+        };
+        let incremental = {
+            jucq_obs::span!("prepare.saturation");
+            IncrementalSaturation::new(graph.data(), closure.clone(), rdf_type)
+        };
 
         let store_of = |mut triples: Vec<TripleId>| {
-            triples.extend_from_slice(&schema_ts);
-            triples.sort_unstable();
+            jucq_obs::span!("prepare.index_build");
+            // Stable, so a sorted prefix costs one merge: the saturated
+            // store's input is the plain store's sorted triples followed
+            // by the derived ones.
+            triples.sort();
             triples.dedup();
-            Store::from_triples(&triples, profile.clone())
+            Store::from_vec(triples, profile.clone())
         };
-        let plain = store_of(graph.data().to_vec());
-        let saturated = store_of(saturate(graph));
+        let plain = store_of([graph.data(), &schema_ts].concat());
+        // The plain store holds the data and the schema triples, so this
+        // is `saturate_with(data) ∪ schema_triples`.
+        let saturated =
+            store_of(plain.table().all().iter().copied().chain(incremental.derived()).collect());
 
-        let incremental = IncrementalSaturation::new(graph.data(), closure.clone(), rdf_type);
-        let constants = pinned.unwrap_or_else(|| calibrate(&plain));
+        let constants = {
+            jucq_obs::span!("prepare.calibrate");
+            pinned.unwrap_or_else(|| calibrate(&plain))
+        };
         let snapshot = Snapshot {
             epoch,
-            // Cloned last: closing the schema and saturating may intern.
+            // Cloned last: `rdf:type` and the schema vocabulary may have
+            // been interned above.
             dict: graph.dict().clone(),
             closure: Arc::new(closure),
             rdf_type,
@@ -885,6 +905,34 @@ pub(crate) mod tests {
         assert!(json.contains("\"jucq-obs/1\""));
         assert!(json.contains("plan_cache.hits"));
         assert!(json.contains("cover_search"));
+    }
+
+    #[test]
+    fn traced_prepare_records_each_stage_under_prepare() {
+        let _serial = crate::obs_test_lock();
+        let mut db = paper_db();
+        jucq_obs::reset();
+        jucq_obs::set_enabled(true);
+        db.prepare();
+        jucq_obs::set_enabled(false);
+        let session = jucq_obs::take_session();
+        jucq_obs::global().reset();
+
+        let prepare: Vec<_> = session.spans.iter().filter(|s| s.name == "prepare").collect();
+        assert_eq!(prepare.len(), 1, "{:?}", session.spans);
+        let children: Vec<&str> = session
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(prepare[0].id))
+            .map(|s| s.name)
+            .collect();
+        let count = |name: &str| children.iter().filter(|&&n| n == name).count();
+        for stage in ["prepare.closure", "prepare.saturation", "prepare.calibrate"] {
+            assert_eq!(count(stage), 1, "{stage} in {children:?}");
+        }
+        assert_eq!(count("prepare.index_build"), 2, "one per store: {children:?}");
+        // The data is saturated once, by the counting pass.
+        assert!(session.spans.iter().all(|s| s.name != "saturation"), "{:?}", session.spans);
     }
 
     #[test]

@@ -42,49 +42,52 @@ pub struct SaturationDelta {
     pub removed: Vec<TripleId>,
 }
 
+/// Visit the one-pass consequences of one explicit triple (rdfs7/2/3/9
+/// over the closed schema). Deterministic, so inserts and deletes count
+/// symmetrically.
+fn consequences(
+    closure: &SchemaClosure,
+    rdf_type: TermId,
+    t: &TripleId,
+    mut visit: impl FnMut(TripleId),
+) {
+    if t.p == rdf_type {
+        if t.o.is_uri() {
+            for &sup in closure.super_classes(t.o) {
+                visit(TripleId::new(t.s, rdf_type, sup));
+            }
+        }
+    } else {
+        for &sup in closure.super_properties(t.p) {
+            visit(TripleId::new(t.s, sup, t.o));
+        }
+        for &c in closure.domains(t.p) {
+            visit(TripleId::new(t.s, rdf_type, c));
+        }
+        for &c in closure.ranges(t.p) {
+            visit(TripleId::new(t.o, rdf_type, c));
+        }
+    }
+}
+
 impl IncrementalSaturation {
     /// Build from an initial set of explicit data triples and a closed
-    /// schema.
+    /// schema: one counting pass over `data`, with the explicit set
+    /// sized to it up front.
     pub fn new(
         data: &[TripleId],
         closure: SchemaClosure,
         rdf_type: TermId,
     ) -> IncrementalSaturation {
-        let mut sat = IncrementalSaturation {
-            closure,
-            rdf_type,
-            explicit: FxHashSet::default(),
-            derived: FxHashMap::default(),
-        };
+        let mut explicit = FxHashSet::default();
+        explicit.reserve(data.len());
+        let mut derived = FxHashMap::default();
         for &t in data {
-            sat.insert(t);
-        }
-        sat
-    }
-
-    /// The one-pass consequences of one explicit triple (rdfs7/2/3/9
-    /// over the closed schema). Deterministic, so inserts and deletes
-    /// count symmetrically.
-    fn consequences(&self, t: &TripleId) -> Vec<TripleId> {
-        let mut out = Vec::new();
-        if t.p == self.rdf_type {
-            if t.o.is_uri() {
-                for &sup in self.closure.super_classes(t.o) {
-                    out.push(TripleId::new(t.s, self.rdf_type, sup));
-                }
-            }
-        } else {
-            for &sup in self.closure.super_properties(t.p) {
-                out.push(TripleId::new(t.s, sup, t.o));
-            }
-            for &c in self.closure.domains(t.p) {
-                out.push(TripleId::new(t.s, self.rdf_type, c));
-            }
-            for &c in self.closure.ranges(t.p) {
-                out.push(TripleId::new(t.o, self.rdf_type, c));
+            if explicit.insert(t) {
+                consequences(&closure, rdf_type, &t, |c| *derived.entry(c).or_insert(0) += 1);
             }
         }
-        out
+        IncrementalSaturation { closure, rdf_type, explicit, derived }
     }
 
     /// True iff `t` is in the saturation (explicit or derived).
@@ -112,13 +115,14 @@ impl IncrementalSaturation {
         if !self.derived.contains_key(&t) {
             delta.added.push(t);
         }
-        for c in self.consequences(&t) {
-            let count = self.derived.entry(c).or_insert(0);
+        let IncrementalSaturation { closure, rdf_type, explicit, derived } = self;
+        consequences(closure, *rdf_type, &t, |c| {
+            let count = derived.entry(c).or_insert(0);
             *count += 1;
-            if *count == 1 && !self.explicit.contains(&c) && c != t {
+            if *count == 1 && !explicit.contains(&c) && c != t {
                 delta.added.push(c);
             }
-        }
+        });
         delta
     }
 
@@ -128,24 +132,27 @@ impl IncrementalSaturation {
         if !self.explicit.remove(t) {
             return delta;
         }
-        for c in self.consequences(t) {
-            match self.derived.get_mut(&c) {
-                Some(count) => {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.derived.remove(&c);
-                        if !self.explicit.contains(&c) {
-                            delta.removed.push(c);
-                        }
-                    }
+        let IncrementalSaturation { closure, rdf_type, explicit, derived } = self;
+        consequences(closure, *rdf_type, t, |c| {
+            let count = derived.get_mut(&c).expect("counts are maintained symmetrically");
+            *count -= 1;
+            if *count == 0 {
+                derived.remove(&c);
+                if !explicit.contains(&c) {
+                    delta.removed.push(c);
                 }
-                None => unreachable!("counts are maintained symmetrically"),
             }
-        }
+        });
         if !self.derived.contains_key(t) && !delta.removed.contains(t) {
             delta.removed.push(*t);
         }
         delta
+    }
+
+    /// Every triple with at least one derivation, in no particular
+    /// order; some may also be explicit.
+    pub fn derived(&self) -> impl ExactSizeIterator<Item = TripleId> + '_ {
+        self.derived.keys().copied()
     }
 
     /// The full saturated triple set, sorted.

@@ -81,7 +81,14 @@ pub struct Store {
 impl Store {
     /// Build a store from raw triples.
     pub fn from_triples(triples: &[TripleId], profile: EngineProfile) -> Self {
-        let table = TripleTable::build(triples);
+        Store::from_vec(triples.to_vec(), profile)
+    }
+
+    /// [`Store::from_triples`] taking ownership of `triples`, which is
+    /// sorted in place into the table's SPO index: the build holds no
+    /// copy of its input.
+    pub fn from_vec(triples: Vec<TripleId>, profile: EngineProfile) -> Self {
+        let table = TripleTable::from_vec(triples);
         let stats = Statistics::build(&table);
         Store { table: Arc::new(table), stats: Arc::new(stats), profile }
     }

@@ -64,7 +64,7 @@ pub use plan::{
 pub use profile::{default_parallelism, EngineProfile, JoinAlgo};
 pub use relation::Relation;
 pub use stats::{FragmentSummary, Statistics};
-pub use table::{RangePos, TripleTable};
+pub use table::{Perm, RangePos, TripleTable};
 pub use views::{
     DeltaFootprint, ViewCatalog, ViewCatalogStats, ViewFootprint, ViewSignature, ViewSource,
 };

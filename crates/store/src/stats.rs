@@ -13,7 +13,7 @@
 use jucq_model::{FxHashMap, FxHashSet, TermId};
 
 use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
-use crate::table::TripleTable;
+use crate::table::{Perm, TripleTable};
 
 /// Per-predicate statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,50 +51,48 @@ fn count_runs(values: impl Iterator<Item = TermId>) -> usize {
 }
 
 impl Statistics {
-    /// Gather statistics from a built table. Near-linear: the PSO index
-    /// already groups triples by predicate with subjects sorted inside
-    /// each run, and the SPO/OSP indexes give global distinct subject
-    /// and object counts by run-counting — no re-sorting pass (this is
-    /// also what keeps incremental store maintenance cheap).
+    /// Gather statistics from a built table by counting runs, one
+    /// linear walk over each of four indexes. A predicate's triples are
+    /// one run of the PSO index, its subjects sorted inside, and one run
+    /// of the POS index, its objects sorted inside; the SPO and OSP
+    /// indexes give the global distinct subject and object counts.
+    /// Nothing is copied or re-sorted (this is also what keeps
+    /// incremental store maintenance cheap).
     pub fn build(table: &TripleTable) -> Self {
-        let mut predicates: FxHashMap<TermId, PredicateStats> = FxHashMap::default();
-        let pso = table.by_predicate();
-        let mut i = 0usize;
-        while i < pso.len() {
-            let p = pso[i].p;
-            let mut j = i;
-            while j < pso.len() && pso[j].p == p {
-                j += 1;
-            }
-            let run = &pso[i..j];
-            // Subjects are sorted within a PSO run.
-            let distinct_subjects = count_runs(run.iter().map(|t| t.s));
-            // Objects are not; sort a raw copy of the run.
-            let mut objects: Vec<u32> = run.iter().map(|t| t.o.raw()).collect();
-            objects.sort_unstable();
-            objects.dedup();
-            predicates.insert(
-                p,
-                PredicateStats {
-                    count: run.len(),
-                    distinct_subjects,
-                    distinct_objects: objects.len(),
-                },
-            );
-            i = j;
-        }
+        let by_predicate = |perm| table.sorted_by(perm).chunk_by(|a, b| a.p == b.p);
+        let predicates: FxHashMap<TermId, PredicateStats> = by_predicate(Perm::Pso)
+            .zip(by_predicate(Perm::Pos))
+            .map(|(pso, pos)| {
+                let stats = PredicateStats {
+                    count: pso.len(),
+                    distinct_subjects: count_runs(pso.iter().map(|t| t.s)),
+                    distinct_objects: count_runs(pos.iter().map(|t| t.o)),
+                };
+                (pso[0].p, stats)
+            })
+            .collect();
         Statistics {
             total: table.len(),
             distinct_predicates: predicates.len(),
             predicates,
-            distinct_subjects: count_runs(table.all().iter().map(|t| t.s)),
-            distinct_objects: count_runs(table.by_object().iter().map(|t| t.o)),
+            distinct_subjects: count_runs(table.sorted_by(Perm::Spo).iter().map(|t| t.s)),
+            distinct_objects: count_runs(table.sorted_by(Perm::Osp).iter().map(|t| t.o)),
         }
     }
 
     /// Total triples.
     pub fn total(&self) -> usize {
         self.total
+    }
+
+    /// Number of distinct subjects.
+    pub fn distinct_subjects(&self) -> usize {
+        self.distinct_subjects
+    }
+
+    /// Number of distinct objects.
+    pub fn distinct_objects(&self) -> usize {
+        self.distinct_objects
     }
 
     /// Statistics for one predicate, if it occurs.

@@ -297,6 +297,68 @@ impl<'t> ProbeCursor<'t> {
     }
 }
 
+/// Bits of one radix digit: a column's 32-bit raw id is two digits.
+const DIGIT_BITS: u32 = 16;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// `src` stably sorted by one column: an LSD radix sort over the
+/// column's two 16-bit digits, low digit into `scratch`, high digit out
+/// of it. A digit every triple shares orders nothing and is skipped, so
+/// a column of small ids (the predicates, say) costs one pass. On an
+/// input already sorted on the other two columns, stability makes the
+/// result sorted on all three, with the column leading.
+fn sort_by_column(
+    src: &[TripleId],
+    column: impl Fn(&TripleId) -> TermId,
+    scratch: &mut Vec<TripleId>,
+) -> Vec<TripleId> {
+    let Some(first) = src.first() else { return Vec::new() };
+    let mut low = vec![0usize; BUCKETS];
+    let mut high = vec![0usize; BUCKETS];
+    for t in src {
+        let k = column(t).raw() as usize;
+        low[k & (BUCKETS - 1)] += 1;
+        high[k >> DIGIT_BITS] += 1;
+    }
+    let k = column(first).raw() as usize;
+    let low_orders = low[k & (BUCKETS - 1)] < src.len();
+    let high_orders = high[k >> DIGIT_BITS] < src.len();
+    let mut out = Vec::new();
+    match (low_orders, high_orders) {
+        (false, false) => out.extend_from_slice(src),
+        (true, false) => scatter(src, &mut out, &column, &mut low, 0),
+        (false, true) => scatter(src, &mut out, &column, &mut high, DIGIT_BITS),
+        (true, true) => {
+            scatter(src, scratch, &column, &mut low, 0);
+            scatter(scratch, &mut out, &column, &mut high, DIGIT_BITS);
+        }
+    }
+    out
+}
+
+/// One counting pass: `dst` becomes `src` stably ordered by the digit
+/// of `column` at `shift`, whose per-bucket counts are `counts`.
+fn scatter(
+    src: &[TripleId],
+    dst: &mut Vec<TripleId>,
+    column: impl Fn(&TripleId) -> TermId,
+    counts: &mut [usize],
+    shift: u32,
+) {
+    // Each bucket's count becomes the slot its first triple goes to.
+    let mut next = 0;
+    for c in counts.iter_mut() {
+        next += std::mem::replace(c, next);
+    }
+    dst.clear();
+    dst.resize(src.len(), src[0]);
+    for t in src {
+        let slot = &mut counts[(column(t).raw() >> shift) as usize & (BUCKETS - 1)];
+        dst[*slot] = *t;
+        *slot += 1;
+    }
+}
+
 /// The triples table plus six clustered permutation indexes.
 #[derive(Debug, Default, Clone)]
 pub struct TripleTable {
@@ -307,14 +369,31 @@ impl TripleTable {
     /// Build the table (and all indexes) from a set of triples.
     /// Duplicates in the input are kept; callers deduplicate upstream
     /// (graphs are sets).
+    ///
+    /// One comparison sort puts the triples in SPO order. Every other
+    /// index is one stable radix sort of an index already sorted on the
+    /// other two columns, by the column it leads with: PSO and OSP from
+    /// SPO, OPS from PSO, SOP and POS from OSP.
     pub fn build(triples: &[TripleId]) -> Self {
-        let mut indexes: [Vec<TripleId>; 6] = Default::default();
-        for (slot, perm) in indexes.iter_mut().zip(Perm::ALL) {
-            let mut v = triples.to_vec();
-            v.sort_unstable_by_key(|t| perm.key(t));
-            *slot = v;
-        }
-        TripleTable { indexes }
+        TripleTable::from_vec(triples.to_vec())
+    }
+
+    /// [`TripleTable::build`] taking ownership of `triples`, which is
+    /// sorted in place into the SPO index: no copy of the input is held.
+    pub(crate) fn from_vec(mut spo: Vec<TripleId>) -> Self {
+        spo.sort_unstable_by_key(|t| Perm::Spo.key(t));
+        let mut scratch = Vec::new();
+        let pso = sort_by_column(&spo, |t| t.p, &mut scratch);
+        let osp = sort_by_column(&spo, |t| t.o, &mut scratch);
+        let ops = sort_by_column(&pso, |t| t.o, &mut scratch);
+        let sop = sort_by_column(&osp, |t| t.s, &mut scratch);
+        // Freed before the last sort: predicate ids rarely need their
+        // high digit, so POS takes one pass without scratch and the
+        // build holds at most six copies of the triples at a time, its
+        // input included.
+        drop(scratch);
+        let pos = sort_by_column(&osp, |t| t.p, &mut Vec::new());
+        TripleTable { indexes: [spo, sop, pso, pos, osp, ops] }
     }
 
     /// Number of stored triples.
@@ -327,7 +406,8 @@ impl TripleTable {
         self.len() == 0
     }
 
-    fn index(&self, perm: Perm) -> &[TripleId] {
+    /// Every triple, sorted by `perm`'s key order.
+    pub fn sorted_by(&self, perm: Perm) -> &[TripleId] {
         // `Perm`'s declaration order is `Perm::ALL`'s, which `build` and
         // `apply_delta` fill the array in.
         &self.indexes[perm as usize]
@@ -346,7 +426,7 @@ impl TripleTable {
     /// interesting-orders pass uses this to pick the residual variable
     /// order a downstream merge join wants.
     pub fn scan_with(&self, perm: Perm, bound: &[Option<TermId>; 3]) -> &[TripleId] {
-        let idx = self.index(perm);
+        let idx = self.sorted_by(perm);
         if bound.iter().all(Option::is_none) {
             return idx;
         }
@@ -393,7 +473,7 @@ impl TripleTable {
     }
 
     fn cursor(&self, perm: Perm) -> ProbeCursor<'_> {
-        ProbeCursor { idx: self.index(perm), perm, hint: None, reseeks: 0 }
+        ProbeCursor { idx: self.sorted_by(perm), perm, hint: None, reseeks: 0 }
     }
 
     /// Exact number of triples a [`TripleTable::scan_value_range`] would
@@ -410,18 +490,7 @@ impl TripleTable {
 
     /// All triples, in SPO order.
     pub fn all(&self) -> &[TripleId] {
-        self.index(Perm::Spo)
-    }
-
-    /// All triples in PSO order (contiguous per predicate) — lets the
-    /// statistics builder walk predicate runs without re-sorting.
-    pub fn by_predicate(&self) -> &[TripleId] {
-        self.index(Perm::Pso)
-    }
-
-    /// All triples in OSP order (contiguous per object).
-    pub fn by_object(&self) -> &[TripleId] {
-        self.index(Perm::Osp)
+        self.sorted_by(Perm::Spo)
     }
 
     /// A new table with `inserts` merged in and `deletes` filtered out,
@@ -439,7 +508,7 @@ impl TripleTable {
                 inserts.iter().filter(|t| !deletes.contains(t)).copied().collect();
             ins.sort_unstable_by_key(|t| perm.key(t));
             ins.dedup();
-            let old = self.index(perm);
+            let old = self.sorted_by(perm);
             let mut merged: Vec<TripleId> = Vec::with_capacity(old.len() + ins.len());
             let (mut i, mut j) = (0usize, 0usize);
             while i < old.len() || j < ins.len() {
@@ -478,21 +547,6 @@ impl TripleTable {
             *slot = merged;
         }
         TripleTable { indexes }
-    }
-
-    /// The distinct values of the first key column of a permutation
-    /// within a bound range — e.g. distinct subjects for a property via
-    /// `Pso`. Used by the statistics builder.
-    pub fn distinct_in_scan(
-        &self,
-        bound: &[Option<TermId>; 3],
-        component: fn(&TripleId) -> TermId,
-    ) -> usize {
-        let slice = self.scan(bound);
-        let mut values: Vec<u32> = slice.iter().map(|t| component(t).raw()).collect();
-        values.sort_unstable();
-        values.dedup();
-        values.len()
     }
 }
 
@@ -679,14 +733,14 @@ mod tests {
 
     #[test]
     fn discriminants_index_the_permutation_array() {
-        // `TripleTable::index` reads `indexes[perm as usize]`, filled in
+        // `TripleTable::sorted_by` reads `indexes[perm as usize]`, filled in
         // `Perm::ALL` order.
         for (i, perm) in Perm::ALL.into_iter().enumerate() {
             assert_eq!(perm as usize, i, "{perm:?}");
         }
         let tbl = sample();
         for perm in Perm::ALL {
-            let keys: Vec<[u32; 3]> = tbl.index(perm).iter().map(|x| perm.key(x)).collect();
+            let keys: Vec<[u32; 3]> = tbl.sorted_by(perm).iter().map(|x| perm.key(x)).collect();
             assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{perm:?} holds another order");
         }
     }
@@ -799,17 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_in_scan_counts() {
-        let tbl = sample();
-        // Distinct subjects for property 10: subjects {1, 2}.
-        let ds = tbl.distinct_in_scan(&[None, Some(id(10)), None], |x| x.s);
-        assert_eq!(ds, 2);
-        // Distinct objects for property 10: objects {100, 101}.
-        let d_o = tbl.distinct_in_scan(&[None, Some(id(10)), None], |x| x.o);
-        assert_eq!(d_o, 2);
-    }
-
-    #[test]
     fn value_range_scan_equals_union_of_point_scans() {
         let tbl = sample();
         // Object range [100, 102) with predicate 10 bound: the union of
@@ -882,9 +925,9 @@ mod tests {
             tbl.all().iter().filter(|x| !deletes.contains(x)).copied().collect();
         full.extend(&inserts);
         let rebuilt = TripleTable::build(&full);
-        assert_eq!(merged.all(), rebuilt.all());
-        assert_eq!(merged.by_predicate(), rebuilt.by_predicate());
-        assert_eq!(merged.by_object(), rebuilt.by_object());
+        for perm in Perm::ALL {
+            assert_eq!(merged.sorted_by(perm), rebuilt.sorted_by(perm), "{perm:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,64 @@
+//! Preparation saturates once: the saturated store is fed from the
+//! counting state that maintains the saturation under updates, not from
+//! a second, from-scratch `saturate` pass. Whatever feeds it, it must
+//! hold exactly `saturate_with(data) ∪ schema_triples`, and the plain
+//! store exactly `data ∪ schema_triples` — index by index, on the two
+//! benchmark generators and on fifty generated fuzz schemas.
+
+use jucq_core::RdfDatabase;
+use jucq_datagen::{dblp, lubm};
+use jucq_model::{Graph, TripleId};
+use jucq_optimizer::CostConstants;
+use jucq_reformulation::saturation::{saturate_with, schema_triples};
+use jucq_store::{EngineProfile, Perm, Store};
+
+/// Every index of `store` against `want`, sorted under each permutation.
+fn assert_indexes(store: &Store, mut want: Vec<TripleId>, what: &str) {
+    want.sort_unstable();
+    want.dedup();
+    for perm in Perm::ALL {
+        let mut sorted = want.clone();
+        sorted.sort_unstable_by_key(|t| perm.key(t));
+        let got = store.table().sorted_by(perm);
+        assert_eq!(got.len(), sorted.len(), "{what}: {perm:?} holds another number of triples");
+        assert!(got == &sorted[..], "{what}: {perm:?} differs from the reference");
+    }
+}
+
+fn check(graph: Graph, what: &str) {
+    let mut db = RdfDatabase::from_graph(graph, EngineProfile::pg_like());
+    db.set_cost_constants(CostConstants::default());
+    db.prepare();
+    let closure = db.closure().clone();
+    let rdf_type = db.rdf_type();
+    // Preparation interned the schema vocabulary, so a copy of the
+    // graph gives the same ids.
+    let mut graph = db.graph().clone();
+    let schema = schema_triples(&mut graph, &closure);
+
+    let mut saturated = saturate_with(graph.data(), &closure, rdf_type);
+    saturated.extend_from_slice(&schema);
+    assert_indexes(db.saturated_store(), saturated, &format!("{what} saturated"));
+    let mut plain = graph.data().to_vec();
+    plain.extend_from_slice(&schema);
+    assert_indexes(db.plain_store(), plain, &format!("{what} plain"));
+}
+
+#[test]
+fn lubm_like_1() {
+    check(lubm::generate(&lubm::LubmConfig::new(1)), "LUBM-like 1");
+}
+
+#[test]
+fn dblp_like_2000() {
+    check(dblp::generate(&dblp::DblpConfig::new(2000)), "DBLP-like 2000");
+}
+
+#[test]
+fn fifty_generated_schemas() {
+    for seed in 0..50 {
+        let mut graph = Graph::new();
+        graph.extend(&jucq_qa::gen_case(seed).triples);
+        check(graph, &format!("generated case {seed}"));
+    }
+}
