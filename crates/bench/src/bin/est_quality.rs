@@ -3,12 +3,13 @@
 //! The cost model's guidance (Figures 4–9) stands or falls with its
 //! cardinality estimates. This binary measures the estimator's q-error
 //! (`max(est/actual, actual/est)`, the standard metric) across the LUBM
-//! workload for three granularities:
+//! workload's UCQ reformulations, for the two fragment estimates the
+//! statistics layer (`jucq_store::stats`) gives:
 //!
-//! * per-member CQ estimates (`est_cq`);
-//! * fragment UCQ estimates, plain member-sum vs the overlap-aware
-//!   join-of-unioned-extents template estimate;
-//! * whole-query result estimates.
+//! * the member sum, the rows of the fragment's `FragmentSummary` as the
+//!   planner builds it (`summarize_ucq`);
+//! * the overlap-aware join-of-unioned-extents template estimate the
+//!   cover search prices (`est_with_extents` over the cover query).
 //!
 //! Run: `cargo run --release -p jucq-bench --bin est_quality [universities]`
 
@@ -18,7 +19,7 @@ use jucq_core::Strategy;
 use jucq_datagen::{lubm, NamedQuery};
 use jucq_optimizer::PaperCostModel;
 use jucq_reformulation::Cover;
-use jucq_store::EngineProfile;
+use jucq_store::{EngineProfile, EstScratch};
 
 fn q_error(est: f64, actual: f64) -> f64 {
     let est = est.max(0.5);
@@ -58,7 +59,7 @@ fn main() {
         let store = db.plain_store();
         let model = PaperCostModel::new(store.table(), store.stats(), constants);
         // Member-sum estimate vs template estimate for the whole UCQ.
-        let member_sum = store.stats().est_ucq(store.table(), &jucq.fragments[0]);
+        let member_sum = store.stats().summarize_ucq(store.table(), &jucq.fragments[0]).rows;
         let template = {
             let cq = &cover.cover_queries(&q)[0];
             let extents: Vec<f64> = cq
@@ -75,7 +76,7 @@ fn main() {
                     }
                 })
                 .collect();
-            store.stats().est_with_extents(&cq.atoms, &extents)
+            store.stats().est_with_extents(&cq.atoms, &extents, &mut EstScratch::default())
         };
         rows.push(vec![
             nq.name.clone(),

@@ -913,26 +913,29 @@ pub(crate) mod tests {
         let mut db = paper_db();
         jucq_obs::reset();
         jucq_obs::set_enabled(true);
-        db.prepare();
+        {
+            let _test = jucq_obs::span("test.prepare");
+            db.prepare();
+        }
         jucq_obs::set_enabled(false);
         let session = jucq_obs::take_session();
         jucq_obs::global().reset();
 
-        let prepare: Vec<_> = session.spans.iter().filter(|s| s.name == "prepare").collect();
-        assert_eq!(prepare.len(), 1, "{:?}", session.spans);
-        let children: Vec<&str> = session
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(prepare[0].id))
-            .map(|s| s.name)
-            .collect();
+        // Tests running beside this one record spans too while tracing is
+        // on: keep the spans of this test's thread.
+        let test = session.spans.iter().find(|s| s.name == "test.prepare").expect("marker span");
+        let spans: Vec<_> = session.spans.iter().filter(|s| s.thread == test.thread).collect();
+        let prepare: Vec<_> = spans.iter().filter(|s| s.name == "prepare").collect();
+        assert_eq!(prepare.len(), 1, "{spans:?}");
+        let children: Vec<&str> =
+            spans.iter().filter(|s| s.parent == Some(prepare[0].id)).map(|s| s.name).collect();
         let count = |name: &str| children.iter().filter(|&&n| n == name).count();
         for stage in ["prepare.closure", "prepare.saturation", "prepare.calibrate"] {
             assert_eq!(count(stage), 1, "{stage} in {children:?}");
         }
         assert_eq!(count("prepare.index_build"), 2, "one per store: {children:?}");
         // The data is saturated once, by the counting pass.
-        assert!(session.spans.iter().all(|s| s.name != "saturation"), "{:?}", session.spans);
+        assert!(spans.iter().all(|s| s.name != "saturation"), "{spans:?}");
     }
 
     #[test]

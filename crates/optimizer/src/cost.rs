@@ -18,15 +18,20 @@
 //! largest fragment (equation 4), and `c_unique(q) = c_l·|q|` for
 //! in-memory hashing or `c_k·|q|·log|q|` once `|q|` exceeds the
 //! disk-sort threshold. The `|·|` cardinalities come from the
-//! statistics layer: exact per-triple extents, estimated UCQ/JUCQ
-//! result sizes.
+//! statistics layer (`jucq_store::stats`), the same code that sizes the
+//! fragments the planner joins: exact per-triple extents, member
+//! estimates and pipeline volumes from `Statistics`, and one
+//! `FragmentSummary` per fragment, which `combine` folds into the JUCQ's
+//! join cardinality. This module only decides *which* extents a summary
+//! is built from (a cover query's unioned extents, or the union's
+//! members) and prices the result.
 
 use std::cell::RefCell;
 
-use jucq_model::{FxHashMap, FxHashSet};
+use jucq_model::FxHashMap;
 use jucq_store::{
-    collapsible_runs, PatternTerm, Statistics, StoreCq, StoreJucq, StorePattern, StoreUcq,
-    TripleTable, VarId, ViewCatalog, ViewSignature,
+    collapsible_runs, EstScratch, FragmentSummary, Statistics, StoreCq, StoreJucq, StorePattern,
+    StoreUcq, TripleTable, ViewCatalog, ViewSignature,
 };
 use serde::{Deserialize, Serialize};
 
@@ -126,10 +131,9 @@ pub struct FragComponents {
     pub eval: f64,
     /// Σ member scan volumes (the input-size proxy of equations 3–4).
     pub volume: f64,
-    /// Estimated result cardinality of the fragment UCQ.
-    pub card: f64,
-    /// Join-selectivity domains of the fragment's head variables.
-    pub var_domains: Vec<(VarId, f64)>,
+    /// Estimated result rows of the fragment UCQ and the
+    /// join-selectivity domains of its variables.
+    pub summary: FragmentSummary,
 }
 
 impl FragComponents {
@@ -137,9 +141,9 @@ impl FragComponents {
     /// non-negative, or cover comparison silently corrupts (NaN breaks
     /// `<`; negative costs invert the greedy search's preferences).
     pub fn debug_check(&self) {
-        let domains = self.var_domains.iter().map(|d| d.1);
+        let domains = self.summary.domains.iter().map(|d| d.1);
         debug_assert!(
-            [self.eval, self.volume, self.card]
+            [self.eval, self.volume, self.summary.rows]
                 .into_iter()
                 .chain(domains)
                 .all(|x| x.is_finite() && x >= 0.0),
@@ -188,22 +192,10 @@ struct Workspace {
     extents: FxHashMap<StorePattern, f64>,
     /// The current member's per-atom extents.
     member: Vec<f64>,
-    /// Its atoms, in pattern order and then cheapest-first.
-    order: Vec<usize>,
-    /// `(variable, domain)` per variable occurrence.
-    domains: Vec<(VarId, f64)>,
-}
-
-/// Divide `est` by every domain of each variable but its smallest
-/// (containment of value sets), consuming `domains`.
-fn apply_selectivities(mut est: f64, domains: &mut [(VarId, f64)]) -> f64 {
-    domains.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite domains"));
-    for i in 1..domains.len() {
-        if domains[i].0 == domains[i - 1].0 {
-            est /= domains[i].1.max(1.0);
-        }
-    }
-    est
+    /// The estimator's buffers.
+    scratch: EstScratch,
+    /// The fragment-join accumulator of `combine`.
+    join: FragmentSummary,
 }
 
 impl Workspace {
@@ -211,49 +203,20 @@ impl Workspace {
         *self.extents.entry(*p).or_insert_with(|| model.stats.pattern_card(model.table, p) as f64)
     }
 
-    /// [`Statistics::est_with_extents`] over the first `len` atoms of
-    /// `self.order`, reading `self.member` for their extents.
-    fn est_prefix(&mut self, stats: &Statistics, patterns: &[StorePattern], len: usize) -> f64 {
-        let atoms = &self.order[..len];
-        if atoms.iter().any(|&i| self.member[i] == 0.0) {
-            return 0.0;
-        }
-        let product: f64 = atoms.iter().map(|&i| self.member[i]).product();
-        self.domains.clear();
-        for &i in atoms {
-            let extent = self.member[i];
-            let p = &patterns[i];
-            self.domains
-                .extend(p.variables().into_iter().map(|v| (v, stats.var_domain(p, v, extent))));
-        }
-        apply_selectivities(product, &mut self.domains).max(0.0)
-    }
-
     /// One member's `(scan volume, evaluated input volume, result
     /// estimate)`.
     fn member(&mut self, model: &PaperCostModel<'_>, cq: &StoreCq) -> (f64, f64, f64) {
-        let n = cq.patterns.len();
         self.member.clear();
         for p in &cq.patterns {
             let e = self.extent(model, p);
             self.member.push(e);
         }
         let scan: f64 = self.member.iter().sum();
-        self.order.clear();
-        self.order.extend(0..n);
-        let card = self.est_prefix(model.stats, &cq.patterns, n);
-        if n <= 1 || model.eval_model == EvalModel::ScanVolume {
+        let card = model.stats.est_with_extents(&cq.patterns, &self.member, &mut self.scratch);
+        if cq.patterns.len() <= 1 || model.eval_model == EvalModel::ScanVolume {
             return (scan, scan, card);
         }
-        // Greedy min-extent-first pipeline: the first extent is
-        // scanned; every further step's input is the estimated
-        // intermediate result so far.
-        let extents = &self.member;
-        self.order.sort_by(|&a, &b| extents[a].partial_cmp(&extents[b]).expect("finite extents"));
-        let mut input = self.member[self.order[0]];
-        for len in 2..=n {
-            input += self.est_prefix(model.stats, &cq.patterns, len);
-        }
+        let input = model.stats.pipeline_volume(&cq.patterns, &self.member, &mut self.scratch);
         (scan, input, card)
     }
 }
@@ -358,7 +321,7 @@ impl<'a> PaperCostModel<'a> {
     /// `c_eval(UCQ) = c_unique(UCQ) + Σ_CQ c_eval(CQ)`.
     pub fn c_eval_ucq(&self, ucq: &StoreUcq) -> f64 {
         let comps = self.fragment_components(ucq);
-        comps.eval + self.c_unique(comps.card)
+        comps.eval + self.c_unique(comps.summary.rows)
     }
 
     /// The single pass over a union's (sampled) members: per member,
@@ -414,31 +377,23 @@ impl<'a> PaperCostModel<'a> {
         extents: &[f64],
     ) -> FragComponents {
         debug_assert_eq!(atoms.len(), extents.len());
-        let card = self.stats.est_with_extents(atoms, extents);
-        // Domains of *all* the fragment's variables, not just this
-        // head's: `combine` only reads those two fragments share, which
-        // every head exposes, so the ingredients serve the fragment under
-        // whichever head it is scored with next.
-        let mut var_domains: Vec<(VarId, f64)> = Vec::new();
-        for v in atoms.iter().flat_map(StorePattern::variables) {
-            if !var_domains.iter().any(|d| d.0 == v) {
-                let d = self.stats.var_domain_in(atoms, extents, v);
-                var_domains.push((v, d.min(card.max(1.0))));
-            }
-        }
-        self.finish(FragComponents { eval: sums.eval, volume: sums.volume, card, var_domains }, ucq)
+        // The cover query is summarized as one member (its head holds no
+        // constants) under a head of *all* its variables, not just this
+        // head's: `combine` only reads the domains two fragments share,
+        // which every head exposes, so the ingredients serve the fragment
+        // under whichever head it is scored with next.
+        let cover = StoreCq::with_var_head(atoms.to_vec(), Vec::new());
+        let head = cover.body_variables();
+        let summary = self.stats.summarize(&head, [(&cover, extents.iter().copied())]);
+        self.finish(FragComponents { eval: sums.eval, volume: sums.volume, summary }, ucq)
     }
 
     /// The §4.1 cost of the one-fragment JUCQ `ucq` with no cover query
     /// at hand (the redundancy-pruning order of GCov): `combine` never
     /// reads a lone fragment's variable domains, so none are derived.
     pub fn standalone_cost(&self, sums: MemberSums, ucq: &StoreUcq) -> f64 {
-        let comps = FragComponents {
-            eval: sums.eval,
-            volume: sums.volume,
-            card: sums.card,
-            var_domains: Vec::new(),
-        };
+        let summary = FragmentSummary { rows: sums.card, domains: Vec::new() };
+        let comps = FragComponents { eval: sums.eval, volume: sums.volume, summary };
         self.combine(&[&self.finish(comps, ucq)])
     }
 
@@ -452,10 +407,7 @@ impl<'a> PaperCostModel<'a> {
                 let t = tuples as f64;
                 comps.eval = self.constants.c_view * t;
                 comps.volume = t;
-                comps.card = t;
-                for d in &mut comps.var_domains {
-                    d.1 = d.1.min(t.max(1.0));
-                }
+                comps.summary.set_rows(t);
             }
         }
         comps.debug_check();
@@ -463,41 +415,19 @@ impl<'a> PaperCostModel<'a> {
     }
 
     /// A fragment's cost ingredients from its union alone: the member
-    /// sum for cardinality, and head-variable domains derived from the
-    /// (sampled) members — pattern-based domains, plus distinct
-    /// constants for instantiated head vars.
+    /// sum for cardinality, and the summary of the (sampled) members for
+    /// the head-variable domains. Past the sampling cap the domains are
+    /// the sample's, capped by its rows.
     pub fn fragment_components(&self, ucq: &StoreUcq) -> FragComponents {
         let sums = self.member_sums(ucq);
-        let (stride, scale) = member_sample(ucq.cqs.len());
-        let mut consts: FxHashMap<VarId, FxHashSet<jucq_model::TermId>> = FxHashMap::default();
-        let mut domains: FxHashMap<VarId, f64> = FxHashMap::default();
-        for cq in ucq.cqs.iter().step_by(stride) {
-            let extents: Vec<f64> = {
-                let work = &mut *self.work.borrow_mut();
-                cq.patterns.iter().map(|p| work.extent(self, p)).collect()
-            };
-            for (pos, &v) in ucq.head.iter().enumerate() {
-                let d = self.stats.var_domain_in(&cq.patterns, &extents, v);
-                domains.entry(v).and_modify(|cur| *cur = cur.max(d)).or_insert(d);
-                if let Some(PatternTerm::Const(c)) = cq.head.get(pos) {
-                    consts.entry(v).or_default().insert(*c);
-                }
-            }
-        }
-        let var_domains = ucq
-            .head
-            .iter()
-            .map(|v| {
-                let mut d = domains.get(v).copied().unwrap_or(1.0);
-                if let Some(cs) = consts.get(v) {
-                    d = d.max(cs.len() as f64 * scale.min(8.0));
-                }
-                (*v, d.min(sums.card.max(1.0)))
-            })
-            .collect();
-        let comps =
-            FragComponents { eval: sums.eval, volume: sums.volume, card: sums.card, var_domains };
-        self.finish(comps, ucq)
+        let (stride, _) = member_sample(ucq.cqs.len());
+        // `member_sums` just memoized every extent of the sample.
+        let work = self.work.borrow();
+        let extent = |p: &StorePattern| work.extents[p];
+        let members = ucq.cqs.iter().step_by(stride).map(|cq| (cq, cq.patterns.iter().map(extent)));
+        let mut summary = self.stats.summarize(&ucq.head, members);
+        summary.set_rows(sums.card);
+        self.finish(FragComponents { eval: sums.eval, volume: sums.volume, summary }, ucq)
     }
 
     /// Equation 1: assemble a JUCQ's cost from its fragments'
@@ -513,11 +443,11 @@ impl<'a> PaperCostModel<'a> {
     /// magnitude).
     pub fn combine(&self, frags: &[&FragComponents]) -> f64 {
         let c = &self.constants;
-        let eval: f64 = frags.iter().map(|f| f.eval + self.c_unique(f.card)).sum();
+        let eval: f64 = frags.iter().map(|f| f.eval + self.c_unique(f.summary.rows)).sum();
         let total_volume: f64 = frags.iter().map(|f| f.volume).sum();
         let join_measure = |f: &&FragComponents| match self.eval_model {
             EvalModel::ScanVolume => f.volume,
-            EvalModel::IndexPipeline => f.card,
+            EvalModel::IndexPipeline => f.summary.rows,
         };
         let (join, mat) = if frags.len() > 1 {
             let total: f64 = frags.iter().map(join_measure).sum();
@@ -526,16 +456,18 @@ impl<'a> PaperCostModel<'a> {
         } else {
             (0.0, 0.0)
         };
-        // Fragment-join cardinality: product of fragment estimates with
-        // per-shared-variable containment selectivity.
-        let mut est: f64 = frags.iter().map(|f| f.card).product();
-        if frags.len() > 1 {
-            let mut work = self.work.borrow_mut();
-            let domains = &mut work.domains;
-            domains.clear();
-            domains.extend(frags.iter().flat_map(|f| &f.var_domains));
-            est = apply_selectivities(est, domains);
-        }
+        // Fragment-join cardinality: the summaries joined into one, from
+        // a unit row (per shared variable, every domain but the smallest
+        // divides the product of the fragments' rows).
+        let est = {
+            let join = &mut self.work.borrow_mut().join;
+            join.rows = 1.0;
+            join.domains.clear();
+            for f in frags {
+                join.join(&f.summary);
+            }
+            join.rows
+        };
         // Clamp by the plan's total input: independence estimates can
         // explode on many-fragment covers, and every JUCQ of one query
         // has the same true result anyway.
@@ -625,7 +557,7 @@ mod tests {
         let f = frag(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]);
         let jucq = StoreJucq::from_ucq(f.clone());
         let expected =
-            constants.c_db + m.c_eval_ucq(&f) + m.c_unique(stats.est_jucq(&table, &jucq));
+            constants.c_db + m.c_eval_ucq(&f) + m.c_unique(stats.summarize_ucq(&table, &f).rows);
         assert!((m.cost(&jucq) - expected).abs() < 1e-12);
     }
 
@@ -736,7 +668,7 @@ mod tests {
             with.eval,
             without.eval
         );
-        assert_eq!(with.card, 10.0, "stored tuple count is the exact cardinality");
+        assert_eq!(with.summary.rows, 10.0, "stored tuple count is the exact cardinality");
         assert_eq!(with.volume, 10.0);
 
         // A fragment the catalog does not hold prices identically.

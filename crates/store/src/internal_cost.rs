@@ -17,7 +17,7 @@ use jucq_model::FxHashMap;
 use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 use crate::plan::{fragment_join_order, JoinStep};
 use crate::profile::JoinAlgo;
-use crate::stats::{FragmentSummary, Statistics};
+use crate::stats::{EstScratch, FragmentSummary, Statistics};
 use crate::table::TripleTable;
 use crate::Store;
 
@@ -65,29 +65,31 @@ pub(crate) fn join_step_cost(algo: JoinAlgo, acc: f64, c: f64, elide: (bool, boo
 }
 
 /// Estimate the internal cost of evaluating one CQ with the greedy
-/// index-nested-loop pipeline: sum of intermediate result sizes.
-fn cq_cost(stats: &Statistics, table: &TripleTable, cq: &StoreCq) -> f64 {
+/// index-nested-loop pipeline: one probe per intermediate tuple of every
+/// pipeline prefix ([`Statistics::pipeline_volume`]) plus a per-step
+/// setup. `extents` and `scratch` are reused across members.
+fn cq_cost(
+    stats: &Statistics,
+    table: &TripleTable,
+    cq: &StoreCq,
+    extents: &mut Vec<f64>,
+    scratch: &mut EstScratch,
+) -> f64 {
     if cq.patterns.is_empty() {
         return CPU_TUPLE;
     }
-    // Approximate the pipeline by accumulating the CQ estimate over
-    // prefixes of the greedy order (cheapest extent first).
-    let mut order: Vec<usize> = (0..cq.patterns.len()).collect();
-    order.sort_by_key(|&i| table.count(&cq.patterns[i].bound()));
-    let mut cost = 0.0;
-    for k in 1..=order.len() {
-        let prefix: Vec<_> = order[..k].iter().map(|&i| cq.patterns[i]).collect();
-        let sub = StoreCq::with_var_head(prefix, vec![]);
-        let inter = stats.est_cq(table, &sub);
-        cost += CPU_PROBE * inter + CPU_TUPLE;
-    }
-    cost
+    extents.clear();
+    extents.extend(cq.patterns.iter().map(|p| stats.pattern_card(table, p) as f64));
+    CPU_PROBE * stats.pipeline_volume(&cq.patterns, extents, scratch)
+        + CPU_TUPLE * cq.patterns.len() as f64
 }
 
 /// Estimate the internal cost of one fragment UCQ (members + dedup)
 /// whose result is estimated at `card` rows.
 fn ucq_cost(stats: &Statistics, table: &TripleTable, ucq: &StoreUcq, card: f64) -> f64 {
-    let members: f64 = ucq.cqs.iter().map(|cq| cq_cost(stats, table, cq)).sum();
+    let (mut extents, mut scratch) = (Vec::new(), EstScratch::default());
+    let members: f64 =
+        ucq.cqs.iter().map(|cq| cq_cost(stats, table, cq, &mut extents, &mut scratch)).sum();
     members + CPU_DEDUP * card + STARTUP * ucq.cqs.len() as f64
 }
 

@@ -63,7 +63,7 @@ pub use plan::{
 };
 pub use profile::{default_parallelism, EngineProfile, JoinAlgo};
 pub use relation::Relation;
-pub use stats::{FragmentSummary, Statistics};
+pub use stats::{EstScratch, FragmentSummary, Statistics};
 pub use table::{Perm, RangePos, TripleTable};
 pub use views::{
     DeltaFootprint, ViewCatalog, ViewCatalogStats, ViewFootprint, ViewSignature, ViewSource,

@@ -42,10 +42,9 @@
 //! join tree, the per-step estimates, the SIP filter definitions (one
 //! per step with a join key) and the interesting orders handed to leaf
 //! scans are all read off that one result, as is the internal cost
-//! model's join pricing. A step estimate is [`Statistics::est_jucq`]'s
-//! formula folded one fragment further (`FragmentSummary::join_rows`),
-//! which is arithmetic: lowering walks each member once, for its
-//! summary.
+//! model's join pricing. A step estimate is the summaries' join formula
+//! folded one fragment further (`FragmentSummary::join_rows`), which is
+//! arithmetic: lowering walks each member once, for its summary.
 
 use jucq_model::{FxHashMap, FxHashSet};
 
@@ -698,8 +697,10 @@ impl<'a> Planner<'a> {
         let mut summaries: Vec<FragmentSummary> = draft
             .iter()
             .map(|f| {
-                self.stats
-                    .summarize(&f.head, f.members.iter().map(|m| (&m.cq, m.counts.iter().copied())))
+                self.stats.summarize(
+                    &f.head,
+                    f.members.iter().map(|m| (&m.cq, m.counts.iter().map(|&c| c as f64))),
+                )
             })
             .collect();
         let frag_est: Vec<f64> = summaries.iter().map(|s| s.rows).collect();

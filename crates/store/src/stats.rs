@@ -9,10 +9,18 @@
 //!   indexes in O(log n);
 //! * System-R-style **estimates** for CQs (independence + containment of
 //!   value sets), UCQs (sum) and JUCQs (join of fragment estimates).
+//!
+//! It is the only code that turns per-atom extents into row estimates
+//! and per-variable domains. [`Statistics::est_with_extents`] holds the
+//! CQ formula, [`Statistics::pipeline_volume`] sums it over a member's
+//! greedy pipeline prefixes, and a [`FragmentSummary`] carries a
+//! fragment's rows and domains to whoever joins it: the planner's
+//! fragment join order, the internal cost model, `explain`, and the
+//! optimizer's §4.1 model all read the same summaries.
 
 use jucq_model::{FxHashMap, FxHashSet, TermId};
 
-use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
+use crate::ir::{StoreCq, StorePattern, StoreUcq, VarId};
 use crate::table::{Perm, TripleTable};
 
 /// Per-predicate statistics.
@@ -134,75 +142,81 @@ impl Statistics {
         best.min(card.max(1.0)).max(1.0)
     }
 
-    /// Estimated result cardinality of a CQ body (before projection):
-    /// product of exact pattern extents divided per shared variable by
-    /// all but the smallest of its per-atom domains (containment of
-    /// value sets).
-    pub fn est_cq(&self, table: &TripleTable, cq: &StoreCq) -> f64 {
-        let cards: Vec<f64> =
-            cq.patterns.iter().map(|p| self.pattern_card(table, p) as f64).collect();
-        self.est_with_extents(&cq.patterns, &cards)
+    /// Estimated result cardinality of a CQ body (before projection) from
+    /// its atoms' extents: the product of the extents, divided per
+    /// variable by every per-atom domain but the smallest (containment of
+    /// value sets). The extents are supplied, not looked up: exact index
+    /// counts for a member, a range-collapsed atom's whole interval in
+    /// the planner, or the *unioned* reformulation extents of a cover
+    /// query, whose join the optimizer uses as its overlap-aware fragment
+    /// estimate (the per-member sum wildly overcounts the overlap between
+    /// union members). Allocates nothing once `scratch` is warm.
+    pub fn est_with_extents(
+        &self,
+        atoms: &[StorePattern],
+        extents: &[f64],
+        scratch: &mut EstScratch,
+    ) -> f64 {
+        debug_assert_eq!(atoms.len(), extents.len());
+        self.est_atoms(atoms, extents, 0..atoms.len(), &mut scratch.domains)
     }
 
-    /// The [`Statistics::est_cq`] formula with *supplied* per-atom
-    /// extents instead of index lookups. This backs the optimizer's
-    /// union-overlap-aware fragment estimate: a reformulated fragment's
-    /// result is contained in the join of its atoms' *unioned*
-    /// reformulation extents, which this estimates (the per-member sum
-    /// wildly overcounts the overlap between union members).
-    pub fn est_with_extents(&self, atoms: &[StorePattern], extents: &[f64]) -> f64 {
+    /// The evaluated input volume of a CQ run as an index-nested-loop
+    /// pipeline: atoms joined cheapest extent first (stable on ties),
+    /// each step reading the estimated result of the prefix joined so
+    /// far — Σ over the prefixes of [`Statistics::est_with_extents`]. The
+    /// first prefix is the smallest extent itself.
+    pub fn pipeline_volume(
+        &self,
+        atoms: &[StorePattern],
+        extents: &[f64],
+        scratch: &mut EstScratch,
+    ) -> f64 {
         debug_assert_eq!(atoms.len(), extents.len());
-        if atoms.is_empty() {
-            return 1.0;
-        }
-        if extents.contains(&0.0) {
+        let EstScratch { domains, order } = scratch;
+        order.clear();
+        order.extend(0..atoms.len());
+        order.sort_by(|&a, &b| extents[a].partial_cmp(&extents[b]).expect("finite extents"));
+        (1..=order.len())
+            .map(|len| self.est_atoms(atoms, extents, order[..len].iter().copied(), domains))
+            .sum()
+    }
+
+    /// The one body of the CQ formula, over the atoms `picked` (in
+    /// product order). The `(variable, domain)` pairs are sorted and
+    /// divided in that order, so the result is a function of the picked
+    /// atoms alone.
+    fn est_atoms(
+        &self,
+        atoms: &[StorePattern],
+        extents: &[f64],
+        picked: impl Iterator<Item = usize> + Clone,
+        domains: &mut Vec<(VarId, f64)>,
+    ) -> f64 {
+        if picked.clone().any(|i| extents[i] == 0.0) {
             return 0.0;
         }
-        let mut est: f64 = extents.iter().product();
-        // Per-variable join selectivity.
-        let mut var_occurrences: FxHashMap<VarId, Vec<f64>> = FxHashMap::default();
-        for (p, &card) in atoms.iter().zip(extents) {
-            for v in p.variables() {
-                var_occurrences.entry(v).or_default().push(self.var_domain(p, v, card));
-            }
+        let mut est: f64 = picked.clone().map(|i| extents[i]).product();
+        domains.clear();
+        for i in picked {
+            let (p, extent) = (&atoms[i], extents[i]);
+            domains.extend(p.variables().into_iter().map(|v| (v, self.var_domain(p, v, extent))));
         }
-        for (_, mut domains) in var_occurrences {
-            if domains.len() < 2 {
-                continue;
-            }
-            domains.sort_by(|a, b| a.partial_cmp(b).expect("finite domains"));
-            // Divide by every domain except the smallest.
-            for d in &domains[1..] {
-                est /= d.max(1.0);
+        domains.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite domains"));
+        for pair in domains.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                est /= pair[1].1.max(1.0);
             }
         }
         est.max(0.0)
-    }
-
-    /// Domain size of `var` within `atoms` (the largest per-atom domain
-    /// where it occurs), for join-selectivity reasoning outside this
-    /// module; `extents` as in [`Statistics::est_with_extents`].
-    pub fn var_domain_in(&self, atoms: &[StorePattern], extents: &[f64], var: VarId) -> f64 {
-        let mut best: f64 = 1.0;
-        for (p, &card) in atoms.iter().zip(extents) {
-            if p.variables().contains(&var) {
-                best = best.max(self.var_domain(p, var, card));
-            }
-        }
-        best
-    }
-
-    /// Estimated cardinality of a UCQ: sum of member estimates (overlap
-    /// ignored, as usual for union estimation).
-    pub fn est_ucq(&self, table: &TripleTable, ucq: &StoreUcq) -> f64 {
-        ucq.cqs.iter().map(|cq| self.est_cq(table, cq)).sum()
     }
 
     /// Summarize one fragment for join estimation from its members, each
     /// given with its per-atom extents (in pattern order). The planner
     /// passes the exact counts it already holds — a range-collapsed atom
     /// counts its whole interval there — so a summary costs no index
-    /// lookup; [`Statistics::summarize_ucq`] looks the extents up.
+    /// lookup; [`Statistics::summarize_ucq`] looks the extents up, and the
+    /// optimizer passes a cover query's unioned extents as one member.
     ///
     /// Rows are the sum of the members' [`Statistics::est_with_extents`].
     /// The domain of a head variable is the largest per-atom domain over
@@ -218,7 +232,7 @@ impl Statistics {
         members: impl IntoIterator<Item = (&'m StoreCq, E)>,
     ) -> FragmentSummary
     where
-        E: IntoIterator<Item = usize>,
+        E: IntoIterator<Item = f64>,
     {
         fn raise(domains: &mut Vec<(VarId, f64)>, v: VarId, d: f64) {
             match domains.iter_mut().find(|e| e.0 == v) {
@@ -230,10 +244,11 @@ impl Statistics {
         let mut domains: Vec<(VarId, f64)> = Vec::with_capacity(head.len());
         let mut head_consts: Vec<FxHashSet<TermId>> = vec![FxHashSet::default(); head.len()];
         let mut cards: Vec<f64> = Vec::new();
+        let mut scratch = EstScratch::default();
         for (cq, extents) in members {
             cards.clear();
-            cards.extend(extents.into_iter().map(|e| e as f64));
-            rows += self.est_with_extents(&cq.patterns, &cards);
+            cards.extend(extents);
+            rows += self.est_with_extents(&cq.patterns, &cards, &mut scratch);
             for (p, &card) in cq.patterns.iter().zip(&cards) {
                 for v in p.variables() {
                     if head.contains(&v) {
@@ -262,28 +277,31 @@ impl Statistics {
     pub fn summarize_ucq(&self, table: &TripleTable, ucq: &StoreUcq) -> FragmentSummary {
         self.summarize(
             &ucq.head,
-            ucq.cqs.iter().map(|cq| (cq, cq.patterns.iter().map(|p| self.pattern_card(table, p)))),
+            ucq.cqs
+                .iter()
+                .map(|cq| (cq, cq.patterns.iter().map(|p| self.pattern_card(table, p) as f64))),
         )
     }
+}
 
-    /// Estimated cardinality of a JUCQ: fragment estimates combined with
-    /// join selectivities on the variables shared between fragments,
-    /// using each shared variable's smallest per-fragment domain — the
-    /// fold of [`FragmentSummary::join`] over the fragments' summaries.
-    pub fn est_jucq(&self, table: &TripleTable, jucq: &StoreJucq) -> f64 {
-        let mut parts = jucq.fragments.iter().map(|u| self.summarize_ucq(table, u));
-        let Some(mut acc) = parts.next() else { return 0.0 };
-        for part in parts {
-            acc.join(&part);
-        }
-        acc.rows
-    }
+/// The estimator's reusable buffers. A caller that estimates in a loop
+/// keeps one and passes it to every call, so that estimating allocates
+/// nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub struct EstScratch {
+    /// `(variable, domain)` per variable occurrence of the atoms
+    /// estimated.
+    domains: Vec<(VarId, f64)>,
+    /// Atom indexes, cheapest extent first.
+    order: Vec<usize>,
 }
 
 /// What join estimation needs to know about one fragment — or about a
 /// join of fragments, which is summarized the same way: estimated rows
 /// and, per variable, the domain that join selectivities divide by.
-#[derive(Debug, Clone, PartialEq)]
+/// Folding [`FragmentSummary::join`] over fragments estimates their
+/// JUCQ: each shared variable divides by every domain but its smallest.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FragmentSummary {
     /// Estimated result rows.
     pub rows: f64,
@@ -384,21 +402,31 @@ mod tests {
         assert_eq!(stats.distinct_predicates(), 3);
     }
 
+    fn one(patterns: Vec<StorePattern>, head: Vec<VarId>) -> StoreUcq {
+        StoreUcq::new(vec![StoreCq::with_var_head(patterns, head.clone())], head)
+    }
+
     #[test]
     fn single_pattern_estimate_is_exact() {
         let (table, stats) = setup();
-        let cq = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]);
-        assert_eq!(stats.est_cq(&table, &cq), 3.0);
+        let f = one(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]);
+        let summary = stats.summarize_ucq(&table, &f);
+        assert_eq!(summary.rows, 3.0);
+        // ?0 takes 2 subjects, ?1 2 objects.
+        assert_eq!(summary.domains, vec![(0, 2.0), (1, 2.0)]);
     }
 
     #[test]
     fn zero_extent_pattern_estimates_zero() {
         let (table, stats) = setup();
-        let cq = StoreCq::with_var_head(
+        let f = one(
             vec![StorePattern::new(v(0), c(99), v(1)), StorePattern::new(v(0), c(10), v(2))],
             vec![0],
         );
-        assert_eq!(stats.est_cq(&table, &cq), 0.0);
+        assert_eq!(stats.summarize_ucq(&table, &f).rows, 0.0);
+        let atoms = &f.cqs[0].patterns;
+        let mut scratch = EstScratch::default();
+        assert_eq!(stats.pipeline_volume(atoms, &[0.0, 3.0], &mut scratch), 0.0);
     }
 
     #[test]
@@ -406,12 +434,13 @@ mod tests {
         let (table, stats) = setup();
         // ?x 10 ?y ⋈ ?x 11 ?z: 3 × 3 = 9 before selectivity; shared var
         // x has domains {2, 3} ⇒ divide by 3 ⇒ 3.
-        let cq = StoreCq::with_var_head(
-            vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(0), c(11), v(2))],
-            vec![0, 1, 2],
-        );
-        let est = stats.est_cq(&table, &cq);
-        assert!(est > 0.0 && est < 9.0, "estimate {est} reduced below cross product");
+        let atoms = [StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(0), c(11), v(2))];
+        let mut scratch = EstScratch::default();
+        assert_eq!(stats.est_with_extents(&atoms, &[3.0, 3.0], &mut scratch), 3.0);
+        // The pipeline reads the first extent, then the two-atom prefix.
+        assert_eq!(stats.pipeline_volume(&atoms, &[3.0, 3.0], &mut scratch), 6.0);
+        let f = one(atoms.to_vec(), vec![0, 1, 2]);
+        assert_eq!(stats.summarize_ucq(&table, &f).rows, 3.0);
     }
 
     #[test]
@@ -420,37 +449,48 @@ mod tests {
         let a = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]);
         let b = StoreCq::with_var_head(vec![StorePattern::new(v(0), c(11), v(1))], vec![0, 1]);
         let ucq = StoreUcq::new(vec![a, b], vec![0, 1]);
-        assert_eq!(stats.est_ucq(&table, &ucq), 6.0);
+        let summary = stats.summarize_ucq(&table, &ucq);
+        assert_eq!(summary.rows, 6.0);
+        // Each domain is the largest over the members: 3 subjects of 11,
+        // 2 objects of 10.
+        assert_eq!(summary.domains, vec![(0, 3.0), (1, 2.0)]);
     }
 
     #[test]
     fn jucq_estimate_applies_fragment_join_selectivity() {
         let (table, stats) = setup();
-        let f1 = StoreUcq::new(
-            vec![StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1])],
-            vec![0, 1],
-        );
-        let f2 = StoreUcq::new(
-            vec![StoreCq::with_var_head(vec![StorePattern::new(v(0), c(11), v(2))], vec![0, 2])],
-            vec![0, 2],
-        );
-        let jucq = StoreJucq::new(vec![f1, f2], vec![0, 1, 2]);
-        let est = stats.est_jucq(&table, &jucq);
-        assert!(est > 0.0 && est < 9.0, "estimate {est}");
+        let f1 = stats
+            .summarize_ucq(&table, &one(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]));
+        let f2 = stats
+            .summarize_ucq(&table, &one(vec![StorePattern::new(v(0), c(11), v(2))], vec![0, 2]));
+        // 3 × 3 rows, divided by the larger ?0 domain (3).
+        assert_eq!(f1.join_rows(&f2), 3.0);
+        let mut acc = f1.clone();
+        acc.join(&f2);
+        assert_eq!(acc.rows, 3.0);
+        assert_eq!(acc.domains, vec![(0, 2.0), (1, 2.0), (2, 1.0)]);
     }
 
     #[test]
     fn empty_jucq_estimates_zero() {
+        // A fragment without members has no rows, and neither has any
+        // join with it.
         let (table, stats) = setup();
-        let jucq = StoreJucq::new(vec![], vec![]);
-        assert_eq!(stats.est_jucq(&table, &jucq), 0.0);
+        let empty = stats.summarize_ucq(&table, &StoreUcq::new(vec![], vec![0]));
+        assert_eq!(empty.rows, 0.0);
+        let f = stats
+            .summarize_ucq(&table, &one(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]));
+        assert_eq!(f.join_rows(&empty), 0.0);
+        assert_eq!(empty.join_rows(&f), 0.0);
     }
 
     #[test]
     fn empty_cq_estimates_one() {
         let (table, stats) = setup();
-        let cq = StoreCq::with_var_head(vec![], vec![]);
-        assert_eq!(stats.est_cq(&table, &cq), 1.0);
+        let mut scratch = EstScratch::default();
+        assert_eq!(stats.est_with_extents(&[], &[], &mut scratch), 1.0);
+        assert_eq!(stats.pipeline_volume(&[], &[], &mut scratch), 0.0);
+        assert_eq!(stats.summarize_ucq(&table, &one(vec![], vec![])).rows, 1.0);
     }
 
     #[test]
