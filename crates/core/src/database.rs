@@ -29,6 +29,21 @@ use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::report::{AnswerError, AnswerReport, UpdateReport};
 use crate::strategy::Strategy;
 
+/// Replace `cache` by its [successor](PlanCache::successor) and return
+/// the new handle for the next snapshot. The old instance stays with the
+/// snapshots that hold it: a reader still answering against one of them
+/// can only attach plans lowered from *its* stores there.
+fn renew(
+    cache: &mut Option<Arc<Mutex<PlanCache>>>,
+    keep_covers: bool,
+) -> Option<Arc<Mutex<PlanCache>>> {
+    if let Some(c) = cache {
+        let next = lock_cache(c).successor(keep_covers);
+        *c = Arc::new(Mutex::new(next));
+    }
+    cache.clone()
+}
+
 /// True iff `t` is an RDFS schema statement: it changes the schema
 /// closure, so an update carrying one cannot be absorbed incrementally.
 fn is_schema_triple(t: &Triple) -> bool {
@@ -215,8 +230,11 @@ impl RdfDatabase {
 
     /// Enable cover-plan caching for the ECov/GCov strategies: repeated
     /// queries reuse the previously chosen cover instead of re-running
-    /// the search. Sound across data updates (any valid cover answers
-    /// correctly, Theorem 3.1); cleared when the database is re-prepared.
+    /// the search, and the physical plan lowered from it. Covers carry
+    /// across data updates (any valid cover answers correctly, Theorem
+    /// 3.1) and are dropped when the database is re-prepared; a plan
+    /// only serves the snapshot it was lowered for (see
+    /// [`PlanCache::successor`]).
     ///
     /// Calling this again on a live cache **resizes** it in place —
     /// entries and hit/miss counters survive (shrinking evicts
@@ -237,29 +255,11 @@ impl RdfDatabase {
         self.plan_cache.as_ref().map(|c| lock_cache(c).stats())
     }
 
-    /// Swap in a fresh plan cache of the same capacity, leaving the old
-    /// handle to whoever still holds it. The serving layer calls this
-    /// on a non-incremental rebuild: readers pinned to an earlier epoch
-    /// may attach plans lowered from the *old* stores after the rebuild
-    /// cleared the cache — so sharing one cache across that boundary
-    /// could hand a new-epoch reader a physical plan lowered against
-    /// the old closure and statistics. (Term ids are append-only, so
-    /// the ids in such a plan still mean the same terms; its unions and
-    /// join order do not.) A fresh handle makes the race
-    /// unrepresentable; the old epoch keeps caching against its own
-    /// doomed instance until it drops.
-    pub(crate) fn replace_plan_cache(&mut self) {
-        if let Some(cache) = &mut self.plan_cache {
-            let capacity = lock_cache(cache).capacity();
-            *cache = Arc::new(Mutex::new(PlanCache::new(capacity)));
-        }
-    }
-
     /// Enable the materialized fragment-view catalog with a tuple
     /// budget: cover fragments pinned through
     /// [`RdfDatabase::pin_cover_fragments`] are stored as materialized
     /// relations, the cover search prices them at `c_view` per tuple,
-    /// and the planner lowers matching fragments to `ViewScan` leaves.
+    /// and the planner binds matching fragments to their views.
     /// Calling again on a live catalog replaces it (entries are
     /// re-pinned by their owners).
     pub fn enable_views(&mut self, budget_tuples: usize) {
@@ -288,9 +288,9 @@ impl RdfDatabase {
     /// fragments and fragments the tuple budget rejects are skipped.
     /// Saturation plans have no cover fragments, so they pin nothing.
     ///
-    /// Pinning invalidates cached *physical* plans (covers survive):
-    /// plans lowered before the pin carry no `ViewScan` leaves and
-    /// would keep evaluating the fallback unions forever.
+    /// Pinning republishes the snapshot with a new plan cache (covers
+    /// survive): plans lowered before the pin bind no view and would
+    /// keep evaluating the fragments' members forever.
     pub fn pin_cover_fragments(
         &mut self,
         q: &BgpQuery,
@@ -327,9 +327,8 @@ impl RdfDatabase {
             }
         }
         if pinned > 0 {
-            if let Some(cache) = &self.plan_cache {
-                lock_cache(cache).clear_plans();
-            }
+            let cache = renew(&mut self.plan_cache, true);
+            self.republish(|s| Snapshot { cache, ..s.share() });
         }
         Ok(pinned)
     }
@@ -351,14 +350,13 @@ impl RdfDatabase {
     }
 
     /// Drop the current snapshot: the next one is built from scratch
-    /// and, holding different data, under the next epoch.
+    /// and, holding different data, under the next epoch, with a new
+    /// plan cache that carries no covers.
     fn invalidate(&mut self) {
         if self.published.take().is_some() {
             self.epoch += 1;
         }
-        if let Some(cache) = &self.plan_cache {
-            lock_cache(cache).clear();
-        }
+        renew(&mut self.plan_cache, false);
         // A rebuild may change the schema closure the materialized
         // unions were derived from: nothing in the catalog survives.
         if let Some(catalog) = &self.views {
@@ -474,8 +472,10 @@ impl RdfDatabase {
 
         // The next epoch: both stores merged with their deltas, the
         // dictionary as it is now (its tables are copied only if this
-        // batch interned a term while `prev` shared them), the rest
-        // shared with the snapshot readers may still be pinned to.
+        // batch interned a term while `prev` shared them), a new plan
+        // cache carrying the covers but none of the plans lowered from
+        // the old stores, the rest shared with the snapshot readers may
+        // still be pinned to.
         self.epoch += 1;
         let prev = &p.snapshot;
         let next = Snapshot {
@@ -483,6 +483,7 @@ impl RdfDatabase {
             dict: self.graph.dict().clone(),
             plain: prev.plain.apply_delta(&plain_ins, &plain_del),
             saturated: prev.saturated.apply_delta(&sat_ins, &sat_del),
+            cache: renew(&mut self.plan_cache, true),
             ..prev.share()
         };
 
@@ -502,12 +503,6 @@ impl RdfDatabase {
             }
         }
         p.snapshot = Arc::new(next);
-        // Covers stay sound across data updates (Theorem 3.1), but the
-        // physical plans lowered from them baked in join orders and
-        // shared-scan choices from the old statistics snapshot.
-        if let Some(cache) = &self.plan_cache {
-            lock_cache(cache).clear_plans();
-        }
         report
     }
 

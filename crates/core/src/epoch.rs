@@ -67,8 +67,10 @@ pub struct Snapshot {
     pub(crate) plain: Store,
     pub(crate) saturated: Store,
     pub(crate) constants: CostConstants,
-    /// The plan cache outlives any single epoch (covers stay sound
-    /// across data updates); a rebuild swaps in a fresh one.
+    /// This snapshot's plan cache instance: the writer starts a new one
+    /// for every data change and view pin (see
+    /// [`PlanCache::successor`]), so a plan cached here was lowered
+    /// against this snapshot's stores.
     pub(crate) cache: Option<Arc<Mutex<PlanCache>>>,
     /// The shared view catalog (entries are epoch-stamped; this
     /// snapshot's requests resolve only entries stamped with exactly
@@ -323,7 +325,7 @@ impl Snapshot {
 
     /// The store `saturated` selects, and the catalog that may serve
     /// plans on it: views were materialized from the plain store, so a
-    /// saturation plan never carries `ViewScan` leaves.
+    /// saturation plan never binds a view.
     fn target(&self, saturated: bool) -> (&Store, Option<&ViewCatalog>) {
         if saturated {
             (&self.saturated, None)
@@ -558,10 +560,10 @@ fn answer_on(
     // execution context, never the plan: `plan_cache_key` excludes
     // them by design, so a request with a tight deadline still reuses
     // the shared plan. View resolution is pinned to *this* epoch: a
-    // cached plan's `ViewScan` leaf serves rows only when the catalog
-    // entry was computed at exactly `s.epoch`, and falls back to its
-    // embedded union otherwise — so a racing plan-cache entry can never
-    // surface another epoch's rows.
+    // cached plan's view-served fragment takes rows only from a catalog
+    // entry computed at exactly `s.epoch`, and evaluates its members
+    // otherwise — so a racing plan-cache entry can never surface another
+    // epoch's rows.
     let source = catalog.map(|c| ViewSource { catalog: c, epoch: s.epoch });
     let (mut outcome, exec) = target.eval_plan_views(&plan, profiled, limits, source.as_ref())?;
     if let Some(n) = q.limit {

@@ -7,7 +7,7 @@
 //! statistics snapshot — and by Theorem 3.1 **any** valid cover answers
 //! correctly — so a cached cover stays sound across arbitrary data
 //! updates; at worst it drifts from the cost optimum as statistics
-//! move. The cache is therefore kept through incremental updates and
+//! move. Covers are therefore carried through incremental updates and
 //! only dropped on re-preparation (schema/vocabulary changes).
 //!
 //! Each entry is keyed by `(query, strategy, profile)`: the cost model
@@ -17,10 +17,15 @@
 //!
 //! Alongside the cover, an entry can carry the **physical plan** the
 //! store lowered for the reformulated JUCQ ([`jucq_store::Plan`]).
-//! Unlike covers, physical plans bake in join orders and shared-scan
-//! choices derived from the statistics snapshot, so they are dropped
-//! (covers kept) whenever the data changes — see
-//! [`PlanCache::clear_plans`].
+//! Unlike covers, physical plans depend on the data they were lowered
+//! against: besides join orders and shared-scan choices derived from
+//! the statistics, the planner drops every union member whose extent
+//! was empty and bridges interval gaps it proved empty on that data's
+//! index. A plan is therefore only ever served to the snapshot it was
+//! lowered for: every publication that changes data, and every view
+//! pin, starts a new cache instance ([`PlanCache::successor`]) with no
+//! plans, so a reader still on the old snapshot can only attach its
+//! plans to the old instance.
 //!
 //! Covers and plans are held behind [`Arc`], so a hit hands out a
 //! shared pointer instead of deep-cloning on the hot path.
@@ -189,11 +194,31 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Drop every cached physical plan, keeping the covers. Called when
-    /// the data (hence the statistics snapshot) changes: covers stay
-    /// sound (Theorem 3.1) but join orders and shared-scan choices baked
-    /// into lowered plans may no longer be the ones the planner would
-    /// pick.
+    /// The cache a new snapshot starts from: the same capacity and
+    /// hit/miss counters, no physical plans, and this cache's covers
+    /// when `keep_covers` (a data update: covers stay sound, Theorem
+    /// 3.1) or none (a rebuild: the schema closure the covers were
+    /// chosen under may have changed).
+    pub fn successor(&self, keep_covers: bool) -> PlanCache {
+        let mut next = PlanCache::new(self.capacity);
+        next.stats = self.stats;
+        if keep_covers {
+            next.order = self.order.clone();
+            next.map = self
+                .map
+                .iter()
+                .map(|(key, e)| {
+                    let entry =
+                        Entry { cover: Arc::clone(&e.cover), explored: e.explored, plan: None };
+                    (key.clone(), entry)
+                })
+                .collect();
+        }
+        next.publish_size();
+        next
+    }
+
+    /// Drop every cached physical plan in place, keeping the covers.
     pub fn clear_plans(&mut self) {
         for e in self.map.values_mut() {
             e.plan = None;
@@ -376,6 +401,31 @@ mod tests {
         c.clear_plans();
         assert!(c.get_plan(&k, &q).is_none(), "plans dropped");
         assert!(c.get(&k).is_some(), "covers survive");
+    }
+
+    #[test]
+    fn successor_carries_counters_and_optionally_covers_but_never_plans() {
+        let mut c = PlanCache::new(4);
+        let q = query(1);
+        let k = key(&q, "GCov");
+        c.put(k.clone(), cover(&q), Some(3));
+        c.get(&k);
+        c.attach_plan(&k, q.clone(), physical_plan(&q));
+        c.get_plan(&k, &q);
+        let before = c.stats();
+
+        let mut next = c.successor(true);
+        assert_eq!(next.stats(), before, "counters carry over");
+        assert_eq!(next.capacity(), 4);
+        assert!(next.get_plan(&k, &q).is_none(), "plans never carry over");
+        let (carried, explored) = next.get(&k).expect("covers carry over");
+        assert_eq!((*carried == cover(&q), explored), (true, Some(3)));
+        assert!(c.get_plan(&k, &q).is_some(), "the old instance keeps its plan");
+
+        let mut rebuilt = c.successor(false);
+        assert!(rebuilt.is_empty(), "a rebuild carries no covers");
+        assert_eq!(rebuilt.stats().hits, c.stats().hits);
+        assert!(rebuilt.get(&k).is_none());
     }
 
     #[test]

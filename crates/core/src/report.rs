@@ -80,13 +80,14 @@ pub struct AnswerReport {
     /// Covers explored by the search, when one ran.
     pub covers_explored: Option<usize>,
     /// Fragments whose union members contained at least one
-    /// consecutive-id run the planner *could* collapse into a
-    /// [`RangeScan`](jucq_store::PlanNode) — detected even when the
+    /// consecutive-id run the planner *could* collapse into an
+    /// [`Interval`](jucq_store::Interval) — detected even when the
     /// profile's `range_scans` knob is off, so the query log can report
     /// missed opportunities.
     pub range_eligible: usize,
-    /// `RangeScan` nodes actually present in the executed plan (0 when
-    /// the knob is off or nothing was contiguous).
+    /// Collapsed intervals (range scans and range probes) actually
+    /// present in the executed plan (0 when the knob is off or nothing
+    /// was contiguous).
     pub range_scans_planned: usize,
     /// Materialized fragment views resident in the catalog when this
     /// answer ran (0 when no catalog is enabled). Epoch-exact view

@@ -11,14 +11,14 @@
 //! writer derives a successor beside the snapshot it came from, it
 //! never mutates one.
 //!
-//! Schema-changing updates force a rebuild on the writer's side, which
-//! swaps in a fresh plan cache — plans lowered against the old closure
-//! and statistics must not reach the new epoch, even when a reader
-//! still pinned to the old one attaches them after the rebuild. Term
-//! ids are append-only, so a query parsed against an old epoch means
-//! the same terms against any later one; each snapshot holds the
-//! dictionary as of its publication, so it decodes exactly the ids its
-//! own stores hold.
+//! Every published update and every view pin comes with a new plan
+//! cache instance (covers carried unless the update rebuilt the
+//! snapshot, plans never): a plan depends on the data it was lowered
+//! against, so one lowered by a reader still pinned to an old epoch
+//! must stay in that epoch's instance. Term ids are append-only, so a
+//! query parsed against an old epoch means the same terms against any
+//! later one; each snapshot holds the dictionary as of its publication,
+//! so it decodes exactly the ids its own stores hold.
 
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
@@ -83,13 +83,14 @@ impl ServingDb {
     /// materialized views, now and after every future update: the
     /// definition is recorded and the writer re-materializes whatever
     /// an update invalidates when it publishes the next epoch. Entries
-    /// are stamped with the *current* epoch, so in-flight requests on
-    /// the current snapshot can resolve them immediately (their cached
-    /// plans are invalidated; covers survive). Returns the number of
-    /// fragments newly materialized.
+    /// are stamped with the *current* epoch, and the current snapshot is
+    /// republished with a new plan cache (covers survive), so requests
+    /// that start after the pin resolve them immediately. Returns the
+    /// number of fragments newly materialized.
     pub fn pin_views(&self, sparql: &str, strategy: &Strategy) -> Result<usize, PinError> {
         let mut db = self.lock_writer();
         let pinned = Self::pin(&mut db, sparql, strategy)?;
+        self.publish(&mut db);
         let mut pins = self.lock_pins();
         if !pins.iter().any(|(s, st)| s == sparql && st == strategy) {
             pins.push((sparql.to_owned(), strategy.clone()));
@@ -132,17 +133,14 @@ impl ServingDb {
     /// Apply a batch of data insertions and deletions
     /// ([`RdfDatabase::apply_data_updates`]) and publish the next
     /// epoch, from the previous snapshot plus the delta or, on schema
-    /// statements or new vocabulary, from scratch and with a fresh plan
-    /// cache (plans attached by readers still pinned to the old epoch
-    /// were lowered against the old stores, so they must stay in the
-    /// old cache instance). Readers are only blocked for the pointer
-    /// swap.
+    /// statements or new vocabulary, from scratch — either way with a
+    /// new plan cache instance (plans attached by readers still pinned
+    /// to the old epoch were lowered against the old stores, so they
+    /// stay in the old instance). Readers are only blocked for the
+    /// pointer swap.
     pub fn apply_data_updates(&self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
         let mut db = self.lock_writer();
         let report = db.apply_data_updates(inserts, deletes);
-        if !report.incremental {
-            db.replace_plan_cache();
-        }
         // Re-materialize pinned definitions the update invalidated;
         // still-resident fragments are skipped (already stamped with
         // the new epoch).
@@ -194,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_update_republishes_with_a_fresh_cache() {
+    fn schema_update_republishes_with_a_cache_carrying_only_counters() {
         let mut db = hierarchy_db();
         db.enable_plan_cache(8);
         let serving = ServingDb::new(db);
@@ -234,19 +232,64 @@ mod tests {
         assert_eq!(ucq.rows.len(), 6, "doc9 is a Work through Thesis");
         assert!(ucq.range_scans_planned >= 1, "the grown subtree still collapses");
 
-        // The rebuild swapped the cache handle: the new epoch starts
-        // cold, and anything readers still pinned to the old epoch
-        // cache from here on stays confined to the old instance.
+        // The rebuild started a new cache instance: it carries the
+        // counters but no cover, and what readers still pinned to the
+        // old epoch cache from here on stays in the old instance.
         let stats1 = snap1.plan_cache_stats().unwrap();
-        assert_eq!((stats1.hits, stats1.misses), (0, 0));
+        assert_eq!((stats1.hits, stats1.misses), (1, 1), "counters carry over");
         snap0.answer(&q0, &Strategy::gcov_default()).unwrap();
         let stats0_after = snap0.plan_cache_stats().unwrap();
-        assert!(stats0_after.misses >= 2, "old-epoch traffic hits only the old instance");
-        assert_eq!(snap1.plan_cache_stats().unwrap().misses, 0, "…and never the new one");
+        assert_eq!(stats0_after.hits, 2, "the old instance kept its cover");
+        assert_eq!(snap1.plan_cache_stats().unwrap(), stats1, "…and the new one saw nothing");
+        snap1.answer(&q1, &Strategy::gcov_default()).unwrap();
+        assert_eq!(snap1.plan_cache_stats().unwrap().misses, 2, "a rebuild carries no cover");
 
         // The pinned epoch still answers with its pre-update view.
         let old = snap0.answer(&q0, &Strategy::Ucq).unwrap();
         assert_eq!(old.rows.len(), 5);
+    }
+
+    /// A plan depends on the data it was lowered against: at epoch 0 the
+    /// `headOf` member of `?x worksFor ?y`'s reformulation has an empty
+    /// extent, so the plan prunes it. A reader still on epoch 0 after an
+    /// incremental `headOf` insert lowers and caches that plan again; a
+    /// reader of epoch 1 must never be served it.
+    #[test]
+    fn a_plan_lowered_at_an_old_epoch_never_answers_the_new_one() {
+        const TTL: &str = r#"
+            @prefix ex: <http://example.org/> .
+            ex:headOf rdfs:subPropertyOf ex:worksFor .
+            ex:a ex:worksFor ex:d .
+        "#;
+        let mut db = RdfDatabase::new();
+        db.load_turtle(TTL).expect("schema + data load");
+        db.enable_plan_cache(8);
+        let serving = ServingDb::new(db);
+        let (q_text, gcov) = (
+            "SELECT ?x ?y WHERE { ?x <http://example.org/worksFor> ?y . }",
+            Strategy::gcov_default(),
+        );
+        let snap0 = serving.snapshot();
+        let q0 = snap0.parse_query(q_text).unwrap();
+        assert_eq!(snap0.answer(&q0, &gcov).unwrap().rows.len(), 1);
+
+        let ex = |s: &str| Term::uri(format!("http://example.org/{s}"));
+        let head_of = Triple::new(ex("b"), ex("headOf"), ex("d"));
+        assert!(serving.apply_data_updates(&[head_of], &[]).incremental);
+        // The held epoch-0 snapshot lowers against its own stores again.
+        assert_eq!(snap0.answer(&q0, &gcov).unwrap().rows.len(), 1);
+
+        let snap1 = serving.snapshot();
+        assert_eq!(snap1.epoch(), 1);
+        let q1 = snap1.parse_query(q_text).unwrap();
+        let sat = snap1.answer(&q1, &Strategy::Saturation).unwrap();
+        assert_eq!(sat.rows.len(), 2, "b headOf d entails b worksFor d");
+        let mut got = snap1.answer(&q1, &gcov).unwrap().rows;
+        assert_eq!(got.len(), 2, "epoch 1 answers with a plan lowered for epoch 1");
+        let mut want = sat.rows;
+        got.sort();
+        want.sort();
+        assert_eq!(snap1.decode_rows(&got), snap1.decode_rows(&want));
     }
 
     #[test]

@@ -219,133 +219,6 @@ mod tests {
     use crate::metrics::Registry;
     use crate::ObsSession;
 
-    /// Minimal recursive-descent JSON validity checker, enough to prove
-    /// the exporter emits well-formed JSON.
-    mod json_check {
-        pub fn validate(s: &str) -> Result<(), String> {
-            let b = s.as_bytes();
-            let mut i = 0;
-            skip_ws(b, &mut i);
-            value(b, &mut i)?;
-            skip_ws(b, &mut i);
-            if i != b.len() {
-                return Err(format!("trailing bytes at {i}"));
-            }
-            Ok(())
-        }
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            match b.get(*i) {
-                Some(b'{') => object(b, i),
-                Some(b'[') => array(b, i),
-                Some(b'"') => string(b, i),
-                Some(b't') => lit(b, i, b"true"),
-                Some(b'f') => lit(b, i, b"false"),
-                Some(b'n') => lit(b, i, b"null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-                other => Err(format!("unexpected {other:?} at {i}")),
-            }
-        }
-
-        fn lit(b: &[u8], i: &mut usize, l: &[u8]) -> Result<(), String> {
-            if b[*i..].starts_with(l) {
-                *i += l.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at {i}"))
-            }
-        }
-
-        fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-            let start = *i;
-            if b.get(*i) == Some(&b'-') {
-                *i += 1;
-            }
-            while *i < b.len()
-                && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                *i += 1;
-            }
-            if *i == start {
-                Err(format!("empty number at {start}"))
-            } else {
-                Ok(())
-            }
-        }
-
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // opening quote
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at {i}"));
-                }
-                *i += 1;
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-
-        fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-    }
-
     fn sample_session() -> ObsSession {
         let r = Registry::default();
         r.counter_add("plan_cache.hits", 3);
@@ -381,7 +254,7 @@ mod tests {
     #[test]
     fn json_export_is_valid_json() {
         let j = to_json(&sample_session());
-        json_check::validate(&j).expect("exporter must emit valid JSON");
+        crate::json::parse(&j).expect("exporter must emit valid JSON");
         assert!(j.contains("\"plan_cache.hits\":3"));
         assert!(j.contains("\"schema\":\"jucq-obs/1\""));
         assert!(j.contains("execution \\\"quoted\\\""));
@@ -401,7 +274,7 @@ mod tests {
     #[test]
     fn empty_session_renders_placeholder() {
         let empty = ObsSession { spans: vec![], dropped_spans: 0, metrics: Default::default() };
-        json_check::validate(&to_json(&empty)).expect("empty JSON valid");
+        crate::json::parse(&to_json(&empty)).expect("empty JSON valid");
         assert!(to_text(&empty).contains("no observability data"));
     }
 }

@@ -145,16 +145,16 @@ impl Store {
     /// Lower a JUCQ to a physical [`Plan`] after admission control
     /// (union-term limit): the planner's rewrite-pass pipeline prunes
     /// provably empty members, deduplicates and subsumes union members,
-    /// factors common scans, fixes join orders and annotates every node
-    /// with a cardinality estimate.
+    /// factors common scans, fixes join orders and estimates every
+    /// fragment and join step.
     pub fn plan_jucq(&self, q: &StoreJucq) -> Result<Plan, EngineError> {
         self.plan_jucq_views(q, None)
     }
 
     /// [`Store::plan_jucq`] with an optional materialized-view catalog:
     /// cover fragments whose canonical signature has a current-epoch
-    /// entry are lowered to [`PlanNode::ViewScan`](crate::plan::PlanNode)
-    /// leaves (the fallback union stays embedded, so the plan remains
+    /// entry are bound to it ([`FragmentPlan::view`](crate::plan::FragmentPlan::view);
+    /// the fragment's members stay as the fallback, so the plan remains
     /// valid for requests whose epoch no longer matches the catalog).
     pub fn plan_jucq_views(
         &self,
@@ -206,11 +206,11 @@ impl Store {
     /// per-node [`ExecProfile`]. `limits`, when given, replaces the
     /// store's profile for this run only (a request's deadline, memory
     /// budget and parallelism); the plan was lowered earlier and does not
-    /// depend on it. [`PlanNode::ViewScan`](crate::plan::PlanNode) leaves
-    /// resolve through `views`, an epoch-pinned handle on a
-    /// [`ViewCatalog`](crate::views::ViewCatalog): entries whose epoch
-    /// differs from the handle's never serve, those leaves fall back to
-    /// their embedded union, and answers are identical either way.
+    /// depend on it. View-served fragments resolve through `views`, an
+    /// epoch-pinned handle on a [`ViewCatalog`](crate::views::ViewCatalog):
+    /// entries whose epoch differs from the handle's never serve, those
+    /// fragments fall back to their members, and answers are identical
+    /// either way.
     pub fn eval_plan_views(
         &self,
         plan: &Plan,
@@ -237,15 +237,13 @@ impl Store {
             jucq_obs::metrics::counter_add("exec.sip.drops", ctx.counters.sip_drops);
         }
         let profile = profiling.then(|| {
+            let estimates = plan.estimates();
             let nodes = ctx
                 .take_nodes()
                 .into_iter()
                 .map(|n: NodeProfile| {
-                    let est_rows = plan
-                        .estimates
-                        .iter()
-                        .find(|(label, _)| *label == n.label)
-                        .map(|&(_, est)| est);
+                    let est_rows =
+                        estimates.iter().find(|(label, _)| *label == n.label).map(|&(_, est)| est);
                     PlanNodeReport {
                         label: n.label,
                         invocations: n.invocations,
@@ -513,7 +511,7 @@ mod tests {
         let q = StoreJucq::new(vec![fa, fb], vec![0, 1]);
         let plan = s.plan_jucq(&q).unwrap();
         assert!(!plan.is_const_empty());
-        assert_eq!(plan.unions().len(), 2);
+        assert_eq!(plan.fragments.len(), 2);
         assert!(plan.pipelined.is_some());
         // The cached plan replays to the same answers as planning fresh.
         let via_plan = s.eval_plan(&plan).unwrap();

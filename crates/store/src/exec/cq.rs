@@ -1,15 +1,13 @@
-//! Union-member (CQ) operators: interpreting the access-path subtree of
-//! a physical plan member.
+//! Union-member (CQ) operators: running one [`MemberPlan`] pipeline.
 //!
-//! A member is a [`PlanNode::Project`] (or [`PlanNode::TrueRow`]) over an
-//! access chain the planner lowered from the CQ body: a single leaf scan
-//! extended by [`PlanNode::Inlj`] / [`PlanNode::RangeProbe`] probes —
-//! each probe extends the current binding set against the best
-//! permutation index. This is how an RDBMS with all six `(s,p,o)`
+//! A member is the access path the planner lowered from a CQ body: a
+//! [`Leaf`] scan extended by index probes — each extends the current
+//! binding set against the best permutation index — then projected onto
+//! the member's head. This is how an RDBMS with all six `(s,p,o)`
 //! indexes evaluates these queries.
 //!
-//! Leaf scans are either private [`PlanNode::IndexScan`]s or references
-//! into the plan's shared-scan table ([`PlanNode::SharedScan`]), already
+//! Leaf scans are either private index or range scans or references
+//! into the plan's shared-scan table ([`Leaf::Shared`]), already
 //! materialized by the driver; shared extents are borrowed, never
 //! copied, and charge no scan counters here.
 
@@ -21,102 +19,78 @@ use crate::error::EngineError;
 use crate::exec::sip::{MemberSip, SipFilter, SipStage, Source};
 use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::{PatternTerm, StorePattern, VarId};
-use crate::plan::PlanNode;
+use crate::plan::{Interval, Leaf, MemberPlan};
 use crate::relation::Relation;
 use crate::table::{Perm, RangePos, TripleTable};
 
-/// Evaluate one lowered union member against `table`, with `shared`
-/// holding the plan's materialized shared scans. Bag semantics:
-/// duplicates arising from the head projection are *not* removed here
-/// (the union layer deduplicates). Rows that `filter` (the fragment's
-/// SIP filter, if one was published) says cannot join are dropped at the
-/// earliest stage of the member that binds the filter's whole key.
+/// Evaluate one lowered union member against `table` onto the fragment
+/// head `out_vars`, with `shared` holding the plan's materialized shared
+/// scans. Bag semantics: duplicates arising from the head projection are
+/// *not* removed here (the union layer deduplicates). Rows that `filter`
+/// (the fragment's SIP filter, if one was published) says cannot join
+/// are dropped at the earliest stage of the member that binds the
+/// filter's whole key: the leaf, the input of a probe, or the head.
 pub(crate) fn eval_member(
     table: &TripleTable,
-    member: &PlanNode,
+    member: &MemberPlan,
+    out_vars: &[VarId],
     shared: &[Relation],
     filter: Option<&SipFilter>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let op = ctx.op_start();
-    let out = eval_member_inner(table, member, shared, filter, ctx)?;
+    let out = eval_member_inner(table, member, out_vars, shared, filter, ctx)?;
     ctx.op_finish(op, "cq", out.len() as u64);
     Ok(out)
 }
 
 fn eval_member_inner(
     table: &TripleTable,
-    member: &PlanNode,
+    member: &MemberPlan,
+    out_vars: &[VarId],
     shared: &[Relation],
     filter: Option<&SipFilter>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     ctx.check_deadline()?;
-    match member {
-        PlanNode::TrueRow { out_vars } => {
+    // A true row binds no key to test.
+    let mut sip = filter
+        .filter(|_| member.leaf != Leaf::TrueRow)
+        .map(|f| MemberSip::new(f, &member.head, out_vars));
+    let mut body: Cow<'_, Relation> = match &member.leaf {
+        Leaf::Scan { pattern, perm, .. } => {
+            Cow::Owned(scan_pattern(table, pattern, *perm, sip.as_mut(), ctx)?)
+        }
+        Leaf::Range { pattern, interval, .. } => {
+            Cow::Owned(scan_range(table, pattern, *interval, sip.as_mut(), ctx)?)
+        }
+        Leaf::Shared { id } => Cow::Borrowed(&shared[*id]),
+        Leaf::TrueRow => {
             // An empty body denotes the always-true query with no
             // bindings.
-            let mut r = Relation::empty(out_vars.clone());
+            let mut r = Relation::empty(out_vars.to_vec());
             if out_vars.is_empty() {
                 r.push_row(&[]);
             }
-            Ok(r)
+            return Ok(r);
         }
-        PlanNode::Project { input, head, out_vars } => {
-            let mut sip = filter.map(|f| MemberSip::new(f, head, out_vars));
-            let body = eval_access(table, input, shared, &mut sip, ctx)?;
-            let out = if body.is_empty() {
-                // Pipelines short-circuit on an empty intermediate, so
-                // `body` may lack columns for later atoms' variables;
-                // the projection of nothing is nothing.
-                Relation::empty(out_vars.clone())
-            } else {
-                project_head(&body, head, out_vars, sip.as_mut(), ctx)?
-            };
-            if let Some(s) = sip {
-                s.record(ctx);
-            }
-            Ok(out)
-        }
-        other => unreachable!("not a union member: {other:?}"),
+    };
+    for probe in &member.probes {
+        let sip = sip.as_mut().and_then(|s| s.claim_before_probe(&body));
+        body = Cow::Owned(probe_extend(table, &body, &probe.pattern, probe.range, sip, ctx)?);
     }
-}
-
-/// Evaluate an access-path node to a relation over its distinct
-/// variables. Shared scans are borrowed from the plan-wide table. The
-/// member's SIP filter, while no stage has claimed it, is offered to
-/// every leaf scan and to the input of every probe.
-fn eval_access<'s>(
-    table: &TripleTable,
-    node: &PlanNode,
-    shared: &'s [Relation],
-    sip: &mut Option<MemberSip<'_>>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Cow<'s, Relation>, EngineError> {
-    match node {
-        PlanNode::IndexScan { pattern, perm, .. } => {
-            Ok(Cow::Owned(scan_pattern(table, pattern, *perm, sip.as_mut(), ctx)?))
-        }
-        PlanNode::RangeScan { pattern, ranged, lo, hi, .. } => {
-            Ok(Cow::Owned(scan_range(table, pattern, *ranged, *lo, *hi, sip.as_mut(), ctx)?))
-        }
-        // `scan_extent` applies the repeated-variable filter inline; the
-        // Filter node documents it in the plan tree.
-        PlanNode::Filter { input, .. } => eval_access(table, input, shared, sip, ctx),
-        PlanNode::SharedScan { id, .. } => Ok(Cow::Borrowed(&shared[*id])),
-        PlanNode::Inlj { input, pattern } => {
-            let acc = eval_access(table, input, shared, sip, ctx)?;
-            let sip = sip.as_mut().and_then(|s| s.claim_before_probe(&acc));
-            Ok(Cow::Owned(probe_extend(table, &acc, pattern, None, sip, ctx)?))
-        }
-        PlanNode::RangeProbe { input, pattern, ranged, lo, hi, .. } => {
-            let acc = eval_access(table, input, shared, sip, ctx)?;
-            let sip = sip.as_mut().and_then(|s| s.claim_before_probe(&acc));
-            let range = Some((*ranged, *lo, *hi));
-            Ok(Cow::Owned(probe_extend(table, &acc, pattern, range, sip, ctx)?))
-        }
-        other => unreachable!("not an access-path node: {other:?}"),
+    let out = if body.is_empty() {
+        // Pipelines short-circuit on an empty intermediate, so `body`
+        // may lack columns for later atoms' variables; the projection of
+        // nothing is nothing.
+        Relation::empty(out_vars.to_vec())
+    } else {
+        project_head(&body, &member.head, out_vars, sip.as_mut(), ctx)?
+    };
+    if let Some(s) = sip {
+        s.record(ctx);
     }
+    Ok(out)
 }
 
 /// Project a body result onto a head of variables and constants: the
@@ -230,9 +204,7 @@ pub(crate) fn scan_pattern(
 fn scan_range(
     table: &TripleTable,
     p: &StorePattern,
-    ranged: RangePos,
-    lo: u32,
-    hi: u32,
+    Interval { ranged, lo, hi, .. }: Interval,
     sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
@@ -298,8 +270,8 @@ enum ProbeSlot {
 
 /// One index-nested-loop step: extend the binding relation `acc` by
 /// probing the best permutation index for `p` with the bound values of
-/// each row. With `range = Some((ranged, lo, hi))` the probed pattern's
-/// `ranged` position matches any raw id in `[lo, hi)` — one contiguous
+/// each row. With `range = Some(interval)` the probed pattern's ranged
+/// position matches any raw id in the interval — one contiguous
 /// range lookup per input row where the uncollapsed union needed one
 /// point probe per collapsed member (LiteMat's "the type check becomes
 /// an interval membership test").
@@ -313,7 +285,7 @@ fn probe_extend(
     table: &TripleTable,
     acc: &Relation,
     p: &StorePattern,
-    range: Option<(RangePos, u32, u32)>,
+    range: Option<Interval>,
     mut sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
@@ -324,16 +296,14 @@ fn probe_extend(
             None => ProbeSlot::Free,
         },
     });
-    if let Some((ranged, _, _)) = range {
+    if let Some(iv) = range {
         ctx.counters.range_scans += 1;
         // The ranged position's template constant stands for the whole
         // interval: unbind it so the probe covers the contiguous index run.
-        slots[ranged_index(ranged)] = ProbeSlot::Free;
+        slots[ranged_index(iv.ranged)] = ProbeSlot::Free;
     }
-    let mut cursor = table.probe_cursor(
-        slots.map(|s| matches!(s, ProbeSlot::Bound(_))),
-        range.map(|(ranged, _, _)| ranged),
-    );
+    let mut cursor = table
+        .probe_cursor(slots.map(|s| matches!(s, ProbeSlot::Bound(_))), range.map(|iv| iv.ranged));
     let new_vars: Vec<VarId> =
         p.variables().iter().copied().filter(|&v| acc.column_of(v).is_none()).collect();
     let new_pos = var_positions(p, &new_vars);
@@ -354,7 +324,7 @@ fn probe_extend(
                 ProbeSlot::Free => None,
             });
             let matches = match range {
-                Some((_, lo, hi)) => cursor.seek_range(&bound, lo, hi),
+                Some(iv) => cursor.seek_range(&bound, iv.lo, iv.hi),
                 None => cursor.seek(&bound),
             };
             ctx.counters.index_probes += 1;

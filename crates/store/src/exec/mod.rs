@@ -25,6 +25,8 @@ pub mod pool;
 pub mod sip;
 pub mod union;
 
+use std::fmt::{self, Write as _};
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,6 +86,44 @@ pub struct Counters {
     /// operator's previous lookup started: the key went backwards and a
     /// part of the index was bisected again.
     pub probe_reseeks: u64,
+}
+
+impl AddAssign for Counters {
+    /// Add every counter of `other`. The destructuring is exhaustive, so
+    /// a counter added to the struct but not summed here fails to
+    /// compile instead of silently losing worker-thread counts.
+    fn add_assign(&mut self, other: Counters) {
+        let Counters {
+            tuples_scanned,
+            tuples_joined,
+            tuples_materialized,
+            tuples_deduped,
+            sip_probes,
+            sip_drops,
+            range_scans,
+            view_hits,
+            sorts_elided,
+            gallop_seeks,
+            scan_rows_borrowed,
+            rows_reserved,
+            index_probes,
+            probe_reseeks,
+        } = other;
+        self.tuples_scanned += tuples_scanned;
+        self.tuples_joined += tuples_joined;
+        self.tuples_materialized += tuples_materialized;
+        self.tuples_deduped += tuples_deduped;
+        self.sip_probes += sip_probes;
+        self.sip_drops += sip_drops;
+        self.range_scans += range_scans;
+        self.view_hits += view_hits;
+        self.sorts_elided += sorts_elided;
+        self.gallop_seeks += gallop_seeks;
+        self.scan_rows_borrowed += scan_rows_borrowed;
+        self.rows_reserved += rows_reserved;
+        self.index_probes += index_probes;
+        self.probe_reseeks += probe_reseeks;
+    }
 }
 
 /// Per-filter test/drop totals of one sideways-information-passing
@@ -221,10 +261,19 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Set the label prefix for subsequently recorded operators, e.g.
-    /// `"fragment[0]."`. No-op unless profiling.
-    pub fn set_scope(&mut self, scope: String) {
+    /// `format_args!("fragment[{i}].")`. No-op unless profiling: the
+    /// prefix is only formatted for a profiled run.
+    pub fn set_scope(&mut self, scope: fmt::Arguments<'_>) {
         if let Some(r) = &mut self.recorder {
-            r.scope = scope;
+            r.scope.clear();
+            let _ = r.scope.write_fmt(scope);
+        }
+    }
+
+    /// Clear the label prefix set by [`ExecContext::set_scope`].
+    pub fn clear_scope(&mut self) {
+        if let Some(r) = &mut self.recorder {
+            r.scope.clear();
         }
     }
 
@@ -325,20 +374,7 @@ impl<'a> ExecContext<'a> {
     /// (they are commutative sums, so aggregate totals are independent
     /// of scheduling) and node profiles merge by their recorded labels.
     pub fn absorb(&mut self, mut worker: ExecContext<'_>) {
-        self.counters.tuples_scanned += worker.counters.tuples_scanned;
-        self.counters.tuples_joined += worker.counters.tuples_joined;
-        self.counters.tuples_materialized += worker.counters.tuples_materialized;
-        self.counters.tuples_deduped += worker.counters.tuples_deduped;
-        self.counters.sip_probes += worker.counters.sip_probes;
-        self.counters.sip_drops += worker.counters.sip_drops;
-        self.counters.range_scans += worker.counters.range_scans;
-        self.counters.view_hits += worker.counters.view_hits;
-        self.counters.sorts_elided += worker.counters.sorts_elided;
-        self.counters.gallop_seeks += worker.counters.gallop_seeks;
-        self.counters.scan_rows_borrowed += worker.counters.scan_rows_borrowed;
-        self.counters.rows_reserved += worker.counters.rows_reserved;
-        self.counters.index_probes += worker.counters.index_probes;
-        self.counters.probe_reseeks += worker.counters.probe_reseeks;
+        self.counters += worker.counters;
         for s in worker.take_sip_stats() {
             self.merge_sip(s);
         }
@@ -504,12 +540,12 @@ mod tests {
         let p = EngineProfile::pg_like();
         let mut ctx = ExecContext::with_profiling(&p);
         assert!(ctx.profiling());
-        ctx.set_scope("fragment[0].".to_string());
+        ctx.set_scope(format_args!("fragment[0]."));
         let t = ctx.op_start();
         ctx.op_finish(t, "union", 10);
         let t = ctx.op_start();
         ctx.op_finish(t, "union", 5);
-        ctx.set_scope(String::new());
+        ctx.clear_scope();
         let t = ctx.op_start();
         ctx.op_finish(t, "dedup", 3);
         let nodes = ctx.take_nodes();
@@ -616,6 +652,46 @@ mod tests {
     }
 
     #[test]
+    fn counters_add_every_field() {
+        // Distinct values: a field summed into the wrong one shows.
+        let one = Counters {
+            tuples_scanned: 1,
+            tuples_joined: 2,
+            tuples_materialized: 3,
+            tuples_deduped: 4,
+            sip_probes: 5,
+            sip_drops: 6,
+            range_scans: 7,
+            view_hits: 8,
+            sorts_elided: 9,
+            gallop_seeks: 10,
+            scan_rows_borrowed: 11,
+            rows_reserved: 12,
+            index_probes: 13,
+            probe_reseeks: 14,
+        };
+        let mut sum = one;
+        sum += one;
+        let want = Counters {
+            tuples_scanned: 2,
+            tuples_joined: 4,
+            tuples_materialized: 6,
+            tuples_deduped: 8,
+            sip_probes: 10,
+            sip_drops: 12,
+            range_scans: 14,
+            view_hits: 16,
+            sorts_elided: 18,
+            gallop_seeks: 20,
+            scan_rows_borrowed: 22,
+            rows_reserved: 24,
+            index_probes: 26,
+            probe_reseeks: 28,
+        };
+        assert_eq!(sum, want);
+    }
+
+    #[test]
     fn absorb_sums_counters_and_merges_nodes() {
         let p = EngineProfile::pg_like();
         let mut ctx = ExecContext::with_profiling(&p);
@@ -626,7 +702,7 @@ mod tests {
         let spawner = ctx.spawner();
         let mut w = spawner.context();
         assert!(w.profiling(), "workers inherit profiling");
-        w.set_scope("fragment[0].".to_string());
+        w.set_scope(format_args!("fragment[0]."));
         let t = w.op_start();
         w.op_finish(t, "cq", 7);
         w.counters.tuples_scanned = 2;

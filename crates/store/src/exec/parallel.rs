@@ -2,7 +2,7 @@
 //!
 //! Reformulated queries fan out into unions of hundreds–thousands of
 //! member CQs per fragment; each lowered member is an independent
-//! read-only plan subtree over the [`TripleTable`] (plus the plan's
+//! read-only pipeline over the [`TripleTable`] (plus the plan's
 //! already-materialized shared scans), so one fragment's members are
 //! pulled by a pool of `std::thread::scope` workers. Determinism is
 //! preserved by keeping the *merge* sequential: worker results are
@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::exec::union::DedupAccumulator;
 use crate::exec::{cq, pool, sip, union, ExecContext};
 use crate::ir::VarId;
-use crate::plan::PlanNode;
+use crate::plan::MemberPlan;
 use crate::relation::Relation;
 use crate::table::TripleTable;
 
@@ -34,10 +34,13 @@ pub(crate) struct UnionTask<'p> {
     /// The union's output schema (the fragment head).
     pub head: &'p [VarId],
     /// Lowered member plans.
-    pub members: &'p [PlanNode],
+    pub members: &'p [MemberPlan],
     /// The planner's union-output estimate, used to pre-size the dedup
     /// accumulator's row buffer.
-    pub est: Option<f64>,
+    pub est: f64,
+    /// The union is one member that provably emits distinct rows
+    /// ([`FragmentPlan::distinct_by_construction`](crate::plan::FragmentPlan::distinct_by_construction)).
+    pub distinct: bool,
     /// Sideways-information-passing filter published by an upstream
     /// fragment join: every member tests it inside its own pipeline and
     /// never produces the rows that cannot join.
@@ -73,23 +76,20 @@ pub(crate) fn eval_union(
     let permits =
         if desired > 1 { Some(pool::PermitPool::global().try_acquire(desired - 1)) } else { None };
     let workers = 1 + permits.as_ref().map_or(0, pool::Permits::count);
-    ctx.set_scope(format!("fragment[{}].", u.idx));
+    ctx.set_scope(format_args!("fragment[{}].", u.idx));
     let out = if workers <= 1 {
         let op = ctx.op_start();
         // A single, provably distinct member is the union result as-is,
         // unless the profile mandates the derived-table copy.
-        let borrow = !ctx.profile().materialize_all_unions
-            && u.members.len() == 1
-            && u.members[0].distinct_by_construction();
-        if borrow {
+        if u.distinct && !ctx.profile().materialize_all_unions {
             ctx.check_deadline()?;
-            let r = cq::eval_member(table, &u.members[0], shared, u.filter, ctx)?;
+            let r = cq::eval_member(table, &u.members[0], u.head, shared, u.filter, ctx)?;
             union::borrow_member(r, op, ctx)?
         } else {
-            let mut acc = DedupAccumulator::with_est(u.head.to_vec(), u.est, ctx);
+            let mut acc = DedupAccumulator::with_est(u.head.to_vec(), Some(u.est), ctx);
             for m in u.members {
                 ctx.check_deadline()?;
-                let r = cq::eval_member(table, m, shared, u.filter, ctx)?;
+                let r = cq::eval_member(table, m, u.head, shared, u.filter, ctx)?;
                 union::merge_member(&mut acc, &r, ctx)?;
             }
             union::finish_union(acc, op, ctx)?
@@ -101,7 +101,7 @@ pub(crate) fn eval_union(
         // produce them.
         let results = eval_members(table, u, shared, ctx, workers)?;
         let op = ctx.op_start();
-        let mut acc = DedupAccumulator::with_est(u.head.to_vec(), u.est, ctx);
+        let mut acc = DedupAccumulator::with_est(u.head.to_vec(), Some(u.est), ctx);
         for (rel, wctx) in results {
             ctx.absorb(wctx);
             union::merge_member(&mut acc, &rel, ctx)?;
@@ -109,7 +109,7 @@ pub(crate) fn eval_union(
         }
         union::finish_union(acc, op, ctx)?
     };
-    ctx.set_scope(String::new());
+    ctx.clear_scope();
     Ok(out)
 }
 
@@ -139,11 +139,12 @@ fn eval_members<'s>(
                             break;
                         }
                         let mut wctx = spawner.context();
-                        wctx.set_scope(format!("fragment[{}].", u.idx));
+                        wctx.set_scope(format_args!("fragment[{}].", u.idx));
                         let r = wctx
                             .check_live()
                             .and_then(|()| {
-                                cq::eval_member(table, &u.members[t], shared, u.filter, &mut wctx)
+                                let m = &u.members[t];
+                                cq::eval_member(table, m, u.head, shared, u.filter, &mut wctx)
                             })
                             .and_then(|rel| {
                                 // Charge the held member result against

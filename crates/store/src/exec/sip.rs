@@ -289,10 +289,14 @@ mod tests {
         let build = rel(vec![0], &[&[1]]);
         let f = SipFilter::build(&build, &[0], "fragment[1].sip_filter".to_string());
         let table = crate::table::TripleTable::build(&[]);
-        let member = crate::plan::PlanNode::TrueRow { out_vars: vec![] };
+        let member = crate::plan::MemberPlan {
+            leaf: crate::plan::Leaf::TrueRow,
+            probes: vec![],
+            head: vec![],
+        };
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
-        let boolean = crate::exec::cq::eval_member(&table, &member, &[], Some(&f), &mut ctx);
+        let boolean = crate::exec::cq::eval_member(&table, &member, &[], &[], Some(&f), &mut ctx);
         assert_eq!(boolean.unwrap().len(), 1);
         assert_eq!(ctx.counters.sip_probes, 0);
         assert!(ctx.take_sip_stats().is_empty());

@@ -125,8 +125,8 @@ pub(crate) fn merge_member(
 }
 
 /// Close a **borrowed** union: the zero-copy path for a single-member
-/// fragment whose member plan is
-/// [distinct by construction](crate::plan::PlanNode::distinct_by_construction).
+/// fragment whose member is
+/// [distinct by construction](crate::plan::MemberPlan::distinct_by_construction).
 /// The member result is the union result — no dedup accumulator is
 /// built, no rows are hashed or copied; the borrow is counted in
 /// `scan_rows_borrowed` and the memory budget still sees the held rows.

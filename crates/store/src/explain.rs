@@ -24,13 +24,6 @@ fn est_peak_materialized(rows: &[f64]) -> f64 {
     per_fragment_peak.max(materialized_sum)
 }
 
-/// The plan's own row estimate of fragment `i`'s union: the summary of
-/// its rewritten members (0 for a plan folded to `Empty`).
-fn fragment_rows(plan: &Plan, i: usize) -> f64 {
-    let label = format!("fragment[{i}].union");
-    plan.estimates.iter().find(|(l, _)| *l == label).map_or(0.0, |e| e.1)
-}
-
 /// Render the evaluation plan for `q` under the store's profile.
 pub fn explain(store: &Store, q: &StoreJucq) -> String {
     explain_plan(store, q, None, None)
@@ -78,7 +71,10 @@ pub fn explain_plan(
             &lowered
         }
     };
-    let rows: Vec<f64> = (0..q.fragments.len()).map(|i| fragment_rows(plan, i)).collect();
+    // Each fragment's union estimate: the summary of its rewritten
+    // members (0 for a plan proven empty).
+    let rows: Vec<f64> =
+        (0..q.fragments.len()).map(|i| plan.fragments.get(i).map_or(0.0, |f| f.est)).collect();
     // Admission only checks the union width; the budget is enforced on
     // the tuples a run actually holds.
     let _ = writeln!(

@@ -274,11 +274,10 @@ mod tests {
 
         let plan = s.plan_jucq(&q).unwrap();
         assert_eq!(plan.join_order, order);
-        let est = |label: String| plan.estimates.iter().find(|(l, _)| *l == label).unwrap().1;
         let planned: Vec<(f64, f64)> = plan
             .join_order
             .windows(2)
-            .map(|w| (w[0].est_rows, est(format!("fragment[{}].union", w[1].fragment))))
+            .map(|w| (w[0].est_rows, plan.fragments[w[1].fragment].est))
             .collect();
         assert_eq!(priced, planned);
     }

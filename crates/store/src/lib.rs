@@ -24,8 +24,9 @@
 //! * [`profile::EngineProfile`] — knobs emulating the behavioural
 //!   differences between the paper's three RDBMSs (join algorithm,
 //!   materialization policy, union-size limits, memory budget);
-//! * [`plan`] — the physical plan layer: a typed plan tree
-//!   ([`plan::Plan`]) produced by the rewrite-pass [`plan::Planner`]
+//! * [`plan`] — the physical plan layer: fragment unions of member
+//!   pipelines plus join steps ([`plan::Plan`]), produced by the
+//!   rewrite-pass [`plan::Planner`]
 //!   (empty-member pruning, member dedup/subsumption, common-scan
 //!   factoring, join-order selection, operator choice), interpreted by
 //!   the executor;
@@ -58,8 +59,8 @@ pub use error::EngineError;
 pub use exec::Counters;
 pub use ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 pub use plan::{
-    collapsible_runs, fragment_join_order, CollapsibleRun, JoinStep, Plan, PlanNode, Planner,
-    SharedScanDef, TermNameResolver,
+    collapsible_runs, fragment_join_order, CollapsibleRun, FragmentPlan, Interval, JoinStep, Leaf,
+    MemberPlan, Plan, Planner, Probe, SharedScanDef, StepJoin, TermNameResolver,
 };
 pub use profile::{default_parallelism, EngineProfile, JoinAlgo};
 pub use relation::Relation;

@@ -1,26 +1,26 @@
-//! Driving a physical [`Plan`]: shared-scan materialization, fragment
-//! union evaluation (sequential or parallel — both interpret the same
-//! plan), the fragment join tree, and the final projection and
-//! duplicate elimination.
+//! Driving a physical [`Plan`]: shared-scan materialization, the join
+//! steps over the fragment unions (each union evaluated sequentially or
+//! in parallel — both run the same member pipelines), and the final
+//! projection and duplicate elimination.
 //!
-//! Fragments are executed **staged**: one at a time in join order, each
-//! union fanning its members across the worker pool. Every join step's
-//! accumulated left side therefore exists when the fragment it joins in
-//! starts, and a step with a key publishes a Bloom filter over it
-//! ([`Plan::sip`]) that the fragment's members test inside their own
-//! pipelines.
+//! The driver walks [`Plan::join_order`]: the seed fragment, then one
+//! fragment per step, joined into the accumulated result with the
+//! step's algorithm. Every step's accumulated left side therefore
+//! exists when the fragment it joins in starts, and a step with a key
+//! publishes a Bloom filter over it ([`Plan::sip`]) that the fragment's
+//! members test inside their own pipelines.
 //!
-//! Fragment leaves may be [`PlanNode::ViewScan`]s: the executor
-//! resolves each through the supplied [`ViewSource`] — epoch-exact, so
-//! a catalog entry computed at any other epoch never serves — and
-//! copies the materialized rows through a scan-priced kernel. A miss,
-//! or running with no view source at all, evaluates the embedded
-//! fallback union; answers are identical either way.
+//! A fragment may be view-served ([`FragmentPlan::view`]): the executor
+//! resolves it through the supplied [`ViewSource`] — epoch-exact, so a
+//! catalog entry computed at any other epoch never serves — and copies
+//! the materialized rows through a scan-priced kernel. A miss, or
+//! running with no view source at all, evaluates the fragment's
+//! members; answers are identical either way.
 
 use crate::error::EngineError;
 use crate::exec::{cq, join, parallel, sip, ExecContext, BATCH_ROWS};
-use crate::plan::node::{Plan, PlanNode};
-use crate::profile::JoinAlgo;
+use crate::plan::join_order::JoinStep;
+use crate::plan::node::{FragmentPlan, Plan};
 use crate::relation::Relation;
 use crate::table::TripleTable;
 use crate::views::ViewSource;
@@ -63,32 +63,31 @@ fn copy_view_rows(
     Ok(out)
 }
 
-/// Resolve a fragment leaf's view binding, if it has one and the
+/// Resolve fragment `idx`'s view binding, if it has one and the
 /// request's epoch matches.
 fn resolve_view(
-    leaf: &PlanNode,
     plan: &Plan,
+    idx: usize,
     views: Option<&ViewSource<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Option<Relation>, EngineError> {
-    if let PlanNode::ViewScan { idx, head, view, .. } = leaf {
-        if let Some(src) = views {
-            if let Some(rows) = src.resolve(&plan.views[*view].signature) {
-                // An arity mismatch can only mean a signature collision
-                // (the signature encodes the head arity); treat it as a
-                // miss and evaluate the fallback union rather than serve
-                // another fragment's rows.
-                if rows.vars().len() == head.len() {
-                    return Ok(Some(copy_view_rows(&rows, *idx, head, ctx)?));
-                }
-            }
+    let FragmentPlan { head, view: Some(view), .. } = &plan.fragments[idx] else {
+        return Ok(None);
+    };
+    if let Some(rows) = views.and_then(|src| src.resolve(&plan.views[*view].signature)) {
+        // An arity mismatch can only mean a signature collision (the
+        // signature encodes the head arity); treat it as a miss and
+        // evaluate the members rather than serve another fragment's
+        // rows.
+        if rows.vars().len() == head.len() {
+            return Ok(Some(copy_view_rows(&rows, idx, head, ctx)?));
         }
     }
     Ok(None)
 }
 
 /// Execute `plan` against `table` with up to `threads` union workers,
-/// resolving [`PlanNode::ViewScan`] leaves through `views` (when given).
+/// resolving view-served fragments through `views` (when given).
 pub(crate) fn execute(
     table: &TripleTable,
     plan: &Plan,
@@ -96,9 +95,10 @@ pub(crate) fn execute(
     threads: usize,
     views: Option<&ViewSource<'_>>,
 ) -> Result<Relation, EngineError> {
-    if plan.is_const_empty() {
+    let Some(seed) = plan.join_order.first() else {
+        // Proven empty at plan time.
         return Ok(Relation::empty(plan.head.clone()));
-    }
+    };
 
     // Materialize the plan-wide shared scans once, on the driver
     // context: every member referencing one borrows the same extent, so
@@ -116,7 +116,7 @@ pub(crate) fn execute(
     }
     let shared_held: usize = shared.iter().map(|r| r.len()).sum();
 
-    let acc = execute_staged(table, plan, &shared, ctx, threads, views)?;
+    let acc = execute_steps(table, plan, seed, &shared, ctx, threads, views)?;
 
     let op = ctx.op_start();
     let mut relation = acc.project(&plan.head);
@@ -130,89 +130,60 @@ pub(crate) fn execute(
 
 /// Evaluate the fragments one at a time in join order (each union still
 /// fans its members across the worker pool), joining each into the
-/// accumulated result. Before a step with a
-/// [`SipFilterDef`](crate::plan::SipFilterDef), the accumulated left
-/// side is hashed into a Bloom filter and the right fragment's members
-/// drop the rows it rejects as early as they bind its key. A
-/// view-resolved fragment skips its filter (the filter only prunes work
-/// the copy kernel does not do; the join itself discards non-matching
-/// rows). All but the pipelined fragment are charged as materialized
-/// (§4.1: "the largest-result sub-query ... is the one pipelined"); a
-/// single-fragment plan has none to charge.
-fn execute_staged(
+/// accumulated result with its step's algorithm. Before a step with a
+/// key, the accumulated left side is hashed into a Bloom filter and the
+/// step's fragment's members drop the rows it rejects as early as they
+/// bind the key. A view-resolved fragment skips its filter (the filter
+/// only prunes work the copy kernel does not do; the join itself
+/// discards non-matching rows). All but the pipelined fragment are
+/// charged as materialized (§4.1: "the largest-result sub-query ... is
+/// the one pipelined"); a single-fragment plan has none to charge.
+fn execute_steps(
     table: &TripleTable,
     plan: &Plan,
+    seed: &JoinStep,
     shared: &[Relation],
     ctx: &mut ExecContext<'_>,
     threads: usize,
     views: Option<&ViewSource<'_>>,
 ) -> Result<Relation, EngineError> {
-    // Linearize the left-deep join tree into its execution order: the
-    // base fragment, then one (algo, opts, step, right-fragment) per
-    // join. Merge steps carry the planner's sort-elision flags; every
-    // step carries its output estimate for pre-sizing.
-    let mut steps: Vec<(JoinAlgo, join::JoinOpts, usize, &PlanNode)> = Vec::new();
-    let mut node = match &plan.root {
-        PlanNode::Dedup { input, .. } => match &**input {
-            PlanNode::Project { input, .. } => &**input,
-            other => other,
-        },
-        other => other,
-    };
-    let base = loop {
-        match node {
-            PlanNode::HashUnion { .. } | PlanNode::ViewScan { .. } => break node,
-            PlanNode::HashJoin { left, right, step, est } => {
-                let opts = join::JoinOpts { elide: (false, false), est: *est };
-                steps.push((JoinAlgo::Hash, opts, *step, right));
-                node = left;
-            }
-            PlanNode::MergeJoin { left, right, step, est, sort_elided } => {
-                let opts = join::JoinOpts { elide: *sort_elided, est: *est };
-                steps.push((JoinAlgo::SortMerge, opts, *step, right));
-                node = left;
-            }
-            PlanNode::NestedLoopJoin { left, right, step, est } => {
-                let opts = join::JoinOpts { elide: (false, false), est: *est };
-                steps.push((JoinAlgo::BlockNestedLoop, opts, *step, right));
-                node = left;
-            }
-            other => unreachable!("not a fragment-level node: {other:?}"),
-        }
-    };
-    steps.reverse();
-
-    let eval_fragment = |leaf: &PlanNode,
+    let eval_fragment = |idx: usize,
                          filter: Option<&sip::SipFilter>,
                          ctx: &mut ExecContext<'_>|
      -> Result<Relation, EngineError> {
-        let PlanNode::HashUnion { idx, head, members, est } = leaf.fallback_union() else {
-            unreachable!("fragment leaf wraps a union: {leaf:?}")
-        };
-        let rel = match resolve_view(leaf, plan, views, ctx)? {
+        let rel = match resolve_view(plan, idx, views, ctx)? {
             Some(rel) => rel,
             None => {
-                let task = parallel::UnionTask { idx: *idx, head, members, est: *est, filter };
+                let f = &plan.fragments[idx];
+                let task = parallel::UnionTask {
+                    idx,
+                    head: &f.head,
+                    members: &f.members,
+                    est: f.est,
+                    distinct: f.distinct_by_construction(&plan.shared),
+                    filter,
+                };
                 parallel::eval_union(table, &task, shared, ctx, threads)?
             }
         };
-        if plan.pipelined.is_some_and(|p| p != *idx) {
+        if plan.pipelined.is_some_and(|p| p != idx) {
             ctx.counters.tuples_materialized += rel.len() as u64;
             ctx.check_memory(rel.len())?;
         }
         Ok(rel)
     };
 
-    let filters = plan.sip();
-    let mut acc = eval_fragment(base, None, ctx)?;
-    for (algo, opts, step, right_node) in steps {
-        let filter = filters.iter().find(|d| d.step == step).map(|d| {
-            sip::SipFilter::build(&acc, &d.keys, format!("fragment[{}].sip_filter", d.target))
+    let mut acc = eval_fragment(seed.fragment, None, ctx)?;
+    for (k, (step, j)) in plan.join_order[1..].iter().zip(&plan.joins).enumerate() {
+        let filter = (!step.key.is_empty()).then(|| {
+            let label = format!("fragment[{}].sip_filter", step.fragment);
+            sip::SipFilter::build(&acc, &step.key, label)
         });
-        let r = eval_fragment(right_node, filter.as_ref(), ctx)?;
-        ctx.set_scope(format!("join[{step}]."));
-        let out = join::fragment_join(algo, &acc, &r, opts, ctx);
-        ctx.set_scope(String::new());
+        let right = eval_fragment(step.fragment, filter.as_ref(), ctx)?;
+        let opts = join::JoinOpts { elide: j.sort_elided, est: Some(step.est_rows) };
+        ctx.set_scope(format_args!("join[{k}]."));
+        let out = join::fragment_join(j.algo, &acc, &right, opts, ctx);
+        ctx.clear_scope();
         acc = out?;
     }
     Ok(acc)

@@ -1,7 +1,7 @@
 //! The fragment join order: the one place the store decides in which
-//! order a JUCQ's fragment results are joined. The planner builds its
-//! join tree, per-step estimates, SIP filters and interesting orders
-//! from the result, and the internal cost model prices the same steps.
+//! order a JUCQ's fragment results are joined. The planner's join
+//! steps, per-step estimates, SIP filters and interesting orders are
+//! this result, and the internal cost model prices the same steps.
 
 use crate::ir::VarId;
 use crate::stats::FragmentSummary;
@@ -14,9 +14,9 @@ pub struct JoinStep {
     /// The fragment joined in at this step.
     pub fragment: usize,
     /// The join key: the variables `fragment`'s head shares with the
-    /// fragments before it, in accumulated-schema order — exactly what
-    /// [`PlanNode::join_key`](crate::plan::PlanNode::join_key) derives
-    /// for the step. Empty for the seed and for a cartesian product.
+    /// fragments before it, in accumulated-schema order — exactly the
+    /// key the join kernels derive from the two inputs' schemas. Empty
+    /// for the seed and for a cartesian product.
     pub key: Vec<VarId>,
     /// Estimated rows once this step's fragment is joined in.
     pub est_rows: f64,

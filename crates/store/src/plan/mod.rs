@@ -1,9 +1,10 @@
-//! The physical plan layer: a typed plan tree, the rewrite-pass
-//! planner that lowers logical [`crate::ir::StoreJucq`]s into it, and
-//! the executor driving a plan sequentially or in parallel.
+//! The physical plan layer: the plan as data (fragment unions of member
+//! pipelines plus join steps), the rewrite-pass planner that lowers
+//! logical [`crate::ir::StoreJucq`]s into it, and the executor driving a
+//! plan sequentially or in parallel.
 //!
-//! See `DESIGN.md` §4e for the pass ordering, `SharedScan` semantics
-//! and plan-cache keying.
+//! See `DESIGN.md` §4e for the plan types, the pass ordering,
+//! shared-scan semantics and plan-cache keying.
 
 mod join_order;
 mod node;
@@ -12,5 +13,8 @@ mod planner;
 pub(crate) mod exec;
 
 pub use join_order::{fragment_join_order, JoinStep};
-pub use node::{Plan, PlanNode, SharedScanDef, SipFilterDef, TermNameResolver};
+pub use node::{
+    FragmentPlan, Interval, Leaf, MemberPlan, Plan, Probe, SharedScanDef, SipFilterDef, StepJoin,
+    TermNameResolver,
+};
 pub use planner::{collapsible_runs, CollapsibleRun, Planner};

@@ -1,542 +1,138 @@
-//! The typed physical plan tree.
+//! The physical plan: §4.1's evaluation of a JUCQ, as data.
 //!
 //! A [`Plan`] is what the [`Planner`](crate::plan::Planner) lowers a
 //! [`StoreJucq`](crate::ir::StoreJucq) into and what the executor
-//! interprets: a tree of physical operators plus a plan-wide table of
-//! factored [`SharedScanDef`]s. The same plan drives the sequential and
-//! the parallel execution path, `explain` rendering, and the per-node
-//! estimate column of `explain_analyze`.
+//! drives: a plan-wide table of factored [`SharedScanDef`]s, one
+//! [`FragmentPlan`] per fragment — a union of [`MemberPlan`] pipelines,
+//! each a [`Leaf`] extended by index [`Probe`]s and projected onto its
+//! head — and the fragment join order, one [`JoinStep`] per fragment
+//! (seed first) with a [`StepJoin`] for every step after the seed. The
+//! same plan drives the sequential and the parallel execution path,
+//! `explain` (which renders it as the nested operator tree `Dedup` /
+//! `Project` / joins / `HashUnion` it describes), and the estimate
+//! column of `explain_analyze`.
 
 use std::fmt::Write as _;
 
+use crate::exec::join;
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::join_order::JoinStep;
+use crate::profile::JoinAlgo;
 use crate::table::{Perm, RangePos};
 use crate::views::ViewSignature;
 
-/// One physical operator node.
-///
-/// Shape invariants maintained by the planner (the executor relies on
-/// them):
-/// * the root is [`PlanNode::Empty`], or [`PlanNode::Dedup`] over a
-///   [`PlanNode::Project`] over a left-deep tree of fragment-level join
-///   nodes whose leaves are [`PlanNode::HashUnion`]s (or
-///   [`PlanNode::ViewScan`]s wrapping one);
-/// * every union member is a [`PlanNode::Project`] (or
-///   [`PlanNode::TrueRow`] for an empty body) over an access chain: one
-///   leaf scan extended by [`PlanNode::Inlj`] / [`PlanNode::RangeProbe`]
-///   probes.
+/// A collapsed interval: the constant at one position of a pattern
+/// replaced by any raw URI id in `[lo, hi)`. Produced by the planner's
+/// collapse pass when `members` union members differed only in that
+/// constant and the interval covers exactly their ids (typically a class
+/// or property subtree).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Interval {
+    /// Which component the interval ranges over.
+    pub ranged: RangePos,
+    /// Inclusive lower raw URI id.
+    pub lo: u32,
+    /// Exclusive upper raw URI id.
+    pub hi: u32,
+    /// How many union members the interval replaces.
+    pub members: usize,
+}
+
+/// Where a union member's pipeline starts.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PlanNode {
-    /// Scan one triple pattern's extent off the best permutation index.
-    IndexScan {
+pub enum Leaf {
+    /// Scan one triple pattern's extent off a permutation index.
+    Scan {
         /// The pattern scanned.
         pattern: StorePattern,
         /// The permutation index to scan, when the interesting-orders
-        /// pass picked one deliberately (it must cover the pattern's
-        /// bound positions); `None` scans [`Perm::for_bound`]'s default.
-        /// Either way the extent is the same triple set — only the
-        /// physical row order differs.
+        /// pass picked one deliberately (it covers the pattern's bound
+        /// positions); `None` scans [`Perm::for_bound`]'s default. The
+        /// extent is the same triple set either way — only the row
+        /// order differs.
         perm: Option<Perm>,
         /// Exact extent cardinality (index lookup at plan time).
-        est: Option<f64>,
+        est: f64,
     },
-    /// Scan one *interval* of triple patterns off the permutation index
-    /// that sorts the ranged component contiguously: all triples matching
-    /// `pattern` with its ranged position's constant replaced by any raw
-    /// URI id in `[lo, hi)`. Produced by the planner's collapse pass when
-    /// `members` union members differ only in one constant whose ids the
-    /// interval covers (typically a class or property subtree).
-    RangeScan {
-        /// The pattern template: the first collapsed member's pattern,
-        /// with its original constant still at the ranged position (the
-        /// variables, bound positions and repeated-variable structure are
-        /// shared by every collapsed member).
+    /// Scan an interval of patterns off the permutation index that sorts
+    /// the ranged component contiguously. `pattern` is the first
+    /// collapsed member's, its constant still at the ranged position (the
+    /// variables, bound positions and repeated-variable structure are
+    /// shared by every collapsed member).
+    Range {
+        /// The pattern template.
         pattern: StorePattern,
-        /// Which component the interval ranges over.
-        ranged: RangePos,
-        /// Inclusive lower raw URI id.
-        lo: u32,
-        /// Exclusive upper raw URI id.
-        hi: u32,
-        /// How many union members this one scan replaces.
-        members: usize,
-        /// Exact extent cardinality (index lookup at plan time).
-        est: Option<f64>,
+        /// The interval its ranged constant stands for.
+        interval: Interval,
+        /// Exact extent cardinality of the whole interval.
+        est: f64,
     },
-    /// Reference entry `id` of the plan's shared-scan table: the extent
-    /// is materialized once per query and reused by every referencing
-    /// member.
-    SharedScan {
+    /// Entry `id` of [`Plan::shared`]: the extent is materialized once
+    /// per query and borrowed by every member referencing it.
+    Shared {
         /// Index into [`Plan::shared`].
         id: usize,
-        /// The pattern (duplicated here for rendering).
-        pattern: StorePattern,
-        /// Exact extent cardinality.
-        est: Option<f64>,
     },
-    /// Equality filter for a repeated-variable pattern (`?x p ?x`),
-    /// fused into the scan beneath it at execution time.
-    Filter {
-        /// The repeated-variable pattern whose equality is enforced.
-        pattern: StorePattern,
-        /// The scan being filtered.
-        input: Box<PlanNode>,
-    },
-    /// Index-nested-loop step: probe `pattern`'s best index once per
-    /// input row, binding the pattern's variables already present in the
-    /// input (repeated-variable consistency is checked in the probe).
-    Inlj {
-        /// The binding relation being extended.
-        input: Box<PlanNode>,
-        /// The probed pattern.
-        pattern: StorePattern,
-    },
-    /// Index-nested-loop step over a collapsed interval: like
-    /// [`PlanNode::Inlj`], but the probed pattern's `ranged` position
-    /// matches any raw URI id in `[lo, hi)` — one contiguous index probe
-    /// per input row where the uncollapsed union needed one probe per
-    /// collapsed member. This is what lets a collapsed member keep a
-    /// selective atom at the leaf instead of pinning the interval there.
-    RangeProbe {
-        /// The binding relation being extended.
-        input: Box<PlanNode>,
-        /// The probed pattern template (first collapsed member's pattern).
-        pattern: StorePattern,
-        /// Which component the interval ranges over.
-        ranged: RangePos,
-        /// Inclusive lower raw URI id.
-        lo: u32,
-        /// Exclusive upper raw URI id.
-        hi: u32,
-        /// How many union members this probe's interval replaces.
-        members: usize,
-    },
-    /// Hash join of two fragment results.
-    HashJoin {
-        /// Left (accumulated) input.
-        left: Box<PlanNode>,
-        /// Right input.
-        right: Box<PlanNode>,
-        /// Fragment-level join step `k` (the `join[k].hash_join` node).
-        step: usize,
-        /// Estimated output rows.
-        est: Option<f64>,
-    },
-    /// Sort-merge join of two fragment results.
-    MergeJoin {
-        /// Left input.
-        left: Box<PlanNode>,
-        /// Right input.
-        right: Box<PlanNode>,
-        /// Fragment-level join step.
-        step: usize,
-        /// Estimated output rows.
-        est: Option<f64>,
-        /// Which inputs (left, right) already arrive sorted on the join
-        /// key — their sort is elided at execution time. Set by the
-        /// planner from the inputs' order properties; the kernels verify
-        /// cheaply and fall back to sorting if an input turns out
-        /// unsorted (e.g. a view-served fragment).
-        sort_elided: (bool, bool),
-    },
-    /// Block-nested-loop join of two fragment results (the MySQL-like
-    /// profile's deliberately weak algorithm).
-    NestedLoopJoin {
-        /// Left input.
-        left: Box<PlanNode>,
-        /// Right input.
-        right: Box<PlanNode>,
-        /// Fragment-level join step.
-        step: usize,
-        /// Estimated output rows.
-        est: Option<f64>,
-    },
-    /// Projection onto a head of variables and constants. At the top of
-    /// every union member; also (all-variable) directly under the root
-    /// [`PlanNode::Dedup`].
-    Project {
-        /// The projected input.
-        input: Box<PlanNode>,
-        /// Output terms, positionally aligned with `out_vars`.
-        head: Vec<PatternTerm>,
-        /// The output schema.
-        out_vars: Vec<VarId>,
-    },
-    /// The always-true zero-pattern member: one empty row when the
-    /// output schema is empty, no rows otherwise.
-    TrueRow {
-        /// The output schema.
-        out_vars: Vec<VarId>,
-    },
-    /// A fragment whose union matched the materialized-view catalog at
-    /// plan time. The node carries **no rows** — only an index into
-    /// [`Plan::views`] naming the signature; the executor resolves the
-    /// rows through the catalog with the *request's* epoch at
-    /// evaluation time and evaluates the embedded `fallback` union
-    /// subtree on any mismatch. Plans are therefore safe to cache and
-    /// share across epochs: a stale entry simply stops resolving.
-    ViewScan {
-        /// The fragment index (same numbering as the fallback union).
-        idx: usize,
-        /// The output schema (the fragment head).
-        head: Vec<VarId>,
-        /// Index into [`Plan::views`].
-        view: usize,
-        /// Estimated output rows (the catalog entry's tuple count at
-        /// plan time).
-        est: Option<f64>,
-        /// The full union subtree evaluated when the view does not
-        /// resolve at the request's epoch.
-        fallback: Box<PlanNode>,
-    },
-    /// Streaming hash-deduplicating union of member results — one per
-    /// JUCQ fragment.
-    HashUnion {
-        /// The fragment index (drives the `fragment[i].` node scope).
-        idx: usize,
-        /// The union's output schema (the fragment head).
-        head: Vec<VarId>,
-        /// Member plans, in member order.
-        members: Vec<PlanNode>,
-        /// Estimated output rows.
-        est: Option<f64>,
-    },
-    /// Final duplicate elimination (set semantics) over the projected
-    /// join of fragments.
-    Dedup {
-        /// The input (a [`PlanNode::Project`]).
-        input: Box<PlanNode>,
-        /// Estimated output rows.
-        est: Option<f64>,
-    },
-    /// A plan proven empty at plan time (a fragment lost every member to
-    /// empty-extent pruning, or the query has no fragments).
-    Empty {
-        /// The output schema.
-        head: Vec<VarId>,
-    },
+    /// The always-true empty body: one empty row when the fragment head
+    /// is empty, no rows otherwise.
+    TrueRow,
 }
 
-impl PlanNode {
-    /// Number of nodes in this subtree (the rewrite passes' metric).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            PlanNode::Filter { input, .. }
-            | PlanNode::Inlj { input, .. }
-            | PlanNode::RangeProbe { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Dedup { input, .. } => input.node_count(),
-            PlanNode::HashJoin { left, right, .. }
-            | PlanNode::MergeJoin { left, right, .. }
-            | PlanNode::NestedLoopJoin { left, right, .. } => {
-                left.node_count() + right.node_count()
-            }
-            PlanNode::HashUnion { members, .. } => members.iter().map(PlanNode::node_count).sum(),
-            PlanNode::ViewScan { fallback, .. } => fallback.node_count(),
-            PlanNode::IndexScan { .. }
-            | PlanNode::RangeScan { .. }
-            | PlanNode::SharedScan { .. }
-            | PlanNode::TrueRow { .. }
-            | PlanNode::Empty { .. } => 0,
-        }
-    }
+/// One index-nested-loop step of a member: probe `pattern`'s best index
+/// once per input row, binding the pattern's variables the row already
+/// holds (repeated-variable consistency is checked in the probe).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Probe {
+    /// The probed pattern (a collapsed probe's template).
+    pub pattern: StorePattern,
+    /// With an interval, the pattern's ranged position matches any id in
+    /// it — one contiguous lookup per input row where the uncollapsed
+    /// union needed one per collapsed member.
+    pub range: Option<Interval>,
+}
 
-    /// The output variables of this node, in executor column order:
-    /// mirrors how each operator actually lays out its result (scans
-    /// bind a pattern's distinct variables, probes and joins append the
-    /// right side's new variables after the left's).
-    pub fn vars(&self) -> Vec<VarId> {
-        match self {
-            PlanNode::IndexScan { pattern, .. }
-            | PlanNode::RangeScan { pattern, .. }
-            | PlanNode::SharedScan { pattern, .. } => pattern.variables().to_vec(),
-            PlanNode::Filter { input, .. } | PlanNode::Dedup { input, .. } => input.vars(),
-            PlanNode::Inlj { input, pattern } | PlanNode::RangeProbe { input, pattern, .. } => {
-                let mut out = input.vars();
-                for v in pattern.variables() {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-                out
-            }
-            PlanNode::HashJoin { left, right, .. }
-            | PlanNode::MergeJoin { left, right, .. }
-            | PlanNode::NestedLoopJoin { left, right, .. } => {
-                let mut out = left.vars();
-                for v in right.vars() {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-                out
-            }
-            PlanNode::Project { out_vars, .. } | PlanNode::TrueRow { out_vars } => out_vars.clone(),
-            PlanNode::ViewScan { head, .. }
-            | PlanNode::HashUnion { head, .. }
-            | PlanNode::Empty { head } => head.clone(),
-        }
-    }
+/// One union member: a leaf, extended by its probes in order, projected
+/// onto `head` (variables and constants, positionally aligned with the
+/// fragment head).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemberPlan {
+    /// The pipeline's start.
+    pub leaf: Leaf,
+    /// Index probes, in execution order.
+    pub probes: Vec<Probe>,
+    /// The member's output terms.
+    pub head: Vec<PatternTerm>,
+}
 
-    /// The physical order property: the variable sequence this node's
-    /// rows are sorted by (non-decreasing under lexicographic comparison
-    /// of those variables' values), or empty when no order is
-    /// guaranteed. Seeded at scan leaves from the permutation index's
-    /// key order restricted to variable positions; a node sorted by
-    /// `[a, b, c]` is also sorted by any prefix.
-    pub fn order(&self) -> Vec<VarId> {
-        match self {
-            PlanNode::IndexScan { pattern, perm, .. } => {
-                let perm = perm.unwrap_or_else(|| Perm::for_bound(&pattern.bound()));
-                scan_order(pattern, perm)
-            }
-            // A RangeScan's rows are sorted first by the *ranged*
-            // component, which varies over `[lo, hi)` and is not an
-            // output column — the variable positions are only sorted
-            // within each run, so no global order survives.
-            PlanNode::RangeScan { .. } => Vec::new(),
-            PlanNode::SharedScan { pattern, .. } => {
-                scan_order(pattern, Perm::for_bound(&pattern.bound()))
-            }
-            PlanNode::Filter { input, .. } | PlanNode::Dedup { input, .. } => input.order(),
-            // A probe extends each input row in place, so the input's
-            // order stays the major order of the output.
-            PlanNode::Inlj { input, .. } | PlanNode::RangeProbe { input, .. } => input.order(),
-            PlanNode::HashJoin { .. } | PlanNode::NestedLoopJoin { .. } => Vec::new(),
-            // The merge emits key groups in ascending key order.
-            PlanNode::MergeJoin { left, right, .. } => Self::join_key(left, right),
-            PlanNode::Project { input, out_vars, .. } => {
-                let mut ord = input.order();
-                if let Some(cut) = ord.iter().position(|v| !out_vars.contains(v)) {
-                    ord.truncate(cut);
-                }
-                ord
-            }
-            // View resolution order depends on the catalog entry, not
-            // the fallback plan.
-            PlanNode::TrueRow { .. } | PlanNode::Empty { .. } | PlanNode::ViewScan { .. } => {
-                Vec::new()
-            }
-            // The streaming union concatenates members (dropping
-            // duplicates, which preserves sortedness), so only a
-            // single-member union keeps its member's order.
-            PlanNode::HashUnion { members, .. } => {
-                if members.len() == 1 {
-                    members[0].order()
-                } else {
-                    Vec::new()
-                }
-            }
-        }
-    }
+/// One fragment: the streaming hash-deduplicating union of its members'
+/// results, or the materialized view that serves it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FragmentPlan {
+    /// The union's output schema.
+    pub head: Vec<VarId>,
+    /// The member pipelines, in member order.
+    pub members: Vec<MemberPlan>,
+    /// The union's estimated rows: the summary of its rewritten members.
+    pub est: f64,
+    /// Index into [`Plan::views`] when the fragment matched the view
+    /// catalog at plan time. The plan carries **no rows**: the executor
+    /// resolves the signature with the *request's* epoch and evaluates
+    /// `members` on any mismatch, so plans stay safe to cache across
+    /// epochs.
+    pub view: Option<usize>,
+}
 
-    /// True when this member plan provably emits **distinct** rows, so
-    /// a single-member union can skip its dedup accumulator and borrow
-    /// the member result as-is (the zero-copy path, counted as
-    /// `scan_rows_borrowed`).
-    ///
-    /// The proof obligation: a single-pattern scan binds every triple
-    /// component to either a constant or an output variable, so two
-    /// extent triples with equal variable bindings would be the *same*
-    /// triple — scans emit distinct rows. A repeated-variable filter
-    /// only drops rows; a projection keeps distinctness iff it keeps
-    /// every input variable (it is then a column permutation). A
-    /// [`PlanNode::RangeScan`] does **not** qualify: its ranged
-    /// component is not an output column, so two triples in the
-    /// interval can collapse onto one row.
-    pub fn distinct_by_construction(&self) -> bool {
-        match self {
-            PlanNode::IndexScan { .. } | PlanNode::SharedScan { .. } => true,
-            PlanNode::TrueRow { .. } => true,
-            PlanNode::Filter { input, .. } => input.distinct_by_construction(),
-            PlanNode::Project { input, out_vars, .. } => {
-                input.distinct_by_construction()
-                    && input.vars().iter().all(|v| out_vars.contains(v))
-            }
-            _ => false,
-        }
-    }
-
-    /// The join-key variable sequence of a fragment join of `left` and
-    /// `right`: their shared variables, in left-schema order — exactly
-    /// the key [`join::plan`](crate::exec::join) derives at execution
-    /// time, so an input whose order starts with this sequence can have
-    /// its merge-sort elided.
-    pub fn join_key(left: &PlanNode, right: &PlanNode) -> Vec<VarId> {
-        let rv = right.vars();
-        left.vars().into_iter().filter(|v| rv.contains(v)).collect()
-    }
-
-    /// The fragment-union view of a [`PlanNode::HashUnion`] node.
-    pub fn as_union(&self) -> Option<(usize, &[VarId], &[PlanNode])> {
-        match self {
-            PlanNode::HashUnion { idx, head, members, .. } => Some((*idx, head, members)),
-            _ => None,
-        }
-    }
-
-    /// The union subtree a fragment leaf evaluates when no view
-    /// resolves: the fallback for a [`PlanNode::ViewScan`], the node
-    /// itself for a [`PlanNode::HashUnion`].
-    pub fn fallback_union(&self) -> &PlanNode {
-        match self {
-            PlanNode::ViewScan { fallback, .. } => fallback,
-            other => other,
-        }
-    }
-
-    fn collect_unions<'a>(&'a self, out: &mut Vec<&'a PlanNode>) {
-        match self {
-            PlanNode::HashUnion { .. } => out.push(self),
-            PlanNode::ViewScan { fallback, .. } => fallback.collect_unions(out),
-            PlanNode::Filter { input, .. }
-            | PlanNode::Inlj { input, .. }
-            | PlanNode::RangeProbe { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Dedup { input, .. } => input.collect_unions(out),
-            PlanNode::HashJoin { left, right, .. }
-            | PlanNode::MergeJoin { left, right, .. }
-            | PlanNode::NestedLoopJoin { left, right, .. } => {
-                left.collect_unions(out);
-                right.collect_unions(out);
-            }
-            _ => {}
-        }
-    }
-
-    fn render_into(
-        &self,
-        out: &mut String,
-        indent: usize,
-        max_members: usize,
-        names: Option<&TermNameResolver<'_>>,
-    ) {
-        let pad = "  ".repeat(indent);
-        let est = |e: &Option<f64>| e.map(|e| format!(" (est {e:.1})")).unwrap_or_default();
-        match self {
-            PlanNode::IndexScan { pattern, perm, est: e } => {
-                let via = perm.map(|p| format!(" via {p:?}")).unwrap_or_default();
-                let _ = writeln!(out, "{pad}IndexScan {pattern}{via}{}", est(e));
-            }
-            PlanNode::RangeScan { pattern, ranged, lo, hi, members, est: e } => {
-                let pos = match ranged {
-                    RangePos::Predicate => 'p',
-                    RangePos::Object => 'o',
-                };
-                let width = hi - lo;
-                let name =
-                    names.and_then(|f| f(*lo)).map(|n| format!(" ({n})")).unwrap_or_default();
-                let _ = writeln!(
-                    out,
-                    "{pad}RangeScan {pattern} {pos}∈[#u{lo}, #u{lo}+{width}){name} — \
-                     {members} members{}",
-                    est(e)
-                );
-            }
-            PlanNode::SharedScan { id, pattern, est: e } => {
-                let _ = writeln!(out, "{pad}SharedScan #{id} {pattern}{}", est(e));
-            }
-            PlanNode::Filter { pattern, input } => {
-                let _ = writeln!(out, "{pad}Filter repeated-vars {pattern}");
-                input.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::Inlj { input, pattern } => {
-                let _ = writeln!(out, "{pad}Inlj probe {pattern}");
-                input.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::RangeProbe { input, pattern, ranged, lo, hi, members } => {
-                let pos = match ranged {
-                    RangePos::Predicate => 'p',
-                    RangePos::Object => 'o',
-                };
-                let width = hi - lo;
-                let name =
-                    names.and_then(|f| f(*lo)).map(|n| format!(" ({n})")).unwrap_or_default();
-                let _ = writeln!(
-                    out,
-                    "{pad}RangeProbe {pattern} {pos}∈[#u{lo}, #u{lo}+{width}){name} — \
-                     {members} members"
-                );
-                input.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::HashJoin { left, right, step, est: e } => {
-                let _ = writeln!(out, "{pad}HashJoin join[{step}]{}", est(e));
-                left.render_into(out, indent + 1, max_members, names);
-                right.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::MergeJoin { left, right, step, est: e, sort_elided } => {
-                let mut notes: Vec<&str> = Vec::new();
-                match sort_elided {
-                    (true, true) => notes.push("sort elided"),
-                    (true, false) => notes.push("sort elided: left"),
-                    (false, true) => notes.push("sort elided: right"),
-                    (false, false) => {}
-                }
-                // Gallop eligibility is decided at run time from actual
-                // input sizes; annotate when the estimates already show
-                // the ≥8× skew the kernel looks for.
-                if let (Some(l), Some(r)) = (fragment_est(left), fragment_est(right)) {
-                    if l >= 8.0 * r || r >= 8.0 * l {
-                        notes.push("gallop");
-                    }
-                }
-                let ann = if notes.is_empty() {
-                    String::new()
-                } else {
-                    format!(" ({})", notes.join(", "))
-                };
-                let _ = writeln!(out, "{pad}MergeJoin join[{step}]{ann}{}", est(e));
-                left.render_into(out, indent + 1, max_members, names);
-                right.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::NestedLoopJoin { left, right, step, est: e } => {
-                let _ = writeln!(out, "{pad}NestedLoopJoin join[{step}]{}", est(e));
-                left.render_into(out, indent + 1, max_members, names);
-                right.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::Project { input, head, .. } => {
-                let cols: Vec<String> = head.iter().map(|t| t.to_string()).collect();
-                let _ = writeln!(out, "{pad}Project [{}]", cols.join(", "));
-                input.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::TrueRow { .. } => {
-                let _ = writeln!(out, "{pad}TrueRow");
-            }
-            PlanNode::HashUnion { idx, members, est: e, .. } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}HashUnion fragment[{idx}] — {} member{}{}",
-                    members.len(),
-                    if members.len() == 1 { "" } else { "s" },
-                    est(e)
-                );
-                for m in members.iter().take(max_members) {
-                    m.render_into(out, indent + 1, max_members, names);
-                }
-                if members.len() > max_members {
-                    let _ = writeln!(
-                        out,
-                        "{}… {} more members",
-                        "  ".repeat(indent + 1),
-                        members.len() - max_members
-                    );
-                }
-            }
-            PlanNode::ViewScan { idx, view, est: e, fallback, .. } => {
-                let _ = writeln!(out, "{pad}ViewScan fragment[{idx}] view#{view}{}", est(e));
-                let _ = writeln!(out, "{}fallback:", "  ".repeat(indent + 1));
-                fallback.render_into(out, indent + 2, max_members, names);
-            }
-            PlanNode::Dedup { input, est: e } => {
-                let _ = writeln!(out, "{pad}Dedup{}", est(e));
-                input.render_into(out, indent + 1, max_members, names);
-            }
-            PlanNode::Empty { .. } => {
-                let _ = writeln!(out, "{pad}Empty");
-            }
-        }
-    }
+/// How one fragment join step after the seed runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepJoin {
+    /// The join algorithm.
+    pub algo: JoinAlgo,
+    /// Which merge-join inputs (left, right) already arrive sorted on
+    /// the step's key — their sort is elided at execution time. The
+    /// kernels verify cheaply and sort an input that turns out unsorted
+    /// (e.g. a view-served fragment). Always `(false, false)` for the
+    /// other algorithms.
+    pub sort_elided: (bool, bool),
 }
 
 /// The permutation key order of a scan, restricted to the pattern's
@@ -558,20 +154,98 @@ pub(crate) fn scan_order(pattern: &StorePattern, perm: Perm) -> Vec<VarId> {
     out
 }
 
-/// A node's row estimate, when it carries one (fragment leaves and
-/// joins do).
-fn fragment_est(node: &PlanNode) -> Option<f64> {
-    match node {
-        PlanNode::IndexScan { est, .. }
-        | PlanNode::RangeScan { est, .. }
-        | PlanNode::SharedScan { est, .. }
-        | PlanNode::HashJoin { est, .. }
-        | PlanNode::MergeJoin { est, .. }
-        | PlanNode::NestedLoopJoin { est, .. }
-        | PlanNode::ViewScan { est, .. }
-        | PlanNode::HashUnion { est, .. }
-        | PlanNode::Dedup { est, .. } => *est,
-        _ => None,
+impl Leaf {
+    /// The pattern the leaf scans (a shared scan's, resolved through
+    /// `shared`); `None` for the true row.
+    fn pattern<'a>(&'a self, shared: &'a [SharedScanDef]) -> Option<&'a StorePattern> {
+        match self {
+            Leaf::Scan { pattern, .. } | Leaf::Range { pattern, .. } => Some(pattern),
+            Leaf::Shared { id } => Some(&shared[*id].pattern),
+            Leaf::TrueRow => None,
+        }
+    }
+
+    /// The repeated-variable pattern whose equality a private scan
+    /// enforces inline (`?x p ?x`); rendered as a `Filter` node.
+    fn filtered(&self) -> Option<&StorePattern> {
+        match self {
+            Leaf::Scan { pattern, .. } | Leaf::Range { pattern, .. } => {
+                pattern.has_repeated_var().then_some(pattern)
+            }
+            Leaf::Shared { .. } | Leaf::TrueRow => None,
+        }
+    }
+}
+
+impl MemberPlan {
+    /// The physical order property: the variable sequence the member's
+    /// rows are sorted by, or empty when no order is guaranteed. Seeded
+    /// from the leaf's permutation index key order — a range scan's rows
+    /// are sorted first by the ranged component, which is not an output
+    /// column, so none survives — kept by the probes (each extends its
+    /// input rows in place) and cut at the first variable the projection
+    /// onto `out_vars` drops. A member sorted by `[a, b, c]` is also
+    /// sorted by any prefix.
+    pub fn order(&self, out_vars: &[VarId], shared: &[SharedScanDef]) -> Vec<VarId> {
+        let (pattern, perm) = match &self.leaf {
+            Leaf::Scan { pattern, perm, .. } => (pattern, *perm),
+            Leaf::Shared { id } => (&shared[*id].pattern, None),
+            Leaf::Range { .. } | Leaf::TrueRow => return Vec::new(),
+        };
+        let mut ord =
+            scan_order(pattern, perm.unwrap_or_else(|| Perm::for_bound(&pattern.bound())));
+        if let Some(cut) = ord.iter().position(|v| !out_vars.contains(v)) {
+            ord.truncate(cut);
+        }
+        ord
+    }
+
+    /// True when the member provably emits **distinct** rows. A
+    /// single-pattern scan binds every triple component to a constant or
+    /// a variable, so two extent triples with equal bindings would be the
+    /// *same* triple; the repeated-variable filter only drops rows; and a
+    /// projection keeps distinctness iff it keeps every scanned variable.
+    /// A range scan does **not** qualify (its ranged component is not an
+    /// output column, so two triples in the interval can collapse onto
+    /// one row), nor does a member with probes.
+    pub fn distinct_by_construction(&self, out_vars: &[VarId], shared: &[SharedScanDef]) -> bool {
+        match (&self.leaf, self.probes.is_empty()) {
+            (Leaf::TrueRow, _) => true,
+            (Leaf::Range { .. }, _) | (_, false) => false,
+            (leaf, true) => leaf
+                .pattern(shared)
+                .is_some_and(|p| p.variables().iter().all(|v| out_vars.contains(v))),
+        }
+    }
+
+    /// Operator nodes the member renders as: its projection, probes,
+    /// inline filter and leaf (a true row is one node).
+    fn node_count(&self) -> usize {
+        match self.leaf {
+            Leaf::TrueRow => 1,
+            _ => 2 + self.probes.len() + usize::from(self.leaf.filtered().is_some()),
+        }
+    }
+}
+
+impl FragmentPlan {
+    /// The union's order property: a single member's, since the
+    /// streaming union concatenates members (dropping duplicates keeps
+    /// sortedness). A view-served fragment's rows arrive in the catalog
+    /// entry's order, so it promises none.
+    pub fn order(&self, shared: &[SharedScanDef]) -> Vec<VarId> {
+        match self.members.as_slice() {
+            [only] if self.view.is_none() => only.order(&self.head, shared),
+            _ => Vec::new(),
+        }
+    }
+
+    /// True when the union is one member that emits distinct rows, so
+    /// the executor can skip the dedup accumulator and borrow the
+    /// member's result as-is (the zero-copy path, counted as
+    /// `scan_rows_borrowed`).
+    pub fn distinct_by_construction(&self, shared: &[SharedScanDef]) -> bool {
+        matches!(self.members.as_slice(), [only] if only.distinct_by_construction(&self.head, shared))
     }
 }
 
@@ -613,9 +287,9 @@ pub struct SipFilterDef {
     pub keys: Vec<VarId>,
 }
 
-/// One view binding of a plan: the canonical signature a
-/// [`PlanNode::ViewScan`] resolves through the catalog at evaluation
-/// time, plus the entry's tuple count at plan time (estimate only —
+/// One view binding of a plan: the canonical signature a view-served
+/// [`FragmentPlan`] resolves through the catalog at evaluation time,
+/// plus the entry's tuple count at plan time (estimate only —
 /// resolution is epoch-exact regardless).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewBindingDef {
@@ -628,52 +302,42 @@ pub struct ViewBindingDef {
 /// A complete physical plan for one [`StoreJucq`](crate::ir::StoreJucq).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
-    /// The operator tree (see [`PlanNode`] for the shape invariants).
-    pub root: PlanNode,
     /// The plan-wide table of factored common scans.
     pub shared: Vec<SharedScanDef>,
+    /// One entry per JUCQ fragment, in fragment order; empty for a plan
+    /// proven empty at plan time (a fragment lost every member to
+    /// empty-extent pruning, or the query has no fragments).
+    pub fragments: Vec<FragmentPlan>,
+    /// The fragment join order (seed first); empty exactly when
+    /// `fragments` is. The plan's SIP filters are read off it
+    /// ([`Plan::sip`]).
+    pub join_order: Vec<JoinStep>,
+    /// How each step after the seed joins: `joins[k]` runs
+    /// `join_order[k + 1]` (the `join[k]` node).
+    pub joins: Vec<StepJoin>,
     /// The query's output variables.
     pub head: Vec<VarId>,
     /// The fragment index whose union result is pipelined into the first
     /// join (every other fragment is charged as materialized); `None`
     /// with fewer than two fragments.
     pub pipelined: Option<usize>,
-    /// Per-node cardinality estimates keyed by the executor's node
-    /// labels (`fragment[i].union`, `join[k].hash_join`, `dedup`,
-    /// `shared_scan[i]`), paired with measured rows by
-    /// `explain_analyze`.
-    pub estimates: Vec<(String, f64)>,
-    /// The fragment join order the tree was built from (seed first);
-    /// empty for a constant-empty plan. The plan's SIP filters are read
-    /// off it ([`Plan::sip`]).
-    pub join_order: Vec<JoinStep>,
     /// How many fragments had at least one collapsible run of members
     /// (consecutive-id constants), whether or not the profile's
     /// `range_scans` knob let the planner rewrite them. Feeds the query
     /// log's range-eligibility field.
     pub range_eligible: usize,
-    /// How many [`PlanNode::RangeScan`] nodes the plan contains (one per
-    /// collapsed member).
+    /// How many collapsed intervals (range-scan leaves and range probes)
+    /// the plan contains.
     pub range_scans: usize,
-    /// The plan's view bindings, indexed by
-    /// [`PlanNode::ViewScan`]`::view`. Empty unless the planner matched
-    /// fragments against a catalog.
+    /// The plan's view bindings, indexed by [`FragmentPlan::view`].
+    /// Empty unless the planner matched fragments against a catalog.
     pub views: Vec<ViewBindingDef>,
 }
 
 impl Plan {
     /// True iff the plan was proven empty at plan time.
     pub fn is_const_empty(&self) -> bool {
-        matches!(self.root, PlanNode::Empty { .. })
-    }
-
-    /// The fragment [`PlanNode::HashUnion`] nodes, in fragment order
-    /// (descending through [`PlanNode::ViewScan`] fallbacks).
-    pub fn unions(&self) -> Vec<&PlanNode> {
-        let mut out = Vec::new();
-        self.root.collect_unions(&mut out);
-        out.sort_by_key(|n| n.as_union().map(|(i, _, _)| i).unwrap_or(usize::MAX));
-        out
+        self.fragments.is_empty()
     }
 
     /// The plan's sideways-information-passing filters, in join-step
@@ -691,14 +355,60 @@ impl Plan {
             .collect()
     }
 
-    /// How many fragments the plan serves as [`PlanNode::ViewScan`]s.
+    /// How many fragments the plan serves from views.
     pub fn view_scans(&self) -> usize {
         self.views.len()
     }
 
-    /// Total plan size: tree nodes plus shared-scan table entries.
+    /// The rows fragment `i` is estimated to join with: its view's
+    /// stored tuples when a view serves it, its union's estimate
+    /// otherwise.
+    fn served_est(&self, i: usize) -> f64 {
+        let f = &self.fragments[i];
+        f.view.map_or(f.est, |v| self.views[v].tuples as f64)
+    }
+
+    /// The plan's cardinality estimates keyed by the executor's node
+    /// labels (`shared_scan[i]`, `fragment[i].union`,
+    /// `fragment[i].view_scan`, `join[k].<algo>`, `dedup`), in that
+    /// order; `explain_analyze` pairs them with measured rows.
+    pub fn estimates(&self) -> Vec<(String, f64)> {
+        let mut out: Vec<(String, f64)> = Vec::new();
+        for (i, def) in self.shared.iter().enumerate() {
+            out.push((format!("shared_scan[{i}]"), def.est.unwrap_or(0.0)));
+        }
+        for (i, f) in self.fragments.iter().enumerate() {
+            out.push((format!("fragment[{i}].union"), f.est));
+        }
+        for (i, f) in self.fragments.iter().enumerate() {
+            if f.view.is_some() {
+                out.push((format!("fragment[{i}].view_scan"), self.served_est(i)));
+            }
+        }
+        for (k, (step, j)) in self.join_order.iter().skip(1).zip(&self.joins).enumerate() {
+            out.push((format!("join[{k}].{}", join::op_name(j.algo)), step.est_rows));
+        }
+        if let Some(last) = self.join_order.last() {
+            out.push(("dedup".to_string(), last.est_rows));
+        }
+        out
+    }
+
+    /// Total plan size: the operator nodes [`Plan::render`] prints plus
+    /// the shared-scan table entries.
     pub fn node_count(&self) -> usize {
-        self.root.node_count() + self.shared.len()
+        if self.fragments.is_empty() {
+            return 1;
+        }
+        let unions: usize = self
+            .fragments
+            .iter()
+            .map(|f| {
+                let members: usize = f.members.iter().map(MemberPlan::node_count).sum();
+                1 + usize::from(f.view.is_some()) + members
+            })
+            .sum();
+        2 + self.joins.len() + unions + self.shared.len()
     }
 
     /// Render the plan as an indented operator tree, truncating each
@@ -755,7 +465,143 @@ impl Plan {
                 );
             }
         }
-        self.root.render_into(&mut out, 0, max_members, names);
+        let Some(last) = self.join_order.last() else {
+            out.push_str("Empty\n");
+            return out;
+        };
+        let tree = Tree { plan: self, max_members, names };
+        let _ = writeln!(out, "Dedup (est {:.1})", last.est_rows);
+        let cols: Vec<String> =
+            self.head.iter().map(|&v| PatternTerm::Var(v).to_string()).collect();
+        let _ = writeln!(out, "  Project [{}]", cols.join(", "));
+        tree.joins(&mut out, self.join_order.len() - 1, 2);
         out
+    }
+}
+
+/// Renders a plan's fragment joins, unions and members as the left-deep
+/// operator tree they execute as.
+struct Tree<'p, 'n> {
+    plan: &'p Plan,
+    max_members: usize,
+    names: Option<&'n TermNameResolver<'n>>,
+}
+
+impl Tree<'_, '_> {
+    /// Join order steps `0..=k`: the join of step `k` over the steps
+    /// before it (left) and step `k`'s fragment (right); step 0 is the
+    /// seed fragment alone.
+    fn joins(&self, out: &mut String, k: usize, indent: usize) {
+        let plan = self.plan;
+        let step = &plan.join_order[k];
+        if k == 0 {
+            return self.fragment(out, step.fragment, indent);
+        }
+        let j = plan.joins[k - 1];
+        let name = match j.algo {
+            JoinAlgo::Hash => "HashJoin",
+            JoinAlgo::SortMerge => "MergeJoin",
+            JoinAlgo::BlockNestedLoop => "NestedLoopJoin",
+        };
+        let mut notes: Vec<&str> = Vec::new();
+        if j.algo == JoinAlgo::SortMerge {
+            match j.sort_elided {
+                (true, true) => notes.push("sort elided"),
+                (true, false) => notes.push("sort elided: left"),
+                (false, true) => notes.push("sort elided: right"),
+                (false, false) => {}
+            }
+            // Gallop eligibility is decided at run time from actual
+            // input sizes; annotate when the estimates already show the
+            // ≥8× skew the kernel looks for.
+            let (l, r) = (plan.join_order[k - 1].est_rows, plan.served_est(step.fragment));
+            if l >= 8.0 * r || r >= 8.0 * l {
+                notes.push("gallop");
+            }
+        }
+        let ann = if notes.is_empty() { String::new() } else { format!(" ({})", notes.join(", ")) };
+        let pad = "  ".repeat(indent);
+        let _ = writeln!(out, "{pad}{name} join[{}]{ann} (est {:.1})", k - 1, step.est_rows);
+        self.joins(out, k - 1, indent + 1);
+        self.fragment(out, step.fragment, indent + 1);
+    }
+
+    /// Fragment `i`: its union, under the view scan that serves it when
+    /// one does.
+    fn fragment(&self, out: &mut String, i: usize, mut indent: usize) {
+        let f = &self.plan.fragments[i];
+        if let Some(view) = f.view {
+            let pad = "  ".repeat(indent);
+            let est = self.plan.served_est(i);
+            let _ = writeln!(out, "{pad}ViewScan fragment[{i}] view#{view} (est {est:.1})");
+            let _ = writeln!(out, "{pad}  fallback:");
+            indent += 2;
+        }
+        let n = f.members.len();
+        let _ = writeln!(
+            out,
+            "{}HashUnion fragment[{i}] — {n} member{} (est {:.1})",
+            "  ".repeat(indent),
+            if n == 1 { "" } else { "s" },
+            f.est
+        );
+        for m in f.members.iter().take(self.max_members) {
+            self.member(out, m, indent + 1);
+        }
+        if n > self.max_members {
+            let _ =
+                writeln!(out, "{}… {} more members", "  ".repeat(indent + 1), n - self.max_members);
+        }
+    }
+
+    /// One member: its projection over the probes, outermost first, over
+    /// the (filtered) leaf.
+    fn member(&self, out: &mut String, m: &MemberPlan, mut indent: usize) {
+        let mut line = |indent: usize, text: String| {
+            let _ = writeln!(out, "{}{text}", "  ".repeat(indent));
+        };
+        let leaf = match &m.leaf {
+            Leaf::Scan { pattern, perm, est } => {
+                let via = perm.map(|p| format!(" via {p:?}")).unwrap_or_default();
+                format!("IndexScan {pattern}{via} (est {est:.1})")
+            }
+            Leaf::Range { pattern, interval, est } => {
+                format!("RangeScan {pattern} {} (est {est:.1})", self.interval(interval))
+            }
+            Leaf::Shared { id } => {
+                let def = &self.plan.shared[*id];
+                let est = def.est.map(|e| format!(" (est {e:.1})")).unwrap_or_default();
+                format!("SharedScan #{id} {}{est}", def.pattern)
+            }
+            Leaf::TrueRow => return line(indent, "TrueRow".to_string()),
+        };
+        let cols: Vec<String> = m.head.iter().map(ToString::to_string).collect();
+        line(indent, format!("Project [{}]", cols.join(", ")));
+        for p in m.probes.iter().rev() {
+            indent += 1;
+            line(
+                indent,
+                match &p.range {
+                    Some(iv) => format!("RangeProbe {} {}", p.pattern, self.interval(iv)),
+                    None => format!("Inlj probe {}", p.pattern),
+                },
+            );
+        }
+        indent += 1;
+        if let Some(pattern) = m.leaf.filtered() {
+            line(indent, format!("Filter repeated-vars {pattern}"));
+            indent += 1;
+        }
+        line(indent, leaf);
+    }
+
+    /// `o∈[#u18, #u18+5) (FullProfessor) — 4 members`.
+    fn interval(&self, iv: &Interval) -> String {
+        let pos = match iv.ranged {
+            RangePos::Predicate => 'p',
+            RangePos::Object => 'o',
+        };
+        let name = self.names.and_then(|f| f(iv.lo)).map(|n| format!(" ({n})")).unwrap_or_default();
+        format!("{pos}∈[#u{}, #u{}+{}){name} — {} members", iv.lo, iv.lo, iv.hi - iv.lo, iv.members)
     }
 }

@@ -20,12 +20,12 @@
 //! 4. **join_order** — greedy per-member atom ordering (cheapest exact
 //!    extent first, then always a join-connected atom), baked into the
 //!    plan instead of re-derived at execution time.
-//! 5. **lower** — each member becomes an INLJ chain off its leaf scan;
-//!    each fragment join takes the profile's algorithm (hash /
-//!    sort-merge / block-nested-loop) unless a sort-elided merge is
-//!    cheaper; plus the pipelined-fragment choice (largest estimate,
-//!    §4.1), cardinality estimates on every plan node, and the fragment
-//!    join order.
+//! 5. **lower** — each fragment becomes a [`FragmentPlan`] whose members
+//!    are a leaf scan (private, shared or ranged) extended by index
+//!    probes; each join step after the seed takes the profile's
+//!    algorithm (hash / sort-merge / block-nested-loop) unless a
+//!    sort-elided merge is cheaper; plus the pipelined-fragment choice
+//!    (largest estimate, §4.1) and the fragment join order.
 //!
 //! The join order is cost-based and decided once per plan by
 //! [`fragment_join_order`](crate::plan::fragment_join_order): each
@@ -39,20 +39,23 @@
 //! is joined so far, the one whose join is estimated to *output* the
 //! fewest rows — ties to the smaller fragment, then the lower index —
 //! and a disconnected fragment only when nothing connected is left. The
-//! join tree, the per-step estimates, the SIP filter definitions (one
-//! per step with a join key) and the interesting orders handed to leaf
-//! scans are all read off that one result, as is the internal cost
-//! model's join pricing. A step estimate is the summaries' join formula
-//! folded one fragment further (`FragmentSummary::join_rows`), which is
-//! arithmetic: lowering walks each member once, for its summary.
+//! plan's join steps, their estimates and keys, the SIP filter
+//! definitions (one per step with a key) and the interesting orders
+//! handed to leaf scans are all that one result, as is the internal
+//! cost model's join pricing. A step estimate is the summaries' join
+//! formula folded one fragment further (`FragmentSummary::join_rows`),
+//! which is arithmetic: lowering walks each member once, for its
+//! summary.
 
 use jucq_model::{FxHashMap, FxHashSet};
 
-use crate::exec::join;
 use crate::internal_cost::join_step_cost;
 use crate::ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, VarId};
 use crate::plan::join_order::fragment_join_order;
-use crate::plan::node::{scan_order, Plan, PlanNode, SharedScanDef, ViewBindingDef};
+use crate::plan::node::{
+    scan_order, FragmentPlan, Interval, Leaf, MemberPlan, Plan, Probe, SharedScanDef, StepJoin,
+    ViewBindingDef,
+};
 use crate::profile::{EngineProfile, JoinAlgo};
 use crate::stats::{FragmentSummary, Statistics};
 use crate::table::{Perm, RangePos, TripleTable};
@@ -82,17 +85,14 @@ struct DraftMember {
     ranges: Vec<RangeAtom>,
 }
 
-/// One collapsed-interval atom: atom `atom`'s constant at the `ranged`
-/// position is replaced by the raw-id interval `[lo, hi)`, which covers
-/// exactly the `members` original constants — consecutive raw ids, or
+/// One collapsed-interval atom: atom `atom`'s constant at the interval's
+/// ranged position is replaced by the raw-id interval, which covers
+/// exactly its `members` original constants — consecutive raw ids, or
 /// runs of them separated by gaps whose extent the index proved empty,
 /// so the interval matches no triple the original constants did not.
 struct RangeAtom {
     atom: usize,
-    ranged: RangePos,
-    lo: u32,
-    hi: u32,
-    members: usize,
+    interval: Interval,
 }
 
 /// Fixpoint-collapse scratch state for one surviving union member.
@@ -262,8 +262,8 @@ impl<'a> Planner<'a> {
 
     /// Attach a materialized-view catalog: `lower` will match each
     /// fragment's *logical* (pre-rewrite) UCQ signature against it and
-    /// wrap matched unions in [`PlanNode::ViewScan`]s. A `None` catalog
-    /// plans exactly as before.
+    /// bind matched fragments to their views ([`FragmentPlan::view`]).
+    /// A `None` catalog plans exactly as before.
     pub fn with_views(mut self, views: Option<&'a ViewCatalog>) -> Self {
         self.views = views;
         self
@@ -423,12 +423,13 @@ impl<'a> Planner<'a> {
                     continue;
                 }
                 for r in &s.ranges {
+                    let Interval { ranged, lo, hi, .. } = r.interval;
                     let mut bound = m.cq.patterns[r.atom].bound();
-                    match r.ranged {
+                    match ranged {
                         RangePos::Predicate => bound[1] = None,
                         RangePos::Object => bound[2] = None,
                     }
-                    m.counts[r.atom] = self.table.count_value_range(&bound, r.ranged, r.lo, r.hi);
+                    m.counts[r.atom] = self.table.count_value_range(&bound, ranged, lo, hi);
                 }
                 m.ranges = s.ranges;
                 kept.push(m);
@@ -480,7 +481,9 @@ impl<'a> Planner<'a> {
                     for pos in [RangePos::Predicate, RangePos::Object] {
                         let existing = s.ranges.iter().find(|r| r.atom == ai);
                         let (lo, hi, slot_members) = match existing {
-                            Some(r) if r.ranged == pos => (r.lo, r.hi, r.members),
+                            Some(r) if r.interval.ranged == pos => {
+                                (r.interval.lo, r.interval.hi, r.interval.members)
+                            }
                             // One interval per atom: the other position of
                             // an already-ranged atom is not a candidate.
                             Some(_) => continue,
@@ -503,8 +506,9 @@ impl<'a> Planner<'a> {
                             // Other ranged slots: mask the (arbitrary)
                             // template constant, carry the interval in the
                             // signature instead.
-                            mask(&mut masked, r.atom, r.ranged);
-                            others.push((r.atom, r.ranged, r.lo, r.hi));
+                            let iv = r.interval;
+                            mask(&mut masked, r.atom, iv.ranged);
+                            others.push((r.atom, iv.ranged, iv.lo, iv.hi));
                         }
                         others.sort_unstable();
                         let sig = (cq.head.clone(), ai, pos, masked, others);
@@ -553,13 +557,8 @@ impl<'a> Planner<'a> {
                         }
                         consumed[keep] = true;
                         scratch[keep].ranges.retain(|r| r.atom != ai);
-                        scratch[keep].ranges.push(RangeAtom {
-                            atom: ai,
-                            ranged: pos,
-                            lo,
-                            hi,
-                            members: total,
-                        });
+                        let interval = Interval { ranged: pos, lo, hi, members: total };
+                        scratch[keep].ranges.push(RangeAtom { atom: ai, interval });
                         changed = true;
                         merged_any = true;
                     }
@@ -663,33 +662,36 @@ impl<'a> Planner<'a> {
     ) -> Plan {
         jucq_obs::span!("plan.lower");
         let before = draft_nodes(draft) + shared.len();
-        let range_scans =
-            draft.iter().flat_map(|f| &f.members).map(|m| m.ranges.len()).sum::<usize>();
 
-        if draft.is_empty() || draft.iter().any(|f| f.members.is_empty()) {
-            let plan = Plan {
-                root: PlanNode::Empty { head: q.head.clone() },
+        let plan = if draft.is_empty() || draft.iter().any(|f| f.members.is_empty()) {
+            Plan {
                 shared: Vec::new(),
+                fragments: Vec::new(),
+                join_order: Vec::new(),
+                joins: Vec::new(),
                 head: q.head.clone(),
                 pipelined: None,
-                estimates: Vec::new(),
-                join_order: Vec::new(),
                 range_eligible,
                 range_scans: 0,
                 views: Vec::new(),
-            };
-            jucq_obs::metrics::counter_add("planner.lower.nodes_before", before as u64);
-            jucq_obs::metrics::counter_add("planner.lower.nodes_after", plan.node_count() as u64);
-            return plan;
-        }
+            }
+        } else {
+            self.lower_fragments(q, draft, shared, range_eligible)
+        };
+        jucq_obs::metrics::counter_add("planner.lower.nodes_before", before as u64);
+        jucq_obs::metrics::counter_add("planner.lower.nodes_after", plan.node_count() as u64);
+        plan
+    }
 
-        let shared_ix: FxHashMap<StorePattern, usize> =
-            shared.iter().enumerate().map(|(i, d)| (d.pattern, i)).collect();
-        let mut estimates: Vec<(String, f64)> = Vec::new();
-        for (i, def) in shared.iter().enumerate() {
-            estimates.push((format!("shared_scan[{i}]"), def.est.unwrap_or(0.0)));
-        }
-
+    /// [`Planner::lower`] for a draft whose every fragment kept a
+    /// member.
+    fn lower_fragments(
+        &self,
+        q: &StoreJucq,
+        draft: &[DraftFragment],
+        shared: Vec<SharedScanDef>,
+        range_eligible: usize,
+    ) -> Plan {
         // One summary per fragment, over the *rewritten* members (what
         // actually runs) and from the exact per-atom counts the passes
         // above already hold — a range-collapsed atom's count covers its
@@ -704,9 +706,6 @@ impl<'a> Planner<'a> {
             })
             .collect();
         let frag_est: Vec<f64> = summaries.iter().map(|s| s.rows).collect();
-        for (i, est) in frag_est.iter().enumerate() {
-            estimates.push((format!("fragment[{i}].union"), *est));
-        }
 
         // §4.1: the largest-result fragment is the one pipelined.
         let pipelined = if draft.len() > 1 {
@@ -717,17 +716,16 @@ impl<'a> Planner<'a> {
 
         // View matching: a fragment whose *logical* (pre-rewrite) UCQ —
         // the same shape the materializer keyed its entry by — has a
-        // current-epoch catalog entry will be served by a `ViewScan`
-        // over its lowered union, and joins at its stored size. The
-        // signature travels in the plan; the rows never do (resolution
-        // is epoch-exact at evaluation time).
+        // current-epoch catalog entry is served from the view, its
+        // lowered union kept as the fallback, and joins at its stored
+        // size. The signature travels in the plan; the rows never do
+        // (resolution is epoch-exact at evaluation time).
         let mut views: Vec<ViewBindingDef> = Vec::new();
         let mut view_of: Vec<Option<usize>> = vec![None; draft.len()];
         if let Some(catalog) = self.views {
             for (i, frag) in q.fragments.iter().enumerate() {
                 let signature = ViewSignature::of(frag);
                 if let Some(tuples) = catalog.contains_current(&signature) {
-                    estimates.push((format!("fragment[{i}].view_scan"), tuples as f64));
                     summaries[i].set_rows(tuples as f64);
                     view_of[i] = Some(views.len());
                     views.push(ViewBindingDef { signature, tuples });
@@ -736,8 +734,8 @@ impl<'a> Planner<'a> {
         }
 
         // The fragment join order, decided once (see `join_order`): the
-        // join tree, the per-step estimates, the interesting orders below
-        // and the plan's SIP filters all read this one result.
+        // plan's join steps, the interesting orders below and its SIP
+        // filters are this one result.
         let heads: Vec<&[VarId]> = draft.iter().map(|f| f.head.as_slice()).collect();
         let join_order = fragment_join_order(&summaries, &heads);
 
@@ -754,126 +752,89 @@ impl<'a> Planner<'a> {
             desired[seed.fragment] = &first.key;
         }
 
-        let mut leaves: Vec<Option<PlanNode>> = draft
+        let shared_ix: FxHashMap<StorePattern, usize> =
+            shared.iter().enumerate().map(|(i, d)| (d.pattern, i)).collect();
+        let fragments: Vec<FragmentPlan> = draft
             .iter()
             .enumerate()
-            .map(|(i, f)| {
-                let members: Vec<PlanNode> = f
+            .map(|(i, f)| FragmentPlan {
+                head: f.head.clone(),
+                members: f
                     .members
                     .iter()
-                    .map(|m| self.lower_member(m, &f.head, &shared_ix, desired[i]))
-                    .collect();
-                let union = PlanNode::HashUnion {
-                    idx: i,
-                    head: f.head.clone(),
-                    members,
-                    est: Some(frag_est[i]),
-                };
-                Some(match view_of[i] {
-                    Some(view) => PlanNode::ViewScan {
-                        idx: i,
-                        head: f.head.clone(),
-                        view,
-                        est: Some(summaries[i].rows),
-                        fallback: Box::new(union),
-                    },
-                    None => union,
-                })
+                    .map(|m| lower_member(m, &shared_ix, desired[i]))
+                    .collect(),
+                est: frag_est[i],
+                view: view_of[i],
             })
             .collect();
 
-        let algo = self.profile.fragment_join;
-        let seed = &join_order[0];
-        let mut tree = leaves[seed.fragment].take().expect("each fragment lowered once");
-        let mut acc_est = seed.est_rows;
-        for (step, next) in join_order[1..].iter().enumerate() {
-            let right = leaves[next.fragment].take().expect("each fragment lowered once");
-            // When the inputs' order properties make a (possibly
-            // sort-elided) merge cheaper than the profile's algorithm on
-            // this step's input estimates, lower to a merge join — chosen
-            // by cost, not forced.
-            let (step_algo, elided) =
-                choose_join_algo(algo, &tree, &right, acc_est, summaries[next.fragment].rows);
-            estimates.push((format!("join[{step}].{}", join::op_name(step_algo)), next.est_rows));
-            tree = make_join(step_algo, tree, right, step, next.est_rows, elided);
-            acc_est = next.est_rows;
-        }
+        // When the inputs' order properties make a (possibly sort-elided)
+        // merge cheaper than the profile's algorithm on a step's input
+        // estimates, the step merges — chosen by cost, not forced. The
+        // left input is the seed fragment at the first step, then the
+        // previous step's output: a merge emits in its key's order, the
+        // other algorithms in none.
+        let mut left_order = fragments[join_order[0].fragment].order(&shared);
+        let joins: Vec<StepJoin> = join_order
+            .windows(2)
+            .map(|w| {
+                let (prev, next) = (&w[0], &w[1]);
+                let right_order = fragments[next.fragment].order(&shared);
+                let (l_est, r_est) = (prev.est_rows, summaries[next.fragment].rows);
+                let (algo, sort_elided) = choose_join_algo(
+                    self.profile.fragment_join,
+                    &next.key,
+                    &left_order,
+                    &right_order,
+                    l_est,
+                    r_est,
+                );
+                left_order =
+                    if algo == JoinAlgo::SortMerge { next.key.clone() } else { Vec::new() };
+                StepJoin { algo, sort_elided }
+            })
+            .collect();
 
-        estimates.push(("dedup".to_string(), acc_est));
-        let root = PlanNode::Dedup {
-            input: Box::new(PlanNode::Project {
-                input: Box::new(tree),
-                head: q.head.iter().map(|&v| PatternTerm::Var(v)).collect(),
-                out_vars: q.head.clone(),
-            }),
-            est: Some(acc_est),
-        };
-        let plan = Plan {
-            root,
+        Plan {
             shared,
+            fragments,
+            join_order,
+            joins,
             head: q.head.clone(),
             pipelined,
-            estimates,
-            join_order,
             range_eligible,
-            range_scans,
+            range_scans: draft.iter().flat_map(|f| &f.members).map(|m| m.ranges.len()).sum(),
             views,
-        };
-        jucq_obs::metrics::counter_add("planner.lower.nodes_before", before as u64);
-        jucq_obs::metrics::counter_add("planner.lower.nodes_after", plan.node_count() as u64);
-        plan
+        }
     }
+}
 
-    /// Lower one union member to its access chain: a leaf scan (shared
-    /// or private, filtered when the pattern repeats a variable) extended
-    /// by INLJ probes, topped by the head projection.
-    fn lower_member(
-        &self,
-        m: &DraftMember,
-        frag_head: &[VarId],
-        shared_ix: &FxHashMap<StorePattern, usize>,
-        desired: &[VarId],
-    ) -> PlanNode {
-        if m.cq.patterns.is_empty() {
-            return PlanNode::TrueRow { out_vars: frag_head.to_vec() };
+/// Lower one union member: its first atom becomes the leaf scan (ranged,
+/// shared or private), every later atom an index probe (ranged when
+/// collapsed), topped by the member's head.
+fn lower_member(
+    m: &DraftMember,
+    shared_ix: &FxHashMap<StorePattern, usize>,
+    desired: &[VarId],
+) -> MemberPlan {
+    let range = |atom: usize| m.ranges.iter().find(|r| r.atom == atom).map(|r| r.interval);
+    let leaf = match m.order.first() {
+        None => Leaf::TrueRow,
+        Some(&pi) => {
+            let (pattern, est) = (m.cq.patterns[pi], m.counts[pi] as f64);
+            match (range(pi), shared_ix.get(&pattern)) {
+                (Some(interval), _) => Leaf::Range { pattern, interval, est },
+                (None, Some(&id)) => Leaf::Shared { id },
+                (None, None) => Leaf::Scan { pattern, perm: pick_perm(&pattern, desired), est },
+            }
         }
-        let (pi, p) = (m.order[0], m.cq.patterns[m.order[0]]);
-        let est = Some(m.counts[pi] as f64);
-        let mut node = match (m.ranges.iter().find(|r| r.atom == pi), shared_ix.get(&p)) {
-            (Some(r), _) => PlanNode::RangeScan {
-                pattern: p,
-                ranged: r.ranged,
-                lo: r.lo,
-                hi: r.hi,
-                members: r.members,
-                est,
-            },
-            (None, Some(&id)) => PlanNode::SharedScan { id, pattern: p, est },
-            (None, None) => PlanNode::IndexScan { pattern: p, perm: pick_perm(&p, desired), est },
-        };
-        if p.has_repeated_var() && !matches!(node, PlanNode::SharedScan { .. }) {
-            node = PlanNode::Filter { pattern: p, input: Box::new(node) };
-        }
-        for &pi in &m.order[1..] {
-            let input = Box::new(node);
-            let pattern = m.cq.patterns[pi];
-            node = match m.ranges.iter().find(|r| r.atom == pi) {
-                Some(r) => PlanNode::RangeProbe {
-                    input,
-                    pattern,
-                    ranged: r.ranged,
-                    lo: r.lo,
-                    hi: r.hi,
-                    members: r.members,
-                },
-                None => PlanNode::Inlj { input, pattern },
-            };
-        }
-        PlanNode::Project {
-            input: Box::new(node),
-            head: m.cq.head.clone(),
-            out_vars: frag_head.to_vec(),
-        }
+    };
+    let probes = m.order.iter().skip(1);
+    MemberPlan {
+        leaf,
+        probes: probes.map(|&pi| Probe { pattern: m.cq.patterns[pi], range: range(pi) }).collect(),
+        head: m.cq.head.clone(),
     }
 }
 
@@ -914,25 +875,6 @@ fn atom_order(patterns: &[StorePattern], counts: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Build the fragment-level join node matching `algo`. `elided` marks
-/// which merge-join inputs already arrive sorted on the join key (only
-/// meaningful for [`JoinAlgo::SortMerge`]).
-fn make_join(
-    algo: JoinAlgo,
-    left: PlanNode,
-    right: PlanNode,
-    step: usize,
-    est: f64,
-    elided: (bool, bool),
-) -> PlanNode {
-    let (left, right, est) = (Box::new(left), Box::new(right), Some(est));
-    match algo {
-        JoinAlgo::Hash => PlanNode::HashJoin { left, right, step, est },
-        JoinAlgo::SortMerge => PlanNode::MergeJoin { left, right, step, est, sort_elided: elided },
-        JoinAlgo::BlockNestedLoop => PlanNode::NestedLoopJoin { left, right, step, est },
-    }
-}
-
 /// Pick the permutation index for a leaf scan of `p`: among every
 /// candidate whose bound prefix covers the pattern's constants, the one
 /// whose output order matches the longest prefix of `desired` (the join
@@ -960,16 +902,17 @@ fn pick_perm(p: &StorePattern, desired: &[VarId]) -> Option<Perm> {
     (best != default).then_some(best)
 }
 
-/// Order-aware join-step choice: compute the step's join key and which
-/// inputs already arrive sorted on it, then price the profile's
-/// algorithm against the (possibly sort-elided) merge on the inputs'
-/// estimated sizes. Merge wins only when strictly cheaper — or when the
-/// profile forces it anyway, in which case the elision flags are a free
-/// improvement.
+/// Order-aware join-step choice: given the step's key and the inputs'
+/// order properties, decide which inputs already arrive sorted on the
+/// key, then price the profile's algorithm against the (possibly
+/// sort-elided) merge on the inputs' estimated sizes. Merge wins only
+/// when strictly cheaper — or when the profile forces it anyway, in
+/// which case the elision flags are a free improvement.
 fn choose_join_algo(
     profile_algo: JoinAlgo,
-    left: &PlanNode,
-    right: &PlanNode,
+    key: &[VarId],
+    left_order: &[VarId],
+    right_order: &[VarId],
     l_est: f64,
     r_est: f64,
 ) -> (JoinAlgo, (bool, bool)) {
@@ -978,12 +921,11 @@ fn choose_join_algo(
         // of that engine, not a cost-model oversight — don't rescue it.
         return (profile_algo, (false, false));
     }
-    let key = PlanNode::join_key(left, right);
     if key.is_empty() {
         // Cartesian product: a merge degenerates and order buys nothing.
         return (profile_algo, (false, false));
     }
-    let elide = (left.order().starts_with(&key), right.order().starts_with(&key));
+    let elide = (left_order.starts_with(key), right_order.starts_with(key));
     if matches!(profile_algo, JoinAlgo::SortMerge) {
         return (JoinAlgo::SortMerge, elide);
     }
@@ -1075,7 +1017,7 @@ mod tests {
         );
         let plan = plan_of(&StoreJucq::new(vec![frag], vec![0]), &EngineProfile::pg_like());
         assert!(plan.is_const_empty());
-        assert!(plan.estimates.is_empty());
+        assert!(plan.estimates().is_empty());
     }
 
     #[test]
@@ -1087,8 +1029,7 @@ mod tests {
         );
         let frag = StoreUcq::new(vec![narrow.clone(), narrow.clone(), superset], vec![0, 1]);
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 1, "duplicate and subsumed members dropped");
     }
 
@@ -1128,11 +1069,10 @@ mod tests {
         let once = one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0]);
         let q = StoreJucq::from_ucq(StoreUcq::new(vec![twice.clone(), once], vec![0]));
         let plan = plan_of(&q, &EngineProfile::pg_like());
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 1, "the reduced member duplicates the other");
-        let PlanNode::Project { input, .. } = &members[0] else { panic!("{:?}", members[0]) };
-        assert!(matches!(**input, PlanNode::IndexScan { .. }), "{input:?}");
+        assert!(members[0].probes.is_empty(), "{:?}", members[0]);
+        assert!(matches!(members[0].leaf, Leaf::Scan { .. }), "{:?}", members[0]);
         // Same answers as the body evaluated as written.
         let store = crate::Store::from_triples(
             &[t(1, 10, 2), t(1, 10, 3), t(4, 10, 4), t(5, 11, 6)],
@@ -1153,8 +1093,7 @@ mod tests {
         );
         let frag = StoreUcq::new(vec![a, b], vec![0, 1]);
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 2, "different heads are never subsumed");
     }
 
@@ -1175,7 +1114,7 @@ mod tests {
         assert_eq!(plan.shared.len(), 1);
         assert_eq!(plan.shared[0].pattern, shared_leaf);
         assert_eq!(plan.shared[0].uses, 2);
-        assert!(plan.estimates.iter().any(|(l, _)| l == "shared_scan[0]"));
+        assert!(plan.estimates().iter().any(|(l, _)| l == "shared_scan[0]"));
     }
 
     #[test]
@@ -1196,20 +1135,16 @@ mod tests {
         let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
         let hash = plan_of(&q, &EngineProfile::pg_like());
         let bnl = plan_of(&q, &EngineProfile::mysql_like());
-        let top_join = |p: &Plan| match &p.root {
-            PlanNode::Dedup { input, .. } => match &**input {
-                PlanNode::Project { input, .. } => (**input).clone(),
-                other => other.clone(),
-            },
-            other => other.clone(),
-        };
-        assert!(matches!(top_join(&hash), PlanNode::HashJoin { step: 0, .. }));
+        assert_eq!(
+            hash.joins,
+            vec![StepJoin { algo: JoinAlgo::Hash, sort_elided: (false, false) }]
+        );
         // The MySQL-like profile's weak join is never rescued by a
         // cheaper merge.
-        assert!(matches!(top_join(&bnl), PlanNode::NestedLoopJoin { step: 0, .. }));
+        assert_eq!(bnl.joins[0].algo, JoinAlgo::BlockNestedLoop);
         assert!(hash.pipelined.is_some());
-        assert!(hash.estimates.iter().any(|(l, _)| l == "join[0].hash_join"));
-        assert!(bnl.estimates.iter().any(|(l, _)| l == "join[0].block_nested_loop_join"));
+        assert!(hash.estimates().iter().any(|(l, _)| l == "join[0].hash_join"));
+        assert!(bnl.estimates().iter().any(|(l, _)| l == "join[0].block_nested_loop_join"));
     }
 
     #[test]
@@ -1227,26 +1162,19 @@ mod tests {
         );
         let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
         let plan = plan_of(&q, &EngineProfile::pg_like());
-        let top_join = |p: &Plan| match &p.root {
-            PlanNode::Dedup { input, .. } => match &**input {
-                PlanNode::Project { input, .. } => (**input).clone(),
-                other => other.clone(),
-            },
-            other => other.clone(),
-        };
-        let join = top_join(&plan);
-        assert!(
-            matches!(join, PlanNode::MergeJoin { step: 0, sort_elided: (true, true), .. }),
-            "{join:?}"
+        assert_eq!(
+            plan.joins,
+            vec![StepJoin { algo: JoinAlgo::SortMerge, sort_elided: (true, true) }],
+            "{}",
+            plan.render(2)
         );
-        assert!(plan.estimates.iter().any(|(l, _)| l == "join[0].sort_merge_join"));
+        assert!(plan.estimates().iter().any(|(l, _)| l == "join[0].sort_merge_join"));
         // The chosen merge is genuinely ordered: both inputs' order
         // properties start with the join key.
-        if let PlanNode::MergeJoin { left, right, .. } = &join {
-            let key = PlanNode::join_key(left, right);
-            assert!(!key.is_empty());
-            assert!(left.order().starts_with(&key));
-            assert!(right.order().starts_with(&key));
+        let key = &plan.join_order[1].key;
+        assert!(!key.is_empty());
+        for step in &plan.join_order {
+            assert!(plan.fragments[step.fragment].order(&plan.shared).starts_with(key));
         }
     }
 
@@ -1267,17 +1195,11 @@ mod tests {
         let q = StoreJucq::new(vec![fa, fb], vec![1, 2]);
         let plan = plan_of(&q, &EngineProfile::pg_like());
         let mut saw_pos = false;
-        for u in plan.unions() {
-            let Some((_, head, members)) = u.as_union() else { continue };
-            if head != [1] {
-                continue;
-            }
-            for m in members {
-                if let PlanNode::Project { input, .. } = m {
-                    if let PlanNode::IndexScan { perm, .. } = &**input {
-                        assert_eq!(*perm, Some(Perm::Pos), "object-first perm");
-                        saw_pos = true;
-                    }
+        for f in plan.fragments.iter().filter(|f| f.head == [1]) {
+            for m in &f.members {
+                if let Leaf::Scan { perm, .. } = &m.leaf {
+                    assert_eq!(*perm, Some(Perm::Pos), "object-first perm");
+                    saw_pos = true;
                 }
             }
         }
@@ -1291,12 +1213,11 @@ mod tests {
             vec![0],
         );
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
-        assert!(matches!(
-            &members[0],
-            PlanNode::Project { input, .. } if matches!(**input, PlanNode::Filter { .. })
-        ));
+        let members = &plan.fragments[0].members;
+        assert!(
+            matches!(&members[0].leaf, Leaf::Scan { pattern, .. } if pattern.has_repeated_var())
+        );
+        assert!(plan.render(1).contains("Filter repeated-vars (?0 #u10 ?0)"), "{}", plan.render(1));
     }
 
     #[test]
@@ -1311,19 +1232,15 @@ mod tests {
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
         assert_eq!(plan.range_eligible, 1);
         assert_eq!(plan.range_scans, 1);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 1, "three members collapsed into one");
-        match &members[0] {
-            PlanNode::Project { input, .. } => match &**input {
-                PlanNode::RangeScan { ranged, lo, hi, members, .. } => {
-                    assert_eq!(*ranged, crate::table::RangePos::Object);
-                    assert_eq!((*lo, *hi), (1, 4));
-                    assert_eq!(*members, 3);
-                }
-                other => panic!("expected RangeScan leaf, got {other:?}"),
-            },
-            other => panic!("expected Project member, got {other:?}"),
+        match &members[0].leaf {
+            Leaf::Range { interval, .. } => {
+                assert_eq!(interval.ranged, crate::table::RangePos::Object);
+                assert_eq!((interval.lo, interval.hi), (1, 4));
+                assert_eq!(interval.members, 3);
+            }
+            other => panic!("expected a range leaf, got {other:?}"),
         }
     }
 
@@ -1338,8 +1255,7 @@ mod tests {
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
         assert_eq!(plan.range_eligible, 0);
         assert_eq!(plan.range_scans, 0);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 2);
     }
 
@@ -1354,8 +1270,7 @@ mod tests {
         let plan = plan_of(&StoreJucq::from_ucq(frag), &profile);
         assert_eq!(plan.range_eligible, 1, "eligibility is detected even when off");
         assert_eq!(plan.range_scans, 0);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 3, "knob off: plain UCQ member per constant");
     }
 
@@ -1373,22 +1288,17 @@ mod tests {
         // The collapsed member is estimated over its whole interval —
         // the 4 + 2 triples of both predicates, not the first one's 4 —
         // which is what the members it replaced summed to.
-        let union_est =
-            |p: &Plan| p.estimates.iter().find(|e| e.0 == "fragment[0].union").unwrap().1;
+        let union_est = |p: &Plan| p.fragments[0].est;
         assert_eq!(union_est(&plan), 6.0);
         let uncollapsed = plan_of(&q, &EngineProfile::pg_like().with_range_scans(false));
         assert_eq!(union_est(&uncollapsed), 6.0);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
-        match &members[0] {
-            PlanNode::Project { input, .. } => match &**input {
-                PlanNode::RangeScan { ranged, lo, hi, .. } => {
-                    assert_eq!(*ranged, crate::table::RangePos::Predicate);
-                    assert_eq!((*lo, *hi), (10, 12));
-                }
-                other => panic!("expected RangeScan leaf, got {other:?}"),
-            },
-            other => panic!("expected Project member, got {other:?}"),
+        let members = &plan.fragments[0].members;
+        match &members[0].leaf {
+            Leaf::Range { interval, .. } => {
+                assert_eq!(interval.ranged, crate::table::RangePos::Predicate);
+                assert_eq!((interval.lo, interval.hi), (10, 12));
+            }
+            other => panic!("expected a range leaf, got {other:?}"),
         }
     }
 
@@ -1413,23 +1323,17 @@ mod tests {
         let frag = StoreUcq::new(members, vec![0]);
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
         assert_eq!(plan.range_scans, 1);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 1);
-        match &members[0] {
-            PlanNode::Project { input, .. } => match &**input {
-                PlanNode::RangeProbe { input, ranged, lo, hi, members, .. } => {
-                    assert_eq!(*ranged, crate::table::RangePos::Object);
-                    assert_eq!((*lo, *hi), (2, 4));
-                    assert_eq!(*members, 2);
-                    assert!(
-                        matches!(**input, PlanNode::IndexScan { .. }),
-                        "the selective atom stays the leaf"
-                    );
-                }
-                other => panic!("expected RangeProbe over IndexScan, got {other:?}"),
-            },
-            other => panic!("expected Project member, got {other:?}"),
+        let member = &members[0];
+        assert!(matches!(member.leaf, Leaf::Scan { .. }), "the selective atom stays the leaf");
+        match member.probes.as_slice() {
+            [Probe { range: Some(interval), .. }] => {
+                assert_eq!(interval.ranged, crate::table::RangePos::Object);
+                assert_eq!((interval.lo, interval.hi), (2, 4));
+                assert_eq!(interval.members, 2);
+            }
+            other => panic!("expected one range probe, got {other:?}"),
         }
     }
 
@@ -1449,8 +1353,7 @@ mod tests {
         let stats = Statistics::build(&table);
         let profile = EngineProfile::pg_like();
         let plan = Planner::new(&table, &stats, &profile).plan(&q);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 2, "one member per object, predicates collapsed");
         assert_eq!(plan.range_scans, 2);
     }
@@ -1477,8 +1380,7 @@ mod tests {
         let stats = Statistics::build(&table);
         let profile = EngineProfile::pg_like();
         let plan = Planner::new(&table, &stats, &profile).plan(&q);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 1, "2x2 grid fixes down to one member");
         assert_eq!(plan.range_scans, 2, "one interval per atom");
     }
@@ -1500,18 +1402,14 @@ mod tests {
         let plan = Planner::new(&table, &stats, &profile).plan(&q);
         assert_eq!(plan.range_eligible, 1);
         assert_eq!(plan.range_scans, 1);
-        let unions = plan.unions();
-        let (_, _, members) = unions[0].as_union().unwrap();
+        let members = &plan.fragments[0].members;
         assert_eq!(members.len(), 1);
-        match &members[0] {
-            PlanNode::Project { input, .. } => match &**input {
-                PlanNode::RangeScan { lo, hi, members, .. } => {
-                    assert_eq!((*lo, *hi), (5, 8));
-                    assert_eq!(*members, 2);
-                }
-                other => panic!("expected RangeScan leaf, got {other:?}"),
-            },
-            other => panic!("expected Project member, got {other:?}"),
+        match &members[0].leaf {
+            Leaf::Range { interval, .. } => {
+                assert_eq!((interval.lo, interval.hi), (5, 8));
+                assert_eq!(interval.members, 2);
+            }
+            other => panic!("expected a range leaf, got {other:?}"),
         }
     }
 

@@ -11,10 +11,10 @@
 //!   normalized, so isomorphic fragments share one entry);
 //! * entries live under a configurable **tuple budget** and are stamped
 //!   with the **epoch** they were computed at. Execution resolves a
-//!   [`ViewScan`](crate::plan::PlanNode::ViewScan) through the catalog
-//!   with the *request's* epoch and falls back to the embedded union
-//!   subtree on any mismatch — a stale row can never be served, no
-//!   matter how plans, snapshots and invalidations interleave;
+//!   view-served fragment ([`FragmentPlan::view`](crate::plan::FragmentPlan::view))
+//!   through the catalog with the *request's* epoch and evaluates the
+//!   fragment's members on any mismatch — a stale row can never be
+//!   served, no matter how plans, snapshots and invalidations interleave;
 //! * each entry carries a [`ViewFootprint`] — the predicates and
 //!   classes its reformulated members read. An incremental update
 //!   computes the delta's [`DeltaFootprint`] and
@@ -129,9 +129,8 @@ fn canonical_tokens(ucq: &StoreUcq, with_head: bool) -> Vec<u64> {
 
 impl ViewSignature {
     /// The full (head-aware) signature of a reformulated fragment UCQ —
-    /// the catalog key the planner matches [`ViewScan`]s against.
-    ///
-    /// [`ViewScan`]: crate::plan::PlanNode::ViewScan
+    /// the catalog key the planner matches fragments against
+    /// ([`FragmentPlan::view`](crate::plan::FragmentPlan::view)).
     pub fn of(ucq: &StoreUcq) -> ViewSignature {
         Self::hash_tokens(&canonical_tokens(ucq, true))
     }
