@@ -1,8 +1,9 @@
 //! The `RdfDatabase` facade: the single writer.
 //!
 //! Owns what only a writer needs — the RDF graph (dictionary + schema +
-//! data), the pinned settings, and the state that maintains the
-//! saturation under updates — and publishes immutable [`Snapshot`]s of
+//! data), the pinned settings, and, once a snapshot has built the
+//! saturated store, the state that maintains it under updates — and
+//! publishes immutable [`Snapshot`]s of
 //! it (see [`crate::epoch`]): lazily from scratch on
 //! first use and after anything that changes the schema or the
 //! vocabulary, from the previous snapshot plus a delta for an
@@ -12,7 +13,7 @@
 //! classic `&mut self` API and the concurrent [`crate::ServingDb`]
 //! answer through the same code.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use jucq_model::{Graph, SchemaClosure, Term, TermId, Triple, TripleId};
 use jucq_optimizer::{calibrate, CostConstants};
@@ -24,7 +25,7 @@ use jucq_store::{
     ViewSignature,
 };
 
-use crate::epoch::{lock_cache, plan_jucq_on, Snapshot};
+use crate::epoch::{build_store, lock_cache, plan_jucq_on, Snapshot};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::report::{AnswerError, AnswerReport, UpdateReport};
 use crate::strategy::Strategy;
@@ -51,22 +52,23 @@ fn is_schema_triple(t: &Triple) -> bool {
 }
 
 /// The current snapshot plus what the writer needs to derive its
-/// successor from a data delta. Built together, dropped together.
+/// successor from a data delta. Dropped together.
 struct Published {
     snapshot: Arc<Snapshot>,
-    /// The saturation under counting-based maintenance, enabling
-    /// incremental data updates (see [`RdfDatabase::apply_data_updates`]).
-    incremental: IncrementalSaturation,
-    /// The materialized closed-schema triples (held by both stores).
-    schema_triples: Vec<TripleId>,
+    /// The saturation under counting-based maintenance, present only
+    /// while the writer maintains the saturated store: it is created by
+    /// the first update whose snapshot had built that store and dropped
+    /// by the first whose snapshot had not (see
+    /// [`RdfDatabase::apply_data_updates`]).
+    incremental: Option<IncrementalSaturation>,
 }
 
 impl Published {
-    /// Build the closure, the plain store and the saturated store from
-    /// scratch and publish them as epoch `epoch`. Each step runs once:
-    /// the closure, one counting pass that both saturates the data and
-    /// seeds incremental maintenance, the two stores' indexes, and the
-    /// calibration.
+    /// Build the closure and the plain store from scratch and publish
+    /// them as epoch `epoch`, in three stages: the closure (with the
+    /// materialized schema triples), the plain store's indexes, and the
+    /// calibration. Nothing is saturated: the snapshot builds its
+    /// saturated store on the first request that needs it.
     fn build(
         graph: &mut Graph,
         profile: &EngineProfile,
@@ -83,26 +85,7 @@ impl Published {
             let schema_ts = schema_triples(graph, &closure);
             (closure, rdf_type, schema_ts)
         };
-        let incremental = {
-            jucq_obs::span!("prepare.saturation");
-            IncrementalSaturation::new(graph.data(), closure.clone(), rdf_type)
-        };
-
-        let store_of = |mut triples: Vec<TripleId>| {
-            jucq_obs::span!("prepare.index_build");
-            // Stable, so a sorted prefix costs one merge: the saturated
-            // store's input is the plain store's sorted triples followed
-            // by the derived ones.
-            triples.sort();
-            triples.dedup();
-            Store::from_vec(triples, profile.clone())
-        };
-        let plain = store_of([graph.data(), &schema_ts].concat());
-        // The plain store holds the data and the schema triples, so this
-        // is `saturate_with(data) ∪ schema_triples`.
-        let saturated =
-            store_of(plain.table().all().iter().copied().chain(incremental.derived()).collect());
-
+        let plain = build_store([graph.data(), &schema_ts].concat(), profile);
         let constants = {
             jucq_obs::span!("prepare.calibrate");
             pinned.unwrap_or_else(|| calibrate(&plain))
@@ -115,12 +98,13 @@ impl Published {
             closure: Arc::new(closure),
             rdf_type,
             plain,
-            saturated,
+            saturated: Arc::new(OnceLock::new()),
+            schema_triples: schema_ts.into(),
             constants,
             cache,
             views,
         };
-        Published { snapshot: Arc::new(snapshot), incremental, schema_triples: schema_ts }
+        Published { snapshot: Arc::new(snapshot), incremental: None }
     }
 }
 
@@ -222,7 +206,16 @@ impl RdfDatabase {
         self.republish(|s| {
             let mut next = s.share();
             next.plain.set_profile(profile.clone());
-            next.saturated.set_profile(profile);
+            // A built saturated store carries over, re-profiled; an
+            // unbuilt one is built under the new profile when needed.
+            next.saturated = Arc::new(match s.saturated.get() {
+                Some(store) => {
+                    let mut store = store.clone();
+                    store.set_profile(profile);
+                    OnceLock::from(store)
+                }
+                None => OnceLock::new(),
+            });
             next.constants = pinned.unwrap_or_else(|| calibrate(&next.plain));
             next
         });
@@ -365,9 +358,11 @@ impl RdfDatabase {
         }
     }
 
-    /// Build the closure, the plain store and the saturated store and
-    /// publish the first snapshot over them. Idempotent;
-    /// [`RdfDatabase::answer`] calls it automatically.
+    /// Build the closure and the plain store, calibrate, and publish the
+    /// first snapshot over them. Idempotent; [`RdfDatabase::answer`]
+    /// calls it automatically. The saturated store is not built here:
+    /// the snapshot builds it on the first Saturation request (or
+    /// [`RdfDatabase::saturated_store`] call).
     pub fn prepare(&mut self) {
         self.snapshot();
     }
@@ -398,13 +393,17 @@ impl RdfDatabase {
     ///
     /// When the database is prepared and the update stays within the
     /// known vocabulary, the next snapshot is derived **incrementally**
-    /// from the current one: the plain store by an index merge, the
-    /// saturated store through the counting-based
-    /// [`IncrementalSaturation`] — the maintenance cost the paper's
-    /// §5.3 discussion weighs against reformulation — and everything
-    /// else shared. Schema statements or new vocabulary fall back to
-    /// invalidating the preparation (rebuilt lazily on the next
-    /// answer).
+    /// from the current one: the plain store by an index merge and
+    /// everything else shared. The saturated store is maintained iff
+    /// the current snapshot has built it: then through the
+    /// counting-based [`IncrementalSaturation`] — the maintenance cost
+    /// the paper's §5.3 discussion weighs against reformulation —
+    /// created from the data on the first such update; otherwise the
+    /// counting state is dropped and the next snapshot builds its own
+    /// saturated store if a request needs one
+    /// ([`UpdateReport::saturation_maintained`] says which). Schema
+    /// statements or new vocabulary fall back to invalidating the
+    /// preparation (rebuilt lazily on the next answer).
     pub fn apply_data_updates(&mut self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
         use jucq_model::FxHashSet;
         // Schema statements cannot be absorbed incrementally. (Schema
@@ -442,7 +441,23 @@ impl RdfDatabase {
             return report;
         };
 
-        let mut report = UpdateReport { incremental: true, ..Default::default() };
+        // Maintain the saturation iff the snapshot this update derives
+        // from has built it. A reader still building it reads as not
+        // built: the next epoch then builds its own on demand.
+        let prev = Arc::clone(&p.snapshot);
+        let prev_saturated = prev.saturated.get();
+        p.incremental = prev_saturated.map(|_| {
+            p.incremental.take().unwrap_or_else(|| {
+                let closure = SchemaClosure::clone(&prev.closure);
+                IncrementalSaturation::new(self.graph.data(), closure, prev.rdf_type)
+            })
+        });
+
+        let mut report = UpdateReport {
+            incremental: true,
+            saturation_maintained: prev_saturated.is_some(),
+            ..Default::default()
+        };
         let mut plain_ins: Vec<TripleId> = Vec::new();
         let mut sat_ins: Vec<TripleId> = Vec::new();
         let mut sat_del: FxHashSet<TripleId> = FxHashSet::default();
@@ -450,39 +465,46 @@ impl RdfDatabase {
             if self.graph.insert_data_encoded(t) {
                 report.inserted += 1;
                 plain_ins.push(t);
-                let delta = p.incremental.insert(t);
-                report.entailed_added += delta.added.len().saturating_sub(1);
-                sat_ins.extend(delta.added);
+                if let Some(counting) = &mut p.incremental {
+                    let delta = counting.insert(t);
+                    report.entailed_added += delta.added.len().saturating_sub(1);
+                    sat_ins.extend(delta.added);
+                }
             }
         }
         let present: Vec<TripleId> =
             del_ids.iter().filter(|t| self.graph.contains_data(t)).copied().collect();
         let plain_del: FxHashSet<TripleId> = present.iter().copied().collect();
         report.deleted = self.graph.remove_data_batch(&plain_del);
-        for t in &present {
-            let delta = p.incremental.delete(t);
-            report.entailed_removed += delta.removed.len().saturating_sub(1);
-            sat_del.extend(delta.removed);
-        }
-        // Schema triples are immutable here; shield them from
-        // accidental deletion by the saturation delta.
-        for st in &p.schema_triples {
-            sat_del.remove(st);
+        if let Some(counting) = &mut p.incremental {
+            for t in &present {
+                let delta = counting.delete(t);
+                report.entailed_removed += delta.removed.len().saturating_sub(1);
+                sat_del.extend(delta.removed);
+            }
+            // Schema triples are immutable here; shield them from
+            // accidental deletion by the saturation delta.
+            for st in prev.schema_triples.iter() {
+                sat_del.remove(st);
+            }
         }
 
-        // The next epoch: both stores merged with their deltas, the
-        // dictionary as it is now (its tables are copied only if this
-        // batch interned a term while `prev` shared them), a new plan
-        // cache carrying the covers but none of the plans lowered from
-        // the old stores, the rest shared with the snapshot readers may
-        // still be pinned to.
+        // The next epoch: the plain store merged with its delta, the
+        // saturated store too if it was built (a cell of its own to
+        // build in otherwise), the dictionary as it is now (its tables
+        // are copied only if this batch interned a term while `prev`
+        // shared them), a new plan cache carrying the covers but none
+        // of the plans lowered from the old stores, the rest shared with
+        // the snapshot readers may still be pinned to.
         self.epoch += 1;
-        let prev = &p.snapshot;
         let next = Snapshot {
             epoch: self.epoch,
             dict: self.graph.dict().clone(),
             plain: prev.plain.apply_delta(&plain_ins, &plain_del),
-            saturated: prev.saturated.apply_delta(&sat_ins, &sat_del),
+            saturated: Arc::new(match prev_saturated {
+                Some(store) => OnceLock::from(store.apply_delta(&sat_ins, &sat_del)),
+                None => OnceLock::new(),
+            }),
             cache: renew(&mut self.plan_cache, true),
             ..prev.share()
         };
@@ -519,7 +541,9 @@ impl RdfDatabase {
         self.snapshot().plain_store()
     }
 
-    /// The saturated store.
+    /// The current snapshot's saturated store, built on first use (see
+    /// [`Snapshot::saturated_store`]). Once built, later in-vocabulary
+    /// updates maintain it instead of leaving it to be rebuilt.
     pub fn saturated_store(&mut self) -> &Store {
         self.snapshot().saturated_store()
     }
@@ -755,7 +779,8 @@ pub(crate) mod tests {
     fn incremental_updates_keep_all_strategies_consistent() {
         let mut db = paper_db();
         let q = example3_query(&mut db);
-        db.prepare();
+        // Built before the update, so the update maintains it.
+        db.saturated_store();
         // A new 1996 book by a named author — within known vocabulary.
         let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
         let batch = vec![
@@ -765,6 +790,7 @@ pub(crate) mod tests {
         ];
         let report = db.apply_data_updates(&batch, &[]);
         assert!(report.incremental, "stays within known vocabulary");
+        assert!(report.saturation_maintained);
         assert_eq!(report.inserted, 3);
         assert!(report.entailed_added >= 2, "hasAuthor + types entailed");
         for s in [Strategy::Saturation, Strategy::Ucq, Strategy::gcov_default()] {
@@ -773,7 +799,7 @@ pub(crate) mod tests {
         }
         // Delete the new book again.
         let report = db.apply_data_updates(&[], &batch);
-        assert!(report.incremental);
+        assert!(report.incremental && report.saturation_maintained);
         assert_eq!(report.deleted, 3);
         for s in [Strategy::Saturation, Strategy::Ucq] {
             let r = db.answer(&q, &s).unwrap();
@@ -781,18 +807,25 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn incremental_update_matches_full_rebuild() {
+    /// An in-vocabulary update on `paper_db`, applied to a database
+    /// whose saturated store is built first (`maintained`) or not, and
+    /// compared with a database that had the batch from the start.
+    fn update_matches_full_rebuild(maintained: bool) {
         let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
         let batch = vec![
             t("doi3", "writtenBy", Term::uri("a3")),
             t("a3", "hasName", Term::literal("Third Author")),
         ];
-        // Path A: incremental maintenance.
+        // Path A: an incremental update.
         let mut inc = paper_db();
         inc.prepare();
+        if maintained {
+            inc.saturated_store();
+        }
         let r = inc.apply_data_updates(&batch, &[]);
         assert!(r.incremental);
+        assert_eq!(r.saturation_maintained, maintained);
+        assert_eq!(r.entailed_added > 0, maintained, "{r:?}");
         // Path B: full rebuild from scratch.
         let mut full = paper_db();
         full.extend(&batch);
@@ -817,6 +850,16 @@ pub(crate) mod tests {
             out
         };
         assert_eq!(decode_all(&mut inc), decode_all(&mut full));
+    }
+
+    #[test]
+    fn incremental_update_matches_full_rebuild() {
+        update_matches_full_rebuild(true);
+    }
+
+    #[test]
+    fn reformulation_only_update_matches_full_rebuild() {
+        update_matches_full_rebuild(false);
     }
 
     #[test]
@@ -925,12 +968,33 @@ pub(crate) mod tests {
         let children: Vec<&str> =
             spans.iter().filter(|s| s.parent == Some(prepare[0].id)).map(|s| s.name).collect();
         let count = |name: &str| children.iter().filter(|&&n| n == name).count();
-        for stage in ["prepare.closure", "prepare.saturation", "prepare.calibrate"] {
+        for stage in ["prepare.closure", "prepare.index_build", "prepare.calibrate"] {
             assert_eq!(count(stage), 1, "{stage} in {children:?}");
         }
-        assert_eq!(count("prepare.index_build"), 2, "one per store: {children:?}");
-        // The data is saturated once, by the counting pass.
-        assert!(spans.iter().all(|s| s.name != "saturation"), "{spans:?}");
+        assert_eq!(children.len(), 3, "{children:?}");
+        // Preparation saturates nothing: the saturated store is built by
+        // the first Saturation answer, under its own span.
+        assert!(spans.iter().all(|s| !s.name.contains("saturat")), "{spans:?}");
+
+        jucq_obs::reset();
+        jucq_obs::set_enabled(true);
+        {
+            let _test = jucq_obs::span("test.saturation_answer");
+            let q = example3_query(&mut db);
+            db.answer(&q, &Strategy::Saturation).unwrap();
+            db.answer(&q, &Strategy::Saturation).unwrap();
+        }
+        jucq_obs::set_enabled(false);
+        let session = jucq_obs::take_session();
+        jucq_obs::global().reset();
+        let test =
+            session.spans.iter().find(|s| s.name == "test.saturation_answer").expect("marker");
+        let spans: Vec<_> = session.spans.iter().filter(|s| s.thread == test.thread).collect();
+        let built: Vec<_> = spans.iter().filter(|s| s.name == "prepare.saturated").collect();
+        assert_eq!(built.len(), 1, "built once, by the first answer: {spans:?}");
+        let children: Vec<&str> =
+            spans.iter().filter(|s| s.parent == Some(built[0].id)).map(|s| s.name).collect();
+        assert!(children.contains(&"prepare.index_build"), "{children:?}");
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! A [`Snapshot`] is one published state of the database — dictionary,
 //! schema closure, `rdf:type`, the **plain store** (explicit data +
 //! materialized closed schema, the target of reformulation-based
-//! answering) and the **saturated store** (`G∞` + the same schema
-//! triples, the target of saturation-based answering), the cost
-//! constants, and handles on the shared plan cache and view catalog —
-//! stamped with the epoch it was published at and never mutated
-//! afterwards. Everything query-facing runs here, on `&self`, exactly
+//! answering), the cost constants, and handles on the shared plan cache
+//! and view catalog — stamped with the epoch it was published at and
+//! never mutated afterwards. The **saturated store** (`G∞` + the same
+//! schema triples, the target of saturation-based answering) is the one
+//! part built on demand: reformulation never reads it, so the first
+//! Saturation request on a snapshot derives it from the snapshot's own
+//! plain store ([`Snapshot::saturated_store`]), once, and every later
+//! request and every snapshot sharing the same data and profile reuses
+//! it. Everything query-facing runs here, on `&self`, exactly
 //! once: [`Snapshot::parse_query`], then [`Snapshot::answer`],
 //! [`Snapshot::answer_recorded`], [`Snapshot::explain`] or
 //! [`Snapshot::explain_analyze`], all four over the same three steps —
@@ -20,24 +24,26 @@
 //! a delta otherwise — whose own query-facing methods delegate to its
 //! current snapshot; [`crate::ServingDb`] hands the writer's snapshots
 //! to concurrent readers. Any number of threads share one snapshot
-//! without locks: parsing never interns and the only shared mutable
-//! state, the plan cache and the view catalog, sits behind its own
-//! mutex.
+//! without locks: parsing never interns, the shared mutable state —
+//! the plan cache and the view catalog — sits behind its own mutex, and
+//! the saturated store is a once-cell whose concurrent first callers
+//! wait for one build.
 //!
 //! (The other "snapshot" of this crate, [`crate::snapshot`], is the
 //! binary *file* a graph is saved to and restored from — the data on
 //! disk, not the prepared database in memory.)
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use jucq_model::{Dictionary, SchemaClosure, Term, TermId};
+use jucq_model::{Dictionary, FxHashSet, SchemaClosure, Term, TermId, TripleId};
 use jucq_optimizer::{
     ecov, gcov, CostConstants, CoverSearch, EngineCostModel, JucqCostEstimator, PaperCostModel,
 };
 use jucq_reformulation::jucq::jucq_for_cover_bounded;
 use jucq_reformulation::reformulate::ReformulationEnv;
+use jucq_reformulation::saturation::consequences;
 use jucq_reformulation::{BgpQuery, Cover};
 use jucq_store::exec::Counters;
 use jucq_store::{
@@ -63,9 +69,18 @@ pub struct Snapshot {
     pub(crate) dict: Dictionary,
     pub(crate) closure: Arc<SchemaClosure>,
     pub(crate) rdf_type: TermId,
-    /// Both stores carry the engine profile requests run under.
+    /// The plain store; it carries the engine profile requests run
+    /// under.
     pub(crate) plain: Store,
-    pub(crate) saturated: Store,
+    /// The saturated store, under the same profile: empty until the
+    /// first request that needs it builds it
+    /// ([`Snapshot::saturated_store`]), or filled from the start by the
+    /// writer when it maintained the store from the previous epoch's.
+    /// Snapshots of the same data and profile share the cell.
+    pub(crate) saturated: Arc<OnceLock<Store>>,
+    /// The materialized closed-schema triples, sorted: both stores hold
+    /// them, and the plain store holds nothing else but the data.
+    pub(crate) schema_triples: Arc<[TripleId]>,
     pub(crate) constants: CostConstants,
     /// This snapshot's plan cache instance: the writer starts a new one
     /// for every data change and view pin (see
@@ -111,8 +126,10 @@ pub(crate) struct Answered {
 impl Snapshot {
     /// A second handle on the same state: every field is an `Arc`, a
     /// [`Store`] (two `Arc`s and a profile), a [`Dictionary`] (three
-    /// `Arc`s) or a scalar, so nothing is copied. The writer builds each
-    /// successor as `Snapshot { what_changed, ..prev.share() }`.
+    /// `Arc`s) or a scalar, so nothing is copied — the saturated store's
+    /// cell included, so a build on either handle serves both. The
+    /// writer builds each successor as `Snapshot { what_changed,
+    /// ..prev.share() }`.
     pub(crate) fn share(&self) -> Snapshot {
         Snapshot {
             epoch: self.epoch,
@@ -120,7 +137,8 @@ impl Snapshot {
             closure: Arc::clone(&self.closure),
             rdf_type: self.rdf_type,
             plain: self.plain.clone(),
-            saturated: self.saturated.clone(),
+            saturated: Arc::clone(&self.saturated),
+            schema_triples: Arc::clone(&self.schema_triples),
             constants: self.constants,
             cache: self.cache.clone(),
             views: self.views.clone(),
@@ -148,9 +166,28 @@ impl Snapshot {
         &self.plain
     }
 
-    /// The saturated store.
+    /// The saturated store, `saturate_with(data) ∪ schema_triples`,
+    /// built on first use. The first caller derives it from this
+    /// snapshot's plain store — its triples plus the consequences of
+    /// its data triples — under the `prepare.saturated` span;
+    /// callers racing it wait for that one build. A snapshot the writer
+    /// maintained from its predecessor's store has it from the start.
     pub fn saturated_store(&self) -> &Store {
-        &self.saturated
+        self.saturated.get_or_init(|| {
+            jucq_obs::span!("prepare.saturated");
+            // The plain store is the data plus the schema triples, so
+            // adding the data's consequences to it gives the store.
+            let plain = self.plain.table().all();
+            let mut derived = FxHashSet::default();
+            for t in plain.iter().filter(|t| self.schema_triples.binary_search(t).is_err()) {
+                consequences(&self.closure, self.rdf_type, t, |c| {
+                    derived.insert(c);
+                });
+            }
+            // Sorted plain triples, then the derived ones: one sorted
+            // run for `build_store`'s stable sort to merge with.
+            build_store(plain.iter().copied().chain(derived).collect(), self.profile())
+        })
     }
 
     /// The schema closure.
@@ -328,7 +365,7 @@ impl Snapshot {
     /// saturation plan never binds a view.
     fn target(&self, saturated: bool) -> (&Store, Option<&ViewCatalog>) {
         if saturated {
-            (&self.saturated, None)
+            (self.saturated_store(), None)
         } else {
             (&self.plain, self.views.as_deref())
         }
@@ -341,6 +378,16 @@ impl Snapshot {
         let id = TermId::from_raw(raw);
         self.dict.contains_id(id).then(|| self.dict.lexical(id).to_owned())
     }
+}
+
+/// Index `triples` into a store under `profile`, under the
+/// `prepare.index_build` span. The sort is stable, so input made of
+/// sorted runs costs one merge per run.
+pub(crate) fn build_store(mut triples: Vec<TripleId>, profile: &EngineProfile) -> Store {
+    jucq_obs::span!("prepare.index_build");
+    triples.sort();
+    triples.dedup();
+    Store::from_vec(triples, profile.clone())
 }
 
 /// The lines `explain` and `explain analyze` open with.

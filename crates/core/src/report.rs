@@ -50,12 +50,20 @@ pub struct UpdateReport {
     pub inserted: usize,
     /// Explicit triples removed.
     pub deleted: usize,
-    /// Entailed triples added to the saturation (beyond the explicit).
+    /// Entailed triples added to the saturation (beyond the explicit);
+    /// 0 unless `saturation_maintained`.
     pub entailed_added: usize,
-    /// Entailed triples dropped from the saturation.
+    /// Entailed triples dropped from the saturation; 0 unless
+    /// `saturation_maintained`.
     pub entailed_removed: usize,
     /// True iff the stores were maintained in place (no rebuild).
     pub incremental: bool,
+    /// True iff this update also maintained the saturated store: it is
+    /// maintained only once a snapshot has built it (a Saturation
+    /// answer, or a `saturated_store()` call, on the snapshot the update
+    /// derives from). A reformulation-only database never saturates, so
+    /// its updates leave this `false` and the two entailed counts 0.
+    pub saturation_maintained: bool,
 }
 
 /// The outcome of answering one query under one strategy.

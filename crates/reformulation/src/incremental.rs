@@ -23,6 +23,8 @@
 
 use jucq_model::{FxHashMap, FxHashSet, SchemaClosure, TermId, TripleId};
 
+use crate::saturation::consequences;
+
 /// A saturation maintained under data insertions/deletions.
 #[derive(Debug, Clone)]
 pub struct IncrementalSaturation {
@@ -40,34 +42,6 @@ pub struct SaturationDelta {
     pub added: Vec<TripleId>,
     /// Triples that left the saturation.
     pub removed: Vec<TripleId>,
-}
-
-/// Visit the one-pass consequences of one explicit triple (rdfs7/2/3/9
-/// over the closed schema). Deterministic, so inserts and deletes count
-/// symmetrically.
-fn consequences(
-    closure: &SchemaClosure,
-    rdf_type: TermId,
-    t: &TripleId,
-    mut visit: impl FnMut(TripleId),
-) {
-    if t.p == rdf_type {
-        if t.o.is_uri() {
-            for &sup in closure.super_classes(t.o) {
-                visit(TripleId::new(t.s, rdf_type, sup));
-            }
-        }
-    } else {
-        for &sup in closure.super_properties(t.p) {
-            visit(TripleId::new(t.s, sup, t.o));
-        }
-        for &c in closure.domains(t.p) {
-            visit(TripleId::new(t.s, rdf_type, c));
-        }
-        for &c in closure.ranges(t.p) {
-            visit(TripleId::new(t.o, rdf_type, c));
-        }
-    }
 }
 
 impl IncrementalSaturation {

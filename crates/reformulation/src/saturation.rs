@@ -44,27 +44,42 @@ pub fn saturate_with(
     jucq_obs::span!("saturation");
     let mut out: FxHashSet<TripleId> = data.iter().copied().collect();
     for t in data {
-        if t.p == rdf_type {
-            if t.o.is_uri() {
-                for &sup in closure.super_classes(t.o) {
-                    out.insert(TripleId::new(t.s, rdf_type, sup));
-                }
-            }
-        } else {
-            for &sup in closure.super_properties(t.p) {
-                out.insert(TripleId::new(t.s, sup, t.o));
-            }
-            for &c in closure.domains(t.p) {
-                out.insert(TripleId::new(t.s, rdf_type, c));
-            }
-            for &c in closure.ranges(t.p) {
-                out.insert(TripleId::new(t.o, rdf_type, c));
-            }
-        }
+        consequences(closure, rdf_type, t, |c| {
+            out.insert(c);
+        });
     }
     let mut v: Vec<TripleId> = out.into_iter().collect();
     v.sort_unstable();
     v
+}
+
+/// Visit the one-pass consequences of one explicit data triple
+/// (rdfs7/2/3/9 over the closed schema; see the module doc), possibly
+/// including `t` itself or duplicates. Deterministic, so counting
+/// maintenance counts inserts and deletes symmetrically.
+pub fn consequences(
+    closure: &SchemaClosure,
+    rdf_type: TermId,
+    t: &TripleId,
+    mut visit: impl FnMut(TripleId),
+) {
+    if t.p == rdf_type {
+        if t.o.is_uri() {
+            for &sup in closure.super_classes(t.o) {
+                visit(TripleId::new(t.s, rdf_type, sup));
+            }
+        }
+    } else {
+        for &sup in closure.super_properties(t.p) {
+            visit(TripleId::new(t.s, sup, t.o));
+        }
+        for &c in closure.domains(t.p) {
+            visit(TripleId::new(t.s, rdf_type, c));
+        }
+        for &c in closure.ranges(t.p) {
+            visit(TripleId::new(t.o, rdf_type, c));
+        }
+    }
 }
 
 /// Materialize the *closed* schema as triples (all entailed

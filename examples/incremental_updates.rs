@@ -5,6 +5,10 @@
 //! and deletes triples on a prepared database and shows (a) both
 //! techniques staying in sync through counting-based incremental
 //! saturation maintenance, and (b) the per-update entailment deltas.
+//! The saturated store is built by the first Saturation answer and
+//! maintained from then on; a database that only ever reformulates
+//! never builds it, and its updates report `saturation_maintained =
+//! false`.
 //!
 //! Run with: `cargo run --release --example incremental_updates`
 
@@ -42,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )];
     let report = db.apply_data_updates(&batch, &[]);
     println!(
-        "insert: incremental={} (+{} explicit, +{} entailed)",
-        report.incremental, report.inserted, report.entailed_added
+        "insert: incremental={} saturation_maintained={} (+{} explicit, +{} entailed)",
+        report.incremental, report.saturation_maintained, report.inserted, report.entailed_added
     );
     println!(
         "people after insert:  SAT={} GCov={}",
@@ -54,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And delete it again: the entailed Person fact must disappear too.
     let report = db.apply_data_updates(&[], &batch);
     println!(
-        "delete: incremental={} (-{} explicit, -{} entailed)",
-        report.incremental, report.deleted, report.entailed_removed
+        "delete: incremental={} saturation_maintained={} (-{} explicit, -{} entailed)",
+        report.incremental, report.saturation_maintained, report.deleted, report.entailed_removed
     );
     println!(
         "people after delete:  SAT={} GCov={}",

@@ -1,8 +1,8 @@
-//! Preparation saturates once: the saturated store is fed from the
-//! counting state that maintains the saturation under updates, not from
-//! a second, from-scratch `saturate` pass. Whatever feeds it, it must
-//! hold exactly `saturate_with(data) ∪ schema_triples`, and the plain
-//! store exactly `data ∪ schema_triples` — index by index, on the two
+//! Preparation builds the plain store, and the snapshot builds the
+//! saturated store on first use from it (`saturated_store()` forces
+//! that build here). However it is built, the saturated store must hold
+//! exactly `saturate_with(data) ∪ schema_triples`, and the plain store
+//! exactly `data ∪ schema_triples` — index by index, on the two
 //! benchmark generators and on fifty generated fuzz schemas.
 
 use jucq_core::RdfDatabase;
