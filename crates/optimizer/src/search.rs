@@ -19,7 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::time::Duration;
 
 use jucq_model::FxHashMap;
-use jucq_reformulation::reformulate::{reformulate_with_limit, ReformulationEnv};
+use jucq_reformulation::reformulate::{reformulate_memoized, AtomMemo, ReformulationEnv};
 use jucq_reformulation::{bits, AtomMask, AtomMasks, BgpQuery, Cover, CoverError, VarMask};
 use jucq_store::{internal_cost, Store, StoreJucq, StorePattern, StoreUcq};
 
@@ -132,6 +132,9 @@ pub struct CoverSearch<'a> {
     /// admission), so they cost `+∞` and the search routes around them.
     union_limit: usize,
     table: RefCell<FragmentTable>,
+    /// The single-atom reformulations the fragments' product paths
+    /// multiply, computed once per atom for the whole search.
+    atom_memo: RefCell<AtomMemo>,
     /// Covers whose cost was estimated so far (the "number of query
     /// covers explored" of Figures 7–8).
     explored: Cell<usize>,
@@ -171,6 +174,7 @@ impl<'a> CoverSearch<'a> {
             reformulation_limit: 400_000,
             union_limit: usize::MAX,
             table: RefCell::default(),
+            atom_memo: RefCell::default(),
             explored: Cell::new(0),
             reformulation_lookups: Tally::default(),
             fragment_cost_lookups: Tally::default(),
@@ -229,7 +233,8 @@ impl<'a> CoverSearch<'a> {
         self.reformulation_lookups.count(known.is_some());
         let at = known.unwrap_or_else(|| {
             let cq = self.fragment_masks().cover_query(self.query, fragment, head);
-            let ucq = reformulate_with_limit(&cq, &self.env, self.reformulation_limit).ok();
+            let memo = &mut *self.atom_memo.borrow_mut();
+            let ucq = reformulate_memoized(&cq, &self.env, self.reformulation_limit, memo).ok();
             unions.push(Union { head, ucq, sums: None });
             unions.len() - 1
         });
@@ -342,14 +347,17 @@ impl<'a> CoverSearch<'a> {
 
 impl Drop for CoverSearch<'_> {
     fn drop(&mut self) {
+        let (atom_hits, atom_misses) = self.atom_memo.get_mut().lookups();
         for (name, count) in [
-            ("cover_search.reformulation_cache.hits", &self.reformulation_lookups.hits),
-            ("cover_search.reformulation_cache.misses", &self.reformulation_lookups.misses),
-            ("cover_search.fragment_cost_cache.hits", &self.fragment_cost_lookups.hits),
-            ("cover_search.fragment_cost_cache.misses", &self.fragment_cost_lookups.misses),
+            ("cover_search.reformulation_cache.hits", self.reformulation_lookups.hits.get()),
+            ("cover_search.reformulation_cache.misses", self.reformulation_lookups.misses.get()),
+            ("cover_search.fragment_cost_cache.hits", self.fragment_cost_lookups.hits.get()),
+            ("cover_search.fragment_cost_cache.misses", self.fragment_cost_lookups.misses.get()),
+            ("cover_search.atom_cache.hits", atom_hits),
+            ("cover_search.atom_cache.misses", atom_misses),
         ] {
-            if count.get() > 0 {
-                jucq_obs::metrics::counter_add(name, count.get());
+            if count > 0 {
+                jucq_obs::metrics::counter_add(name, count);
             }
         }
     }
@@ -447,6 +455,32 @@ mod tests {
             let before = counter("cover_search.fragment_cost_cache.hits");
             drop(search);
             assert!(counter("cover_search.fragment_cost_cache.hits") >= before + 2);
+        });
+    }
+
+    #[test]
+    fn atom_memo_tallies_reach_the_registry_when_the_search_ends() {
+        let counter = |name: &str| {
+            jucq_obs::metrics::global().snapshot().counters.get(name).copied().unwrap_or(0)
+        };
+        // `q(x, y):- (x τ Book), (x writtenBy y), (y τ Book)`: no atom
+        // can be instantiated, so both two-atom fragments take the
+        // product path and share the rewritings of atom 1.
+        let f = fixture();
+        let mut q = query(&f);
+        q.atoms.push(f.atom(var(1), "a", f.uri("Book")));
+        jucq_obs::set_enabled(true);
+        f.with_search(&q, |search, _| {
+            search.fragment_cost(0b011);
+            search.fragment_cost(0b110);
+            assert_eq!(search.atom_memo.borrow().lookups(), (1, 3), "atom 1 is reformulated once");
+            let before = [
+                counter("cover_search.atom_cache.hits"),
+                counter("cover_search.atom_cache.misses"),
+            ];
+            drop(search);
+            assert!(counter("cover_search.atom_cache.hits") > before[0]);
+            assert!(counter("cover_search.atom_cache.misses") >= before[1] + 3);
         });
     }
 

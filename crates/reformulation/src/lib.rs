@@ -35,5 +35,5 @@ pub use containment::{is_contained, minimize_ucq};
 pub use cover::{Cover, CoverError, CoverRepr};
 pub use incremental::IncrementalSaturation;
 pub use jucq::{jucq_for_cover, scq_reformulation, ucq_reformulation};
-pub use reformulate::{reformulate, ReformulationEnv};
+pub use reformulate::{reformulate, reformulate_memoized, AtomMemo, ReformulationEnv};
 pub use saturation::saturate;

@@ -22,12 +22,15 @@
 //! | R6 | `(s, y, o)`, `y` a variable | the CQ with `y := p` for every known property `p`, and `y := τ` |
 //!
 //! The union always contains the original query; duplicates are removed
-//! by canonicalizing each CQ (sorted atoms, canonical renaming of
-//! non-head variables).
+//! by canonicalizing each CQ (sorted atoms, non-head variables renamed
+//! by first occurrence) — a normal form up to the order of tied atoms,
+//! not up to isomorphism (see [`reformulate`]).
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 
-use jucq_model::{FxHashMap, FxHashSet, SchemaClosure, TermId};
+use jucq_model::hash::FxHasher;
+use jucq_model::{FxHashMap, SchemaClosure, TermId};
 use jucq_store::{PatternTerm, StoreCq, StorePattern, StoreUcq, VarId};
 
 use crate::bgp::BgpQuery;
@@ -42,78 +45,124 @@ pub struct ReformulationEnv<'a> {
     pub rdf_type: TermId,
 }
 
-/// A CQ under construction: head terms (variables, or constants after
-/// variable instantiation) plus body atoms.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct WorkCq {
-    head: Vec<PatternTerm>,
-    atoms: Vec<StorePattern>,
-}
-
-impl WorkCq {
-    fn head_vars(&self) -> FxHashSet<VarId> {
-        self.head.iter().filter_map(|t| t.as_var()).collect()
-    }
-
-    fn max_var(&self) -> Option<VarId> {
-        let body = self.atoms.iter().flat_map(StorePattern::variables).max();
-        let head = self.head.iter().filter_map(|t| t.as_var()).max();
-        body.max(head)
-    }
-}
-
-/// Canonicalize: sort atoms with a head-variable-stable key, rename
-/// non-head (existential) variables in first-occurrence order, re-sort,
-/// and drop duplicate atoms (idempotent in a join).
-fn normalize(mut cq: WorkCq) -> WorkCq {
-    let head_vars = cq.head_vars();
-    let base: VarId = head_vars.iter().copied().max().map_or(0, |m| m + 1);
+/// Canonicalize a member in place: sort the atoms with a
+/// head-variable-stable key, rename the non-head (existential)
+/// variables in first-occurrence order from one past the largest head
+/// variable, re-sort, and drop duplicate atoms (idempotent in a join).
+///
+/// The renaming follows atom order, so existential variables whose
+/// atoms tie under the first sort are numbered in input order: two
+/// isomorphic members can canonicalize differently. A head has a
+/// handful of terms and a member a handful of existentials, so head
+/// membership scans the head slice and the renaming is a short list of
+/// pairs, `rename`, which callers reuse across members.
+fn canonicalize(
+    head: &[PatternTerm],
+    atoms: &mut Vec<StorePattern>,
+    rename: &mut Vec<(VarId, VarId)>,
+) {
+    let in_head = |v: VarId| head.contains(&PatternTerm::Var(v));
+    let base: VarId = head.iter().filter_map(|t| t.as_var()).max().map_or(0, |m| m + 1);
 
     let pre_key = |t: &PatternTerm| -> (u8, u32) {
-        match t {
+        match *t {
             PatternTerm::Const(c) => (0, c.raw()),
-            PatternTerm::Var(v) if head_vars.contains(v) => (1, u32::from(*v)),
+            PatternTerm::Var(v) if in_head(v) => (1, u32::from(v)),
             PatternTerm::Var(_) => (2, 0),
         }
     };
-    cq.atoms.sort_by_key(|a| [pre_key(&a.s), pre_key(&a.p), pre_key(&a.o)]);
+    atoms.sort_by_key(|a| [pre_key(&a.s), pre_key(&a.p), pre_key(&a.o)]);
 
-    let mut rename: FxHashMap<VarId, VarId> = FxHashMap::default();
+    rename.clear();
     let mut next = base;
-    let mut mapped = |v: VarId, rename: &mut FxHashMap<VarId, VarId>| -> VarId {
-        if head_vars.contains(&v) {
-            return v;
-        }
-        *rename.entry(v).or_insert_with(|| {
-            let id = next;
-            next += 1;
-            id
-        })
-    };
-    for a in &mut cq.atoms {
+    for a in atoms.iter_mut() {
         for pos in [&mut a.s, &mut a.p, &mut a.o] {
-            if let PatternTerm::Var(v) = pos {
-                *pos = PatternTerm::Var(mapped(*v, &mut rename));
+            let PatternTerm::Var(v) = *pos else { continue };
+            if in_head(v) {
+                continue;
             }
+            let to = match rename.iter().find(|&&(from, _)| from == v) {
+                Some(&(_, to)) => to,
+                None => {
+                    rename.push((v, next));
+                    next += 1;
+                    next - 1
+                }
+            };
+            *pos = PatternTerm::Var(to);
         }
     }
-    cq.atoms.sort();
-    cq.atoms.dedup();
-    cq
+    atoms.sort_unstable();
+    atoms.dedup();
+}
+
+/// No member: the end of a [`UnionBuilder`] collision chain.
+const NO_MEMBER: u32 = u32::MAX;
+
+/// A union under construction: its distinct canonical members in
+/// insertion order. A candidate is looked up through a hash → latest
+/// member map whose collisions chain through `prev`, compared in place,
+/// and copied only once it turns out to be new.
+#[derive(Default)]
+struct UnionBuilder {
+    members: Vec<StoreCq>,
+    /// Member hash → the latest member with that hash.
+    latest: FxHashMap<u64, u32>,
+    /// Per member: the previous member with the same hash.
+    prev: Vec<u32>,
+}
+
+impl UnionBuilder {
+    fn with_capacity(n: usize) -> Self {
+        UnionBuilder {
+            members: Vec::with_capacity(n),
+            latest: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            prev: Vec::with_capacity(n),
+        }
+    }
+
+    /// Add the member `(head, atoms)` unless it is present; true iff it
+    /// was added.
+    fn insert(&mut self, head: &[PatternTerm], atoms: &[StorePattern]) -> bool {
+        let mut hasher = FxHasher::default();
+        head.hash(&mut hasher);
+        atoms.hash(&mut hasher);
+        let new = u32::try_from(self.members.len()).expect("fewer than 2^32 members");
+        let latest = self.latest.entry(hasher.finish()).or_insert(NO_MEMBER);
+        let mut at = *latest;
+        while at != NO_MEMBER {
+            let m = &self.members[at as usize];
+            if m.patterns == atoms && m.head == head {
+                return false;
+            }
+            at = self.prev[at as usize];
+        }
+        self.prev.push(*latest);
+        *latest = new;
+        self.members.push(StoreCq::new(atoms.to_vec(), head.to_vec()));
+        true
+    }
+}
+
+/// The largest variable of a member's head and body.
+fn max_var(cq: &StoreCq) -> Option<VarId> {
+    let body = cq.patterns.iter().flat_map(StorePattern::variables).max();
+    let head = cq.head.iter().filter_map(|t| t.as_var()).max();
+    body.max(head)
 }
 
 /// Apply a single-variable substitution to the whole CQ (head + body).
-fn substitute(cq: &WorkCq, var: VarId, value: TermId) -> WorkCq {
+fn substitute(cq: &StoreCq, var: VarId, value: TermId) -> StoreCq {
     let subst = |t: &PatternTerm| -> PatternTerm {
         match t {
             PatternTerm::Var(v) if *v == var => PatternTerm::Const(value),
             other => *other,
         }
     };
-    WorkCq {
+    StoreCq {
         head: cq.head.iter().map(subst).collect(),
-        atoms: cq
-            .atoms
+        patterns: cq
+            .patterns
             .iter()
             .map(|a| StorePattern::new(subst(&a.s), subst(&a.p), subst(&a.o)))
             .collect(),
@@ -121,19 +170,19 @@ fn substitute(cq: &WorkCq, var: VarId, value: TermId) -> WorkCq {
 }
 
 /// Replace atom `ai` with `new_atom`.
-fn replace_atom(cq: &WorkCq, ai: usize, new_atom: StorePattern) -> WorkCq {
-    let mut atoms = cq.atoms.clone();
-    atoms[ai] = new_atom;
-    WorkCq { head: cq.head.clone(), atoms }
+fn replace_atom(cq: &StoreCq, ai: usize, new_atom: StorePattern) -> StoreCq {
+    let mut patterns = cq.patterns.clone();
+    patterns[ai] = new_atom;
+    StoreCq { head: cq.head.clone(), patterns }
 }
 
 /// All one-step reformulations of `cq`.
-fn successors(cq: &WorkCq, env: &ReformulationEnv<'_>) -> Vec<WorkCq> {
+fn successors(cq: &StoreCq, env: &ReformulationEnv<'_>) -> Vec<StoreCq> {
     let mut out = Vec::new();
-    let mut next_fresh: VarId = cq.max_var().map_or(0, |m| m + 1);
+    let mut next_fresh: VarId = max_var(cq).map_or(0, |m| m + 1);
     let closure: &SchemaClosure = env.closure;
 
-    for (ai, atom) in cq.atoms.iter().enumerate() {
+    for (ai, atom) in cq.patterns.iter().enumerate() {
         match atom.p {
             PatternTerm::Const(p) if p == env.rdf_type => match atom.o {
                 // Class atom (e, τ, C).
@@ -206,8 +255,14 @@ fn successors(cq: &WorkCq, env: &ReformulationEnv<'_>) -> Vec<WorkCq> {
 /// Reformulate `q` into its full UCQ (the paper's `q_ref`).
 ///
 /// The result's first member is always the original query; members are
-/// produced in breadth-first derivation order, deduplicated modulo
-/// canonical renaming of existential variables.
+/// produced in breadth-first derivation order (the product path: in
+/// mixed-radix order over the atoms' rewritings), each canonicalized —
+/// atoms sorted, existential variables renamed by first occurrence —
+/// and kept if no earlier member has the same canonical form. That form
+/// is not canonical modulo isomorphism: existential variables whose
+/// atoms tie under the sort are numbered in input order, so two
+/// isomorphic members can both be kept, and the product path and
+/// [`reformulate_fixpoint`] can keep different (isomorphic) members.
 pub fn reformulate(q: &BgpQuery, env: &ReformulationEnv<'_>) -> StoreUcq {
     reformulate_with_limit(q, env, usize::MAX).expect("no limit")
 }
@@ -254,6 +309,57 @@ fn atoms_independent(q: &BgpQuery, rdf_type: TermId) -> bool {
     true
 }
 
+/// The single-atom reformulations the product path multiplies,
+/// memoized by atom pattern.
+///
+/// A cover search reformulates hundreds of fragments of one query, and
+/// the product path of each reformulates every atom of the fragment
+/// alone: a memo kept for the search computes each atom's fixpoint once.
+/// An entry is the fixpoint's output under the head of the atom's
+/// variables, before the per-fragment remapping of fresh variables. A
+/// memo is valid for one [`ReformulationEnv`]; it forgets its entries
+/// when it is asked under another limit.
+#[derive(Debug, Default)]
+pub struct AtomMemo {
+    limit: usize,
+    by_atom: FxHashMap<StorePattern, Result<StoreUcq, usize>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl AtomMemo {
+    /// The lookups so far: `(found memoized, computed)`.
+    pub fn lookups(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// `atom` reformulated alone, under the head of its variables.
+    fn rewritings(
+        &mut self,
+        atom: &StorePattern,
+        env: &ReformulationEnv<'_>,
+        limit: usize,
+    ) -> Result<&StoreUcq, usize> {
+        if limit != self.limit {
+            self.by_atom.clear();
+            self.limit = limit;
+        }
+        let entry = match self.by_atom.entry(*atom) {
+            Entry::Occupied(known) => {
+                self.hits += 1;
+                known.into_mut()
+            }
+            Entry::Vacant(slot) => {
+                self.misses += 1;
+                let alone =
+                    BgpQuery { head: atom.variables().to_vec(), atoms: vec![*atom], limit: None };
+                slot.insert(reformulate_fixpoint(&alone, env, limit))
+            }
+        };
+        entry.as_ref().map_err(|&n| n)
+    }
+}
+
 /// Fast path: reformulate each atom independently and take the
 /// cartesian product of the member sets. Exact when
 /// [`atoms_independent`] holds; reformulation sizes then multiply
@@ -263,6 +369,7 @@ fn reformulate_product(
     q: &BgpQuery,
     env: &ReformulationEnv<'_>,
     limit: usize,
+    memo: &mut AtomMemo,
 ) -> Result<StoreUcq, usize> {
     let global_max: VarId = q.max_var().map_or(0, |m| m + 1);
     // Per-atom member lists: (rewritten atom, substitution of the
@@ -272,8 +379,7 @@ fn reformulate_product(
     let mut total: usize = 1;
     for (ai, atom) in q.atoms.iter().enumerate() {
         let atom_vars = atom.variables();
-        let sub_q = BgpQuery { head: atom_vars.to_vec(), atoms: vec![*atom], limit: None };
-        let ucq = reformulate_fixpoint(&sub_q, env, limit)?;
+        let ucq = memo.rewritings(atom, env, limit)?;
         let mut members = Vec::with_capacity(ucq.len());
         for m in &ucq.cqs {
             debug_assert_eq!(m.patterns.len(), 1);
@@ -304,14 +410,18 @@ fn reformulate_product(
         per_atom.push(members);
     }
 
-    // Cartesian product.
+    // Cartesian product, each member assembled and canonicalized in the
+    // same three buffers.
     let head_terms: Vec<PatternTerm> = q.head.iter().map(|&v| PatternTerm::Var(v)).collect();
-    let mut seen: FxHashSet<WorkCq> = FxHashSet::default();
-    let mut result: Vec<StoreCq> = Vec::with_capacity(total);
+    let mut union = UnionBuilder::with_capacity(total);
+    let mut head: Vec<PatternTerm> = Vec::with_capacity(head_terms.len());
+    let mut atoms: Vec<StorePattern> = Vec::with_capacity(per_atom.len());
+    let mut rename: Vec<(VarId, VarId)> = Vec::new();
     let mut indices = vec![0usize; per_atom.len()];
     loop {
-        let mut head = head_terms.clone();
-        let mut atoms = Vec::with_capacity(per_atom.len());
+        head.clear();
+        head.extend_from_slice(&head_terms);
+        atoms.clear();
         for (ai, &k) in indices.iter().enumerate() {
             let (atom, subst) = &per_atom[ai][k];
             atoms.push(*atom);
@@ -323,18 +433,15 @@ fn reformulate_product(
                 }
             }
         }
-        let n = normalize(WorkCq { head, atoms });
-        if seen.insert(n.clone()) {
-            result.push(StoreCq::new(n.atoms, n.head));
-            if result.len() > limit {
-                return Err(result.len());
-            }
+        canonicalize(&head, &mut atoms, &mut rename);
+        if union.insert(&head, &atoms) && union.members.len() > limit {
+            return Err(union.members.len());
         }
         // Advance the mixed-radix counter.
         let mut pos = indices.len();
         loop {
             if pos == 0 {
-                return Ok(StoreUcq::new(result, q.head.clone()));
+                return Ok(StoreUcq::new(union.members, q.head.clone()));
             }
             pos -= 1;
             indices[pos] += 1;
@@ -355,8 +462,21 @@ pub fn reformulate_with_limit(
     env: &ReformulationEnv<'_>,
     limit: usize,
 ) -> Result<StoreUcq, usize> {
+    reformulate_memoized(q, env, limit, &mut AtomMemo::default())
+}
+
+/// [`reformulate_with_limit`], reading and filling `memo` with the
+/// single-atom reformulations the product path multiplies. A caller
+/// reformulating many queries over the same atoms (a cover search's
+/// fragments) keeps one memo for all of them.
+pub fn reformulate_memoized(
+    q: &BgpQuery,
+    env: &ReformulationEnv<'_>,
+    limit: usize,
+    memo: &mut AtomMemo,
+) -> Result<StoreUcq, usize> {
     if q.atoms.len() > 1 && atoms_independent(q, env.rdf_type) {
-        return reformulate_product(q, env, limit);
+        return reformulate_product(q, env, limit, memo);
     }
     reformulate_fixpoint(q, env, limit)
 }
@@ -369,29 +489,26 @@ pub fn reformulate_fixpoint(
     env: &ReformulationEnv<'_>,
     limit: usize,
 ) -> Result<StoreUcq, usize> {
-    let start = normalize(WorkCq {
-        head: q.head.iter().map(|&v| PatternTerm::Var(v)).collect(),
-        atoms: q.atoms.clone(),
-    });
-    let mut seen: FxHashSet<WorkCq> = FxHashSet::default();
-    seen.insert(start.clone());
-    let mut queue: VecDeque<WorkCq> = VecDeque::new();
-    queue.push_back(start);
-    let mut result: Vec<StoreCq> = Vec::new();
-
-    while let Some(cq) = queue.pop_front() {
-        result.push(StoreCq::new(cq.atoms.clone(), cq.head.clone()));
-        if result.len() + queue.len() > limit {
-            return Err(result.len() + queue.len());
+    let head: Vec<PatternTerm> = q.head.iter().map(|&v| PatternTerm::Var(v)).collect();
+    let mut atoms = q.atoms.clone();
+    let mut rename: Vec<(VarId, VarId)> = Vec::new();
+    canonicalize(&head, &mut atoms, &mut rename);
+    let mut union = UnionBuilder::default();
+    union.insert(&head, &atoms);
+    // Members are expanded in the order they were found, which is
+    // breadth-first: the member list is its own queue.
+    let mut expanded = 0;
+    while expanded < union.members.len() {
+        expanded += 1;
+        if union.members.len() > limit {
+            return Err(union.members.len());
         }
-        for succ in successors(&cq, env) {
-            let n = normalize(succ);
-            if seen.insert(n.clone()) {
-                queue.push_back(n);
-            }
+        for mut succ in successors(&union.members[expanded - 1], env) {
+            canonicalize(&succ.head, &mut succ.patterns, &mut rename);
+            union.insert(&succ.head, &succ.patterns);
         }
     }
-    Ok(StoreUcq::new(result, q.head.clone()))
+    Ok(StoreUcq::new(union.members, q.head.clone()))
 }
 
 /// The number of member CQs of the reformulation (the paper's `|q_ref|`
@@ -406,7 +523,7 @@ pub fn reformulation_size(q: &BgpQuery, env: &ReformulationEnv<'_>, limit: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jucq_model::{Graph, Schema, Term, Triple};
+    use jucq_model::{FxHashSet, Graph, Schema, Term, Triple};
 
     fn c(id: TermId) -> PatternTerm {
         PatternTerm::Const(id)
@@ -603,7 +720,8 @@ mod tests {
             ],
         );
         assert!(super::atoms_independent(&q, f.rdf_type));
-        let fast = super::reformulate_product(&q, &env, usize::MAX).unwrap();
+        let fast =
+            super::reformulate_product(&q, &env, usize::MAX, &mut AtomMemo::default()).unwrap();
         let slow = super::reformulate_fixpoint(&q, &env, usize::MAX).unwrap();
         let norm = |u: &StoreUcq| {
             let mut v: Vec<StoreCq> = u.cqs.clone();

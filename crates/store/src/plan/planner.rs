@@ -47,6 +47,9 @@
 //! which is arithmetic: lowering walks each member once, for its
 //! summary.
 
+use std::hash::{Hash, Hasher};
+
+use jucq_model::hash::FxHasher;
 use jucq_model::{FxHashMap, FxHashSet};
 
 use crate::internal_cost::join_step_cost;
@@ -143,6 +146,143 @@ pub struct CollapsibleRun {
     pub members: Vec<usize>,
 }
 
+/// A member as the signature grouping sees it: its head, its body, and
+/// the intervals already collapsed into it (none for a union member as
+/// reformulation produced it).
+#[derive(Clone, Copy)]
+struct SigMember<'m> {
+    head: &'m [PatternTerm],
+    patterns: &'m [StorePattern],
+    ranges: &'m [RangeAtom],
+}
+
+/// The index of `pos` among an atom's `(s, p, o)` positions.
+fn position_index(pos: RangePos) -> usize {
+    match pos {
+        RangePos::Predicate => 1,
+        RangePos::Object => 2,
+    }
+}
+
+impl SigMember<'_> {
+    /// The interval collapsed into atom `atom`, if any.
+    fn range_at(&self, atom: usize) -> Option<&Interval> {
+        self.ranges.iter().find(|r| r.atom == atom).map(|r| &r.interval)
+    }
+
+    /// Position `k` of atom `atom` in the signature of the candidate slot
+    /// `(slot, pos)`: masked out at the slot itself and at every other
+    /// atom's ranged position (its template constant is arbitrary; the
+    /// interval stands in the signature instead), the term elsewhere.
+    fn masked(&self, slot: usize, pos: RangePos, atom: usize, k: usize) -> PatternTerm {
+        let masked = if atom == slot {
+            k == position_index(pos)
+        } else {
+            self.range_at(atom).is_some_and(|iv| k == position_index(iv.ranged))
+        };
+        if masked {
+            PatternTerm::Var(VarId::MAX)
+        } else {
+            self.patterns[atom].positions()[k]
+        }
+    }
+
+    /// The signature of the candidate slot `(slot, pos)`, streamed into
+    /// a hash: the head, the slot, the masked body and the other atoms'
+    /// intervals in atom order.
+    fn signature_hash(&self, slot: usize, pos: RangePos) -> u64 {
+        let mut h = FxHasher::default();
+        self.head.hash(&mut h);
+        (slot, pos, self.patterns.len()).hash(&mut h);
+        for atom in 0..self.patterns.len() {
+            for k in 0..3 {
+                self.masked(slot, pos, atom, k).hash(&mut h);
+            }
+        }
+        for atom in (0..self.patterns.len()).filter(|&a| a != slot) {
+            if let Some(iv) = self.range_at(atom) {
+                (atom, iv.ranged, iv.lo, iv.hi).hash(&mut h);
+            }
+        }
+        h.finish()
+    }
+
+    /// Do the candidate slots `(slot, pos)` of `self` and of `other`
+    /// have the same signature? The two members then differ only at
+    /// that slot.
+    fn same_signature(&self, other: &SigMember<'_>, slot: usize, pos: RangePos) -> bool {
+        let n = self.patterns.len();
+        let same_range = |a: usize| {
+            let key = |iv: &Interval| (iv.ranged, iv.lo, iv.hi);
+            self.range_at(a).map(key) == other.range_at(a).map(key)
+        };
+        self.head == other.head
+            && n == other.patterns.len()
+            && (0..n).filter(|&a| a != slot).all(same_range)
+            && (0..n).all(|a| {
+                (0..3).all(|k| self.masked(slot, pos, a, k) == other.masked(slot, pos, a, k))
+            })
+    }
+}
+
+/// Candidate slots grouped by signature: the groups in the order their
+/// first candidate came, each a contiguous run of `entries` in
+/// candidate order.
+struct SlotGroups<E> {
+    /// Per group: the slot `(atom, position)` and its entries' range.
+    groups: Vec<(usize, RangePos, std::ops::Range<usize>)>,
+    entries: Vec<E>,
+}
+
+/// Group candidate slots `(member, atom, position, entry)` by the
+/// signature that masks the slot out of the member: two candidates
+/// share a group iff their members differ only at that slot. A
+/// candidate's signature is hashed in place and confirmed against the
+/// first candidate of each group with that hash, so no signature is
+/// ever built; the entries are then bucketed stably by group.
+fn group_slots<'m, E: Copy>(
+    candidates: impl IntoIterator<Item = (SigMember<'m>, usize, RangePos, E)>,
+) -> SlotGroups<E> {
+    const NO_GROUP: usize = usize::MAX;
+    // Per group: its first candidate and the previous group whose
+    // signature has the same hash.
+    let mut firsts: Vec<(SigMember<'m>, usize, RangePos, usize)> = Vec::new();
+    let mut latest: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut tagged: Vec<(usize, E)> = Vec::new();
+    for (member, atom, pos, entry) in candidates {
+        let slot = latest.entry(member.signature_hash(atom, pos)).or_insert(NO_GROUP);
+        let mut group = *slot;
+        while group != NO_GROUP {
+            let (first, first_atom, first_pos, prev) = &firsts[group];
+            if (*first_atom, *first_pos) == (atom, pos) && first.same_signature(&member, atom, pos)
+            {
+                break;
+            }
+            group = *prev;
+        }
+        if group == NO_GROUP {
+            group = firsts.len();
+            firsts.push((member, atom, pos, *slot));
+            *slot = group;
+        }
+        tagged.push((group, entry));
+    }
+    let mut sizes = vec![0usize; firsts.len()];
+    for &(group, _) in &tagged {
+        sizes[group] += 1;
+    }
+    // Stable: a group's entries stay in candidate order.
+    tagged.sort_by_key(|&(group, _)| group);
+    let mut end = 0;
+    let groups = (firsts.iter().zip(sizes))
+        .map(|(&(_, atom, pos, _), size)| {
+            end += size;
+            (atom, pos, end - size..end)
+        })
+        .collect();
+    SlotGroups { groups, entries: tagged.into_iter().map(|(_, entry)| entry).collect() }
+}
+
 /// Find member runs collapsible into single range atoms: maximal groups
 /// of ≥ 2 members that share head and body except for one constant — at
 /// some atom's predicate or object position — whose raw ids are
@@ -156,35 +296,24 @@ pub struct CollapsibleRun {
 /// opportunity without lowering it.
 pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> Vec<CollapsibleRun> {
     let members: Vec<&StoreCq> = members.into_iter().collect();
-    // Signature of a (member, slot) candidate: the head, the slot, and
-    // the body with the slot's constant masked out. Two members share
-    // a signature iff they differ only in that constant.
-    type Sig = (Vec<PatternTerm>, usize, RangePos, Vec<StorePattern>);
-    let mut groups: FxHashMap<Sig, Vec<(usize, u32)>> = FxHashMap::default();
-    let mut order: Vec<Sig> = Vec::new();
-    for (mi, cq) in members.iter().enumerate() {
-        for (ai, pat) in cq.patterns.iter().enumerate() {
-            for (pos, term) in [(RangePos::Predicate, pat.p), (RangePos::Object, pat.o)] {
-                let PatternTerm::Const(id) = term else { continue };
-                let mut masked = cq.patterns.clone();
-                match pos {
-                    RangePos::Predicate => masked[ai].p = PatternTerm::Var(VarId::MAX),
-                    RangePos::Object => masked[ai].o = PatternTerm::Var(VarId::MAX),
-                }
-                let sig = (cq.head.clone(), ai, pos, masked);
-                let entry = groups.entry(sig.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(sig);
-                }
-                entry.push((mi, id.raw()));
-            }
-        }
-    }
+    // A (member, slot) candidate per constant predicate or object; two
+    // candidates share a signature iff their members differ only in
+    // that constant.
+    let candidates = members.iter().enumerate().flat_map(|(mi, cq)| {
+        let member = SigMember { head: &cq.head, patterns: &cq.patterns, ranges: &[] };
+        cq.patterns.iter().enumerate().flat_map(move |(ai, pat)| {
+            [(RangePos::Predicate, pat.p), (RangePos::Object, pat.o)].into_iter().filter_map(
+                move |(pos, term)| Some((member, ai, pos, (mi, term.as_const()?.raw()))),
+            )
+        })
+    });
+    let grouped = group_slots(candidates);
     let mut consumed = vec![false; members.len()];
     let mut runs = Vec::new();
-    for sig in &order {
-        let mut entries: Vec<(usize, u32)> =
-            groups[sig].iter().copied().filter(|&(mi, _)| !consumed[mi]).collect();
+    let mut entries: Vec<(usize, u32)> = Vec::new();
+    for (atom, pos, range) in grouped.groups {
+        entries.clear();
+        entries.extend(grouped.entries[range].iter().copied().filter(|&(mi, _)| !consumed[mi]));
         if entries.len() < 2 {
             continue;
         }
@@ -200,8 +329,8 @@ pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> V
                     consumed[mi] = true;
                 }
                 runs.push(CollapsibleRun {
-                    atom: sig.1,
-                    pos: sig.2,
+                    atom,
+                    pos,
                     lo: entries[start].1,
                     hi: entries[end - 1].1 + 1,
                     members: entries[start..end].iter().map(|&(mi, _)| mi).collect(),
@@ -449,85 +578,47 @@ impl<'a> Planner<'a> {
     /// members' candidate slots (constant or already-ranged predicate /
     /// object positions) by a signature masking the slot out of the body
     /// — head, slot coordinates, masked patterns, and the *other* slots'
-    /// intervals — then merges every chain of ≥ 2 interval-adjacent (or
-    /// provably-empty-gap-separated) entries into the lowest-id member.
+    /// intervals, grouped by [`group_slots`] — then merges every chain of
+    /// ≥ 2 interval-adjacent (or provably-empty-gap-separated) entries into
+    /// the lowest-id member.
     fn collapse_fixpoint(&self, members: &[DraftMember], scratch: &mut [Scratch]) -> bool {
-        type Sig = (
-            Vec<PatternTerm>,
-            usize,
-            RangePos,
-            Vec<StorePattern>,
-            Vec<(usize, RangePos, u32, u32)>,
-        );
-        fn mask(pats: &mut [StorePattern], atom: usize, pos: RangePos) {
-            match pos {
-                RangePos::Predicate => pats[atom].p = PatternTerm::Var(VarId::MAX),
-                RangePos::Object => pats[atom].o = PatternTerm::Var(VarId::MAX),
-            }
-        }
         let mut merged_any = false;
+        let mut entries: Vec<(usize, u32, u32, usize)> = Vec::new();
         loop {
             let mut changed = false;
-            // Entries per signature: (scratch index, lo, hi, constants in
-            // the slot's interval so far).
-            let mut groups: FxHashMap<Sig, Vec<(usize, u32, u32, usize)>> = FxHashMap::default();
-            let mut order: Vec<Sig> = Vec::new();
-            for (si, s) in scratch.iter().enumerate() {
-                if !s.alive {
-                    continue;
-                }
-                let cq = &members[si].cq;
-                for (ai, pat) in cq.patterns.iter().enumerate() {
-                    for pos in [RangePos::Predicate, RangePos::Object] {
-                        let existing = s.ranges.iter().find(|r| r.atom == ai);
-                        let (lo, hi, slot_members) = match existing {
-                            Some(r) if r.interval.ranged == pos => {
-                                (r.interval.lo, r.interval.hi, r.interval.members)
-                            }
-                            // One interval per atom: the other position of
-                            // an already-ranged atom is not a candidate.
-                            Some(_) => continue,
-                            None => {
-                                let term = match pos {
-                                    RangePos::Predicate => pat.p,
-                                    RangePos::Object => pat.o,
-                                };
-                                let PatternTerm::Const(id) = term else { continue };
-                                (id.raw(), id.raw() + 1, 1)
-                            }
-                        };
-                        let mut masked = cq.patterns.clone();
-                        mask(&mut masked, ai, pos);
-                        let mut others: Vec<(usize, RangePos, u32, u32)> = Vec::new();
-                        for r in &s.ranges {
-                            if r.atom == ai {
-                                continue;
-                            }
-                            // Other ranged slots: mask the (arbitrary)
-                            // template constant, carry the interval in the
-                            // signature instead.
-                            let iv = r.interval;
-                            mask(&mut masked, r.atom, iv.ranged);
-                            others.push((r.atom, iv.ranged, iv.lo, iv.hi));
-                        }
-                        others.sort_unstable();
-                        let sig = (cq.head.clone(), ai, pos, masked, others);
-                        let entry = groups.entry(sig.clone()).or_default();
-                        if entry.is_empty() {
-                            order.push(sig);
-                        }
-                        entry.push((si, lo, hi, slot_members));
-                    }
-                }
-            }
+            // A candidate's entry: (scratch index, lo, hi, constants in the
+            // slot's interval so far).
+            let candidates =
+                scratch.iter().enumerate().filter(|(_, s)| s.alive).flat_map(|(si, s)| {
+                    let cq = &members[si].cq;
+                    let member =
+                        SigMember { head: &cq.head, patterns: &cq.patterns, ranges: &s.ranges };
+                    cq.patterns.iter().enumerate().flat_map(move |(ai, pat)| {
+                        [RangePos::Predicate, RangePos::Object].into_iter().filter_map(move |pos| {
+                            let (lo, hi, slot_members) = match member.range_at(ai) {
+                                Some(iv) if iv.ranged == pos => (iv.lo, iv.hi, iv.members),
+                                // One interval per atom: the other position of
+                                // an already-ranged atom is not a candidate.
+                                Some(_) => return None,
+                                None => {
+                                    let id = pat.positions()[position_index(pos)].as_const()?;
+                                    (id.raw(), id.raw() + 1, 1)
+                                }
+                            };
+                            Some((member, ai, pos, (si, lo, hi, slot_members)))
+                        })
+                    })
+                });
+            let grouped = group_slots(candidates);
             let mut consumed = vec![false; scratch.len()];
-            for sig in &order {
-                let (ai, pos) = (sig.1, sig.2);
-                let mut entries: Vec<(usize, u32, u32, usize)> = groups[sig]
-                    .iter()
-                    .copied()
-                    .filter(|&(si, ..)| scratch[si].alive && !consumed[si])
-                    .collect();
+            for (ai, pos, range) in grouped.groups {
+                entries.clear();
+                entries.extend(
+                    grouped.entries[range]
+                        .iter()
+                        .copied()
+                        .filter(|&(si, ..)| scratch[si].alive && !consumed[si]),
+                );
                 if entries.len() < 2 {
                     continue;
                 }
