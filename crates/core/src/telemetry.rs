@@ -122,7 +122,6 @@ fn outcome_name(result: &Result<Answered, AnswerError>) -> &'static str {
         Err(AnswerError::Engine(EngineError::UnionTooLarge { .. })) => "union_too_large",
         Err(AnswerError::Engine(EngineError::MemoryBudgetExceeded { .. })) => "memory_breach",
         Err(AnswerError::Engine(EngineError::Timeout { .. })) => "deadline",
-        Err(AnswerError::Engine(EngineError::Cancelled)) => "cancelled",
         Err(AnswerError::Cover(_)) => "cover_error",
     }
 }

@@ -85,8 +85,8 @@ pub struct QueryRecord {
     pub strategy: String,
     /// The engine profile's plan-affecting knob fingerprint.
     pub profile: String,
-    /// `ok`, `union_too_large`, `memory_breach`, `deadline`,
-    /// `cancelled`, or `cover_error`.
+    /// `ok`, `union_too_large`, `memory_breach`, `deadline` or
+    /// `cover_error`.
     pub outcome: String,
     /// Answer rows (0 on failure).
     pub rows: u64,

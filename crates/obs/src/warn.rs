@@ -1,6 +1,6 @@
 //! One-shot configuration warnings.
 //!
-//! Misconfiguration (an unparsable `JUCQ_THREADS`, say) should be
+//! Misconfiguration (an unparsable `JUCQ_SLOW_MS`, say) should be
 //! surfaced exactly once per process, not once per query, and should
 //! leave a trace in the metrics registry so headless runs can detect it
 //! after the fact. [`warn_once`] does both: the first call under a given

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! jucq query <data.ttl> "<SPARQL>" [--strategy S] [--profile P] [--compare]
-//!            [--threads N] [--explain-analyze] [--trace]
+//!            [--explain-analyze] [--trace]
 //!            [--metrics-json PATH] [--query-log PATH] [--slow-ms N]
 //!            [--trace-out PATH]
 //! jucq explain <data.ttl> "<SPARQL>" [--analyze] [--strategy S] [--profile P]
-//!              [--threads N]               # physical plan (est vs actual with --analyze)
+//!                                             # physical plan (est vs actual with --analyze)
 //! jucq covers <data.ttl> "<SPARQL>"           # every cover, sized & timed
 //! jucq stats <data.ttl>                       # dataset & schema statistics
 //! jucq repl  <data.ttl>                       # interactive session
@@ -22,9 +22,9 @@
 //! Strategies: `sat`, `ucq`, `scq`, `ecov`, `gcov` (default) — or the
 //! names the query log records (`Strategy::from_name`).
 //! Profiles: `pg` (default), `db2`, `mysql`, `native`.
-//! Threads: `--threads N` (or the `JUCQ_THREADS` environment variable)
-//! sizes the worker pool for union/fragment evaluation (planning is
-//! sequential); the default is the machine's available parallelism.
+//! Threads: a query runs on one thread, start to finish. `serve
+//! --threads N` sizes the HTTP worker pool, so the server answers up to
+//! N requests at once.
 //!
 //! Observability: `--explain-analyze` renders per-node estimated vs.
 //! actual rows with Q-errors instead of the result rows; `--trace`
@@ -59,7 +59,7 @@ use jucq_core::{RdfDatabase, Strategy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|ecov|gcov] [--profile pg|db2|mysql|native] [--threads N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--threads N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--threads N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--threads N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
+        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|ecov|gcov] [--profile pg|db2|mysql|native] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
     );
     std::process::exit(2)
 }
@@ -176,7 +176,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut strategy = Strategy::gcov_default();
     let mut profile = EngineProfile::pg_like();
-    let mut threads: Option<usize> = None;
     let mut compare = false;
     let mut explain_analyze = false;
     let mut trace = false;
@@ -197,11 +196,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 profile = parse_profile(&v).unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--compare" => compare = true,
             "--explain-analyze" => explain_analyze = true,
@@ -241,9 +235,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [path, sparql] = positional.as_slice() else {
         usage();
     };
-    if let Some(n) = threads {
-        profile = profile.with_parallelism(n);
-    }
     let observing = trace || metrics_json.is_some() || trace_out.is_some();
     if observing {
         jucq_obs::set_enabled(true);
@@ -303,7 +294,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
-    let mut threads: Option<usize> = None;
     let mut report_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     while !args.is_empty() {
@@ -313,11 +303,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 profile = parse_profile(&v).unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--report" => {
                 let v = args.first().cloned().unwrap_or_default();
@@ -333,9 +318,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [path, log] = positional.as_slice() else {
         usage();
     };
-    if let Some(n) = threads {
-        profile = profile.with_parallelism(n);
-    }
     let text = std::fs::read_to_string(log)?;
     let (records, errors) = jucq_obs::record::parse_log(&text);
     for e in &errors {
@@ -465,7 +447,6 @@ fn auto_pin_views(
 fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut strategy = Strategy::gcov_default();
     let mut profile = EngineProfile::pg_like();
-    let mut threads: Option<usize> = None;
     let mut analyze = false;
     let mut positional: Vec<String> = Vec::new();
     while !args.is_empty() {
@@ -481,11 +462,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
                 args.drain(..1.min(args.len()));
                 profile = parse_profile(&v).unwrap_or_else(|| usage());
             }
-            "--threads" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                threads = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--analyze" => analyze = true,
             _ => positional.push(a),
         }
@@ -493,9 +469,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
     let [path, sparql] = positional.as_slice() else {
         usage();
     };
-    if let Some(n) = threads {
-        profile = profile.with_parallelism(n);
-    }
     let mut db = load(path, profile)?;
     let q = db.parse_query(sparql)?;
     let text =
@@ -570,7 +543,6 @@ fn cmd_stats(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
-    let mut threads: Option<usize> = None;
     let mut positional = Vec::new();
     while !args.is_empty() {
         let a = args.remove(0);
@@ -578,18 +550,11 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let v = args.first().cloned().unwrap_or_default();
             args.drain(..1.min(args.len()));
             profile = parse_profile(&v).unwrap_or_else(|| usage());
-        } else if a == "--threads" {
-            let v = args.first().cloned().unwrap_or_default();
-            args.drain(..1.min(args.len()));
-            threads = Some(v.parse().unwrap_or_else(|_| usage()));
         } else {
             positional.push(a);
         }
     }
     let [path] = positional.as_slice() else { usage() };
-    if let Some(n) = threads {
-        profile = profile.with_parallelism(n);
-    }
     let mut db = load(path, profile)?;
     db.enable_plan_cache(64);
     if jucq_obs::record::install_from_env() {

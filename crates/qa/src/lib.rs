@@ -4,8 +4,8 @@
 //! paper's central claims are equivalences — saturation ≡ UCQ ≡ SCQ ≡
 //! any cover-based JUCQ (Theorem 3.1) — which makes them directly
 //! testable: generate a random RDFS schema, instance data, and a BGP
-//! query from a seed ([`gen`]), answer it every way the engine knows at
-//! several parallelism levels on every engine profile ([`oracle`]), and
+//! query from a seed ([`gen`]), answer it every way the engine knows on
+//! every engine profile ([`oracle`]), and
 //! demand bit-identical answer multisets. On a mismatch, shrink the
 //! case to a 1-minimal reproducer ([`shrink`]) and print it as a
 //! ready-to-paste regression test ([`report`]).
@@ -47,7 +47,7 @@ pub struct FuzzFailure {
 pub struct FuzzReport {
     /// Cases generated and checked.
     pub cases: usize,
-    /// Total strategy × parallelism × profile answers compared.
+    /// Total strategy × profile answers compared.
     pub answers_checked: u64,
     /// Total valid covers enumerated and executed as fixed covers.
     pub covers_enumerated: u64,

@@ -5,8 +5,8 @@
 //! plain graph equals plain evaluation over the saturation. The oracle
 //! makes both executable: saturation is ground truth, and UCQ, SCQ,
 //! minimized UCQ, ECov, GCov, and explicitly enumerated fixed covers
-//! must all reproduce it bit-for-bit — at parallelism 1, 2 and 8, on
-//! every engine profile under test.
+//! must all reproduce it bit-for-bit on every engine profile under
+//! test.
 //!
 //! Degenerate shapes are checked for *consistency* rather than skipped:
 //! a disconnected (cartesian) body has no valid cover, so every
@@ -53,7 +53,7 @@ pub fn profiles_for(choice: &str) -> Option<Vec<EngineProfile>> {
 /// What one passing case actually exercised, for reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CaseStats {
-    /// Strategy × parallelism × profile answer runs compared.
+    /// Strategy × profile answer runs compared.
     pub answers_checked: usize,
     /// Valid covers enumerated and run as `FixedCover`.
     pub covers_enumerated: usize,
@@ -62,9 +62,6 @@ pub struct CaseStats {
     /// range-collapse kernels the case exercised.
     pub range_scans: u64,
 }
-
-/// Parallelism levels every strategy is swept over.
-const PAR_LEVELS: [usize; 3] = [1, 2, 8];
 
 /// The view-catalog tuple budget for the differential views leg, from
 /// the `JUCQ_VIEWS` environment variable (the CI fuzz matrix sets it).
@@ -171,18 +168,18 @@ pub fn check_case(case: &GenCase) -> Result<CaseStats, String> {
 }
 
 /// [`check_case`] against an explicit profile list (the first profile's
-/// saturation answer at parallelism 1 is ground truth).
+/// saturation answer is ground truth).
 pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<CaseStats, String> {
     let mut stats = CaseStats::default();
     let mut truth: Option<Vec<Vec<String>>> = None;
 
     for (pi, profile) in profiles.iter().enumerate() {
         let base = permissive(profile.clone());
-        let mut db = RdfDatabase::with_profile(base.clone().with_parallelism(1));
+        let mut db = RdfDatabase::with_profile(base.clone());
         db.extend(&case.triples);
         let q = build_query(&mut db, &case.query);
 
-        // Ground truth: saturation, sequential.
+        // Ground truth: saturation.
         let sat = db
             .answer(&q, &Strategy::Saturation)
             .map_err(|e| format!("[{}] SAT failed: {e}", profile.name))?;
@@ -211,82 +208,55 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
         let covers = if coverable { enumerate_covers(&q) } else { Vec::new() };
         stats.covers_enumerated += covers.len();
 
-        for par in PAR_LEVELS {
-            db.set_profile(base.clone().with_parallelism(par));
-
-            // SAT itself must be parallelism-invariant.
-            let sat_p = db
-                .answer(&q, &Strategy::Saturation)
-                .map_err(|e| format!("[{} par={par}] SAT failed: {e}", profile.name))?;
+        let run = |strategy: &Strategy,
+                   label: &str,
+                   db: &mut RdfDatabase,
+                   stats: &mut CaseStats|
+         -> Result<(), String> {
+            let got = db.answer(&q, strategy);
             stats.answers_checked += 1;
-            if canon_rows(&db, &sat_p.rows) != *truth_rows {
-                return Err(format!(
-                    "[{} par={par}] SAT differs from sequential SAT",
-                    profile.name
-                ));
-            }
-
-            let run = |strategy: &Strategy,
-                       label: &str,
-                       db: &mut RdfDatabase,
-                       stats: &mut CaseStats|
-             -> Result<(), String> {
-                let got = db.answer(&q, strategy);
-                stats.answers_checked += 1;
-                if coverable {
-                    let rep = got.map_err(|e| {
-                        format!(
-                            "[{} par={par}] {label} failed on a coverable query: {e}",
-                            profile.name
-                        )
-                    })?;
-                    stats.range_scans += rep.counters.range_scans;
-                    let rows = canon_rows(db, &rep.rows);
-                    if rows != *truth_rows {
+            if coverable {
+                let rep = got.map_err(|e| {
+                    format!("[{}] {label} failed on a coverable query: {e}", profile.name)
+                })?;
+                stats.range_scans += rep.counters.range_scans;
+                let rows = canon_rows(db, &rep.rows);
+                if rows != *truth_rows {
+                    return Err(format!(
+                        "[{}] {label} answered {} rows, SAT answered {}:\n  {label}: {rows:?}\n  SAT: {truth_rows:?}",
+                        profile.name,
+                        rows.len(),
+                        truth_rows.len()
+                    ));
+                }
+            } else {
+                match got {
+                    Err(AnswerError::Cover(_)) => {}
+                    Err(e) => {
                         return Err(format!(
-                            "[{} par={par}] {label} answered {} rows, SAT answered {}:\n  {label}: {rows:?}\n  SAT: {truth_rows:?}",
-                            profile.name,
-                            rows.len(),
-                            truth_rows.len()
-                        ));
+                            "[{}] {label} on a disconnected query: expected a cover error, got {e}",
+                            profile.name
+                        ))
                     }
-                } else {
-                    match got {
-                        Err(AnswerError::Cover(_)) => {}
-                        Err(e) => {
-                            return Err(format!(
-                                "[{} par={par}] {label} on a disconnected query: expected a cover error, got {e}",
-                                profile.name
-                            ))
-                        }
-                        Ok(_) => {
-                            return Err(format!(
-                                "[{} par={par}] {label} on a disconnected query: expected a cover error, got an answer",
-                                profile.name
-                            ))
-                        }
+                    Ok(_) => {
+                        return Err(format!(
+                            "[{}] {label} on a disconnected query: expected a cover error, got an answer",
+                            profile.name
+                        ))
                     }
                 }
-                Ok(())
-            };
-
-            for strategy in named_strategies() {
-                run(&strategy, strategy.name(), &mut db, &mut stats)?;
             }
+            Ok(())
+        };
 
-            // Theorem 3.1, literally: every enumerated valid cover
-            // answers identically. Swept at the sequential and widest
-            // parallelism levels.
-            if par == 1 || par == 8 {
-                for (ci, cover) in covers.iter().enumerate() {
-                    run(
-                        &Strategy::FixedCover(cover.clone()),
-                        &format!("Cover#{ci}"),
-                        &mut db,
-                        &mut stats,
-                    )?;
-                }
-            }
+        for strategy in named_strategies() {
+            run(&strategy, strategy.name(), &mut db, &mut stats)?;
+        }
+
+        // Theorem 3.1, literally: every enumerated valid cover answers
+        // identically.
+        for (ci, cover) in covers.iter().enumerate() {
+            run(&Strategy::FixedCover(cover.clone()), &format!("Cover#{ci}"), &mut db, &mut stats)?;
         }
 
         // Materialized fragment views must be answer-invisible. With
@@ -297,7 +267,7 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
         // ground truth. Once per case on the first profile.
         if pi == 0 {
             if let Some(budget) = views_budget() {
-                let mut db_v = RdfDatabase::with_profile(base.clone().with_parallelism(1));
+                let mut db_v = RdfDatabase::with_profile(base.clone());
                 db_v.extend(&case.triples);
                 db_v.enable_views(budget);
                 let q_v = build_query(&mut db_v, &case.query);
@@ -334,39 +304,33 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
         // Order-aware execution must be answer-invisible. Force the
         // sort-merge fragment join (so every join is a merge the order
         // machinery can touch — sort elision, galloping, scan borrowing)
-        // and demand SAT's answers, sequential and at the widest
-        // parallelism. Once per case on the first profile.
+        // and demand SAT's answers. Once per case on the first profile.
         if pi == 0 {
             let merge =
                 permissive(EngineProfile::pg_like()).with_fragment_join(JoinAlgo::SortMerge);
-            let mut db_o = RdfDatabase::with_profile(merge.clone().with_parallelism(1));
+            let mut db_o = RdfDatabase::with_profile(merge);
             db_o.extend(&case.triples);
             let q_o = build_query(&mut db_o, &case.query);
-            for par in [1, 8] {
-                db_o.set_profile(merge.clone().with_parallelism(par));
-                for strategy in [Strategy::Ucq, Strategy::gcov_default()] {
-                    let label = format!("merge/{}", strategy.name());
-                    let got = db_o.answer(&q_o, &strategy);
-                    stats.answers_checked += 1;
-                    if coverable {
-                        let rep = got.map_err(|e| {
-                            format!("[{} par={par}] {label} failed: {e}", profile.name)
-                        })?;
-                        let rows = canon_rows(&db_o, &rep.rows);
-                        if rows != *truth_rows {
-                            return Err(format!(
-                                "[{} par={par}] {label} answered {} rows, SAT answered {}:\n  {label}: {rows:?}\n  SAT: {truth_rows:?}",
-                                profile.name,
-                                rows.len(),
-                                truth_rows.len()
-                            ));
-                        }
-                    } else if !matches!(got, Err(AnswerError::Cover(_))) {
+            for strategy in [Strategy::Ucq, Strategy::gcov_default()] {
+                let label = format!("merge/{}", strategy.name());
+                let got = db_o.answer(&q_o, &strategy);
+                stats.answers_checked += 1;
+                if coverable {
+                    let rep = got.map_err(|e| format!("[{}] {label} failed: {e}", profile.name))?;
+                    let rows = canon_rows(&db_o, &rep.rows);
+                    if rows != *truth_rows {
                         return Err(format!(
-                            "[{} par={par}] {label} on a disconnected query: expected a cover error",
-                            profile.name
+                            "[{}] {label} answered {} rows, SAT answered {}:\n  {label}: {rows:?}\n  SAT: {truth_rows:?}",
+                            profile.name,
+                            rows.len(),
+                            truth_rows.len()
                         ));
                     }
+                } else if !matches!(got, Err(AnswerError::Cover(_))) {
+                    return Err(format!(
+                        "[{}] {label} on a disconnected query: expected a cover error",
+                        profile.name
+                    ));
                 }
             }
         }

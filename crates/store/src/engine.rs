@@ -204,8 +204,8 @@ impl Store {
     /// Execute a plan in full generality — what [`Store::eval_plan`] and
     /// [`Store::eval_plan_profiled`] specialize. `profiling` collects the
     /// per-node [`ExecProfile`]. `limits`, when given, replaces the
-    /// store's profile for this run only (a request's deadline, memory
-    /// budget and parallelism); the plan was lowered earlier and does not
+    /// store's profile for this run only (a request's deadline and
+    /// memory budget); the plan was lowered earlier and does not
     /// depend on it. View-served fragments resolve through `views`, an
     /// epoch-pinned handle on a [`ViewCatalog`](crate::views::ViewCatalog):
     /// entries whose epoch differs from the handle's never serve, those
@@ -225,13 +225,7 @@ impl Store {
         } else {
             ExecContext::new(profile)
         };
-        let relation = plan::exec::execute(
-            &self.table,
-            plan,
-            &mut ctx,
-            profile.effective_parallelism(),
-            views,
-        )?;
+        let relation = plan::exec::execute(&self.table, plan, &mut ctx, views)?;
         if ctx.counters.sip_probes > 0 {
             jucq_obs::metrics::counter_add("exec.sip.probes", ctx.counters.sip_probes);
             jucq_obs::metrics::counter_add("exec.sip.drops", ctx.counters.sip_drops);

@@ -35,11 +35,6 @@ pub enum EngineError {
         /// The configured limit.
         limit: Duration,
     },
-    /// A worker thread stopped because a concurrent worker of the same
-    /// query already failed. The parallel orchestrator replaces this
-    /// with the originating failure before surfacing an error, so
-    /// callers normally never observe it.
-    Cancelled,
 }
 
 impl fmt::Display for EngineError {
@@ -55,7 +50,6 @@ impl fmt::Display for EngineError {
                 )
             }
             EngineError::Timeout { limit } => write!(f, "evaluation timed out after {limit:?}"),
-            EngineError::Cancelled => write!(f, "evaluation cancelled by a concurrent failure"),
         }
     }
 }

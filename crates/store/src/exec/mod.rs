@@ -14,21 +14,18 @@
 //! append, and polls liveness ([`ExecContext::tick_n`]) and the memory
 //! budget once per batch.
 //!
-//! All operators run inside an [`ExecContext`] that enforces the engine
-//! profile's deadline and memory budget and records the counters the
-//! calibration layer fits cost constants against.
+//! A query runs on the thread that submitted it: every operator of a
+//! plan runs there, one after another, inside one [`ExecContext`] that
+//! enforces the engine profile's deadline and memory budget and records
+//! the counters the calibration layer fits cost constants against.
 
 pub mod cq;
 pub mod join;
-pub mod parallel;
-pub mod pool;
 pub mod sip;
 pub mod union;
 
 use std::fmt::{self, Write as _};
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::EngineError;
@@ -91,7 +88,7 @@ pub struct Counters {
 impl AddAssign for Counters {
     /// Add every counter of `other`. The destructuring is exhaustive, so
     /// a counter added to the struct but not summed here fails to
-    /// compile instead of silently losing worker-thread counts.
+    /// compile instead of silently dropping out of a total.
     fn add_assign(&mut self, other: Counters) {
         let Counters {
             tuples_scanned,
@@ -170,15 +167,9 @@ struct NodeRecorder {
 impl NodeRecorder {
     fn record(&mut self, op: &str, rows: u64, elapsed_ns: u64, inputs: Option<(u64, u64)>) {
         let label = format!("{}{}", self.scope, op);
-        self.merge(NodeProfile { label, invocations: 1, rows, elapsed_ns, inputs });
-    }
-
-    /// Merge an already-labelled profile (e.g. from a worker context)
-    /// into the per-label aggregate, ignoring the current scope.
-    fn merge(&mut self, profile: NodeProfile) {
-        let ix = *self.by_label.entry(profile.label.clone()).or_insert_with(|| {
+        let ix = *self.by_label.entry(label.clone()).or_insert_with(|| {
             self.nodes.push(NodeProfile {
-                label: profile.label.clone(),
+                label,
                 invocations: 0,
                 rows: 0,
                 elapsed_ns: 0,
@@ -187,40 +178,17 @@ impl NodeRecorder {
             self.nodes.len() - 1
         });
         let node = &mut self.nodes[ix];
-        node.invocations += profile.invocations;
-        node.rows += profile.rows;
-        node.elapsed_ns += profile.elapsed_ns;
-        if let Some((l, r)) = profile.inputs {
+        node.invocations += 1;
+        node.rows += rows;
+        node.elapsed_ns += elapsed_ns;
+        if let Some((l, r)) = inputs {
             let (nl, nr) = node.inputs.unwrap_or((0, 0));
             node.inputs = Some((nl + l, nr + r));
         }
     }
 }
 
-/// Cross-thread evaluation state shared by every worker context of one
-/// query: a cooperative cancel flag (set on the first failure, polled by
-/// the amortized tick) and the total tuples currently held by worker
-/// results, charged against the profile's memory budget *globally* so a
-/// parallel run cannot hold more than a sequential one is allowed to.
-#[derive(Debug, Default)]
-pub struct ExecShared {
-    cancel: AtomicBool,
-    held_tuples: AtomicU64,
-}
-
-impl ExecShared {
-    /// Ask every sibling context to stop at its next poll.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether a sibling context requested a stop.
-    pub fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared evaluation state: profile, deadline, counters.
+/// One query's evaluation state: profile, deadline, counters.
 #[derive(Debug)]
 pub struct ExecContext<'a> {
     profile: &'a EngineProfile,
@@ -230,7 +198,6 @@ pub struct ExecContext<'a> {
     ticks: u64,
     recorder: Option<NodeRecorder>,
     sip_stats: Vec<SipFilterStat>,
-    shared: Arc<ExecShared>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -243,7 +210,6 @@ impl<'a> ExecContext<'a> {
             ticks: 0,
             recorder: None,
             sip_stats: Vec::new(),
-            shared: Arc::new(ExecShared::default()),
         }
     }
 
@@ -325,25 +291,21 @@ impl<'a> ExecContext<'a> {
     /// off the per-tuple hot path). `stage` is where the member tested
     /// it; `None` when the member had no rows to test.
     pub fn record_sip(&mut self, label: &str, probes: u64, drops: u64, stage: Option<SipStage>) {
-        self.merge_sip(SipFilterStat {
-            label: label.to_string(),
-            probes,
-            drops,
-            stages: stage.map(|s| (s, 1)).into_iter().collect(),
-        });
-    }
-
-    fn merge_sip(&mut self, stat: SipFilterStat) {
-        let Some(s) = self.sip_stats.iter_mut().find(|s| s.label == stat.label) else {
-            self.sip_stats.push(stat);
+        let Some(s) = self.sip_stats.iter_mut().find(|s| s.label == label) else {
+            self.sip_stats.push(SipFilterStat {
+                label: label.to_string(),
+                probes,
+                drops,
+                stages: stage.map(|s| (s, 1)).into_iter().collect(),
+            });
             return;
         };
-        s.probes += stat.probes;
-        s.drops += stat.drops;
-        for (stage, members) in stat.stages {
+        s.probes += probes;
+        s.drops += drops;
+        if let Some(stage) = stage {
             match s.stages.binary_search_by_key(&stage, |&(st, _)| st) {
-                Ok(i) => s.stages[i].1 += members,
-                Err(i) => s.stages.insert(i, (stage, members)),
+                Ok(i) => s.stages[i].1 += 1,
+                Err(i) => s.stages.insert(i, (stage, 1)),
             }
         }
     }
@@ -358,70 +320,16 @@ impl<'a> ExecContext<'a> {
         self.profile
     }
 
-    /// A [`WorkerSpawner`] capturing everything worker threads need to
-    /// open sibling contexts: the profile, the *same* start instant (the
-    /// deadline is global) and the shared cancel/budget state.
-    pub fn spawner(&self) -> WorkerSpawner<'a> {
-        WorkerSpawner {
-            profile: self.profile,
-            started: self.started,
-            shared: Arc::clone(&self.shared),
-            profiling: self.recorder.is_some(),
-        }
-    }
-
-    /// Fold a finished worker context into this one: counters add up
-    /// (they are commutative sums, so aggregate totals are independent
-    /// of scheduling) and node profiles merge by their recorded labels.
-    pub fn absorb(&mut self, mut worker: ExecContext<'_>) {
-        self.counters += worker.counters;
-        for s in worker.take_sip_stats() {
-            self.merge_sip(s);
-        }
-        if let Some(r) = &mut self.recorder {
-            for node in worker.take_nodes() {
-                r.merge(node);
-            }
-        }
-    }
-
-    /// The cross-thread shared state (cancel flag + held-tuples budget).
-    pub fn shared(&self) -> &Arc<ExecShared> {
-        &self.shared
-    }
-
-    /// Charge `tuples` held worker-result tuples against the *global*
-    /// memory budget (the cross-thread sum, not one intermediate).
-    /// Release with [`ExecContext::release_memory`] once merged.
-    pub fn reserve_memory(&self, tuples: usize) -> Result<(), EngineError> {
-        let total =
-            self.shared.held_tuples.fetch_add(tuples as u64, Ordering::Relaxed) + tuples as u64;
-        if total > self.profile.memory_budget_tuples as u64 {
-            Err(EngineError::MemoryBudgetExceeded {
-                tuples: total as usize,
-                budget: self.profile.memory_budget_tuples,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Return `tuples` previously charged by [`ExecContext::reserve_memory`].
-    pub fn release_memory(&self, tuples: usize) {
-        self.shared.held_tuples.fetch_sub(tuples as u64, Ordering::Relaxed);
-    }
-
-    /// Amortized liveness check for a whole batch of `n` produced
-    /// tuples: advances the tick counter in one step and, once per
-    /// crossed poll window (16384 tuples), checks the deadline and the
-    /// shared cancel flag — so a failure on one worker stops all of them
-    /// promptly without one branch per tuple.
+    /// Amortized deadline check for a whole batch of `n` produced
+    /// tuples: advances the tick counter in one step and checks the
+    /// deadline once per crossed poll window (16384 tuples), without one
+    /// branch per tuple.
     #[inline]
     pub fn tick_n(&mut self, n: u64) -> Result<(), EngineError> {
         let before = self.ticks;
         self.ticks = self.ticks.wrapping_add(n);
         if self.ticks / (DEADLINE_POLL_MASK + 1) != before / (DEADLINE_POLL_MASK + 1) {
-            self.check_live()?;
+            self.check_deadline()?;
         }
         Ok(())
     }
@@ -435,15 +343,6 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Deadline check plus cross-thread cancellation: errors with
-    /// [`EngineError::Cancelled`] when a sibling worker already failed.
-    pub fn check_live(&self) -> Result<(), EngineError> {
-        if self.shared.cancelled() {
-            return Err(EngineError::Cancelled);
-        }
-        self.check_deadline()
-    }
-
     /// Shift the evaluation clock `by` into the past, as if the context
     /// had been created earlier. Test support for deterministic deadline
     /// coverage: a zero timeout plus any positive backdate is expired
@@ -454,8 +353,8 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Enforce the memory budget for a materialized intermediate of
-    /// `tuples` rows.
+    /// Enforce the memory budget for `tuples` held rows: one
+    /// materialized intermediate, or a running sum of several.
     pub fn check_memory(&self, tuples: usize) -> Result<(), EngineError> {
         if tuples > self.profile.memory_budget_tuples {
             Err(EngineError::MemoryBudgetExceeded {
@@ -470,39 +369,6 @@ impl<'a> ExecContext<'a> {
     /// Time elapsed since the context was created.
     pub fn elapsed(&self) -> std::time::Duration {
         self.started.elapsed()
-    }
-}
-
-/// Everything a worker thread needs to open a sibling [`ExecContext`]
-/// of a running evaluation. `Sync`, so one spawner can be borrowed by
-/// every thread of a [`std::thread::scope`].
-#[derive(Debug)]
-pub struct WorkerSpawner<'a> {
-    profile: &'a EngineProfile,
-    started: Instant,
-    shared: Arc<ExecShared>,
-    profiling: bool,
-}
-
-impl<'a> WorkerSpawner<'a> {
-    /// Open a sibling context: fresh counters/profiles, but the same
-    /// profile, start instant (global deadline) and shared cancel/budget
-    /// state as the originating context.
-    pub fn context(&self) -> ExecContext<'a> {
-        ExecContext {
-            profile: self.profile,
-            started: self.started,
-            counters: Counters::default(),
-            ticks: 0,
-            recorder: self.profiling.then(NodeRecorder::default),
-            sip_stats: Vec::new(),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// The shared cross-thread state.
-    pub fn shared(&self) -> &ExecShared {
-        &self.shared
     }
 }
 
@@ -583,23 +449,15 @@ mod tests {
     }
 
     #[test]
-    fn sip_stats_merge_by_label_and_absorb() {
+    fn sip_stats_merge_by_label() {
         let p = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&p);
         ctx.record_sip("fragment[1].sip_filter", 10, 4, Some(SipStage::Head));
         ctx.record_sip("fragment[1].sip_filter", 5, 1, Some(SipStage::Scan));
         ctx.record_sip("fragment[1].sip_filter", 0, 0, None);
+        ctx.record_sip("fragment[2].sip_filter", 7, 7, Some(SipStage::BeforeProbe(1)));
+        ctx.record_sip("fragment[1].sip_filter", 0, 0, Some(SipStage::Scan));
 
-        let spawner = ctx.spawner();
-        let mut w = spawner.context();
-        w.record_sip("fragment[2].sip_filter", 7, 7, Some(SipStage::BeforeProbe(1)));
-        w.record_sip("fragment[1].sip_filter", 0, 0, Some(SipStage::Scan));
-        w.counters.sip_probes = 7;
-        w.counters.sip_drops = 7;
-        ctx.absorb(w);
-
-        assert_eq!(ctx.counters.sip_probes, 7);
-        assert_eq!(ctx.counters.sip_drops, 7);
         let stats = ctx.take_sip_stats();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].label, "fragment[1].sip_filter");
@@ -609,46 +467,6 @@ mod tests {
         assert_eq!(stats[1].stages, vec![(SipStage::BeforeProbe(1), 1)]);
         assert_eq!(stats[1].label, "fragment[2].sip_filter");
         assert!(ctx.take_sip_stats().is_empty(), "take drains the stats");
-    }
-
-    #[test]
-    fn worker_contexts_share_deadline_and_cancel() {
-        let p = EngineProfile::pg_like().with_timeout(Duration::from_millis(0));
-        let mut ctx = ExecContext::new(&p);
-        ctx.backdate(Duration::from_millis(2));
-        // A worker opened from an expired context is itself expired.
-        let worker = ctx.spawner().context();
-        assert!(matches!(worker.check_deadline(), Err(EngineError::Timeout { .. })));
-
-        let p = EngineProfile::pg_like();
-        let ctx = ExecContext::new(&p);
-        let spawner = ctx.spawner();
-        let a = spawner.context();
-        let b = spawner.context();
-        assert!(a.check_live().is_ok());
-        b.shared().cancel();
-        assert!(matches!(a.check_live(), Err(EngineError::Cancelled)));
-        assert!(matches!(ctx.check_live(), Err(EngineError::Cancelled)));
-    }
-
-    #[test]
-    fn reserved_memory_is_charged_globally() {
-        let p = EngineProfile::pg_like().with_memory_budget(10);
-        let ctx = ExecContext::new(&p);
-        let spawner = ctx.spawner();
-        let a = spawner.context();
-        let b = spawner.context();
-        assert!(a.reserve_memory(6).is_ok());
-        // Each worker is within budget alone, but the cross-thread sum
-        // is not.
-        assert!(matches!(
-            b.reserve_memory(6),
-            Err(EngineError::MemoryBudgetExceeded { tuples: 12, budget: 10 })
-        ));
-        // Releasing the breached reservation restores headroom.
-        b.release_memory(6);
-        a.release_memory(6);
-        assert!(ctx.reserve_memory(10).is_ok());
     }
 
     #[test]
@@ -689,31 +507,5 @@ mod tests {
             probe_reseeks: 28,
         };
         assert_eq!(sum, want);
-    }
-
-    #[test]
-    fn absorb_sums_counters_and_merges_nodes() {
-        let p = EngineProfile::pg_like();
-        let mut ctx = ExecContext::with_profiling(&p);
-        let t = ctx.op_start();
-        ctx.op_finish(t, "dedup", 3);
-        ctx.counters.tuples_scanned = 5;
-
-        let spawner = ctx.spawner();
-        let mut w = spawner.context();
-        assert!(w.profiling(), "workers inherit profiling");
-        w.set_scope(format_args!("fragment[0]."));
-        let t = w.op_start();
-        w.op_finish(t, "cq", 7);
-        w.counters.tuples_scanned = 2;
-        w.counters.tuples_joined = 4;
-
-        ctx.absorb(w);
-        assert_eq!(ctx.counters.tuples_scanned, 7);
-        assert_eq!(ctx.counters.tuples_joined, 4);
-        let nodes = ctx.take_nodes();
-        let labels: Vec<&str> = nodes.iter().map(|n| n.label.as_str()).collect();
-        assert_eq!(labels, vec!["dedup", "fragment[0].cq"]);
-        assert_eq!(nodes[1].rows, 7);
     }
 }

@@ -1,24 +1,61 @@
-//! Union evaluation support: a UCQ fragment's result under set
-//! semantics.
+//! Union evaluation: a UCQ fragment's result under set semantics.
 //!
 //! Member results are deduplicated **streamingly** (hash-aggregation
 //! style, like the engines the paper targets): peak memory is the
 //! number of *distinct* rows, not the sum of member result sizes —
 //! which for reformulated unions differ by orders of magnitude, since
-//! members overlap heavily. The union driver itself lives in
-//! [`crate::exec::parallel`], which folds lowered member plans into the
-//! accumulator defined here, sequentially or across a worker pool.
+//! members overlap heavily. [`eval_union`] runs a fragment's lowered
+//! members one after another on the query's thread and folds each into
+//! the accumulator defined here.
 
 use jucq_model::TermId;
 
 use crate::error::EngineError;
-use crate::exec::{ExecContext, BATCH_ROWS};
+use crate::exec::{cq, sip, ExecContext, BATCH_ROWS};
+use crate::ir::VarId;
+use crate::plan::Plan;
 use crate::relation::{hash_row, Relation};
+use crate::table::TripleTable;
+
+/// Evaluate fragment `idx` of `plan` as a union, member by member,
+/// each member testing `filter` (the SIP filter an upstream fragment
+/// join published, if any) inside its own pipeline. `shared` is the
+/// plan's materialized shared-scan table.
+pub(crate) fn eval_union(
+    table: &TripleTable,
+    plan: &Plan,
+    idx: usize,
+    filter: Option<&sip::SipFilter>,
+    shared: &[Relation],
+    ctx: &mut ExecContext<'_>,
+) -> Result<Relation, EngineError> {
+    let f = &plan.fragments[idx];
+    ctx.set_scope(format_args!("fragment[{idx}]."));
+    let op = ctx.op_start();
+    // A single, provably distinct member is the union result as-is,
+    // unless the profile mandates the derived-table copy.
+    let out = if f.distinct_by_construction(&plan.shared) && !ctx.profile().materialize_all_unions {
+        ctx.check_deadline()?;
+        let r = cq::eval_member(table, &f.members[0], &f.head, shared, filter, ctx)?;
+        borrow_member(r, op, ctx)?
+    } else {
+        // The planner's union estimate pre-sizes the accumulator's rows.
+        let mut acc = DedupAccumulator::with_est(f.head.clone(), Some(f.est), ctx);
+        for m in &f.members {
+            ctx.check_deadline()?;
+            let r = cq::eval_member(table, m, &f.head, shared, filter, ctx)?;
+            merge_member(&mut acc, &r, ctx)?;
+        }
+        finish_union(acc, op, ctx)?
+    };
+    ctx.clear_scope();
+    Ok(out)
+}
 
 /// Open-addressing set of row indices into an accumulating relation,
 /// hashed with [`hash_row`]. Avoids one allocation per row
 /// (the rows live in the relation's flat buffer).
-pub(crate) struct DedupAccumulator {
+struct DedupAccumulator {
     rel: Relation,
     /// 0 = empty slot, otherwise row index + 1.
     slots: Vec<u32>,
@@ -31,11 +68,7 @@ impl DedupAccumulator {
     /// recording the reservation in `rows_reserved`. The slot table
     /// still starts small and grows on demand — only the flat row
     /// storage is reserved, since that is where regrowth copies rows.
-    pub(crate) fn with_est(
-        vars: Vec<crate::ir::VarId>,
-        est: Option<f64>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Self {
+    fn with_est(vars: Vec<VarId>, est: Option<f64>, ctx: &mut ExecContext<'_>) -> Self {
         let reserve = crate::exec::join::reserve_rows(est);
         ctx.counters.rows_reserved += reserve as u64;
         DedupAccumulator {
@@ -60,7 +93,7 @@ impl DedupAccumulator {
     }
 
     /// Insert `row` if unseen; returns `true` when it was new.
-    pub(crate) fn insert(&mut self, row: &[TermId]) -> bool {
+    fn insert(&mut self, row: &[TermId]) -> bool {
         // Zero-width (boolean) rows: keep at most one presence marker.
         if row.is_empty() && self.rel.vars().is_empty() {
             if self.rel.is_empty() {
@@ -95,7 +128,7 @@ impl DedupAccumulator {
         self.rel
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.rel.len()
     }
 }
@@ -103,9 +136,8 @@ impl DedupAccumulator {
 /// Merge one member's result into the accumulating union: count the
 /// examined rows as deduplicated work, insert each (polling liveness
 /// once per batch) and enforce the memory budget on the distinct rows
-/// held so far. Shared by the sequential and parallel union paths so
-/// both charge identical work.
-pub(crate) fn merge_member(
+/// held so far.
+fn merge_member(
     acc: &mut DedupAccumulator,
     r: &Relation,
     ctx: &mut ExecContext<'_>,
@@ -132,7 +164,7 @@ pub(crate) fn merge_member(
 /// `scan_rows_borrowed` and the memory budget still sees the held rows.
 /// Taken only when the profile does not force derived-table
 /// materialization.
-pub(crate) fn borrow_member(
+fn borrow_member(
     rel: Relation,
     op: Option<std::time::Instant>,
     ctx: &mut ExecContext<'_>,
@@ -146,7 +178,7 @@ pub(crate) fn borrow_member(
 /// Close an accumulated union: apply the profile's derived-table
 /// materialization (an extra full copy) when configured, and record the
 /// `union` operator node.
-pub(crate) fn finish_union(
+fn finish_union(
     acc: DedupAccumulator,
     op: Option<std::time::Instant>,
     ctx: &mut ExecContext<'_>,
@@ -303,6 +335,27 @@ mod tests {
         let out = s.eval_ucq(&ucq).unwrap();
         assert_eq!(out.counters.scan_rows_borrowed, 0, "lossy projection takes the dedup path");
         assert_eq!(out.relation.len(), 2, "duplicate object deduplicated");
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_union_before_its_first_member() {
+        let profile = EngineProfile::pg_like().with_timeout(std::time::Duration::ZERO);
+        let table = TripleTable::build(&[t(1, 10, 2), t(1, 11, 2), t(3, 10, 4)]);
+        let stats = crate::stats::Statistics::build(&table);
+        let ucq = StoreUcq::new(
+            vec![
+                StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]),
+                StoreCq::with_var_head(vec![StorePattern::new(v(0), c(11), v(1))], vec![0, 1]),
+            ],
+            vec![0, 1],
+        );
+        let q = crate::ir::StoreJucq::from_ucq(ucq);
+        let plan = crate::plan::Planner::new(&table, &stats, &profile).plan(&q);
+        let mut ctx = ExecContext::new(&profile);
+        ctx.backdate(std::time::Duration::from_millis(2));
+        let err = crate::plan::exec::execute(&table, &plan, &mut ctx, None).unwrap_err();
+        assert!(matches!(err, EngineError::Timeout { .. }), "got {err:?}");
+        assert_eq!(ctx.counters.tuples_scanned, 0, "no member ran");
     }
 
     #[test]

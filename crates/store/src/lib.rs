@@ -62,7 +62,7 @@ pub use plan::{
     collapsible_runs, fragment_join_order, CollapsibleRun, FragmentPlan, Interval, JoinStep, Leaf,
     MemberPlan, Plan, Planner, Probe, SharedScanDef, StepJoin, TermNameResolver,
 };
-pub use profile::{default_parallelism, EngineProfile, JoinAlgo};
+pub use profile::{EngineProfile, JoinAlgo};
 pub use relation::Relation;
 pub use stats::{EstScratch, FragmentSummary, Statistics};
 pub use table::{Perm, RangePos, TripleTable};

@@ -1,7 +1,6 @@
 //! Driving a physical [`Plan`]: shared-scan materialization, the join
-//! steps over the fragment unions (each union evaluated sequentially or
-//! in parallel — both run the same member pipelines), and the final
-//! projection and duplicate elimination.
+//! steps over the fragment unions, and the final projection and
+//! duplicate elimination.
 //!
 //! The driver walks [`Plan::join_order`]: the seed fragment, then one
 //! fragment per step, joined into the accumulated result with the
@@ -18,7 +17,7 @@
 //! members; answers are identical either way.
 
 use crate::error::EngineError;
-use crate::exec::{cq, join, parallel, sip, ExecContext, BATCH_ROWS};
+use crate::exec::{cq, join, sip, union, ExecContext, BATCH_ROWS};
 use crate::plan::join_order::JoinStep;
 use crate::plan::node::{FragmentPlan, Plan};
 use crate::relation::Relation;
@@ -86,13 +85,12 @@ fn resolve_view(
     Ok(None)
 }
 
-/// Execute `plan` against `table` with up to `threads` union workers,
-/// resolving view-served fragments through `views` (when given).
+/// Execute `plan` against `table`, resolving view-served fragments
+/// through `views` (when given).
 pub(crate) fn execute(
     table: &TripleTable,
     plan: &Plan,
     ctx: &mut ExecContext<'_>,
-    threads: usize,
     views: Option<&ViewSource<'_>>,
 ) -> Result<Relation, EngineError> {
     let Some(seed) = plan.join_order.first() else {
@@ -100,40 +98,37 @@ pub(crate) fn execute(
         return Ok(Relation::empty(plan.head.clone()));
     };
 
-    // Materialize the plan-wide shared scans once, on the driver
-    // context: every member referencing one borrows the same extent, so
-    // scan counters are charged exactly once per distinct pattern
-    // regardless of how many members use it or how many workers run.
-    // The held extents are charged against the global memory budget
-    // until the query completes.
+    // Materialize the plan-wide shared scans once: every member
+    // referencing one borrows the same extent, so scan counters are
+    // charged exactly once per distinct pattern however many members
+    // use it. The extents are all held until the query completes, so
+    // the memory budget is checked against their running sum.
     let mut shared: Vec<Relation> = Vec::with_capacity(plan.shared.len());
+    let mut held = 0;
     for (i, def) in plan.shared.iter().enumerate() {
         let op = ctx.op_start();
         let rel = cq::scan_pattern(table, &def.pattern, None, None, ctx)?;
-        ctx.reserve_memory(rel.len())?;
+        held += rel.len();
+        ctx.check_memory(held)?;
         ctx.op_finish(op, &format!("shared_scan[{i}]"), rel.len() as u64);
         shared.push(rel);
     }
-    let shared_held: usize = shared.iter().map(|r| r.len()).sum();
 
-    let acc = execute_steps(table, plan, seed, &shared, ctx, threads, views)?;
+    let acc = execute_steps(table, plan, seed, &shared, ctx, views)?;
 
     let op = ctx.op_start();
     let mut relation = acc.project(&plan.head);
     ctx.counters.tuples_deduped += relation.len() as u64;
     relation.dedup_in_place();
     ctx.op_finish(op, "dedup", relation.len() as u64);
-
-    ctx.release_memory(shared_held);
     Ok(relation)
 }
 
-/// Evaluate the fragments one at a time in join order (each union still
-/// fans its members across the worker pool), joining each into the
-/// accumulated result with its step's algorithm. Before a step with a
-/// key, the accumulated left side is hashed into a Bloom filter and the
-/// step's fragment's members drop the rows it rejects as early as they
-/// bind the key. A view-resolved fragment skips its filter (the filter
+/// Evaluate the fragments one at a time in join order, joining each
+/// into the accumulated result with its step's algorithm. Before a step
+/// with a key, the accumulated left side is hashed into a Bloom filter
+/// and the step's fragment's members drop the rows it rejects as early
+/// as they bind the key. A view-resolved fragment skips its filter (the filter
 /// only prunes work the copy kernel does not do; the join itself
 /// discards non-matching rows). All but the pipelined fragment are
 /// charged as materialized (§4.1: "the largest-result sub-query ... is
@@ -144,7 +139,6 @@ fn execute_steps(
     seed: &JoinStep,
     shared: &[Relation],
     ctx: &mut ExecContext<'_>,
-    threads: usize,
     views: Option<&ViewSource<'_>>,
 ) -> Result<Relation, EngineError> {
     let eval_fragment = |idx: usize,
@@ -153,18 +147,7 @@ fn execute_steps(
      -> Result<Relation, EngineError> {
         let rel = match resolve_view(plan, idx, views, ctx)? {
             Some(rel) => rel,
-            None => {
-                let f = &plan.fragments[idx];
-                let task = parallel::UnionTask {
-                    idx,
-                    head: &f.head,
-                    members: &f.members,
-                    est: f.est,
-                    distinct: f.distinct_by_construction(&plan.shared),
-                    filter,
-                };
-                parallel::eval_union(table, &task, shared, ctx, threads)?
-            }
+            None => union::eval_union(table, plan, idx, filter, shared, ctx)?,
         };
         if plan.pipelined.is_some_and(|p| p != idx) {
             ctx.counters.tuples_materialized += rel.len() as u64;

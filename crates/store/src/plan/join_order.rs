@@ -31,8 +31,7 @@ pub struct JoinStep {
 /// output the fewest rows; only when nothing connected remains is a
 /// disconnected fragment joined, as a cartesian product, by the same
 /// measure. Ties go to the smaller fragment and then to the lower index,
-/// so the order is deterministic (plan-cache keys and the parallel
-/// merge rely on that).
+/// so the order is deterministic (plan-cache keys rely on that).
 pub fn fragment_join_order(summaries: &[FragmentSummary], heads: &[&[VarId]]) -> Vec<JoinStep> {
     debug_assert_eq!(summaries.len(), heads.len());
     let mut remaining: Vec<usize> = (0..summaries.len()).collect();

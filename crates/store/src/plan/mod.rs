@@ -1,7 +1,7 @@
 //! The physical plan layer: the plan as data (fragment unions of member
 //! pipelines plus join steps), the rewrite-pass planner that lowers
 //! logical [`crate::ir::StoreJucq`]s into it, and the executor driving a
-//! plan sequentially or in parallel.
+//! plan.
 //!
 //! See `DESIGN.md` §4e for the plan types, the pass ordering,
 //! shared-scan semantics and plan-cache keying.

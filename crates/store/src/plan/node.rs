@@ -7,10 +7,9 @@
 //! each a [`Leaf`] extended by index [`Probe`]s and projected onto its
 //! head — and the fragment join order, one [`JoinStep`] per fragment
 //! (seed first) with a [`StepJoin`] for every step after the seed. The
-//! same plan drives the sequential and the parallel execution path,
-//! `explain` (which renders it as the nested operator tree `Dedup` /
-//! `Project` / joins / `HashUnion` it describes), and the estimate
-//! column of `explain_analyze`.
+//! same plan drives execution, `explain` (which renders it as the
+//! nested operator tree `Dedup` / `Project` / joins / `HashUnion` it
+//! describes), and the estimate column of `explain_analyze`.
 
 use std::fmt::Write as _;
 

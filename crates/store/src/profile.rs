@@ -45,10 +45,6 @@ pub struct EngineProfile {
     pub materialize_all_unions: bool,
     /// Default per-query deadline.
     pub timeout: Duration,
-    /// Worker threads for union-member / fragment evaluation and cover
-    /// scoring. `1` evaluates strictly sequentially; parallel runs merge
-    /// order-stably, so results and counters are identical either way.
-    pub parallelism: usize,
     /// If true (the default), the planner collapses union members that
     /// differ in exactly one constant into a single `RangeScan` (or
     /// `RangeProbe`) over the id interval the constants span. Ids in
@@ -70,35 +66,6 @@ fn default_range_scans() -> bool {
     true
 }
 
-/// The default worker-pool width: the `JUCQ_THREADS` environment
-/// variable when set, otherwise the machine's available parallelism.
-///
-/// `JUCQ_THREADS=0` means strictly sequential (consistent with
-/// [`EngineProfile::with_parallelism`], which clamps 0 to 1); an
-/// unparsable value warns once through `jucq-obs` and falls back to the
-/// hardware width.
-pub fn default_parallelism() -> usize {
-    match std::env::var("JUCQ_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => {
-                jucq_obs::warn_once(
-                    "warn.jucq_threads_invalid",
-                    &format!("ignoring unparsable JUCQ_THREADS={v:?}; using hardware parallelism"),
-                );
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_threads_invalid",
-                "ignoring non-unicode JUCQ_THREADS; using hardware parallelism",
-            );
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 impl EngineProfile {
     /// PostgreSQL-like: hash joins, pipelined largest union, generous
     /// union limit, moderate memory.
@@ -110,7 +77,6 @@ impl EngineProfile {
             fragment_join: JoinAlgo::Hash,
             materialize_all_unions: false,
             timeout: Duration::from_secs(30),
-            parallelism: default_parallelism(),
             range_scans: true,
         }
     }
@@ -125,7 +91,6 @@ impl EngineProfile {
             fragment_join: JoinAlgo::Hash,
             materialize_all_unions: false,
             timeout: Duration::from_secs(30),
-            parallelism: default_parallelism(),
             range_scans: true,
         }
     }
@@ -140,7 +105,6 @@ impl EngineProfile {
             fragment_join: JoinAlgo::BlockNestedLoop,
             materialize_all_unions: true,
             timeout: Duration::from_secs(30),
-            parallelism: default_parallelism(),
             range_scans: true,
         }
     }
@@ -157,7 +121,6 @@ impl EngineProfile {
             fragment_join: JoinAlgo::Hash,
             materialize_all_unions: false,
             timeout: Duration::from_secs(30),
-            parallelism: default_parallelism(),
             range_scans: true,
         }
     }
@@ -185,12 +148,6 @@ impl EngineProfile {
         self
     }
 
-    /// Replace the worker-pool width (clamped to at least one).
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
-        self
-    }
-
     /// Replace the fragment-level join algorithm.
     pub fn with_fragment_join(mut self, algo: JoinAlgo) -> Self {
         self.fragment_join = algo;
@@ -204,9 +161,11 @@ impl EngineProfile {
         self
     }
 
-    /// The effective worker count: at least one.
+    /// Always `1`: a query runs on the thread that submits it. Kept so
+    /// that callers which still report an engine worker count build.
+    #[doc(hidden)]
     pub fn effective_parallelism(&self) -> usize {
-        self.parallelism.max(1)
+        1
     }
 
     /// A cache-key fingerprint of every knob that changes the *plan* or
@@ -270,36 +229,6 @@ mod tests {
         assert_eq!(EngineProfile::default().name, "pg-like");
     }
 
-    /// Serializes tests that mutate the process environment.
-    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn jucq_threads_zero_means_sequential() {
-        let _serial = env_lock();
-        std::env::set_var("JUCQ_THREADS", "0");
-        assert_eq!(default_parallelism(), 1);
-        std::env::set_var("JUCQ_THREADS", "3");
-        assert_eq!(default_parallelism(), 3);
-        std::env::remove_var("JUCQ_THREADS");
-    }
-
-    #[test]
-    fn jucq_threads_junk_warns_once_and_falls_back() {
-        let _serial = env_lock();
-        jucq_obs::warn::reset_for_test();
-        std::env::set_var("JUCQ_THREADS", "banana");
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(default_parallelism(), hw);
-        assert!(jucq_obs::warn::warned("warn.jucq_threads_invalid"));
-        // Second call with junk does not re-print (warn_once dedupes).
-        assert_eq!(default_parallelism(), hw);
-        std::env::remove_var("JUCQ_THREADS");
-        jucq_obs::warn::reset_for_test();
-    }
-
     #[test]
     fn plan_cache_key_distinguishes_planner_knobs() {
         let base = EngineProfile::pg_like();
@@ -320,14 +249,5 @@ mod tests {
             base.clone().with_timeout(Duration::from_secs(1)).plan_cache_key(),
             base.plan_cache_key()
         );
-    }
-
-    #[test]
-    fn parallelism_clamps_to_one() {
-        let p = EngineProfile::pg_like().with_parallelism(0);
-        assert_eq!(p.effective_parallelism(), 1);
-        let p = EngineProfile::pg_like().with_parallelism(8);
-        assert_eq!(p.effective_parallelism(), 8);
-        assert!(EngineProfile::pg_like().effective_parallelism() >= 1);
     }
 }

@@ -4,10 +4,9 @@
 //! than two batches that are not a whole number of batches. The answers
 //! are held to a naive evaluator written over plain maps, and the
 //! engine's independent configurations must all agree with it: fragment
-//! joins by hash, sort-merge or block-nested-loop, every engine profile,
-//! 1/2/8 worker threads (with identical counters across thread counts).
-//! One query's members bind their SIP key at every stage a member can
-//! test it.
+//! joins by hash, sort-merge or block-nested-loop, and every engine
+//! profile. One query's members bind their SIP key at every stage a
+//! member can test it.
 
 mod common;
 
@@ -172,8 +171,8 @@ fn runs(qname: &str, join: JoinAlgo) -> bool {
     qname == "narrow" || join != JoinAlgo::BlockNestedLoop
 }
 
-/// The engine's independent implementations, one at a time and
-/// sequentially: fragment joins by each algorithm.
+/// The engine's independent implementations, one at a time: fragment
+/// joins by each algorithm.
 #[test]
 fn independent_implementations_return_the_naive_answer() {
     let triples = triples(&sample_data());
@@ -182,18 +181,17 @@ fn independent_implementations_return_the_naive_answer() {
             if !runs(qname, join) {
                 continue;
             }
-            let profile = EngineProfile::pg_like().with_fragment_join(join).with_parallelism(1);
+            let profile = EngineProfile::pg_like().with_fragment_join(join);
             let out = Store::from_triples(&triples, profile).eval_jucq(&q).unwrap();
             assert_eq!(sorted_rows(&out.relation), expect, "{qname} {join:?}");
         }
     }
 }
 
-/// Every engine profile × 1/2/8 threads returns the naive answer — SIP
-/// filters on every keyed join step — with counters that do not depend
-/// on the thread count.
+/// Every engine profile returns the naive answer, with SIP filters on
+/// every keyed join step.
 #[test]
-fn profile_sip_thread_matrix_returns_the_naive_answer() {
+fn profile_sip_matrix_returns_the_naive_answer() {
     let triples = triples(&sample_data());
     let bases: [fn() -> EngineProfile; 4] = [
         EngineProfile::pg_like,
@@ -206,17 +204,12 @@ fn profile_sip_thread_matrix_returns_the_naive_answer() {
             if !runs(qname, base().fragment_join) {
                 continue;
             }
-            let mut sequential = None;
-            for threads in [1usize, 2, 8] {
-                let profile = base().with_parallelism(threads);
-                let label = format!("{qname} {} threads={threads}", profile.name);
-                let out = Store::from_triples(&triples, profile)
-                    .eval_jucq(&q)
-                    .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                assert_eq!(sorted_rows(&out.relation), expect, "{label}");
-                let reference = *sequential.get_or_insert(out.counters);
-                assert_eq!(out.counters, reference, "{label}: counters depend on threads");
-            }
+            let profile = base();
+            let label = format!("{qname} {}", profile.name);
+            let out = Store::from_triples(&triples, profile)
+                .eval_jucq(&q)
+                .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+            assert_eq!(sorted_rows(&out.relation), expect, "{label}");
         }
     }
 }
@@ -235,8 +228,8 @@ fn sip_filter_drops_tuples_without_changing_answers() {
 }
 
 /// The placed query's members test the filter where the fixture says
-/// they do, the stages add up to one per member that had rows to test,
-/// and where a member tests does not depend on the thread count.
+/// they do, and the stages add up to one per member that had rows to
+/// test.
 #[test]
 fn sip_filter_runs_at_the_earliest_stage_binding_its_key() {
     let triples = triples(&sample_data());
@@ -252,9 +245,8 @@ fn sip_filter_runs_at_the_earliest_stage_binding_its_key() {
         assert!(filter.drops > 0 && filter.drops < filter.probes, "{filter:?}");
         filter.stages.clone()
     };
-    let sequential = stages(EngineProfile::pg_like().with_parallelism(1));
     assert_eq!(
-        sequential,
+        stages(EngineProfile::pg_like()),
         vec![
             (SipStage::Scan, 1),
             (SipStage::BeforeProbe(0), 1),
@@ -263,29 +255,25 @@ fn sip_filter_runs_at_the_earliest_stage_binding_its_key() {
             (SipStage::Head, 4),
         ]
     );
-    assert_eq!(stages(EngineProfile::pg_like().with_parallelism(2)), sequential);
 }
 
 /// A budget that the first batch of every scan fits in and the second
 /// does not: the breach is found by a per-batch check in the middle of
-/// an operator, and still aborts the whole query with the originating
-/// error, sequentially and across workers.
+/// an operator, and still aborts the whole query.
 #[test]
 fn budget_breach_inside_the_second_batch_aborts_the_query() {
     let triples = triples(&sample_data());
     let q = wide_query();
     let budget = BATCH_ROWS + BATCH_ROWS / 2;
-    for threads in [1usize, 4] {
-        let profile = EngineProfile::pg_like().with_parallelism(threads).with_memory_budget(budget);
-        let err = Store::from_triples(&triples, profile)
-            .eval_jucq(&q)
-            .expect_err("no scan of this query fits in one and a half batches");
-        match err {
-            EngineError::MemoryBudgetExceeded { tuples, .. } => {
-                assert_eq!(tuples, 2 * BATCH_ROWS, "threads={threads}: found at the second batch")
-            }
-            other => panic!("threads={threads}: expected a budget breach, got {other:?}"),
+    let profile = EngineProfile::pg_like().with_memory_budget(budget);
+    let err = Store::from_triples(&triples, profile)
+        .eval_jucq(&q)
+        .expect_err("no scan of this query fits in one and a half batches");
+    match err {
+        EngineError::MemoryBudgetExceeded { tuples, .. } => {
+            assert_eq!(tuples, 2 * BATCH_ROWS, "found at the second batch")
         }
+        other => panic!("expected a budget breach, got {other:?}"),
     }
 }
 
@@ -306,17 +294,57 @@ fn budget_breach_inside_a_filtered_scan_batch_aborts_the_query() {
     let unlimited = Store::from_triples(&triples, EngineProfile::pg_like()).eval_jucq(&q).unwrap();
     assert!(unlimited.counters.sip_drops > 0, "{:?}", unlimited.counters);
     assert_eq!(sorted_rows(&unlimited.relation), naive_answers(&data, &q));
-    for threads in [1usize, 4] {
-        let profile = EngineProfile::pg_like().with_parallelism(threads).with_memory_budget(budget);
-        let err = Store::from_triples(&triples, profile)
-            .eval_jucq(&q)
-            .expect_err("four fifths of two batches exceed one and a half");
-        match err {
-            EngineError::MemoryBudgetExceeded { tuples, .. } => assert!(
-                tuples > budget && tuples < 2 * BATCH_ROWS,
-                "threads={threads}: {tuples} rows held at the second batch"
-            ),
-            other => panic!("threads={threads}: expected a budget breach, got {other:?}"),
+    let profile = EngineProfile::pg_like().with_memory_budget(budget);
+    let err = Store::from_triples(&triples, profile)
+        .eval_jucq(&q)
+        .expect_err("four fifths of two batches exceed one and a half");
+    match err {
+        EngineError::MemoryBudgetExceeded { tuples, .. } => assert!(
+            tuples > budget && tuples < 2 * BATCH_ROWS,
+            "{tuples} rows held at the second batch"
+        ),
+        other => panic!("expected a budget breach, got {other:?}"),
+    }
+}
+
+/// The plan-wide shared scans are all held until the query completes,
+/// so the memory budget is charged with their sum, not one at a time:
+/// two shared extents of 600 and 700 rows each fit a 1 000-tuple budget
+/// on their own, yet the query fails when the second is materialized.
+/// Range collapse is off so the two leaf predicates stay two plain
+/// shared scans rather than one interval.
+#[test]
+fn shared_scans_share_one_budget() {
+    let mut data = Vec::new();
+    data.extend((0..600).map(|i| (i, 20, 5000 + i)));
+    data.extend((0..700).map(|i| (i, 21, 5000 + i)));
+    // Probe predicates with larger extents, so the p20/p21 atoms lead.
+    data.extend((0..2000).map(|i| (5000 + i % 10, 22, i)));
+    data.extend((0..2000).map(|i| (5000 + i % 10, 23, i)));
+    let triples = triples(&data);
+    let member = |leaf: u32, probe: u32| {
+        StoreCq::with_var_head(
+            vec![StorePattern::new(v(0), c(leaf), v(1)), StorePattern::new(v(1), c(probe), v(2))],
+            vec![0, 2],
+        )
+    };
+    let members = vec![member(20, 22), member(20, 23), member(21, 22), member(21, 23)];
+    let q = StoreJucq::from_ucq(StoreUcq::new(members, vec![0, 2]));
+    let base = EngineProfile::pg_like().with_range_scans(false);
+
+    let store = Store::from_triples(&triples, base.clone());
+    let plan = store.plan_jucq(&q).unwrap();
+    let extents: Vec<usize> =
+        plan.shared.iter().map(|d| data.iter().filter(|t| c(t.1) == d.pattern.p).count()).collect();
+    assert_eq!(extents, vec![600, 700], "two shared scans: {:?}", plan.shared);
+    let answers = store.eval_plan(&plan).unwrap().relation;
+    assert_eq!(sorted_rows(&answers), naive_answers(&data, &q));
+
+    let store = Store::from_triples(&triples, base.with_memory_budget(1000));
+    match store.eval_jucq(&q) {
+        Err(EngineError::MemoryBudgetExceeded { tuples, budget }) => {
+            assert_eq!((tuples, budget), (1300, 1000), "charged with the sum of both extents")
         }
+        other => panic!("expected a budget breach, got {other:?}"),
     }
 }

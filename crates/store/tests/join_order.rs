@@ -1,8 +1,8 @@
 //! The fragment join order, end to end. Three JUCQ shapes — the
 //! "two memberships sharing a 10-value variable plus one selective edge"
 //! cycle of LUBM Q28 under SCQ, a chain and a star — are planned and run
-//! under every fragment join algorithm and 1/2/8 worker threads. Answers are held to the naive evaluator of
-//! `common`; on the membership shape the join counter must stay near
+//! under every fragment join algorithm. Answers are held to the naive
+//! evaluator of `common`; on the membership shape the join counter must stay near
 //! the inputs, where joining the two memberships first produces the
 //! square of their extent over the shared variable's ten values.
 
@@ -84,8 +84,8 @@ fn star_query() -> StoreJucq {
     )
 }
 
-fn profile(join: JoinAlgo, threads: usize) -> EngineProfile {
-    EngineProfile::pg_like().with_fragment_join(join).with_parallelism(threads)
+fn profile(join: JoinAlgo) -> EngineProfile {
+    EngineProfile::pg_like().with_fragment_join(join)
 }
 
 const JOINS: [JoinAlgo; 3] = [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop];
@@ -96,8 +96,7 @@ fn join_order_of(store: &Store, q: &StoreJucq) -> Vec<usize> {
     plan.join_order.iter().map(|s| s.fragment).collect()
 }
 
-/// Every shape × join algorithm × 1/2/8 threads returns the naive
-/// answer, with counters that do not depend on the threads.
+/// Every shape × join algorithm returns the naive answer.
 #[test]
 fn every_configuration_returns_the_naive_answer() {
     let membership = membership_data();
@@ -112,16 +111,11 @@ fn every_configuration_returns_the_naive_answer() {
         assert!(!expect.is_empty(), "{name}: the fixture has answers");
         let triples = triples(data);
         for join in JOINS {
-            let mut sequential = None;
-            for threads in [1usize, 2, 8] {
-                let label = format!("{name} {join:?} threads={threads}");
-                let out = Store::from_triples(&triples, profile(join, threads))
-                    .eval_jucq(&q)
-                    .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                assert_eq!(sorted_rows(&out.relation), expect, "{label}");
-                let reference = *sequential.get_or_insert(out.counters);
-                assert_eq!(out.counters, reference, "{label}: counters depend on threads");
-            }
+            let label = format!("{name} {join:?}");
+            let out = Store::from_triples(&triples, profile(join))
+                .eval_jucq(&q)
+                .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+            assert_eq!(sorted_rows(&out.relation), expect, "{label}");
         }
     }
 }
@@ -142,7 +136,7 @@ fn membership_shape_never_joins_the_square() {
     assert!(square > 20 * bound, "the fixture separates the two orders: {square} vs {bound}");
     let triples = triples(&data);
     for join in JOINS {
-        let store = Store::from_triples(&triples, profile(join, 1));
+        let store = Store::from_triples(&triples, profile(join));
         assert_eq!(join_order_of(&store, &q), vec![0, 1, 2], "{join:?}");
         let joined = store.eval_jucq(&q).unwrap().counters.tuples_joined;
         assert!(joined <= bound, "{join:?}: joined {joined} > {bound}");

@@ -2,9 +2,8 @@
 //! in join order. Three plan shapes that once took other paths — a
 //! single fragment, a join whose only step is a cartesian product (no
 //! key, so no SIP filter), and a fragment served from the view catalog —
-//! run through it at 1/2/8 worker threads. Each answers what the naive
-//! evaluator of `common` does, with counters that do not depend on the
-//! thread count.
+//! run through it. Each answers what the naive evaluator of `common`
+//! does.
 
 mod common;
 
@@ -15,7 +14,7 @@ use jucq_store::{
 };
 
 /// Four predicates over a few hundred subjects, so every union member
-/// has rows and the two-member unions fan out across workers.
+/// has rows.
 fn sample_data() -> Vec<Spo> {
     let mut data = Vec::new();
     for i in 0..300 {
@@ -61,18 +60,15 @@ fn view_served() -> StoreJucq {
     StoreJucq::new(vec![union2(0, 10, 11, 1), attribute], vec![0, 1, 2])
 }
 
-/// Answer `q` at `threads` workers, the fragments the catalog holds
-/// served from it.
+/// Answer `q`, the fragments the catalog holds served from it.
 fn run(
     store: &Store,
     q: &StoreJucq,
     catalog: &ViewCatalog,
-    threads: usize,
 ) -> (Vec<Vec<jucq_model::TermId>>, Counters) {
     let plan = store.plan_jucq_views(q, Some(catalog)).expect("admitted");
-    let limits = store.profile().clone().with_parallelism(threads);
     let views = ViewSource { catalog, epoch: 0 };
-    let (out, _) = store.eval_plan_views(&plan, false, Some(&limits), Some(&views)).unwrap();
+    let (out, _) = store.eval_plan_views(&plan, false, None, Some(&views)).unwrap();
     (sorted_rows(&out.relation), out.counters)
 }
 
@@ -103,18 +99,13 @@ fn every_plan_shape_runs_through_the_one_driver() {
     for (name, q, catalog) in cases {
         let expect = naive_answers(&data, &q);
         assert!(!expect.is_empty(), "{name}: the fixture has answers");
-        let (rows, sequential) = run(&store, &q, catalog, 1);
+        let (rows, counters) = run(&store, &q, catalog);
         assert_eq!(rows, expect, "{name}");
-        for threads in [2, 8] {
-            let (rows, counters) = run(&store, &q, catalog, threads);
-            assert_eq!(rows, expect, "{name} threads={threads}");
-            assert_eq!(counters, sequential, "{name} threads={threads}: counters differ");
-        }
         match name {
             // No join, so nothing is materialized for one.
-            "single fragment" => assert_eq!(sequential.tuples_materialized, 0, "{sequential:?}"),
-            "view-served fragment" => assert_eq!(sequential.view_hits, 1, "{sequential:?}"),
-            _ => assert_eq!(sequential.sip_probes, 0, "{sequential:?}"),
+            "single fragment" => assert_eq!(counters.tuples_materialized, 0, "{counters:?}"),
+            "view-served fragment" => assert_eq!(counters.view_hits, 1, "{counters:?}"),
+            _ => assert_eq!(counters.sip_probes, 0, "{counters:?}"),
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Order-aware execution differential matrix: sort elision, galloping
 //! seeks and zero-copy scan borrows must be pure performance features.
-//! Across both fragment-join algorithms, every engine profile and 1/8
-//! worker threads, the answer set equals the naive evaluator's of
-//! `common`, and on the right fixture the ordering counters are provably
-//! live.
+//! Across both fragment-join algorithms and every engine profile, the
+//! answer set equals the naive evaluator's of `common`, and on the right
+//! fixture the ordering counters are provably live.
 
 mod common;
 
@@ -70,10 +69,9 @@ fn skewed_query() -> StoreJucq {
     StoreJucq::new(vec![big, small], vec![0, 1, 2])
 }
 
-/// Every (profile, join, threads) cell answers what the naive
-/// evaluator does.
+/// Every (profile, join) cell answers what the naive evaluator does.
 #[test]
-fn every_preset_join_and_thread_count_matches_naive() {
+fn every_preset_and_join_matches_naive() {
     let data = sample_data();
     let triples = triples(&data);
     for (qname, q) in [("chain", chain_query()), ("skewed", skewed_query())] {
@@ -87,14 +85,12 @@ fn every_preset_join_and_thread_count_matches_naive() {
         ];
         for base in bases {
             for join in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                for threads in [1usize, 8] {
-                    let profile = base().with_fragment_join(join).with_parallelism(threads);
-                    let label = format!("{qname} {} join={join:?} threads={threads}", profile.name);
-                    let out = Store::from_triples(&triples, profile)
-                        .eval_jucq(&q)
-                        .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                    assert_eq!(sorted_rows(&out.relation), expect, "{label}");
-                }
+                let profile = base().with_fragment_join(join);
+                let label = format!("{qname} {} join={join:?}", profile.name);
+                let out = Store::from_triples(&triples, profile)
+                    .eval_jucq(&q)
+                    .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+                assert_eq!(sorted_rows(&out.relation), expect, "{label}");
             }
         }
     }

@@ -1,9 +1,9 @@
 //! Repeated-variable patterns (`?x p ?x`) across the whole execution
-//! matrix: every engine profile, every fragment-join algorithm and
-//! parallelism 1/2/8. A repeated variable constrains a private scan (the
-//! planner inserts a `Filter` node over it) and a scan both fragments
-//! share (`?0 10 ?0` leads fragment B's member too); every configuration
-//! must produce the brute-force set-semantics answer.
+//! matrix: every engine profile and every fragment-join algorithm. A
+//! repeated variable constrains a private scan (the planner inserts a
+//! `Filter` node over it) and a scan both fragments share (`?0 10 ?0`
+//! leads fragment B's member too); every configuration must produce the
+//! brute-force set-semantics answer.
 
 use jucq_model::term::TermKind;
 use jucq_model::{TermId, TripleId};
@@ -110,15 +110,13 @@ fn repeated_vars_agree_across_the_full_execution_matrix() {
     let algos = [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop];
     for base in bases {
         for algo in algos {
-            for threads in [1usize, 2, 8] {
-                let profile = base().with_fragment_join(algo).with_parallelism(threads);
-                let label = format!("{} algo={algo:?} threads={threads}", profile.name);
-                let store = Store::from_triples(&data, profile);
-                let out = store
-                    .eval_jucq(&query())
-                    .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
-                assert_eq!(sorted_rows(&out.relation), expected, "{label}");
-            }
+            let profile = base().with_fragment_join(algo);
+            let label = format!("{} algo={algo:?}", profile.name);
+            let store = Store::from_triples(&data, profile);
+            let out = store
+                .eval_jucq(&query())
+                .unwrap_or_else(|e| panic!("{label}: evaluation failed: {e}"));
+            assert_eq!(sorted_rows(&out.relation), expected, "{label}");
         }
     }
 }
@@ -140,14 +138,11 @@ fn all_three_join_algorithms_agree_on_counters_free_answers() {
     // repeated-variable query even though their counters differ.
     let data = sample_triples();
     let reference = {
-        let store = Store::from_triples(&data, EngineProfile::pg_like().with_parallelism(1));
+        let store = Store::from_triples(&data, EngineProfile::pg_like());
         sorted_rows(&store.eval_jucq(&query()).unwrap().relation)
     };
     for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop] {
-        let store = Store::from_triples(
-            &data,
-            EngineProfile::pg_like().with_fragment_join(algo).with_parallelism(1),
-        );
+        let store = Store::from_triples(&data, EngineProfile::pg_like().with_fragment_join(algo));
         assert_eq!(
             sorted_rows(&store.eval_jucq(&query()).unwrap().relation),
             reference,

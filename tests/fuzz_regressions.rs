@@ -1,7 +1,7 @@
 //! Minimized reproducers for bugs the differential fuzzer surfaced (or
 //! would have surfaced had the harness existed when they were written).
 //! Each test is a shrunk case in the `jucq_qa` spec format; the oracle
-//! re-runs the full strategy × parallelism × profile matrix on it.
+//! re-runs the full strategy × profile matrix on it.
 
 /// Zero-atom queries used to diverge: `Cover::singletons` accepts an
 /// empty fragment family while `Cover::single_fragment` rejects it, so

@@ -97,8 +97,11 @@ fn strategies() -> [Strategy; 4] {
 }
 
 fn profile(mysql: bool) -> EngineProfile {
-    let p = if mysql { EngineProfile::mysql_like() } else { EngineProfile::pg_like() };
-    p.with_parallelism(1)
+    if mysql {
+        EngineProfile::mysql_like()
+    } else {
+        EngineProfile::pg_like()
+    }
 }
 
 enum Step {
