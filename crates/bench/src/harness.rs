@@ -6,7 +6,7 @@ use jucq_core::{AnswerError, RdfDatabase, Strategy};
 use jucq_datagen::{dblp, lubm, NamedQuery};
 use jucq_optimizer::calibrate;
 use jucq_reformulation::BgpQuery;
-use jucq_store::{EngineError, EngineProfile};
+use jucq_store::EngineProfile;
 
 /// Default per-query engine deadline for experiments (the paper kills
 /// runs after two hours; we scale that down with the data).
@@ -55,7 +55,8 @@ pub fn lubm_db(universities: usize, profile: EngineProfile) -> RdfDatabase {
     let graph = lubm::generate(&lubm::LubmConfig::new(universities));
     let mut db = RdfDatabase::from_graph(graph, profile.with_timeout(EXPERIMENT_TIMEOUT));
     db.prepare();
-    let constants = calibrate(db.plain_store());
+    // Pin what `prepare` calibrated, so re-preparation keeps it.
+    let constants = db.cost_constants();
     db.set_cost_constants(constants);
     db
 }
@@ -65,7 +66,8 @@ pub fn dblp_db(authors: usize, profile: EngineProfile) -> RdfDatabase {
     let graph = dblp::generate(&dblp::DblpConfig::new(authors));
     let mut db = RdfDatabase::from_graph(graph, profile.with_timeout(EXPERIMENT_TIMEOUT));
     db.prepare();
-    let constants = calibrate(db.plain_store());
+    // Pin what `prepare` calibrated, so re-preparation keeps it.
+    let constants = db.cost_constants();
     db.set_cost_constants(constants);
     db
 }
@@ -242,11 +244,6 @@ pub fn render_table(title: &str, header: &[String], rows: &[Vec<String>]) -> Str
         out.push('\n');
     }
     out
-}
-
-/// True when a failed cell corresponds to a union-size rejection.
-pub fn is_union_failure(e: &EngineError) -> bool {
-    matches!(e, EngineError::UnionTooLarge { .. })
 }
 
 #[cfg(test)]

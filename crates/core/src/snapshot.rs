@@ -4,8 +4,7 @@
 //! (A file on disk; the in-memory, epoch-stamped state queries are
 //! answered against is [`crate::epoch::Snapshot`].)
 //!
-//! The format is a simple length-prefixed little-endian layout
-//! (built with the `bytes` crate):
+//! The format is a simple length-prefixed little-endian layout:
 //!
 //! ```text
 //! magic  "JUCQSNAP"            8 bytes
@@ -21,8 +20,6 @@
 //! typed [`SnapshotError`], never a panic.
 
 use std::fmt;
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use jucq_model::term::TermKind;
 use jucq_model::{Dictionary, Graph, Schema, Term, TermId, TripleId};
@@ -68,22 +65,26 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Serialize a graph to the snapshot format.
-pub fn save(graph: &Graph) -> Bytes {
+pub fn save(graph: &Graph) -> Vec<u8> {
     let dict = graph.dict();
-    let mut buf = BytesMut::with_capacity(64 + graph.len() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
+    let mut buf = Vec::with_capacity(64 + graph.len() * 12);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
 
     // Dictionary sections, per kind, in dense id order.
     for kind in [TermKind::Uri, TermKind::Literal, TermKind::Blank] {
         let count = dict.kind_len(kind);
-        buf.put_u32_le(count as u32);
+        put_u32(&mut buf, count as u32);
         for idx in 0..count as u32 {
             put_str(&mut buf, dict.lexical(TermId::new(kind, idx)));
         }
@@ -92,21 +93,21 @@ pub fn save(graph: &Graph) -> Bytes {
     // Schema sections.
     let schema = graph.schema();
     for list in [&schema.subclass, &schema.subproperty, &schema.domain, &schema.range] {
-        buf.put_u32_le(list.len() as u32);
+        put_u32(&mut buf, list.len() as u32);
         for &(a, b) in list.iter() {
-            buf.put_u32_le(a.raw());
-            buf.put_u32_le(b.raw());
+            put_u32(&mut buf, a.raw());
+            put_u32(&mut buf, b.raw());
         }
     }
 
     // Data triples.
-    buf.put_u64_le(graph.data().len() as u64);
+    buf.extend_from_slice(&(graph.data().len() as u64).to_le_bytes());
     for t in graph.data() {
-        buf.put_u32_le(t.s.raw());
-        buf.put_u32_le(t.p.raw());
-        buf.put_u32_le(t.o.raw());
+        put_u32(&mut buf, t.s.raw());
+        put_u32(&mut buf, t.p.raw());
+        put_u32(&mut buf, t.o.raw());
     }
-    buf.freeze()
+    buf
 }
 
 fn get_slice<'a>(
@@ -122,12 +123,20 @@ fn get_slice<'a>(
     Ok(head)
 }
 
+/// Reads the next `N` bytes as an array, for `from_le_bytes`.
+fn get_array<const N: usize>(
+    buf: &mut &[u8],
+    what: &'static str,
+) -> Result<[u8; N], SnapshotError> {
+    Ok(get_slice(buf, N, what)?.try_into().expect("get_slice returns N bytes"))
+}
+
 fn get_u32(buf: &mut &[u8], what: &'static str) -> Result<u32, SnapshotError> {
-    Ok(get_slice(buf, 4, what)?.get_u32_le())
+    get_array(buf, what).map(u32::from_le_bytes)
 }
 
 fn get_u64(buf: &mut &[u8], what: &'static str) -> Result<u64, SnapshotError> {
-    Ok(get_slice(buf, 8, what)?.get_u64_le())
+    get_array(buf, what).map(u64::from_le_bytes)
 }
 
 fn get_str<'a>(buf: &mut &'a [u8], what: &'static str) -> Result<&'a str, SnapshotError> {
@@ -143,7 +152,7 @@ pub fn load(data: &[u8]) -> Result<Graph, SnapshotError> {
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = get_slice(&mut buf, 2, "version")?.get_u16_le();
+    let version = u16::from_le_bytes(get_array(&mut buf, "version")?);
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
@@ -262,7 +271,7 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut bytes = save(&sample()).to_vec();
+        let mut bytes = save(&sample());
         bytes[8] = 0xFF;
         bytes[9] = 0xFF;
         assert_eq!(load(&bytes).err(), Some(SnapshotError::UnsupportedVersion(0xFFFF)));
@@ -296,5 +305,23 @@ mod tests {
         ));
         let g2 = load(&save(&g)).unwrap();
         assert!(g2.rdf_type_id().is_some());
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Pins the byte layout, not just the round trip: a snapshot written
+    /// by any earlier build of format version 1 must load in this one.
+    #[test]
+    fn sample_layout_is_pinned() {
+        let bytes = save(&sample());
+        // Magic, version 1, then six URIs; the first is 23 bytes long.
+        assert_eq!(&bytes[..18], b"JUCQSNAP\x01\x00\x06\x00\x00\x00\x17\x00\x00\x00");
+        assert_eq!(bytes.len(), 325);
+        assert_eq!(fnv1a(&bytes), 0x6a6f_07d6_5e55_e78c);
     }
 }

@@ -14,13 +14,11 @@
 //! 5. `dom(p)=C ∧ C ⊑꜀ C′ ⟹ dom(p)=C′`  (domain widening)
 //! 6. `rng(p)=C ∧ C ⊑꜀ C′ ⟹ rng(p)=C′`  (range widening)
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::triple::TermId;
 
 /// The declared (direct) RDFS constraints of an RDF database.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// `(C, C')` for each declared `C rdfs:subClassOf C'`.
     pub subclass: Vec<(TermId, TermId)>,

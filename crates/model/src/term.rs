@@ -3,12 +3,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// The three syntactic categories of RDF values (Section 2.1 of the
 /// paper: "uniform resource identifiers (URIs), typed or un-typed
 /// literals (constants) and blank nodes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TermKind {
     /// A resource identifier, e.g. `http://example.org/Book`.
     Uri,
@@ -25,7 +23,7 @@ pub enum TermKind {
 /// The lexeme is a shared handle: cloning a term, interning it and
 /// decoding it again (see [`crate::Dictionary`]) bump a reference count
 /// and copy no bytes.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// A URI reference.
     Uri(Arc<str>),

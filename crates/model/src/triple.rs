@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::term::TermKind;
 
 /// A compact, kind-tagged identifier for a dictionary-encoded [`crate::Term`].
@@ -13,7 +11,7 @@ use crate::term::TermKind;
 /// allows ~1 billion distinct values per kind, far beyond the scales the
 /// paper's experiments (≤ 100M triples) require, in half the footprint
 /// of a `u64`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(u32);
 
 const KIND_SHIFT: u32 = 30;
@@ -95,7 +93,7 @@ impl fmt::Debug for TermId {
 
 /// A dictionary-encoded triple `(s, p, o)` — one row of the
 /// `Triples(s,p,o)` table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TripleId {
     /// Subject.
     pub s: TermId,
@@ -119,7 +117,7 @@ impl TripleId {
 
 /// A decoded triple of owned [`crate::Term`]s; the human-readable twin of
 /// [`TripleId`], used at the parsing/printing edges.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Triple {
     /// Subject.
     pub s: crate::Term,

@@ -79,14 +79,6 @@ impl Value {
         }
     }
 
-    /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// True for `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

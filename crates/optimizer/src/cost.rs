@@ -33,12 +33,11 @@ use jucq_store::{
     collapsible_runs, EstScratch, FragmentSummary, Statistics, StoreCq, StoreJucq, StorePattern,
     StoreUcq, TripleTable, ViewCatalog, ViewSignature,
 };
-use serde::{Deserialize, Serialize};
 
 /// The system-dependent constants of the model, "which we determine by
 /// running a set of simple calibration queries on the RDBMS being used"
 /// (§4.1). Units: seconds (per tuple where applicable).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Fixed overhead of connecting to the engine (`c_db`).
     pub c_db: f64,
@@ -60,34 +59,12 @@ pub struct CostConstants {
     /// single index range scan, skipping the per-member lookup setup and
     /// union-dedup pressure that `c_t + c_j` prices. Term ids never
     /// remap, so an interval priced here is the one the planner scans.
-    /// Defaulted on deserialization so constants documents written
-    /// before range collapse existed still load.
-    #[serde(default = "default_c_range")]
     pub c_range: f64,
     /// Per-tuple cost of copying one tuple out of a materialized
     /// fragment view (`c_view`): a view-backed fragment skips member
     /// scans, joins and union dedup entirely — its price is a single
-    /// sequential copy of the stored result. Defaulted on
-    /// deserialization so constants documents written before the view
-    /// catalog existed still load.
-    #[serde(default = "default_c_view")]
+    /// sequential copy of the stored result.
     pub c_view: f64,
-}
-
-/// `c_range` for constants documents serialized before the range-scan
-/// collapse existed (and the [`Default`] value): a quarter of the
-/// default `c_t + c_j` — a streamed interval tuple skips the member's
-/// own scan setup and join bookkeeping.
-fn default_c_range() -> f64 {
-    2.5e-8
-}
-
-/// `c_view` for constants documents serialized before the view catalog
-/// existed (and the [`Default`] value): below even `c_range` — a view
-/// tuple is a plain copy of an already-deduplicated stored row, with no
-/// index traversal at all.
-fn default_c_view() -> f64 {
-    1.5e-8
 }
 
 impl Default for CostConstants {
@@ -101,14 +78,18 @@ impl Default for CostConstants {
             c_l: 8e-8,
             c_k: 2e-8,
             sort_threshold: 5e6,
-            c_range: default_c_range(),
-            c_view: default_c_view(),
+            // A quarter of `c_t + c_j`: a streamed interval tuple skips
+            // the member's own scan setup and join bookkeeping.
+            c_range: 2.5e-8,
+            // Below even `c_range`: a view tuple is a plain copy of an
+            // already-deduplicated stored row, with no index traversal.
+            c_view: 1.5e-8,
         }
     }
 }
 
 /// How `c_eval(CQ)` measures a member CQ's evaluation input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalModel {
     /// Equation 2 verbatim: every atom's full extent is scanned —
     /// faithful to the paper's RDBMS plans, which scan each union arm's

@@ -9,13 +9,12 @@
 //! replaced by them upstream.
 
 use jucq_store::{PatternTerm, StoreCq, StorePattern, VarId};
-use serde::{Deserialize, Serialize};
 
 use crate::cover::CoverError;
 
 /// A BGP query: distinguished variables + triple-pattern body, with an
 /// optional answer limit (SPARQL `LIMIT`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BgpQuery {
     /// The distinguished (answer) variables `x̄`.
     pub head: Vec<VarId>,

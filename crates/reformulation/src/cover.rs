@@ -16,43 +16,14 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bgp::{bits, AtomMask, AtomMasks, BgpQuery, VarMask};
 
 /// A cover: a set of fragments, each an [`AtomMask`], kept sorted (by
 /// their atom-index sequences, lexicographically) and distinct — the
 /// canonical form covers are compared, hashed and iterated in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(try_from = "CoverRepr", into = "CoverRepr")]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cover {
     fragments: Vec<AtomMask>,
-}
-
-/// The serialized form of a [`Cover`]: its fragments as sorted index
-/// lists, in canonical order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CoverRepr {
-    /// The fragments.
-    pub fragments: Vec<Vec<usize>>,
-}
-
-impl From<Cover> for CoverRepr {
-    fn from(cover: Cover) -> Self {
-        CoverRepr { fragments: cover.fragments() }
-    }
-}
-
-impl TryFrom<CoverRepr> for Cover {
-    type Error = CoverError;
-
-    /// Rebuilds the fragment set; validity against a query is the
-    /// deserializing caller's to re-establish with [`Cover::new`].
-    fn try_from(repr: CoverRepr) -> Result<Self, CoverError> {
-        let fragments: Result<Vec<AtomMask>, _> =
-            repr.fragments.iter().map(|f| index_mask(f, AtomMask::BITS as usize)).collect();
-        Ok(Cover { fragments: canonical(fragments?) })
-    }
 }
 
 /// Why a candidate cover is invalid for a query.

@@ -32,7 +32,7 @@ pub mod saturation;
 
 pub use bgp::{bits, AtomMask, AtomMasks, BgpQuery, VarMask};
 pub use containment::{is_contained, minimize_ucq};
-pub use cover::{Cover, CoverError, CoverRepr};
+pub use cover::{Cover, CoverError};
 pub use incremental::IncrementalSaturation;
 pub use jucq::{jucq_for_cover, scq_reformulation, ucq_reformulation};
 pub use reformulate::{reformulate, reformulate_memoized, AtomMemo, ReformulationEnv};

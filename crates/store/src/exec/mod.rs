@@ -25,7 +25,6 @@ pub mod sip;
 pub mod union;
 
 use std::fmt::{self, Write as _};
-use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 use crate::error::EngineError;
@@ -83,44 +82,6 @@ pub struct Counters {
     /// operator's previous lookup started: the key went backwards and a
     /// part of the index was bisected again.
     pub probe_reseeks: u64,
-}
-
-impl AddAssign for Counters {
-    /// Add every counter of `other`. The destructuring is exhaustive, so
-    /// a counter added to the struct but not summed here fails to
-    /// compile instead of silently dropping out of a total.
-    fn add_assign(&mut self, other: Counters) {
-        let Counters {
-            tuples_scanned,
-            tuples_joined,
-            tuples_materialized,
-            tuples_deduped,
-            sip_probes,
-            sip_drops,
-            range_scans,
-            view_hits,
-            sorts_elided,
-            gallop_seeks,
-            scan_rows_borrowed,
-            rows_reserved,
-            index_probes,
-            probe_reseeks,
-        } = other;
-        self.tuples_scanned += tuples_scanned;
-        self.tuples_joined += tuples_joined;
-        self.tuples_materialized += tuples_materialized;
-        self.tuples_deduped += tuples_deduped;
-        self.sip_probes += sip_probes;
-        self.sip_drops += sip_drops;
-        self.range_scans += range_scans;
-        self.view_hits += view_hits;
-        self.sorts_elided += sorts_elided;
-        self.gallop_seeks += gallop_seeks;
-        self.scan_rows_borrowed += scan_rows_borrowed;
-        self.rows_reserved += rows_reserved;
-        self.index_probes += index_probes;
-        self.probe_reseeks += probe_reseeks;
-    }
 }
 
 /// Per-filter test/drop totals of one sideways-information-passing
@@ -467,45 +428,5 @@ mod tests {
         assert_eq!(stats[1].stages, vec![(SipStage::BeforeProbe(1), 1)]);
         assert_eq!(stats[1].label, "fragment[2].sip_filter");
         assert!(ctx.take_sip_stats().is_empty(), "take drains the stats");
-    }
-
-    #[test]
-    fn counters_add_every_field() {
-        // Distinct values: a field summed into the wrong one shows.
-        let one = Counters {
-            tuples_scanned: 1,
-            tuples_joined: 2,
-            tuples_materialized: 3,
-            tuples_deduped: 4,
-            sip_probes: 5,
-            sip_drops: 6,
-            range_scans: 7,
-            view_hits: 8,
-            sorts_elided: 9,
-            gallop_seeks: 10,
-            scan_rows_borrowed: 11,
-            rows_reserved: 12,
-            index_probes: 13,
-            probe_reseeks: 14,
-        };
-        let mut sum = one;
-        sum += one;
-        let want = Counters {
-            tuples_scanned: 2,
-            tuples_joined: 4,
-            tuples_materialized: 6,
-            tuples_deduped: 8,
-            sip_probes: 10,
-            sip_drops: 12,
-            range_scans: 14,
-            view_hits: 16,
-            sorts_elided: 18,
-            gallop_seeks: 20,
-            scan_rows_borrowed: 22,
-            rows_reserved: 24,
-            index_probes: 26,
-            probe_reseeks: 28,
-        };
-        assert_eq!(sum, want);
     }
 }

@@ -12,7 +12,6 @@
 use std::fmt;
 
 use jucq_model::TermId;
-use serde::{Deserialize, Serialize};
 
 /// A query variable, dense within one [`StoreJucq`].
 pub type VarId = u16;
@@ -79,7 +78,7 @@ impl<'a> IntoIterator for &'a PatternVars {
 }
 
 /// One position of a triple pattern: a constant or a variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PatternTerm {
     /// A dictionary-encoded constant.
     Const(TermId),
@@ -115,7 +114,7 @@ impl fmt::Display for PatternTerm {
 }
 
 /// A triple pattern over the `Triples(s,p,o)` table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StorePattern {
     /// Subject position.
     pub s: PatternTerm,
@@ -174,7 +173,7 @@ impl fmt::Display for StorePattern {
 /// reformulation rules substitute a head variable by a class/property
 /// (paper Example 4 item (1): `q(x, Book):- x rdf:type Book`), so a
 /// member of a reformulated union can output a constant column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreCq {
     /// The body patterns (joined on shared variables).
     pub patterns: Vec<StorePattern>,
@@ -225,7 +224,7 @@ impl StoreCq {
 }
 
 /// A union of conjunctive queries; all members share the same head.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreUcq {
     /// The union members.
     pub cqs: Vec<StoreCq>,
@@ -260,7 +259,7 @@ impl StoreUcq {
 
 /// A join of UCQ fragments projected onto `head` — the engine-level form
 /// of a JUCQ reformulation (Definition 3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreJucq {
     /// The fragments, joined pairwise on shared head variables.
     pub fragments: Vec<StoreUcq>,

@@ -11,10 +11,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// The join algorithm used when combining materialized fragment results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgo {
     /// Build a hash table on the smaller input, probe with the larger.
     Hash,
@@ -27,7 +25,7 @@ pub enum JoinAlgo {
 }
 
 /// Behavioural knobs emulating one RDBMS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineProfile {
     /// Human-readable name used in reports (e.g. `pg-like`).
     pub name: String,
@@ -55,15 +53,7 @@ pub struct EngineProfile {
     /// a hierarchy-aware re-encoding of the ids did, and turning it off
     /// makes `lubm4_matrix` a third slower (DESIGN.md §4g). Disable to
     /// measure the pure-UCQ baseline.
-    #[serde(default = "default_range_scans")]
     pub range_scans: bool,
-}
-
-// Referenced by the `#[serde(default)]` attribute, which only expands
-// when the real serde crate replaces the offline shim.
-#[allow(dead_code)]
-fn default_range_scans() -> bool {
-    true
 }
 
 impl EngineProfile {

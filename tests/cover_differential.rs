@@ -19,7 +19,7 @@ use jucq_model::term::TermKind;
 use jucq_model::TermId;
 use jucq_qa::gen::gen_query_sized;
 use jucq_qa::{QTerm, QuerySpec};
-use jucq_reformulation::{bits, AtomMask, BgpQuery, Cover, CoverError, CoverRepr};
+use jucq_reformulation::{bits, AtomMask, BgpQuery, Cover, CoverError};
 use jucq_store::{PatternTerm, StorePattern, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -368,10 +368,6 @@ fn assert_same_cover(q: &BgpQuery, ours: &Cover, theirs: &SetCover) {
         theirs.prune_redundant_by(q, tied_cost).fragments(),
         "pruning {ours}"
     );
-    // The serialized form and back.
-    let repr = CoverRepr::from(ours.clone());
-    assert_eq!(repr.fragments, theirs.fragments());
-    assert_eq!(Cover::try_from(repr).as_ref(), Ok(ours));
     // The plan cache translates a cover through a canonical atom
     // permutation by rebuilding it from its fragment lists.
     assert_eq!(Cover::new(q, ours.fragments()).as_ref(), Ok(ours));
