@@ -1,7 +1,7 @@
 //! The workload-driven view advisor: turn a structured query log into
 //! a set of cover fragments worth materializing.
 //!
-//! The query log (`jucq-log/4`, see [`jucq_obs::record`]) profiles
+//! The query log (`jucq-log/5`, see [`jucq_obs::record`]) profiles
 //! every answered query per plan node, so for each executed fragment we
 //! know both its measured evaluation time (`fragment[i].union`
 //! inclusive wall time) and its measured result size (the node's actual

@@ -1272,7 +1272,7 @@ pub(crate) mod tests {
         let mut rec = db.answer_recorded(&q, &Strategy::Ucq).1.unwrap();
         rec.strategy = "Range".into();
         let line = rec.to_json_line();
-        assert!(line.contains("\"jucq-log/4\""), "{line}");
+        assert!(line.contains("\"jucq-log/5\""), "{line}");
         let parsed = jucq_obs::QueryRecord::from_json_line(&line).unwrap();
         let report = crate::telemetry::replay(&mut db, &[parsed]);
         assert_eq!(report.replay_errors, 1, "{:?}", report.entries);

@@ -281,10 +281,10 @@ impl Snapshot {
     }
 
     /// Answer, profiled, and also build — but do not submit — the
-    /// query-log record. [`Snapshot::answer`] submits it when a sink is
-    /// installed, the server submits every served request's, and the
-    /// replay harness ([`crate::telemetry::replay`]) compares records
-    /// instead of logging them. `None` only for the empty-body
+    /// query-log record. [`Snapshot::answer_with_limits`] (and so
+    /// [`Snapshot::answer`] and the server) submits it when a sink is
+    /// installed, and the replay harness ([`crate::telemetry::replay`])
+    /// compares records instead of logging them. `None` only for the empty-body
     /// short-circuit, which has nothing to profile.
     pub fn answer_recorded(
         &self,
@@ -626,8 +626,6 @@ fn answer_on(
     jucq_obs::metrics::counter_add("exec.tuples_joined", c.tuples_joined);
     jucq_obs::metrics::counter_add("exec.tuples_materialized", c.tuples_materialized);
     jucq_obs::metrics::counter_add("exec.tuples_deduped", c.tuples_deduped);
-    jucq_obs::metrics::counter_add("exec.sorts_elided", c.sorts_elided);
-    jucq_obs::metrics::counter_add("exec.gallop_seeks", c.gallop_seeks);
     jucq_obs::metrics::counter_add("exec.scan_rows_borrowed", c.scan_rows_borrowed);
     jucq_obs::metrics::counter_add("exec.index_probes", c.index_probes);
     jucq_obs::metrics::counter_add("exec.probe_reseeks", c.probe_reseeks);

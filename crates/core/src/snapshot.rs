@@ -45,6 +45,9 @@ pub enum SnapshotError {
     BadString,
     /// A term id references a dictionary slot that does not exist.
     DanglingId(u32),
+    /// A dictionary entry repeats an earlier entry of the same kind, so
+    /// every later id of that kind would name another term.
+    RepeatedTerm,
 }
 
 impl fmt::Display for SnapshotError {
@@ -59,6 +62,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::DanglingId(raw) => {
                 write!(f, "snapshot references unknown term id {raw:#x}")
             }
+            SnapshotError::RepeatedTerm => write!(f, "snapshot dictionary repeats a term"),
         }
     }
 }
@@ -163,7 +167,9 @@ pub fn load(data: &[u8]) -> Result<Graph, SnapshotError> {
         for i in 0..count {
             let lex = get_str(&mut buf, "dictionary entry")?;
             let id = dict.encode(&Term::new(kind, lex.into()));
-            debug_assert_eq!(id.index() as usize, i, "dense id assignment");
+            if id.index() as usize != i {
+                return Err(SnapshotError::RepeatedTerm);
+            }
         }
     }
     let check = |raw: u32| -> Result<TermId, SnapshotError> {
@@ -187,8 +193,11 @@ pub fn load(data: &[u8]) -> Result<Graph, SnapshotError> {
         }
     }
 
-    let n = get_u64(&mut buf, "data count")? as usize;
-    let mut triples = Vec::with_capacity(n);
+    // The count is unchecked input: reserve no more triples than the
+    // bytes left can hold (12 each), so a corrupt count ends in
+    // `Truncated`, not in a failed allocation.
+    let n = get_u64(&mut buf, "data count")?;
+    let mut triples = Vec::with_capacity((n as usize).min(buf.len() / 12));
     for _ in 0..n {
         let s = check(get_u32(&mut buf, "triple")?)?;
         let p = check(get_u32(&mut buf, "triple")?)?;
@@ -284,6 +293,25 @@ mod tests {
             let r = load(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail");
         }
+    }
+
+    #[test]
+    fn corrupt_triple_count_is_truncation_not_an_abort() {
+        let g = sample();
+        let mut bytes = save(&g);
+        let at = bytes.len() - 12 * g.data().len() - 8;
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(load(&bytes).err(), Some(SnapshotError::Truncated { reading: "triple" }));
+    }
+
+    #[test]
+    fn repeated_dictionary_lexeme_is_rejected() {
+        let mut g = Graph::new();
+        crate::turtle::load(&mut g, "<http://x/a> <http://x/p> <http://x/b> .").unwrap();
+        let mut bytes = save(&g);
+        let at = bytes.windows(10).position(|w| w == b"http://x/b").expect("lexeme saved");
+        bytes[at..at + 10].copy_from_slice(b"http://x/a");
+        assert_eq!(load(&bytes).err(), Some(SnapshotError::RepeatedTerm));
     }
 
     #[test]

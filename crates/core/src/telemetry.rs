@@ -181,8 +181,6 @@ pub(crate) fn build_record(
         sip_drops: c.sip_drops,
         range_scans: c.range_scans,
         view_hits: c.view_hits,
-        sorts_elided: c.sorts_elided,
-        gallop_seeks: c.gallop_seeks,
     };
     rec.range_eligible = report.range_eligible as u64;
     rec.range_scans_used = c.range_scans;

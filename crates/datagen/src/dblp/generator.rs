@@ -27,12 +27,6 @@ impl DblpConfig {
     pub fn new(authors: usize) -> Self {
         DblpConfig { authors, seed: 0xdb19 }
     }
-
-    /// Approximate a configuration for at least `target` data triples
-    /// (one author yields roughly 32 triples).
-    pub fn for_triples(target: usize) -> Self {
-        Self::new(target.div_ceil(32).max(10))
-    }
 }
 
 struct V {

@@ -30,12 +30,6 @@ impl LubmConfig {
     pub fn new(universities: usize) -> Self {
         LubmConfig { universities, seed: 0x10b3 }
     }
-
-    /// Approximate a configuration producing at least `target` data
-    /// triples (one university yields roughly 55k).
-    pub fn for_triples(target: usize) -> Self {
-        Self::new(target.div_ceil(55_000).max(1))
-    }
 }
 
 /// Interned vocabulary handles, resolved once.
@@ -450,12 +444,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn for_triples_hits_target_order() {
-        let cfg = LubmConfig::for_triples(150_000);
-        let g = generate(&cfg);
-        assert!(g.len() >= 100_000, "requested ≥150k-ish, got {}", g.len());
     }
 }

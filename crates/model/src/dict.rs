@@ -196,20 +196,6 @@ impl Dictionary {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Mint a fresh blank node that is guaranteed not to collide with
-    /// any parsed label (used by saturation for existential values).
-    pub fn fresh_blank(&mut self) -> TermId {
-        let mut n = self.blanks.by_id.len();
-        loop {
-            let label = format!("jucq-fresh-{n}");
-            if self.blanks.ids.contains_key(label.as_str()) {
-                n += 1;
-                continue;
-            }
-            return self.encode_blank(&label);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,14 +322,5 @@ mod tests {
         d.reserve(1000);
         assert_eq!(d.lookup_uri("a"), Some(a));
         assert_eq!(d.encode_uri("a"), a, "reserve keeps interned ids");
-    }
-
-    #[test]
-    fn fresh_blank_avoids_collisions() {
-        let mut d = Dictionary::new();
-        d.encode_blank("jucq-fresh-0");
-        let f = d.fresh_blank();
-        assert!(f.is_blank());
-        assert_ne!(d.lexical(f), "jucq-fresh-0");
     }
 }

@@ -99,13 +99,6 @@ impl Graph {
         removed
     }
 
-    /// Remove one data triple; returns `true` if it was present.
-    pub fn remove_data_encoded(&mut self, t: &TripleId) -> bool {
-        let mut set = FxHashSet::default();
-        set.insert(*t);
-        self.remove_data_batch(&set) == 1
-    }
-
     /// Bulk-load decoded triples.
     pub fn extend<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) {
         for t in triples {
@@ -272,9 +265,10 @@ mod tests {
     fn removal_batch_and_single() {
         let mut g = paper_graph();
         let first = g.data()[0];
-        assert!(g.remove_data_encoded(&first));
+        let single: FxHashSet<TripleId> = [first].into_iter().collect();
+        assert_eq!(g.remove_data_batch(&single), 1);
         assert!(!g.contains_data(&first));
-        assert!(!g.remove_data_encoded(&first), "second removal is a no-op");
+        assert_eq!(g.remove_data_batch(&single), 0, "second removal is a no-op");
         assert_eq!(g.len(), 4);
         let mut all: FxHashSet<TripleId> = g.data().iter().copied().collect();
         all.insert(first); // absent entries are ignored

@@ -108,11 +108,6 @@ impl TripleId {
     pub fn new(s: TermId, p: TermId, o: TermId) -> Self {
         TripleId { s, p, o }
     }
-
-    /// Components in `(s, p, o)` order.
-    pub fn as_array(self) -> [TermId; 3] {
-        [self.s, self.p, self.o]
-    }
 }
 
 /// A decoded triple of owned [`crate::Term`]s; the human-readable twin of
@@ -173,14 +168,6 @@ mod tests {
     #[test]
     fn ids_of_different_kinds_differ() {
         assert_ne!(TermId::new(TermKind::Uri, 5), TermId::new(TermKind::Literal, 5));
-    }
-
-    #[test]
-    fn triple_array_order() {
-        let s = TermId::new(TermKind::Uri, 1);
-        let p = TermId::new(TermKind::Uri, 2);
-        let o = TermId::new(TermKind::Literal, 3);
-        assert_eq!(TripleId::new(s, p, o).as_array(), [s, p, o]);
     }
 
     #[test]

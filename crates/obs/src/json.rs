@@ -78,11 +78,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 /// A parse failure with its byte offset.
@@ -329,7 +324,7 @@ mod tests {
         let arr = v.get("k").and_then(Value::as_arr).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert!(arr[2].get("x").unwrap().is_null());
+        assert_eq!(arr[2].get("x"), Some(&Value::Null));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod warn;
 
 pub use metrics::{global, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use record::{NodeRecord, QueryLogConfig, QueryRecord, RecordCounters};
-pub use span::{span, take_spans, SpanGuard, SpanRecord};
+pub use span::{span, SpanGuard, SpanRecord};
 pub use trace_export::to_chrome_trace;
 pub use warn::warn_once;
 

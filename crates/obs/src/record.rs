@@ -48,11 +48,6 @@ pub struct RecordCounters {
     /// Epoch-exact materialized-view resolutions (`ViewScan` leaves
     /// served from the catalog).
     pub view_hits: u64,
-    /// Merge-join sort passes skipped because the input already arrived
-    /// in key order.
-    pub sorts_elided: u64,
-    /// Galloping (exponential-probe) seeks taken by skewed merge joins.
-    pub gallop_seeks: u64,
 }
 
 /// One profiled plan node: the estimate/actual pair behind the Q-error.
@@ -159,7 +154,7 @@ impl QueryRecord {
         let mut out = String::with_capacity(512);
         let _ = write!(
             out,
-            "{{\"schema\":\"jucq-log/4\",\"seq\":{},\"query\":\"{}\",\"fingerprint\":\"{}\",\
+            "{{\"schema\":\"jucq-log/5\",\"seq\":{},\"query\":\"{}\",\"fingerprint\":\"{}\",\
              \"strategy\":\"{}\",\"profile\":\"{}\",\"outcome\":\"{}\",\"rows\":{},\
              \"union_terms\":{},\"planning_ns\":{},\"eval_ns\":{}",
             self.seq,
@@ -206,8 +201,7 @@ impl QueryRecord {
             out,
             ",\"counters\":{{\"tuples_scanned\":{},\"tuples_joined\":{},\
              \"tuples_materialized\":{},\"tuples_deduped\":{},\"sip_probes\":{},\
-             \"sip_drops\":{},\"range_scans\":{},\"view_hits\":{},\"sorts_elided\":{},\
-             \"gallop_seeks\":{}}}",
+             \"sip_drops\":{},\"range_scans\":{},\"view_hits\":{}}}",
             c.tuples_scanned,
             c.tuples_joined,
             c.tuples_materialized,
@@ -216,8 +210,6 @@ impl QueryRecord {
             c.sip_drops,
             c.range_scans,
             c.view_hits,
-            c.sorts_elided,
-            c.gallop_seeks,
         );
         let _ = write!(
             out,
@@ -259,12 +251,12 @@ impl QueryRecord {
     }
 
     /// Parse one JSONL line produced by [`QueryRecord::to_json_line`].
-    /// Only the current schema (`jucq-log/4`) is accepted, and every
+    /// Only the current schema (`jucq-log/5`) is accepted, and every
     /// field its writer always emits is required.
     pub fn from_json_line(line: &str) -> Result<QueryRecord, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         match v.get("schema").and_then(Value::as_str) {
-            Some("jucq-log/4") => {}
+            Some("jucq-log/5") => {}
             other => return Err(format!("unsupported query-log schema {other:?}")),
         }
         let str_field = |key: &str| -> Result<String, String> {
@@ -346,8 +338,6 @@ impl QueryRecord {
                 sip_drops: counter("sip_drops")?,
                 range_scans: counter("range_scans")?,
                 view_hits: counter("view_hits")?,
-                sorts_elided: counter("sorts_elided")?,
-                gallop_seeks: counter("gallop_seeks")?,
             },
             cover_cache_hit: opt_bool("cover_cache_hit"),
             plan_cache_hit: opt_bool("plan_cache_hit"),
@@ -573,8 +563,6 @@ mod tests {
                 sip_drops: 4,
                 range_scans: 2,
                 view_hits: 5,
-                sorts_elided: 6,
-                gallop_seeks: 9,
             },
             cover_cache_hit: Some(false),
             plan_cache_hit: None,
@@ -619,8 +607,8 @@ mod tests {
     #[test]
     fn older_schemas_are_rejected() {
         let line = sample_record().to_json_line();
-        for old in ["jucq-log/1", "jucq-log/2", "jucq-log/3"] {
-            let line = line.replace("\"schema\":\"jucq-log/4\"", &format!("\"schema\":\"{old}\""));
+        for old in ["jucq-log/1", "jucq-log/2", "jucq-log/3", "jucq-log/4"] {
+            let line = line.replace("\"schema\":\"jucq-log/5\"", &format!("\"schema\":\"{old}\""));
             let err = QueryRecord::from_json_line(&line).expect_err("older schemas are rejected");
             assert!(err.contains("unsupported query-log schema"), "{old}: {err}");
         }
@@ -631,7 +619,7 @@ mod tests {
         let line = sample_record().to_json_line();
         for (field, missing) in [
             (",\"range_scans\":2", "missing counter `range_scans`"),
-            (",\"gallop_seeks\":9", "missing counter `gallop_seeks`"),
+            (",\"view_hits\":5", "missing counter `view_hits`"),
             (",\"range_eligible\":1", "missing field `range_eligible`"),
             (",\"view_catalog_size\":3", "missing field `view_catalog_size`"),
         ] {

@@ -141,11 +141,6 @@ pub fn drain() -> (Vec<SpanRecord>, u64) {
     (spans, dropped)
 }
 
-/// Drain completed spans, discarding the drop count.
-pub fn take_spans() -> Vec<SpanRecord> {
-    drain().0
-}
-
 /// Open a span for the rest of the enclosing scope:
 /// `jucq_obs::span!("cover_search");`.
 #[macro_export]

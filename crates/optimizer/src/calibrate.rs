@@ -115,10 +115,11 @@ pub fn calibrate(store: &Store) -> CostConstants {
 
     // (3) c_j from a *fragment-level* join of two big scans — the
     // operation where the emulated engines genuinely differ (hash vs
-    // sort-merge vs block-nested-loop, and the materialize-all-unions
-    // policy). This is what makes the learned constants per-engine, as
-    // the paper requires: a nested-loop engine calibrates a c_j orders
-    // of magnitude larger, steering the optimizer toward covers with
+    // block-nested-loop, and the materialize-all-unions policy), run
+    // with the profile's own join as every workload join is. This is
+    // what makes the learned constants per-engine, as the paper
+    // requires: a nested-loop engine calibrates a c_j orders of
+    // magnitude larger, steering the optimizer toward covers with
     // small fragment results on that engine.
     {
         let scan_frag = |obj_var: u16| {

@@ -25,7 +25,7 @@ use jucq_core::{AnswerError, CostSource, RdfDatabase, Strategy};
 use jucq_optimizer::{gcov, CoverSearch, PaperCostModel};
 use jucq_reformulation::reformulate::ReformulationEnv;
 use jucq_reformulation::{BgpQuery, Cover};
-use jucq_store::{EngineProfile, JoinAlgo, PatternTerm, StorePattern};
+use jucq_store::{EngineProfile, PatternTerm, StorePattern};
 
 use crate::gen::{GenCase, QTerm, QuerySpec};
 
@@ -297,40 +297,6 @@ pub fn check_case_with(case: &GenCase, profiles: &[EngineProfile]) -> Result<Cas
                             profile.name
                         ));
                     }
-                }
-            }
-        }
-
-        // Order-aware execution must be answer-invisible. Force the
-        // sort-merge fragment join (so every join is a merge the order
-        // machinery can touch — sort elision, galloping, scan borrowing)
-        // and demand SAT's answers. Once per case on the first profile.
-        if pi == 0 {
-            let merge =
-                permissive(EngineProfile::pg_like()).with_fragment_join(JoinAlgo::SortMerge);
-            let mut db_o = RdfDatabase::with_profile(merge);
-            db_o.extend(&case.triples);
-            let q_o = build_query(&mut db_o, &case.query);
-            for strategy in [Strategy::Ucq, Strategy::gcov_default()] {
-                let label = format!("merge/{}", strategy.name());
-                let got = db_o.answer(&q_o, &strategy);
-                stats.answers_checked += 1;
-                if coverable {
-                    let rep = got.map_err(|e| format!("[{}] {label} failed: {e}", profile.name))?;
-                    let rows = canon_rows(&db_o, &rep.rows);
-                    if rows != *truth_rows {
-                        return Err(format!(
-                            "[{}] {label} answered {} rows, SAT answered {}:\n  {label}: {rows:?}\n  SAT: {truth_rows:?}",
-                            profile.name,
-                            rows.len(),
-                            truth_rows.len()
-                        ));
-                    }
-                } else if !matches!(got, Err(AnswerError::Cover(_))) {
-                    return Err(format!(
-                        "[{}] {label} on a disconnected query: expected a cover error",
-                        profile.name
-                    ));
                 }
             }
         }

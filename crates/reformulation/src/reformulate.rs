@@ -511,15 +511,6 @@ pub fn reformulate_fixpoint(
     Ok(StoreUcq::new(union.members, q.head.clone()))
 }
 
-/// The number of member CQs of the reformulation (the paper's `|q_ref|`
-/// reported throughout Tables 1–4), up to `limit`.
-pub fn reformulation_size(q: &BgpQuery, env: &ReformulationEnv<'_>, limit: usize) -> usize {
-    match reformulate_with_limit(q, env, limit) {
-        Ok(ucq) => ucq.len(),
-        Err(n) => n,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,7 +690,7 @@ mod tests {
             Err(n) => assert!(n > 3),
             Ok(u) => panic!("expected limit abort, got {} members", u.len()),
         }
-        assert_eq!(reformulation_size(&q, &env, usize::MAX), 8);
+        assert_eq!(reformulate_with_limit(&q, &env, usize::MAX).map(|u| u.len()), Ok(8));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   [`jucq_core::Snapshot::request_profile`]: they tighten execution
 //!   without touching plan identity, so the shared plan cache stays
 //!   warm across requests with different limits;
-//! * every served query lands in the jucq-obs query log (when a sink
-//!   is installed) and the obs metrics registry, scraped via
+//! * every served query is answered through
+//!   [`jucq_core::Snapshot::answer_with_limits`], which profiles it and
+//!   submits its record to the jucq-obs query log only when a sink is
+//!   installed; its metrics land in the obs registry, scraped via
 //!   `GET /metrics`.
 //!
 //! Endpoints:
@@ -359,11 +361,7 @@ fn handle_query(
     let limits: Option<EngineProfile> = (deadline.is_some() || memory.is_some())
         .then(|| snapshot.request_profile(deadline, memory));
 
-    let (result, record) = snapshot.answer_recorded(&q, &strategy, limits.as_ref());
-    if let Some(record) = record {
-        jucq_obs::record::submit(record);
-    }
-    match result {
+    match snapshot.answer_with_limits(&q, &strategy, limits.as_ref()) {
         Ok(report) => {
             let limit = request
                 .query_param("limit")

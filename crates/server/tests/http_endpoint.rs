@@ -78,9 +78,10 @@ fn scraped_counters(addr: std::net::SocketAddr) -> [u64; 3] {
 }
 
 /// A constant the epoch has never seen parses to a sentinel id no
-/// dictionary decodes. The request's query-log record is built from it
-/// all the same: the one worker answers (nothing matches), and is
-/// still there for the next request.
+/// dictionary decodes. With a query-log sink installed, the request's
+/// record is built from it all the same — one record per query: the
+/// one worker answers (nothing matches), and is still there for the
+/// next request.
 #[test]
 fn a_query_naming_an_unknown_iri_is_answered_and_costs_no_worker() {
     let _serial = obs_lock();
@@ -89,6 +90,7 @@ fn a_query_naming_an_unknown_iri_is_answered_and_costs_no_worker() {
     let server = Server::start(serving, config).expect("bind");
     let addr = server.local_addr();
     jucq_obs::set_enabled(true);
+    jucq_obs::record::install(jucq_obs::QueryLogConfig::default()).expect("ring-only sink");
     let [requests, answered, panics] = scraped_counters(addr);
 
     let unknown =
@@ -118,6 +120,19 @@ fn a_query_naming_an_unknown_iri_is_answered_and_costs_no_worker() {
     let after = scraped_counters(addr);
     assert!(after[0] >= requests + 5 && after[1] >= answered + 4, "{after:?}");
     assert_eq!(after[2], panics);
+
+    // One record per query that named the unknown IRI (logged under its
+    // sentinel name), each with its strategy. (Tests that do not take the lock may add records of
+    // their own while the sink is installed, hence the filter.)
+    let records = jucq_obs::record::drain_ring();
+    jucq_obs::record::uninstall();
+    let mut strategies: Vec<&str> = records
+        .iter()
+        .filter(|r| r.query.contains("urn:jucq:unknown:"))
+        .map(|r| r.strategy.as_str())
+        .collect();
+    strategies.sort_unstable();
+    assert_eq!(strategies, ["GCov", "SAT", "UCQ"], "{records:?}");
     jucq_obs::set_enabled(false);
 }
 

@@ -367,7 +367,7 @@ mod tests {
         let labels: Vec<&str> = profile.nodes.iter().map(|n| n.label.as_str()).collect();
         assert!(labels.contains(&"fragment[0].union"), "{labels:?}");
         assert!(labels.contains(&"fragment[1].union"), "{labels:?}");
-        assert!(labels.contains(&"join[0].sort_merge_join"), "{labels:?}");
+        assert!(labels.contains(&"join[0].hash_join"), "{labels:?}");
         assert!(labels.contains(&"dedup"), "{labels:?}");
         let union0 = profile.nodes.iter().find(|n| n.label == "fragment[0].union").unwrap();
         assert_eq!(union0.actual_rows, 2);

@@ -21,7 +21,7 @@ use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::{Interval, Leaf, MemberPlan};
 use crate::relation::Relation;
-use crate::table::{Perm, RangePos, TripleTable};
+use crate::table::{RangePos, TripleTable};
 
 /// Evaluate one lowered union member against `table` onto the fragment
 /// head `out_vars`, with `shared` holding the plan's materialized shared
@@ -58,9 +58,7 @@ fn eval_member_inner(
         .filter(|_| member.leaf != Leaf::TrueRow)
         .map(|f| MemberSip::new(f, &member.head, out_vars));
     let mut body: Cow<'_, Relation> = match &member.leaf {
-        Leaf::Scan { pattern, perm, .. } => {
-            Cow::Owned(scan_pattern(table, pattern, *perm, sip.as_mut(), ctx)?)
-        }
+        Leaf::Scan { pattern, .. } => Cow::Owned(scan_pattern(table, pattern, sip.as_mut(), ctx)?),
         Leaf::Range { pattern, interval, .. } => {
             Cow::Owned(scan_range(table, pattern, *interval, sip.as_mut(), ctx)?)
         }
@@ -178,21 +176,15 @@ fn ranged_index(ranged: RangePos) -> usize {
     }
 }
 
-/// Scan one pattern into a relation over its distinct variables through
-/// `perm`, or the default permutation index for the bound positions
-/// when `None`. The planner picks `perm` so the scan's output order
-/// feeds a sort-elided merge join; any candidate perm
-/// yields the same row *set*, only the emission order differs.
+/// Scan one pattern into a relation over its distinct variables, off
+/// the permutation index whose key prefix covers its bound positions.
 pub(crate) fn scan_pattern(
     table: &TripleTable,
     p: &StorePattern,
-    perm: Option<Perm>,
     sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    let bound = p.bound();
-    let extent = table.scan_with(perm.unwrap_or_else(|| Perm::for_bound(&bound)), &bound);
-    scan_extent(p, extent, sip, ctx)
+    scan_extent(p, table.scan(&p.bound()), sip, ctx)
 }
 
 /// Scan one collapsed interval into a relation over the pattern
@@ -562,7 +554,7 @@ mod tests {
         let mut ctx = ExecContext::new(&profile);
         ctx.backdate(std::time::Duration::from_millis(2));
         let p = StorePattern::new(v(0), c(10), v(1));
-        let err = scan_pattern(&table, &p, None, Some(&mut sip), &mut ctx).unwrap_err();
+        let err = scan_pattern(&table, &p, Some(&mut sip), &mut ctx).unwrap_err();
         assert!(matches!(err, EngineError::Timeout { .. }), "{err:?}");
         // Found by the liveness poll of the sixteenth batch: the fifteen
         // before it were scanned and tested.

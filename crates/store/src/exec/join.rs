@@ -1,10 +1,10 @@
 //! Joins of materialized relations (the ⋈ between JUCQ fragments).
 //!
-//! Three algorithms, selected by the engine profile: hash join (build on
-//! the smaller side), sort-merge join, and block-nested-loop join (the
-//! deliberately weak algorithm of the MySQL-like profile). All three
-//! compute the natural join on the variables shared by the two schemas;
-//! with no shared variable they degrade to a cartesian product.
+//! Two algorithms, selected by the engine profile: hash join (build on
+//! the smaller side) and block-nested-loop join (the deliberately weak
+//! algorithm of the MySQL-like profile). Both compute the natural join
+//! on the variables shared by the two schemas; with no shared variable
+//! they degrade to a cartesian product.
 
 use jucq_model::{FxHashMap, TermId};
 
@@ -13,27 +13,6 @@ use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::VarId;
 use crate::profile::JoinAlgo;
 use crate::relation::{hash_cols, Relation};
-use crate::table::gallop_to;
-
-/// Per-join options threaded from the plan node into a fragment join:
-/// the planner's merge sort-elision flags and the output cardinality
-/// estimate used to pre-size the result.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct JoinOpts {
-    /// Which merge-join inputs (left, right) the planner proved already
-    /// sorted on the join key (ignored by the other algorithms). The
-    /// kernel verifies the claim with one linear pass and falls back to
-    /// sorting if it does not hold, so a wrong flag costs performance,
-    /// never correctness.
-    pub elide: (bool, bool),
-    /// Estimated output rows.
-    pub est: Option<f64>,
-}
-
-/// Input-size skew ratio at which the merge advances the larger side
-/// with galloping (exponential-search) seeks instead of one row at a
-/// time.
-const GALLOP_SKEW: usize = 8;
 
 /// Rows of output capacity to reserve for a cardinality estimate,
 /// clamped so a wild over-estimate cannot allocate unboundedly ahead of
@@ -51,19 +30,19 @@ fn sized_output(vars: Vec<VarId>, est: Option<f64>, ctx: &mut ExecContext<'_>) -
     Relation::with_capacity(vars, reserve)
 }
 
-/// Join `left` and `right` with `algo` (the plan node's fragment-join
-/// algorithm, chosen from the profile at planning time).
+/// Join `left` and `right` with `algo` (the plan's fragment-join
+/// algorithm, the profile's at planning time); `est` is the step's
+/// estimated output rows, used to pre-size a hash join's result.
 pub fn fragment_join(
     algo: JoinAlgo,
     left: &Relation,
     right: &Relation,
-    opts: JoinOpts,
+    est: Option<f64>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let op = ctx.op_start();
     let out = match algo {
-        JoinAlgo::Hash => hash_join(left, right, opts, ctx),
-        JoinAlgo::SortMerge => sort_merge_join(left, right, opts, ctx),
+        JoinAlgo::Hash => hash_join(left, right, est, ctx),
         JoinAlgo::BlockNestedLoop => block_nested_loop_join(left, right, ctx),
     }?;
     let inputs = (left.len() as u64, right.len() as u64);
@@ -75,7 +54,6 @@ pub fn fragment_join(
 pub fn op_name(algo: JoinAlgo) -> &'static str {
     match algo {
         JoinAlgo::Hash => "hash_join",
-        JoinAlgo::SortMerge => "sort_merge_join",
         JoinAlgo::BlockNestedLoop => "block_nested_loop_join",
     }
 }
@@ -117,17 +95,17 @@ fn keys_equal(a: &[TermId], a_cols: &[usize], b: &[TermId], b_cols: &[usize]) ->
 /// The build table is keyed by u64 key hashes (bucket entries verified
 /// against the actual key columns on probe) instead of one allocated key
 /// per row; bucket candidates are stored in build order, so each probe
-/// row emits its matches in build order. Output is pre-sized from
-/// `opts.est` and flushed a batch at a time.
+/// row emits its matches in build order. Output is pre-sized from the
+/// estimate `est` and flushed a batch at a time.
 pub fn hash_join(
     left: &Relation,
     right: &Relation,
-    opts: JoinOpts,
+    est: Option<f64>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     ctx.check_deadline()?;
     let p = plan(left, right);
-    let mut out = sized_output(p.out_vars.clone(), opts.est, ctx);
+    let mut out = sized_output(p.out_vars.clone(), est, ctx);
     if left.is_empty() || right.is_empty() {
         return Ok(out);
     }
@@ -183,176 +161,6 @@ pub fn hash_join(
     Ok(out)
 }
 
-/// Gather the key columns of every row into one flat buffer (`k` values
-/// per row) so sort comparisons read contiguous slices instead of
-/// allocating a key per comparison.
-fn gather_keys(rel: &Relation, cols: &[usize]) -> Vec<TermId> {
-    let mut keys = Vec::with_capacity(rel.len() * cols.len());
-    for row in rel.rows() {
-        keys.extend(cols.iter().map(|&c| row[c]));
-    }
-    keys
-}
-
-/// Sort-merge join: order both inputs on the key, merge equal runs. A
-/// side that already arrives sorted skips its sort after one cheap
-/// linear verification (sorted on a key prefix: only the runs of equal
-/// prefix are sorted), and when input sizes are skewed ≥
-/// [`GALLOP_SKEW`]× the larger side advances with galloping seeks
-/// instead of one row at a time.
-pub fn sort_merge_join(
-    left: &Relation,
-    right: &Relation,
-    opts: JoinOpts,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    ctx.check_deadline()?;
-    let p = plan(left, right);
-    let mut out = sized_output(p.out_vars.clone(), opts.est, ctx);
-    if left.is_empty() || right.is_empty() {
-        return Ok(out);
-    }
-    let k = p.left_key.len();
-    let lkeys = gather_keys(left, &p.left_key);
-    let rkeys = gather_keys(right, &p.right_key);
-    fn slice_key(keys: &[TermId], i: usize, k: usize) -> &[TermId] {
-        &keys[i * k..i * k + k]
-    }
-    // Longest key prefix the input already arrives sorted on, found in
-    // one linear pass (early exit once no prefix survives).
-    let sorted_prefix = |keys: &[TermId], n: usize| -> usize {
-        let mut j = k;
-        for x in 1..n {
-            let (a, b) = (slice_key(keys, x - 1, k), slice_key(keys, x, k));
-            for c in 0..j {
-                match a[c].cmp(&b[c]) {
-                    std::cmp::Ordering::Less => break,
-                    std::cmp::Ordering::Equal => continue,
-                    std::cmp::Ordering::Greater => {
-                        j = c;
-                        break;
-                    }
-                }
-            }
-            if j == 0 {
-                break;
-            }
-        }
-        j
-    };
-    let order_side = |keys: &[TermId], n: usize, elide: bool| -> (Vec<u32>, bool) {
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        if n <= 1 {
-            return (ids, elide);
-        }
-        let cmp_full =
-            |&a: &u32, &b: &u32| slice_key(keys, a as usize, k).cmp(slice_key(keys, b as usize, k));
-        let j = sorted_prefix(keys, n);
-        if j == k {
-            // Fully sorted: merge in input order. Only a planner-claimed
-            // elision is counted (and exempted from the materialization
-            // charge) — an input sorted by coincidence still skips the
-            // sort, silently.
-            return (ids, elide);
-        }
-        if j == 0 {
-            ids.sort_unstable_by(cmp_full);
-            return (ids, false);
-        }
-        // Sorted on a strict key prefix: sort only within the runs of
-        // equal prefix — O(n log run) not O(n log n).
-        let mut s = 0;
-        while s < n {
-            let mut e = s + 1;
-            while e < n && slice_key(keys, s, k)[..j] == slice_key(keys, e, k)[..j] {
-                e += 1;
-            }
-            ids[s..e].sort_unstable_by(cmp_full);
-            s = e;
-        }
-        (ids, false)
-    };
-    let (lids, l_elided) = order_side(&lkeys, left.len(), opts.elide.0);
-    let (rids, r_elided) = order_side(&rkeys, right.len(), opts.elide.1);
-    // An elided side is merged in input order — only sides actually
-    // sorted here are charged as materialized working set.
-    let mut charged = 0usize;
-    for (elided, n) in [(l_elided, left.len()), (r_elided, right.len())] {
-        if elided {
-            ctx.counters.sorts_elided += 1;
-        } else {
-            charged += n;
-        }
-    }
-    ctx.tick_n((left.len() + right.len()) as u64)?;
-    ctx.counters.tuples_materialized += charged as u64;
-    ctx.check_memory(left.len() + right.len())?;
-    let gallop_l = left.len() >= GALLOP_SKEW * right.len();
-    let gallop_r = right.len() >= GALLOP_SKEW * left.len();
-
-    let width = out.width();
-    let zero_width = width == 0;
-    let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * width);
-    let mut pending: u64 = 0;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lids.len() && j < rids.len() {
-        let lk = slice_key(&lkeys, lids[i] as usize, k);
-        let rk = slice_key(&rkeys, rids[j] as usize, k);
-        match lk.cmp(rk) {
-            std::cmp::Ordering::Less => {
-                if gallop_l {
-                    i = gallop_to(i, lids.len(), |x| slice_key(&lkeys, lids[x] as usize, k) >= rk);
-                    ctx.counters.gallop_seeks += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                if gallop_r {
-                    j = gallop_to(j, rids.len(), |x| slice_key(&rkeys, rids[x] as usize, k) >= lk);
-                    ctx.counters.gallop_seeks += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            std::cmp::Ordering::Equal => {
-                // Find the equal runs on both sides.
-                let i_end = (i..lids.len())
-                    .find(|&x| slice_key(&lkeys, lids[x] as usize, k) != lk)
-                    .unwrap_or(lids.len());
-                let j_end = (j..rids.len())
-                    .find(|&x| slice_key(&rkeys, rids[x] as usize, k) != rk)
-                    .unwrap_or(rids.len());
-                for &li in &lids[i..i_end] {
-                    for &rj in &rids[j..j_end] {
-                        pending += 1;
-                        ctx.counters.tuples_joined += 1;
-                        if zero_width {
-                            out.push_row(&[]);
-                        } else {
-                            flat.extend_from_slice(left.row(li as usize));
-                            let rrow = right.row(rj as usize);
-                            flat.extend(p.right_carry.iter().map(|&c| rrow[c]));
-                        }
-                        if pending >= BATCH_ROWS as u64 {
-                            ctx.tick_n(pending)?;
-                            pending = 0;
-                            out.flush_from(&mut flat);
-                        }
-                    }
-                }
-                ctx.check_memory(out.len() + flat.len() / width.max(1))?;
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    ctx.tick_n(pending)?;
-    out.flush_from(&mut flat);
-    ctx.check_memory(out.len())?;
-    Ok(out)
-}
-
 /// Block-nested-loop join: compare every pair of rows. Quadratic by
 /// design — the weak spot of the MySQL-like profile.
 pub fn block_nested_loop_join(
@@ -399,6 +207,7 @@ pub fn block_nested_loop_join(
 mod tests {
     use super::*;
     use crate::profile::EngineProfile;
+    use crate::table::gallop_to;
     use jucq_model::term::TermKind;
     use std::time::Duration;
 
@@ -415,15 +224,14 @@ mod tests {
         r
     }
 
-    const ALGOS: [JoinAlgo; 3] = [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop];
+    const ALGOS: [JoinAlgo; 2] = [JoinAlgo::Hash, JoinAlgo::BlockNestedLoop];
 
     fn all_algos(left: &Relation, right: &Relation) -> Vec<Relation> {
         let profile = EngineProfile::pg_like();
         let mut out = Vec::new();
         for algo in ALGOS {
             let mut ctx = ExecContext::new(&profile);
-            let mut r = fragment_join(algo, left, right, JoinOpts::default(), &mut ctx)
-                .expect("join succeeds");
+            let mut r = fragment_join(algo, left, right, None, &mut ctx).expect("join succeeds");
             r.sort();
             out.push(r);
         }
@@ -468,9 +276,8 @@ mod tests {
 
     #[test]
     fn one_equal_key_run_spanning_batches() {
-        // No shared variable: the whole product is a single run of the
-        // merge, one bucket of the hash table — 3000 rows emitted without
-        // leaving it.
+        // No shared variable: the whole product is one bucket of the hash
+        // table — 3000 rows emitted without leaving it.
         let lrows: Vec<Vec<u32>> = (0..60).map(|i| vec![i]).collect();
         let rrows: Vec<Vec<u32>> = (0..50).map(|i| vec![100 + i]).collect();
         let l = rel(vec![0], &lrows.iter().map(Vec::as_slice).collect::<Vec<_>>());
@@ -528,8 +335,7 @@ mod tests {
         let mut materialized = Vec::new();
         for algo in ALGOS {
             let mut ctx = ExecContext::new(&profile);
-            let out =
-                fragment_join(algo, &l, &r, JoinOpts::default(), &mut ctx).expect("join succeeds");
+            let out = fragment_join(algo, &l, &r, None, &mut ctx).expect("join succeeds");
             assert_eq!(
                 ctx.counters.tuples_joined,
                 out.len() as u64,
@@ -543,11 +349,9 @@ mod tests {
         // The same logical join emits the same rows under every algorithm.
         assert!(joined.iter().all(|&j| j == joined[0]), "{joined:?}");
         // Materialization reflects each algorithm's working set: hash
-        // builds on the smaller side, sort-merge sorts both inputs,
-        // block-nested-loop streams both.
+        // builds on the smaller side, block-nested-loop streams both.
         assert_eq!(materialized[0], l.len().min(r.len()) as u64);
-        assert_eq!(materialized[1], (l.len() + r.len()) as u64);
-        assert_eq!(materialized[2], 0);
+        assert_eq!(materialized[1], 0);
     }
 
     #[test]
@@ -562,79 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_elision_matrix_matches_hash_join() {
-        // Sorted inputs on the shared var 1 (left col 1, right col 0).
-        let l = rel(vec![0, 1], &[&[3, 10], &[2, 20], &[1, 30], &[9, 30]]);
-        let r = rel(vec![1, 2], &[&[10, 100], &[10, 101], &[30, 300], &[40, 400]]);
-        let profile = EngineProfile::pg_like();
-        let mut hctx = ExecContext::new(&profile);
-        let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
-        expect.sort();
-        for elide in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut ctx = ExecContext::new(&profile);
-            let opts = JoinOpts { elide, est: None };
-            let mut got = sort_merge_join(&l, &r, opts, &mut ctx).expect("merge join");
-            got.sort();
-            assert_eq!(got.to_rows(), expect.to_rows(), "elide={elide:?}");
-            let claimed = u64::from(elide.0) + u64::from(elide.1);
-            assert_eq!(ctx.counters.sorts_elided, claimed, "elide={elide:?}");
-            // Only genuinely sorted sides skip the materialization charge.
-            let mut charge = 0u64;
-            if !elide.0 {
-                charge += l.len() as u64;
-            }
-            if !elide.1 {
-                charge += r.len() as u64;
-            }
-            assert_eq!(ctx.counters.tuples_materialized, charge, "elide={elide:?}");
-        }
-    }
-
-    #[test]
-    fn false_elision_claim_falls_back_to_sorting() {
-        // Left is NOT sorted on the shared var: the claim must be
-        // rejected by the verification pass, not trusted.
-        let l = rel(vec![0, 1], &[&[1, 30], &[2, 10], &[3, 20]]);
-        let r = rel(vec![1, 2], &[&[10, 100], &[20, 200], &[30, 300]]);
-        let profile = EngineProfile::pg_like();
-        let mut ctx = ExecContext::new(&profile);
-        let opts = JoinOpts { elide: (true, true), est: None };
-        let mut got = sort_merge_join(&l, &r, opts, &mut ctx).expect("merge join");
-        got.sort();
-        let mut hctx = ExecContext::new(&profile);
-        let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
-        expect.sort();
-        assert_eq!(got.to_rows(), expect.to_rows());
-        assert_eq!(ctx.counters.sorts_elided, 1, "only the sorted right side elides");
-        assert_eq!(ctx.counters.tuples_materialized, l.len() as u64);
-    }
-
-    #[test]
-    fn skewed_merge_gallops_and_matches_hash_join() {
-        let lrows: Vec<Vec<u32>> = (0..512).map(|i| vec![i, i * 2]).collect();
-        let lslices: Vec<&[u32]> = lrows.iter().map(Vec::as_slice).collect();
-        let l = rel(vec![0, 1], &lslices);
-        let r = rel(vec![0, 2], &[&[100, 7], &[400, 8]]);
-        assert!(l.len() >= GALLOP_SKEW * r.len());
-        let profile = EngineProfile::pg_like();
-        let mut ctx = ExecContext::new(&profile);
-        let mut got = sort_merge_join(&l, &r, JoinOpts::default(), &mut ctx).expect("merge join");
-        got.sort();
-        assert!(ctx.counters.gallop_seeks > 0, "skewed sides should gallop");
-        let mut hctx = ExecContext::new(&profile);
-        let mut expect = hash_join(&l, &r, JoinOpts::default(), &mut hctx).expect("hash join");
-        expect.sort();
-        assert_eq!(got.to_rows(), expect.to_rows());
-    }
-
-    #[test]
     fn estimates_pre_size_join_outputs() {
         let l = rel(vec![0, 1], &[&[1, 10], &[2, 20]]);
         let r = rel(vec![1, 2], &[&[10, 100], &[20, 200]]);
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
-        let opts = JoinOpts { elide: (false, false), est: Some(2.0) };
-        hash_join(&l, &r, opts, &mut ctx).expect("hash join");
+        hash_join(&l, &r, Some(2.0), &mut ctx).expect("hash join");
         assert_eq!(ctx.counters.rows_reserved, 2);
         // The clamp bounds pathological estimates.
         assert_eq!(reserve_rows(Some(f64::MAX)), 1 << 20);
@@ -649,7 +386,7 @@ mod tests {
         let profile = EngineProfile::pg_like().with_memory_budget(2);
         let mut ctx = ExecContext::new(&profile);
         assert!(matches!(
-            hash_join(&l, &r, JoinOpts::default(), &mut ctx),
+            hash_join(&l, &r, None, &mut ctx),
             Err(EngineError::MemoryBudgetExceeded { .. })
         ));
     }

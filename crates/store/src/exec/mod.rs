@@ -3,7 +3,7 @@
 //! Split by operator family:
 //! * [`cq`] — conjunctive-query pipelines over the triple table
 //!   (a leaf scan extended by index-nested-loop probes);
-//! * [`join`] — joins of materialized relations (hash, sort-merge,
+//! * [`join`] — joins of materialized relations (hash,
 //!   block-nested-loop);
 //! * [`union`] — unions of CQ results with set semantics;
 //! * [`sip`] — Bloom filters passed sideways between fragment joins.
@@ -61,12 +61,6 @@ pub struct Counters {
     /// Fragments served from the materialized-view catalog (epoch-exact
     /// `ViewScan` resolutions; fallback unions do not count).
     pub view_hits: u64,
-    /// Merge-join inputs whose sort was skipped because the rows already
-    /// arrived in key order from a clustered permutation index.
-    pub sorts_elided: u64,
-    /// Galloping (exponential-search) seeks taken by skewed merge joins
-    /// in place of linear advancement on the larger side.
-    pub gallop_seeks: u64,
     /// Scan rows handed to a consumer without the usual dedup/ownership
     /// pass (zero-copy boundary: provably-distinct scan output).
     pub scan_rows_borrowed: u64,

@@ -235,10 +235,7 @@ pub fn render_analyze_report(
     );
     let _ = writeln!(
         out,
-        "  Ordering: sorts elided {}, gallop seeks {}, rows borrowed {}, rows reserved {}, \
-         index probes {}, probe reseeks {}",
-        counters.sorts_elided,
-        counters.gallop_seeks,
+        "  Ordering: rows borrowed {}, rows reserved {}, index probes {}, probe reseeks {}",
         counters.scan_rows_borrowed,
         counters.rows_reserved,
         counters.index_probes,
@@ -376,18 +373,17 @@ mod tests {
         assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
         assert!(text.contains("Q-error"), "{text}");
         assert!(text.contains("fragment[0].union"), "{text}");
-        assert!(text.contains("join[0].sort_merge_join"), "{text}");
+        assert!(text.contains("join[0].hash_join"), "{text}");
         // The join row shows both input sizes next to its output.
-        let join_row = text.lines().find(|l| l.contains("join[0].sort_merge_join")).unwrap();
+        let join_row = text.lines().find(|l| l.contains("join[0].hash_join")).unwrap();
         assert!(join_row.ends_with("20 × 20 → 20"), "{join_row}");
         assert!(text.contains("dedup"), "{text}");
         assert!(text.contains("Total:"), "{text}");
         assert!(text.contains("Counters: scanned"), "{text}");
         assert!(text.contains("sip probed"), "{text}");
-        // The planner's merge elides both sorts and the driver borrows
-        // the single-member fragments' scan rows straight through.
-        assert!(text.contains("Ordering: sorts elided 2"), "{text}");
-        assert!(text.contains("rows borrowed"), "{text}");
+        // The driver borrows the single-member fragments' scan rows
+        // straight through.
+        assert!(text.contains("Ordering: rows borrowed 40"), "{text}");
         // The two fragments join on ?0, so a SIP filter ran and its
         // selectivity is reported.
         assert!(text.contains("SIP filters:"), "{text}");

@@ -26,7 +26,6 @@ use crate::Store;
 const CPU_TUPLE: f64 = 1.0;
 const CPU_PROBE: f64 = 1.2;
 const CPU_HASH_BUILD: f64 = 1.5;
-const CPU_SORT_FACTOR: f64 = 2.0;
 const CPU_MATERIALIZE: f64 = 0.8;
 const CPU_DEDUP: f64 = 1.1;
 const STARTUP: f64 = 10.0;
@@ -43,23 +42,9 @@ const BATCH_CPU_DISCOUNT: f64 = 0.7;
 const SIP_JOIN_DISCOUNT: f64 = 0.85;
 
 /// Cost of one fragment-join step over inputs of `acc` and `c` rows.
-/// For [`JoinAlgo::SortMerge`], `elide` drops the sort term of a side
-/// that already arrives ordered on the join key (the planner's sort
-/// elision); the residual linear term is the merge itself. The other
-/// algorithms ignore `elide`.
-pub(crate) fn join_step_cost(algo: JoinAlgo, acc: f64, c: f64, elide: (bool, bool)) -> f64 {
+fn join_step_cost(algo: JoinAlgo, acc: f64, c: f64) -> f64 {
     match algo {
         JoinAlgo::Hash => CPU_HASH_BUILD * acc.min(c) + CPU_PROBE * acc.max(c),
-        JoinAlgo::SortMerge => {
-            let sort = |n: f64, elided: bool| {
-                if elided {
-                    0.0
-                } else {
-                    CPU_SORT_FACTOR * n * n.max(2.0).log2()
-                }
-            };
-            sort(acc, elide.0) + sort(c, elide.1) + CPU_TUPLE * (acc + c)
-        }
         JoinAlgo::BlockNestedLoop => CPU_TUPLE * acc * c,
     }
 }
@@ -154,25 +139,12 @@ pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
         CPU_MATERIALIZE * charged.max(0.0)
     };
 
-    // Fragment joins, in the planner's order and following the
-    // profile's algorithm.
-    let single = |step: &JoinStep| q.fragments[step.fragment].cqs.len() == 1;
-    let mut join_cost = 0.0;
-    for (k, (acc, c)) in join_inputs(&summaries, &order).into_iter().enumerate() {
-        let base = join_step_cost(profile.fragment_join, acc, c, (false, false));
-        join_cost += if matches!(profile.fragment_join, JoinAlgo::BlockNestedLoop) {
-            base
-        } else {
-            // Mirror the planner: a single-member fragment's scan can
-            // feed the join pre-sorted on the key, dropping that side's
-            // sort term, and the planner takes the cheaper of the
-            // profile's algorithm and the (possibly sort-elided) merge.
-            // The left side is only assumed ordered on the first step,
-            // where it is still a fragment rather than a join output.
-            let elide = (k == 0 && single(&order[0]), single(&order[k + 1]));
-            base.min(join_step_cost(JoinAlgo::SortMerge, acc, c, elide))
-        };
-    }
+    // Fragment joins, in the planner's order and with the profile's
+    // algorithm.
+    let join_cost: f64 = join_inputs(&summaries, &order)
+        .into_iter()
+        .map(|(acc, c)| join_step_cost(profile.fragment_join, acc, c))
+        .sum();
 
     let final_card = order.last().map_or(0.0, |step| step.est_rows);
     let savings = sharing_savings(table, q);

@@ -17,7 +17,7 @@
 //!   queries (σ/π/⋈ over the table), unions thereof, and joins of unions
 //!   (the shapes UCQ / SCQ / JUCQ reformulations compile to);
 //! * [`exec`] — the executor: index-nested-loop CQ pipelines,
-//!   hash / sort-merge / block-nested-loop joins of materialized
+//!   hash / block-nested-loop joins of materialized
 //!   relations, unions, duplicate elimination;
 //! * [`stats::Statistics`] — per-predicate statistics and System-R-style
 //!   cardinality estimation for CQs/UCQs/JUCQs;
@@ -60,7 +60,7 @@ pub use exec::Counters;
 pub use ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 pub use plan::{
     collapsible_runs, fragment_join_order, CollapsibleRun, FragmentPlan, Interval, JoinStep, Leaf,
-    MemberPlan, Plan, Planner, Probe, SharedScanDef, StepJoin, TermNameResolver,
+    MemberPlan, Plan, Planner, Probe, SharedScanDef, TermNameResolver,
 };
 pub use profile::{EngineProfile, JoinAlgo};
 pub use relation::Relation;

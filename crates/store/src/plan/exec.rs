@@ -4,7 +4,7 @@
 //!
 //! The driver walks [`Plan::join_order`]: the seed fragment, then one
 //! fragment per step, joined into the accumulated result with the
-//! step's algorithm. Every step's accumulated left side therefore
+//! plan's algorithm. Every step's accumulated left side therefore
 //! exists when the fragment it joins in starts, and a step with a key
 //! publishes a Bloom filter over it ([`Plan::sip`]) that the fragment's
 //! members test inside their own pipelines.
@@ -107,7 +107,7 @@ pub(crate) fn execute(
     let mut held = 0;
     for (i, def) in plan.shared.iter().enumerate() {
         let op = ctx.op_start();
-        let rel = cq::scan_pattern(table, &def.pattern, None, None, ctx)?;
+        let rel = cq::scan_pattern(table, &def.pattern, None, ctx)?;
         held += rel.len();
         ctx.check_memory(held)?;
         ctx.op_finish(op, &format!("shared_scan[{i}]"), rel.len() as u64);
@@ -125,7 +125,7 @@ pub(crate) fn execute(
 }
 
 /// Evaluate the fragments one at a time in join order, joining each
-/// into the accumulated result with its step's algorithm. Before a step
+/// into the accumulated result with the plan's algorithm. Before a step
 /// with a key, the accumulated left side is hashed into a Bloom filter
 /// and the step's fragment's members drop the rows it rejects as early
 /// as they bind the key. A view-resolved fragment skips its filter (the filter
@@ -157,15 +157,14 @@ fn execute_steps(
     };
 
     let mut acc = eval_fragment(seed.fragment, None, ctx)?;
-    for (k, (step, j)) in plan.join_order[1..].iter().zip(&plan.joins).enumerate() {
+    for (k, step) in plan.join_order[1..].iter().enumerate() {
         let filter = (!step.key.is_empty()).then(|| {
             let label = format!("fragment[{}].sip_filter", step.fragment);
             sip::SipFilter::build(&acc, &step.key, label)
         });
         let right = eval_fragment(step.fragment, filter.as_ref(), ctx)?;
-        let opts = join::JoinOpts { elide: j.sort_elided, est: Some(step.est_rows) };
         ctx.set_scope(format_args!("join[{k}]."));
-        let out = join::fragment_join(j.algo, &acc, &right, opts, ctx);
+        let out = join::fragment_join(plan.join, &acc, &right, Some(step.est_rows), ctx);
         ctx.clear_scope();
         acc = out?;
     }

@@ -1,7 +1,7 @@
 //! The fragment join order: the one place the store decides in which
 //! order a JUCQ's fragment results are joined. The planner's join
-//! steps, per-step estimates, SIP filters and interesting orders are
-//! this result, and the internal cost model prices the same steps.
+//! steps, per-step estimates and SIP filters are this result, and the
+//! internal cost model prices the same steps.
 
 use crate::ir::VarId;
 use crate::stats::FragmentSummary;

@@ -14,7 +14,7 @@ pub(crate) mod exec;
 
 pub use join_order::{fragment_join_order, JoinStep};
 pub use node::{
-    FragmentPlan, Interval, Leaf, MemberPlan, Plan, Probe, SharedScanDef, SipFilterDef, StepJoin,
+    FragmentPlan, Interval, Leaf, MemberPlan, Plan, Probe, SharedScanDef, SipFilterDef,
     TermNameResolver,
 };
 pub use planner::{collapsible_runs, CollapsibleRun, Planner};

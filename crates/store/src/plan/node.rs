@@ -6,10 +6,11 @@
 //! [`FragmentPlan`] per fragment — a union of [`MemberPlan`] pipelines,
 //! each a [`Leaf`] extended by index [`Probe`]s and projected onto its
 //! head — and the fragment join order, one [`JoinStep`] per fragment
-//! (seed first) with a [`StepJoin`] for every step after the seed. The
-//! same plan drives execution, `explain` (which renders it as the
-//! nested operator tree `Dedup` / `Project` / joins / `HashUnion` it
-//! describes), and the estimate column of `explain_analyze`.
+//! (seed first), every step after the seed joined with the plan's one
+//! [`JoinAlgo`]. The same plan drives execution, `explain` (which
+//! renders it as the nested operator tree `Dedup` / `Project` / joins /
+//! `HashUnion` it describes), and the estimate column of
+//! `explain_analyze`.
 
 use std::fmt::Write as _;
 
@@ -17,7 +18,7 @@ use crate::exec::join;
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::join_order::JoinStep;
 use crate::profile::JoinAlgo;
-use crate::table::{Perm, RangePos};
+use crate::table::RangePos;
 use crate::views::ViewSignature;
 
 /// A collapsed interval: the constant at one position of a pattern
@@ -44,12 +45,6 @@ pub enum Leaf {
     Scan {
         /// The pattern scanned.
         pattern: StorePattern,
-        /// The permutation index to scan, when the interesting-orders
-        /// pass picked one deliberately (it covers the pattern's bound
-        /// positions); `None` scans [`Perm::for_bound`]'s default. The
-        /// extent is the same triple set either way — only the row
-        /// order differs.
-        perm: Option<Perm>,
         /// Exact extent cardinality (index lookup at plan time).
         est: f64,
     },
@@ -121,38 +116,6 @@ pub struct FragmentPlan {
     pub view: Option<usize>,
 }
 
-/// How one fragment join step after the seed runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepJoin {
-    /// The join algorithm.
-    pub algo: JoinAlgo,
-    /// Which merge-join inputs (left, right) already arrive sorted on
-    /// the step's key — their sort is elided at execution time. The
-    /// kernels verify cheaply and sort an input that turns out unsorted
-    /// (e.g. a view-served fragment). Always `(false, false)` for the
-    /// other algorithms.
-    pub sort_elided: (bool, bool),
-}
-
-/// The permutation key order of a scan, restricted to the pattern's
-/// variable positions: the variable sequence the emitted relation's
-/// rows are sorted by. Constants in the key prefix are equal across the
-/// slice (skipped); a repeated variable contributes once — after the
-/// repeated-variable filter its occurrences are equal, so sorting by
-/// the first key occurrence is sorting by the variable.
-pub(crate) fn scan_order(pattern: &StorePattern, perm: Perm) -> Vec<VarId> {
-    let positions = pattern.positions();
-    let mut out = Vec::new();
-    for i in perm.key_positions() {
-        if let Some(v) = positions[i].as_var() {
-            if !out.contains(&v) {
-                out.push(v);
-            }
-        }
-    }
-    out
-}
-
 impl Leaf {
     /// The pattern the leaf scans (a shared scan's, resolved through
     /// `shared`); `None` for the true row.
@@ -177,28 +140,6 @@ impl Leaf {
 }
 
 impl MemberPlan {
-    /// The physical order property: the variable sequence the member's
-    /// rows are sorted by, or empty when no order is guaranteed. Seeded
-    /// from the leaf's permutation index key order — a range scan's rows
-    /// are sorted first by the ranged component, which is not an output
-    /// column, so none survives — kept by the probes (each extends its
-    /// input rows in place) and cut at the first variable the projection
-    /// onto `out_vars` drops. A member sorted by `[a, b, c]` is also
-    /// sorted by any prefix.
-    pub fn order(&self, out_vars: &[VarId], shared: &[SharedScanDef]) -> Vec<VarId> {
-        let (pattern, perm) = match &self.leaf {
-            Leaf::Scan { pattern, perm, .. } => (pattern, *perm),
-            Leaf::Shared { id } => (&shared[*id].pattern, None),
-            Leaf::Range { .. } | Leaf::TrueRow => return Vec::new(),
-        };
-        let mut ord =
-            scan_order(pattern, perm.unwrap_or_else(|| Perm::for_bound(&pattern.bound())));
-        if let Some(cut) = ord.iter().position(|v| !out_vars.contains(v)) {
-            ord.truncate(cut);
-        }
-        ord
-    }
-
     /// True when the member provably emits **distinct** rows. A
     /// single-pattern scan binds every triple component to a constant or
     /// a variable, so two extent triples with equal bindings would be the
@@ -228,17 +169,6 @@ impl MemberPlan {
 }
 
 impl FragmentPlan {
-    /// The union's order property: a single member's, since the
-    /// streaming union concatenates members (dropping duplicates keeps
-    /// sortedness). A view-served fragment's rows arrive in the catalog
-    /// entry's order, so it promises none.
-    pub fn order(&self, shared: &[SharedScanDef]) -> Vec<VarId> {
-        match self.members.as_slice() {
-            [only] if self.view.is_none() => only.order(&self.head, shared),
-            _ => Vec::new(),
-        }
-    }
-
     /// True when the union is one member that emits distinct rows, so
     /// the executor can skip the dedup accumulator and borrow the
     /// member's result as-is (the zero-copy path, counted as
@@ -311,9 +241,10 @@ pub struct Plan {
     /// `fragments` is. The plan's SIP filters are read off it
     /// ([`Plan::sip`]).
     pub join_order: Vec<JoinStep>,
-    /// How each step after the seed joins: `joins[k]` runs
-    /// `join_order[k + 1]` (the `join[k]` node).
-    pub joins: Vec<StepJoin>,
+    /// The algorithm every step after the seed joins with: the
+    /// profile's when the plan was lowered, so a cached plan runs the
+    /// join it was planned for.
+    pub join: JoinAlgo,
     /// The query's output variables.
     pub head: Vec<VarId>,
     /// The fragment index whose union result is pipelined into the first
@@ -384,8 +315,8 @@ impl Plan {
                 out.push((format!("fragment[{i}].view_scan"), self.served_est(i)));
             }
         }
-        for (k, (step, j)) in self.join_order.iter().skip(1).zip(&self.joins).enumerate() {
-            out.push((format!("join[{k}].{}", join::op_name(j.algo)), step.est_rows));
+        for (k, step) in self.join_order.iter().skip(1).enumerate() {
+            out.push((format!("join[{k}].{}", join::op_name(self.join)), step.est_rows));
         }
         if let Some(last) = self.join_order.last() {
             out.push(("dedup".to_string(), last.est_rows));
@@ -407,7 +338,7 @@ impl Plan {
                 1 + usize::from(f.view.is_some()) + members
             })
             .sum();
-        2 + self.joins.len() + unions + self.shared.len()
+        2 + (self.join_order.len() - 1) + unions + self.shared.len()
     }
 
     /// Render the plan as an indented operator tree, truncating each
@@ -496,31 +427,12 @@ impl Tree<'_, '_> {
         if k == 0 {
             return self.fragment(out, step.fragment, indent);
         }
-        let j = plan.joins[k - 1];
-        let name = match j.algo {
+        let name = match plan.join {
             JoinAlgo::Hash => "HashJoin",
-            JoinAlgo::SortMerge => "MergeJoin",
             JoinAlgo::BlockNestedLoop => "NestedLoopJoin",
         };
-        let mut notes: Vec<&str> = Vec::new();
-        if j.algo == JoinAlgo::SortMerge {
-            match j.sort_elided {
-                (true, true) => notes.push("sort elided"),
-                (true, false) => notes.push("sort elided: left"),
-                (false, true) => notes.push("sort elided: right"),
-                (false, false) => {}
-            }
-            // Gallop eligibility is decided at run time from actual
-            // input sizes; annotate when the estimates already show the
-            // ≥8× skew the kernel looks for.
-            let (l, r) = (plan.join_order[k - 1].est_rows, plan.served_est(step.fragment));
-            if l >= 8.0 * r || r >= 8.0 * l {
-                notes.push("gallop");
-            }
-        }
-        let ann = if notes.is_empty() { String::new() } else { format!(" ({})", notes.join(", ")) };
         let pad = "  ".repeat(indent);
-        let _ = writeln!(out, "{pad}{name} join[{}]{ann} (est {:.1})", k - 1, step.est_rows);
+        let _ = writeln!(out, "{pad}{name} join[{}] (est {:.1})", k - 1, step.est_rows);
         self.joins(out, k - 1, indent + 1);
         self.fragment(out, step.fragment, indent + 1);
     }
@@ -560,10 +472,7 @@ impl Tree<'_, '_> {
             let _ = writeln!(out, "{}{text}", "  ".repeat(indent));
         };
         let leaf = match &m.leaf {
-            Leaf::Scan { pattern, perm, est } => {
-                let via = perm.map(|p| format!(" via {p:?}")).unwrap_or_default();
-                format!("IndexScan {pattern}{via} (est {est:.1})")
-            }
+            Leaf::Scan { pattern, est } => format!("IndexScan {pattern} (est {est:.1})"),
             Leaf::Range { pattern, interval, est } => {
                 format!("RangeScan {pattern} {} (est {est:.1})", self.interval(interval))
             }

@@ -22,10 +22,9 @@
 //!    plan instead of re-derived at execution time.
 //! 5. **lower** — each fragment becomes a [`FragmentPlan`] whose members
 //!    are a leaf scan (private, shared or ranged) extended by index
-//!    probes; each join step after the seed takes the profile's
-//!    algorithm (hash / sort-merge / block-nested-loop) unless a
-//!    sort-elided merge is cheaper; plus the pipelined-fragment choice
-//!    (largest estimate, §4.1) and the fragment join order.
+//!    probes; every join step after the seed takes the profile's
+//!    algorithm (hash / block-nested-loop); plus the pipelined-fragment
+//!    choice (largest estimate, §4.1) and the fragment join order.
 //!
 //! The join order is cost-based and decided once per plan by
 //! [`fragment_join_order`](crate::plan::fragment_join_order): each
@@ -39,29 +38,26 @@
 //! is joined so far, the one whose join is estimated to *output* the
 //! fewest rows — ties to the smaller fragment, then the lower index —
 //! and a disconnected fragment only when nothing connected is left. The
-//! plan's join steps, their estimates and keys, the SIP filter
-//! definitions (one per step with a key) and the interesting orders
-//! handed to leaf scans are all that one result, as is the internal
-//! cost model's join pricing. A step estimate is the summaries' join
-//! formula folded one fragment further (`FragmentSummary::join_rows`),
-//! which is arithmetic: lowering walks each member once, for its
-//! summary.
+//! plan's join steps, their estimates and keys and the SIP filter
+//! definitions (one per step with a key) are all that one result, as is
+//! the internal cost model's join pricing. A step estimate is the
+//! summaries' join formula folded one fragment further
+//! (`FragmentSummary::join_rows`), which is arithmetic: lowering walks
+//! each member once, for its summary.
 
 use std::hash::{Hash, Hasher};
 
 use jucq_model::hash::FxHasher;
 use jucq_model::{FxHashMap, FxHashSet};
 
-use crate::internal_cost::join_step_cost;
 use crate::ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, VarId};
 use crate::plan::join_order::fragment_join_order;
 use crate::plan::node::{
-    scan_order, FragmentPlan, Interval, Leaf, MemberPlan, Plan, Probe, SharedScanDef, StepJoin,
-    ViewBindingDef,
+    FragmentPlan, Interval, Leaf, MemberPlan, Plan, Probe, SharedScanDef, ViewBindingDef,
 };
-use crate::profile::{EngineProfile, JoinAlgo};
+use crate::profile::EngineProfile;
 use crate::stats::{FragmentSummary, Statistics};
-use crate::table::{Perm, RangePos, TripleTable};
+use crate::table::{RangePos, TripleTable};
 use crate::views::{ViewCatalog, ViewSignature};
 
 /// The O(members²) subsumption sweep is skipped beyond this union width
@@ -759,7 +755,7 @@ impl<'a> Planner<'a> {
                 shared: Vec::new(),
                 fragments: Vec::new(),
                 join_order: Vec::new(),
-                joins: Vec::new(),
+                join: self.profile.fragment_join,
                 head: q.head.clone(),
                 pipelined: None,
                 range_eligible,
@@ -825,23 +821,9 @@ impl<'a> Planner<'a> {
         }
 
         // The fragment join order, decided once (see `join_order`): the
-        // plan's join steps, the interesting orders below and its SIP
-        // filters are this one result.
+        // plan's join steps and its SIP filters are this one result.
         let heads: Vec<&[VarId]> = draft.iter().map(|f| f.head.as_slice()).collect();
         let join_order = fragment_join_order(&summaries, &heads);
-
-        // Interesting orders: the join key each fragment will be merged
-        // on is known *before* member lowering, so leaf scans can pick
-        // the permutation index whose key order feeds a sort-elided
-        // merge join. The seed is the left side of the first merge and
-        // inherits that step's key.
-        let mut desired: Vec<&[VarId]> = vec![&[]; draft.len()];
-        for step in &join_order[1..] {
-            desired[step.fragment] = &step.key;
-        }
-        if let [seed, first, ..] = join_order.as_slice() {
-            desired[seed.fragment] = &first.key;
-        }
 
         let shared_ix: FxHashMap<StorePattern, usize> =
             shared.iter().enumerate().map(|(i, d)| (d.pattern, i)).collect();
@@ -850,40 +832,9 @@ impl<'a> Planner<'a> {
             .enumerate()
             .map(|(i, f)| FragmentPlan {
                 head: f.head.clone(),
-                members: f
-                    .members
-                    .iter()
-                    .map(|m| lower_member(m, &shared_ix, desired[i]))
-                    .collect(),
+                members: f.members.iter().map(|m| lower_member(m, &shared_ix)).collect(),
                 est: frag_est[i],
                 view: view_of[i],
-            })
-            .collect();
-
-        // When the inputs' order properties make a (possibly sort-elided)
-        // merge cheaper than the profile's algorithm on a step's input
-        // estimates, the step merges — chosen by cost, not forced. The
-        // left input is the seed fragment at the first step, then the
-        // previous step's output: a merge emits in its key's order, the
-        // other algorithms in none.
-        let mut left_order = fragments[join_order[0].fragment].order(&shared);
-        let joins: Vec<StepJoin> = join_order
-            .windows(2)
-            .map(|w| {
-                let (prev, next) = (&w[0], &w[1]);
-                let right_order = fragments[next.fragment].order(&shared);
-                let (l_est, r_est) = (prev.est_rows, summaries[next.fragment].rows);
-                let (algo, sort_elided) = choose_join_algo(
-                    self.profile.fragment_join,
-                    &next.key,
-                    &left_order,
-                    &right_order,
-                    l_est,
-                    r_est,
-                );
-                left_order =
-                    if algo == JoinAlgo::SortMerge { next.key.clone() } else { Vec::new() };
-                StepJoin { algo, sort_elided }
             })
             .collect();
 
@@ -891,7 +842,7 @@ impl<'a> Planner<'a> {
             shared,
             fragments,
             join_order,
-            joins,
+            join: self.profile.fragment_join,
             head: q.head.clone(),
             pipelined,
             range_eligible,
@@ -904,11 +855,7 @@ impl<'a> Planner<'a> {
 /// Lower one union member: its first atom becomes the leaf scan (ranged,
 /// shared or private), every later atom an index probe (ranged when
 /// collapsed), topped by the member's head.
-fn lower_member(
-    m: &DraftMember,
-    shared_ix: &FxHashMap<StorePattern, usize>,
-    desired: &[VarId],
-) -> MemberPlan {
+fn lower_member(m: &DraftMember, shared_ix: &FxHashMap<StorePattern, usize>) -> MemberPlan {
     let range = |atom: usize| m.ranges.iter().find(|r| r.atom == atom).map(|r| r.interval);
     let leaf = match m.order.first() {
         None => Leaf::TrueRow,
@@ -917,7 +864,7 @@ fn lower_member(
             match (range(pi), shared_ix.get(&pattern)) {
                 (Some(interval), _) => Leaf::Range { pattern, interval, est },
                 (None, Some(&id)) => Leaf::Shared { id },
-                (None, None) => Leaf::Scan { pattern, perm: pick_perm(&pattern, desired), est },
+                (None, None) => Leaf::Scan { pattern, est },
             }
         }
     };
@@ -966,74 +913,11 @@ fn atom_order(patterns: &[StorePattern], counts: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Pick the permutation index for a leaf scan of `p`: among every
-/// candidate whose bound prefix covers the pattern's constants, the one
-/// whose output order matches the longest prefix of `desired` (the join
-/// key the planner wants this scan sorted on). `None` keeps the default
-/// bound-prefix choice — candidates are tried in declaration order with
-/// the default first, so a tie never deviates from it.
-fn pick_perm(p: &StorePattern, desired: &[VarId]) -> Option<Perm> {
-    if desired.is_empty() {
-        return None;
-    }
-    let bound = p.bound();
-    let default = Perm::for_bound(&bound);
-    let score = |perm: Perm| -> usize {
-        scan_order(p, perm).iter().zip(desired).take_while(|(a, b)| a == b).count()
-    };
-    let mut best = default;
-    let mut best_score = score(default);
-    for perm in Perm::candidates_for_bound(&bound) {
-        let s = score(perm);
-        if s > best_score {
-            best = perm;
-            best_score = s;
-        }
-    }
-    (best != default).then_some(best)
-}
-
-/// Order-aware join-step choice: given the step's key and the inputs'
-/// order properties, decide which inputs already arrive sorted on the
-/// key, then price the profile's algorithm against the (possibly
-/// sort-elided) merge on the inputs' estimated sizes. Merge wins only
-/// when strictly cheaper — or when the profile forces it anyway, in
-/// which case the elision flags are a free improvement.
-fn choose_join_algo(
-    profile_algo: JoinAlgo,
-    key: &[VarId],
-    left_order: &[VarId],
-    right_order: &[VarId],
-    l_est: f64,
-    r_est: f64,
-) -> (JoinAlgo, (bool, bool)) {
-    if matches!(profile_algo, JoinAlgo::BlockNestedLoop) {
-        // The MySQL-like profile's quadratic join is a modeled weakness
-        // of that engine, not a cost-model oversight — don't rescue it.
-        return (profile_algo, (false, false));
-    }
-    if key.is_empty() {
-        // Cartesian product: a merge degenerates and order buys nothing.
-        return (profile_algo, (false, false));
-    }
-    let elide = (left_order.starts_with(key), right_order.starts_with(key));
-    if matches!(profile_algo, JoinAlgo::SortMerge) {
-        return (JoinAlgo::SortMerge, elide);
-    }
-    let base = join_step_cost(profile_algo, l_est, r_est, (false, false));
-    let merge = join_step_cost(JoinAlgo::SortMerge, l_est, r_est, elide);
-    if merge < base {
-        (JoinAlgo::SortMerge, elide)
-    } else {
-        (profile_algo, (false, false))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::StoreUcq;
-    use crate::profile::EngineProfile;
+    use crate::profile::JoinAlgo;
     use jucq_model::term::TermKind;
     use jucq_model::{TermId, TripleId};
 
@@ -1210,8 +1094,6 @@ mod tests {
 
     #[test]
     fn fragment_join_algo_follows_profile() {
-        // A two-member union arrives in no key order, so a merge would
-        // have to sort it: the profile's own algorithm stays cheaper.
         let fa = StoreUcq::new(
             vec![
                 one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0, 1]),
@@ -1226,75 +1108,11 @@ mod tests {
         let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
         let hash = plan_of(&q, &EngineProfile::pg_like());
         let bnl = plan_of(&q, &EngineProfile::mysql_like());
-        assert_eq!(
-            hash.joins,
-            vec![StepJoin { algo: JoinAlgo::Hash, sort_elided: (false, false) }]
-        );
-        // The MySQL-like profile's weak join is never rescued by a
-        // cheaper merge.
-        assert_eq!(bnl.joins[0].algo, JoinAlgo::BlockNestedLoop);
+        assert_eq!(hash.join, JoinAlgo::Hash);
+        assert_eq!(bnl.join, JoinAlgo::BlockNestedLoop);
         assert!(hash.pipelined.is_some());
         assert!(hash.estimates().iter().any(|(l, _)| l == "join[0].hash_join"));
         assert!(bnl.estimates().iter().any(|(l, _)| l == "join[0].block_nested_loop_join"));
-    }
-
-    #[test]
-    fn planner_elides_merge_sorts_by_cost() {
-        // Two single-member fragments joining on ?0: both leaf scans can
-        // emit in ?0-first order, so the fully elided merge undercuts
-        // the hash join and wins on cost despite the hash-join profile.
-        let fa = StoreUcq::new(
-            vec![one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0, 1])],
-            vec![0, 1],
-        );
-        let fb = StoreUcq::new(
-            vec![one_pattern_member(StorePattern::new(v(0), c(11), v(2)), vec![0, 2])],
-            vec![0, 2],
-        );
-        let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
-        let plan = plan_of(&q, &EngineProfile::pg_like());
-        assert_eq!(
-            plan.joins,
-            vec![StepJoin { algo: JoinAlgo::SortMerge, sort_elided: (true, true) }],
-            "{}",
-            plan.render(2)
-        );
-        assert!(plan.estimates().iter().any(|(l, _)| l == "join[0].sort_merge_join"));
-        // The chosen merge is genuinely ordered: both inputs' order
-        // properties start with the join key.
-        let key = &plan.join_order[1].key;
-        assert!(!key.is_empty());
-        for step in &plan.join_order {
-            assert!(plan.fragments[step.fragment].order(&plan.shared).starts_with(key));
-        }
-    }
-
-    #[test]
-    fn interesting_orders_steer_leaf_permutation_choice() {
-        // Fragment heads join on ?1 — the *object* of fragment a's
-        // pattern. The default perm for a p-bound pattern (Pso) emits in
-        // subject order; the planner must flip that leaf to an
-        // object-first permutation so the merge key leads.
-        let fa = StoreUcq::new(
-            vec![one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![1])],
-            vec![1],
-        );
-        let fb = StoreUcq::new(
-            vec![one_pattern_member(StorePattern::new(v(1), c(11), v(2)), vec![1, 2])],
-            vec![1, 2],
-        );
-        let q = StoreJucq::new(vec![fa, fb], vec![1, 2]);
-        let plan = plan_of(&q, &EngineProfile::pg_like());
-        let mut saw_pos = false;
-        for f in plan.fragments.iter().filter(|f| f.head == [1]) {
-            for m in &f.members {
-                if let Leaf::Scan { perm, .. } = &m.leaf {
-                    assert_eq!(*perm, Some(Perm::Pos), "object-first perm");
-                    saw_pos = true;
-                }
-            }
-        }
-        assert!(saw_pos, "fragment a's leaf scan was lowered with a perm override");
     }
 
     #[test]

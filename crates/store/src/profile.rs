@@ -16,8 +16,6 @@ use std::time::Duration;
 pub enum JoinAlgo {
     /// Build a hash table on the smaller input, probe with the larger.
     Hash,
-    /// Sort both inputs on the join key, then merge.
-    SortMerge,
     /// Nested loop over blocks of the outer input — no auxiliary
     /// structure, quadratic; this is what makes the MySQL-like profile
     /// collapse on SCQ's giant fragment unions.
@@ -225,7 +223,7 @@ mod tests {
         let keys = [
             base.clone().plan_cache_key(),
             base.clone().with_range_scans(!base.range_scans).plan_cache_key(),
-            base.clone().with_fragment_join(JoinAlgo::SortMerge).plan_cache_key(),
+            base.clone().with_fragment_join(JoinAlgo::BlockNestedLoop).plan_cache_key(),
             EngineProfile { materialize_all_unions: true, ..base.clone() }.plan_cache_key(),
         ];
         for i in 0..keys.len() {

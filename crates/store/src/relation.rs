@@ -217,8 +217,7 @@ impl Relation {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Sort rows lexicographically (used by sort-merge join and for
-    /// deterministic test comparisons).
+    /// Sort rows lexicographically (for deterministic comparisons).
     pub fn sort(&mut self) {
         if self.vars.is_empty() {
             return;

@@ -79,27 +79,6 @@ impl Perm {
             Perm::Ops => [2, 1, 0],
         }
     }
-
-    /// Every permutation whose key prefix covers exactly the bound
-    /// positions of `bound` — the candidate set the interesting-orders
-    /// pass chooses among. Singly-bound patterns have two candidates
-    /// (the residual free pair in either order), the unbound pattern has
-    /// all six; [`Perm::for_bound`]'s pick is always the first entry.
-    pub fn candidates_for_bound(bound: &[Option<TermId>; 3]) -> Vec<Perm> {
-        let default = Perm::for_bound(bound);
-        let k = bound.iter().filter(|c| c.is_some()).count();
-        let mut out = vec![default];
-        for p in Perm::ALL {
-            if p == default {
-                continue;
-            }
-            let pos = p.key_positions();
-            if pos[..k].iter().all(|&i| bound[i].is_some()) {
-                out.push(p);
-            }
-        }
-        out
-    }
 }
 
 /// The triple position a [`TripleTable::scan_value_range`] ranges over
@@ -414,18 +393,10 @@ impl TripleTable {
     }
 
     /// The contiguous slice of triples matching the bound positions of a
-    /// pattern. This is the σ of the engine: an index-range scan.
+    /// pattern, sorted by [`Perm::for_bound`]'s key order. This is the σ
+    /// of the engine: an index-range scan.
     pub fn scan(&self, bound: &[Option<TermId>; 3]) -> &[TripleId] {
-        self.scan_with(Perm::for_bound(bound), bound)
-    }
-
-    /// Like [`TripleTable::scan`], but over an explicitly chosen
-    /// permutation (which must put every bound position in its key
-    /// prefix — any member of [`Perm::candidates_for_bound`]). The
-    /// returned slice is sorted by `perm`'s key order; the
-    /// interesting-orders pass uses this to pick the residual variable
-    /// order a downstream merge join wants.
-    pub fn scan_with(&self, perm: Perm, bound: &[Option<TermId>; 3]) -> &[TripleId] {
+        let perm = Perm::for_bound(bound);
         let idx = self.sorted_by(perm);
         if bound.iter().all(Option::is_none) {
             return idx;
@@ -652,55 +623,6 @@ mod tests {
     fn lcg(seed: &mut u64) -> u32 {
         *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         (*seed >> 33) as u32
-    }
-
-    #[test]
-    fn every_candidate_scan_is_sorted_under_its_key_order() {
-        // Property: for every bound mask and every candidate permutation,
-        // `scan_with` returns the same triple set as `scan`, and the
-        // slice is non-decreasing under the candidate's key order.
-        let mut seed = 0x5eed_cafe_u64;
-        let mut triples = Vec::new();
-        for _ in 0..400 {
-            triples.push(t(
-                lcg(&mut seed) % 13,
-                10 + lcg(&mut seed) % 7,
-                100 + lcg(&mut seed) % 17,
-            ));
-        }
-        let tbl = TripleTable::build(&triples);
-        for mask in 0u8..8 {
-            let bound: [Option<TermId>; 3] = std::array::from_fn(|i| {
-                if mask & (1 << i) != 0 {
-                    Some(id(match i {
-                        0 => 3,
-                        1 => 12,
-                        _ => 105,
-                    }))
-                } else {
-                    None
-                }
-            });
-            let default_hits: Vec<TripleId> = {
-                let mut v = tbl.scan(&bound).to_vec();
-                v.sort_unstable_by_key(|x| Perm::Spo.key(x));
-                v
-            };
-            let candidates = Perm::candidates_for_bound(&bound);
-            assert!(!candidates.is_empty());
-            assert_eq!(candidates[0], Perm::for_bound(&bound), "default pick leads");
-            for perm in candidates {
-                let hits = tbl.scan_with(perm, &bound);
-                let keys: Vec<[u32; 3]> = hits.iter().map(|x| perm.key(x)).collect();
-                assert!(
-                    keys.windows(2).all(|w| w[0] <= w[1]),
-                    "mask {mask:#b} perm {perm:?}: slice not sorted under its key"
-                );
-                let mut set = hits.to_vec();
-                set.sort_unstable_by_key(|x| Perm::Spo.key(x));
-                assert_eq!(set, default_hits, "mask {mask:#b} perm {perm:?}: wrong triple set");
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! than two batches that are not a whole number of batches. The answers
 //! are held to a naive evaluator written over plain maps, and the
 //! engine's independent configurations must all agree with it: fragment
-//! joins by hash, sort-merge or block-nested-loop, and every engine
+//! joins by hash or block-nested-loop, and every engine
 //! profile. One query's members bind their SIP key at every stage a
 //! member can test it.
 
@@ -177,7 +177,7 @@ fn runs(qname: &str, join: JoinAlgo) -> bool {
 fn independent_implementations_return_the_naive_answer() {
     let triples = triples(&sample_data());
     for (qname, q, expect) in cases() {
-        for join in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop] {
+        for join in [JoinAlgo::Hash, JoinAlgo::BlockNestedLoop] {
             if !runs(qname, join) {
                 continue;
             }

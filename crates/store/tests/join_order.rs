@@ -88,7 +88,7 @@ fn profile(join: JoinAlgo) -> EngineProfile {
     EngineProfile::pg_like().with_fragment_join(join)
 }
 
-const JOINS: [JoinAlgo; 3] = [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::BlockNestedLoop];
+const JOINS: [JoinAlgo; 2] = [JoinAlgo::Hash, JoinAlgo::BlockNestedLoop];
 
 fn join_order_of(store: &Store, q: &StoreJucq) -> Vec<usize> {
     let plan = store.plan_jucq(q).expect("admitted");

@@ -1,8 +1,8 @@
-//! Order-aware execution differential matrix: sort elision, galloping
-//! seeks and zero-copy scan borrows must be pure performance features.
-//! Across both fragment-join algorithms and every engine profile, the
-//! answer set equals the naive evaluator's of `common`, and on the right
-//! fixture the ordering counters are provably live.
+//! Execution differential matrix: zero-copy scan borrows and pre-sized
+//! join outputs must be pure performance features. Across both
+//! fragment-join algorithms and every engine profile, the answer set
+//! equals the naive evaluator's of `common`, and on the right fixture
+//! the counters that report both are provably live.
 
 mod common;
 
@@ -11,8 +11,7 @@ use jucq_store::{EngineProfile, JoinAlgo, Store, StoreCq, StoreJucq, StorePatter
 
 /// A chain on p10, a two-member-union feeder on p13, and a skewed pair
 /// p14/p15: p14 fans 25 subjects out to 12 objects each (300 rows)
-/// while p15 touches 6 of those subjects once — past the 8× gallop
-/// threshold when they merge.
+/// while p15 touches 6 of those subjects once.
 fn sample_data() -> Vec<Spo> {
     let mut data = Vec::new();
     for i in 0..40 {
@@ -33,8 +32,7 @@ fn sample_data() -> Vec<Spo> {
 }
 
 /// Three joined fragments: two single-member (borrow candidates) and a
-/// two-member union in the middle whose output order is unknown, so
-/// elision must stay partial on this shape.
+/// two-member union in the middle, which must deduplicate.
 fn chain_query() -> StoreJucq {
     let fa = StoreUcq::new(
         vec![StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1])],
@@ -54,9 +52,8 @@ fn chain_query() -> StoreJucq {
     StoreJucq::new(vec![fa, fb, fc], vec![0, 1, 2, 3])
 }
 
-/// Two single-member fragments over the skewed predicates: both scans
-/// can be steered to subject order, so a SortMerge fragment join can
-/// elide both sorts across the 50× size skew.
+/// Two single-member fragments over the skewed predicates, joined on
+/// the subject across a 50× size skew.
 fn skewed_query() -> StoreJucq {
     let big = StoreUcq::new(
         vec![StoreCq::with_var_head(vec![StorePattern::new(v(0), c(14), v(1))], vec![0, 1])],
@@ -84,7 +81,7 @@ fn every_preset_and_join_matches_naive() {
             EngineProfile::native_like,
         ];
         for base in bases {
-            for join in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            for join in [JoinAlgo::Hash, JoinAlgo::BlockNestedLoop] {
                 let profile = base().with_fragment_join(join);
                 let label = format!("{qname} {} join={join:?}", profile.name);
                 let out = Store::from_triples(&triples, profile)
@@ -96,18 +93,14 @@ fn every_preset_and_join_matches_naive() {
     }
 }
 
-/// On the skewed fixture a SortMerge run provably exercises the
-/// planner's ordering: both scan orders align with the join key (sorts
-/// elided), the single-member distinct fragments borrow their scan rows,
-/// and outputs are pre-sized from the estimates. (Gallop liveness is
-/// `exec::join`'s `skewed_merge_gallops_and_matches_hash_join`: here the
-/// SIP filter already drops the rows a gallop would skip.)
+/// On the skewed fixture a pg-like run provably exercises both: the
+/// single-member distinct fragments borrow their scan rows, and the hash
+/// join's output is pre-sized from the step estimate.
 #[test]
 fn order_counters_are_live_on_the_skewed_fixture() {
     let triples = triples(&sample_data());
-    let profile = EngineProfile::pg_like().with_fragment_join(JoinAlgo::SortMerge);
-    let out = Store::from_triples(&triples, profile).eval_jucq(&skewed_query()).unwrap();
-    assert!(out.counters.sorts_elided > 0, "no sorts elided: {:?}", out.counters);
+    let out =
+        Store::from_triples(&triples, EngineProfile::pg_like()).eval_jucq(&skewed_query()).unwrap();
     assert!(out.counters.scan_rows_borrowed > 0, "no rows borrowed: {:?}", out.counters);
     assert!(out.counters.rows_reserved > 0, "no output pre-sizing: {:?}", out.counters);
 }

@@ -7,7 +7,7 @@
 use jucq_model::term::TermKind;
 use jucq_model::{TermId, TripleId};
 use jucq_store::{
-    EngineProfile, JoinAlgo, PatternTerm, Store, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId,
+    EngineProfile, PatternTerm, Store, StoreCq, StoreJucq, StorePattern, StoreUcq, VarId,
 };
 
 fn id(i: u32) -> TermId {
@@ -128,9 +128,6 @@ fn two_fragment_join_snapshot_pg_vs_mysql() {
     );
     let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 2]);
 
-    // Both single-member fragments emit in join-key order, so the
-    // planner costs the fully sort-elided merge below the profile's hash
-    // join and lowers a MergeJoin instead.
     let pg = render(&q, EngineProfile::pg_like());
     let want_pg = "\
 Pipelined fragment: 0
@@ -139,7 +136,7 @@ SIP filters:
   join[0] build → fragment[0] probe on [?0]
 Dedup (est 2.0)
   Project [?0, ?1, ?2]
-    MergeJoin join[0] (sort elided) (est 2.0)
+    HashJoin join[0] (est 2.0)
       HashUnion fragment[1] — 1 member (est 2.0)
         Project [?0, ?2]
           IndexScan (?0 #u11 ?2) (est 2.0)
@@ -217,43 +214,6 @@ Dedup (est 2.0)
     assert_eq!(got, want, "got:\n{got}");
 }
 
-/// A sort-merge profile: a two-atom member is one scan plus an Inlj
-/// probe, and the fragment join renders as a MergeJoin with both sorts
-/// elided — a probe keeps its leaf scan's key order.
-#[test]
-fn merge_join_profile_snapshot() {
-    let fa = StoreUcq::new(
-        vec![member(
-            vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(1), c(12), v(2))],
-            vec![0, 1],
-        )],
-        vec![0, 1],
-    );
-    let fb = StoreUcq::new(
-        vec![member(vec![StorePattern::new(v(0), c(11), v(3))], vec![0, 3])],
-        vec![0, 3],
-    );
-    let q = StoreJucq::new(vec![fa, fb], vec![0, 1, 3]);
-    let got = render(&q, EngineProfile::pg_like().with_fragment_join(JoinAlgo::SortMerge));
-    let want = "\
-Pipelined fragment: 0
-Fragment join order: f1 (est 2.0) ⋈[?0] f0 → est 2.0
-SIP filters:
-  join[0] build → fragment[0] probe on [?0]
-Dedup (est 2.0)
-  Project [?0, ?1, ?3]
-    MergeJoin join[0] (sort elided) (est 2.0)
-      HashUnion fragment[1] — 1 member (est 2.0)
-        Project [?0, ?3]
-          IndexScan (?0 #u11 ?3) (est 2.0)
-      HashUnion fragment[0] — 1 member (est 6.0)
-        Project [?0, ?1]
-          Inlj probe (?1 #u12 ?2)
-            IndexScan (?0 #u10 ?1) (est 6.0)
-";
-    assert_eq!(got, want, "got:\n{got}");
-}
-
 /// The fragment join order and the SIP placement it implies, on the
 /// LUBM Q28/SCQ shape: two memberships sharing a low-cardinality group
 /// variable plus one edge between their subjects, memberships declared
@@ -291,7 +251,7 @@ SIP filters:
 Dedup (est 5.5)
   Project [?0, ?1, ?2]
     HashJoin join[1] (est 5.5)
-      MergeJoin join[0] (sort elided) (est 22.0)
+      HashJoin join[0] (est 22.0)
         HashUnion fragment[0] — 1 member (est 20.0)
           Project [?0, ?2]
             IndexScan (?0 #u10 ?2) (est 20.0)
@@ -300,7 +260,7 @@ Dedup (est 5.5)
             IndexScan (?0 #u11 ?1) (est 22.0)
       HashUnion fragment[1] — 1 member (est 20.0)
         Project [?1, ?2]
-          IndexScan (?1 #u10 ?2) via Pos (est 20.0)
+          IndexScan (?1 #u10 ?2) (est 20.0)
 ";
     assert_eq!(got, want, "got:\n{got}");
 }
