@@ -393,7 +393,8 @@ impl RdfDatabase {
     ///
     /// When the database is prepared and the update stays within the
     /// known vocabulary, the next snapshot is derived **incrementally**
-    /// from the current one: the plain store by an index merge and
+    /// from the current one: the plain store by a merge into its SPO
+    /// index, from which the other indexes are re-derived, and
     /// everything else shared. The saturated store is maintained iff
     /// the current snapshot has built it: then through the
     /// counting-based [`IncrementalSaturation`] — the maintenance cost

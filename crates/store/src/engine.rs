@@ -114,9 +114,10 @@ impl Store {
         self.profile = profile;
     }
 
-    /// A new store with `inserts` merged and `deletes` removed, using
-    /// the merge-based index maintenance (no full re-sort) and a
-    /// near-linear statistics refresh.
+    /// A new store with `inserts` merged and `deletes` removed: one merge
+    /// into the SPO index, the other indexes derived from it as a build
+    /// derives them ([`TripleTable::apply_delta`]; no comparison sort of
+    /// the table), and a near-linear statistics refresh.
     pub fn apply_delta(
         &self,
         inserts: &[jucq_model::TripleId],

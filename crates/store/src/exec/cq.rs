@@ -4,7 +4,8 @@
 //! [`Leaf`] scan extended by index probes — each extends the current
 //! binding set against the best permutation index — then projected onto
 //! the member's head. This is how an RDBMS with all six `(s,p,o)`
-//! indexes evaluates these queries.
+//! indexes evaluates these queries; the store keeps five, since OPS
+//! serves every object-led lookup OSP would.
 //!
 //! Leaf scans are either private index or range scans or references
 //! into the plan's shared-scan table ([`Leaf::Shared`]), already

@@ -6,11 +6,13 @@
 //! evaluating selections, projections, joins and unions" (§1). Its
 //! experiments run on PostgreSQL, DB2 and MySQL over a dictionary-encoded
 //! `Triples(s,p,o)` table "indexed by all permutations of the s,p,o
-//! columns, leading to a total of 6 indexes" (§5.1).
+//! columns, leading to a total of 6 indexes" (§5.1). Five suffice here:
+//! OPS serves every object-led lookup OSP would, so the table keeps
+//! SPO, SOP, PSO, POS and OPS.
 //!
 //! This crate is that substrate, built from scratch:
 //!
-//! * [`table::TripleTable`] — the triples table plus its six clustered
+//! * [`table::TripleTable`] — the triples table plus its five clustered
 //!   permutation indexes; triple-pattern scans are binary-search prefix
 //!   ranges and pattern cardinalities are **exact** and O(log n);
 //! * [`ir`] — a minimal relational IR: triple patterns, conjunctive

@@ -62,7 +62,7 @@ impl Statistics {
     /// Gather statistics from a built table by counting runs, one
     /// linear walk over each of four indexes. A predicate's triples are
     /// one run of the PSO index, its subjects sorted inside, and one run
-    /// of the POS index, its objects sorted inside; the SPO and OSP
+    /// of the POS index, its objects sorted inside; the SPO and OPS
     /// indexes give the global distinct subject and object counts.
     /// Nothing is copied or re-sorted (this is also what keeps
     /// incremental store maintenance cheap).
@@ -84,7 +84,7 @@ impl Statistics {
             distinct_predicates: predicates.len(),
             predicates,
             distinct_subjects: count_runs(table.sorted_by(Perm::Spo).iter().map(|t| t.s)),
-            distinct_objects: count_runs(table.sorted_by(Perm::Osp).iter().map(|t| t.o)),
+            distinct_objects: count_runs(table.sorted_by(Perm::Ops).iter().map(|t| t.o)),
         }
     }
 

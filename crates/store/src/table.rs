@@ -1,16 +1,18 @@
-//! The `Triples(s,p,o)` table and its six permutation indexes.
+//! The `Triples(s,p,o)` table and its five permutation indexes.
 //!
-//! Mirrors the paper's storage layout (§5.1): one triples table "indexed
-//! by all permutations of the s,p,o columns, leading to a total of 6
-//! indexes", dictionary-encoded. Each index is a clustered copy of the
-//! table sorted by one column permutation, so every triple-pattern scan
-//! is a binary-search prefix range over a contiguous slice — and every
-//! triple-pattern **cardinality is exact** in O(log n), which the
-//! statistics layer exploits.
+//! Follows the paper's storage layout (§5.1): one dictionary-encoded
+//! triples table, each index a clustered copy of it sorted by one column
+//! permutation, so every triple-pattern scan is a binary-search prefix
+//! range over a contiguous slice — and every triple-pattern
+//! **cardinality is exact** in O(log n), which the statistics layer
+//! exploits. The paper's RDBMSs keep all six permutations; here OSP is
+//! left out, because every lookup it could serve binds or ranges over
+//! the object alone, and that is a prefix of OPS as well.
 
 use jucq_model::{TermId, TripleId};
 
-/// The six column permutations of `(s, p, o)`.
+/// The five column permutations of `(s, p, o)` the table keeps: all
+/// but OSP, whose object-led lookups OPS answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Perm {
     /// subject, property, object
@@ -21,15 +23,13 @@ pub enum Perm {
     Pso,
     /// property, object, subject
     Pos,
-    /// object, subject, property
-    Osp,
     /// object, property, subject
     Ops,
 }
 
 impl Perm {
-    /// All six permutations.
-    pub const ALL: [Perm; 6] = [Perm::Spo, Perm::Sop, Perm::Pso, Perm::Pos, Perm::Osp, Perm::Ops];
+    /// All five permutations.
+    pub const ALL: [Perm; 5] = [Perm::Spo, Perm::Sop, Perm::Pso, Perm::Pos, Perm::Ops];
 
     /// The sort key of a triple under this permutation.
     #[inline]
@@ -40,7 +40,6 @@ impl Perm {
             Perm::Sop => [s, o, p],
             Perm::Pso => [p, s, o],
             Perm::Pos => [p, o, s],
-            Perm::Osp => [o, s, p],
             Perm::Ops => [o, p, s],
         }
     }
@@ -57,7 +56,7 @@ impl Perm {
             (false, false, false) => Perm::Spo,
             (true, false, false) => Perm::Spo,
             (false, true, false) => Perm::Pso,
-            (false, false, true) => Perm::Osp,
+            (false, false, true) => Perm::Ops,
             (true, true, false) => Perm::Spo,
             (true, false, true) => Perm::Sop,
             (false, true, true) => Perm::Pos,
@@ -75,7 +74,6 @@ impl Perm {
             Perm::Sop => [0, 2, 1],
             Perm::Pso => [1, 0, 2],
             Perm::Pos => [1, 2, 0],
-            Perm::Osp => [2, 0, 1],
             Perm::Ops => [2, 1, 0],
         }
     }
@@ -104,7 +102,7 @@ impl Perm {
     fn for_range_mask(bound: [bool; 3], ranged: RangePos) -> Perm {
         match ranged {
             RangePos::Object => match (bound[0], bound[1]) {
-                (false, false) => Perm::Osp,
+                (false, false) => Perm::Ops,
                 (true, false) => Perm::Sop,
                 (false, true) => Perm::Pos,
                 (true, true) => Perm::Spo,
@@ -338,21 +336,16 @@ fn scatter(
     }
 }
 
-/// The triples table plus six clustered permutation indexes.
+/// The triples table plus five clustered permutation indexes.
 #[derive(Debug, Default, Clone)]
 pub struct TripleTable {
-    indexes: [Vec<TripleId>; 6],
+    indexes: [Vec<TripleId>; 5],
 }
 
 impl TripleTable {
     /// Build the table (and all indexes) from a set of triples.
     /// Duplicates in the input are kept; callers deduplicate upstream
     /// (graphs are sets).
-    ///
-    /// One comparison sort puts the triples in SPO order. Every other
-    /// index is one stable radix sort of an index already sorted on the
-    /// other two columns, by the column it leads with: PSO and OSP from
-    /// SPO, OPS from PSO, SOP and POS from OSP.
     pub fn build(triples: &[TripleId]) -> Self {
         TripleTable::from_vec(triples.to_vec())
     }
@@ -361,18 +354,25 @@ impl TripleTable {
     /// sorted in place into the SPO index: no copy of the input is held.
     pub(crate) fn from_vec(mut spo: Vec<TripleId>) -> Self {
         spo.sort_unstable_by_key(|t| Perm::Spo.key(t));
+        TripleTable::from_spo(spo)
+    }
+
+    /// The table over `spo`, a run sorted in SPO order. Every other index
+    /// is one stable radix sort of an index already sorted on the other
+    /// two columns, by the column it leads with: PSO from SPO, OPS from
+    /// PSO, SOP and POS from OPS.
+    fn from_spo(spo: Vec<TripleId>) -> Self {
         let mut scratch = Vec::new();
         let pso = sort_by_column(&spo, |t| t.p, &mut scratch);
-        let osp = sort_by_column(&spo, |t| t.o, &mut scratch);
         let ops = sort_by_column(&pso, |t| t.o, &mut scratch);
-        let sop = sort_by_column(&osp, |t| t.s, &mut scratch);
+        let sop = sort_by_column(&ops, |t| t.s, &mut scratch);
         // Freed before the last sort: predicate ids rarely need their
         // high digit, so POS takes one pass without scratch and the
-        // build holds at most six copies of the triples at a time, its
-        // input included.
+        // build never holds more copies of the triples than the finished
+        // table does, its input included.
         drop(scratch);
-        let pos = sort_by_column(&osp, |t| t.p, &mut Vec::new());
-        TripleTable { indexes: [spo, sop, pso, pos, osp, ops] }
+        let pos = sort_by_column(&ops, |t| t.p, &mut Vec::new());
+        TripleTable { indexes: [spo, sop, pso, pos, ops] }
     }
 
     /// Number of stored triples.
@@ -387,8 +387,8 @@ impl TripleTable {
 
     /// Every triple, sorted by `perm`'s key order.
     pub fn sorted_by(&self, perm: Perm) -> &[TripleId] {
-        // `Perm`'s declaration order is `Perm::ALL`'s, which `build` and
-        // `apply_delta` fill the array in.
+        // `Perm`'s declaration order is `Perm::ALL`'s, which `from_spo`
+        // fills the array in.
         &self.indexes[perm as usize]
     }
 
@@ -464,60 +464,34 @@ impl TripleTable {
         self.sorted_by(Perm::Spo)
     }
 
-    /// A new table with `inserts` merged in and `deletes` filtered out,
-    /// built by per-index two-pointer merges (O(n + d·log d) per index
-    /// instead of a full O(n·log n) rebuild) — the maintenance path of
-    /// the update experiments.
+    /// A new table with `inserts` merged in and `deletes` filtered out:
+    /// one merge of the sorted inserts into the SPO index (O(n + d·log d)
+    /// instead of a full O(n·log n) comparison sort), from which the other
+    /// indexes are derived as [`TripleTable::build`] derives them — the
+    /// maintenance path of the update experiments.
     pub fn apply_delta(
         &self,
         inserts: &[TripleId],
         deletes: &jucq_model::FxHashSet<TripleId>,
     ) -> TripleTable {
-        let mut indexes: [Vec<TripleId>; 6] = Default::default();
-        for (slot, perm) in indexes.iter_mut().zip(Perm::ALL) {
-            let mut ins: Vec<TripleId> =
-                inserts.iter().filter(|t| !deletes.contains(t)).copied().collect();
-            ins.sort_unstable_by_key(|t| perm.key(t));
-            ins.dedup();
-            let old = self.sorted_by(perm);
-            let mut merged: Vec<TripleId> = Vec::with_capacity(old.len() + ins.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < old.len() || j < ins.len() {
-                match (old.get(i), ins.get(j)) {
-                    (Some(a), Some(b)) if perm.key(a) == perm.key(b) => {
-                        // Insert of an already-present triple: keep one.
-                        i += 1;
-                        j += 1;
-                        if !deletes.contains(a) {
-                            merged.push(*a);
-                        }
-                    }
-                    (Some(a), Some(b)) if perm.key(a) < perm.key(b) => {
-                        i += 1;
-                        if !deletes.contains(a) {
-                            merged.push(*a);
-                        }
-                    }
-                    (Some(_), Some(b)) => {
-                        merged.push(*b);
-                        j += 1;
-                    }
-                    (Some(a), None) => {
-                        i += 1;
-                        if !deletes.contains(a) {
-                            merged.push(*a);
-                        }
-                    }
-                    (None, Some(b)) => {
-                        merged.push(*b);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
-                }
+        // `TripleId` orders by (s, p, o): the SPO key order.
+        let mut ins: Vec<TripleId> =
+            inserts.iter().filter(|t| !deletes.contains(t)).copied().collect();
+        ins.sort_unstable();
+        ins.dedup();
+        let old = self.all();
+        let mut spo = Vec::with_capacity(old.len() + ins.len());
+        let mut ins = ins.into_iter().peekable();
+        for t in old.iter().filter(|t| !deletes.contains(t)) {
+            while let Some(new) = ins.next_if(|new| new < t) {
+                spo.push(new);
             }
-            *slot = merged;
+            // Insert of an already-present triple: keep one.
+            ins.next_if_eq(t);
+            spo.push(*t);
         }
-        TripleTable { indexes }
+        spo.extend(ins);
+        TripleTable::from_spo(spo)
     }
 }
 

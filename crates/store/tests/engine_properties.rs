@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use jucq_model::term::TermKind;
 use jucq_model::{FxHashSet, TermId, TripleId};
 use jucq_store::exec::{join, ExecContext};
-use jucq_store::{EngineProfile, Relation, TripleTable};
+use jucq_store::{EngineProfile, Perm, RangePos, Relation, TripleTable};
 
 fn id(i: u32) -> TermId {
     TermId::new(TermKind::Uri, i)
@@ -41,7 +41,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     #[test]
-    fn scans_agree_with_brute_force(triples in random_triples(), mask in random_mask()) {
+    fn scans_agree_with_brute_force(
+        triples in random_triples(),
+        mask in random_mask(),
+        lo in 0u32..14,
+        hi in 0u32..14,
+    ) {
         // Deduplicate: tables are built over set-semantics graphs.
         let set: FxHashSet<TripleId> = triples.iter().copied().collect();
         let triples: Vec<TripleId> = set.into_iter().collect();
@@ -58,6 +63,24 @@ proptest! {
             .copied()
             .collect();
         prop_assert_eq!(scanned, brute);
+        // A value range over either position, the other positions bound
+        // as `mask` binds them; `[lo, hi)` may be empty or inverted.
+        for (ranged, pos) in [(RangePos::Predicate, 1), (RangePos::Object, 2)] {
+            let mut bound = bound;
+            bound[pos] = None;
+            let scanned: FxHashSet<TripleId> =
+                table.scan_value_range(&bound, ranged, lo, hi).iter().copied().collect();
+            let brute: FxHashSet<TripleId> = triples
+                .iter()
+                .filter(|t| {
+                    let v = [t.s, t.p, t.o];
+                    (0..3).all(|i| bound[i].is_none_or(|b| v[i] == b))
+                        && (lo..hi).contains(&v[pos].raw())
+                })
+                .copied()
+                .collect();
+            prop_assert_eq!(scanned, brute, "{:?} [{}, {})", ranged, lo, hi);
+        }
     }
 
     #[test]
@@ -87,9 +110,11 @@ proptest! {
                 expect.insert(*t);
             }
         }
-        let got: FxHashSet<TripleId> = merged.all().iter().copied().collect();
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(merged.len(), merged.all().len());
+        let expect: Vec<TripleId> = expect.into_iter().collect();
+        let rebuilt = TripleTable::build(&expect);
+        for perm in Perm::ALL {
+            prop_assert_eq!(merged.sorted_by(perm), rebuilt.sorted_by(perm), "{:?}", perm);
+        }
     }
 
     #[test]

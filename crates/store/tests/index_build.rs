@@ -1,6 +1,6 @@
-//! Index build equivalence: `TripleTable::build` derives five of its six
+//! Index build equivalence: `TripleTable::build` derives four of its five
 //! permutation indexes by stable radix passes over one sorted order, and
-//! must hold exactly what six comparison sorts of the input hold —
+//! must hold exactly what five comparison sorts of the input hold —
 //! element by element, duplicates included. `Statistics::build` counts
 //! runs of those indexes, and must equal the formula that copied and
 //! sorted every predicate's objects.
@@ -18,8 +18,8 @@ use jucq_store::{Perm, Statistics, TripleTable};
 
 /// The build before indexes were derived from one another: one full
 /// comparison sort of the input per permutation.
-fn six_sorts(triples: &[TripleId]) -> [Vec<TripleId>; 6] {
-    let mut indexes: [Vec<TripleId>; 6] = Default::default();
+fn five_sorts(triples: &[TripleId]) -> [Vec<TripleId>; 5] {
+    let mut indexes: [Vec<TripleId>; 5] = Default::default();
     for (slot, perm) in indexes.iter_mut().zip(Perm::ALL) {
         let mut v = triples.to_vec();
         v.sort_unstable_by_key(|t| perm.key(t));
@@ -31,7 +31,7 @@ fn six_sorts(triples: &[TripleId]) -> [Vec<TripleId>; 6] {
 /// The statistics formula before objects were counted as POS runs:
 /// per predicate run of the PSO index, subjects counted as runs and a
 /// copy of the objects sorted and deduplicated; global distinct
-/// subjects and objects counted as runs of SPO and OSP.
+/// subjects and objects counted as runs of SPO and OPS.
 fn sorted_stats(table: &TripleTable) -> (FxHashMap<TermId, PredicateStats>, usize, usize) {
     fn count_runs(values: impl Iterator<Item = TermId>) -> usize {
         let mut n = 0usize;
@@ -65,7 +65,7 @@ fn sorted_stats(table: &TripleTable) -> (FxHashMap<TermId, PredicateStats>, usiz
         i = j;
     }
     let subjects = count_runs(table.sorted_by(Perm::Spo).iter().map(|t| t.s));
-    let objects = count_runs(table.sorted_by(Perm::Osp).iter().map(|t| t.o));
+    let objects = count_runs(table.sorted_by(Perm::Ops).iter().map(|t| t.o));
     (predicates, subjects, objects)
 }
 
@@ -100,7 +100,7 @@ fn triples() -> impl Strategy<Value = Vec<TripleId>> {
 fn check_build(triples: &[TripleId]) -> Result<(), TestCaseError> {
     let table = TripleTable::build(triples);
     prop_assert_eq!(table.len(), triples.len());
-    for (perm, want) in Perm::ALL.into_iter().zip(six_sorts(triples)) {
+    for (perm, want) in Perm::ALL.into_iter().zip(five_sorts(triples)) {
         prop_assert_eq!(table.sorted_by(perm), &want[..], "{:?} of {:?}", perm, triples);
     }
     let stats = Statistics::build(&table);
@@ -119,7 +119,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
     #[test]
-    fn build_equals_six_comparison_sorts(ts in triples()) {
+    fn build_equals_five_comparison_sorts(ts in triples()) {
         check_build(&ts)?;
     }
 }
