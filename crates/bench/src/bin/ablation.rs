@@ -23,7 +23,7 @@ fn main() {
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
     let constants = db.cost_constants();
 
     let queries: Vec<NamedQuery> =
@@ -63,7 +63,7 @@ fn main() {
         render_table(
             &format!(
                 "Ablation: GCov guided by IndexPipeline vs ScanVolume member costs (LUBM-like, {} triples)",
-                db.graph().len()
+                db.data_len()
             ),
             &["q".into(), "pipeline model (ms, cover)".into(), "scan-volume model (ms, cover)".into()],
             &rows,

@@ -30,7 +30,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &format!("Calibrated cost constants ({} triples)", db.graph().len()),
+            &format!("Calibrated cost constants ({} triples)", db.data_len()),
             &[
                 "engine".into(),
                 "c_db".into(),

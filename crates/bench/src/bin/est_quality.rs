@@ -32,7 +32,7 @@ fn main() {
     let universities = arg_scale(1, 2);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
     let constants = db.cost_constants();
 
     let queries: Vec<NamedQuery> =
@@ -90,7 +90,7 @@ fn main() {
         render_table(
             &format!(
                 "Estimator q-errors on UCQ result sizes (LUBM-like, {} triples)",
-                db.graph().len()
+                db.data_len()
             ),
             &["q".into(), "member-sum q-err".into(), "template q-err".into(), "actual rows".into(),],
             &rows,

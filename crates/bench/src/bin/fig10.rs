@@ -18,7 +18,7 @@ use jucq_store::EngineProfile;
 fn run_scale(universities: usize, label: &str) {
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
     let queries: Vec<NamedQuery> = lubm::workload();
 
     let mut rows = Vec::new();

@@ -17,10 +17,10 @@ fn main() {
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
     let queries: Vec<NamedQuery> = lubm::workload();
     rdbms_figure(
-        &format!("Figure 4: LUBM-like small scale ({} triples)", db.graph().len()),
+        &format!("Figure 4: LUBM-like small scale ({} triples)", db.data_len()),
         &mut db,
         &queries,
     );

@@ -16,9 +16,9 @@ fn main() {
     let authors = arg_scale(1, 6_000);
     eprintln!("building DBLP-like({authors} authors)...");
     let mut db = dblp_db(authors, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
     rdbms_figure(
-        &format!("Figure 6: DBLP-like ({} triples)", db.graph().len()),
+        &format!("Figure 6: DBLP-like ({} triples)", db.data_len()),
         &mut db,
         &dblp::workload(),
     );

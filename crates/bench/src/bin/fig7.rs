@@ -54,7 +54,7 @@ fn main() {
     let universities = arg_scale(1, 2);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
 
     let queries: Vec<NamedQuery> =
         lubm::motivating_queries().into_iter().chain(lubm::workload()).collect();
@@ -68,7 +68,7 @@ fn main() {
         render_table(
             &format!(
                 "Figure 7: covers explored & algorithm time, LUBM-like ({} triples)",
-                db.graph().len()
+                db.data_len()
             ),
             &[
                 "q".into(),

@@ -17,7 +17,7 @@ fn main() {
     let authors = arg_scale(1, 2_000);
     eprintln!("building DBLP-like({authors} authors)...");
     let mut db = dblp_db(authors, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
 
     let mut rows = Vec::new();
     for nq in dblp::workload() {
@@ -39,7 +39,7 @@ fn main() {
         render_table(
             &format!(
                 "Figure 8: covers explored & algorithm time, DBLP-like ({} triples)",
-                db.graph().len()
+                db.data_len()
             ),
             &[
                 "q".into(),

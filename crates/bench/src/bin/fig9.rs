@@ -21,7 +21,7 @@ fn main() {
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
 
     let strategies = [
         ("ECov/paper", Strategy::ECov { budget: Duration::from_secs(30), cost: CostSource::Paper }),
@@ -67,7 +67,7 @@ fn main() {
         render_table(
             &format!(
                 "Figure 9: cost model comparison, LUBM-like ({} triples), pg-like engine",
-                db.graph().len()
+                db.data_len()
             ),
             &header,
             &rows,

@@ -21,7 +21,7 @@ fn main() {
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
 
     let q1 = db.parse_query(&lubm::motivating_queries()[0].sparql).expect("q1 parses");
 
@@ -56,7 +56,7 @@ fn main() {
         render_table(
             &format!(
                 "Table 2: covers of q1 (LUBM-like {universities} univ, {} triples)",
-                db.graph().len()
+                db.data_len()
             ),
             &["Cover".into(), "#reformulations".into(), "exec (ms)".into(), "#answers".into()],
             &rows,

@@ -18,7 +18,7 @@ fn main() {
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
 
     let q2 = db.parse_query(&lubm::motivating_queries()[1].sparql).expect("q2 parses");
 
@@ -44,7 +44,7 @@ fn main() {
         render_table(
             &format!(
                 "Table 3: characteristics of q2 (LUBM-like {universities} univ, {} triples)",
-                db.graph().len()
+                db.data_len()
             ),
             &[
                 "Triple".into(),

@@ -69,8 +69,8 @@ fn main() {
         render_table(
             &format!(
                 "Table 4a: LUBM query characteristics (small={} triples, large={} triples)",
-                db_small.graph().len(),
-                db_large.graph().len()
+                db_small.data_len(),
+                db_large.data_len()
             ),
             &[
                 "q".into(),
@@ -97,7 +97,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &format!("Table 4b: DBLP query characteristics ({} triples)", db_dblp.graph().len()),
+            &format!("Table 4b: DBLP query characteristics ({} triples)", db_dblp.data_len()),
             &["q".into(), "|q_ref|".into(), "|q(db)|".into()],
             &rows,
         )

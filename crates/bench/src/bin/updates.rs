@@ -49,7 +49,7 @@ fn main() {
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
-    eprintln!("  {} data triples", db.graph().len());
+    eprintln!("  {} data triples", db.data_len());
     let q1 = db.parse_query(&lubm::motivating_queries()[0].sparql).expect("q1");
     let baseline = db.answer(&q1, &Strategy::gcov_default()).expect("baseline").rows.len();
 
@@ -113,7 +113,7 @@ fn main() {
         render_table(
             &format!(
                 "Update maintenance, LUBM-like ({} triples): incremental vs full rebuild",
-                db.graph().len()
+                db.data_len()
             ),
             &[
                 "batch (triples)".into(),

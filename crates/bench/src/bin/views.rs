@@ -124,7 +124,7 @@ fn main() {
     let mut on = lubm_db(universities, EngineProfile::default());
     on.enable_plan_cache(64);
     on.enable_views(BUDGET_TUPLES);
-    eprintln!("  {} data triples", on.graph().len());
+    eprintln!("  {} data triples", on.data_len());
 
     let queries: Vec<(String, String)> = lubm::workload()
         .into_iter()

@@ -1,7 +1,8 @@
 //! The `RdfDatabase` facade: the single writer.
 //!
-//! Owns what only a writer needs — the RDF graph (dictionary + schema +
-//! data), the pinned settings, and, once a snapshot has built the
+//! Owns what only a writer needs — the RDF graph (dictionary + schema,
+//! and the data until the first preparation moves it into the plain
+//! store), the pinned settings, and, once a snapshot has built the
 //! saturated store, the state that maintains it under updates — and
 //! publishes immutable [`Snapshot`]s of
 //! it (see [`crate::epoch`]): lazily from scratch on
@@ -69,6 +70,10 @@ impl Published {
     /// materialized schema triples), the plain store's indexes, and the
     /// calibration. Nothing is saturated: the snapshot builds its
     /// saturated store on the first request that needs it.
+    ///
+    /// The graph's data triples move into the plain store, which is
+    /// their only copy from then on: `graph` keeps its dictionary and
+    /// schema, and [`RdfDatabase::invalidate`] hands the triples back.
     fn build(
         graph: &mut Graph,
         profile: &EngineProfile,
@@ -85,7 +90,9 @@ impl Published {
             let schema_ts = schema_triples(graph, &closure);
             (closure, rdf_type, schema_ts)
         };
-        let plain = build_store([graph.data(), &schema_ts].concat(), profile);
+        let mut triples = graph.replace_data(Vec::new());
+        triples.extend_from_slice(&schema_ts);
+        let plain = build_store(triples, profile);
         let constants = {
             jucq_obs::span!("prepare.calibrate");
             pinned.unwrap_or_else(|| calibrate(&plain))
@@ -176,9 +183,50 @@ impl RdfDatabase {
         crate::turtle::load(&mut self.graph, text)
     }
 
-    /// The underlying graph.
+    /// The writer's graph: its dictionary (a superset of every
+    /// snapshot's) and its declared schema. It holds the data triples
+    /// only until the first preparation moves them into the plain
+    /// store; anything that invalidates the preparation — a schema
+    /// statement, new vocabulary, [`RdfDatabase::insert`] — moves them
+    /// back before the rebuild. Read the data through
+    /// [`RdfDatabase::data_len`], [`RdfDatabase::to_graph`] or
+    /// [`RdfDatabase::save_snapshot`], which know where it lives.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// The number of data triples, prepared or not.
+    pub fn data_len(&self) -> usize {
+        match &self.published {
+            Some(p) => p.snapshot.data_len(),
+            None => self.graph.len(),
+        }
+    }
+
+    /// A copy of the writer's graph holding the current data triples
+    /// (in SPO order once prepared), under the writer's dictionary: a
+    /// database built from it answers as this one does, id for id.
+    pub fn to_graph(&self) -> Graph {
+        match &self.published {
+            Some(p) => Graph::assemble(
+                self.graph.dict().clone(),
+                self.graph.schema().clone(),
+                p.snapshot.data().copied().collect(),
+            ),
+            None => self.graph.clone(),
+        }
+    }
+
+    /// The current data in the [snapshot file format](crate::snapshot),
+    /// prepared or not. Unprepared, the bytes are
+    /// [`crate::snapshot::save`]'s of [`RdfDatabase::graph`].
+    pub fn save_snapshot(&self) -> Vec<u8> {
+        match &self.published {
+            Some(p) => {
+                crate::snapshot::write(&self.graph, p.snapshot.data_len(), p.snapshot.data())
+            }
+            None => crate::snapshot::save(&self.graph),
+        }
     }
 
     /// The engine profile in use.
@@ -342,11 +390,13 @@ impl RdfDatabase {
         }
     }
 
-    /// Drop the current snapshot: the next one is built from scratch
-    /// and, holding different data, under the next epoch, with a new
-    /// plan cache that carries no covers.
+    /// Drop the current snapshot, first moving its data triples back
+    /// into the graph: the next one is built from scratch over them and,
+    /// holding different data, under the next epoch, with a new plan
+    /// cache that carries no covers.
     fn invalidate(&mut self) {
-        if self.published.take().is_some() {
+        if let Some(p) = self.published.take() {
+            self.graph.replace_data(p.snapshot.data().copied().collect());
             self.epoch += 1;
         }
         renew(&mut self.plan_cache, false);
@@ -418,7 +468,6 @@ impl RdfDatabase {
                 .map(|t| self.encode_triple(t))
                 .collect();
             self.graph.remove_data_batch(&del_set);
-            self.invalidate();
             return UpdateReport { incremental: false, ..Default::default() };
         }
 
@@ -430,6 +479,8 @@ impl RdfDatabase {
             .as_mut()
             .filter(|p| ins_ids.iter().all(|t| Self::update_is_incremental(&p.snapshot, t)))
         else {
+            // The graph gets the data back first, then the batch.
+            self.invalidate();
             let mut report = UpdateReport::default();
             for &t in &ins_ids {
                 if self.graph.insert_data_encoded(t) {
@@ -438,7 +489,6 @@ impl RdfDatabase {
             }
             let del_set: FxHashSet<TripleId> = del_ids.iter().copied().collect();
             report.deleted = self.graph.remove_data_batch(&del_set);
-            self.invalidate();
             return report;
         };
 
@@ -450,7 +500,8 @@ impl RdfDatabase {
         p.incremental = prev_saturated.map(|_| {
             p.incremental.take().unwrap_or_else(|| {
                 let closure = SchemaClosure::clone(&prev.closure);
-                IncrementalSaturation::new(self.graph.data(), closure, prev.rdf_type)
+                let data: Vec<TripleId> = prev.data().copied().collect();
+                IncrementalSaturation::new(&data, closure, prev.rdf_type)
             })
         });
 
@@ -459,11 +510,15 @@ impl RdfDatabase {
             saturation_maintained: prev_saturated.is_some(),
             ..Default::default()
         };
+        // Membership is the plain store's plus this batch's own inserts:
+        // a triple inserted and deleted in one batch counts in both and
+        // ends absent.
         let mut plain_ins: Vec<TripleId> = Vec::new();
+        let mut added: FxHashSet<TripleId> = FxHashSet::default();
         let mut sat_ins: Vec<TripleId> = Vec::new();
         let mut sat_del: FxHashSet<TripleId> = FxHashSet::default();
         for &t in &ins_ids {
-            if self.graph.insert_data_encoded(t) {
+            if !prev.contains_data(&t) && added.insert(t) {
                 report.inserted += 1;
                 plain_ins.push(t);
                 if let Some(counting) = &mut p.incremental {
@@ -473,10 +528,13 @@ impl RdfDatabase {
                 }
             }
         }
-        let present: Vec<TripleId> =
-            del_ids.iter().filter(|t| self.graph.contains_data(t)).copied().collect();
+        let present: Vec<TripleId> = del_ids
+            .iter()
+            .filter(|t| prev.contains_data(t) || added.contains(t))
+            .copied()
+            .collect();
         let plain_del: FxHashSet<TripleId> = present.iter().copied().collect();
-        report.deleted = self.graph.remove_data_batch(&plain_del);
+        report.deleted = plain_del.len();
         if let Some(counting) = &mut p.incremental {
             for t in &present {
                 let delta = counting.delete(t);

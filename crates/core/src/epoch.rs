@@ -70,7 +70,8 @@ pub struct Snapshot {
     pub(crate) closure: Arc<SchemaClosure>,
     pub(crate) rdf_type: TermId,
     /// The plain store; it carries the engine profile requests run
-    /// under.
+    /// under. Its data triples ([`Snapshot::data`]) are the writer's only
+    /// copy of the data while this snapshot is current.
     pub(crate) plain: Store,
     /// The saturated store, under the same profile: empty until the
     /// first request that needs it builds it
@@ -179,7 +180,7 @@ impl Snapshot {
             // adding the data's consequences to it gives the store.
             let plain = self.plain.table().all();
             let mut derived = FxHashSet::default();
-            for t in plain.iter().filter(|t| self.schema_triples.binary_search(t).is_err()) {
+            for t in self.data() {
                 consequences(&self.closure, self.rdf_type, t, |c| {
                     derived.insert(c);
                 });
@@ -188,6 +189,30 @@ impl Snapshot {
             // run for `build_store`'s stable sort to merge with.
             build_store(plain.iter().copied().chain(derived).collect(), self.profile())
         })
+    }
+
+    /// The data triples, in SPO order: the plain store without the
+    /// schema triples. Once prepared, the writer keeps no other copy.
+    pub(crate) fn data(&self) -> impl Iterator<Item = &TripleId> + '_ {
+        // Both runs are sorted in SPO order: one merge skips the schema.
+        let mut schema = self.schema_triples.iter().peekable();
+        self.plain.table().all().iter().filter(move |t| {
+            while schema.next_if(|s| s < t).is_some() {}
+            schema.next_if_eq(t).is_none()
+        })
+    }
+
+    /// The number of data triples, [`Snapshot::data`]'s length: the
+    /// plain store holds every schema triple besides them.
+    pub(crate) fn data_len(&self) -> usize {
+        self.plain.table().len() - self.schema_triples.len()
+    }
+
+    /// True iff `t`, a triple without a schema property, is one of the
+    /// data triples: an SPO lookup in the plain store, whose only other
+    /// triples all carry schema properties.
+    pub(crate) fn contains_data(&self, t: &TripleId) -> bool {
+        self.plain.table().all().binary_search(t).is_ok()
     }
 
     /// The schema closure.

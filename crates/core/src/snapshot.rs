@@ -78,10 +78,22 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Serialize a graph to the snapshot format.
+/// Serialize a graph to the snapshot format. (A prepared database's
+/// graph holds no data triples: save it with
+/// [`crate::RdfDatabase::save_snapshot`].)
 pub fn save(graph: &Graph) -> Vec<u8> {
+    write(graph, graph.len(), graph.data().iter())
+}
+
+/// Serialize `graph`'s dictionary and schema with the `len` data
+/// triples of `data`, wherever they are kept.
+pub(crate) fn write<'a>(
+    graph: &Graph,
+    len: usize,
+    data: impl Iterator<Item = &'a TripleId>,
+) -> Vec<u8> {
     let dict = graph.dict();
-    let mut buf = Vec::with_capacity(64 + graph.len() * 12);
+    let mut buf = Vec::with_capacity(64 + len * 12);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
 
@@ -105,12 +117,14 @@ pub fn save(graph: &Graph) -> Vec<u8> {
     }
 
     // Data triples.
-    buf.extend_from_slice(&(graph.data().len() as u64).to_le_bytes());
-    for t in graph.data() {
+    buf.extend_from_slice(&(len as u64).to_le_bytes());
+    let start = buf.len();
+    for t in data {
         put_u32(&mut buf, t.s.raw());
         put_u32(&mut buf, t.p.raw());
         put_u32(&mut buf, t.o.raw());
     }
+    assert_eq!(buf.len() - start, len * 12, "the data count written must match the data");
     buf
 }
 

@@ -84,6 +84,14 @@ impl Graph {
         }
     }
 
+    /// Replace the data triples by `data`, which must hold no
+    /// duplicates, and return the old ones. `replace_data(Vec::new())`
+    /// hands the data over and frees its membership set.
+    pub fn replace_data(&mut self, data: Vec<TripleId>) -> Vec<TripleId> {
+        self.data_set = data.iter().copied().collect();
+        std::mem::replace(&mut self.data, data)
+    }
+
     /// Remove a batch of data triples; returns how many were present.
     /// One retain pass over the data, so batch deletion is O(n + d).
     pub fn remove_data_batch(&mut self, deletes: &FxHashSet<TripleId>) -> usize {
@@ -274,6 +282,19 @@ mod tests {
         all.insert(first); // absent entries are ignored
         assert_eq!(g.remove_data_batch(&all), 4);
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn replace_data_hands_the_triples_over() {
+        let mut g = paper_graph();
+        let data = g.data().to_vec();
+        assert_eq!(g.replace_data(Vec::new()), data);
+        assert!(g.is_empty());
+        assert_eq!((g.data.capacity(), g.data_set.capacity()), (0, 0), "nothing is kept");
+        assert_eq!(g.schema().len(), 4, "the schema stays");
+        assert!(g.replace_data(data.clone()).is_empty());
+        assert_eq!(g.data(), &data[..]);
+        assert!(data.iter().all(|t| g.contains_data(t)));
     }
 
     #[test]

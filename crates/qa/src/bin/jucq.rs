@@ -88,7 +88,7 @@ fn load(path: &str, profile: EngineProfile) -> Result<RdfDatabase, Box<dyn std::
     };
     eprintln!(
         "loaded {} data triples, {} schema constraints",
-        db.graph().len(),
+        db.data_len(),
         db.graph().schema().len()
     );
     Ok(db)
@@ -97,7 +97,7 @@ fn load(path: &str, profile: EngineProfile) -> Result<RdfDatabase, Box<dyn std::
 fn cmd_snapshot(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [input, output] = args.as_slice() else { usage() };
     let db = load(input, EngineProfile::pg_like())?;
-    let bytes = jucq_core::snapshot::save(db.graph());
+    let bytes = db.save_snapshot();
     std::fs::write(output, &bytes)?;
     eprintln!("wrote {} ({} bytes)", output, bytes.len());
     Ok(())

@@ -54,10 +54,10 @@ fn batch() -> Vec<Triple> {
     extra.data()[..300].iter().map(decode).collect()
 }
 
-/// A database prepared from scratch over `db`'s current graph: the
+/// A database prepared from scratch over `db`'s current data: the
 /// same dictionary, so its stores compare id for id.
 fn from_scratch(db: &RdfDatabase) -> RdfDatabase {
-    let mut full = db_of(db.graph().clone());
+    let mut full = db_of(db.to_graph());
     full.prepare();
     full
 }

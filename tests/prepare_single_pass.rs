@@ -26,14 +26,18 @@ fn assert_indexes(store: &Store, mut want: Vec<TripleId>, what: &str) {
 }
 
 fn check(graph: Graph, what: &str) {
+    let mut data = graph.data().to_vec();
     let mut db = RdfDatabase::from_graph(graph, EngineProfile::pg_like());
     db.set_cost_constants(CostConstants::default());
     db.prepare();
     let closure = db.closure().clone();
     let rdf_type = db.rdf_type();
     // Preparation interned the schema vocabulary, so a copy of the
-    // graph gives the same ids.
-    let mut graph = db.graph().clone();
+    // graph gives the same ids; it holds the data the writer started
+    // with.
+    let mut graph = db.to_graph();
+    data.sort_unstable();
+    assert_eq!(graph.data(), &data[..], "{what}: the prepared writer's data");
     let schema = schema_triples(&mut graph, &closure);
 
     let mut saturated = saturate_with(graph.data(), &closure, rdf_type);
