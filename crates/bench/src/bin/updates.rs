@@ -9,12 +9,18 @@
 //! * *reformulation-only*: the saturated store was never built, so an
 //!   update merges the plain store's indexes and nothing else;
 //! * *saturation maintained*: the saturated store was built first
-//!   (`saturated_store()`), so every update also runs the counting-based
-//!   saturation delta and merges the saturated store's indexes;
+//!   (`saturated_store()`), so every update also derives the saturated
+//!   store's delta — from the inserted triples' consequences, and from
+//!   point probes of the new plain store for each deleted triple's —
+//!   and merges the saturated store's indexes;
 //!
 //! plus, for each, the full-rebuild alternative (re-prepare; for the
 //! maintained side, re-saturate and re-index too), and query answering
-//! after updates, confirming GCov stays correct.
+//! after updates, confirming GCov stays correct. The maintained rows
+//! report the probes per delete candidate (the deleted triples and their
+//! consequences), and the first maintained update after a build is
+//! timed beside a steady one, with the process's resident memory around
+//! it: the writer keeps no maintenance state, so they should match.
 //!
 //! Run: `cargo run --release -p jucq-bench --bin updates [universities]`
 
@@ -44,8 +50,29 @@ fn batch(size: usize, tag: &str) -> Vec<Triple> {
     out
 }
 
+/// Resident memory of this process in MB (`VmRSS`), or `?`.
+fn rss_mb() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmRSS:")?.trim().strip_suffix(" kB"));
+    kb.and_then(|kb| kb.parse::<f64>().ok()).map_or("?".into(), |kb| format!("{:.1}", kb / 1024.0))
+}
+
+/// The delete candidates and probes the maintained writer has counted.
+fn probe_counts() -> (u64, u64) {
+    let m = jucq_obs::global().snapshot();
+    (m.counter("saturation.delete_candidates"), m.counter("saturation.delete_probes"))
+}
+
+/// Run `f`, returning its result and its wall time in ms.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, String) {
+    let started = Instant::now();
+    let out = f();
+    (out, format!("{:.1}", started.elapsed().as_secs_f64() * 1e3))
+}
+
 fn main() {
     let _obs = jucq_bench::harness::obs_sidecar("updates");
+    let observed = jucq_obs::enabled();
     let universities = arg_scale(1, 4);
     eprintln!("building LUBM-like({universities})...");
     let mut db = lubm_db(universities, EngineProfile::pg_like());
@@ -54,46 +81,56 @@ fn main() {
     let baseline = db.answer(&q1, &Strategy::gcov_default()).expect("baseline").rows.len();
 
     let mut rows = Vec::new();
-    let mut counting_ms = 0.0;
+    let mut first_update = String::new();
     for maintained in [false, true] {
         if maintained {
             db.saturated_store();
-            // The first maintained update after a build creates the
-            // counting state from the data: an empty one, timed apart,
-            // so the rows show the steady state. (Each row's clean-up
-            // delete below is such a first update after its rebuild.)
-            let started = Instant::now();
-            assert!(db.apply_data_updates(&[], &[]).saturation_maintained);
-            counting_ms = started.elapsed().as_secs_f64() * 1e3;
+            // The first maintained update after the build, then a steady
+            // one of the same size, each a 30-triple insert.
+            let (first, steady) = (batch(10, "first"), batch(10, "steady"));
+            let rss_before = rss_mb();
+            let (_, t_first) = timed(|| db.apply_data_updates(&first, &[]));
+            let rss_after = rss_mb();
+            let (_, t_steady) = timed(|| db.apply_data_updates(&steady, &[]));
+            db.apply_data_updates(&[], &[first, steady].concat());
+            first_update = format!(
+                "first maintained update after a build (30-triple insert): {t_first} ms, \
+                 resident memory {rss_before} -> {rss_after} MB; a steady one: {t_steady} ms"
+            );
         }
         for &size in &[10usize, 100, 1_000, 10_000] {
             let ins = batch(size, &format!("b{size}"));
             // Incremental path.
-            let started = Instant::now();
-            let report = db.apply_data_updates(&ins, &[]);
-            let t_inc_ins = started.elapsed();
+            let (report, t_inc_ins) = timed(|| db.apply_data_updates(&ins, &[]));
             assert!(report.incremental, "batch stays in vocabulary");
             assert_eq!(report.saturation_maintained, maintained);
             let after = db.answer(&q1, &Strategy::gcov_default()).expect("after").rows.len();
             // q1's head is (x, y): each new graduate answers with three
             // implicit classes (GraduateStudent, Student, Person).
             assert_eq!(after, baseline + 3 * size, "each new member answers q1 thrice");
-            let started = Instant::now();
-            let report_del = db.apply_data_updates(&[], &ins);
-            let t_inc_del = started.elapsed();
+            // Observed, so the maintained writer counts its probes.
+            let counted = probe_counts();
+            jucq_obs::set_enabled(true);
+            let (report_del, t_inc_del) = timed(|| db.apply_data_updates(&[], &ins));
+            jucq_obs::set_enabled(observed);
             assert!(report_del.incremental);
             assert_eq!(report_del.saturation_maintained, maintained);
+            let (candidates, probes) = probe_counts();
+            let probes_per_candidate = match candidates - counted.0 {
+                0 => "-".into(),
+                n => format!("{:.2}", (probes - counted.1) as f64 / n as f64),
+            };
 
             // Full-rebuild path: insert triples through the invalidating
             // API and re-prepare (and re-saturate, for the maintained
             // writer).
             db.extend(&ins);
-            let started = Instant::now();
-            db.prepare();
-            if maintained {
-                db.saturated_store();
-            }
-            let t_full = started.elapsed();
+            let (_, t_full) = timed(|| {
+                db.prepare();
+                if maintained {
+                    db.saturated_store();
+                }
+            });
             // Clean up, outside the timer.
             let del_report = db.apply_data_updates(&[], &ins);
             assert_eq!(del_report.deleted, ins.len());
@@ -101,10 +138,11 @@ fn main() {
             rows.push(vec![
                 (size * 3).to_string(),
                 if maintained { "saturation maintained" } else { "reformulation-only" }.into(),
-                format!("{:.1}", t_inc_ins.as_secs_f64() * 1e3),
-                format!("{:.1}", t_inc_del.as_secs_f64() * 1e3),
-                format!("{:.1}", t_full.as_secs_f64() * 1e3),
+                t_inc_ins,
+                t_inc_del,
+                t_full,
                 report.entailed_added.to_string(),
+                probes_per_candidate,
             ]);
         }
     }
@@ -122,12 +160,11 @@ fn main() {
                 "incr delete (ms)".into(),
                 "full rebuild (ms)".into(),
                 "entailed added".into(),
+                "probes/delete candidate".into(),
             ],
             &rows,
         )
     );
-    println!(
-        "first maintained update after a build (empty batch; creates the counting state): {counting_ms:.1} ms"
-    );
+    println!("{first_update}");
     println!("paper §5.3: reformulation adapts at query time; saturation pays maintenance.");
 }

@@ -2,13 +2,13 @@
 //!
 //! Owns what only a writer needs — the RDF graph (dictionary + schema,
 //! and the data until the first preparation moves it into the plain
-//! store), the pinned settings, and, once a snapshot has built the
-//! saturated store, the state that maintains it under updates — and
-//! publishes immutable [`Snapshot`]s of
-//! it (see [`crate::epoch`]): lazily from scratch on
+//! store) and the pinned settings — and publishes immutable
+//! [`Snapshot`]s of it (see [`crate::epoch`]): lazily from scratch on
 //! first use and after anything that changes the schema or the
 //! vocabulary, from the previous snapshot plus a delta for an
-//! in-vocabulary data update. Everything query-facing here
+//! in-vocabulary data update. The previous snapshot's stores are all
+//! that delta needs, the saturated store's included: the writer keeps
+//! no state of its own for maintaining it. Everything query-facing here
 //! ([`RdfDatabase::answer`], [`RdfDatabase::explain`], the store and
 //! closure getters, …) is a delegation to the current snapshot, so the
 //! classic `&mut self` API and the concurrent [`crate::ServingDb`]
@@ -16,10 +16,9 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use jucq_model::{Graph, SchemaClosure, Term, TermId, Triple, TripleId};
+use jucq_model::{FxHashSet, Graph, SchemaClosure, Term, TermId, Triple, TripleId};
 use jucq_optimizer::{calibrate, CostConstants};
-use jucq_reformulation::incremental::IncrementalSaturation;
-use jucq_reformulation::saturation::schema_triples;
+use jucq_reformulation::saturation::{antecedents, consequences, schema_triples};
 use jucq_reformulation::BgpQuery;
 use jucq_store::{
     DeltaFootprint, EngineProfile, Relation, Store, ViewCatalog, ViewCatalogStats, ViewFootprint,
@@ -52,67 +51,121 @@ fn is_schema_triple(t: &Triple) -> bool {
     matches!(&t.p, Term::Uri(p) if jucq_model::vocab::is_schema_property(p))
 }
 
-/// The current snapshot plus what the writer needs to derive its
-/// successor from a data delta. Dropped together.
-struct Published {
-    snapshot: Arc<Snapshot>,
-    /// The saturation under counting-based maintenance, present only
-    /// while the writer maintains the saturated store: it is created by
-    /// the first update whose snapshot had built that store and dropped
-    /// by the first whose snapshot had not (see
-    /// [`RdfDatabase::apply_data_updates`]).
-    incremental: Option<IncrementalSaturation>,
+/// Build the closure and the plain store from scratch and publish them
+/// as epoch `epoch`, in three stages: the closure (with the
+/// materialized schema triples), the plain store's indexes, and the
+/// calibration. Nothing is saturated: the snapshot builds its saturated
+/// store on the first request that needs it.
+///
+/// The graph's data triples move into the plain store, which is their
+/// only copy from then on: `graph` keeps its dictionary and schema, and
+/// [`RdfDatabase::invalidate`] hands the triples back.
+fn build_snapshot(
+    graph: &mut Graph,
+    profile: &EngineProfile,
+    pinned: Option<CostConstants>,
+    cache: Option<Arc<Mutex<PlanCache>>>,
+    views: Option<Arc<ViewCatalog>>,
+    epoch: u64,
+) -> Arc<Snapshot> {
+    jucq_obs::span!("prepare");
+    let (closure, rdf_type, schema_ts) = {
+        jucq_obs::span!("prepare.closure");
+        let closure = graph.schema_closure();
+        let rdf_type = graph.rdf_type();
+        let schema_ts = schema_triples(graph, &closure);
+        (closure, rdf_type, schema_ts)
+    };
+    let mut triples = graph.replace_data(Vec::new());
+    triples.extend_from_slice(&schema_ts);
+    let plain = build_store(triples, profile);
+    let constants = {
+        jucq_obs::span!("prepare.calibrate");
+        pinned.unwrap_or_else(|| calibrate(&plain))
+    };
+    Arc::new(Snapshot {
+        epoch,
+        // Cloned last: `rdf:type` and the schema vocabulary may have
+        // been interned above.
+        dict: graph.dict().clone(),
+        closure: Arc::new(closure),
+        rdf_type,
+        plain,
+        saturated: Arc::new(OnceLock::new()),
+        schema_triples: schema_ts.into(),
+        constants,
+        cache,
+        views,
+    })
 }
 
-impl Published {
-    /// Build the closure and the plain store from scratch and publish
-    /// them as epoch `epoch`, in three stages: the closure (with the
-    /// materialized schema triples), the plain store's indexes, and the
-    /// calibration. Nothing is saturated: the snapshot builds its
-    /// saturated store on the first request that needs it.
-    ///
-    /// The graph's data triples move into the plain store, which is
-    /// their only copy from then on: `graph` keeps its dictionary and
-    /// schema, and [`RdfDatabase::invalidate`] hands the triples back.
-    fn build(
-        graph: &mut Graph,
-        profile: &EngineProfile,
-        pinned: Option<CostConstants>,
-        cache: Option<Arc<Mutex<PlanCache>>>,
-        views: Option<Arc<ViewCatalog>>,
-        epoch: u64,
-    ) -> Published {
-        jucq_obs::span!("prepare");
-        let (closure, rdf_type, schema_ts) = {
-            jucq_obs::span!("prepare.closure");
-            let closure = graph.schema_closure();
-            let rdf_type = graph.rdf_type();
-            let schema_ts = schema_triples(graph, &closure);
-            (closure, rdf_type, schema_ts)
-        };
-        let mut triples = graph.replace_data(Vec::new());
-        triples.extend_from_slice(&schema_ts);
-        let plain = build_store(triples, profile);
-        let constants = {
-            jucq_obs::span!("prepare.calibrate");
-            pinned.unwrap_or_else(|| calibrate(&plain))
-        };
-        let snapshot = Snapshot {
-            epoch,
-            // Cloned last: `rdf:type` and the schema vocabulary may have
-            // been interned above.
-            dict: graph.dict().clone(),
-            closure: Arc::new(closure),
-            rdf_type,
-            plain,
-            saturated: Arc::new(OnceLock::new()),
-            schema_triples: schema_ts.into(),
-            constants,
-            cache,
-            views,
-        };
-        Published { snapshot: Arc::new(snapshot), incremental: None }
+/// The successor of `prev`'s saturated store `saturated` after the data
+/// delta (`inserts`, `deletes`) that turned `prev`'s plain store into
+/// `plain`, read off the stores alone, with the entailed triples it
+/// gained and lost counted into `report`. Every entailed triple derives
+/// from one data triple ([`jucq_reformulation::saturation`]), so an
+/// inserted triple adds itself and those of its [`consequences`] the old
+/// store lacks, and a deleted triple's self and consequences stay iff a
+/// data triple of `plain` — after the batch, so an insert of the same
+/// batch counts — matches one of their [`antecedents`]: point probes
+/// bounded by the schema. A matching schema triple does not count (the
+/// saturation derives from the data alone), and none ever leaves.
+fn maintain_saturated(
+    prev: &Snapshot,
+    saturated: &Store,
+    plain: &Store,
+    inserts: &[TripleId],
+    deletes: &FxHashSet<TripleId>,
+    report: &mut UpdateReport,
+) -> Store {
+    let (closure, rdf_type, schema) = (&*prev.closure, prev.rdf_type, &*prev.schema_triples);
+    let old = saturated.table().all();
+    // Sorted and deduplicated; `gone` keeps the order for lookups.
+    let mut candidates: Vec<TripleId> = deletes.iter().copied().collect();
+    for t in deletes {
+        consequences(closure, rdf_type, t, |c| candidates.push(c));
     }
+    candidates.sort_unstable();
+    candidates.dedup();
+    let mut probes = 0u64;
+    let gone: Vec<TripleId> = candidates
+        .iter()
+        .filter(|c| {
+            let mut derived = false;
+            antecedents(closure, rdf_type, c, |bound| {
+                if !derived {
+                    probes += 1;
+                    derived =
+                        plain.table().scan(&bound).iter().any(|m| schema.binary_search(m).is_err());
+                }
+            });
+            !derived
+        })
+        .copied()
+        .collect();
+    jucq_obs::metrics::counter_add("saturation.delete_candidates", candidates.len() as u64);
+    jucq_obs::metrics::counter_add("saturation.delete_probes", probes);
+
+    let mut sat_ins: Vec<TripleId> = Vec::new();
+    let mut add = |c: TripleId| {
+        if gone.binary_search(&c).is_err() && old.binary_search(&c).is_err() {
+            sat_ins.push(c);
+        }
+    };
+    for t in inserts {
+        add(*t);
+        consequences(closure, rdf_type, t, &mut add);
+    }
+    sat_ins.sort_unstable();
+    sat_ins.dedup();
+    let sat_del: FxHashSet<TripleId> = gone
+        .into_iter()
+        .filter(|c| old.binary_search(c).is_ok() && schema.binary_search(c).is_err())
+        .collect();
+    let (old_data, new_data) = (prev.plain.table().all(), plain.table().all());
+    report.entailed_added = sat_ins.iter().filter(|c| new_data.binary_search(c).is_err()).count();
+    report.entailed_removed = sat_del.iter().filter(|c| old_data.binary_search(c).is_err()).count();
+    saturated.apply_delta(&sat_ins, &sat_del)
 }
 
 /// An RDF database answering BGP queries under RDFS constraints.
@@ -132,7 +185,8 @@ pub struct RdfDatabase {
     /// one the next preparation will publish: 0 for the first, one more
     /// for every snapshot that holds different data.
     epoch: u64,
-    published: Option<Published>,
+    /// The current snapshot, once prepared.
+    published: Option<Arc<Snapshot>>,
 }
 
 impl Default for RdfDatabase {
@@ -198,7 +252,7 @@ impl RdfDatabase {
     /// The number of data triples, prepared or not.
     pub fn data_len(&self) -> usize {
         match &self.published {
-            Some(p) => p.snapshot.data_len(),
+            Some(p) => p.data_len(),
             None => self.graph.len(),
         }
     }
@@ -211,7 +265,7 @@ impl RdfDatabase {
             Some(p) => Graph::assemble(
                 self.graph.dict().clone(),
                 self.graph.schema().clone(),
-                p.snapshot.data().copied().collect(),
+                p.data().copied().collect(),
             ),
             None => self.graph.clone(),
         }
@@ -222,9 +276,7 @@ impl RdfDatabase {
     /// [`crate::snapshot::save`]'s of [`RdfDatabase::graph`].
     pub fn save_snapshot(&self) -> Vec<u8> {
         match &self.published {
-            Some(p) => {
-                crate::snapshot::write(&self.graph, p.snapshot.data_len(), p.snapshot.data())
-            }
+            Some(p) => crate::snapshot::write(&self.graph, p.data_len(), p.data()),
             None => crate::snapshot::save(&self.graph),
         }
     }
@@ -386,7 +438,7 @@ impl RdfDatabase {
     /// waits for the next preparation.
     fn republish(&mut self, change: impl FnOnce(&Snapshot) -> Snapshot) {
         if let Some(p) = &mut self.published {
-            p.snapshot = Arc::new(change(&p.snapshot));
+            *p = Arc::new(change(p));
         }
     }
 
@@ -396,7 +448,7 @@ impl RdfDatabase {
     /// cache that carries no covers.
     fn invalidate(&mut self) {
         if let Some(p) = self.published.take() {
-            self.graph.replace_data(p.snapshot.data().copied().collect());
+            self.graph.replace_data(p.data().copied().collect());
             self.epoch += 1;
         }
         renew(&mut self.plan_cache, false);
@@ -422,10 +474,9 @@ impl RdfDatabase {
     pub(crate) fn snapshot(&mut self) -> &Arc<Snapshot> {
         let RdfDatabase { graph, profile, constants, plan_cache, views, epoch, published, .. } =
             self;
-        let published = published.get_or_insert_with(|| {
-            Published::build(graph, profile, *constants, plan_cache.clone(), views.clone(), *epoch)
-        });
-        &published.snapshot
+        published.get_or_insert_with(|| {
+            build_snapshot(graph, profile, *constants, plan_cache.clone(), views.clone(), *epoch)
+        })
     }
 
     /// True when `t` can be absorbed without rebuilding: data-only
@@ -446,17 +497,14 @@ impl RdfDatabase {
     /// from the current one: the plain store by a merge into its SPO
     /// index, from which the other indexes are re-derived, and
     /// everything else shared. The saturated store is maintained iff
-    /// the current snapshot has built it: then through the
-    /// counting-based [`IncrementalSaturation`] — the maintenance cost
-    /// the paper's §5.3 discussion weighs against reformulation —
-    /// created from the data on the first such update; otherwise the
-    /// counting state is dropped and the next snapshot builds its own
-    /// saturated store if a request needs one
+    /// the current snapshot has built it — the maintenance cost the
+    /// paper's §5.3 discussion weighs against reformulation — from the
+    /// two stores alone (see [`maintain_saturated`]); otherwise the next
+    /// snapshot builds its own if a request needs one
     /// ([`UpdateReport::saturation_maintained`] says which). Schema
     /// statements or new vocabulary fall back to invalidating the
     /// preparation (rebuilt lazily on the next answer).
     pub fn apply_data_updates(&mut self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
-        use jucq_model::FxHashSet;
         // Schema statements cannot be absorbed incrementally. (Schema
         // deletion is not supported at the Graph level; data deletes
         // of the same batch still apply.)
@@ -477,7 +525,7 @@ impl RdfDatabase {
         let Some(p) = self
             .published
             .as_mut()
-            .filter(|p| ins_ids.iter().all(|t| Self::update_is_incremental(&p.snapshot, t)))
+            .filter(|p| ins_ids.iter().all(|t| Self::update_is_incremental(p, t)))
         else {
             // The graph gets the data back first, then the batch.
             self.invalidate();
@@ -492,78 +540,60 @@ impl RdfDatabase {
             return report;
         };
 
-        // Maintain the saturation iff the snapshot this update derives
-        // from has built it. A reader still building it reads as not
-        // built: the next epoch then builds its own on demand.
-        let prev = Arc::clone(&p.snapshot);
-        let prev_saturated = prev.saturated.get();
-        p.incremental = prev_saturated.map(|_| {
-            p.incremental.take().unwrap_or_else(|| {
-                let closure = SchemaClosure::clone(&prev.closure);
-                let data: Vec<TripleId> = prev.data().copied().collect();
-                IncrementalSaturation::new(&data, closure, prev.rdf_type)
-            })
-        });
-
-        let mut report = UpdateReport {
-            incremental: true,
-            saturation_maintained: prev_saturated.is_some(),
-            ..Default::default()
-        };
+        let prev = Arc::clone(p);
         // Membership is the plain store's plus this batch's own inserts:
         // a triple inserted and deleted in one batch counts in both and
         // ends absent.
         let mut plain_ins: Vec<TripleId> = Vec::new();
         let mut added: FxHashSet<TripleId> = FxHashSet::default();
-        let mut sat_ins: Vec<TripleId> = Vec::new();
-        let mut sat_del: FxHashSet<TripleId> = FxHashSet::default();
         for &t in &ins_ids {
             if !prev.contains_data(&t) && added.insert(t) {
-                report.inserted += 1;
                 plain_ins.push(t);
-                if let Some(counting) = &mut p.incremental {
-                    let delta = counting.insert(t);
-                    report.entailed_added += delta.added.len().saturating_sub(1);
-                    sat_ins.extend(delta.added);
-                }
             }
         }
-        let present: Vec<TripleId> = del_ids
+        let plain_del: FxHashSet<TripleId> = del_ids
             .iter()
             .filter(|t| prev.contains_data(t) || added.contains(t))
             .copied()
             .collect();
-        let plain_del: FxHashSet<TripleId> = present.iter().copied().collect();
-        report.deleted = plain_del.len();
-        if let Some(counting) = &mut p.incremental {
-            for t in &present {
-                let delta = counting.delete(t);
-                report.entailed_removed += delta.removed.len().saturating_sub(1);
-                sat_del.extend(delta.removed);
+        let mut report = UpdateReport {
+            inserted: plain_ins.len(),
+            deleted: plain_del.len(),
+            incremental: true,
+            ..Default::default()
+        };
+        let plain = prev.plain.apply_delta(&plain_ins, &plain_del);
+        // Maintain the saturation iff the snapshot this update derives
+        // from has built it. A reader still building it reads as not
+        // built: the next epoch then builds its own on demand.
+        let saturated = match prev.saturated.get() {
+            Some(store) => {
+                report.saturation_maintained = true;
+                OnceLock::from(maintain_saturated(
+                    &prev,
+                    store,
+                    &plain,
+                    &plain_ins,
+                    &plain_del,
+                    &mut report,
+                ))
             }
-            // Schema triples are immutable here; shield them from
-            // accidental deletion by the saturation delta.
-            for st in prev.schema_triples.iter() {
-                sat_del.remove(st);
-            }
-        }
+            None => OnceLock::new(),
+        };
 
-        // The next epoch: the plain store merged with its delta, the
-        // saturated store too if it was built (a cell of its own to
-        // build in otherwise), the dictionary as it is now (its tables
-        // are copied only if this batch interned a term while `prev`
-        // shared them), a new plan cache carrying the covers but none
-        // of the plans lowered from the old stores, the rest shared with
-        // the snapshot readers may still be pinned to.
+        // The next epoch: the new plain store, the saturated store too
+        // if it was built (a cell of its own to build in otherwise), the
+        // dictionary as it is now (its tables are copied only if this
+        // batch interned a term while `prev` shared them), a new plan
+        // cache carrying the covers but none of the plans lowered from
+        // the old stores, the rest shared with the snapshot readers may
+        // still be pinned to.
         self.epoch += 1;
         let next = Snapshot {
             epoch: self.epoch,
             dict: self.graph.dict().clone(),
-            plain: prev.plain.apply_delta(&plain_ins, &plain_del),
-            saturated: Arc::new(match prev_saturated {
-                Some(store) => OnceLock::from(store.apply_delta(&sat_ins, &sat_del)),
-                None => OnceLock::new(),
-            }),
+            plain,
+            saturated: Arc::new(saturated),
             cache: renew(&mut self.plan_cache, true),
             ..prev.share()
         };
@@ -583,7 +613,7 @@ impl RdfDatabase {
                 jucq_obs::metrics::counter_add("views.invalidated", dropped.len() as u64);
             }
         }
-        p.snapshot = Arc::new(next);
+        *p = Arc::new(next);
         report
     }
 

@@ -50,10 +50,12 @@ pub struct UpdateReport {
     pub inserted: usize,
     /// Explicit triples removed.
     pub deleted: usize,
-    /// Entailed triples added to the saturation (beyond the explicit);
-    /// 0 unless `saturation_maintained`.
+    /// Entailed triples added to the saturation: the saturated store's
+    /// new triples that are not data triples. 0 unless
+    /// `saturation_maintained`.
     pub entailed_added: usize,
-    /// Entailed triples dropped from the saturation; 0 unless
+    /// Entailed triples dropped from the saturation: the saturated
+    /// store's lost triples that were not data triples. 0 unless
     /// `saturation_maintained`.
     pub entailed_removed: usize,
     /// True iff the stores were maintained in place (no rebuild).

@@ -12,8 +12,9 @@
 //!
 //! Containment is NP-complete in general; the queries here are tiny
 //! (≤ 10 atoms), so plain backtracking is fine. Minimizing a union is
-//! quadratic in its member count, so it is an *opt-in* optimization
-//! (see the `minimize` Criterion bench for the trade-off).
+//! quadratic in its member count, so it is an *opt-in* optimization:
+//! only `Strategy::MinimizedUcq` and the differential fuzzer's oracle
+//! run it.
 
 use jucq_model::FxHashMap;
 use jucq_store::{PatternTerm, StoreCq, StoreUcq, VarId};

@@ -25,7 +25,6 @@
 pub mod bgp;
 pub mod containment;
 pub mod cover;
-pub mod incremental;
 pub mod jucq;
 pub mod reformulate;
 pub mod saturation;
@@ -33,7 +32,6 @@ pub mod saturation;
 pub use bgp::{bits, AtomMask, AtomMasks, BgpQuery, VarMask};
 pub use containment::{is_contained, minimize_ucq};
 pub use cover::{Cover, CoverError};
-pub use incremental::IncrementalSaturation;
 pub use jucq::{jucq_for_cover, scq_reformulation, ucq_reformulation};
 pub use reformulate::{reformulate, reformulate_memoized, AtomMemo, ReformulationEnv};
 pub use saturation::saturate;

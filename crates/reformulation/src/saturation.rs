@@ -55,8 +55,7 @@ pub fn saturate_with(
 
 /// Visit the one-pass consequences of one explicit data triple
 /// (rdfs7/2/3/9 over the closed schema; see the module doc), possibly
-/// including `t` itself or duplicates. Deterministic, so counting
-/// maintenance counts inserts and deletes symmetrically.
+/// including `t` itself or duplicates. [`antecedents`] is its inverse.
 pub fn consequences(
     closure: &SchemaClosure,
     rdf_type: TermId,
@@ -78,6 +77,48 @@ pub fn consequences(
         }
         for &c in closure.ranges(t.p) {
             visit(TripleId::new(t.o, rdf_type, c));
+        }
+    }
+}
+
+/// Visit every pattern, as `[s, p, o]` with `None` for a free
+/// position, that an explicit data triple must match to have `c` among
+/// its [`consequences`] or to be `c` itself: `c`; `(s, p′, o)` for each
+/// subproperty `p′` of `c`'s property; and, for `c = (s rdf:type C)`,
+/// `(s rdf:type C′)` for each subclass `C′` of `C`, `(s, p, *)` for each
+/// property `p` with `C` in its domain and `(*, p, s)` for each with `C`
+/// in its range. It skips what [`consequences`] never derives from: a
+/// triple whose property is `rdf:type` derives only through its class,
+/// and one whose class is not a URI derives nothing. So `c` is entailed
+/// by a set of data triples iff one of them matches a visited pattern,
+/// and the patterns are bounded by the schema, not by the data.
+pub fn antecedents(
+    closure: &SchemaClosure,
+    rdf_type: TermId,
+    c: &TripleId,
+    mut visit: impl FnMut([Option<TermId>; 3]),
+) {
+    visit([Some(c.s), Some(c.p), Some(c.o)]);
+    for &sub in closure.sub_properties(c.p) {
+        if sub != rdf_type {
+            visit([Some(c.s), Some(sub), Some(c.o)]);
+        }
+    }
+    if c.p == rdf_type {
+        for &sub in closure.sub_classes(c.o) {
+            if sub.is_uri() {
+                visit([Some(c.s), Some(rdf_type), Some(sub)]);
+            }
+        }
+        for &p in closure.properties_with_domain(c.o) {
+            if p != rdf_type {
+                visit([Some(c.s), Some(p), None]);
+            }
+        }
+        for &p in closure.properties_with_range(c.o) {
+            if p != rdf_type {
+                visit([None, Some(p), Some(c.s)]);
+            }
         }
     }
 }
@@ -227,6 +268,93 @@ mod tests {
         let written_by = d.lookup(&Term::uri("writtenBy")).unwrap();
         let domain = d.lookup(&Term::uri(vocab::RDFS_DOMAIN)).unwrap();
         assert!(st.binary_search(&TripleId::new(written_by, domain, publication)).is_ok());
+    }
+
+    /// Class `i` of the mirror test: `C0`–`C4`, and a literal for 5.
+    fn class(i: usize) -> Term {
+        if i == 5 {
+            Term::literal("C5")
+        } else {
+            Term::uri(format!("C{i}"))
+        }
+    }
+
+    /// Property `i` of the mirror test: `p0`–`p3`, and `rdf:type` for 4.
+    fn property(i: usize) -> Term {
+        if i == 4 {
+            Term::uri(vocab::RDF_TYPE)
+        } else {
+            Term::uri(format!("p{i}"))
+        }
+    }
+
+    type Pairs = Vec<(usize, usize)>;
+
+    // `antecedents` is the exact inverse of `consequences`: a triple
+    // matches one of its patterns in the data iff it is a data triple or
+    // a consequence of one. The schemas may have cycles, domains on
+    // superproperties, a literal class and `rdf:type` inside the
+    // property hierarchy.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn antecedents_invert_consequences(
+            subclass in proptest::collection::vec((0usize..6, 0usize..6), 0..5),
+            subprop in proptest::collection::vec((0usize..5, 0usize..5), 0..4),
+            domain in proptest::collection::vec((0usize..5, 0usize..6), 0..4),
+            range in proptest::collection::vec((0usize..5, 0usize..6), 0..4),
+            data in proptest::collection::vec((0usize..4, 0usize..5, 0usize..6), 0..12),
+        ) {
+            let mut g = Graph::new();
+            let declare = |g: &mut Graph, pairs: &Pairs, p: &str, a: fn(usize) -> Term, b: fn(usize) -> Term| {
+                for &(x, y) in pairs {
+                    g.insert(&Triple::new(a(x), Term::uri(p), b(y)));
+                }
+            };
+            declare(&mut g, &subclass, vocab::RDFS_SUBCLASS_OF, class, class);
+            declare(&mut g, &subprop, vocab::RDFS_SUBPROPERTY_OF, property, property);
+            declare(&mut g, &domain, vocab::RDFS_DOMAIN, property, class);
+            declare(&mut g, &range, vocab::RDFS_RANGE, property, class);
+            let entity = |i: usize| if i == 5 { Term::literal("v") } else { Term::uri(format!("e{}", i % 4)) };
+            for &(s, p, o) in &data {
+                let object = if p == 4 { class(o) } else { entity(o) };
+                g.insert(&Triple::new(entity(s), property(p), object));
+            }
+            let closure = g.schema_closure();
+            let rdf_type = g.rdf_type();
+            let data = g.data().to_vec();
+            let derived = saturate_with(&data, &closure, rdf_type);
+
+            let terms: Vec<TermId> = (0..6)
+                .map(entity)
+                .chain((0..6).map(class))
+                .map(|t| g.dict_mut().encode(&t))
+                .collect();
+            let properties: Vec<TermId> = (0..5).map(|i| g.dict_mut().encode(&property(i))).collect();
+            for &s in &terms {
+                for &p in &properties {
+                    for &o in &terms {
+                        let c = TripleId::new(s, p, o);
+                        let mut matched = false;
+                        antecedents(&closure, rdf_type, &c, |bound| {
+                            matched |= data.iter().any(|t| {
+                                bound.iter().zip([t.s, t.p, t.o]).all(|(b, x)| b.is_none_or(|b| b == x))
+                            });
+                        });
+                        proptest::prop_assert_eq!(
+                            matched,
+                            derived.binary_search(&c).is_ok(),
+                            "{:?}",
+                            g.decode(&c)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Saturation-based answering pays a maintenance cost on every update;
 //! reformulation adapts at query time for free. This example inserts
 //! and deletes triples on a prepared database and shows (a) both
-//! techniques staying in sync through counting-based incremental
-//! saturation maintenance, and (b) the per-update entailment deltas.
+//! techniques staying in sync — the saturated store maintained from the
+//! previous one and the new plain store, with no state kept beside them
+//! — and (b) the per-update entailment deltas.
 //! The saturated store is built by the first Saturation answer and
 //! maintained from then on; a database that only ever reformulates
 //! never builds it, and its updates report `saturation_maintained =

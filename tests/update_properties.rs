@@ -1,13 +1,21 @@
-//! End-to-end property test of incremental maintenance: a database that
-//! absorbed a random interleaving of insert/delete batches answers
-//! exactly like a database built fresh from the final state — under
-//! saturation *and* reformulation, with the plan cache enabled.
+//! End-to-end property tests of incremental maintenance.
+//!
+//! A database that absorbed a random interleaving of insert/delete
+//! batches answers exactly like a database built fresh from the final
+//! state — under saturation *and* reformulation, with the plan cache
+//! enabled, and with the saturated store maintained or left lazy. When
+//! it is maintained, the writer derives it from the previous saturated
+//! store and the new plain store alone, so after every batch it must
+//! equal a from-scratch build index by index, and the report's entailed
+//! counts must equal the two stores' differences. The cases below the
+//! properties pin the derivations a one-step check must get right.
 
 use proptest::prelude::*;
 
-use jucq_core::{RdfDatabase, Strategy as Answering};
-use jucq_model::{vocab, Graph, Term, Triple};
-use jucq_store::EngineProfile;
+use jucq_core::{RdfDatabase, Strategy as Answering, UpdateReport};
+use jucq_model::{vocab, FxHashSet, Graph, Term, Triple, TripleId};
+use jucq_optimizer::CostConstants;
+use jucq_store::{EngineProfile, Perm, Store};
 
 const ENTITIES: usize = 8;
 
@@ -70,65 +78,398 @@ fn queries(db: &mut RdfDatabase) -> Vec<jucq_reformulation::BgpQuery> {
     .collect()
 }
 
+fn db_of(graph: Graph) -> RdfDatabase {
+    let mut db = RdfDatabase::from_graph(graph, EngineProfile::pg_like());
+    db.set_cost_constants(CostConstants::default());
+    db
+}
+
+/// A database whose saturated store is built, so updates maintain it.
+fn maintained(graph: Graph) -> RdfDatabase {
+    let mut db = db_of(graph);
+    db.saturated_store();
+    db
+}
+
+/// The saturated store a database prepared from scratch over `db`'s
+/// data builds: the same dictionary, so it compares id for id.
+fn from_scratch(db: &RdfDatabase) -> Store {
+    db_of(db.to_graph()).saturated_store().clone()
+}
+
+/// The first of `store`'s indexes that differs from `want`'s, if any.
+fn differing_index(store: &Store, want: &Store) -> Option<Perm> {
+    Perm::ALL
+        .into_iter()
+        .find(|&perm| store.table().sorted_by(perm) != want.table().sorted_by(perm))
+}
+
+fn data_of(db: &RdfDatabase) -> FxHashSet<TripleId> {
+    db.to_graph().data().iter().copied().collect()
+}
+
+/// A random small schema over classes C0..C4 and properties p0..p3.
+#[derive(Debug, Clone)]
+struct SchemaDesc {
+    subclass: Vec<(usize, usize)>,
+    subprop: Vec<(usize, usize)>,
+    domain: Vec<(usize, usize)>,
+    range: Vec<(usize, usize)>,
+}
+
+/// Subclass and subproperty edges may form cycles; a domain or range
+/// may sit on a superproperty.
+fn schema_desc() -> impl Strategy<Value = SchemaDesc> {
+    (
+        proptest::collection::vec((0usize..5, 0usize..5), 0..5),
+        proptest::collection::vec((0usize..4, 0usize..4), 0..4),
+        proptest::collection::vec((0usize..4, 0usize..5), 0..4),
+        proptest::collection::vec((0usize..4, 0usize..5), 0..4),
+    )
+        .prop_map(|(subclass, subprop, domain, range)| SchemaDesc {
+            subclass,
+            subprop,
+            domain,
+            range,
+        })
+}
+
+/// A data triple over entities e0..e3: property index 4 is an
+/// `rdf:type` assertion of class `o % 5`.
+type Op = (usize, usize, usize);
+
+fn random_triple(op: &Op) -> Triple {
+    let (s, p, o) = *op;
+    let subject = Term::uri(format!("e{s}"));
+    if p == 4 {
+        Triple::new(subject, Term::uri(vocab::RDF_TYPE), Term::uri(format!("C{}", o % 5)))
+    } else {
+        Triple::new(subject, Term::uri(format!("p{p}")), Term::uri(format!("e{o}")))
+    }
+}
+
+/// Small batches over a small universe, so deletes often hit.
+fn random_batches() -> impl Strategy<Value = Vec<(Vec<Op>, Vec<Op>)>> {
+    let op = || (0usize..4, 0usize..5, 0usize..4);
+    proptest::collection::vec(
+        (proptest::collection::vec(op(), 0..8), proptest::collection::vec(op(), 0..8)),
+        1..8,
+    )
+}
+
+/// The schema, plus one seed triple per property and class so that
+/// every batch stays in vocabulary.
+fn random_graph(desc: &SchemaDesc) -> Graph {
+    let mut g = Graph::new();
+    let t = |s: String, p: &str, o: String| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
+    for &(a, b) in &desc.subclass {
+        g.insert(&t(format!("C{a}"), vocab::RDFS_SUBCLASS_OF, format!("C{b}")));
+    }
+    for &(a, b) in &desc.subprop {
+        g.insert(&t(format!("p{a}"), vocab::RDFS_SUBPROPERTY_OF, format!("p{b}")));
+    }
+    for &(p, c) in &desc.domain {
+        g.insert(&t(format!("p{p}"), vocab::RDFS_DOMAIN, format!("C{c}")));
+    }
+    for &(p, c) in &desc.range {
+        g.insert(&t(format!("p{p}"), vocab::RDFS_RANGE, format!("C{c}")));
+    }
+    for p in 0..5 {
+        g.insert(&random_triple(&(0, p, p)));
+    }
+    for c in 0..5 {
+        g.insert(&random_triple(&(1, 4, c)));
+    }
+    g
+}
+
+/// Apply each batch to a maintained database and call `check` with the
+/// report and the saturated store and data before and after it.
+fn each_batch(
+    desc: &SchemaDesc,
+    script: &[(Vec<Op>, Vec<Op>)],
+    mut check: impl FnMut(
+        &UpdateReport,
+        &mut RdfDatabase,
+        [&[TripleId]; 2],
+        [&FxHashSet<TripleId>; 2],
+    ) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let mut db = maintained(random_graph(desc));
+    for (ins, del) in script {
+        let inserts: Vec<Triple> = ins.iter().map(random_triple).collect();
+        let deletes: Vec<Triple> = del.iter().map(random_triple).collect();
+        let (sat_before, data_before) = (db.saturated_store().table().all().to_vec(), data_of(&db));
+        let report = db.apply_data_updates(&inserts, &deletes);
+        prop_assert!(report.incremental && report.saturation_maintained, "{:?}", report);
+        let (sat_after, data_after) = (db.saturated_store().table().all().to_vec(), data_of(&db));
+        check(&report, &mut db, [&sat_before, &sat_after], [&data_before, &data_after])?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
     fn incremental_database_equals_fresh_database(script in batches()) {
-        // Path A: incremental absorption.
-        let mut inc = RdfDatabase::from_graph(base_graph(), EngineProfile::pg_like());
-        inc.set_cost_constants(Default::default());
-        inc.enable_plan_cache(16);
-        inc.prepare();
-        for (ins, del) in &script {
-            let inserts: Vec<Triple> = ins.iter().map(op_triple).collect();
-            let deletes: Vec<Triple> = del.iter().map(op_triple).collect();
-            let report = inc.apply_data_updates(&inserts, &deletes);
-            prop_assert!(report.incremental, "vocabulary is pre-declared");
-        }
-
-        // Path B: fresh database over the final state.
-        let mut final_graph = base_graph();
-        for (ins, del) in &script {
-            for op in ins {
-                final_graph.insert(&op_triple(op));
+        // Once with the saturated store left lazy (the Saturation
+        // answers below build it), once with it maintained by every
+        // batch.
+        for maintain in [false, true] {
+            // Path A: incremental absorption.
+            let mut inc = db_of(base_graph());
+            inc.enable_plan_cache(16);
+            inc.prepare();
+            if maintain {
+                inc.saturated_store();
             }
-            let mut dels = jucq_model::FxHashSet::default();
-            for op in del {
-                let t = op_triple(op);
-                let d = final_graph.dict_mut();
-                let id = jucq_model::TripleId::new(
-                    d.encode(&t.s),
-                    d.encode(&t.p),
-                    d.encode(&t.o),
-                );
-                dels.insert(id);
+            for (ins, del) in &script {
+                let inserts: Vec<Triple> = ins.iter().map(op_triple).collect();
+                let deletes: Vec<Triple> = del.iter().map(op_triple).collect();
+                let report = inc.apply_data_updates(&inserts, &deletes);
+                prop_assert!(report.incremental, "vocabulary is pre-declared");
+                prop_assert_eq!(report.saturation_maintained, maintain);
             }
-            final_graph.remove_data_batch(&dels);
-        }
-        let mut fresh = RdfDatabase::from_graph(final_graph, EngineProfile::pg_like());
-        fresh.set_cost_constants(Default::default());
 
-        for (qi, qf) in queries(&mut inc).iter().zip(queries(&mut fresh).iter()) {
-            for s in [Answering::Saturation, Answering::Ucq, Answering::gcov_default()] {
-                let a = inc.answer(qi, &s).unwrap().rows;
-                let b = fresh.answer(qf, &s).unwrap().rows;
-                let decode = |db: &RdfDatabase, r: &jucq_store::Relation| {
-                    let mut v: Vec<Vec<String>> = db
-                        .decode_rows(r)
-                        .into_iter()
-                        .map(|row| row.iter().map(ToString::to_string).collect())
-                        .collect();
-                    v.sort();
-                    v
-                };
-                prop_assert_eq!(
-                    decode(&inc, &a),
-                    decode(&fresh, &b),
-                    "strategy {} diverged",
-                    s.name()
-                );
+            // Path B: fresh database over the final state.
+            let mut final_graph = base_graph();
+            for (ins, del) in &script {
+                for op in ins {
+                    final_graph.insert(&op_triple(op));
+                }
+                let mut dels = FxHashSet::default();
+                for op in del {
+                    let t = op_triple(op);
+                    let d = final_graph.dict_mut();
+                    dels.insert(TripleId::new(d.encode(&t.s), d.encode(&t.p), d.encode(&t.o)));
+                }
+                final_graph.remove_data_batch(&dels);
+            }
+            let mut fresh = db_of(final_graph);
+
+            for (qi, qf) in queries(&mut inc).iter().zip(queries(&mut fresh).iter()) {
+                for s in [Answering::Saturation, Answering::Ucq, Answering::gcov_default()] {
+                    let a = inc.answer(qi, &s).unwrap().rows;
+                    let b = fresh.answer(qf, &s).unwrap().rows;
+                    let decode = |db: &RdfDatabase, r: &jucq_store::Relation| {
+                        let mut v: Vec<Vec<String>> = db
+                            .decode_rows(r)
+                            .into_iter()
+                            .map(|row| row.iter().map(ToString::to_string).collect())
+                            .collect();
+                        v.sort();
+                        v
+                    };
+                    prop_assert_eq!(
+                        decode(&inc, &a),
+                        decode(&fresh, &b),
+                        "strategy {} diverged (saturated store maintained: {})",
+                        s.name(),
+                        maintain
+                    );
+                }
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn maintained_equals_full_resaturation(desc in schema_desc(), script in random_batches()) {
+        each_batch(&desc, &script, |_, db, _, _| {
+            let want = from_scratch(db);
+            let differs = differing_index(db.saturated_store(), &want);
+            prop_assert!(differs.is_none(), "{:?} differs from a from-scratch build", differs);
+            Ok(())
+        })?;
+    }
+
+    #[test]
+    fn deltas_partition_the_saturation_change(desc in schema_desc(), script in random_batches()) {
+        each_batch(&desc, &script, |report, _, [before, after], [data_before, data_after]| {
+            // The stores' differences, less the data triples the batch
+            // inserted or deleted.
+            let added = after
+                .iter()
+                .filter(|t| before.binary_search(t).is_err() && !data_after.contains(t))
+                .count();
+            let removed = before
+                .iter()
+                .filter(|t| after.binary_search(t).is_err() && !data_before.contains(t))
+                .count();
+            prop_assert_eq!(report.entailed_added, added, "{:?}", report);
+            prop_assert_eq!(report.entailed_removed, removed, "{:?}", report);
+            let net = |after: usize, before: usize| after as i64 - before as i64;
+            prop_assert_eq!(net(report.inserted, report.deleted), net(data_after.len(), data_before.len()));
+            Ok(())
+        })?;
+    }
+}
+
+/// The paper's running example: `Book ⊑ Publication`, `writtenBy ⊑
+/// hasAuthor`, `dom(writtenBy) = Book`, `rng(writtenBy) = Person`, with
+/// `data` as its data triples.
+fn paper_db(data: &[(&str, &str, &str)]) -> RdfDatabase {
+    let mut g = Graph::new();
+    let t = |s: &str, p: &str, o: &str| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
+    g.extend(&[
+        t("Book", vocab::RDFS_SUBCLASS_OF, "Publication"),
+        t("writtenBy", vocab::RDFS_SUBPROPERTY_OF, "hasAuthor"),
+        t("writtenBy", vocab::RDFS_DOMAIN, "Book"),
+        t("writtenBy", vocab::RDFS_RANGE, "Person"),
+    ]);
+    g.extend(&triples(data));
+    maintained(g)
+}
+
+fn triples(list: &[(&str, &str, &str)]) -> Vec<Triple> {
+    let property = |p| if p == "type" { vocab::RDF_TYPE } else { p };
+    list.iter()
+        .map(|&(s, p, o)| Triple::new(Term::uri(s), Term::uri(property(p)), Term::uri(o)))
+        .collect()
+}
+
+/// Apply a batch to a maintained database, check the store against a
+/// from-scratch build, and return the report.
+fn update(
+    db: &mut RdfDatabase,
+    ins: &[(&str, &str, &str)],
+    del: &[(&str, &str, &str)],
+) -> UpdateReport {
+    let report = db.apply_data_updates(&triples(ins), &triples(del));
+    assert!(report.incremental && report.saturation_maintained, "{report:?}");
+    let want = from_scratch(db);
+    let differs = differing_index(db.saturated_store(), &want);
+    assert!(differs.is_none(), "{differs:?} differs from a from-scratch build");
+    report
+}
+
+/// True iff the saturated store holds the triple.
+fn holds(db: &mut RdfDatabase, triple: (&str, &str, &str)) -> bool {
+    let t = &triples(&[triple])[0];
+    let d = db.graph().dict();
+    let (Some(s), Some(p), Some(o)) = (d.lookup(&t.s), d.lookup(&t.p), d.lookup(&t.o)) else {
+        return false;
+    };
+    db.saturated_store().table().all().binary_search(&TripleId::new(s, p, o)).is_ok()
+}
+
+fn counts(r: &UpdateReport) -> [usize; 4] {
+    [r.inserted, r.deleted, r.entailed_added, r.entailed_removed]
+}
+
+#[test]
+fn a_shared_derivation_survives_a_partial_delete() {
+    // Both writtenBy triples derive (doi type Book): deleting one keeps it.
+    let mut db = paper_db(&[("doi", "writtenBy", "a1"), ("doi", "writtenBy", "a2")]);
+    let report = update(&mut db, &[], &[("doi", "writtenBy", "a1")]);
+    assert!(holds(&mut db, ("doi", "type", "Book")), "the second derivation still stands");
+    assert!(!holds(&mut db, ("a1", "type", "Person")));
+    // (doi hasAuthor a1) and (a1 type Person) went.
+    assert_eq!(counts(&report), [0, 1, 0, 2]);
+    let report = update(&mut db, &[], &[("doi", "writtenBy", "a2")]);
+    assert!(!holds(&mut db, ("doi", "type", "Book")), "the last derivation is gone");
+    assert!(!holds(&mut db, ("doi", "type", "Publication")));
+    assert_eq!(counts(&report), [0, 1, 0, 4]);
+}
+
+#[test]
+fn an_explicit_triple_survives_losing_its_derivations() {
+    let mut db = paper_db(&[("doi", "writtenBy", "a1"), ("doi", "type", "Book")]);
+    let report = update(&mut db, &[], &[("doi", "writtenBy", "a1")]);
+    assert!(holds(&mut db, ("doi", "type", "Book")), "still asserted");
+    assert!(holds(&mut db, ("doi", "type", "Publication")), "derived from the asserted type");
+    assert_eq!(counts(&report), [0, 1, 0, 2]);
+}
+
+#[test]
+fn a_self_loop_with_equal_domain_and_range_derives_its_type_once() {
+    // (s p s) with dom(p) = rng(p) = C derives (s type C) twice; one
+    // delete removes it.
+    let mut g = Graph::new();
+    let t = |s: &str, p: &str, o: &str| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
+    g.extend(&[t("p", vocab::RDFS_DOMAIN, "C"), t("p", vocab::RDFS_RANGE, "C"), t("s", "p", "s")]);
+    let mut db = maintained(g);
+    assert!(holds(&mut db, ("s", "type", "C")));
+    let report = update(&mut db, &[], &[("s", "p", "s")]);
+    assert!(!holds(&mut db, ("s", "type", "C")));
+    assert_eq!(counts(&report), [0, 1, 0, 1]);
+    assert_eq!(db.data_len(), 0);
+    assert_eq!(db.saturated_store().table().len(), db.plain_store().table().len(), "schema only");
+}
+
+#[test]
+fn duplicate_inserts_and_phantom_deletes_change_nothing() {
+    let mut db = paper_db(&[("doi", "writtenBy", "a1")]);
+    let before = db.saturated_store().clone();
+    // An insert of a present triple, a delete of an absent one, and a
+    // delete of a triple that is only entailed.
+    let report = update(
+        &mut db,
+        &[("doi", "writtenBy", "a1")],
+        &[("x", "writtenBy", "y"), ("doi", "type", "Publication")],
+    );
+    assert_eq!(counts(&report), [0, 0, 0, 0]);
+    assert_eq!(differing_index(db.saturated_store(), &before), None);
+}
+
+#[test]
+fn an_empty_schema_entails_nothing() {
+    let mut g = Graph::new();
+    g.insert(&Triple::new(Term::uri("a"), Term::uri("p"), Term::uri("b")));
+    let mut db = maintained(g);
+    let report = update(&mut db, &[("c", "p", "d")], &[("a", "p", "b")]);
+    assert_eq!(counts(&report), [1, 1, 0, 0]);
+    let plain = db.plain_store().clone();
+    assert_eq!(differing_index(db.saturated_store(), &plain), None, "saturated = plain");
+}
+
+#[test]
+fn an_insert_of_the_same_batch_keeps_a_derivation_alive() {
+    // The delete is checked against the plain store after the batch,
+    // where (doi writtenBy a2) derives (doi type Book).
+    let mut db = paper_db(&[("doi", "writtenBy", "a1")]);
+    let report = update(&mut db, &[("doi", "writtenBy", "a2")], &[("doi", "writtenBy", "a1")]);
+    assert!(holds(&mut db, ("doi", "type", "Book")));
+    assert!(holds(&mut db, ("doi", "type", "Publication")));
+    assert!(holds(&mut db, ("a2", "type", "Person")) && !holds(&mut db, ("a1", "type", "Person")));
+    // (doi hasAuthor a2) and (a2 type Person) came; the same for a1 went.
+    assert_eq!(counts(&report), [1, 1, 2, 2]);
+}
+
+#[test]
+fn a_triple_inserted_and_deleted_in_one_batch_leaves_no_trace() {
+    let mut db = paper_db(&[("doi", "writtenBy", "a1")]);
+    let before = db.saturated_store().clone();
+    let t = [("doi2", "writtenBy", "a2")];
+    let report = update(&mut db, &t, &t);
+    // Counted as inserted and deleted; the saturation did not move.
+    assert_eq!(counts(&report), [1, 1, 0, 0]);
+    assert_eq!(differing_index(db.saturated_store(), &before), None);
+}
+
+#[test]
+fn schema_triples_neither_keep_nor_lose_entailments() {
+    // `onto ⊑ rdfs:subClassOf` and `dom(rdfs:subClassOf) = Class`: the
+    // data triple (A onto B) derives the schema triple (A subClassOf B)
+    // and (A type Class). Deleting it keeps the schema triple, and the
+    // schema triple, though it matches (A subClassOf *), does not keep
+    // (A type Class): the saturation derives from the data alone.
+    let mut g = Graph::new();
+    let t = |s: &str, p: &str, o: &str| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
+    g.extend(&[
+        t("A", vocab::RDFS_SUBCLASS_OF, "B"),
+        t("onto", vocab::RDFS_SUBPROPERTY_OF, vocab::RDFS_SUBCLASS_OF),
+        t(vocab::RDFS_SUBCLASS_OF, vocab::RDFS_DOMAIN, "Class"),
+        t("A", "onto", "B"),
+    ]);
+    let mut db = maintained(g);
+    assert!(holds(&mut db, ("A", "type", "Class")));
+    let report = update(&mut db, &[], &[("A", "onto", "B")]);
+    assert!(holds(&mut db, ("A", vocab::RDFS_SUBCLASS_OF, "B")));
+    assert!(!holds(&mut db, ("A", "type", "Class")));
+    assert_eq!(counts(&report), [0, 1, 0, 1]);
 }
