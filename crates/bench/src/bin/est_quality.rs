@@ -59,7 +59,7 @@ fn main() {
         let store = db.plain_store();
         let model = PaperCostModel::new(store.table(), store.stats(), constants);
         // Member-sum estimate vs template estimate for the whole UCQ.
-        let member_sum = store.stats().summarize_ucq(store.table(), &jucq.fragments[0]).rows;
+        let member_sum = store.stats().summarize_ucq(store.tables(), &jucq.fragments[0]).rows;
         let template = {
             let cq = &cover.cover_queries(&q)[0];
             let extents: Vec<f64> = cq

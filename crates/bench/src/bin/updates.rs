@@ -9,10 +9,11 @@
 //! * *reformulation-only*: the saturated store was never built, so an
 //!   update merges the plain store's indexes and nothing else;
 //! * *saturation maintained*: the saturated store was built first
-//!   (`saturated_store()`), so every update also derives the saturated
-//!   store's delta — from the inserted triples' consequences, and from
-//!   point probes of the new plain store for each deleted triple's —
-//!   and merges the saturated store's indexes;
+//!   (`saturated_store()`: the plain store's table under an entailed
+//!   layer), so every update also derives the entailed layer's delta —
+//!   from the inserted triples' consequences, and from lookups in the
+//!   new plain store for each deleted triple's — and merges that
+//!   layer's indexes;
 //!
 //! plus, for each, the full-rebuild alternative (re-prepare; for the
 //! maintained side, re-saturate and re-index too), and query answering

@@ -21,8 +21,8 @@ use jucq_optimizer::{calibrate, CostConstants};
 use jucq_reformulation::saturation::{antecedents, consequences, schema_triples};
 use jucq_reformulation::BgpQuery;
 use jucq_store::{
-    DeltaFootprint, EngineProfile, Relation, Store, ViewCatalog, ViewCatalogStats, ViewFootprint,
-    ViewSignature,
+    DeltaFootprint, EngineProfile, ProbeCursor, Relation, Store, ViewCatalog, ViewCatalogStats,
+    ViewFootprint, ViewSignature,
 };
 
 use crate::epoch::{build_store, lock_cache, plan_jucq_on, Snapshot};
@@ -102,14 +102,22 @@ fn build_snapshot(
 /// The successor of `prev`'s saturated store `saturated` after the data
 /// delta (`inserts`, `deletes`) that turned `prev`'s plain store into
 /// `plain`, read off the stores alone, with the entailed triples it
-/// gained and lost counted into `report`. Every entailed triple derives
-/// from one data triple ([`jucq_reformulation::saturation`]), so an
-/// inserted triple adds itself and those of its [`consequences`] the old
-/// store lacks, and a deleted triple's self and consequences stay iff a
-/// data triple of `plain` — after the batch, so an insert of the same
-/// batch counts — matches one of their [`antecedents`]: point probes
-/// bounded by the schema. A matching schema triple does not count (the
-/// saturation derives from the data alone), and none ever leaves.
+/// gained and lost counted into `report`. The saturated store is the
+/// plain store's table under an entailed layer of what saturation adds
+/// to it ([`Snapshot::saturated_store`]); the new store stacks `plain`'s
+/// table on that layer with its own delta applied.
+///
+/// Every entailed triple derives from one data triple
+/// ([`jucq_reformulation::saturation`]), so an inserted triple brings
+/// those of its [`consequences`] the old store lacks, and a deleted
+/// triple's self and consequences stay iff a data triple of `plain` —
+/// after the batch, so an insert of the same batch counts — matches one
+/// of their [`antecedents`]: lookups bounded by the schema, one
+/// [`ProbeCursor`] per antecedent shape walking the sorted candidates.
+/// A matching schema triple does not count (the saturation derives from
+/// the data alone), and none ever leaves. The layers stay disjoint: an
+/// inserted data triple that was entailed moves out of the entailed
+/// layer, and a deleted one that is still derived moves into it.
 fn maintain_saturated(
     prev: &Snapshot,
     saturated: &Store,
@@ -119,7 +127,12 @@ fn maintain_saturated(
     report: &mut UpdateReport,
 ) -> Store {
     let (closure, rdf_type, schema) = (&*prev.closure, prev.rdf_type, &*prev.schema_triples);
-    let old = saturated.table().all();
+    let [_, entailed] = saturated.tables().layers() else {
+        unreachable!("the saturated store is the plain store's table under its entailed layer")
+    };
+    let holds = |table: &[TripleId], t: &TripleId| table.binary_search(t).is_ok();
+    let (old, old_plain, new_plain) =
+        (entailed.all(), prev.plain.table().all(), plain.table().all());
     // Sorted and deduplicated; `gone` keeps the order for lookups.
     let mut candidates: Vec<TripleId> = deletes.iter().copied().collect();
     for t in deletes {
@@ -128,6 +141,9 @@ fn maintain_saturated(
     candidates.sort_unstable();
     candidates.dedup();
     let mut probes = 0u64;
+    // One cursor per bound-position mask: the candidates ascend, so the
+    // lookups of one shape mostly gallop forward.
+    let mut cursors: [Option<ProbeCursor<'_>>; 8] = Default::default();
     let gone: Vec<TripleId> = candidates
         .iter()
         .filter(|c| {
@@ -135,8 +151,11 @@ fn maintain_saturated(
             antecedents(closure, rdf_type, c, |bound| {
                 if !derived {
                     probes += 1;
-                    derived =
-                        plain.table().scan(&bound).iter().any(|m| schema.binary_search(m).is_err());
+                    let shape = bound.map(|b| b.is_some());
+                    let mask = shape.iter().rev().fold(0, |m, &b| m << 1 | usize::from(b));
+                    let cursor = cursors[mask]
+                        .get_or_insert_with(|| plain.tables().probe_cursor(shape, None));
+                    derived = cursor.seek(&bound).iter().any(|m| schema.binary_search(m).is_err());
                 }
             });
             !derived
@@ -146,26 +165,32 @@ fn maintain_saturated(
     jucq_obs::metrics::counter_add("saturation.delete_candidates", candidates.len() as u64);
     jucq_obs::metrics::counter_add("saturation.delete_probes", probes);
 
-    let mut sat_ins: Vec<TripleId> = Vec::new();
+    // Into the layer: what is derived, not data and not there yet — the
+    // inserts' consequences, and deleted data triples still derived.
+    let mut layer_ins: Vec<TripleId> = Vec::new();
     let mut add = |c: TripleId| {
-        if gone.binary_search(&c).is_err() && old.binary_search(&c).is_err() {
-            sat_ins.push(c);
+        if gone.binary_search(&c).is_err() && !holds(new_plain, &c) && !holds(old, &c) {
+            layer_ins.push(c);
         }
     };
     for t in inserts {
         add(*t);
         consequences(closure, rdf_type, t, &mut add);
     }
-    sat_ins.sort_unstable();
-    sat_ins.dedup();
-    let sat_del: FxHashSet<TripleId> = gone
+    for t in deletes {
+        add(*t);
+    }
+    layer_ins.sort_unstable();
+    layer_ins.dedup();
+    // Out of the layer: what is no longer derived, and what is data now.
+    let underived: Vec<TripleId> = gone.into_iter().filter(|c| holds(old, c)).collect();
+    report.entailed_added = layer_ins.iter().filter(|c| !holds(old_plain, c)).count();
+    report.entailed_removed = underived.len();
+    let layer_del: FxHashSet<TripleId> = underived
         .into_iter()
-        .filter(|c| old.binary_search(c).is_ok() && schema.binary_search(c).is_err())
+        .chain(inserts.iter().copied().filter(|t| holds(new_plain, t) && holds(old, t)))
         .collect();
-    let (old_data, new_data) = (prev.plain.table().all(), plain.table().all());
-    report.entailed_added = sat_ins.iter().filter(|c| new_data.binary_search(c).is_err()).count();
-    report.entailed_removed = sat_del.iter().filter(|c| old_data.binary_search(c).is_err()).count();
-    saturated.apply_delta(&sat_ins, &sat_del)
+    Store::layered(plain, entailed.apply_delta(&layer_ins, &layer_del))
 }
 
 /// An RDF database answering BGP queries under RDFS constraints.
@@ -932,7 +957,9 @@ pub(crate) mod tests {
         // Saturated store contents agree exactly (decoded: the two
         // databases intern terms in different orders).
         let decode_all = |db: &mut RdfDatabase| -> Vec<String> {
-            let triples: Vec<_> = db.saturated_store().table().all().to_vec();
+            let store = db.saturated_store();
+            let triples: Vec<_> =
+                store.tables().merged(jucq_store::Perm::Spo).flatten().copied().collect();
             let mut out: Vec<String> =
                 triples.iter().map(|t| db.graph().decode(t).to_string()).collect();
             out.sort();

@@ -6,10 +6,11 @@
 //! answering), the cost constants, and handles on the shared plan cache
 //! and view catalog — stamped with the epoch it was published at and
 //! never mutated afterwards. The **saturated store** (`G∞` + the same
-//! schema triples, the target of saturation-based answering) is the one
-//! part built on demand: reformulation never reads it, so the first
-//! Saturation request on a snapshot derives it from the snapshot's own
-//! plain store ([`Snapshot::saturated_store`]), once, and every later
+//! schema triples, the target of saturation-based answering: the plain
+//! store's own table under an entailed layer of what saturation adds) is
+//! the one part built on demand: reformulation never reads it, so the
+//! first Saturation request on a snapshot derives it from the snapshot's
+//! own plain store ([`Snapshot::saturated_store`]), once, and every later
 //! request and every snapshot sharing the same data and profile reuses
 //! it. Everything query-facing runs here, on `&self`, exactly
 //! once: [`Snapshot::parse_query`], then [`Snapshot::answer`],
@@ -47,8 +48,8 @@ use jucq_reformulation::saturation::consequences;
 use jucq_reformulation::{BgpQuery, Cover};
 use jucq_store::exec::Counters;
 use jucq_store::{
-    EngineError, EngineProfile, ExecProfile, Plan, Relation, Store, StoreJucq, ViewCatalog,
-    ViewCatalogStats, ViewSource,
+    EngineError, EngineProfile, ExecProfile, Plan, Relation, Store, StoreJucq, TripleTable,
+    ViewCatalog, ViewCatalogStats, ViewSource,
 };
 
 use crate::parser::ParseError;
@@ -168,26 +169,33 @@ impl Snapshot {
     }
 
     /// The saturated store, `saturate_with(data) ∪ schema_triples`,
-    /// built on first use. The first caller derives it from this
-    /// snapshot's plain store — its triples plus the consequences of
-    /// its data triples — under the `prepare.saturated` span;
-    /// callers racing it wait for that one build. A snapshot the writer
-    /// maintained from its predecessor's store has it from the start.
+    /// built on first use, as two layers: the plain store's own table
+    /// (shared, not copied), and under the `prepare.saturated` span an
+    /// *entailed layer* of what the saturation adds to it — the
+    /// consequences of the data triples that the plain store lacks, so
+    /// no triple is in both. Callers racing the first one wait for that
+    /// one build. A snapshot the writer maintained from its
+    /// predecessor's store has it from the start.
     pub fn saturated_store(&self) -> &Store {
         self.saturated.get_or_init(|| {
             jucq_obs::span!("prepare.saturated");
-            // The plain store is the data plus the schema triples, so
-            // adding the data's consequences to it gives the store.
-            let plain = self.plain.table().all();
             let mut derived = FxHashSet::default();
             for t in self.data() {
                 consequences(&self.closure, self.rdf_type, t, |c| {
                     derived.insert(c);
                 });
             }
-            // Sorted plain triples, then the derived ones: one sorted
-            // run for `build_store`'s stable sort to merge with.
-            build_store(plain.iter().copied().chain(derived).collect(), self.profile())
+            let mut entailed: Vec<TripleId> = derived.into_iter().collect();
+            entailed.sort_unstable();
+            // Both runs are sorted in SPO order: one merge drops what the
+            // plain store holds.
+            let mut plain = self.plain.table().all().iter().peekable();
+            entailed.retain(|c| {
+                while plain.next_if(|t| *t < c).is_some() {}
+                plain.next_if_eq(&c).is_none()
+            });
+            jucq_obs::span!("prepare.index_build");
+            Store::layered(&self.plain, TripleTable::from_vec(entailed))
         })
     }
 

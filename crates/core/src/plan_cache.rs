@@ -280,7 +280,7 @@ mod tests {
             vec![q.to_store_cq()],
             q.head.clone(),
         ));
-        Arc::new(Planner::new(store.table(), store.stats(), store.profile()).plan(&jucq))
+        Arc::new(Planner::new(store.tables(), store.stats(), store.profile()).plan(&jucq))
     }
 
     #[test]

@@ -181,7 +181,7 @@ struct Workspace {
 
 impl Workspace {
     fn extent(&mut self, model: &PaperCostModel<'_>, p: &StorePattern) -> f64 {
-        *self.extents.entry(*p).or_insert_with(|| model.stats.pattern_card(model.table, p) as f64)
+        *self.extents.entry(*p).or_insert_with(|| model.table.count(&p.bound()) as f64)
     }
 
     /// One member's `(scan volume, evaluated input volume, result
@@ -478,7 +478,7 @@ mod tests {
     use super::*;
     use jucq_model::term::TermKind;
     use jucq_model::{TermId, TripleId};
-    use jucq_store::{PatternTerm, StorePattern, VarId};
+    use jucq_store::{PatternTerm, StorePattern, TableStack, VarId};
 
     fn id(i: u32) -> TermId {
         TermId::new(TermKind::Uri, i)
@@ -500,7 +500,7 @@ mod tests {
         let triples: Vec<TripleId> =
             (0..50).map(|i| t(i, 10, i % 5)).chain((0..10).map(|i| t(i, 11, 100 + i))).collect();
         let table = TripleTable::build(&triples);
-        let stats = Statistics::build(&table);
+        let stats = Statistics::build(&TableStack::from(table.clone()));
         (table, stats)
     }
 
@@ -537,8 +537,9 @@ mod tests {
         let m = PaperCostModel::new(&table, &stats, constants);
         let f = frag(vec![StorePattern::new(v(0), c(10), v(1))], vec![0, 1]);
         let jucq = StoreJucq::from_ucq(f.clone());
-        let expected =
-            constants.c_db + m.c_eval_ucq(&f) + m.c_unique(stats.summarize_ucq(&table, &f).rows);
+        let expected = constants.c_db
+            + m.c_eval_ucq(&f)
+            + m.c_unique(stats.summarize_ucq(&TableStack::from(table.clone()), &f).rows);
         assert!((m.cost(&jucq) - expected).abs() < 1e-12);
     }
 

@@ -107,7 +107,7 @@ fn collapse_matches_the_reference() {
         let new = collapsible_runs(ucq.cqs.iter());
         assert_eq!(new, reference::collapsible_runs(ucq.cqs.iter()), "{at}: collapsible runs");
         runs += new.len();
-        let planner = Planner::new(store.table(), store.stats(), &profile);
+        let planner = Planner::new(store.tables(), store.stats(), &profile);
         let new = plan_collapse(&planner.plan(&StoreJucq::from_ucq(ucq.clone())));
         assert_eq!(new, reference::planner_collapse(store.table(), &ucq), "{at}: planner collapse");
         intervals += new.iter().map(Vec::len).sum::<usize>();

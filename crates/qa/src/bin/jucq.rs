@@ -532,6 +532,8 @@ fn cmd_stats(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     println!("distinct predicates:        {}", plain.stats().distinct_predicates());
     let sat = db.saturated_store();
     println!("saturated triples:          {}", sat.stats().total());
+    let entailed = sat.tables().layers().last().map_or(0, |t| t.len());
+    println!("  of which entailed layer:  {entailed}");
     let closure = db.closure();
     println!("classes:                    {}", closure.classes().len());
     println!("properties:                 {}", closure.properties().len());

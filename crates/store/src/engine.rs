@@ -12,7 +12,7 @@ use crate::plan::{self, Plan, Planner};
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
 use crate::stats::Statistics;
-use crate::table::TripleTable;
+use crate::table::{TableStack, TripleTable};
 
 /// The result of a successful evaluation, with its work counters and
 /// wall-clock time (the measurements the experiment harness reports).
@@ -66,14 +66,20 @@ pub struct ExecProfile {
     pub sip: Vec<SipFilterStat>,
 }
 
-/// A loaded store: triple table + statistics, evaluated under a profile.
-/// Table and statistics are immutable and shared, so a clone is a second
-/// handle on the same indexes — to run them under another profile, say
-/// ([`Store::set_profile`]); an update builds new ones
-/// ([`Store::apply_delta`]).
+/// A loaded store: a stack of triple tables read as one, statistics, and
+/// the profile it evaluates under. Tables and statistics are immutable
+/// and shared, so a clone is a second handle on the same indexes — to
+/// run them under another profile, say ([`Store::set_profile`]); an
+/// update builds new ones ([`Store::apply_delta`]).
+///
+/// A store built from triples is one table. [`Store::layered`] stacks a
+/// table of further triples on a store's own, shared and not copied:
+/// the saturated store is the plain store's table under the triples
+/// saturation adds. Every read — planning, statistics, execution — goes
+/// through the whole [`TableStack`].
 #[derive(Debug, Clone)]
 pub struct Store {
-    table: Arc<TripleTable>,
+    tables: TableStack,
     stats: Arc<Statistics>,
     profile: EngineProfile,
 }
@@ -88,14 +94,40 @@ impl Store {
     /// sorted in place into the table's SPO index: the build holds no
     /// copy of its input.
     pub fn from_vec(triples: Vec<TripleId>, profile: EngineProfile) -> Self {
-        let table = TripleTable::from_vec(triples);
-        let stats = Statistics::build(&table);
-        Store { table: Arc::new(table), stats: Arc::new(stats), profile }
+        Store::over(TableStack::from(TripleTable::from_vec(triples)), profile)
     }
 
-    /// The triple table.
+    /// The store reading `base`'s tables and, above them, `top`, under
+    /// `base`'s profile. `base`'s tables are shared, not copied. `top`
+    /// must hold no triple of `base`: the layers of a store are disjoint.
+    pub fn layered(base: &Store, top: TripleTable) -> Store {
+        let mut layers = base.tables.layers().to_vec();
+        layers.push(Arc::new(top));
+        Store::over(TableStack::new(layers), base.profile.clone())
+    }
+
+    fn over(tables: TableStack, profile: EngineProfile) -> Store {
+        let stats = Statistics::build(&tables);
+        Store { tables, stats: Arc::new(stats), profile }
+    }
+
+    /// The tables the store reads, as one.
+    pub fn tables(&self) -> &TableStack {
+        &self.tables
+    }
+
+    /// The triple table of a store made of one table (every store built
+    /// from triples).
+    ///
+    /// # Panics
+    ///
+    /// On a [`Store::layered`] store, whose triples no single table
+    /// holds: read those through [`Store::tables`].
     pub fn table(&self) -> &TripleTable {
-        &self.table
+        match self.tables.layers() {
+            [table] => table,
+            layers => panic!("a store of {} layers has no single table", layers.len()),
+        }
     }
 
     /// The statistics.
@@ -118,14 +150,18 @@ impl Store {
     /// into the SPO index, the other indexes derived from it as a build
     /// derives them ([`TripleTable::apply_delta`]; no comparison sort of
     /// the table), and a near-linear statistics refresh.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Store::layered`] store, whose layers change one at a time:
+    /// apply the delta to the layer it belongs to and stack the result.
     pub fn apply_delta(
         &self,
         inserts: &[jucq_model::TripleId],
         deletes: &jucq_model::FxHashSet<jucq_model::TripleId>,
     ) -> Store {
-        let table = self.table.apply_delta(inserts, deletes);
-        let stats = Statistics::build(&table);
-        Store { table: Arc::new(table), stats: Arc::new(stats), profile: self.profile.clone() }
+        let table = self.table().apply_delta(inserts, deletes);
+        Store::over(TableStack::from(table), self.profile.clone())
     }
 
     /// Evaluate a single conjunctive query (deduplicated). The head must
@@ -166,7 +202,7 @@ impl Store {
         if terms > self.profile.max_union_terms {
             return Err(EngineError::UnionTooLarge { terms, limit: self.profile.max_union_terms });
         }
-        Ok(Planner::new(&self.table, &self.stats, &self.profile).with_views(views).plan(q))
+        Ok(Planner::new(&self.tables, &self.stats, &self.profile).with_views(views).plan(q))
     }
 
     /// Evaluate a JUCQ: plan it, then execute the plan.
@@ -226,7 +262,7 @@ impl Store {
         } else {
             ExecContext::new(profile)
         };
-        let relation = plan::exec::execute(&self.table, plan, &mut ctx, views)?;
+        let relation = plan::exec::execute(&self.tables, plan, &mut ctx, views)?;
         if ctx.counters.sip_probes > 0 {
             jucq_obs::metrics::counter_add("exec.sip.probes", ctx.counters.sip_probes);
             jucq_obs::metrics::counter_add("exec.sip.drops", ctx.counters.sip_drops);

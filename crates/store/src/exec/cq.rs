@@ -22,9 +22,9 @@ use crate::exec::{ExecContext, BATCH_ROWS};
 use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::{Interval, Leaf, MemberPlan};
 use crate::relation::Relation;
-use crate::table::{RangePos, TripleTable};
+use crate::table::{RangePos, Runs, TableStack};
 
-/// Evaluate one lowered union member against `table` onto the fragment
+/// Evaluate one lowered union member against `tables` onto the fragment
 /// head `out_vars`, with `shared` holding the plan's materialized shared
 /// scans. Bag semantics: duplicates arising from the head projection are
 /// *not* removed here (the union layer deduplicates). Rows that `filter`
@@ -32,7 +32,7 @@ use crate::table::{RangePos, TripleTable};
 /// are dropped at the earliest stage of the member that binds the
 /// filter's whole key: the leaf, the input of a probe, or the head.
 pub(crate) fn eval_member(
-    table: &TripleTable,
+    tables: &TableStack,
     member: &MemberPlan,
     out_vars: &[VarId],
     shared: &[Relation],
@@ -40,13 +40,13 @@ pub(crate) fn eval_member(
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let op = ctx.op_start();
-    let out = eval_member_inner(table, member, out_vars, shared, filter, ctx)?;
+    let out = eval_member_inner(tables, member, out_vars, shared, filter, ctx)?;
     ctx.op_finish(op, "cq", out.len() as u64);
     Ok(out)
 }
 
 fn eval_member_inner(
-    table: &TripleTable,
+    tables: &TableStack,
     member: &MemberPlan,
     out_vars: &[VarId],
     shared: &[Relation],
@@ -59,9 +59,9 @@ fn eval_member_inner(
         .filter(|_| member.leaf != Leaf::TrueRow)
         .map(|f| MemberSip::new(f, &member.head, out_vars));
     let mut body: Cow<'_, Relation> = match &member.leaf {
-        Leaf::Scan { pattern, .. } => Cow::Owned(scan_pattern(table, pattern, sip.as_mut(), ctx)?),
+        Leaf::Scan { pattern, .. } => Cow::Owned(scan_pattern(tables, pattern, sip.as_mut(), ctx)?),
         Leaf::Range { pattern, interval, .. } => {
-            Cow::Owned(scan_range(table, pattern, *interval, sip.as_mut(), ctx)?)
+            Cow::Owned(scan_range(tables, pattern, *interval, sip.as_mut(), ctx)?)
         }
         Leaf::Shared { id } => Cow::Borrowed(&shared[*id]),
         Leaf::TrueRow => {
@@ -74,9 +74,18 @@ fn eval_member_inner(
             return Ok(r);
         }
     };
-    for probe in &member.probes {
+    for (i, probe) in member.probes.iter().enumerate() {
         let sip = sip.as_mut().and_then(|s| s.claim_before_probe(&body));
-        body = Cow::Owned(probe_extend(table, &body, &probe.pattern, probe.range, sip, ctx)?);
+        // A variable no later probe and not the head reads is dead: the
+        // probe then only asks whether a match exists.
+        let live = |v: VarId| {
+            member.head.iter().any(|t| t.as_var() == Some(v))
+                || member.probes[i + 1..].iter().any(|q| q.pattern.variables().contains(&v))
+        };
+        let exists =
+            !probe.pattern.variables().into_iter().any(|v| body.column_of(v).is_none() && live(v));
+        let p = &probe.pattern;
+        body = Cow::Owned(probe_extend(tables, &body, p, probe.range, exists, sip, ctx)?);
     }
     let out = if body.is_empty() {
         // Pipelines short-circuit on an empty intermediate, so `body`
@@ -178,14 +187,15 @@ fn ranged_index(ranged: RangePos) -> usize {
 }
 
 /// Scan one pattern into a relation over its distinct variables, off
-/// the permutation index whose key prefix covers its bound positions.
+/// the permutation index whose key prefix covers its bound positions
+/// (in every layer).
 pub(crate) fn scan_pattern(
-    table: &TripleTable,
+    tables: &TableStack,
     p: &StorePattern,
     sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    scan_extent(p, table.scan(&p.bound()), sip, ctx)
+    scan_extent(p, tables.scan(&p.bound()), sip, ctx)
 }
 
 /// Scan one collapsed interval into a relation over the pattern
@@ -195,7 +205,7 @@ pub(crate) fn scan_pattern(
 /// every id in the interval, since the underlying permutation index sorts
 /// the interval contiguously.
 fn scan_range(
-    table: &TripleTable,
+    tables: &TableStack,
     p: &StorePattern,
     Interval { ranged, lo, hi, .. }: Interval,
     sip: Option<&mut MemberSip<'_>>,
@@ -204,17 +214,17 @@ fn scan_range(
     ctx.counters.range_scans += 1;
     let mut bound = p.bound();
     bound[ranged_index(ranged)] = None;
-    scan_extent(p, table.scan_value_range(&bound, ranged, lo, hi), sip, ctx)
+    scan_extent(p, tables.scan_value_range(&bound, ranged, lo, hi), sip, ctx)
 }
 
 /// The scan kernel: gather `p`'s variable positions out of every triple
-/// of `extent` (a contiguous index run), a batch at a time — one
-/// liveness poll, one bulk append and one memory check per batch. When
-/// `p` binds the whole key of the member's SIP filter, a triple that
-/// cannot join is never copied.
+/// of `extent` (a contiguous index run per layer, read one after the
+/// other), a batch at a time — one liveness poll, one bulk append and
+/// one memory check per batch. When `p` binds the whole key of the
+/// member's SIP filter, a triple that cannot join is never copied.
 fn scan_extent(
     p: &StorePattern,
-    extent: &[TripleId],
+    extent: Runs<'_>,
     sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
@@ -226,7 +236,7 @@ fn scan_extent(
     let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
     let zero_width = vars.is_empty();
     let mut flat: Vec<TermId> = Vec::with_capacity(BATCH_ROWS * vars.len());
-    for chunk in extent.chunks(BATCH_ROWS) {
+    for chunk in extent.slices().iter().flat_map(|run| run.chunks(BATCH_ROWS)) {
         ctx.counters.tuples_scanned += chunk.len() as u64;
         ctx.tick_n(chunk.len() as u64)?;
         for t in chunk {
@@ -269,16 +279,22 @@ enum ProbeSlot {
 /// point probe per collapsed member (LiteMat's "the type check becomes
 /// an interval membership test").
 ///
+/// With `exists`, nothing after the probe reads the variables it would
+/// bind: it is an *existence probe*, which emits each input row once,
+/// unextended, when the index holds a match consistent with `p`'s
+/// repeated variables, and stops reading at the first one.
+///
 /// Every lookup goes through one [`ProbeCursor`](crate::table::ProbeCursor)
-/// owned by this invocation: `acc` usually comes out of an index scan
-/// sorted on (or correlated with) the probe key, so the next run starts
-/// a few triples after the previous one. Input rows the member's SIP
-/// filter rejects are not probed for.
+/// owned by this invocation, one seek per layer: `acc` usually comes out
+/// of an index scan sorted on (or correlated with) the probe key, so the
+/// next run starts a few triples after the previous one. Input rows the
+/// member's SIP filter rejects are not probed for.
 fn probe_extend(
-    table: &TripleTable,
+    tables: &TableStack,
     acc: &Relation,
     p: &StorePattern,
     range: Option<Interval>,
+    exists: bool,
     mut sip: Option<&mut MemberSip<'_>>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
@@ -295,10 +311,12 @@ fn probe_extend(
         // interval: unbind it so the probe covers the contiguous index run.
         slots[ranged_index(iv.ranged)] = ProbeSlot::Free;
     }
-    let mut cursor = table
+    let mut cursor = tables
         .probe_cursor(slots.map(|s| matches!(s, ProbeSlot::Bound(_))), range.map(|iv| iv.ranged));
-    let new_vars: Vec<VarId> =
-        p.variables().iter().copied().filter(|&v| acc.column_of(v).is_none()).collect();
+    let new_vars: Vec<VarId> = match exists {
+        true => Vec::new(),
+        false => p.variables().iter().copied().filter(|&v| acc.column_of(v).is_none()).collect(),
+    };
     let new_pos = var_positions(p, &new_vars);
     let mut out_vars = acc.vars().to_vec();
     out_vars.extend(new_vars);
@@ -321,19 +339,39 @@ fn probe_extend(
                 None => cursor.seek(&bound),
             };
             ctx.counters.index_probes += 1;
-            ctx.counters.tuples_scanned += matches.len() as u64;
-            pending += matches.len() as u64;
-            for t in matches {
-                if check_repeats && !repeated_vars_consistent(p, t) {
-                    continue;
+            if exists {
+                let mut read = 0u64;
+                let found = matches.iter().any(|t| {
+                    read += 1;
+                    !check_repeats || repeated_vars_consistent(p, t)
+                });
+                ctx.counters.tuples_scanned += read;
+                pending += read;
+                if found {
+                    ctx.counters.tuples_joined += 1;
+                    if zero_width {
+                        out.push_row(&[]);
+                    } else {
+                        flat.extend_from_slice(arow);
+                    }
                 }
-                ctx.counters.tuples_joined += 1;
-                if zero_width {
-                    out.push_row(&[]);
-                } else {
-                    let val = [t.s, t.p, t.o];
-                    flat.extend_from_slice(arow);
-                    flat.extend(new_pos.iter().map(|&i| val[i]));
+            } else {
+                ctx.counters.tuples_scanned += matches.len() as u64;
+                pending += matches.len() as u64;
+                for &run in matches.slices() {
+                    for t in run {
+                        if check_repeats && !repeated_vars_consistent(p, t) {
+                            continue;
+                        }
+                        ctx.counters.tuples_joined += 1;
+                        if zero_width {
+                            out.push_row(&[]);
+                        } else {
+                            let val = [t.s, t.p, t.o];
+                            flat.extend_from_slice(arow);
+                            flat.extend(new_pos.iter().map(|&i| val[i]));
+                        }
+                    }
                 }
             }
         }
@@ -544,7 +582,7 @@ mod tests {
         use crate::exec::sip::{MemberSip, SipFilter};
         let n = 20 * BATCH_ROWS as u32;
         let triples: Vec<TripleId> = (0..n).map(|i| t(i, 10, i % 7)).collect();
-        let table = TripleTable::build(&triples);
+        let table = TableStack::from(crate::table::TripleTable::build(&triples));
         let mut build = Relation::empty(vec![0]);
         for i in (0..n).step_by(4) {
             build.push_row(&[id(i)]);
@@ -562,5 +600,79 @@ mod tests {
         sip.record(&mut ctx);
         assert_eq!(ctx.counters.sip_probes, 15 * BATCH_ROWS as u64);
         assert!(ctx.counters.sip_drops > 0);
+    }
+
+    /// One member over `triples`: a scan of `leaf`, then `probes`,
+    /// projected onto the head variables `head`.
+    fn run_member(
+        triples: &[TripleId],
+        leaf: StorePattern,
+        probes: Vec<crate::plan::Probe>,
+        head: Vec<VarId>,
+    ) -> (Relation, crate::exec::Counters) {
+        let tables = TableStack::from(crate::table::TripleTable::build(triples));
+        let member = MemberPlan {
+            leaf: Leaf::Scan { pattern: leaf, est: 0.0 },
+            probes,
+            head: head.iter().map(|&x| v(x)).collect(),
+        };
+        let profile = EngineProfile::pg_like();
+        let mut ctx = ExecContext::new(&profile);
+        let out = eval_member(&tables, &member, &head, &[], None, &mut ctx).unwrap();
+        (out, ctx.counters)
+    }
+
+    #[test]
+    fn a_range_probe_with_no_new_variable_emits_its_row_once() {
+        // 1 and 2 have three and one types in [30, 33); 3 has none.
+        let triples =
+            [t(1, 10, 5), t(2, 10, 6), t(3, 10, 7), t(1, 20, 30), t(1, 20, 31), t(1, 20, 32)]
+                .into_iter()
+                .chain([t(2, 20, 31), t(3, 20, 40)])
+                .collect::<Vec<_>>();
+        let range = Interval { ranged: RangePos::Object, lo: 30, hi: 33, members: 3 };
+        let probe = crate::plan::Probe {
+            pattern: StorePattern::new(v(0), c(20), c(30)),
+            range: Some(range),
+        };
+        let leaf = StorePattern::new(v(0), c(10), v(1));
+        let (mut out, counters) = run_member(&triples, leaf, vec![probe], vec![0, 1]);
+        out.sort();
+        assert_eq!(out.to_rows(), vec![vec![id(1), id(5)], vec![id(2), id(6)]]);
+        // One joined row per row that has a type in the interval, and the
+        // first match ends each lookup.
+        assert_eq!((counters.index_probes, counters.tuples_joined), (3, 2));
+        assert_eq!(counters.tuples_scanned, 3 + 2);
+    }
+
+    #[test]
+    fn a_dead_repeated_variable_needs_a_consistent_match() {
+        // The probe (?2 11 ?2) binds ?2, which nothing reads: a row passes
+        // iff some p11 triple has equal subject and object.
+        let leaf = StorePattern::new(v(0), c(10), v(1));
+        let probe =
+            crate::plan::Probe { pattern: StorePattern::new(v(2), c(11), v(2)), range: None };
+        let without = [t(1, 10, 5), t(4, 11, 6), t(6, 11, 4)];
+        let (out, _) = run_member(&without, leaf, vec![probe.clone()], vec![0]);
+        assert!(out.is_empty(), "no p11 triple is a loop");
+        let with = [t(1, 10, 5), t(4, 11, 6), t(6, 11, 4), t(7, 11, 7), t(8, 11, 8)];
+        let (out, counters) = run_member(&with, leaf, vec![probe], vec![0]);
+        assert_eq!(out.to_rows(), vec![vec![id(1)]], "two loops, one row");
+        assert_eq!(counters.tuples_scanned, 1 + 3, "the leaf, then up to the first loop");
+    }
+
+    #[test]
+    fn a_probe_whose_variable_a_later_probe_reads_extends_the_row() {
+        // ?1 is read by the second probe, so the first binds it for every
+        // match; ?2 is dead.
+        let triples = [t(1, 10, 5), t(5, 11, 6), t(5, 11, 7), t(6, 12, 9), t(7, 12, 9)];
+        let probes = vec![
+            crate::plan::Probe { pattern: StorePattern::new(v(0), c(11), v(1)), range: None },
+            crate::plan::Probe { pattern: StorePattern::new(v(1), c(12), v(2)), range: None },
+        ];
+        let leaf = StorePattern::new(v(3), c(10), v(0));
+        let (out, counters) = run_member(&triples, leaf, probes, vec![3]);
+        assert_eq!(out.to_rows(), vec![vec![id(1)], vec![id(1)]], "one row per ?1 binding");
+        assert_eq!(counters.tuples_joined, 2 + 2);
     }
 }

@@ -288,7 +288,7 @@ mod tests {
         // A boolean member carries no key columns to test.
         let build = rel(vec![0], &[&[1]]);
         let f = SipFilter::build(&build, &[0], "fragment[1].sip_filter".to_string());
-        let table = crate::table::TripleTable::build(&[]);
+        let table = crate::table::TableStack::from(crate::table::TripleTable::build(&[]));
         let member = crate::plan::MemberPlan {
             leaf: crate::plan::Leaf::TrueRow,
             probes: vec![],

@@ -15,14 +15,14 @@ use crate::exec::{cq, sip, ExecContext, BATCH_ROWS};
 use crate::ir::VarId;
 use crate::plan::Plan;
 use crate::relation::{hash_row, Relation};
-use crate::table::TripleTable;
+use crate::table::TableStack;
 
 /// Evaluate fragment `idx` of `plan` as a union, member by member,
 /// each member testing `filter` (the SIP filter an upstream fragment
 /// join published, if any) inside its own pipeline. `shared` is the
 /// plan's materialized shared-scan table.
 pub(crate) fn eval_union(
-    table: &TripleTable,
+    tables: &TableStack,
     plan: &Plan,
     idx: usize,
     filter: Option<&sip::SipFilter>,
@@ -36,14 +36,14 @@ pub(crate) fn eval_union(
     // unless the profile mandates the derived-table copy.
     let out = if f.distinct_by_construction(&plan.shared) && !ctx.profile().materialize_all_unions {
         ctx.check_deadline()?;
-        let r = cq::eval_member(table, &f.members[0], &f.head, shared, filter, ctx)?;
+        let r = cq::eval_member(tables, &f.members[0], &f.head, shared, filter, ctx)?;
         borrow_member(r, op, ctx)?
     } else {
         // The planner's union estimate pre-sizes the accumulator's rows.
         let mut acc = DedupAccumulator::with_est(f.head.clone(), Some(f.est), ctx);
         for m in &f.members {
             ctx.check_deadline()?;
-            let r = cq::eval_member(table, m, &f.head, shared, filter, ctx)?;
+            let r = cq::eval_member(tables, m, &f.head, shared, filter, ctx)?;
             merge_member(&mut acc, &r, ctx)?;
         }
         finish_union(acc, op, ctx)?
@@ -340,7 +340,11 @@ mod tests {
     #[test]
     fn expired_deadline_stops_the_union_before_its_first_member() {
         let profile = EngineProfile::pg_like().with_timeout(std::time::Duration::ZERO);
-        let table = TripleTable::build(&[t(1, 10, 2), t(1, 11, 2), t(3, 10, 4)]);
+        let table = TableStack::from(crate::table::TripleTable::build(&[
+            t(1, 10, 2),
+            t(1, 11, 2),
+            t(3, 10, 4),
+        ]));
         let stats = crate::stats::Statistics::build(&table);
         let ucq = StoreUcq::new(
             vec![

@@ -44,7 +44,7 @@ pub fn explain_plan(
 ) -> String {
     let profile = store.profile();
     let stats = store.stats();
-    let table = store.table();
+    let tables = store.tables();
     let mut out = String::new();
 
     let terms = q.union_terms();
@@ -67,7 +67,7 @@ pub fn explain_plan(
     let plan = match plan {
         Some(plan) => plan,
         None => {
-            lowered = Planner::new(table, stats, profile).plan(q);
+            lowered = Planner::new(tables, stats, profile).plan(q);
             &lowered
         }
     };
@@ -92,7 +92,7 @@ pub fn explain_plan(
             u.cqs
                 .iter()
                 .flat_map(|cq| cq.patterns.iter())
-                .map(|p| stats.pattern_card(table, p) as f64)
+                .map(|p| stats.pattern_card(tables, p) as f64)
                 .sum()
         })
         .collect();

@@ -18,7 +18,7 @@ use crate::ir::{StoreCq, StoreJucq, StorePattern, StoreUcq, VarId};
 use crate::plan::{fragment_join_order, JoinStep};
 use crate::profile::JoinAlgo;
 use crate::stats::{EstScratch, FragmentSummary, Statistics};
-use crate::table::TripleTable;
+use crate::table::TableStack;
 use crate::Store;
 
 /// Per-tuple work factors of the internal model (arbitrary engine cost
@@ -55,7 +55,7 @@ fn join_step_cost(algo: JoinAlgo, acc: f64, c: f64) -> f64 {
 /// setup. `extents` and `scratch` are reused across members.
 fn cq_cost(
     stats: &Statistics,
-    table: &TripleTable,
+    tables: &TableStack,
     cq: &StoreCq,
     extents: &mut Vec<f64>,
     scratch: &mut EstScratch,
@@ -64,17 +64,17 @@ fn cq_cost(
         return CPU_TUPLE;
     }
     extents.clear();
-    extents.extend(cq.patterns.iter().map(|p| stats.pattern_card(table, p) as f64));
+    extents.extend(cq.patterns.iter().map(|p| stats.pattern_card(tables, p) as f64));
     CPU_PROBE * stats.pipeline_volume(&cq.patterns, extents, scratch)
         + CPU_TUPLE * cq.patterns.len() as f64
 }
 
 /// Estimate the internal cost of one fragment UCQ (members + dedup)
 /// whose result is estimated at `card` rows.
-fn ucq_cost(stats: &Statistics, table: &TripleTable, ucq: &StoreUcq, card: f64) -> f64 {
+fn ucq_cost(stats: &Statistics, tables: &TableStack, ucq: &StoreUcq, card: f64) -> f64 {
     let (mut extents, mut scratch) = (Vec::new(), EstScratch::default());
     let members: f64 =
-        ucq.cqs.iter().map(|cq| cq_cost(stats, table, cq, &mut extents, &mut scratch)).sum();
+        ucq.cqs.iter().map(|cq| cq_cost(stats, tables, cq, &mut extents, &mut scratch)).sum();
     members + CPU_DEDUP * card + STARTUP * ucq.cqs.len() as f64
 }
 
@@ -84,13 +84,13 @@ fn ucq_cost(stats: &Statistics, table: &TripleTable, ucq: &StoreUcq, card: f64) 
 /// first-minimum-extent leaf per member) but stays deliberately cheap —
 /// `estimate` runs inside cover-search scoring loops, so no full plan
 /// lowering here.
-fn sharing_savings(table: &TripleTable, q: &StoreJucq) -> f64 {
+fn sharing_savings(tables: &TableStack, q: &StoreJucq) -> f64 {
     let mut uses: FxHashMap<StorePattern, (usize, f64)> = FxHashMap::default();
     for cq in q.fragments.iter().flat_map(|f| &f.cqs) {
-        let Some(leaf) = cq.patterns.iter().min_by_key(|p| table.count(&p.bound())) else {
+        let Some(leaf) = cq.patterns.iter().min_by_key(|p| tables.count(&p.bound())) else {
             continue;
         };
-        let e = uses.entry(*leaf).or_insert_with(|| (0, table.count(&leaf.bound()) as f64));
+        let e = uses.entry(*leaf).or_insert_with(|| (0, tables.count(&leaf.bound()) as f64));
         e.0 += 1;
     }
     uses.values().filter(|(k, _)| *k > 1).map(|(k, card)| (*k - 1) as f64 * CPU_PROBE * card).sum()
@@ -101,11 +101,11 @@ fn sharing_savings(table: &TripleTable, q: &StoreJucq) -> f64 {
 /// not the order the fragments were declared in.
 fn planned_joins(
     stats: &Statistics,
-    table: &TripleTable,
+    tables: &TableStack,
     q: &StoreJucq,
 ) -> (Vec<FragmentSummary>, Vec<JoinStep>) {
     let summaries: Vec<FragmentSummary> =
-        q.fragments.iter().map(|f| stats.summarize_ucq(table, f)).collect();
+        q.fragments.iter().map(|f| stats.summarize_ucq(tables, f)).collect();
     let heads: Vec<&[VarId]> = q.fragments.iter().map(|f| f.head.as_slice()).collect();
     let order = fragment_join_order(&summaries, &heads);
     (summaries, order)
@@ -121,12 +121,12 @@ fn join_inputs(summaries: &[FragmentSummary], order: &[JoinStep]) -> Vec<(f64, f
 /// Estimate the internal cost of a whole JUCQ under the store's profile.
 pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
     let stats = store.stats();
-    let table = store.table();
+    let tables = store.tables();
     let profile = store.profile();
 
-    let (summaries, order) = planned_joins(stats, table, q);
+    let (summaries, order) = planned_joins(stats, tables, q);
     let frag_costs: f64 =
-        q.fragments.iter().zip(&summaries).map(|(f, s)| ucq_cost(stats, table, f, s.rows)).sum();
+        q.fragments.iter().zip(&summaries).map(|(f, s)| ucq_cost(stats, tables, f, s.rows)).sum();
 
     // Materialization: all fragments if the profile materializes every
     // union, otherwise all but the largest.
@@ -147,7 +147,7 @@ pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
         .sum();
 
     let final_card = order.last().map_or(0.0, |step| step.est_rows);
-    let savings = sharing_savings(table, q);
+    let savings = sharing_savings(tables, q);
     let cpu_scale = BATCH_CPU_DISCOUNT;
     cpu_scale * ((frag_costs - savings).max(0.0) + mat + CPU_DEDUP * final_card)
         + cpu_scale * SIP_JOIN_DISCOUNT * join_cost
@@ -240,7 +240,7 @@ mod tests {
             ],
             vec![0, 1, 2, 3],
         );
-        let (summaries, order) = planned_joins(s.stats(), s.table(), &q);
+        let (summaries, order) = planned_joins(s.stats(), s.tables(), &q);
         let priced = join_inputs(&summaries, &order);
         assert_eq!(priced, vec![(10.0, 30.0), (10.0, 100.0)]);
 
@@ -270,12 +270,12 @@ mod tests {
             vec![member(cheap, wide), member(cheap, StorePattern::new(v(1), c(10), v(0)))],
             vec![0, 1],
         ));
-        assert_eq!(sharing_savings(s.table(), &shared), CPU_PROBE * 10.0);
+        assert_eq!(sharing_savings(s.tables(), &shared), CPU_PROBE * 10.0);
         let distinct = StoreJucq::from_ucq(StoreUcq::new(
             vec![member(cheap, wide), member(StorePattern::new(v(1), c(11), c(99)), wide)],
             vec![0, 1],
         ));
-        assert_eq!(sharing_savings(s.table(), &distinct), 0.0);
+        assert_eq!(sharing_savings(s.tables(), &distinct), 0.0);
     }
 
     #[test]

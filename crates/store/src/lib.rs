@@ -15,6 +15,8 @@
 //! * [`table::TripleTable`] — the triples table plus its five clustered
 //!   permutation indexes; triple-pattern scans are binary-search prefix
 //!   ranges and pattern cardinalities are **exact** and O(log n);
+//!   [`table::TableStack`] reads disjoint tables as one (a lookup is a
+//!   run per table, counts add), which is how a store reads its data;
 //! * [`ir`] — a minimal relational IR: triple patterns, conjunctive
 //!   queries (σ/π/⋈ over the table), unions thereof, and joins of unions
 //!   (the shapes UCQ / SCQ / JUCQ reformulations compile to);
@@ -67,7 +69,7 @@ pub use plan::{
 pub use profile::{EngineProfile, JoinAlgo};
 pub use relation::Relation;
 pub use stats::{EstScratch, FragmentSummary, Statistics};
-pub use table::{Perm, RangePos, TripleTable};
+pub use table::{Merged, Perm, ProbeCursor, RangePos, Runs, TableStack, TripleTable, MAX_LAYERS};
 pub use views::{
     DeltaFootprint, ViewCatalog, ViewCatalogStats, ViewFootprint, ViewSignature, ViewSource,
 };

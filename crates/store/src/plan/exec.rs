@@ -21,7 +21,7 @@ use crate::exec::{cq, join, sip, union, ExecContext, BATCH_ROWS};
 use crate::plan::join_order::JoinStep;
 use crate::plan::node::{FragmentPlan, Plan};
 use crate::relation::Relation;
-use crate::table::TripleTable;
+use crate::table::TableStack;
 use crate::views::ViewSource;
 
 /// Copy a resolved view's rows into a fresh relation on `ctx`'s
@@ -85,10 +85,10 @@ fn resolve_view(
     Ok(None)
 }
 
-/// Execute `plan` against `table`, resolving view-served fragments
+/// Execute `plan` against `tables`, resolving view-served fragments
 /// through `views` (when given).
 pub(crate) fn execute(
-    table: &TripleTable,
+    tables: &TableStack,
     plan: &Plan,
     ctx: &mut ExecContext<'_>,
     views: Option<&ViewSource<'_>>,
@@ -107,14 +107,14 @@ pub(crate) fn execute(
     let mut held = 0;
     for (i, def) in plan.shared.iter().enumerate() {
         let op = ctx.op_start();
-        let rel = cq::scan_pattern(table, &def.pattern, None, ctx)?;
+        let rel = cq::scan_pattern(tables, &def.pattern, None, ctx)?;
         held += rel.len();
         ctx.check_memory(held)?;
         ctx.op_finish(op, &format!("shared_scan[{i}]"), rel.len() as u64);
         shared.push(rel);
     }
 
-    let acc = execute_steps(table, plan, seed, &shared, ctx, views)?;
+    let acc = execute_steps(tables, plan, seed, &shared, ctx, views)?;
 
     let op = ctx.op_start();
     let mut relation = acc.project(&plan.head);
@@ -134,7 +134,7 @@ pub(crate) fn execute(
 /// charged as materialized (§4.1: "the largest-result sub-query ... is
 /// the one pipelined"); a single-fragment plan has none to charge.
 fn execute_steps(
-    table: &TripleTable,
+    tables: &TableStack,
     plan: &Plan,
     seed: &JoinStep,
     shared: &[Relation],
@@ -147,7 +147,7 @@ fn execute_steps(
      -> Result<Relation, EngineError> {
         let rel = match resolve_view(plan, idx, views, ctx)? {
             Some(rel) => rel,
-            None => union::eval_union(table, plan, idx, filter, shared, ctx)?,
+            None => union::eval_union(tables, plan, idx, filter, shared, ctx)?,
         };
         if plan.pipelined.is_some_and(|p| p != idx) {
             ctx.counters.tuples_materialized += rel.len() as u64;

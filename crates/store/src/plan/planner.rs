@@ -57,7 +57,7 @@ use crate::plan::node::{
 };
 use crate::profile::EngineProfile;
 use crate::stats::{FragmentSummary, Statistics};
-use crate::table::{RangePos, TripleTable};
+use crate::table::{RangePos, TableStack};
 use crate::views::{ViewCatalog, ViewSignature};
 
 /// The O(members²) subsumption sweep is skipped beyond this union width
@@ -66,7 +66,7 @@ const SUBSUMPTION_MEMBER_LIMIT: usize = 2_000;
 
 /// Lowers logical [`StoreJucq`]s to physical [`Plan`]s for one store.
 pub struct Planner<'a> {
-    table: &'a TripleTable,
+    tables: &'a TableStack,
     stats: &'a Statistics,
     profile: &'a EngineProfile,
     views: Option<&'a ViewCatalog>,
@@ -380,9 +380,9 @@ fn is_subset(a: &[StorePattern], b: &[StorePattern]) -> bool {
 }
 
 impl<'a> Planner<'a> {
-    /// Bind a planner to a store's table, statistics and profile.
-    pub fn new(table: &'a TripleTable, stats: &'a Statistics, profile: &'a EngineProfile) -> Self {
-        Planner { table, stats, profile, views: None }
+    /// Bind a planner to a store's tables, statistics and profile.
+    pub fn new(tables: &'a TableStack, stats: &'a Statistics, profile: &'a EngineProfile) -> Self {
+        Planner { tables, stats, profile, views: None }
     }
 
     /// Attach a materialized-view catalog: `lower` will match each
@@ -408,7 +408,7 @@ impl<'a> Planner<'a> {
                     .cqs
                     .iter()
                     .map(|cq| DraftMember {
-                        counts: cq.patterns.iter().map(|p| self.table.count(&p.bound())).collect(),
+                        counts: cq.patterns.iter().map(|p| self.tables.count(&p.bound())).collect(),
                         cq: cq.clone(),
                         order: Vec::new(),
                         ranges: Vec::new(),
@@ -554,7 +554,7 @@ impl<'a> Planner<'a> {
                         RangePos::Predicate => bound[1] = None,
                         RangePos::Object => bound[2] = None,
                     }
-                    m.counts[r.atom] = self.table.count_value_range(&bound, ranged, lo, hi);
+                    m.counts[r.atom] = self.tables.count_value_range(&bound, ranged, lo, hi);
                 }
                 m.ranges = s.ranges;
                 kept.push(m);
@@ -669,7 +669,7 @@ impl<'a> Planner<'a> {
             RangePos::Predicate => bound[1] = None,
             RangePos::Object => bound[2] = None,
         }
-        self.table.count_value_range(&bound, pos, lo, hi) == 0
+        self.tables.count_value_range(&bound, pos, lo, hi) == 0
     }
 
     /// Pass 3: factor the scans several members share. A member's scan
@@ -705,7 +705,7 @@ impl<'a> Planner<'a> {
             .map(|p| SharedScanDef {
                 pattern: p,
                 uses: uses[&p],
-                est: Some(self.table.count(&p.bound()) as f64),
+                est: Some(self.tables.count(&p.bound()) as f64),
             })
             .collect();
         let saved: usize = defs.iter().map(|d| d.uses - 1).sum();
@@ -918,6 +918,7 @@ mod tests {
     use super::*;
     use crate::ir::StoreUcq;
     use crate::profile::JoinAlgo;
+    use crate::table::TripleTable;
     use jucq_model::term::TermKind;
     use jucq_model::{TermId, TripleId};
 
@@ -937,15 +938,15 @@ mod tests {
         PatternTerm::Var(i)
     }
 
-    fn table() -> TripleTable {
-        TripleTable::build(&[
+    fn table() -> TableStack {
+        TableStack::from(TripleTable::build(&[
             t(1, 10, 2),
             t(2, 10, 3),
             t(3, 10, 1),
             t(1, 11, 100),
             t(2, 11, 101),
             t(4, 10, 4),
-        ])
+        ]))
     }
 
     fn plan_of(q: &StoreJucq, profile: &EngineProfile) -> Plan {
@@ -1252,7 +1253,12 @@ mod tests {
         // predicate runs merge (one per object), and since an atom
         // carries at most one interval the object slot of the merged
         // atoms stays constant — 4 members become 2, each p∈[10, 12).
-        let table = TripleTable::build(&[t(1, 10, 2), t(2, 10, 3), t(3, 11, 2), t(4, 11, 3)]);
+        let table = TableStack::from(TripleTable::build(&[
+            t(1, 10, 2),
+            t(2, 10, 3),
+            t(3, 11, 2),
+            t(4, 11, 3),
+        ]));
         let members: Vec<StoreCq> = [(10u32, 2u32), (10, 3), (11, 2), (11, 3)]
             .iter()
             .map(|&(p, o)| one_pattern_member(StorePattern::new(v(0), c(p), c(o)), vec![0]))
@@ -1274,7 +1280,12 @@ mod tests {
         // P ∈ {10, 11} on atom 0 and objects C ∈ {100, 101} on a second
         // atom with fixed predicate. 2×2 = 4 members fix down to ONE
         // member with an interval on each atom.
-        let table = TripleTable::build(&[t(1, 10, 5), t(2, 11, 5), t(1, 12, 100), t(2, 12, 101)]);
+        let table = TableStack::from(TripleTable::build(&[
+            t(1, 10, 5),
+            t(2, 11, 5),
+            t(1, 12, 100),
+            t(2, 12, 101),
+        ]));
         let members: Vec<StoreCq> = [(10u32, 100u32), (10, 101), (11, 100), (11, 101)]
             .iter()
             .map(|&(p, o)| {
@@ -1299,7 +1310,7 @@ mod tests {
         // Objects 5 and 7 are not adjacent, but no triple matches
         // (?s #u10 #u6): the gap is provably empty, so the interval
         // widens over it — o∈[5, 8) — without adding a row.
-        let table = TripleTable::build(&[t(1, 10, 5), t(2, 10, 7), t(3, 11, 6)]);
+        let table = TableStack::from(TripleTable::build(&[t(1, 10, 5), t(2, 10, 7), t(3, 11, 6)]));
         let members: Vec<StoreCq> = [5u32, 7]
             .iter()
             .map(|&o| one_pattern_member(StorePattern::new(v(0), c(10), c(o)), vec![0]))

@@ -18,10 +18,10 @@
 //! fragment join order, the internal cost model, `explain`, and the
 //! optimizer's §4.1 model all read the same summaries.
 
-use jucq_model::{FxHashMap, FxHashSet, TermId};
+use jucq_model::{FxHashMap, FxHashSet, TermId, TripleId};
 
 use crate::ir::{StoreCq, StorePattern, StoreUcq, VarId};
-use crate::table::{Perm, TripleTable};
+use crate::table::{Perm, TableStack};
 
 /// Per-predicate statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct PredicateStats {
 }
 
 /// Dataset-level statistics backing cardinality estimation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statistics {
     total: usize,
     predicates: FxHashMap<TermId, PredicateStats>,
@@ -58,33 +58,83 @@ fn count_runs(values: impl Iterator<Item = TermId>) -> usize {
     n
 }
 
+/// Walk `perm`'s merged index of `tables`, whose key leads with the
+/// predicate, and call `each(p, triples, distinct values)` once per
+/// predicate, counting the maximal runs of `column` inside it (the
+/// distinct values, since the index sorts them inside the predicate).
+fn per_predicate(
+    tables: &TableStack,
+    perm: Perm,
+    column: impl Fn(&TripleId) -> TermId,
+    mut each: impl FnMut(TermId, usize, usize),
+) {
+    // (predicate, last value, triples, distinct values) of the open run.
+    let mut open: Option<(TermId, TermId, usize, usize)> = None;
+    for segment in tables.merged(perm) {
+        for t in segment {
+            let v = column(t);
+            match &mut open {
+                Some((p, last, n, d)) if *p == t.p => {
+                    *n += 1;
+                    if *last != v {
+                        *d += 1;
+                        *last = v;
+                    }
+                }
+                _ => {
+                    if let Some((p, _, n, d)) = open.replace((t.p, v, 1, 1)) {
+                        each(p, n, d);
+                    }
+                }
+            }
+        }
+    }
+    if let Some((p, _, n, d)) = open {
+        each(p, n, d);
+    }
+}
+
 impl Statistics {
-    /// Gather statistics from a built table by counting runs, one
-    /// linear walk over each of four indexes. A predicate's triples are
-    /// one run of the PSO index, its subjects sorted inside, and one run
-    /// of the POS index, its objects sorted inside; the SPO and OPS
-    /// indexes give the global distinct subject and object counts.
-    /// Nothing is copied or re-sorted (this is also what keeps
-    /// incremental store maintenance cheap).
-    pub fn build(table: &TripleTable) -> Self {
-        let by_predicate = |perm| table.sorted_by(perm).chunk_by(|a, b| a.p == b.p);
-        let predicates: FxHashMap<TermId, PredicateStats> = by_predicate(Perm::Pso)
-            .zip(by_predicate(Perm::Pos))
-            .map(|(pso, pos)| {
-                let stats = PredicateStats {
-                    count: pso.len(),
-                    distinct_subjects: count_runs(pso.iter().map(|t| t.s)),
-                    distinct_objects: count_runs(pos.iter().map(|t| t.o)),
-                };
-                (pso[0].p, stats)
-            })
-            .collect();
+    /// Gather statistics from a table stack by counting runs, one
+    /// linear walk over each of four merged indexes. A predicate's
+    /// triples are one run of the PSO index, its subjects sorted inside,
+    /// and one run of the POS index, its objects sorted inside; the SPO
+    /// and OPS indexes give the global distinct subject and object
+    /// counts. The walks merge the layers, so a stack's statistics are
+    /// those of one table holding all its triples. Nothing is copied or
+    /// re-sorted (this is also what keeps incremental store maintenance
+    /// cheap).
+    pub fn build(tables: &TableStack) -> Self {
+        let mut predicates: FxHashMap<TermId, PredicateStats> = FxHashMap::default();
+        per_predicate(
+            tables,
+            Perm::Pso,
+            |t| t.s,
+            |p, count, distinct_subjects| {
+                let stats = PredicateStats { count, distinct_subjects, distinct_objects: 0 };
+                predicates.insert(p, stats);
+            },
+        );
+        per_predicate(
+            tables,
+            Perm::Pos,
+            |t| t.o,
+            |p, _, distinct_objects| {
+                predicates
+                    .get_mut(&p)
+                    .expect("PSO and POS hold the same predicates")
+                    .distinct_objects = distinct_objects;
+            },
+        );
+        let distinct = |perm, column: fn(&TripleId) -> TermId| {
+            count_runs(tables.merged(perm).flat_map(|segment| segment.iter().map(column)))
+        };
         Statistics {
-            total: table.len(),
+            total: tables.len(),
             distinct_predicates: predicates.len(),
             predicates,
-            distinct_subjects: count_runs(table.sorted_by(Perm::Spo).iter().map(|t| t.s)),
-            distinct_objects: count_runs(table.sorted_by(Perm::Ops).iter().map(|t| t.o)),
+            distinct_subjects: distinct(Perm::Spo, |t| t.s),
+            distinct_objects: distinct(Perm::Ops, |t| t.o),
         }
     }
 
@@ -114,8 +164,8 @@ impl Statistics {
     }
 
     /// Exact cardinality of a triple pattern (index lookup).
-    pub fn pattern_card(&self, table: &TripleTable, p: &StorePattern) -> usize {
-        table.count(&p.bound())
+    pub fn pattern_card(&self, tables: &TableStack, p: &StorePattern) -> usize {
+        tables.count(&p.bound())
     }
 
     /// Estimated distinct values a variable can take in one pattern of
@@ -274,12 +324,12 @@ impl Statistics {
 
     /// [`Statistics::summarize`] over a logical fragment, reading each
     /// atom's exact extent off the index.
-    pub fn summarize_ucq(&self, table: &TripleTable, ucq: &StoreUcq) -> FragmentSummary {
+    pub fn summarize_ucq(&self, tables: &TableStack, ucq: &StoreUcq) -> FragmentSummary {
         self.summarize(
             &ucq.head,
             ucq.cqs
                 .iter()
-                .map(|cq| (cq, cq.patterns.iter().map(|p| self.pattern_card(table, p) as f64))),
+                .map(|cq| (cq, cq.patterns.iter().map(|p| self.pattern_card(tables, p) as f64))),
         )
     }
 }
@@ -355,8 +405,8 @@ impl FragmentSummary {
 mod tests {
     use super::*;
     use crate::ir::PatternTerm;
+    use crate::table::TripleTable;
     use jucq_model::term::TermKind;
-    use jucq_model::TripleId;
 
     fn id(i: u32) -> TermId {
         TermId::new(TermKind::Uri, i)
@@ -374,8 +424,8 @@ mod tests {
         PatternTerm::Var(i)
     }
 
-    fn setup() -> (TripleTable, Statistics) {
-        let table = TripleTable::build(&[
+    fn setup() -> (TableStack, Statistics) {
+        let table = TableStack::from(TripleTable::build(&[
             t(1, 10, 2),
             t(1, 10, 3),
             t(2, 10, 3),
@@ -383,7 +433,7 @@ mod tests {
             t(2, 11, 5),
             t(3, 11, 5),
             t(4, 12, 6),
-        ]);
+        ]));
         let stats = Statistics::build(&table);
         (table, stats)
     }

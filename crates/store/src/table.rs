@@ -1,4 +1,5 @@
-//! The `Triples(s,p,o)` table and its five permutation indexes.
+//! The `Triples(s,p,o)` table and its five permutation indexes, and the
+//! stack of disjoint tables a store reads as one.
 //!
 //! Follows the paper's storage layout (§5.1): one dictionary-encoded
 //! triples table, each index a clustered copy of it sorted by one column
@@ -8,6 +9,14 @@
 //! exploits. The paper's RDBMSs keep all six permutations; here OSP is
 //! left out, because every lookup it could serve binds or ranges over
 //! the object alone, and that is a prefix of OPS as well.
+//!
+//! A store reads a [`TableStack`]: one table, or several tables that
+//! hold disjoint sets of triples. A lookup on the stack is one lookup
+//! per layer, its [`Runs`] one sorted run per layer; counts add, because
+//! no triple is in two layers. The saturated store is the plain store's
+//! table (shared, not copied) under a layer of what saturation adds.
+
+use std::sync::Arc;
 
 use jucq_model::{TermId, TripleId};
 
@@ -220,10 +229,7 @@ impl Span {
 /// found by galloping from its start, not by a second bisection: runs
 /// are short next to the index. Any hint is correct — it decides what a
 /// lookup costs, never what it returns.
-///
-/// The cursor belongs to one operator invocation; nothing about it is
-/// shared, so concurrent members walk the same index independently.
-pub struct ProbeCursor<'t> {
+struct LayerCursor<'t> {
     idx: &'t [TripleId],
     perm: Perm,
     /// Where the previous lookup's run started (`None` before the first).
@@ -231,24 +237,9 @@ pub struct ProbeCursor<'t> {
     reseeks: u64,
 }
 
-impl<'t> ProbeCursor<'t> {
-    /// The triples matching `bound` (which binds the cursor's positions).
-    #[inline]
-    pub fn seek(&mut self, bound: &[Option<TermId>; 3]) -> &'t [TripleId] {
-        self.seek_span(&Span::prefix(self.perm, bound))
-    }
-
-    /// The triples matching `bound` whose ranged position has a raw id
-    /// in `[lo, hi)`.
-    #[inline]
-    pub fn seek_range(&mut self, bound: &[Option<TermId>; 3], lo: u32, hi: u32) -> &'t [TripleId] {
-        self.seek_span(&Span::value_range(self.perm, bound, lo, hi))
-    }
-
-    /// Lookups so far that could not continue forward from the previous
-    /// one's position.
-    pub fn reseeks(&self) -> u64 {
-        self.reseeks
+impl<'t> LayerCursor<'t> {
+    fn new(idx: &'t [TripleId], perm: Perm) -> Self {
+        LayerCursor { idx, perm, hint: None, reseeks: 0 }
     }
 
     fn seek_span(&mut self, span: &Span) -> &'t [TripleId] {
@@ -352,7 +343,7 @@ impl TripleTable {
 
     /// [`TripleTable::build`] taking ownership of `triples`, which is
     /// sorted in place into the SPO index: no copy of the input is held.
-    pub(crate) fn from_vec(mut spo: Vec<TripleId>) -> Self {
+    pub fn from_vec(mut spo: Vec<TripleId>) -> Self {
         spo.sort_unstable_by_key(|t| Perm::Spo.key(t));
         TripleTable::from_spo(spo)
     }
@@ -401,7 +392,7 @@ impl TripleTable {
         if bound.iter().all(Option::is_none) {
             return idx;
         }
-        self.cursor(perm).seek(bound)
+        LayerCursor::new(idx, perm).seek_span(&Span::prefix(perm, bound))
     }
 
     /// Exact number of triples matching the bound positions (O(log n)).
@@ -430,21 +421,8 @@ impl TripleTable {
             "ranged position must be free"
         );
         let perm = Perm::for_range(bound, ranged);
-        self.cursor(perm).seek_range(bound, lo, hi)
-    }
-
-    /// A cursor for a stream of lookups that all bind the positions set
-    /// in `bound` (to values that change from one lookup to the next)
-    /// and, with `ranged`, range over that position.
-    pub fn probe_cursor(&self, bound: [bool; 3], ranged: Option<RangePos>) -> ProbeCursor<'_> {
-        self.cursor(match ranged {
-            Some(ranged) => Perm::for_range_mask(bound, ranged),
-            None => Perm::for_mask(bound),
-        })
-    }
-
-    fn cursor(&self, perm: Perm) -> ProbeCursor<'_> {
-        ProbeCursor { idx: self.sorted_by(perm), perm, hint: None, reseeks: 0 }
+        LayerCursor::new(self.sorted_by(perm), perm)
+            .seek_span(&Span::value_range(perm, bound, lo, hi))
     }
 
     /// Exact number of triples a [`TripleTable::scan_value_range`] would
@@ -492,6 +470,245 @@ impl TripleTable {
         }
         spo.extend(ins);
         TripleTable::from_spo(spo)
+    }
+}
+
+/// The most layers a [`TableStack`] holds: the plain store has one, the
+/// saturated store two (the plain store's table, then the entailed
+/// layer).
+pub const MAX_LAYERS: usize = 2;
+
+/// Disjoint triple tables read as one: the table a [`crate::Store`]
+/// answers from. Every read — scans, value-range scans, counts, cursor
+/// seeks, the merged index walks statistics take — covers every layer;
+/// a one-layer stack is a single table.
+///
+/// No triple is in two layers, so the runs of one lookup are disjoint
+/// and their lengths add. The constructors do not check this (it would
+/// cost a merge of the layers); whoever stacks a table on others makes
+/// it disjoint from them, as the saturated store's builders do.
+#[derive(Debug, Clone)]
+pub struct TableStack {
+    layers: Vec<Arc<TripleTable>>,
+}
+
+impl From<TripleTable> for TableStack {
+    fn from(table: TripleTable) -> Self {
+        TableStack::new(vec![Arc::new(table)])
+    }
+}
+
+impl TableStack {
+    /// The stack of `layers`, bottom first, which must be disjoint.
+    ///
+    /// # Panics
+    ///
+    /// With no layer, or more than [`MAX_LAYERS`].
+    pub fn new(layers: Vec<Arc<TripleTable>>) -> Self {
+        assert!(
+            (1..=MAX_LAYERS).contains(&layers.len()),
+            "a table stack holds 1 to {MAX_LAYERS} layers, not {}",
+            layers.len()
+        );
+        TableStack { layers }
+    }
+
+    /// The layers, bottom first.
+    pub fn layers(&self) -> &[Arc<TripleTable>] {
+        &self.layers
+    }
+
+    /// Number of stored triples, over every layer.
+    pub fn len(&self) -> usize {
+        self.layers.iter().map(|t| t.len()).sum()
+    }
+
+    /// True iff no layer holds a triple.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The triples matching the bound positions of a pattern, one run
+    /// per layer, each sorted by [`Perm::for_bound`]'s key order.
+    pub fn scan(&self, bound: &[Option<TermId>; 3]) -> Runs<'_> {
+        Runs::of(&self.layers, |t| t.scan(bound))
+    }
+
+    /// Exact number of triples matching the bound positions.
+    pub fn count(&self, bound: &[Option<TermId>; 3]) -> usize {
+        self.layers.iter().map(|t| t.count(bound)).sum()
+    }
+
+    /// [`TripleTable::scan_value_range`] over every layer.
+    pub fn scan_value_range(
+        &self,
+        bound: &[Option<TermId>; 3],
+        ranged: RangePos,
+        lo: u32,
+        hi: u32,
+    ) -> Runs<'_> {
+        Runs::of(&self.layers, |t| t.scan_value_range(bound, ranged, lo, hi))
+    }
+
+    /// Exact number of triples a [`TableStack::scan_value_range`] would
+    /// return.
+    pub fn count_value_range(
+        &self,
+        bound: &[Option<TermId>; 3],
+        ranged: RangePos,
+        lo: u32,
+        hi: u32,
+    ) -> usize {
+        self.layers.iter().map(|t| t.count_value_range(bound, ranged, lo, hi)).sum()
+    }
+
+    /// A cursor for a stream of lookups that all bind the positions set
+    /// in `bound` (to values that change from one lookup to the next)
+    /// and, with `ranged`, range over that position.
+    pub fn probe_cursor(&self, bound: [bool; 3], ranged: Option<RangePos>) -> ProbeCursor<'_> {
+        let perm = match ranged {
+            Some(ranged) => Perm::for_range_mask(bound, ranged),
+            None => Perm::for_mask(bound),
+        };
+        let layers = std::array::from_fn(|i| {
+            LayerCursor::new(self.layers.get(i).map_or(&[][..], |t| t.sorted_by(perm)), perm)
+        });
+        ProbeCursor { layers, n: self.layers.len(), perm }
+    }
+
+    /// Every triple in `perm`'s key order, as the sorted segments of the
+    /// layers' indexes that a merge of them visits one after another.
+    /// One layer is one segment.
+    pub fn merged(&self, perm: Perm) -> Merged<'_> {
+        Merged { heads: Runs::of(&self.layers, |t| t.sorted_by(perm)), perm }
+    }
+}
+
+/// The matches of one lookup on a [`TableStack`]: a run from each
+/// layer, in layer order, each sorted by the lookup's permutation.
+/// Layers are disjoint, so the runs are too.
+#[derive(Debug, Clone, Copy)]
+pub struct Runs<'t> {
+    runs: [&'t [TripleId]; MAX_LAYERS],
+    n: usize,
+}
+
+impl<'t> Runs<'t> {
+    fn of(
+        layers: &'t [Arc<TripleTable>],
+        mut run: impl FnMut(&'t TripleTable) -> &'t [TripleId],
+    ) -> Self {
+        let mut runs = [&[][..]; MAX_LAYERS];
+        for (slot, table) in runs.iter_mut().zip(layers) {
+            *slot = run(table);
+        }
+        Runs { runs, n: layers.len() }
+    }
+
+    /// The runs, one per layer.
+    #[inline]
+    pub fn slices(&self) -> &[&'t [TripleId]] {
+        &self.runs[..self.n]
+    }
+
+    /// Number of matching triples, over every run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.slices().iter().map(|r| r.len()).sum()
+    }
+
+    /// True iff no triple matches.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.slices().iter().all(|r| r.is_empty())
+    }
+
+    /// Every matching triple, run after run.
+    pub fn iter(&self) -> impl Iterator<Item = &'t TripleId> + '_ {
+        self.slices().iter().flat_map(|r| r.iter())
+    }
+}
+
+/// A stream of lookups of one shape on a [`TableStack`]: one
+/// [`TripleTable`] cursor per layer, each keeping its own hint, so a
+/// lookup costs what it costs on each table alone.
+pub struct ProbeCursor<'t> {
+    layers: [LayerCursor<'t>; MAX_LAYERS],
+    /// Layers in use.
+    n: usize,
+    perm: Perm,
+}
+
+impl<'t> ProbeCursor<'t> {
+    /// The triples matching `bound` (which binds the cursor's positions).
+    #[inline]
+    pub fn seek(&mut self, bound: &[Option<TermId>; 3]) -> Runs<'t> {
+        self.seek_span(&Span::prefix(self.perm, bound))
+    }
+
+    /// The triples matching `bound` whose ranged position has a raw id
+    /// in `[lo, hi)`.
+    #[inline]
+    pub fn seek_range(&mut self, bound: &[Option<TermId>; 3], lo: u32, hi: u32) -> Runs<'t> {
+        self.seek_span(&Span::value_range(self.perm, bound, lo, hi))
+    }
+
+    /// Lookups so far that could not continue forward from the previous
+    /// one's position, summed over the layers.
+    pub fn reseeks(&self) -> u64 {
+        self.layers[..self.n].iter().map(|c| c.reseeks).sum()
+    }
+
+    #[inline]
+    fn seek_span(&mut self, span: &Span) -> Runs<'t> {
+        let mut runs = [&[][..]; MAX_LAYERS];
+        for (slot, cursor) in runs.iter_mut().zip(&mut self.layers[..self.n]) {
+            *slot = cursor.seek_span(span);
+        }
+        Runs { runs, n: self.n }
+    }
+}
+
+/// [`TableStack::merged`]: the layers' indexes merged into one key
+/// order, a segment at a time.
+pub struct Merged<'t> {
+    /// What remains of each layer's index.
+    heads: Runs<'t>,
+    perm: Perm,
+}
+
+impl<'t> Iterator for Merged<'t> {
+    type Item = &'t [TripleId];
+
+    fn next(&mut self) -> Option<&'t [TripleId]> {
+        let perm = self.perm;
+        let heads = &mut self.heads.runs[..self.heads.n];
+        // The layer whose next triple sorts first, and the first key of
+        // every other layer: its segment ends before that key. Layers are
+        // disjoint, so no two keys are equal.
+        let mut first: Option<(usize, [u32; 3])> = None;
+        let mut stop: Option<[u32; 3]> = None;
+        for (i, head) in heads.iter().enumerate() {
+            let Some(t) = head.first() else { continue };
+            let key = perm.key(t);
+            match first {
+                Some((_, k)) if k < key => stop = Some(stop.map_or(key, |s| s.min(key))),
+                _ => {
+                    if let Some((_, k)) = first {
+                        stop = Some(stop.map_or(k, |s| s.min(k)));
+                    }
+                    first = Some((i, key));
+                }
+            }
+        }
+        let (i, _) = first?;
+        let run = heads[i];
+        let end = match stop {
+            None => run.len(),
+            Some(stop) => gallop_to(0, run.len(), |j| perm.key(&run[j]) > stop),
+        };
+        heads[i] = &run[end..];
+        Some(&run[..end])
     }
 }
 
@@ -671,8 +888,10 @@ mod tests {
                     )
                 })
                 .collect();
-            let tbl = TripleTable::build(&triples);
-            let same = |got: &[TripleId], want: &[TripleId], what: &dyn std::fmt::Debug| {
+            let stack = TableStack::from(TripleTable::build(&triples));
+            let tbl = &*stack.layers()[0];
+            let same = |got: Runs<'_>, want: &[TripleId], what: &dyn std::fmt::Debug| {
+                let got = got.slices()[0];
                 assert_eq!(got.as_ptr(), want.as_ptr(), "{what:?}: another start");
                 assert_eq!(got.len(), want.len(), "{what:?}: another length");
             };
@@ -686,11 +905,11 @@ mod tests {
                     std::array::from_fn(|i| shape[i].then(|| id(vals[i])))
                 };
                 for (si, stream) in streams.iter().enumerate() {
-                    let mut cursor = tbl.probe_cursor(shape, None);
+                    let mut cursor = stack.probe_cursor(shape, None);
                     for (n, &x) in stream.iter().enumerate() {
                         if si % 2 == 1 && n % 3 == 0 {
                             // Any position is a valid hint.
-                            cursor.hint = Some(lcg(&mut seed) as usize % (tbl.len() + 1));
+                            cursor.layers[0].hint = Some(lcg(&mut seed) as usize % (tbl.len() + 1));
                         }
                         let bound = bind(x, si as u32);
                         same(cursor.seek(&bound), tbl.scan(&bound), &(round, mask, si, x));
@@ -700,10 +919,11 @@ mod tests {
                         if shape[free] {
                             continue;
                         }
-                        let mut cursor = tbl.probe_cursor(shape, Some(ranged));
+                        let mut cursor = stack.probe_cursor(shape, Some(ranged));
                         for (n, &x) in stream.iter().enumerate() {
                             if si % 2 == 0 && n % 4 == 1 {
-                                cursor.hint = Some(lcg(&mut seed) as usize % (tbl.len() + 1));
+                                cursor.layers[0].hint =
+                                    Some(lcg(&mut seed) as usize % (tbl.len() + 1));
                             }
                             let bound = bind(x, si as u32);
                             // Empty, inverted, point, wide and unbounded ranges.
@@ -724,7 +944,7 @@ mod tests {
     #[test]
     fn cursor_counts_only_backward_lookups_as_reseeks() {
         let triples: Vec<TripleId> = (0..200).map(|i| t(i, 10, 1000 - i)).collect();
-        let tbl = TripleTable::build(&triples);
+        let tbl = TableStack::from(TripleTable::build(&triples));
         let shape = [true, false, false];
         let mut cursor = tbl.probe_cursor(shape, None);
         for s in [3, 3, 4, 50, 50, 199, 500] {
@@ -832,5 +1052,82 @@ mod tests {
         assert!(tbl.is_empty());
         assert!(tbl.scan(&[None, None, None]).is_empty());
         assert_eq!(tbl.count(&[Some(id(1)), None, None]), 0);
+    }
+
+    /// `triples` split at random into two disjoint layers.
+    fn two_layers(triples: &[TripleId], seed: &mut u64) -> TableStack {
+        let (mut low, mut high) = (Vec::new(), Vec::new());
+        for &x in triples {
+            if lcg(seed).is_multiple_of(3) {
+                high.push(x);
+            } else {
+                low.push(x);
+            }
+        }
+        TableStack::new(vec![
+            Arc::new(TripleTable::from_vec(low)),
+            Arc::new(TripleTable::from_vec(high)),
+        ])
+    }
+
+    #[test]
+    fn layers_read_as_the_table_of_their_union() {
+        let mut seed = 0x1a7e_55ed_u64;
+        for n in [0usize, 1, 9, 80, 400] {
+            let mut triples: Vec<TripleId> = (0..n)
+                .map(|_| {
+                    t(10 + lcg(&mut seed) % 9, 10 + lcg(&mut seed) % 4, 10 + lcg(&mut seed) % 12)
+                })
+                .collect();
+            triples.sort_unstable();
+            triples.dedup();
+            let whole = TripleTable::build(&triples);
+            let stack = two_layers(&triples, &mut seed);
+            assert_eq!(stack.len(), whole.len());
+            let as_set = |runs: Runs<'_>| {
+                let mut v: Vec<TripleId> = runs.iter().copied().collect();
+                v.sort_unstable();
+                v
+            };
+            let sorted = |x: &[TripleId]| {
+                let mut v = x.to_vec();
+                v.sort_unstable();
+                v
+            };
+            for perm in Perm::ALL {
+                let merged: Vec<TripleId> = stack.merged(perm).flatten().copied().collect();
+                assert_eq!(merged, whole.sorted_by(perm), "{perm:?}");
+            }
+            for mask in 0u8..8 {
+                let shape: [bool; 3] = std::array::from_fn(|i| mask & (1 << i) != 0);
+                let mut cursor = stack.probe_cursor(shape, None);
+                for x in 8..24u32 {
+                    let vals = [x / 2 + 1, 10 + x % 4, x];
+                    let bound: [Option<TermId>; 3] =
+                        std::array::from_fn(|i| shape[i].then(|| id(vals[i])));
+                    let want = whole.scan(&bound);
+                    assert_eq!(stack.count(&bound), want.len());
+                    assert_eq!(as_set(stack.scan(&bound)), sorted(want));
+                    assert_eq!(as_set(cursor.seek(&bound)), sorted(want), "{mask} {x}");
+                }
+                for ranged in [RangePos::Predicate, RangePos::Object] {
+                    if shape[if ranged == RangePos::Predicate { 1 } else { 2 }] {
+                        continue;
+                    }
+                    let mut cursor = stack.probe_cursor(shape, Some(ranged));
+                    for x in 8..24u32 {
+                        let vals = [x / 2 + 1, 10 + x % 4, x];
+                        let bound: [Option<TermId>; 3] =
+                            std::array::from_fn(|i| shape[i].then(|| id(vals[i])));
+                        let (lo, hi) = (x / 2, x / 2 + x % 5);
+                        let want = whole.scan_value_range(&bound, ranged, lo, hi);
+                        assert_eq!(stack.count_value_range(&bound, ranged, lo, hi), want.len());
+                        let got = stack.scan_value_range(&bound, ranged, lo, hi);
+                        assert_eq!(as_set(got), sorted(want));
+                        assert_eq!(as_set(cursor.seek_range(&bound, lo, hi)), sorted(want));
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use jucq_model::term::TermKind;
 use jucq_model::{FxHashMap, TermId, TripleId};
 use jucq_store::stats::PredicateStats;
-use jucq_store::{Perm, Statistics, TripleTable};
+use jucq_store::{Perm, Statistics, TableStack, TripleTable};
 
 /// The build before indexes were derived from one another: one full
 /// comparison sort of the input per permutation.
@@ -103,7 +103,7 @@ fn check_build(triples: &[TripleId]) -> Result<(), TestCaseError> {
     for (perm, want) in Perm::ALL.into_iter().zip(five_sorts(triples)) {
         prop_assert_eq!(table.sorted_by(perm), &want[..], "{:?} of {:?}", perm, triples);
     }
-    let stats = Statistics::build(&table);
+    let stats = Statistics::build(&TableStack::from(table.clone()));
     let (predicates, subjects, objects) = sorted_stats(&table);
     prop_assert_eq!(stats.total(), triples.len());
     prop_assert_eq!(stats.distinct_predicates(), predicates.len());

@@ -25,7 +25,7 @@ use jucq_model::term::TermKind;
 use jucq_model::{FxHashMap, FxHashSet, TermId, TripleId};
 use jucq_store::{
     EstScratch, FragmentSummary, PatternTerm, Statistics, StoreCq, StorePattern, StoreUcq,
-    TripleTable, VarId,
+    TableStack, TripleTable, VarId,
 };
 
 /// The old `Statistics::est_with_extents`.
@@ -109,7 +109,7 @@ fn optimizer_member(stats: &Statistics, patterns: &[StorePattern], member: &[f64
 
 /// `internal_cost::cq_cost`'s pipeline volume: one `est_cq` per greedy
 /// prefix (cheapest index count first), each over a cloned `StoreCq`.
-fn internal_cost_prefix_sum(stats: &Statistics, table: &TripleTable, cq: &StoreCq) -> f64 {
+fn internal_cost_prefix_sum(stats: &Statistics, table: &TableStack, cq: &StoreCq) -> f64 {
     let est_cq = |cq: &StoreCq| {
         let cards: Vec<f64> =
             cq.patterns.iter().map(|p| stats.pattern_card(table, p) as f64).collect();
@@ -142,7 +142,7 @@ fn var_domain_in(stats: &Statistics, atoms: &[StorePattern], extents: &[f64], va
 /// by the member sum `card`.
 fn fragment_domains(
     stats: &Statistics,
-    table: &TripleTable,
+    table: &TableStack,
     ucq: &StoreUcq,
     card: f64,
 ) -> Vec<(VarId, f64)> {
@@ -290,7 +290,7 @@ fn check_member(
 
 fn check_fragment(
     stats: &Statistics,
-    table: &TripleTable,
+    table: &TableStack,
     ucq: &StoreUcq,
 ) -> Result<(), TestCaseError> {
     let summary = stats.summarize_ucq(table, ucq);
@@ -321,13 +321,13 @@ proptest! {
 
     #[test]
     fn member_estimates_equal_the_deleted_bodies(ts in triples(), body in body_with_extents()) {
-        let stats = Statistics::build(&TripleTable::build(&ts));
+        let stats = Statistics::build(&TableStack::from(TripleTable::build(&ts)));
         check_member(&stats, &body.0, &body.1)?;
     }
 
     #[test]
     fn fragment_summaries_equal_the_deleted_loops(ts in triples(), ucq in fragment()) {
-        let table = TripleTable::build(&ts);
+        let table = TableStack::from(TripleTable::build(&ts));
         let stats = Statistics::build(&table);
         check_fragment(&stats, &table, &ucq)?;
     }
@@ -339,7 +339,7 @@ proptest! {
     ) {
         // The optimizer's template: the cover query as one member whose
         // head is all its variables, over supplied (unioned) extents.
-        let stats = Statistics::build(&TripleTable::build(&ts));
+        let stats = Statistics::build(&TableStack::from(TripleTable::build(&ts)));
         let (atoms, extents) = body;
         let head = StoreCq::with_var_head(atoms.clone(), vec![]).body_variables();
         let cover = StoreCq::with_var_head(atoms.clone(), head.clone());
@@ -375,7 +375,7 @@ fn fixed_shapes() {
         .map(|i| TripleId::new(id(i % 4), id(100 + i % 3), id(i % 5)))
         .chain([TripleId::new(id(2), id(100), id(2))])
         .collect();
-    let table = TripleTable::build(&triples);
+    let table = TableStack::from(TripleTable::build(&triples));
     let stats = Statistics::build(&table);
     let (v, c) = (PatternTerm::Var, |i| PatternTerm::Const(id(i)));
     let atoms = [

@@ -12,16 +12,18 @@ use jucq_optimizer::CostConstants;
 use jucq_reformulation::saturation::{saturate_with, schema_triples};
 use jucq_store::{EngineProfile, Perm, Store};
 
-/// Every index of `store` against `want`, sorted under each permutation.
+/// Every index of `store`, merged across its layers, against `want`,
+/// sorted under each permutation. A triple in two layers would show
+/// twice in the merge.
 fn assert_indexes(store: &Store, mut want: Vec<TripleId>, what: &str) {
     want.sort_unstable();
     want.dedup();
     for perm in Perm::ALL {
         let mut sorted = want.clone();
         sorted.sort_unstable_by_key(|t| perm.key(t));
-        let got = store.table().sorted_by(perm);
+        let got: Vec<TripleId> = store.tables().merged(perm).flatten().copied().collect();
         assert_eq!(got.len(), sorted.len(), "{what}: {perm:?} holds another number of triples");
-        assert!(got == &sorted[..], "{what}: {perm:?} differs from the reference");
+        assert!(got == sorted, "{what}: {perm:?} differs from the reference");
     }
 }
 

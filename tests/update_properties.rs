@@ -5,8 +5,10 @@
 //! state — under saturation *and* reformulation, with the plan cache
 //! enabled, and with the saturated store maintained or left lazy. When
 //! it is maintained, the writer derives it from the previous saturated
-//! store and the new plain store alone, so after every batch it must
-//! equal a from-scratch build index by index, and the report's entailed
+//! store and the new plain store alone, so after every batch its layers
+//! (the plain store's table and the entailed layer) must be disjoint and
+//! equal a from-scratch build's, the merged view index by index, and
+//! the report's entailed
 //! counts must equal the two stores' differences. The cases below the
 //! properties pin the derivations a one-step check must get right.
 
@@ -97,11 +99,23 @@ fn from_scratch(db: &RdfDatabase) -> Store {
     db_of(db.to_graph()).saturated_store().clone()
 }
 
-/// The first of `store`'s indexes that differs from `want`'s, if any.
+/// `store`'s triples in `perm`'s order, read across its layers.
+fn merged(store: &Store, perm: Perm) -> Vec<TripleId> {
+    store.tables().merged(perm).flatten().copied().collect()
+}
+
+/// Assert that no triple is in two of `store`'s layers: their merged
+/// SPO order never repeats one.
+fn assert_disjoint(store: &Store) {
+    let spo = merged(store, Perm::Spo);
+    assert!(spo.windows(2).all(|w| w[0] < w[1]), "a triple is in two layers");
+}
+
+/// The first of `store`'s merged indexes that differs from `want`'s, if
+/// any, after checking that `store`'s layers are disjoint.
 fn differing_index(store: &Store, want: &Store) -> Option<Perm> {
-    Perm::ALL
-        .into_iter()
-        .find(|&perm| store.table().sorted_by(perm) != want.table().sorted_by(perm))
+    assert_disjoint(store);
+    Perm::ALL.into_iter().find(|&perm| merged(store, perm) != merged(want, perm))
 }
 
 fn data_of(db: &RdfDatabase) -> FxHashSet<TripleId> {
@@ -199,10 +213,10 @@ fn each_batch(
     for (ins, del) in script {
         let inserts: Vec<Triple> = ins.iter().map(random_triple).collect();
         let deletes: Vec<Triple> = del.iter().map(random_triple).collect();
-        let (sat_before, data_before) = (db.saturated_store().table().all().to_vec(), data_of(&db));
+        let (sat_before, data_before) = (merged(db.saturated_store(), Perm::Spo), data_of(&db));
         let report = db.apply_data_updates(&inserts, &deletes);
         prop_assert!(report.incremental && report.saturation_maintained, "{:?}", report);
-        let (sat_after, data_after) = (db.saturated_store().table().all().to_vec(), data_of(&db));
+        let (sat_after, data_after) = (merged(db.saturated_store(), Perm::Spo), data_of(&db));
         check(&report, &mut db, [&sat_before, &sat_after], [&data_before, &data_after])?;
     }
     Ok(())
@@ -230,6 +244,9 @@ proptest! {
                 let report = inc.apply_data_updates(&inserts, &deletes);
                 prop_assert!(report.incremental, "vocabulary is pre-declared");
                 prop_assert_eq!(report.saturation_maintained, maintain);
+                if maintain {
+                    assert_disjoint(inc.saturated_store());
+                }
             }
 
             // Path B: fresh database over the final state.
@@ -354,7 +371,7 @@ fn holds(db: &mut RdfDatabase, triple: (&str, &str, &str)) -> bool {
     let (Some(s), Some(p), Some(o)) = (d.lookup(&t.s), d.lookup(&t.p), d.lookup(&t.o)) else {
         return false;
     };
-    db.saturated_store().table().all().binary_search(&TripleId::new(s, p, o)).is_ok()
+    db.saturated_store().tables().count(&[Some(s), Some(p), Some(o)]) == 1
 }
 
 fn counts(r: &UpdateReport) -> [usize; 4] {
@@ -398,7 +415,7 @@ fn a_self_loop_with_equal_domain_and_range_derives_its_type_once() {
     assert!(!holds(&mut db, ("s", "type", "C")));
     assert_eq!(counts(&report), [0, 1, 0, 1]);
     assert_eq!(db.data_len(), 0);
-    assert_eq!(db.saturated_store().table().len(), db.plain_store().table().len(), "schema only");
+    assert_eq!(db.saturated_store().tables().len(), db.plain_store().tables().len(), "schema only");
 }
 
 #[test]

@@ -95,12 +95,25 @@ impl Tracked {
     }
 }
 
+/// `store`'s triples in `perm`'s order, read across its layers.
+fn merged(store: &Store, perm: Perm) -> Vec<TripleId> {
+    store.tables().merged(perm).flatten().copied().collect()
+}
+
+/// The merged view of `got` equals `want`'s index by index, its layers
+/// hold as many triples as `want`'s, and no triple is in two of them.
 fn assert_same_indexes(got: &Store, want: &Store, what: &str) {
+    let sizes = |s: &Store| s.tables().layers().iter().map(|t| t.len()).collect::<Vec<_>>();
+    assert_eq!(sizes(got), sizes(want), "{what}: layer sizes differ from the from-scratch store");
     for perm in Perm::ALL {
+        let triples = merged(got, perm);
         assert!(
-            got.table().sorted_by(perm) == want.table().sorted_by(perm),
+            triples == merged(want, perm),
             "{what}: {perm:?} differs from the from-scratch store"
         );
+        if perm == Perm::Spo {
+            assert!(triples.windows(2).all(|w| w[0] < w[1]), "{what}: a triple is in two layers");
+        }
     }
 }
 
