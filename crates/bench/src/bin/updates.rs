@@ -15,11 +15,12 @@
 //!   new plain store for each deleted triple's — and merges that
 //!   layer's indexes;
 //!
-//! plus, for each, the full-rebuild alternative (re-prepare; for the
-//! maintained side, re-saturate and re-index too), and query answering
-//! after updates, confirming GCov stays correct. The maintained rows
-//! report the probes per delete candidate (the deleted triples and their
-//! consequences), and the first maintained update after a build is
+//! plus, for each, the full-rebuild alternative (a new database over the
+//! writer's data, prepared; for the maintained side, re-saturated too),
+//! and the first GCov answer after the update, confirming GCov stays
+//! correct. A batch with a new property is a delta like any other. The
+//! maintained rows report the probes per delete candidate (the deleted
+//! triples and their consequences), and the first maintained update after a build is
 //! timed beside a steady one, with the process's resident memory around
 //! it: the writer keeps no maintenance state, so they should match.
 //!
@@ -28,7 +29,7 @@
 use std::time::Instant;
 
 use jucq_bench::harness::{arg_scale, lubm_db, render_table};
-use jucq_core::Strategy;
+use jucq_core::{RdfDatabase, Strategy};
 use jucq_datagen::lubm;
 use jucq_model::{Term, Triple};
 use jucq_store::EngineProfile;
@@ -99,47 +100,62 @@ fn main() {
                  resident memory {rss_before} -> {rss_after} MB; a steady one: {t_steady} ms"
             );
         }
-        for &size in &[10usize, 100, 1_000, 10_000] {
-            let ins = batch(size, &format!("b{size}"));
-            // Incremental path.
+        let writer = ["reformulation-only", "saturation maintained"][usize::from(maintained)];
+        let mut batches: Vec<(String, Vec<Triple>, usize, bool)> = [10usize, 100, 1_000, 10_000]
+            .iter()
+            .map(|&size| ((size * 3).to_string(), batch(size, &format!("b{size}")), 3 * size, true))
+            .collect();
+        // The last member's degree under a new property: it recomputes
+        // the closure and leaves the saturated store to be built on
+        // demand (the last row), and that member answers nothing.
+        let tag = format!("new{}", u8::from(maintained));
+        let mut novel = batch(10, &tag);
+        novel[29].p = Term::uri(lubm::Ontology::uri(&tag));
+        batches.push(("30, one new property".into(), novel, 27, false));
+        for (label, ins, new_answers, in_vocabulary) in batches {
             let (report, t_inc_ins) = timed(|| db.apply_data_updates(&ins, &[]));
-            assert!(report.incremental, "batch stays in vocabulary");
-            assert_eq!(report.saturation_maintained, maintained);
-            let after = db.answer(&q1, &Strategy::gcov_default()).expect("after").rows.len();
+            assert_eq!(report.incremental, in_vocabulary, "{label}");
+            assert_eq!(report.saturation_maintained, maintained && in_vocabulary);
+            let (after, t_answer) =
+                timed(|| db.answer(&q1, &Strategy::gcov_default()).expect("after").rows.len());
             // q1's head is (x, y): each new graduate answers with three
             // implicit classes (GraduateStudent, Student, Person).
-            assert_eq!(after, baseline + 3 * size, "each new member answers q1 thrice");
+            assert_eq!(after, baseline + new_answers, "each new member answers q1 thrice");
             // Observed, so the maintained writer counts its probes.
             let counted = probe_counts();
             jucq_obs::set_enabled(true);
             let (report_del, t_inc_del) = timed(|| db.apply_data_updates(&[], &ins));
             jucq_obs::set_enabled(observed);
             assert!(report_del.incremental);
-            assert_eq!(report_del.saturation_maintained, maintained);
+            assert_eq!(report_del.saturation_maintained, maintained && in_vocabulary);
             let (candidates, probes) = probe_counts();
             let probes_per_candidate = match candidates - counted.0 {
                 0 => "-".into(),
                 n => format!("{:.2}", (probes - counted.1) as f64 / n as f64),
             };
 
-            // Full-rebuild path: insert triples through the invalidating
-            // API and re-prepare (and re-saturate, for the maintained
-            // writer).
-            db.extend(&ins);
-            let (_, t_full) = timed(|| {
-                db.prepare();
+            // Full-rebuild path: a new database over the writer's data
+            // with the batch, prepared (and saturated, for the
+            // maintained writer). The batch goes in and out untimed.
+            db.apply_data_updates(&ins, &[]);
+            let (profile, constants) = (db.profile().clone(), db.cost_constants());
+            let (_full, t_full) = timed(|| {
+                let mut full = RdfDatabase::from_graph(db.to_graph(), profile);
+                full.set_cost_constants(constants);
+                full.prepare();
                 if maintained {
-                    db.saturated_store();
+                    full.saturated_store();
                 }
+                full
             });
-            // Clean up, outside the timer.
             let del_report = db.apply_data_updates(&[], &ins);
             assert_eq!(del_report.deleted, ins.len());
 
             rows.push(vec![
-                (size * 3).to_string(),
-                if maintained { "saturation maintained" } else { "reformulation-only" }.into(),
+                label,
+                writer.into(),
                 t_inc_ins,
+                t_answer,
                 t_inc_del,
                 t_full,
                 report.entailed_added.to_string(),
@@ -158,6 +174,7 @@ fn main() {
                 "batch (triples)".into(),
                 "writer".into(),
                 "incr insert (ms)".into(),
+                "next GCov answer (ms)".into(),
                 "incr delete (ms)".into(),
                 "full rebuild (ms)".into(),
                 "entailed added".into(),

@@ -1,14 +1,17 @@
 //! The `RdfDatabase` facade: the single writer.
 //!
-//! Owns what only a writer needs — the RDF graph (dictionary + schema,
-//! and the data until the first preparation moves it into the plain
-//! store) and the pinned settings — and publishes immutable
-//! [`Snapshot`]s of it (see [`crate::epoch`]): lazily from scratch on
-//! first use and after anything that changes the schema or the
-//! vocabulary, from the previous snapshot plus a delta for an
-//! in-vocabulary data update. The previous snapshot's stores are all
-//! that delta needs, the saturated store's included: the writer keeps
-//! no state of its own for maintaining it. Everything query-facing here
+//! Owns what only a writer needs — the RDF graph (dictionary and schema,
+//! plus the data loaded before the first publication) and the pinned
+//! settings — and publishes immutable [`Snapshot`]s of it (see
+//! [`crate::epoch`]). Every snapshot, the first included, comes from one
+//! derivation (`RdfDatabase::publish`): the previous snapshot, or none,
+//! plus one batch, through [`Store::apply_delta`]. A batch within the
+//! closure's vocabulary carries the closure, the covers, the constants
+//! and a built saturated store over — that store maintained from the two
+//! stores alone, the writer keeping no state of its own for it; a batch
+//! bringing a schema statement or a new class or property recomputes the
+//! closure and renews what was chosen under the old one. The data never
+//! goes back to the graph. Everything query-facing here
 //! ([`RdfDatabase::answer`], [`RdfDatabase::explain`], the store and
 //! closure getters, …) is a delegation to the current snapshot, so the
 //! classic `&mut self` API and the concurrent [`crate::ServingDb`]
@@ -21,11 +24,11 @@ use jucq_optimizer::{calibrate, CostConstants};
 use jucq_reformulation::saturation::{antecedents, consequences, schema_triples};
 use jucq_reformulation::BgpQuery;
 use jucq_store::{
-    DeltaFootprint, EngineProfile, ProbeCursor, Relation, Store, ViewCatalog, ViewCatalogStats,
-    ViewFootprint, ViewSignature,
+    DeltaFootprint, EngineProfile, Perm, ProbeCursor, Relation, Store, ViewCatalog,
+    ViewCatalogStats, ViewFootprint, ViewSignature,
 };
 
-use crate::epoch::{build_store, lock_cache, plan_jucq_on, Snapshot};
+use crate::epoch::{lock_cache, plan_jucq_on, Snapshot};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::report::{AnswerError, AnswerReport, UpdateReport};
 use crate::strategy::Strategy;
@@ -45,58 +48,10 @@ fn renew(
     cache.clone()
 }
 
-/// True iff `t` is an RDFS schema statement: it changes the schema
-/// closure, so an update carrying one cannot be absorbed incrementally.
+/// True iff `t` is an RDFS schema statement: a batch carrying one
+/// recomputes the schema closure.
 fn is_schema_triple(t: &Triple) -> bool {
     matches!(&t.p, Term::Uri(p) if jucq_model::vocab::is_schema_property(p))
-}
-
-/// Build the closure and the plain store from scratch and publish them
-/// as epoch `epoch`, in three stages: the closure (with the
-/// materialized schema triples), the plain store's indexes, and the
-/// calibration. Nothing is saturated: the snapshot builds its saturated
-/// store on the first request that needs it.
-///
-/// The graph's data triples move into the plain store, which is their
-/// only copy from then on: `graph` keeps its dictionary and schema, and
-/// [`RdfDatabase::invalidate`] hands the triples back.
-fn build_snapshot(
-    graph: &mut Graph,
-    profile: &EngineProfile,
-    pinned: Option<CostConstants>,
-    cache: Option<Arc<Mutex<PlanCache>>>,
-    views: Option<Arc<ViewCatalog>>,
-    epoch: u64,
-) -> Arc<Snapshot> {
-    jucq_obs::span!("prepare");
-    let (closure, rdf_type, schema_ts) = {
-        jucq_obs::span!("prepare.closure");
-        let closure = graph.schema_closure();
-        let rdf_type = graph.rdf_type();
-        let schema_ts = schema_triples(graph, &closure);
-        (closure, rdf_type, schema_ts)
-    };
-    let mut triples = graph.replace_data(Vec::new());
-    triples.extend_from_slice(&schema_ts);
-    let plain = build_store(triples, profile);
-    let constants = {
-        jucq_obs::span!("prepare.calibrate");
-        pinned.unwrap_or_else(|| calibrate(&plain))
-    };
-    Arc::new(Snapshot {
-        epoch,
-        // Cloned last: `rdf:type` and the schema vocabulary may have
-        // been interned above.
-        dict: graph.dict().clone(),
-        closure: Arc::new(closure),
-        rdf_type,
-        plain,
-        saturated: Arc::new(OnceLock::new()),
-        schema_triples: schema_ts.into(),
-        constants,
-        cache,
-        views,
-    })
 }
 
 /// The successor of `prev`'s saturated store `saturated` after the data
@@ -190,7 +145,7 @@ fn maintain_saturated(
         .into_iter()
         .chain(inserts.iter().copied().filter(|t| holds(new_plain, t) && holds(old, t)))
         .collect();
-    Store::layered(plain, entailed.apply_delta(&layer_ins, &layer_del))
+    Store::layered(plain, entailed.apply_delta(layer_ins, &layer_del))
 }
 
 /// An RDF database answering BGP queries under RDFS constraints.
@@ -244,32 +199,41 @@ impl RdfDatabase {
         }
     }
 
-    /// Insert one triple (invalidates prepared stores).
+    /// Insert one triple; once published, as a batch of its own.
+    /// Returns `true` if it was new.
     pub fn insert(&mut self, triple: &Triple) -> bool {
-        self.invalidate();
-        self.graph.insert(triple)
+        let (new, held) = self.load(|graph| graph.insert(triple));
+        new && held == 0
     }
 
-    /// Bulk-insert triples (invalidates prepared stores).
+    /// Bulk-insert triples; once published, as one batch.
     pub fn extend<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) {
-        self.invalidate();
-        self.graph.extend(triples);
+        self.load(|graph| graph.extend(triples));
     }
 
-    /// Load a Turtle-subset document (see [`crate::turtle`]).
+    /// Load a Turtle-subset document (see [`crate::turtle`]); once
+    /// published, as one batch. Returns the number of new triples.
     pub fn load_turtle(&mut self, text: &str) -> Result<usize, crate::turtle::TurtleError> {
-        self.invalidate();
-        crate::turtle::load(&mut self.graph, text)
+        let (loaded, held) = self.load(|graph| crate::turtle::load(graph, text));
+        loaded.map(|n| n - held)
+    }
+
+    /// Run `load` on the graph and, once published, publish what it added
+    /// as one batch. Returns `load`'s result and how many of the data
+    /// triples it added the data already held.
+    fn load<R>(&mut self, load: impl FnOnce(&mut Graph) -> R) -> (R, usize) {
+        let schema_len = self.graph.schema().len();
+        let out = load(&mut self.graph);
+        let (added, schema) = (self.graph.len(), self.graph.schema().len() != schema_len);
+        let held = self.published.is_some().then(|| added - self.publish(&[], schema).inserted);
+        (out, held.unwrap_or(0))
     }
 
     /// The writer's graph: its dictionary (a superset of every
-    /// snapshot's) and its declared schema. It holds the data triples
-    /// only until the first preparation moves them into the plain
-    /// store; anything that invalidates the preparation — a schema
-    /// statement, new vocabulary, [`RdfDatabase::insert`] — moves them
-    /// back before the rebuild. Read the data through
-    /// [`RdfDatabase::data_len`], [`RdfDatabase::to_graph`] or
-    /// [`RdfDatabase::save_snapshot`], which know where it lives.
+    /// snapshot's) and its declared schema. It holds data triples only
+    /// until the first publication moves them into the plain store. Read
+    /// the data through [`RdfDatabase::data_len`],
+    /// [`RdfDatabase::to_graph`] or [`RdfDatabase::save_snapshot`].
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -350,7 +314,7 @@ impl RdfDatabase {
     /// queries reuse the previously chosen cover instead of re-running
     /// the search, and the physical plan lowered from it. Covers carry
     /// across data updates (any valid cover answers correctly, Theorem
-    /// 3.1) and are dropped when the database is re-prepared; a plan
+    /// 3.1) and are dropped when a batch changes the schema closure; a plan
     /// only serves the snapshot it was lowered for (see
     /// [`PlanCache::successor`]).
     ///
@@ -467,162 +431,118 @@ impl RdfDatabase {
         }
     }
 
-    /// Drop the current snapshot, first moving its data triples back
-    /// into the graph: the next one is built from scratch over them and,
-    /// holding different data, under the next epoch, with a new plan
-    /// cache that carries no covers.
-    fn invalidate(&mut self) {
-        if let Some(p) = self.published.take() {
-            self.graph.replace_data(p.data().copied().collect());
-            self.epoch += 1;
-        }
-        renew(&mut self.plan_cache, false);
-        // A rebuild may change the schema closure the materialized
-        // unions were derived from: nothing in the catalog survives.
-        if let Some(catalog) = &self.views {
-            catalog.clear();
-            catalog.set_epoch(self.epoch);
-        }
-    }
-
-    /// Build the closure and the plain store, calibrate, and publish the
-    /// first snapshot over them. Idempotent; [`RdfDatabase::answer`]
-    /// calls it automatically. The saturated store is not built here:
-    /// the snapshot builds it on the first Saturation request (or
-    /// [`RdfDatabase::saturated_store`] call).
+    /// Publish the first snapshot: the closure and the plain store over
+    /// the loaded data, and the constants. Idempotent;
+    /// [`RdfDatabase::answer`] calls it automatically. The saturated
+    /// store is not built here: the snapshot builds it on the first
+    /// Saturation request (or [`RdfDatabase::saturated_store`] call).
     pub fn prepare(&mut self) {
         self.snapshot();
     }
 
-    /// The current snapshot, preparing on demand. Holders keep the
-    /// `Arc` alive; later updates publish successors, never touch it.
+    /// The current snapshot, publishing the first on demand. Holders
+    /// keep the `Arc` alive; later updates publish successors, never
+    /// touch it.
     pub(crate) fn snapshot(&mut self) -> &Arc<Snapshot> {
-        let RdfDatabase { graph, profile, constants, plan_cache, views, epoch, published, .. } =
-            self;
-        published.get_or_insert_with(|| {
-            build_snapshot(graph, profile, *constants, plan_cache.clone(), views.clone(), *epoch)
-        })
-    }
-
-    /// True when `t` can be absorbed without rebuilding: data-only
-    /// and not introducing a class or property unknown to the closure
-    /// (new vocabulary would change the instantiation rules' universe).
-    fn update_is_incremental(s: &Snapshot, t: &TripleId) -> bool {
-        if t.p == s.rdf_type {
-            !t.o.is_uri() || s.closure.classes().contains(&t.o)
-        } else {
-            s.closure.properties().contains(&t.p)
+        if self.published.is_none() {
+            self.publish(&[], false);
         }
+        self.published.as_ref().expect("published above")
     }
 
-    /// Apply a batch of data insertions and deletions.
-    ///
-    /// When the database is prepared and the update stays within the
-    /// known vocabulary, the next snapshot is derived **incrementally**
-    /// from the current one: the plain store by a merge into its SPO
-    /// index, from which the other indexes are re-derived, and
-    /// everything else shared. The saturated store is maintained iff
-    /// the current snapshot has built it — the maintenance cost the
-    /// paper's §5.3 discussion weighs against reformulation — from the
-    /// two stores alone (see [`maintain_saturated`]); otherwise the next
-    /// snapshot builds its own if a request needs one
-    /// ([`UpdateReport::saturation_maintained`] says which). Schema
-    /// statements or new vocabulary fall back to invalidating the
-    /// preparation (rebuilt lazily on the next answer).
+    /// Apply a batch of data insertions and deletions as the next epoch
+    /// (`RdfDatabase::publish`), publishing the first before if there
+    /// is none. Schema statements among the inserts join the schema;
+    /// among the deletes they are ignored (the schema is append-only).
+    /// Either way they recompute the closure. The saturated store is
+    /// maintained iff the current snapshot has built it — the
+    /// maintenance cost the paper's §5.3 discussion weighs against
+    /// reformulation ([`UpdateReport::saturation_maintained`]).
     pub fn apply_data_updates(&mut self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
-        // Schema statements cannot be absorbed incrementally. (Schema
-        // deletion is not supported at the Graph level; data deletes
-        // of the same batch still apply.)
-        if inserts.iter().chain(deletes).any(is_schema_triple) {
-            self.extend(inserts);
-            let del_set: FxHashSet<TripleId> = deletes
-                .iter()
-                .filter(|t| !is_schema_triple(t))
-                .map(|t| self.encode_triple(t))
-                .collect();
-            self.graph.remove_data_batch(&del_set);
-            return UpdateReport { incremental: false, ..Default::default() };
+        let prepared = self.published.is_some();
+        self.prepare();
+        let schema = inserts.iter().chain(deletes).any(is_schema_triple);
+        self.graph.extend(inserts);
+        let d = self.graph.dict_mut();
+        let deletes: Vec<TripleId> = (deletes.iter().filter(|t| !is_schema_triple(t)))
+            .map(|t| TripleId::new(d.encode(&t.s), d.encode(&t.p), d.encode(&t.o)))
+            .collect();
+        let mut report = self.publish(&deletes, schema);
+        // A first publication in this call calibrated: nothing carried.
+        report.incremental &= prepared;
+        report
+    }
+
+    /// Publish the next epoch: the current snapshot, or none, plus one
+    /// batch — the data triples the graph holds as inserts and `deletes`
+    /// — in one [`Store::apply_delta`] on the plain store (DESIGN.md §5).
+    /// `schema` says the batch carried a schema statement. Inserts the
+    /// data holds count for nothing, and so do deletes it does not hold
+    /// unless the batch inserts them. While the closure holds (no schema
+    /// statement, no new class or property) the rest carries over, a
+    /// built saturated store maintained; otherwise the closure, the
+    /// schema triples and the constants are recomputed, and the covers,
+    /// the views and the saturated store dropped.
+    fn publish(&mut self, deletes: &[TripleId], schema: bool) -> UpdateReport {
+        let prev = self.published.clone();
+        // The graph holds no duplicates: sorted, the batch answers
+        // membership by binary search, and moves into the store.
+        let mut inserts = self.graph.take_data();
+        inserts.sort();
+        if let Some(p) = &prev {
+            inserts.retain(|t| !p.contains_data(t));
         }
-
-        let ins_ids: Vec<TripleId> = inserts.iter().map(|t| self.encode_triple(t)).collect();
-        let del_ids: Vec<TripleId> = deletes.iter().map(|t| self.encode_triple(t)).collect();
-
-        let Some(p) = self
-            .published
-            .as_mut()
-            .filter(|p| ins_ids.iter().all(|t| Self::update_is_incremental(p, t)))
-        else {
-            // The graph gets the data back first, then the batch.
-            self.invalidate();
-            let mut report = UpdateReport::default();
-            for &t in &ins_ids {
-                if self.graph.insert_data_encoded(t) {
-                    report.inserted += 1;
-                }
-            }
-            let del_set: FxHashSet<TripleId> = del_ids.iter().copied().collect();
-            report.deleted = self.graph.remove_data_batch(&del_set);
-            return report;
-        };
-
-        let prev = Arc::clone(p);
-        // Membership is the plain store's plus this batch's own inserts:
-        // a triple inserted and deleted in one batch counts in both and
-        // ends absent.
-        let mut plain_ins: Vec<TripleId> = Vec::new();
-        let mut added: FxHashSet<TripleId> = FxHashSet::default();
-        for &t in &ins_ids {
-            if !prev.contains_data(&t) && added.insert(t) {
-                plain_ins.push(t);
-            }
-        }
-        let plain_del: FxHashSet<TripleId> = del_ids
+        let deletes: FxHashSet<TripleId> = deletes
             .iter()
-            .filter(|t| prev.contains_data(t) || added.contains(t))
+            .filter(|t| {
+                prev.as_ref().is_some_and(|p| p.contains_data(t))
+                    || inserts.binary_search(t).is_ok()
+            })
             .copied()
             .collect();
-        let mut report = UpdateReport {
-            inserted: plain_ins.len(),
-            deleted: plain_del.len(),
-            incremental: true,
-            ..Default::default()
+        let mut report =
+            UpdateReport { inserted: inserts.len(), deleted: deletes.len(), ..Default::default() };
+        let known = |p: &Snapshot, t: &TripleId| {
+            if t.p == p.rdf_type {
+                !t.o.is_uri() || p.closure.classes().contains(&t.o)
+            } else {
+                p.closure.properties().contains(&t.p)
+            }
         };
-        let plain = prev.plain.apply_delta(&plain_ins, &plain_del);
+        if prev.is_some() {
+            self.epoch += 1;
+        }
+        let next = match prev.filter(|p| !schema && inserts.iter().all(|t| known(p, t))) {
+            Some(prev) => {
+                report.incremental = true;
+                self.carry_closure(&prev, inserts, deletes, &mut report)
+            }
+            None => self.recompute_closure(inserts, deletes),
+        };
+        self.published = Some(Arc::new(next));
+        report
+    }
+
+    /// [`RdfDatabase::publish`]'s successor of `prev` under its own
+    /// closure, with the saturation counts in `report`.
+    fn carry_closure(
+        &mut self,
+        prev: &Snapshot,
+        inserts: Vec<TripleId>,
+        deletes: FxHashSet<TripleId>,
+        report: &mut UpdateReport,
+    ) -> Snapshot {
+        let plain = prev.plain.apply_delta(inserts.clone(), &deletes);
         // Maintain the saturation iff the snapshot this update derives
         // from has built it. A reader still building it reads as not
         // built: the next epoch then builds its own on demand.
         let saturated = match prev.saturated.get() {
             Some(store) => {
                 report.saturation_maintained = true;
-                OnceLock::from(maintain_saturated(
-                    &prev,
-                    store,
-                    &plain,
-                    &plain_ins,
-                    &plain_del,
-                    &mut report,
-                ))
+                OnceLock::from(maintain_saturated(prev, store, &plain, &inserts, &deletes, report))
             }
             None => OnceLock::new(),
         };
-
-        // The next epoch: the new plain store, the saturated store too
-        // if it was built (a cell of its own to build in otherwise), the
-        // dictionary as it is now (its tables are copied only if this
-        // batch interned a term while `prev` shared them), a new plan
-        // cache carrying the covers but none of the plans lowered from
-        // the old stores, the rest shared with the snapshot readers may
-        // still be pinned to.
-        self.epoch += 1;
-        let next = Snapshot {
-            epoch: self.epoch,
-            dict: self.graph.dict().clone(),
-            plain,
-            saturated: Arc::new(saturated),
-            cache: renew(&mut self.plan_cache, true),
-            ..prev.share()
-        };
-
         // Advance the view catalog in lock-step, dropping exactly the
         // entries whose predicate/class footprint intersects the
         // *plain-store* delta (views are materialized from the plain
@@ -630,24 +550,92 @@ impl RdfDatabase {
         // Surviving entries are restamped to the new epoch and keep
         // serving.
         if let Some(catalog) = &self.views {
-            let mut touched: Vec<TripleId> = plain_ins;
-            touched.extend(plain_del.iter().copied());
-            let delta = DeltaFootprint::from_triples(&touched, next.rdf_type);
+            let mut touched = inserts;
+            touched.extend(deletes.iter().copied());
+            let delta = DeltaFootprint::from_triples(&touched, prev.rdf_type);
             let dropped = catalog.advance_epoch(self.epoch, &delta);
             if !dropped.is_empty() {
                 jucq_obs::metrics::counter_add("views.invalidated", dropped.len() as u64);
             }
         }
-        *p = Arc::new(next);
-        report
+        // The new plain store, the saturated store too if it was built (a
+        // cell of its own to build in otherwise), the dictionary as it is
+        // now (its tables are copied only if this batch interned a term
+        // while `prev` shared them), a new plan cache carrying the covers
+        // but none of the plans lowered from the old stores, the rest
+        // shared with the snapshot readers may still be pinned to.
+        Snapshot {
+            epoch: self.epoch,
+            dict: self.graph.dict().clone(),
+            plain,
+            saturated: Arc::new(saturated),
+            cache: renew(&mut self.plan_cache, true),
+            ..prev.share()
+        }
     }
 
-    fn encode_triple(&mut self, t: &Triple) -> TripleId {
-        let d = self.graph.dict_mut();
-        let s = d.encode(&t.s);
-        let p = d.encode(&t.p);
-        let o = d.encode(&t.o);
-        TripleId::new(s, p, o)
+    /// [`RdfDatabase::publish`]'s next snapshot under a recomputed
+    /// closure, in three stages: the plain store, the closure over its
+    /// data, and the calibration.
+    fn recompute_closure(
+        &mut self,
+        mut inserts: Vec<TripleId>,
+        mut deletes: FxHashSet<TripleId>,
+    ) -> Snapshot {
+        jucq_obs::span!("prepare");
+        let rdf_type = self.graph.rdf_type();
+        // The schema triples mention declared classes and properties
+        // only, so the closure of the schema alone gives them all.
+        let declared = SchemaClosure::new(self.graph.schema(), [], []);
+        let schema_ts = schema_triples(&mut self.graph, &declared);
+        let (base, old) = match &self.published {
+            Some(p) => (p.plain.clone(), &p.schema_triples[..]),
+            None => (Store::from_vec(Vec::new(), self.profile.clone()), &[][..]),
+        };
+        inserts.extend(schema_ts.iter().filter(|t| old.binary_search(t).is_err()));
+        deletes.extend(old.iter().filter(|t| schema_ts.binary_search(t).is_err()));
+        let plain = {
+            jucq_obs::span!("prepare.index_build");
+            base.apply_delta(inserts, &deletes)
+        };
+        // The closure's universe is the data's, as a closure over the same
+        // data observes it: the URI objects of the `rdf:type` run of POS,
+        // and the predicates but `rdf:type` and the schema properties.
+        let closure = {
+            jucq_obs::span!("prepare.closure");
+            let pos = plain.table().sorted_by(Perm::Pos);
+            let typed =
+                pos.partition_point(|t| t.p < rdf_type)..pos.partition_point(|t| t.p <= rdf_type);
+            let classes = pos[typed].iter().map(|t| t.o).filter(|o| o.is_uri());
+            let schema: FxHashSet<TermId> = schema_ts.iter().map(|t| t.p).collect();
+            let properties =
+                plain.stats().predicates().filter(|p| *p != rdf_type && !schema.contains(p));
+            SchemaClosure::new(self.graph.schema(), classes, properties)
+        };
+        let constants = {
+            jucq_obs::span!("prepare.calibrate");
+            self.constants.unwrap_or_else(|| calibrate(&plain))
+        };
+        // The covers were chosen, and the views' unions derived, under
+        // the old closure: none survives.
+        if let Some(catalog) = &self.views {
+            catalog.clear();
+            catalog.set_epoch(self.epoch);
+        }
+        Snapshot {
+            epoch: self.epoch,
+            // Cloned last: `rdf:type` and the schema vocabulary may have
+            // been interned above.
+            dict: self.graph.dict().clone(),
+            closure: Arc::new(closure),
+            rdf_type,
+            plain,
+            saturated: Arc::new(OnceLock::new()),
+            schema_triples: schema_ts.into(),
+            constants,
+            cache: renew(&mut self.plan_cache, false),
+            views: self.views.clone(),
+        }
     }
 
     /// The plain (non-saturated) store, for direct engine access.
@@ -684,14 +672,15 @@ impl RdfDatabase {
     }
 
     /// Intern a URI, for building queries programmatically. Interning
-    /// does not invalidate prepared stores (ids are append-only).
+    /// publishes nothing: ids are append-only, and a snapshot's stores
+    /// never hold one interned after it.
     pub fn intern_uri(&mut self, uri: &str) -> TermId {
         self.graph.dict_mut().encode_uri(uri)
     }
 
     /// Intern any term (URI, blank, or literal), for building queries
-    /// programmatically. Like [`RdfDatabase::intern_uri`], does not
-    /// invalidate prepared stores.
+    /// programmatically. Like [`RdfDatabase::intern_uri`], publishes
+    /// nothing.
     pub fn intern_term(&mut self, term: &Term) -> TermId {
         self.graph.dict_mut().encode(term)
     }
@@ -979,14 +968,34 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_update_on_an_unprepared_database_publishes_the_first_snapshot() {
+        let mut db = paper_db();
+        let t = |s: &str, p: &str, o: Term| Triple::new(Term::uri(s), Term::uri(p), o);
+        let present = t("doi1", "publishedIn", Term::literal("1996"));
+        let new = t("doi2", "publishedIn", Term::literal("1996"));
+        let report = db.apply_data_updates(&[new.clone(), present.clone()], &[present]);
+        // In vocabulary, but the constants of the first snapshot were
+        // just calibrated: nothing carried over.
+        assert!(!report.incremental, "{report:?}");
+        assert_eq!((report.inserted, report.deleted), (1, 1), "{report:?}");
+        assert!(db.graph().is_empty(), "the data went into the store");
+        assert_eq!(db.data_len(), 5);
+        assert!(!db.insert(&new), "held by the store");
+        assert!(db.insert(&t("doi3", "hasTitle", Term::literal("t"))));
+        assert_eq!(db.data_len(), 6);
+    }
+
+    #[test]
     fn new_vocabulary_falls_back_to_rebuild() {
         let mut db = paper_db();
         db.prepare();
         let t = Triple::new(Term::uri("x"), Term::uri("brandNewProperty"), Term::uri("y"));
         let report = db.apply_data_updates(&[t], &[]);
-        assert!(!report.incremental, "unknown property forces a rebuild");
+        assert!(!report.incremental, "an unknown property recomputes the closure");
         assert_eq!(report.inserted, 1);
-        // Still answers fine after the lazy rebuild.
+        let property = db.intern_uri("brandNewProperty");
+        assert!(db.closure().properties().contains(&property));
+        assert!(db.graph().is_empty(), "the data stays in the store");
         let q = example3_query(&mut db);
         assert!(db.answer(&q, &Strategy::Ucq).is_ok());
     }
@@ -1002,7 +1011,7 @@ pub(crate) mod tests {
         );
         let report = db.apply_data_updates(&[t], &[]);
         assert!(!report.incremental);
-        // The new superclass is honoured after re-preparation.
+        // The new superclass is honoured by the next snapshot.
         let mut q = db.parse_query("SELECT ?x WHERE { ?x rdf:type <Document> . }").unwrap();
         let r = db.answer(&q, &Strategy::Ucq).unwrap();
         assert_eq!(r.rows.len(), 1, "doi1 is now a Document");
@@ -1180,7 +1189,7 @@ pub(crate) mod tests {
         let r = db.answer(&q, &Strategy::gcov_default()).unwrap();
         assert_eq!(db.plan_cache_stats().unwrap().hits, 1, "cover reused");
         assert_eq!(r.rows.len(), 2, "cached cover sees the new data");
-        // A full invalidation clears the cache.
+        // New vocabulary recomputes the closure: the covers go.
         db.insert(&t("x", "brandNew", Term::uri("y")));
         db.answer(&q, &Strategy::gcov_default()).unwrap();
         assert_eq!(db.plan_cache_stats().unwrap().misses, 2);

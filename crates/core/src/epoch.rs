@@ -21,10 +21,10 @@
 //! report ([`answer_on`]).
 //!
 //! Snapshots are built by the single writer, [`crate::RdfDatabase`] —
-//! from scratch after a schema change, from the previous snapshot plus
-//! a delta otherwise — whose own query-facing methods delegate to its
-//! current snapshot; [`crate::ServingDb`] hands the writer's snapshots
-//! to concurrent readers. Any number of threads share one snapshot
+//! each from the previous snapshot, or none, plus one batch, the closure
+//! recomputed when the batch changes it — whose own query-facing methods
+//! delegate to its current snapshot; [`crate::ServingDb`] hands the
+//! writer's snapshots to concurrent readers. Any number of threads share one snapshot
 //! without locks: parsing never interns, the shared mutable state —
 //! the plan cache and the view catalog — sits behind its own mutex, and
 //! the saturated store is a once-cell whose concurrent first callers
@@ -411,16 +411,6 @@ impl Snapshot {
         let id = TermId::from_raw(raw);
         self.dict.contains_id(id).then(|| self.dict.lexical(id).to_owned())
     }
-}
-
-/// Index `triples` into a store under `profile`, under the
-/// `prepare.index_build` span. The sort is stable, so input made of
-/// sorted runs costs one merge per run.
-pub(crate) fn build_store(mut triples: Vec<TripleId>, profile: &EngineProfile) -> Store {
-    jucq_obs::span!("prepare.index_build");
-    triples.sort();
-    triples.dedup();
-    Store::from_vec(triples, profile.clone())
 }
 
 /// The lines `explain` and `explain analyze` open with.

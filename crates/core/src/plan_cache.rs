@@ -8,7 +8,8 @@
 //! correctly — so a cached cover stays sound across arbitrary data
 //! updates; at worst it drifts from the cost optimum as statistics
 //! move. Covers are therefore carried through incremental updates and
-//! only dropped on re-preparation (schema/vocabulary changes).
+//! only dropped when a batch changes the schema closure (a schema
+//! statement or new vocabulary).
 //!
 //! Each entry is keyed by `(query, strategy, profile)`: the cost model
 //! guiding the search — and the physical plan lowered from the chosen
@@ -197,8 +198,8 @@ impl PlanCache {
     /// The cache a new snapshot starts from: the same capacity and
     /// hit/miss counters, no physical plans, and this cache's covers
     /// when `keep_covers` (a data update: covers stay sound, Theorem
-    /// 3.1) or none (a rebuild: the schema closure the covers were
-    /// chosen under may have changed).
+    /// 3.1) or none (a batch that changed the schema closure the covers
+    /// were chosen under).
     pub fn successor(&self, keep_covers: bool) -> PlanCache {
         let mut next = PlanCache::new(self.capacity);
         next.stats = self.stats;

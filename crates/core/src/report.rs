@@ -58,7 +58,10 @@ pub struct UpdateReport {
     /// store's lost triples that were not data triples. 0 unless
     /// `saturation_maintained`.
     pub entailed_removed: usize,
-    /// True iff the stores were maintained in place (no rebuild).
+    /// True iff the closure was unchanged: the covers, the constants and
+    /// a built saturated store carried over. `false` for a batch that
+    /// carries a schema statement or brings a class or property the
+    /// closure lacks, and for one that published the first snapshot.
     pub incremental: bool,
     /// True iff this update also maintained the saturated store: it is
     /// maintained only once a snapshot has built it (a Saturation

@@ -12,8 +12,8 @@
 //! never mutates one.
 //!
 //! Every published update and every view pin comes with a new plan
-//! cache instance (covers carried unless the update rebuilt the
-//! snapshot, plans never): a plan depends on the data it was lowered
+//! cache instance (covers carried unless the update changed the schema
+//! closure, plans never): a plan depends on the data it was lowered
 //! against, so one lowered by a reader still pinned to an old epoch
 //! must stay in that epoch's instance. Term ids are append-only, so a
 //! query parsed against an old epoch means the same terms against any
@@ -132,9 +132,9 @@ impl ServingDb {
 
     /// Apply a batch of data insertions and deletions
     /// ([`RdfDatabase::apply_data_updates`]) and publish the next
-    /// epoch, from the previous snapshot plus the delta or, on schema
-    /// statements or new vocabulary, from scratch — either way with a
-    /// new plan cache instance (plans attached by readers still pinned
+    /// epoch, the previous snapshot plus the delta — the closure
+    /// recomputed on schema statements or new vocabulary — with a new
+    /// plan cache instance (plans attached by readers still pinned
     /// to the old epoch were lowered against the old stores, so they
     /// stay in the old instance). Readers are only blocked for the
     /// pointer swap.
@@ -207,7 +207,7 @@ mod tests {
         let stats0 = snap0.plan_cache_stats().unwrap();
         assert_eq!((stats0.hits, stats0.misses), (1, 1));
 
-        // Grow the class hierarchy: rebuild, republish.
+        // Grow the class hierarchy: recompute the closure, republish.
         let report = serving.apply_data_updates(
             &[
                 t("Thesis", vocab::RDFS_SUBCLASS_OF, Term::uri("Publication")),
@@ -215,7 +215,7 @@ mod tests {
             ],
             &[],
         );
-        assert!(!report.incremental, "schema statements force a rebuild");
+        assert!(!report.incremental, "schema statements recompute the closure");
 
         let snap1 = serving.snapshot();
         assert_eq!(snap1.epoch(), 1);
@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(ucq.rows.len(), 6, "doc9 is a Work through Thesis");
         assert!(ucq.range_scans_planned >= 1, "the grown subtree still collapses");
 
-        // The rebuild started a new cache instance: it carries the
+        // The new closure started a new cache instance: it carries the
         // counters but no cover, and what readers still pinned to the
         // old epoch cache from here on stays in the old instance.
         let stats1 = snap1.plan_cache_stats().unwrap();
@@ -242,7 +242,7 @@ mod tests {
         assert_eq!(stats0_after.hits, 2, "the old instance kept its cover");
         assert_eq!(snap1.plan_cache_stats().unwrap(), stats1, "…and the new one saw nothing");
         snap1.answer(&q1, &Strategy::gcov_default()).unwrap();
-        assert_eq!(snap1.plan_cache_stats().unwrap().misses, 2, "a rebuild carries no cover");
+        assert_eq!(snap1.plan_cache_stats().unwrap().misses, 2, "a new closure carries no cover");
 
         // The pinned epoch still answers with its pre-update view.
         let old = snap0.answer(&q0, &Strategy::Ucq).unwrap();

@@ -84,27 +84,11 @@ impl Graph {
         }
     }
 
-    /// Replace the data triples by `data`, which must hold no
-    /// duplicates, and return the old ones. `replace_data(Vec::new())`
-    /// hands the data over and frees its membership set.
-    pub fn replace_data(&mut self, data: Vec<TripleId>) -> Vec<TripleId> {
-        self.data_set = data.iter().copied().collect();
-        std::mem::replace(&mut self.data, data)
-    }
-
-    /// Remove a batch of data triples; returns how many were present.
-    /// One retain pass over the data, so batch deletion is O(n + d).
-    pub fn remove_data_batch(&mut self, deletes: &FxHashSet<TripleId>) -> usize {
-        let mut removed = 0usize;
-        for t in deletes {
-            if self.data_set.remove(t) {
-                removed += 1;
-            }
-        }
-        if removed > 0 {
-            self.data.retain(|t| !deletes.contains(t));
-        }
-        removed
+    /// Hand the data triples over, in insertion order, and free their
+    /// membership set: the graph keeps its dictionary and schema.
+    pub fn take_data(&mut self) -> Vec<TripleId> {
+        self.data_set = FxHashSet::default();
+        std::mem::take(&mut self.data)
     }
 
     /// Bulk-load decoded triples.
@@ -270,31 +254,15 @@ mod tests {
     }
 
     #[test]
-    fn removal_batch_and_single() {
-        let mut g = paper_graph();
-        let first = g.data()[0];
-        let single: FxHashSet<TripleId> = [first].into_iter().collect();
-        assert_eq!(g.remove_data_batch(&single), 1);
-        assert!(!g.contains_data(&first));
-        assert_eq!(g.remove_data_batch(&single), 0, "second removal is a no-op");
-        assert_eq!(g.len(), 4);
-        let mut all: FxHashSet<TripleId> = g.data().iter().copied().collect();
-        all.insert(first); // absent entries are ignored
-        assert_eq!(g.remove_data_batch(&all), 4);
-        assert!(g.is_empty());
-    }
-
-    #[test]
-    fn replace_data_hands_the_triples_over() {
+    fn take_data_hands_the_triples_over() {
         let mut g = paper_graph();
         let data = g.data().to_vec();
-        assert_eq!(g.replace_data(Vec::new()), data);
+        assert_eq!(g.take_data(), data);
         assert!(g.is_empty());
         assert_eq!((g.data.capacity(), g.data_set.capacity()), (0, 0), "nothing is kept");
         assert_eq!(g.schema().len(), 4, "the schema stays");
-        assert!(g.replace_data(data.clone()).is_empty());
-        assert_eq!(g.data(), &data[..]);
-        assert!(data.iter().all(|t| g.contains_data(t)));
+        assert!(!g.contains_data(&data[0]));
+        assert!(g.insert(&g.decode(&data[0])), "the graph loads again from empty");
     }
 
     #[test]

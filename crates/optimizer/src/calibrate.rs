@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use jucq_store::{PatternTerm, Statistics, Store, StoreCq, StoreJucq, StorePattern, StoreUcq};
+use jucq_store::{PatternTerm, Store, StoreCq, StoreJucq, StorePattern, StoreUcq};
 
 use crate::cost::CostConstants;
 
@@ -66,8 +66,6 @@ pub fn calibrate(store: &Store) -> CostConstants {
         return out;
     };
     let table = store.table();
-    let stats: &Statistics = store.stats();
-    let _ = stats;
 
     let scan_q = |p: jucq_model::TermId| -> StoreJucq {
         let cq = StoreCq::with_var_head(

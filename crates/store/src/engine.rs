@@ -149,7 +149,8 @@ impl Store {
     /// A new store with `inserts` merged and `deletes` removed: one merge
     /// into the SPO index, the other indexes derived from it as a build
     /// derives them ([`TripleTable::apply_delta`]; no comparison sort of
-    /// the table), and a near-linear statistics refresh.
+    /// the table), and a near-linear statistics refresh. Over an empty
+    /// store this is a build: the inserts become the SPO index.
     ///
     /// # Panics
     ///
@@ -157,7 +158,7 @@ impl Store {
     /// apply the delta to the layer it belongs to and stack the result.
     pub fn apply_delta(
         &self,
-        inserts: &[jucq_model::TripleId],
+        inserts: Vec<jucq_model::TripleId>,
         deletes: &jucq_model::FxHashSet<jucq_model::TripleId>,
     ) -> Store {
         let table = self.table().apply_delta(inserts, deletes);
@@ -492,7 +493,7 @@ mod tests {
         assert_eq!(s.eval_cq(&cq).unwrap().relation.len(), 2);
         let mut deletes = jucq_model::FxHashSet::default();
         deletes.insert(t(1, 10, 50));
-        let s2 = s.apply_delta(&[t(3, 10, 50)], &deletes);
+        let s2 = s.apply_delta(vec![t(3, 10, 50)], &deletes);
         assert_eq!(s2.eval_cq(&cq).unwrap().relation.len(), 2, "-1 +1");
         assert_eq!(s2.stats().total(), s.stats().total());
         // Original store is untouched (copy-on-write semantics).

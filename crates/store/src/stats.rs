@@ -158,6 +158,11 @@ impl Statistics {
         self.predicates.get(&p)
     }
 
+    /// The predicates that occur, in no particular order.
+    pub fn predicates(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.predicates.keys().copied()
+    }
+
     /// Number of distinct predicates.
     pub fn distinct_predicates(&self) -> usize {
         self.distinct_predicates

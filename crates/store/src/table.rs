@@ -442,24 +442,32 @@ impl TripleTable {
         self.sorted_by(Perm::Spo)
     }
 
-    /// A new table with `inserts` merged in and `deletes` filtered out:
-    /// one merge of the sorted inserts into the SPO index (O(n + d·log d)
-    /// instead of a full O(n·log n) comparison sort), from which the other
-    /// indexes are derived as [`TripleTable::build`] derives them — the
-    /// maintenance path of the update experiments.
+    /// A new table with `inserts` merged in and `deletes` filtered out
+    /// (a triple in both ends absent): one merge of the sorted inserts
+    /// into the SPO index (O(n + d·log d) instead of a full O(n·log n)
+    /// comparison sort), from which the other indexes are derived as
+    /// [`TripleTable::build`] derives them. `inserts` is sorted in place;
+    /// into an empty table it becomes the SPO index itself, so a first
+    /// load holds no second copy of its triples.
     pub fn apply_delta(
         &self,
-        inserts: &[TripleId],
+        mut inserts: Vec<TripleId>,
         deletes: &jucq_model::FxHashSet<TripleId>,
     ) -> TripleTable {
-        // `TripleId` orders by (s, p, o): the SPO key order.
-        let mut ins: Vec<TripleId> =
-            inserts.iter().filter(|t| !deletes.contains(t)).copied().collect();
-        ins.sort_unstable();
-        ins.dedup();
+        if !deletes.is_empty() {
+            inserts.retain(|t| !deletes.contains(t));
+        }
+        // `TripleId` orders by (s, p, o): the SPO key order. The sort is
+        // stable, so sorted runs (a sorted batch with a tail appended)
+        // cost one merge each.
+        inserts.sort();
+        inserts.dedup();
         let old = self.all();
-        let mut spo = Vec::with_capacity(old.len() + ins.len());
-        let mut ins = ins.into_iter().peekable();
+        if old.is_empty() {
+            return TripleTable::from_spo(inserts);
+        }
+        let mut spo = Vec::with_capacity(old.len() + inserts.len());
+        let mut ins = inserts.into_iter().peekable();
         for t in old.iter().filter(|t| !deletes.contains(t)) {
             while let Some(new) = ins.next_if(|new| new < t) {
                 spo.push(new);
@@ -1014,7 +1022,7 @@ mod tests {
         let mut deletes = jucq_model::FxHashSet::default();
         deletes.insert(t(1, 10, 100));
         let inserts = vec![t(9, 10, 100), t(9, 12, 104)];
-        let updated = tbl.apply_delta(&inserts, &deletes);
+        let updated = tbl.apply_delta(inserts, &deletes);
         assert_eq!(updated.len(), tbl.len() + 2 - 1);
         assert_eq!(updated.count(&[Some(id(1)), Some(id(10)), Some(id(100))]), 0);
         assert_eq!(updated.count(&[Some(id(9)), None, None]), 2);
@@ -1026,8 +1034,20 @@ mod tests {
     #[test]
     fn apply_delta_is_idempotent_for_duplicates() {
         let tbl = sample();
-        let updated = tbl.apply_delta(&[t(1, 10, 100), t(1, 10, 100)], &Default::default());
+        let updated = tbl.apply_delta(vec![t(1, 10, 100), t(1, 10, 100)], &Default::default());
         assert_eq!(updated.len(), tbl.len(), "existing + duplicate inserts collapse");
+    }
+
+    #[test]
+    fn apply_delta_into_an_empty_table_is_a_build() {
+        let tbl = sample();
+        let mut triples = tbl.all().to_vec();
+        triples.reverse();
+        triples.push(triples[0]);
+        let loaded = TripleTable::build(&[]).apply_delta(triples, &Default::default());
+        for perm in Perm::ALL {
+            assert_eq!(loaded.sorted_by(perm), tbl.sorted_by(perm), "{perm:?}");
+        }
     }
 
     #[test]
@@ -1036,7 +1056,7 @@ mod tests {
         let mut deletes = jucq_model::FxHashSet::default();
         deletes.insert(t(3, 12, 103));
         let inserts = vec![t(7, 7, 7)];
-        let merged = tbl.apply_delta(&inserts, &deletes);
+        let merged = tbl.apply_delta(inserts.clone(), &deletes);
         let mut full: Vec<TripleId> =
             tbl.all().iter().filter(|x| !deletes.contains(x)).copied().collect();
         full.extend(&inserts);

@@ -100,7 +100,7 @@ proptest! {
             .collect();
         let ins_set: FxHashSet<TripleId> = ins.iter().copied().collect();
         let ins: Vec<TripleId> = ins_set.into_iter().collect();
-        let merged = table.apply_delta(&ins, &deletes);
+        let merged = table.apply_delta(ins.clone(), &deletes);
         let mut expect: FxHashSet<TripleId> = base_set
             .difference(&deletes)
             .copied()

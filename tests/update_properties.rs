@@ -9,13 +9,19 @@
 //! (the plain store's table and the entailed layer) must be disjoint and
 //! equal a from-scratch build's, the merged view index by index, and
 //! the report's entailed
-//! counts must equal the two stores' differences. The cases below the
-//! properties pin the derivations a one-step check must get right.
+//! counts must equal the two stores' differences. Batches that carry a
+//! schema statement or bring a new class or property publish through
+//! the same derivation, which recomputes the closure: after each, the
+//! plain store, the schema triples and the closure must equal a
+//! from-scratch build's. The cases below the properties pin the
+//! derivations a one-step check must get right.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use jucq_core::{RdfDatabase, Strategy as Answering, UpdateReport};
-use jucq_model::{vocab, FxHashSet, Graph, Term, Triple, TripleId};
+use jucq_model::{vocab, FxHashSet, Graph, Schema, SchemaClosure, Term, TermId, Triple, TripleId};
 use jucq_optimizer::CostConstants;
 use jucq_store::{EngineProfile, Perm, Store};
 
@@ -49,23 +55,32 @@ fn op_triple(op: &(usize, usize, usize)) -> Triple {
     }
 }
 
-/// A base graph declaring the full vocabulary so later updates never
-/// introduce new classes/properties (staying on the incremental path).
+/// The schema and seed data of a base graph declaring the full
+/// vocabulary, so later updates never introduce new classes/properties
+/// (staying on the incremental path).
+fn base_triples() -> Vec<Triple> {
+    let t = |s: &str, p: &str, o: &str| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
+    let mut out = vec![
+        t("http://u/C1", vocab::RDFS_SUBCLASS_OF, "http://u/C0"),
+        t("http://u/C2", vocab::RDFS_SUBCLASS_OF, "http://u/C1"),
+        t("http://u/p1", vocab::RDFS_SUBPROPERTY_OF, "http://u/p0"),
+        t("http://u/p0", vocab::RDFS_DOMAIN, "http://u/C0"),
+        t("http://u/p2", vocab::RDFS_RANGE, "http://u/C2"),
+    ];
+    // Seed data mentioning every property and class once.
+    out.extend(
+        [(0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 3, 0), (0, 3, 1), (0, 3, 2)].map(|op| op_triple(&op)),
+    );
+    out
+}
+
+fn is_schema(t: &Triple) -> bool {
+    matches!(&t.p, Term::Uri(p) if vocab::is_schema_property(p))
+}
+
 fn base_graph() -> Graph {
     let mut g = Graph::new();
-    let t = |s: String, p: String, o: String| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
-    g.insert(&t("http://u/C1".into(), vocab::RDFS_SUBCLASS_OF.into(), "http://u/C0".into()));
-    g.insert(&t("http://u/C2".into(), vocab::RDFS_SUBCLASS_OF.into(), "http://u/C1".into()));
-    g.insert(&t("http://u/p1".into(), vocab::RDFS_SUBPROPERTY_OF.into(), "http://u/p0".into()));
-    g.insert(&t("http://u/p0".into(), vocab::RDFS_DOMAIN.into(), "http://u/C0".into()));
-    g.insert(&t("http://u/p2".into(), vocab::RDFS_RANGE.into(), "http://u/C2".into()));
-    // Seed data mentioning every property and class once.
-    for p in 0..3 {
-        g.insert(&op_triple(&(0, p, 1)));
-    }
-    g.insert(&op_triple(&(0, 3, 0)));
-    g.insert(&op_triple(&(0, 3, 1)));
-    g.insert(&op_triple(&(0, 3, 2)));
+    g.extend(&base_triples());
     g
 }
 
@@ -249,20 +264,20 @@ proptest! {
                 }
             }
 
-            // Path B: fresh database over the final state.
-            let mut final_graph = base_graph();
+            // Path B: fresh database over the final state, kept as a
+            // model of the data beside the batches.
+            let (schema, seed): (Vec<Triple>, Vec<Triple>) =
+                base_triples().into_iter().partition(is_schema);
+            let mut model: HashSet<Triple> = seed.into_iter().collect();
             for (ins, del) in &script {
-                for op in ins {
-                    final_graph.insert(&op_triple(op));
-                }
-                let mut dels = FxHashSet::default();
+                model.extend(ins.iter().map(op_triple));
                 for op in del {
-                    let t = op_triple(op);
-                    let d = final_graph.dict_mut();
-                    dels.insert(TripleId::new(d.encode(&t.s), d.encode(&t.p), d.encode(&t.o)));
+                    model.remove(&op_triple(op));
                 }
-                final_graph.remove_data_batch(&dels);
             }
+            let mut final_graph = Graph::new();
+            final_graph.extend(&schema);
+            final_graph.extend(&model);
             let mut fresh = db_of(final_graph);
 
             for (qi, qf) in queries(&mut inc).iter().zip(queries(&mut fresh).iter()) {
@@ -323,6 +338,168 @@ proptest! {
             prop_assert_eq!(net(report.inserted, report.deleted), net(data_after.len(), data_before.len()));
             Ok(())
         })?;
+    }
+}
+
+/// One operation of a batch that may leave the vocabulary: `(kind, s,
+/// a, b)` is a data triple `(e{s} p{a} e{b})` for kind 0–3, a type
+/// triple `(e{s} a C{a})` for kind 4–5, `C{a} ⊑ C{b}` for kind 6, and for
+/// kind 7 `p{a} ⊑ p{b}`, `dom(p{a}) = C{b}` or `rng(p{a}) = C{b}` by
+/// `s`. Classes C5, C6 and properties p4, p5 are outside
+/// [`random_graph`]'s vocabulary.
+type VocabOp = (usize, usize, usize, usize);
+
+/// How a batch is applied: through `apply_data_updates` in vocabulary
+/// (0), with new classes and properties (1), with schema statements too
+/// (2), or its inserts through `extend` (3).
+type VocabBatch = (usize, Vec<VocabOp>, Vec<VocabOp>);
+
+fn vocab_batches() -> impl Strategy<Value = Vec<VocabBatch>> {
+    let op = || (0usize..8, 0usize..4, 0usize..7, 0usize..7);
+    proptest::collection::vec(
+        (0usize..4, proptest::collection::vec(op(), 0..6), proptest::collection::vec(op(), 0..6)),
+        1..7,
+    )
+}
+
+fn vocab_triple(mode: usize, &(kind, s, a, b): &VocabOp) -> Triple {
+    let t = |s: String, p: &str, o: String| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
+    // In vocabulary: data triples over p0..p3 and C0..C4 only.
+    let (kind, a) = match mode {
+        0 => (kind % 6, if kind % 6 < 4 { a % 4 } else { a % 5 }),
+        1 => (kind % 6, a),
+        _ => (kind, a),
+    };
+    match kind {
+        0..=3 => t(format!("e{s}"), &format!("p{}", a % 6), format!("e{}", b % 4)),
+        4 | 5 => t(format!("e{s}"), vocab::RDF_TYPE, format!("C{a}")),
+        6 => t(format!("C{a}"), vocab::RDFS_SUBCLASS_OF, format!("C{b}")),
+        _ => match s % 3 {
+            0 => t(format!("p{}", a % 6), vocab::RDFS_SUBPROPERTY_OF, format!("p{}", b % 6)),
+            1 => t(format!("p{}", a % 6), vocab::RDFS_DOMAIN, format!("C{b}")),
+            _ => t(format!("p{}", a % 6), vocab::RDFS_RANGE, format!("C{b}")),
+        },
+    }
+}
+
+/// A closure as data: its class and property universe, and the
+/// relations of every class and property `schema` declares (no other
+/// term has any).
+#[derive(Debug, PartialEq)]
+struct ClosureView {
+    universe: [Vec<TermId>; 2],
+    relations: Vec<Vec<TermId>>,
+}
+
+fn closure_view(closure: &SchemaClosure, schema: &Schema) -> ClosureView {
+    let sorted = |set: FxHashSet<TermId>| {
+        let mut v: Vec<TermId> = set.into_iter().collect();
+        v.sort();
+        v
+    };
+    let mut relations = Vec::new();
+    for c in sorted(schema.declared_classes()) {
+        relations.extend([closure.sub_classes(c), closure.super_classes(c)].map(<[_]>::to_vec));
+        relations.extend(
+            [closure.properties_with_domain(c), closure.properties_with_range(c)]
+                .map(<[_]>::to_vec),
+        );
+    }
+    for p in sorted(schema.declared_properties()) {
+        relations
+            .extend([closure.sub_properties(p), closure.super_properties(p)].map(<[_]>::to_vec));
+        relations.extend([closure.domains(p), closure.ranges(p)].map(<[_]>::to_vec));
+    }
+    ClosureView { universe: [closure.classes().to_vec(), closure.properties().to_vec()], relations }
+}
+
+/// The decoded, sorted answers of `queries` under the four strategies.
+fn all_answers(db: &mut RdfDatabase, queries: &[&str]) -> Vec<Vec<Vec<Term>>> {
+    let mut out = Vec::new();
+    for text in queries {
+        let q = db.parse_query(text).expect("query parses");
+        for s in [Answering::Saturation, Answering::Ucq, Answering::Scq, Answering::gcov_default()]
+        {
+            let r = db.answer(&q, &s).unwrap_or_else(|e| panic!("{} {text}: {e}", s.name()));
+            let mut rows = db.decode_rows(&r.rows);
+            rows.sort();
+            out.push(rows);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn every_batch_publishes_what_a_from_scratch_build_would(
+        desc in schema_desc(),
+        script in vocab_batches(),
+        maintain in any::<bool>(),
+    ) {
+        let graph = random_graph(&desc);
+        let mut model: HashSet<Triple> = graph.data().iter().map(|t| graph.decode(t)).collect();
+        let mut db = db_of(graph);
+        db.enable_plan_cache(16);
+        db.prepare();
+        if maintain {
+            db.saturated_store();
+        }
+        let queries = [
+            "SELECT ?x WHERE { ?x a <C0> }",
+            "SELECT ?x ?y WHERE { ?x <p0> ?y }",
+            "SELECT ?x ?c WHERE { ?x a ?c . ?x <p1> ?y }",
+            "SELECT ?x ?p WHERE { ?x ?p <e1> }",
+        ];
+        for (mode, ins, del) in &script {
+            let inserts: Vec<Triple> = ins.iter().map(|op| vocab_triple(*mode, op)).collect();
+            // `extend` only inserts.
+            let deletes: Vec<Triple> =
+                del.iter().filter(|_| *mode != 3).map(|op| vocab_triple(*mode, op)).collect();
+            let schema = db.graph().schema().clone();
+            let before = closure_view(db.closure(), &schema);
+            // The model: schema statements aside, the inserts, then the
+            // deletes of the data after them.
+            let inserted = inserts.iter().filter(|t| !is_schema(t) && model.insert((*t).clone())).count();
+            let deleted = deletes.iter().filter(|t| model.remove(t)).count();
+            let report = if *mode == 3 {
+                db.extend(&inserts);
+                None
+            } else {
+                Some(db.apply_data_updates(&inserts, &deletes))
+            };
+            prop_assert!(db.graph().is_empty(), "the data went back to the graph");
+            let data: HashSet<Triple> = db.to_graph().data().iter().map(|t| db.graph().decode(t)).collect();
+            prop_assert_eq!(&data, &model);
+
+            let mut fresh = db_of(db.to_graph());
+            let differs = differing_index(db.plain_store(), fresh.plain_store());
+            prop_assert!(differs.is_none(), "plain: {:?} differs from a from-scratch build", differs);
+            prop_assert_eq!(db.data_len(), fresh.data_len(), "the same schema triples beside the data");
+            let schema = db.graph().schema().clone();
+            let after = closure_view(db.closure(), &schema);
+            let want = closure_view(fresh.closure(), &schema);
+            prop_assert_eq!(&after.relations, &want.relations);
+            let changed = after != before;
+            if let Some(report) = &report {
+                prop_assert_eq!((report.inserted, report.deleted), (inserted, deleted), "{:?}", report);
+                let carries_schema = inserts.iter().chain(&deletes).any(is_schema);
+                prop_assert_eq!(!report.incremental, changed || carries_schema, "{:?}", report);
+            }
+            // A recomputed closure observes the data as a fresh one does;
+            // a carried one keeps the universe it had.
+            if report.as_ref().is_some_and(|r| r.incremental) {
+                prop_assert_eq!(&after.universe, &before.universe);
+            } else {
+                prop_assert_eq!(&after.universe, &want.universe);
+            }
+            if maintain {
+                let differs = differing_index(db.saturated_store(), fresh.saturated_store());
+                prop_assert!(differs.is_none(), "saturated: {:?} differs from a from-scratch build", differs);
+            }
+            prop_assert_eq!(all_answers(&mut db, &queries), all_answers(&mut fresh, &queries));
+        }
     }
 }
 

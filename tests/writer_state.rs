@@ -1,17 +1,19 @@
 //! The writer keeps one copy of the data.
 //!
-//! Before the first preparation the writer's graph holds the data
-//! triples; preparation moves them into the plain store, which is their
-//! only copy from then on, and a rebuild (a schema statement, new
-//! vocabulary, `insert`) moves them back first. Each test keeps its own
-//! model of the data as decoded triples and holds the writer to it: the
-//! data count, the data a copy of the graph or a snapshot file holds,
-//! the `UpdateReport` counts, and stores and answers against a database
-//! built from scratch over the model.
+//! Before the first publication the writer's graph holds the data
+//! triples; the first publication moves them into the plain store, which
+//! is their only copy from then on. Every later batch — an update, a
+//! schema statement, new vocabulary, `insert`, `extend`, `load_turtle` —
+//! goes into the store as a delta on the previous snapshot, and nothing
+//! moves the data back. Each test keeps its own model of the data as
+//! decoded triples and holds the writer to it: the data count, the data
+//! a copy of the graph or a snapshot file holds, the `UpdateReport`
+//! counts, and stores and answers against a database built from scratch
+//! over the model.
 
 use std::collections::HashSet;
 
-use jucq_core::{snapshot, RdfDatabase, Strategy, UpdateReport};
+use jucq_core::{snapshot, RdfDatabase, ServingDb, Strategy, UpdateReport};
 use jucq_datagen::lubm;
 use jucq_model::{vocab, Graph, Term, Triple, TripleId};
 use jucq_optimizer::CostConstants;
@@ -25,6 +27,20 @@ fn db_of(graph: Graph) -> RdfDatabase {
     let mut db = RdfDatabase::from_graph(graph, EngineProfile::pg_like());
     db.set_cost_constants(CostConstants::default());
     db
+}
+
+fn is_schema(t: &Triple) -> bool {
+    matches!(&t.p, Term::Uri(p) if vocab::is_schema_property(p))
+}
+
+/// `Person ⊑ Agent`: a schema statement new to the LUBM-like ontology.
+fn person_is_an_agent() -> Triple {
+    let ns = lubm::NS;
+    Triple::new(
+        Term::uri(format!("{ns}Person")),
+        Term::uri(vocab::RDFS_SUBCLASS_OF),
+        Term::uri(format!("{ns}Agent")),
+    )
 }
 
 fn decoded(graph: &Graph) -> HashSet<Triple> {
@@ -63,15 +79,27 @@ impl Tracked {
     }
 
     /// Apply a batch to both; the report's counts must be the model's.
+    /// The model holds the data alone: schema statements join the
+    /// writer's schema, not its data.
     fn update(&mut self, inserts: &[Triple], deletes: &[Triple]) -> UpdateReport {
-        let before = self.model.len();
-        let inserted = inserts.iter().filter(|t| self.model.insert((*t).clone())).count();
-        let deleted = deletes.iter().filter(|t| self.model.remove(t)).count();
+        let (inserted, deleted) = self.model_update(inserts, deletes);
         let report = self.db.apply_data_updates(inserts, deletes);
         assert_eq!((report.inserted, report.deleted), (inserted, deleted), "{report:?}");
-        assert_eq!(self.model.len(), before + inserted - deleted);
+        assert!(self.db.graph().is_empty(), "the batch went to the store: {report:?}");
         self.check_data();
         report
+    }
+
+    /// Apply a batch to the model alone, returning how many triples it
+    /// inserted and deleted.
+    fn model_update(&mut self, inserts: &[Triple], deletes: &[Triple]) -> (usize, usize) {
+        let before = self.model.len();
+        let data = |t: &&Triple| !is_schema(t);
+        let inserted =
+            inserts.iter().filter(data).filter(|t| self.model.insert((*t).clone())).count();
+        let deleted = deletes.iter().filter(|t| self.model.remove(t)).count();
+        assert_eq!(self.model.len(), before + inserted - deleted);
+        (inserted, deleted)
     }
 
     /// The writer's data, read every way it can be, is the model.
@@ -141,8 +169,8 @@ fn a_prepared_writer_keeps_no_copy_of_the_data() {
     assert_eq!(w.db.graph().len(), len, "unprepared, the graph holds the data");
     w.check_data();
     w.db.prepare();
-    // `Graph::replace_data`'s unit test pins that the hand-over frees
-    // both the triples' `Vec` and their membership set.
+    // `Graph::take_data`'s unit test pins that the hand-over frees both
+    // the triples' `Vec` and their membership set.
     assert!(w.db.graph().is_empty(), "prepared, the plain store holds the data");
     assert!(w.db.graph().data().is_empty());
     assert_eq!(w.db.graph().schema().len(), base().schema().len(), "the schema stays");
@@ -230,18 +258,9 @@ fn a_schema_statement_after_updates_rebuilds_over_every_data_triple() {
     let old = w.present(40);
     w.update(&batch[..100], &old);
 
-    let ns = lubm::NS;
-    let schema = Triple::new(
-        Term::uri(format!("{ns}Person")),
-        Term::uri(vocab::RDFS_SUBCLASS_OF),
-        Term::uri(format!("{ns}Agent")),
-    );
-    let report = w.db.apply_data_updates(std::slice::from_ref(&schema), &[]);
+    let schema = person_is_an_agent();
+    let report = w.update(std::slice::from_ref(&schema), &[]);
     assert!(!report.incremental, "{report:?}");
-    assert!(!w.db.graph().is_empty(), "the rebuild has the data back");
-    w.db.prepare();
-    assert!(w.db.graph().is_empty());
-    w.check_data();
 
     // A fresh database over the same triples, interned in its own order.
     let mut graph = Graph::new();
@@ -294,5 +313,75 @@ fn a_snapshot_of_an_updated_writer_round_trips() {
     let mut restored = db_of(loaded);
     for s in strategies() {
         assert_eq!(answers(&mut restored, &s, 14), answers(&mut w.db, &s, 14), "{}", s.name());
+    }
+}
+
+#[test]
+fn a_batch_carrying_a_schema_statement_counts_its_data() {
+    // A schema statement, a new data triple and deletes of three present
+    // ones, in one batch: it recomputes the closure and counts the data.
+    let mut w = Tracked::new();
+    w.db.prepare();
+    let inserts = [vec![person_is_an_agent()], w.fresh(1)].concat();
+    let deletes = w.present(3);
+    let report = w.update(&inserts, &deletes);
+    assert!(!report.incremental, "{report:?}");
+    assert_eq!((report.inserted, report.deleted), (1, 3), "{report:?}");
+    let mut full = w.rebuilt();
+    assert_same_indexes(w.db.plain_store(), full.plain_store(), "plain");
+    for s in strategies() {
+        assert_eq!(answers(&mut w.db, &s, 14), answers(&mut full, &s, 14), "{}", s.name());
+    }
+
+    // The same batch through the server's writer.
+    let serving = ServingDb::new(db_of(base()));
+    let report = serving.apply_data_updates(&inserts, &deletes);
+    assert!(!report.incremental, "{report:?}");
+    assert_eq!((report.inserted, report.deleted), (1, 3), "{report:?}");
+}
+
+#[test]
+fn every_call_after_the_first_publication_leaves_the_graph_empty() {
+    let mut w = Tracked::new();
+    w.db.prepare();
+    // `insert`: a new triple, then the same one again.
+    let new = w.fresh(3);
+    w.model_update(&new[..1], &[]);
+    assert!(w.db.insert(&new[0]), "new to the data");
+    assert!(!w.db.insert(&new[0]), "held by the store");
+    assert!(w.db.graph().is_empty());
+    w.check_data();
+    // `extend`, with a schema statement and a triple of a new property.
+    let ns = lubm::NS;
+    let novel = Triple::new(
+        Term::uri(format!("{ns}Department0")),
+        Term::uri(format!("{ns}brandNewProperty")),
+        Term::literal("novel"),
+    );
+    let batch = [new[1..].to_vec(), vec![person_is_an_agent(), novel.clone()]].concat();
+    w.model_update(&batch, &[]);
+    w.db.extend(&batch);
+    assert!(w.db.graph().is_empty());
+    w.check_data();
+    let property = w.db.graph().dict().lookup(&novel.p).expect("interned");
+    assert!(w.db.closure().properties().contains(&property), "the closure learned it");
+    // `load_turtle`: a triple of a new class.
+    let text = format!("<{ns}Department0> a <{ns}BrandNewClass> .\n");
+    let loaded = Triple::new(
+        Term::uri(format!("{ns}Department0")),
+        Term::uri(vocab::RDF_TYPE),
+        Term::uri(format!("{ns}BrandNewClass")),
+    );
+    w.model_update(&[loaded], &[]);
+    assert_eq!(w.db.load_turtle(&text).expect("parses"), 1);
+    assert_eq!(w.db.load_turtle(&text).expect("parses"), 0, "held by the store");
+    assert!(w.db.graph().is_empty());
+    w.check_data();
+
+    let mut full = w.rebuilt();
+    assert_same_indexes(w.db.plain_store(), full.plain_store(), "plain");
+    assert_same_indexes(w.db.saturated_store(), full.saturated_store(), "saturated");
+    for s in strategies() {
+        assert_eq!(answers(&mut w.db, &s, 14), answers(&mut full, &s, 14), "{}", s.name());
     }
 }
