@@ -4,19 +4,23 @@
 //! plans), while our engine evaluates members with index-nested-loop
 //! pipelines (`IndexPipeline`, the default). This binary runs GCov
 //! under both member-evaluation models and evaluates the chosen JUCQs,
-//! quantifying what the substrate-aware refinement buys.
+//! quantifying what the substrate-aware refinement buys. A second
+//! table sets each UCQ's union terms beside the members the planner
+//! keeps of them (`Plan::fragments`), i.e. what containment removes.
 //!
 //! Run: `cargo run --release -p jucq-bench --bin ablation [universities]`
 
 use std::time::Duration;
 
-use jucq_bench::harness::{arg_scale, lubm_db, render_table, run_strategy, Cell};
+use jucq_bench::harness::{arg_scale, lubm_db, render_table, run_strategy};
+use jucq_core::reformulation::jucq::jucq_for_cover_bounded;
 use jucq_core::reformulation::reformulate::ReformulationEnv;
+use jucq_core::reformulation::Cover;
 use jucq_core::Strategy;
 use jucq_datagen::{lubm, NamedQuery};
 use jucq_optimizer::cost::EvalModel;
 use jucq_optimizer::{gcov, CoverSearch, PaperCostModel};
-use jucq_store::EngineProfile;
+use jucq_store::{EngineProfile, Planner};
 
 fn main() {
     let _obs = jucq_bench::harness::obs_sidecar("ablation");
@@ -25,6 +29,8 @@ fn main() {
     let mut db = lubm_db(universities, EngineProfile::pg_like());
     eprintln!("  {} data triples", db.data_len());
     let constants = db.cost_constants();
+    let (rdf_type, closure) = (db.rdf_type(), db.closure().clone());
+    let env = ReformulationEnv { closure: &closure, rdf_type };
 
     let queries: Vec<NamedQuery> =
         lubm::motivating_queries().into_iter().chain(lubm::workload()).collect();
@@ -32,9 +38,6 @@ fn main() {
     for nq in &queries {
         eprintln!("  {}...", nq.name);
         let q = db.parse_query(&nq.sparql).expect("parses");
-        let rdf_type = db.rdf_type();
-        let closure = db.closure().clone();
-        let env = ReformulationEnv { closure: &closure, rdf_type };
 
         let mut row = vec![nq.name.clone()];
         let mut covers = Vec::new();
@@ -70,31 +73,34 @@ fn main() {
         )
     );
 
-    // Second ablation: containment-minimized UCQ (the "minimal"
-    // reformulations of the paper's related work) vs the plain UCQ.
+    // Second ablation: the union terms of the UCQ reformulation against
+    // the members the planner keeps once empty members are pruned and
+    // every member is reduced to its core, deduplicated and dropped when
+    // a sibling contains it (planner passes 1–2; range scans off, so no
+    // member is folded into an interval).
+    let passes = EngineProfile::pg_like().with_range_scans(false);
     let mut rows = Vec::new();
     for nq in &queries {
-        eprintln!("  minimize {}...", nq.name);
+        eprintln!("  members {}...", nq.name);
         let q = db.parse_query(&nq.sparql).expect("parses");
-        let full = run_strategy(&mut db, &q, &Strategy::Ucq, 2);
-        let min = run_strategy(&mut db, &q, &Strategy::minimized_ucq_default(), 2);
-        let terms = |c: &Cell| match c {
-            Cell::Time { union_terms, .. } => union_terms.to_string(),
-            Cell::Failed(_) => "-".into(),
+        let cover = Cover::single_fragment(&q).expect("connected query");
+        let (terms, kept) = match jucq_for_cover_bounded(&q, &cover, &env, passes.max_union_terms) {
+            Ok(jucq) => {
+                let store = db.plain_store();
+                let plan = Planner::new(store.tables(), store.stats(), &passes).plan(&jucq);
+                let kept: usize = plan.fragments.iter().map(|f| f.members.len()).sum();
+                (jucq.union_terms().to_string(), kept.to_string())
+            }
+            Err(_) => ("-".into(), "-".into()),
         };
-        rows.push(vec![nq.name.clone(), terms(&full), full.render(), terms(&min), min.render()]);
+        let ucq = run_strategy(&mut db, &q, &Strategy::Ucq, 2).render();
+        rows.push(vec![nq.name.clone(), terms, kept, ucq]);
     }
     println!(
         "{}",
         render_table(
-            "Ablation: plain vs containment-minimized UCQ (cap 2000 members)",
-            &[
-                "q".into(),
-                "UCQ terms".into(),
-                "UCQ (ms)".into(),
-                "UCQmin terms".into(),
-                "UCQmin (ms)".into(),
-            ],
+            "Ablation: UCQ union terms vs the members the planner keeps (passes 1-2)",
+            &["q".into(), "UCQ terms".into(), "plan members".into(), "UCQ (ms)".into()],
             &rows,
         )
     );

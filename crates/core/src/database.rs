@@ -479,8 +479,9 @@ impl RdfDatabase {
     /// `schema` says the batch carried a schema statement. Inserts the
     /// data holds count for nothing, and so do deletes it does not hold
     /// unless the batch inserts them. While the closure holds (no schema
-    /// statement, no new class or property) the rest carries over, a
-    /// built saturated store maintained; otherwise the closure, the
+    /// statement, no new class or property, and no class or property the
+    /// schema does not declare left without data) the rest carries over,
+    /// a built saturated store maintained; otherwise the closure, the
     /// schema triples and the constants are recomputed, and the covers,
     /// the views and the saturated store dropped.
     fn publish(&mut self, deletes: &[TripleId], schema: bool) -> UpdateReport {
@@ -514,8 +515,14 @@ impl RdfDatabase {
         }
         let next = match prev.filter(|p| !schema && inserts.iter().all(|t| known(p, t))) {
             Some(prev) => {
-                report.incremental = true;
-                self.carry_closure(&prev, inserts, deletes, &mut report)
+                let plain = prev.plain.apply_delta(inserts.clone(), &deletes);
+                if self.empties_undeclared(&prev, &plain, &deletes) {
+                    jucq_obs::span!("prepare");
+                    self.closure_snapshot(plain, Arc::clone(&prev.schema_triples))
+                } else {
+                    report.incremental = true;
+                    self.carry_closure(&prev, plain, inserts, deletes, &mut report)
+                }
             }
             None => self.recompute_closure(inserts, deletes),
         };
@@ -523,16 +530,43 @@ impl RdfDatabase {
         report
     }
 
+    /// Did `deletes` take the last triple of a class or property the
+    /// schema does not declare? `plain` is the plain store after the
+    /// batch: one count on it per distinct such predicate or `rdf:type`
+    /// object. The closure's universe is the declared vocabulary plus
+    /// the data's, so it then shrinks.
+    fn empties_undeclared(
+        &self,
+        prev: &Snapshot,
+        plain: &Store,
+        deletes: &FxHashSet<TripleId>,
+    ) -> bool {
+        let schema = self.graph.schema();
+        let (classes, properties) = (schema.declared_classes(), schema.declared_properties());
+        let mut seen = FxHashSet::default();
+        deletes.iter().any(|t| {
+            let class = (t.p == prev.rdf_type).then_some(t.o);
+            let undeclared = match class {
+                Some(c) => c.is_uri() && !classes.contains(&c),
+                None => !properties.contains(&t.p),
+            };
+            undeclared
+                && seen.insert((t.p, class))
+                && plain.tables().count(&[None, Some(t.p), class]) == 0
+        })
+    }
+
     /// [`RdfDatabase::publish`]'s successor of `prev` under its own
-    /// closure, with the saturation counts in `report`.
+    /// closure, with `plain` the plain store after the batch and the
+    /// saturation counts in `report`.
     fn carry_closure(
         &mut self,
         prev: &Snapshot,
+        plain: Store,
         inserts: Vec<TripleId>,
         deletes: FxHashSet<TripleId>,
         report: &mut UpdateReport,
     ) -> Snapshot {
-        let plain = prev.plain.apply_delta(inserts.clone(), &deletes);
         // Maintain the saturation iff the snapshot this update derives
         // from has built it. A reader still building it reads as not
         // built: the next epoch then builds its own on demand.
@@ -583,7 +617,9 @@ impl RdfDatabase {
         mut deletes: FxHashSet<TripleId>,
     ) -> Snapshot {
         jucq_obs::span!("prepare");
-        let rdf_type = self.graph.rdf_type();
+        // Interned first: ids are first-seen, and the schema vocabulary
+        // is interned next.
+        self.graph.rdf_type();
         // The schema triples mention declared classes and properties
         // only, so the closure of the schema alone gives them all.
         let declared = SchemaClosure::new(self.graph.schema(), [], []);
@@ -598,6 +634,16 @@ impl RdfDatabase {
             jucq_obs::span!("prepare.index_build");
             base.apply_delta(inserts, &deletes)
         };
+        self.closure_snapshot(plain, schema_ts.into())
+    }
+
+    /// The snapshot over `plain`, a new plain store whose schema triples
+    /// are `schema_ts`, under the closure of its data: the rest of
+    /// [`RdfDatabase::recompute_closure`] (the closure and the
+    /// calibration), and all of a recomputation whose batch changed no
+    /// schema triple.
+    fn closure_snapshot(&mut self, plain: Store, schema_ts: Arc<[TripleId]>) -> Snapshot {
+        let rdf_type = self.graph.rdf_type();
         // The closure's universe is the data's, as a closure over the same
         // data observes it: the URI objects of the `rdf:type` run of POS,
         // and the predicates but `rdf:type` and the schema properties.
@@ -631,7 +677,7 @@ impl RdfDatabase {
             rdf_type,
             plain,
             saturated: Arc::new(OnceLock::new()),
-            schema_triples: schema_ts.into(),
+            schema_triples: schema_ts,
             constants,
             cache: renew(&mut self.plan_cache, false),
             views: self.views.clone(),
@@ -731,7 +777,7 @@ pub(crate) mod tests {
     use super::*;
     use jucq_model::vocab;
     use jucq_reformulation::Cover;
-    use jucq_store::{EngineError, PatternTerm, StorePattern};
+    use jucq_store::{EngineError, Leaf, PatternTerm, StoreCq, StorePattern};
 
     fn paper_db() -> RdfDatabase {
         let mut db = RdfDatabase::new();
@@ -1196,24 +1242,42 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn minimized_ucq_is_smaller_and_equivalent() {
+    fn ucq_plan_keeps_example_4_item_0_and_drops_its_instantiations() {
         let mut db = paper_db();
-        // q(x, y):- x rdf:type y: the instantiation members (x τ Book)
-        // etc. are subsumed by the original and must be dropped.
+        db.set_profile(EngineProfile::pg_like().with_range_scans(false));
+        // The paper's Example 4: q(x, y):- x rdf:type y reformulates into
+        // item (0), the query itself, plus instantiations such as item
+        // (1), q(x, Book):- x rdf:type Book, which item (0) contains.
         let q = db.parse_query("SELECT ?x ?y WHERE { ?x a ?y }").unwrap();
-        let full = db.answer(&q, &Strategy::Ucq).unwrap();
-        let min = db.answer(&q, &Strategy::minimized_ucq_default()).unwrap();
-        assert!(
-            min.union_terms < full.union_terms,
-            "minimization shrinks the union ({} vs {})",
-            min.union_terms,
-            full.union_terms
-        );
-        let mut a = full.rows;
-        let mut b = min.rows;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "answers unchanged");
+        let snapshot = Arc::clone(db.snapshot());
+        let planned = plan_jucq_on(&snapshot, &q, &Strategy::Ucq).unwrap();
+        let ucq = &planned.jucq.fragments[0];
+        let item0 = q.to_store_cq();
+        assert!(ucq.cqs.contains(&item0));
+        let instantiations: Vec<&StoreCq> = (ucq.cqs.iter())
+            .filter(|m| **m != item0 && jucq_store::containment::is_contained(m, &item0))
+            .collect();
+        assert!(!instantiations.is_empty(), "{:?}", ucq.cqs);
+        let plan = snapshot.plain.plan_jucq(&planned.jucq).unwrap();
+        let kept: Vec<(Option<StorePattern>, &[PatternTerm])> = (plan.fragments[0].members.iter())
+            .map(|m| match &m.leaf {
+                Leaf::Scan { pattern, .. } if m.probes.is_empty() => (Some(*pattern), &m.head[..]),
+                _ => (None, &m.head[..]),
+            })
+            .collect();
+        fn planned_as(cq: &StoreCq) -> (Option<StorePattern>, &[PatternTerm]) {
+            (Some(cq.patterns[0]), &cq.head)
+        }
+        assert!(kept.contains(&planned_as(&item0)), "{kept:?}");
+        for m in instantiations {
+            assert!(!kept.contains(&planned_as(m)), "{m:?} is contained in item (0)");
+        }
+        assert!(kept.len() < ucq.len(), "{} of {} members", kept.len(), ucq.len());
+        let mut ucq_rows = db.answer(&q, &Strategy::Ucq).unwrap().rows;
+        let mut sat_rows = db.answer(&q, &Strategy::Saturation).unwrap().rows;
+        ucq_rows.sort();
+        sat_rows.sort();
+        assert_eq!(ucq_rows, sat_rows, "answers unchanged");
     }
 
     fn all_strategies() -> Vec<Strategy> {
@@ -1221,7 +1285,6 @@ pub(crate) mod tests {
             Strategy::Saturation,
             Strategy::Ucq,
             Strategy::Scq,
-            Strategy::minimized_ucq_default(),
             Strategy::ecov_default(),
             Strategy::gcov_default(),
         ]

@@ -532,7 +532,7 @@ pub(crate) fn plan_jucq_on(
             let jucq = StoreJucq::new(vec![ucq], q.head.clone());
             return Ok(Planned { jucq, cover: None, explored, saturated: true, key });
         }
-        Strategy::Ucq | Strategy::MinimizedUcq { .. } => Cover::single_fragment(q)?,
+        Strategy::Ucq => Cover::single_fragment(q)?,
         Strategy::Scq => Cover::singletons(q)?,
         Strategy::FixedCover(cover) => cover.clone(),
         Strategy::ECov { cost, .. } | Strategy::GCov { cost, .. } => {
@@ -541,15 +541,8 @@ pub(crate) fn plan_jucq_on(
             cover
         }
     };
-    let mut jucq = jucq_for_cover_bounded(q, &cover, &env, limit)
+    let jucq = jucq_for_cover_bounded(q, &cover, &env, limit)
         .map_err(|n| EngineError::UnionTooLarge { terms: n, limit })?;
-    if let Strategy::MinimizedUcq { cap } = strategy {
-        if jucq.union_terms() <= *cap {
-            let minimized: Vec<_> =
-                jucq.fragments.iter().map(jucq_reformulation::minimize_ucq).collect();
-            jucq = StoreJucq::new(minimized, jucq.head);
-        }
-    }
     Ok(Planned { jucq, cover: Some(cover), explored, saturated: false, key })
 }
 

@@ -27,15 +27,6 @@ pub enum Strategy {
     /// The SCQ reformulation of \[13\] (one singleton fragment per
     /// triple).
     Scq,
-    /// The UCQ reformulation minimized by containment (dropping union
-    /// members subsumed by others, as the "minimal" reformulations of
-    /// the paper's related work \[14, 15\]). Minimization is quadratic in
-    /// the member count, so unions beyond `cap` members are left
-    /// unminimized.
-    MinimizedUcq {
-        /// Largest union size the minimizer will process.
-        cap: usize,
-    },
     /// The JUCQ chosen by the exhaustive ECov search (§4.2).
     ECov {
         /// Search wall-clock budget.
@@ -73,18 +64,12 @@ impl Strategy {
         Strategy::ECov { budget: Duration::from_secs(30), cost: CostSource::Paper }
     }
 
-    /// Minimized UCQ with a 2 000-member minimization cap.
-    pub fn minimized_ucq_default() -> Self {
-        Strategy::MinimizedUcq { cap: 2_000 }
-    }
-
     /// Short name used in reports and figures.
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::Saturation => "SAT",
             Strategy::Ucq => "UCQ",
             Strategy::Scq => "SCQ",
-            Strategy::MinimizedUcq { .. } => "UCQmin",
             Strategy::ECov { .. } => "ECov",
             Strategy::GCov { .. } => "GCov",
             Strategy::FixedCover(_) => "Cover",
@@ -101,7 +86,6 @@ impl Strategy {
             "sat" | "saturation" | "SAT" => Some(Strategy::Saturation),
             "ucq" | "UCQ" => Some(Strategy::Ucq),
             "scq" | "SCQ" => Some(Strategy::Scq),
-            "UCQmin" => Some(Strategy::minimized_ucq_default()),
             "ecov" | "ECov" => Some(Strategy::ecov_default()),
             "gcov" | "GCov" => Some(Strategy::gcov_default()),
             _ => None,
@@ -128,7 +112,6 @@ mod tests {
             Strategy::Saturation,
             Strategy::Ucq,
             Strategy::Scq,
-            Strategy::minimized_ucq_default(),
             Strategy::ecov_default(),
             Strategy::gcov_default(),
         ] {
@@ -144,7 +127,7 @@ mod tests {
         ] {
             assert_eq!(Strategy::from_name(cli).map(|s| s.name()), Some(record), "{cli}");
         }
-        for unknown in ["Range", "range", "Cover", "bogus", ""] {
+        for unknown in ["Range", "range", "UCQmin", "Cover", "bogus", ""] {
             assert_eq!(Strategy::from_name(unknown), None, "`{unknown}`");
         }
     }

@@ -32,14 +32,13 @@ impl Graph {
     }
 
     /// Reassemble a graph from its parts (used by snapshot loaders).
-    /// `data` is deduplicated; ids must come from `dict`.
-    pub fn assemble(dict: Dictionary, schema: Schema, data: Vec<TripleId>) -> Self {
-        let mut g = Graph { dict, schema, ..Default::default() };
-        for t in data {
-            g.insert_data_encoded(t);
-        }
-        g.rdf_type = g.dict.lookup_uri(vocab::RDF_TYPE);
-        g
+    /// `data` is deduplicated in place, first occurrences kept, and moved
+    /// in; ids must come from `dict`.
+    pub fn assemble(dict: Dictionary, schema: Schema, mut data: Vec<TripleId>) -> Self {
+        let mut data_set = FxHashSet::with_capacity_and_hasher(data.len(), Default::default());
+        data.retain(|&t| data_set.insert(t));
+        let rdf_type = dict.lookup_uri(vocab::RDF_TYPE);
+        Graph { dict, schema, data, data_set, rdf_type }
     }
 
     /// Insert a decoded triple, routing it to the schema or the data

@@ -74,9 +74,9 @@ pub struct QueryRecord {
     pub query: String,
     /// Stable fingerprint of the canonicalized query.
     pub fingerprint: String,
-    /// Strategy short name (`SAT`, `UCQ`, `SCQ`, `UCQmin`, `ECov`,
-    /// `GCov`, `Cover`; logs from before its deletion may name `Range`,
-    /// which replays as an error).
+    /// Strategy short name (`SAT`, `UCQ`, `SCQ`, `ECov`, `GCov`,
+    /// `Cover`; logs from before their deletion may name `Range` or
+    /// `UCQmin`, which replay as an error).
     pub strategy: String,
     /// The engine profile's plan-affecting knob fingerprint.
     pub profile: String,

@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 
 use jucq_model::{FxHashMap, FxHashSet, SchemaClosure, TermId};
 use jucq_reformulation::{BgpQuery, ReformulationEnv};
+use jucq_store::containment::{minimize_union, UnionMember};
 use jucq_store::{
     CollapsibleRun, Interval, PatternTerm, RangePos, StoreCq, StorePattern, StoreUcq, TripleTable,
     VarId,
@@ -422,50 +423,6 @@ pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> V
     runs
 }
 
-/// An atom of `cq` that another atom of its body implies, if any: the
-/// two agree — same constant, same variable — in every position where
-/// the implied atom does not hold a variable occurring nowhere else in
-/// the body or the head. Every valuation matching the other atom then
-/// extends to the implied one by giving those variables the other
-/// atom's values, so under set semantics the member answers the same
-/// without it. A rule meeting the query's own atom produces the shape:
-/// `(?x takesCourse ?1) ⋈ (?x takesCourse ?2)` with head `[?x]` probes
-/// every row for matches the head then projects away. Of two atoms
-/// implying each other the later one is reported.
-fn implied_atom(cq: &StoreCq) -> Option<usize> {
-    let private = |t: PatternTerm| {
-        t.as_var().is_some_and(|v| {
-            let body = cq.patterns.iter().flat_map(|p| p.positions());
-            body.chain(cq.head.iter().copied()).filter(|o| o.as_var() == Some(v)).count() == 1
-        })
-    };
-    let n = cq.patterns.len();
-    (0..n).rev().find(|&a| {
-        (0..n).filter(|&b| b != a).any(|b| {
-            let (pa, pb) = (cq.patterns[a].positions(), cq.patterns[b].positions());
-            pa.iter().zip(pb).all(|(&x, y)| x == y || private(x))
-        })
-    })
-}
-
-/// `a ⊆ b` over sorted, deduplicated pattern vectors.
-fn is_subset(a: &[StorePattern], b: &[StorePattern]) -> bool {
-    let mut j = 0;
-    for p in a {
-        while j < b.len() && b[j] < *p {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != *p {
-            return false;
-        }
-        j += 1;
-    }
-    true
-}
-
-/// The SUBSUMPTION_MEMBER_LIMIT of the planner's dedup pass.
-const SUBSUMPTION_MEMBER_LIMIT: usize = 2_000;
-
 /// One union member mid-rewrite: the CQ and its exact per-atom extents.
 struct DraftMember {
     cq: StoreCq,
@@ -484,9 +441,20 @@ struct Scratch {
     alive: bool,
 }
 
+impl UnionMember for DraftMember {
+    fn cq(&self) -> &StoreCq {
+        &self.cq
+    }
+
+    fn remove_atom(&mut self, atom: usize) {
+        self.cq.patterns.remove(atom);
+        self.counts.remove(atom);
+    }
+}
+
 /// The members the planner's collapse pass receives: `ucq`'s members
-/// after pass 1 (prune empty extents) and pass 2 (implied atoms,
-/// duplicates, subsumed members).
+/// after pass 1 (prune empty extents) and pass 2, the store's own
+/// [`minimize_union`] (cores, duplicates, contained members).
 fn collapse_input(table: &TripleTable, ucq: &StoreUcq) -> Vec<DraftMember> {
     let mut members: Vec<DraftMember> = (ucq.cqs.iter())
         .map(|cq| DraftMember {
@@ -495,46 +463,8 @@ fn collapse_input(table: &TripleTable, ucq: &StoreUcq) -> Vec<DraftMember> {
         })
         .collect();
     members.retain(|m| !m.counts.contains(&0));
-    for m in &mut members {
-        while let Some(atom) = implied_atom(&m.cq) {
-            m.cq.patterns.remove(atom);
-            m.counts.remove(atom);
-        }
-    }
-    let mut seen: FxHashSet<StoreCq> = FxHashSet::default();
-    let mut kept: Vec<DraftMember> = Vec::with_capacity(members.len());
-    for m in members {
-        if seen.insert(m.cq.clone()) {
-            kept.push(m);
-        }
-    }
-    if kept.len() > 1 && kept.len() <= SUBSUMPTION_MEMBER_LIMIT {
-        let sorted: Vec<Vec<StorePattern>> = kept
-            .iter()
-            .map(|m| {
-                let mut v = m.cq.patterns.clone();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        let mut drop = vec![false; kept.len()];
-        for a in 0..kept.len() {
-            for b in 0..kept.len() {
-                if a == b || kept[b].cq.head != kept[a].cq.head {
-                    continue;
-                }
-                if is_subset(&sorted[b], &sorted[a]) && (sorted[b].len() < sorted[a].len() || b < a)
-                {
-                    drop[a] = true;
-                    break;
-                }
-            }
-        }
-        let mut it = drop.iter();
-        kept.retain(|_| !*it.next().expect("one flag per member"));
-    }
-    kept
+    minimize_union(&mut members);
+    members
 }
 
 /// Does the index hold *no* triple matching `pat`'s template with its

@@ -21,7 +21,7 @@
 //!
 //! Strategies: `sat`, `ucq`, `scq`, `ecov`, `gcov` (default) — or the
 //! names the query log records (`Strategy::from_name`).
-//! Profiles: `pg` (default), `db2`, `mysql`, `native`.
+//! Profiles: `pg` (default), `db2`, `mysql`.
 //! Threads: a query runs on one thread, start to finish. `serve
 //! --threads N` sizes the HTTP worker pool, so the server answers up to
 //! N requests at once.
@@ -59,7 +59,7 @@ use jucq_core::{RdfDatabase, Strategy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|ecov|gcov] [--profile pg|db2|mysql|native] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
+        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|ecov|gcov] [--profile pg|db2|mysql] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
     );
     std::process::exit(2)
 }
@@ -69,7 +69,6 @@ fn parse_profile(name: &str) -> Option<EngineProfile> {
         "pg" => Some(EngineProfile::pg_like()),
         "db2" => Some(EngineProfile::db2_like()),
         "mysql" => Some(EngineProfile::mysql_like()),
-        "native" => Some(EngineProfile::native_like()),
         _ => None,
     }
 }
@@ -588,9 +587,9 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                     Some(p) => db.set_profile(p),
                     None => eprintln!("unknown profile `{v}`"),
                 },
-                (Some("help"), _) => eprintln!(
-                    ":strategy sat|ucq|scq|ecov|gcov, :profile pg|db2|mysql|native, :quit"
-                ),
+                (Some("help"), _) => {
+                    eprintln!(":strategy sat|ucq|scq|ecov|gcov, :profile pg|db2|mysql, :quit")
+                }
                 _ => eprintln!("unknown command; try :help"),
             }
             continue;

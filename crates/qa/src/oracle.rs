@@ -45,7 +45,6 @@ pub fn profiles_for(choice: &str) -> Option<Vec<EngineProfile>> {
         "pg" => Some(vec![EngineProfile::pg_like()]),
         "db2" => Some(vec![EngineProfile::db2_like()]),
         "mysql" => Some(vec![EngineProfile::mysql_like()]),
-        "native" => Some(vec![EngineProfile::native_like()]),
         _ => None,
     }
 }
@@ -150,7 +149,6 @@ fn named_strategies() -> Vec<Strategy> {
     vec![
         Strategy::Ucq,
         Strategy::Scq,
-        Strategy::minimized_ucq_default(),
         Strategy::ECov { budget: Duration::from_secs(10), cost: CostSource::Paper },
         Strategy::GCov {
             budget: Duration::from_secs(10),

@@ -23,14 +23,12 @@
 #![warn(missing_docs)]
 
 pub mod bgp;
-pub mod containment;
 pub mod cover;
 pub mod jucq;
 pub mod reformulate;
 pub mod saturation;
 
 pub use bgp::{bits, AtomMask, AtomMasks, BgpQuery, VarMask};
-pub use containment::{is_contained, minimize_ucq};
 pub use cover::{Cover, CoverError};
 pub use jucq::{jucq_for_cover, scq_reformulation, ucq_reformulation};
 pub use reformulate::{reformulate, reformulate_memoized, AtomMemo, ReformulationEnv};

@@ -31,9 +31,12 @@
 //! * [`plan`] — the physical plan layer: fragment unions of member
 //!   pipelines plus join steps ([`plan::Plan`]), produced by the
 //!   rewrite-pass [`plan::Planner`]
-//!   (empty-member pruning, member dedup/subsumption, common-scan
+//!   (empty-member pruning, member cores and subsumption, common-scan
 //!   factoring, join-order selection, operator choice), interpreted by
 //!   the executor;
+//! * [`containment`] — conjunctive-query containment, the planner's one
+//!   test for redundant atoms and union members (member cores,
+//!   duplicates, members a sibling contains);
 //! * [`engine::Store`] — the facade: load a graph, plan and evaluate
 //!   queries under a deadline, expose failures (`stack depth`-style
 //!   errors, memory exhaustion, timeouts) as typed
@@ -45,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod containment;
 pub mod engine;
 pub mod error;
 pub mod exec;

@@ -6,12 +6,12 @@
 //! 1. **prune_empty** — drop union members containing a pattern with an
 //!    empty extent (exact index cardinality); a fragment that loses all
 //!    members proves the whole JUCQ empty (`∅ ⋈ X = ∅`).
-//! 2. **dedup_members** — drop a member atom that another atom of the
-//!    same body implies (equal wherever it does not hold a variable
-//!    used nowhere else), then exact-duplicate members, then members
-//!    subsumed by another member of the same fragment (same head terms,
-//!    body pattern superset): reformulation stamps all three out
-//!    routinely.
+//! 2. **dedup_members** — [`minimize_union`] on each fragment: every
+//!    member becomes its core (an atom goes when the member maps into
+//!    itself without it, head fixed), then exact-duplicate members go,
+//!    then members contained in a sibling (a homomorphism from the
+//!    sibling maps its head onto theirs): reformulation stamps all
+//!    three out routinely.
 //! 3. **factor_scans** — count how often each distinct [`StorePattern`]
 //!    is scanned across all members of all fragments (each member's leaf
 //!    atom is its one scan; later atoms are index probes); patterns
@@ -48,8 +48,9 @@
 use std::hash::{Hash, Hasher};
 
 use jucq_model::hash::FxHasher;
-use jucq_model::{FxHashMap, FxHashSet};
+use jucq_model::FxHashMap;
 
+use crate::containment::{minimize_union, UnionMember};
 use crate::ir::{PatternTerm, StoreCq, StoreJucq, StorePattern, VarId};
 use crate::plan::join_order::fragment_join_order;
 use crate::plan::node::{
@@ -59,10 +60,6 @@ use crate::profile::EngineProfile;
 use crate::stats::{FragmentSummary, Statistics};
 use crate::table::{RangePos, TableStack};
 use crate::views::{ViewCatalog, ViewSignature};
-
-/// The O(members²) subsumption sweep is skipped beyond this union width
-/// (exact-duplicate elimination still runs; it is linear).
-const SUBSUMPTION_MEMBER_LIMIT: usize = 2_000;
 
 /// Lowers logical [`StoreJucq`]s to physical [`Plan`]s for one store.
 pub struct Planner<'a> {
@@ -338,45 +335,15 @@ pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> V
     runs
 }
 
-/// An atom of `cq` that another atom of its body implies, if any: the
-/// two agree — same constant, same variable — in every position where
-/// the implied atom does not hold a variable occurring nowhere else in
-/// the body or the head. Every valuation matching the other atom then
-/// extends to the implied one by giving those variables the other
-/// atom's values, so under set semantics the member answers the same
-/// without it. A rule meeting the query's own atom produces the shape:
-/// `(?x takesCourse ?1) ⋈ (?x takesCourse ?2)` with head `[?x]` probes
-/// every row for matches the head then projects away. Of two atoms
-/// implying each other the later one is reported.
-fn implied_atom(cq: &StoreCq) -> Option<usize> {
-    let private = |t: PatternTerm| {
-        t.as_var().is_some_and(|v| {
-            let body = cq.patterns.iter().flat_map(|p| p.positions());
-            body.chain(cq.head.iter().copied()).filter(|o| o.as_var() == Some(v)).count() == 1
-        })
-    };
-    let n = cq.patterns.len();
-    (0..n).rev().find(|&a| {
-        (0..n).filter(|&b| b != a).any(|b| {
-            let (pa, pb) = (cq.patterns[a].positions(), cq.patterns[b].positions());
-            pa.iter().zip(pb).all(|(&x, y)| x == y || private(x))
-        })
-    })
-}
-
-/// `a ⊆ b` over sorted, deduplicated pattern vectors.
-fn is_subset(a: &[StorePattern], b: &[StorePattern]) -> bool {
-    let mut j = 0;
-    for p in a {
-        while j < b.len() && b[j] < *p {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != *p {
-            return false;
-        }
-        j += 1;
+impl UnionMember for DraftMember {
+    fn cq(&self) -> &StoreCq {
+        &self.cq
     }
-    true
+
+    fn remove_atom(&mut self, atom: usize) {
+        self.cq.patterns.remove(atom);
+        self.counts.remove(atom);
+    }
 }
 
 impl<'a> Planner<'a> {
@@ -439,59 +406,15 @@ impl<'a> Planner<'a> {
         jucq_obs::metrics::counter_add("planner.prune_empty.nodes_after", after as u64);
     }
 
-    /// Pass 2: drop every member atom [implied](implied_atom) by another
-    /// atom of the same member (it is then neither scanned nor probed
-    /// for), then exact-duplicate members, then members subsumed by
-    /// another member of the same fragment — same head term sequence and
-    /// a body pattern set that is a superset of the other's (every
-    /// valuation satisfying the superset body satisfies the subset body,
-    /// so under set semantics the superset member contributes nothing).
+    /// Pass 2: [`minimize_union`] on every fragment — each member becomes
+    /// its core (an atom it maps into itself without is neither scanned
+    /// nor probed for), then exact duplicates and members contained in
+    /// a sibling go. Under set semantics the fragment answers the same.
     fn dedup_members(&self, draft: &mut [DraftFragment]) {
         jucq_obs::span!("plan.dedup_members");
         let before = draft_nodes(draft);
         for frag in draft.iter_mut() {
-            for m in &mut frag.members {
-                while let Some(atom) = implied_atom(&m.cq) {
-                    m.cq.patterns.remove(atom);
-                    m.counts.remove(atom);
-                }
-            }
-            let mut seen: FxHashSet<StoreCq> = FxHashSet::default();
-            let mut kept: Vec<DraftMember> = Vec::with_capacity(frag.members.len());
-            for m in std::mem::take(&mut frag.members) {
-                if seen.insert(m.cq.clone()) {
-                    kept.push(m);
-                }
-            }
-            if kept.len() > 1 && kept.len() <= SUBSUMPTION_MEMBER_LIMIT {
-                let sorted: Vec<Vec<StorePattern>> = kept
-                    .iter()
-                    .map(|m| {
-                        let mut v = m.cq.patterns.clone();
-                        v.sort_unstable();
-                        v.dedup();
-                        v
-                    })
-                    .collect();
-                let mut drop = vec![false; kept.len()];
-                for a in 0..kept.len() {
-                    for b in 0..kept.len() {
-                        if a == b || kept[b].cq.head != kept[a].cq.head {
-                            continue;
-                        }
-                        // Strict subset, or equal sets keeping the first.
-                        if is_subset(&sorted[b], &sorted[a])
-                            && (sorted[b].len() < sorted[a].len() || b < a)
-                        {
-                            drop[a] = true;
-                            break;
-                        }
-                    }
-                }
-                let mut it = drop.iter();
-                kept.retain(|_| !*it.next().expect("one flag per member"));
-            }
-            frag.members = kept;
+            minimize_union(&mut frag.members);
         }
         let after = draft_nodes(draft);
         jucq_obs::metrics::counter_add("planner.dedup_members.nodes_before", before as u64);
@@ -916,6 +839,7 @@ fn atom_order(patterns: &[StorePattern], counts: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::containment::redundant_atom;
     use crate::ir::StoreUcq;
     use crate::profile::JoinAlgo;
     use crate::table::TripleTable;
@@ -1014,24 +938,24 @@ mod tests {
         let cq = |body: Vec<StorePattern>, head: Vec<VarId>| StoreCq::with_var_head(body, head);
         let tc = |s, o| StorePattern::new(s, c(10), o);
         // Q06's shape: both atoms imply each other; the later one goes.
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0])), Some(1));
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0])), Some(1));
         // A head variable is an output, not a don't-care.
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0, 1, 2])), None);
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0, 2])), Some(0));
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0, 1, 2])), None);
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), v(2))], vec![0, 2])), Some(0));
         // So is a variable another atom joins on…
         let joined = vec![tc(v(0), v(1)), tc(v(0), v(2)), StorePattern::new(v(2), c(11), v(3))];
-        assert_eq!(implied_atom(&cq(joined, vec![0])), Some(0));
+        assert_eq!(redundant_atom(&cq(joined, vec![0])), Some(0));
         // …or one the atom itself repeats: `?1 p ?1` asks for a loop.
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(2)), tc(v(1), v(1))], vec![0])), None);
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(2)), tc(v(1), v(1))], vec![0])), None);
         // A constant, or a loop, is implied by nothing weaker but
         // implies the atom with a don't-care in its place.
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), c(3))], vec![0])), Some(0));
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(0)), tc(v(0), v(1))], vec![0])), Some(1));
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(1)), tc(v(0), c(3))], vec![0])), Some(0));
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(0)), tc(v(0), v(1))], vec![0])), Some(1));
         // Different constants, different predicates: nothing to drop.
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), c(2)), tc(v(0), c(3))], vec![0])), None);
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), c(2)), tc(v(0), c(3))], vec![0])), None);
         let other = StorePattern::new(v(0), c(11), v(2));
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1)), other], vec![0])), None);
-        assert_eq!(implied_atom(&cq(vec![tc(v(0), v(1))], vec![0])), None);
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(1)), other], vec![0])), None);
+        assert_eq!(redundant_atom(&cq(vec![tc(v(0), v(1))], vec![0])), None);
     }
 
     #[test]
@@ -1060,9 +984,10 @@ mod tests {
     }
 
     #[test]
-    fn subsumption_requires_equal_heads() {
+    fn subsumption_requires_the_head_to_map() {
         let a = one_pattern_member(StorePattern::new(v(0), c(10), v(1)), vec![0, 1]);
-        // Same body superset but a constant head: different output.
+        // Same body superset but a constant head: `?1 ↦ #7` would need
+        // `(?0 10 #7)`, which the body does not hold.
         let b = StoreCq::new(
             vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(0), c(11), c(100))],
             vec![PatternTerm::Var(0), PatternTerm::Const(id(7))],
@@ -1070,7 +995,7 @@ mod tests {
         let frag = StoreUcq::new(vec![a, b], vec![0, 1]);
         let plan = plan_of(&StoreJucq::from_ucq(frag), &EngineProfile::pg_like());
         let members = &plan.fragments[0].members;
-        assert_eq!(members.len(), 2, "different heads are never subsumed");
+        assert_eq!(members.len(), 2, "a head that does not map blocks subsumption");
     }
 
     #[test]

@@ -97,22 +97,6 @@ impl EngineProfile {
         }
     }
 
-    /// Virtuoso-like "native RDF store" used only for the saturation
-    /// comparison of Figure 10: same executor as pg-like but without the
-    /// per-query connection overhead (modelled in the cost layer) and
-    /// with a larger memory budget.
-    pub fn native_like() -> Self {
-        EngineProfile {
-            name: "native-like".into(),
-            max_union_terms: 100_000,
-            memory_budget_tuples: 80_000_000,
-            fragment_join: JoinAlgo::Hash,
-            materialize_all_unions: false,
-            timeout: Duration::from_secs(30),
-            range_scans: true,
-        }
-    }
-
     /// All three RDBMS-like profiles, in the order the figures use.
     pub fn rdbms_trio() -> [EngineProfile; 3] {
         [Self::db2_like(), Self::pg_like(), Self::mysql_like()]

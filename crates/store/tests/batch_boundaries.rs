@@ -193,12 +193,8 @@ fn independent_implementations_return_the_naive_answer() {
 #[test]
 fn profile_sip_matrix_returns_the_naive_answer() {
     let triples = triples(&sample_data());
-    let bases: [fn() -> EngineProfile; 4] = [
-        EngineProfile::pg_like,
-        EngineProfile::db2_like,
-        EngineProfile::mysql_like,
-        EngineProfile::native_like,
-    ];
+    let bases: [fn() -> EngineProfile; 3] =
+        [EngineProfile::pg_like, EngineProfile::db2_like, EngineProfile::mysql_like];
     for (qname, q, expect) in cases() {
         for base in bases {
             if !runs(qname, base().fragment_join) {

@@ -74,12 +74,8 @@ fn every_preset_and_join_matches_naive() {
     for (qname, q) in [("chain", chain_query()), ("skewed", skewed_query())] {
         let expect = naive_answers(&data, &q);
         assert!(!expect.is_empty(), "{qname}: the fixture must produce answers");
-        let bases: [fn() -> EngineProfile; 4] = [
-            EngineProfile::pg_like,
-            EngineProfile::db2_like,
-            EngineProfile::mysql_like,
-            EngineProfile::native_like,
-        ];
+        let bases: [fn() -> EngineProfile; 3] =
+            [EngineProfile::pg_like, EngineProfile::db2_like, EngineProfile::mysql_like];
         for base in bases {
             for join in [JoinAlgo::Hash, JoinAlgo::BlockNestedLoop] {
                 let profile = base().with_fragment_join(join);

@@ -88,14 +88,16 @@ Dedup (est 4.0)
 /// A domain rule met the query's own atom: `(?0 #u12 ?1) ⋈ (?0 #u12 ?2)`
 /// with head `[?0]` asks twice for the same thing. The implied atom is
 /// dropped before lowering — the first member is one scan, the second
-/// keeps one of its two interchangeable #u12 probes.
+/// keeps one of its two interchangeable #u10 probes. (Its atoms are
+/// #u10, not #u12: a second member with a #u12 atom would be contained
+/// in the first and dropped whole.)
 #[test]
 fn implied_atoms_snapshot() {
-    let tc = |o| StorePattern::new(v(0), c(12), v(o));
+    let tc = |p, o| StorePattern::new(v(0), c(p), v(o));
     let frag = StoreUcq::new(
         vec![
-            member(vec![tc(1), tc(2)], vec![0]),
-            member(vec![StorePattern::new(v(0), c(11), v(3)), tc(4), tc(5)], vec![0]),
+            member(vec![tc(12, 1), tc(12, 2)], vec![0]),
+            member(vec![tc(11, 3), tc(10, 4), tc(10, 5)], vec![0]),
         ],
         vec![0],
     );
@@ -107,7 +109,7 @@ Dedup (est 8.0)
       Project [?0]
         IndexScan (?0 #u12 ?1) (est 6.0)
       Project [?0]
-        Inlj probe (?0 #u12 ?4)
+        Inlj probe (?0 #u10 ?4)
           IndexScan (?0 #u11 ?3) (est 2.0)
 ";
     assert_eq!(got, want, "got:\n{got}");

@@ -101,12 +101,8 @@ fn repeated_vars_agree_across_the_full_execution_matrix() {
     let expected = expected_rows();
     assert!(!expected.is_empty(), "the fixture must produce answers");
 
-    let bases: [fn() -> EngineProfile; 4] = [
-        EngineProfile::pg_like,
-        EngineProfile::db2_like,
-        EngineProfile::mysql_like,
-        EngineProfile::native_like,
-    ];
+    let bases: [fn() -> EngineProfile; 3] =
+        [EngineProfile::pg_like, EngineProfile::db2_like, EngineProfile::mysql_like];
     let algos = [JoinAlgo::Hash, JoinAlgo::BlockNestedLoop];
     for base in bases {
         for algo in algos {

@@ -80,12 +80,12 @@ fn deep_hierarchy_with_domain_range() {
     jucq_qa::check_case(&case).unwrap();
 }
 
-/// Found by `jucq fuzz` (seed 126, shrunk): `is_contained` silently
+/// Found by `jucq fuzz` (seed 126, shrunk): containment once silently
 /// rebound a container variable already mapped to a variable of the
-/// contained query instead of checking consistency, so UCQ
-/// minimization judged a range-rule instantiation redundant and
-/// dropped its answer row (UCQmin returned 6 rows where SAT returned
-/// 7).
+/// contained query instead of checking consistency, so a range-rule
+/// instantiation was judged redundant and its answer row dropped (6
+/// rows where SAT returned 7). It now guards the planner's
+/// subsumption, which every UCQ, SCQ and cover plan runs.
 #[test]
 fn fuzz_seed_126() {
     let case = jucq_qa::GenCase::from_spec(

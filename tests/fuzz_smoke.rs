@@ -24,13 +24,3 @@ fn one_hundred_seeded_cases_agree_across_strategies() {
     // RangeScan / RangeProbe kernels stay on the fuzzed path.
     assert!(report.range_scans > 0, "no generated case ran a range-collapsed plan");
 }
-
-#[test]
-fn native_profile_smoke() {
-    let report = run_fuzz(512, 25, &[EngineProfile::native_like()], false);
-    assert!(
-        report.ok(),
-        "native-profile mismatch: {:?}",
-        report.failures.first().map(|f| &f.message)
-    );
-}

@@ -175,15 +175,11 @@ proptest! {
         // products inside a fragment); skip disconnected random bodies.
         prop_assume!(Cover::single_fragment(&q).is_ok());
         let sat = sorted(db.answer(&q, &Answering::Saturation).unwrap().rows);
+        // The planner runs the UCQ minus the members a sibling contains
+        // and with every member cut to its core, so this also holds
+        // containment to saturation.
         let ucq = sorted(db.answer(&q, &Answering::Ucq).unwrap().rows);
         prop_assert_eq!(&sat, &ucq, "UCQ differs from saturation for {:?}", q);
-        // Containment-minimized unions answer identically.
-        let min = sorted(
-            db.answer(&q, &Answering::minimized_ucq_default())
-                .unwrap()
-                .rows,
-        );
-        prop_assert_eq!(&sat, &min, "minimized UCQ differs for {:?}", q);
     }
 
     #[test]

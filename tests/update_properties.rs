@@ -187,7 +187,9 @@ fn random_batches() -> impl Strategy<Value = Vec<(Vec<Op>, Vec<Op>)>> {
 }
 
 /// The schema, plus one seed triple per property and class so that
-/// every batch stays in vocabulary.
+/// every batch stays in vocabulary. The seeds' subject `e4` is one no
+/// batch names, so no batch deletes a property's or class's last
+/// triple (that would shrink the closure's universe and recompute it).
 fn random_graph(desc: &SchemaDesc) -> Graph {
     let mut g = Graph::new();
     let t = |s: String, p: &str, o: String| Triple::new(Term::uri(s), Term::uri(p), Term::uri(o));
@@ -204,10 +206,10 @@ fn random_graph(desc: &SchemaDesc) -> Graph {
         g.insert(&t(format!("p{p}"), vocab::RDFS_RANGE, format!("C{c}")));
     }
     for p in 0..5 {
-        g.insert(&random_triple(&(0, p, p)));
+        g.insert(&random_triple(&(4, p, p)));
     }
     for c in 0..5 {
-        g.insert(&random_triple(&(1, 4, c)));
+        g.insert(&random_triple(&(4, 4, c)));
     }
     g
 }
@@ -487,13 +489,10 @@ proptest! {
                 let carries_schema = inserts.iter().chain(&deletes).any(is_schema);
                 prop_assert_eq!(!report.incremental, changed || carries_schema, "{:?}", report);
             }
-            // A recomputed closure observes the data as a fresh one does;
-            // a carried one keeps the universe it had.
-            if report.as_ref().is_some_and(|r| r.incremental) {
-                prop_assert_eq!(&after.universe, &before.universe);
-            } else {
-                prop_assert_eq!(&after.universe, &want.universe);
-            }
+            // Carried or recomputed, the closure observes the data as a
+            // fresh one does: a batch that empties an undeclared class or
+            // property recomputes it.
+            prop_assert_eq!(&after.universe, &want.universe);
             if maintain {
                 let differs = differing_index(db.saturated_store(), fresh.saturated_store());
                 prop_assert!(differs.is_none(), "saturated: {:?} differs from a from-scratch build", differs);
@@ -593,6 +592,38 @@ fn a_self_loop_with_equal_domain_and_range_derives_its_type_once() {
     assert_eq!(counts(&report), [0, 1, 0, 1]);
     assert_eq!(db.data_len(), 0);
     assert_eq!(db.saturated_store().tables().len(), db.plain_store().tables().len(), "schema only");
+}
+
+#[test]
+fn emptying_an_undeclared_class_or_property_recomputes_the_closure() {
+    // Novel and publishedIn are in the closure's universe through their
+    // data alone; writtenBy is declared by the schema.
+    let mut db = paper_db(&[
+        ("doi", "writtenBy", "a1"),
+        ("doi", "publishedIn", "y1996"),
+        ("doi", "type", "Novel"),
+        ("doi2", "type", "Novel"),
+    ]);
+    let [novel, published_in, written_by] =
+        ["Novel", "publishedIn", "writtenBy"].map(|u| db.intern_uri(u));
+    assert!(db.closure().classes().contains(&novel));
+    assert!(db.closure().properties().contains(&published_in));
+    // One of two Novel triples: the class keeps data, the closure carries.
+    update(&mut db, &[], &[("doi2", "type", "Novel")]);
+    assert!(db.closure().classes().contains(&novel));
+    // The last one, then the last publishedIn triple: each recomputes.
+    for (last, gone) in
+        [(("doi", "type", "Novel"), novel), (("doi", "publishedIn", "y1996"), published_in)]
+    {
+        let report = db.apply_data_updates(&[], &triples(&[last]));
+        assert!(!report.incremental && report.deleted == 1, "{report:?}");
+        let closure = db.closure();
+        assert!(!closure.classes().contains(&gone) && !closure.properties().contains(&gone));
+        db.saturated_store();
+    }
+    // The last writtenBy triple: declared, so carried and kept.
+    update(&mut db, &[], &[("doi", "writtenBy", "a1")]);
+    assert!(db.closure().properties().contains(&written_by));
 }
 
 #[test]
